@@ -94,7 +94,6 @@ _SCHEMA = {
     "outputs": {
         "directory": (str, True),
         "ensemble_dump": (str, False),
-        "field_dump": (bool, False),
     },
     "tolerances": {
         "mean_energy": (_NUM, False),

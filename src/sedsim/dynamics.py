@@ -41,7 +41,8 @@ class IntegrationError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """External conservative potential with force and force-gradient evaluators."""
+    """External conservative potential with force and force-gradient
+    evaluators; a constant gradient (harmonic, free) is a scalar."""
 
     kind: str
     V: callable
@@ -59,7 +60,7 @@ class Potential:
 
 def free_potential() -> Potential:
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return Potential(kind="free", V=zero, f=zero, fprime=zero)
+    return Potential(kind="free", V=zero, f=zero, fprime=lambda x: 0.0)
 
 
 def harmonic_potential(omega0: float, mass: float) -> Potential:
@@ -69,7 +70,7 @@ def harmonic_potential(omega0: float, mass: float) -> Potential:
         kind="harmonic",
         V=lambda x: 0.5 * k * np.square(x),
         f=lambda x: -k * np.asarray(x, dtype=float),
-        fprime=lambda x: np.full_like(np.asarray(x, dtype=float), -k),
+        fprime=lambda x: -k,
         params={"omega0": omega0, "stiffness": k},
     )
 
@@ -141,6 +142,16 @@ class ParticleSpec:
                     c: float = 1.0) -> "ParticleSpec":
         tau = 2.0 * charge**2 / (3.0 * mass * c**3)
         return cls(mass=mass, charge=charge, tau=tau, potential=potential, c=c)
+
+    def acceleration(self, x, v, e):
+        """x'' of the reduced-order equation at position x, velocity v and
+        field value e: (f(x) + tau f'(x) v + charge e) / m."""
+        pot = self.potential
+        return (pot.f(x) + self.tau * pot.fprime(x) * v + self.charge * e) / self.mass
+
+    def energy(self, x, v):
+        """Mechanical energy m v^2 / 2 + V(x)."""
+        return 0.5 * self.mass * v**2 + self.potential.V(x)
 
 
 # ---------------------------------------------------------------------------
@@ -223,62 +234,15 @@ class TrajectoryEnsemble:
     def ok_mask(self) -> np.ndarray:
         return self.status == STATUS_OK
 
-
-def _rk4_chunk(particle, fspec, ic, t0, dt, n_steps, record_stride,
-               master_seed, lo, hi, xs, vs, es, status, store_field):
-    """Integrate trajectories [lo, hi); write records into output slices."""
-    m, e, tau = particle.mass, particle.charge, particle.tau
-    pot_f, pot_fp = particle.potential.f, particle.potential.fprime
-    n = hi - lo
-    nsub = 2 * n_steps + 1
-    h2 = 0.5 * dt
-    w6 = dt / 6.0
-
-    tab = np.empty((n, nsub))
-    x = np.empty(n)
-    v = np.empty(n)
-    for i in range(n):
-        fr = make_field(fspec, (master_seed, lo + i, 0))
-        tab[i] = cache_grid(fr, t0, h2, nsub)[0]
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((master_seed, lo + i, 1)))
-        )
-        x[i], v[i] = ic.sample(rng)
-
-    def acc(xx, vv, ee):
-        return (pot_f(xx) + tau * pot_fp(xx) * vv + e * ee) / m
-
-    xs[lo:hi, 0] = x
-    vs[lo:hi, 0] = v
-    if store_field:
-        es[lo:hi, 0] = tab[:, 0]
-
-    for k in range(n_steps):
-        e0 = tab[:, 2 * k]
-        eh = tab[:, 2 * k + 1]
-        e1 = tab[:, 2 * k + 2]
-        a1 = acc(x, v, e0)
-        x2 = x + h2 * v
-        v2 = v + h2 * a1
-        a2 = acc(x2, v2, eh)
-        x3 = x + h2 * v2
-        v3 = v + h2 * a2
-        a3 = acc(x3, v3, eh)
-        x4 = x + dt * v3
-        v4 = v + dt * a3
-        a4 = acc(x4, v4, e1)
-        x = x + w6 * (v + 2.0 * (v2 + v3) + v4)
-        v = v + w6 * (a1 + 2.0 * (a2 + a3) + a4)
-        kk = k + 1
-        if kk % record_stride == 0:
-            j = kk // record_stride
-            bad = ~(np.isfinite(x) & np.isfinite(v))
-            if bad.any():
-                status[lo:hi][bad] = STATUS_NONFINITE
-            xs[lo:hi, j] = x
-            vs[lo:hi, j] = v
-            if store_field:
-                es[lo:hi, j] = tab[:, 2 * kk]
+    def intact(self, name: str, cols=None) -> np.ndarray:
+        """STATUS_OK rows of positions, velocities or field_values, limited
+        to the recorded columns cols (mask or indices) when given. Copies only
+        the selection; returns the stored array when nothing is excluded."""
+        arr = getattr(self, name)
+        ok = self.ok_mask()
+        if ok.all():
+            return arr if cols is None else arr[:, cols]
+        return arr[ok] if cols is None else arr[np.ix_(ok, cols)]
 
 
 def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
@@ -330,19 +294,65 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     seeds[:, 0] = master_seed
     seeds[:, 1] = np.arange(n_traj)
 
-    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
+    acc = particle.acceleration
+    nsub = 2 * n_steps + 1
+    h2 = 0.5 * dt
+    w6 = dt / 6.0
 
-    def job(span):
+    def chunk(span):
+        """Integrate trajectories [lo, hi); write records into output slices."""
         lo, hi = span
-        _rk4_chunk(particle, fspec, ic, t0, dt, n_steps, record_stride,
-                   master_seed, lo, hi, xs, vs, es, status, store_field)
+        n = hi - lo
+        tab = np.empty((n, nsub))
+        x = np.empty(n)
+        v = np.empty(n)
+        for i in range(n):
+            fr = make_field(fspec, (master_seed, lo + i, 0))
+            tab[i] = cache_grid(fr, t0, h2, nsub)[0]
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence((master_seed, lo + i, 1)))
+            )
+            x[i], v[i] = ic.sample(rng)
 
+        xs[lo:hi, 0] = x
+        vs[lo:hi, 0] = v
+        if store_field:
+            es[lo:hi, 0] = tab[:, 0]
+
+        for k in range(n_steps):
+            e0 = tab[:, 2 * k]
+            eh = tab[:, 2 * k + 1]
+            e1 = tab[:, 2 * k + 2]
+            a1 = acc(x, v, e0)
+            x2 = x + h2 * v
+            v2 = v + h2 * a1
+            a2 = acc(x2, v2, eh)
+            x3 = x + h2 * v2
+            v3 = v + h2 * a2
+            a3 = acc(x3, v3, eh)
+            x4 = x + dt * v3
+            v4 = v + dt * a3
+            a4 = acc(x4, v4, e1)
+            x = x + w6 * (v + 2.0 * (v2 + v3) + v4)
+            v = v + w6 * (a1 + 2.0 * (a2 + a3) + a4)
+            kk = k + 1
+            if kk % record_stride == 0:
+                j = kk // record_stride
+                bad = ~(np.isfinite(x) & np.isfinite(v))
+                if bad.any():
+                    status[lo:hi][bad] = STATUS_NONFINITE
+                xs[lo:hi, j] = x
+                vs[lo:hi, j] = v
+                if store_field:
+                    es[lo:hi, j] = tab[:, 2 * kk]
+
+    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
     if n_workers <= 1:
         for span in spans:
-            job(span)
+            chunk(span)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(job, spans))
+            list(pool.map(chunk, spans))
 
     times = t0 + dt * record_stride * np.arange(n_rec)
     meta = {
@@ -414,17 +424,14 @@ def energy_balance(ens: TrajectoryEnsemble, particle: ParticleSpec,
     if (t_end - t_start) < 10.0 * (2.0 * math.pi / omega_char):
         warnings.append("window shorter than 10 periods of the systematic motion")
 
-    ok = ens.ok_mask()
-    x = ens.positions[ok][:, sel]
-    v = ens.velocities[ok][:, sel]
-    efield = ens.field_values[ok][:, sel]
-    m, e, tau = particle.mass, particle.charge, particle.tau
-    pot = particle.potential
-
-    accel = (pot.f(x) + tau * pot.fprime(x) * v + e * efield) / m
-    absorbed_traj = np.mean(e * efield * v, axis=1)
-    radiated_traj = np.mean(m * tau * accel**2, axis=1)
-    energy_traj = np.mean(0.5 * m * v**2 + pot.V(x), axis=1)
+    x = ens.intact("positions", sel)
+    v = ens.intact("velocities", sel)
+    efield = ens.intact("field_values", sel)
+    absorbed_traj = np.mean(particle.charge * efield * v, axis=1)
+    radiated_traj = np.mean(particle.mass * particle.tau
+                            * particle.acceleration(x, v, efield)**2, axis=1)
+    energy_ti = particle.energy(x, v)
+    energy_traj = np.mean(energy_ti, axis=1)
 
     nt = x.shape[0]
     absorbed = float(np.mean(absorbed_traj))
@@ -436,12 +443,14 @@ def energy_balance(ens: TrajectoryEnsemble, particle: ParticleSpec,
 
     # net energy drift across the window, from a linear fit of the
     # ensemble-mean energy
-    e_of_t = np.mean(0.5 * m * v**2 + pot.V(x), axis=0)
+    e_of_t = np.mean(energy_ti, axis=0)
     tw = ens.times[sel]
-    slope = float(np.polyfit(tw, e_of_t, 1)[0]) if tw.size > 2 else 0.0
+    slope, se_trend = 0.0, 0.0
+    if tw.size > 2:
+        fit = np.polyfit(tw, e_of_t, 1)
+        slope = float(fit[0])
+        se_trend = float(np.std(e_of_t - np.polyval(fit, tw)) * 2.0)
     trend = slope * (t_end - t_start)
-    resid = e_of_t - np.polyval(np.polyfit(tw, e_of_t, 1), tw) if tw.size > 2 else e_of_t * 0
-    se_trend = float(np.std(resid) * 2.0) if tw.size > 2 else 0.0
     stationary = abs(trend) <= max(0.05 * abs(energy), 3.0 * se_trend)
 
     ratio = absorbed / radiated if radiated > 0 else math.inf
@@ -463,12 +472,8 @@ def relaxation_curve(ens: TrajectoryEnsemble, particle: ParticleSpec):
     """
     if ens.n_traj < 100:
         raise IntegrationError("relaxation curve needs an ensemble of >= 100")
-    ok = ens.ok_mask()
-    x = ens.positions[ok]
-    v = ens.velocities[ok]
-    m = particle.mass
-    energy = np.mean(0.5 * m * v**2 + particle.potential.V(x), axis=0)
-    return ens.times.copy(), energy
+    energy = particle.energy(ens.intact("positions"), ens.intact("velocities"))
+    return ens.times.copy(), np.mean(energy, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import time as _time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -239,18 +240,22 @@ def _resolve_time_grid(fspec: FieldSpec, t0: float, dt_cfg: float,
                        t_final: float):
     """Shrink dt so the half-step grid lands exactly on the mode-comb FFT
     grid; returns (dt, n_steps, n_fft). The resolved dt never exceeds the
-    configured one, so the step-size precondition is preserved."""
+    configured one, so the step-size precondition is preserved. The run
+    must end inside the comb period, where the field starts to repeat."""
     span = t_final - t0
     if span <= 0 or dt_cfg <= 0:
         raise ConfigError("time block must have t_final > t0 and dt > 0")
     h, n_fft = comb_cache_params(fspec, h_target=dt_cfg / 2.0)
-    for _ in range(8):
-        n_steps = max(1, int(math.ceil(span / (2.0 * h) - 1e-9)))
-        if n_fft >= 2 * n_steps + 1:
-            return 2.0 * h, n_steps, n_fft
-        h, n_fft = comb_cache_params(fspec, h_target=dt_cfg / 2.0,
-                                     min_points=2 * n_steps + 1)
-    raise PipelineError("stage 'time-grid' failed: comb grid did not converge")
+    period = h * n_fft       # 2 pi n_modes/(omega_cutoff - omega_min)
+    if span < period:
+        for _ in range(8):
+            n_steps = max(1, int(math.ceil(span / (2.0 * h) - 1e-9)))
+            if n_fft >= 2 * n_steps + 1:
+                return 2.0 * h, n_steps, n_fft
+            h, n_fft = comb_cache_params(fspec, h_target=dt_cfg / 2.0,
+                                         min_points=2 * n_steps + 1)
+    raise ConfigError(f"run length {span:g} does not fit inside the comb period "
+                      f"2 pi n_modes/(omega_cutoff - omega_min) = {period:g}")
 
 
 def _refs_in_window(ens: TrajectoryEnsemble, window, lag: float,
@@ -271,20 +276,6 @@ def _snap_lag(ens: TrajectoryEnsemble, lag) -> float:
     product so downstream multiple-of-grid checks see a zero remainder."""
     k = max(1, int(round(float(lag) / ens.rec_dt)))
     return k * ens.rec_dt
-
-
-def _cg_from_config(cfg: dict, delta_t: float, reference_times,
-                    x_range=None) -> CoarseGrainSpec:
-    cg = cfg["coarse_grain"]
-    bins = cg["x_bins"]
-    return CoarseGrainSpec(
-        delta_t=delta_t,
-        x_bins=int(bins["n"]),
-        x_range=x_range if x_range is not None
-        else (float(bins["min"]), float(bins["max"])),
-        reference_times=reference_times,
-        min_count=int(cg.get("min_count", 25)),
-    )
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -308,6 +299,47 @@ def _write_xy_csv(path: Path, header: str, columns) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _estimator_stage(cfg: dict, ens: TrajectoryEnsemble, run_dir: Path,
+                     window, thin_time: float, sweep_steps):
+    """v, u, v_a, density (fields/) and the diffusion sweep (dsweep.json) on
+    the window's reference times; thin_time and sweep_steps (multiples of
+    the recorded step) are the defaults of coarse_grain.thin_time and
+    .delta_t_sweep. Returns (spec at the lag, v, u, v_a, density, sweep)."""
+    cg = cfg["coarse_grain"]
+    bins = cg["x_bins"]
+    thin_steps = max(1, int(round(float(cg.get("thin_time", thin_time))
+                                  / ens.rec_dt)))
+
+    def est_spec(lag):
+        return CoarseGrainSpec(
+            delta_t=lag, x_bins=int(bins["n"]),
+            x_range=(float(bins["min"]), float(bins["max"])),
+            reference_times=_refs_in_window(ens, window, lag, thin_steps),
+            min_count=int(cg.get("min_count", 25)))
+
+    spec0 = est_spec(_snap_lag(ens, cg["delta_t"]))
+    v_field = _stage("estimate-v", estimate_v, ens, spec0)
+    u_field = _stage("estimate-u", estimate_u, ens, spec0)
+    va_est = _stage("estimate-va", estimate_va, ens, spec0)
+    rho_field = _stage("density", density_estimate, ens, spec0)
+    fields_dir = run_dir / "fields"
+    fields_dir.mkdir(parents=True, exist_ok=True)
+    v_field.to_csv(fields_dir / "v.csv")
+    u_field.to_csv(fields_dir / "u.csv")
+    va_est.backward_difference.to_csv(fields_dir / "va_direct.csv")
+    va_est.v_minus_u.to_csv(fields_dir / "va_combo.csv")
+    rho_field.to_csv(fields_dir / "rho.csv")
+
+    sweep_lags = cg.get("delta_t_sweep")
+    if sweep_lags is None:
+        sweep_lags = [ens.rec_dt * k for k in sweep_steps]
+    sweep_lags = list(dict.fromkeys(_snap_lag(ens, x) for x in sweep_lags))
+    sweep = _stage("diffusion-sweep", diffusion_sweep, ens,
+                   est_spec(max(sweep_lags)), sweep_lags)
+    _write_json(run_dir / "dsweep.json", sweep.to_dict())
+    return spec0, v_field, u_field, va_est, rho_field, sweep
+
+
 # ---------------------------------------------------------------------------
 # sed_harmonic_ground pipeline
 
@@ -317,20 +349,22 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path) -> ComparisonReport:
     omega0 = particle.potential.params.get("omega0")
     if omega0 is None:
         raise ConfigError("sed_harmonic_ground requires a harmonic potential")
+    ecf = cfg["ensemble"]
+    if not ecf.get("store_field", True):
+        raise ConfigError("sed_harmonic_ground needs ensemble.store_field = "
+                          "true: the energy balance reads the stored field")
     tcfg = cfg["time"]
     t0 = float(tcfg.get("t0", 0.0))
     dt, n_steps, _ = _stage("time-grid", _resolve_time_grid, fspec, t0,
                             float(tcfg["dt"]), float(tcfg["t_final"]))
     stride = int(tcfg.get("record_stride", 1))
     ic = _build_ic(cfg, particle, fspec.hbar)
-    ecf = cfg["ensemble"]
     master_seed = int(cfg["seeds"]["master_seed"])
 
     ens = _stage("integrate", integrate_ensemble,
                  particle, fspec, ic, t0, dt, n_steps,
                  int(ecf["n_traj"]), master_seed, record_stride=stride,
-                 n_workers=int(ecf.get("n_workers", 1)),
-                 store_field=bool(ecf.get("store_field", True)))
+                 n_workers=int(ecf.get("n_workers", 1)))
 
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     if dump_fmt != "none":
@@ -343,37 +377,9 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path) -> ComparisonReport:
     rtimes, rcurve = _stage("relaxation", relaxation_curve, ens, particle)
     _write_xy_csv(run_dir / "relaxation.csv", "t,mean_energy", (rtimes, rcurve))
 
-    # coarse-grained estimators on the stationary window; declared lags are
-    # snapped to the recorded grid (the comb-resolved dt is not a round number)
-    cg = cfg["coarse_grain"]
-    delta_t = _snap_lag(ens, cg["delta_t"])
-    thin_steps = max(1, int(round(float(cg.get("thin_time", 0.0)) / ens.rec_dt)))
-    fields_dir = run_dir / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
-
-    def est_spec(lag):
-        return _cg_from_config(
-            cfg, lag, _refs_in_window(ens, window, lag, thin_steps))
-
-    spec0 = est_spec(delta_t)
-    v_field = _stage("estimate-v", estimate_v, ens, spec0)
-    u_field = _stage("estimate-u", estimate_u, ens, spec0)
-    va_est = _stage("estimate-va", estimate_va, ens, spec0)
-    rho_field = _stage("density", density_estimate, ens, spec0)
-    v_field.to_csv(fields_dir / "v.csv")
-    u_field.to_csv(fields_dir / "u.csv")
-    va_est.backward_difference.to_csv(fields_dir / "va_direct.csv")
-    va_est.v_minus_u.to_csv(fields_dir / "va_combo.csv")
-    rho_field.to_csv(fields_dir / "rho.csv")
-
-    sweep_lags = cg.get("delta_t_sweep")
-    if sweep_lags is None:
-        sweep_lags = [ens.rec_dt * k for k in (1, 2, 3, 4, 6, 10)]
-    sweep_lags = list(dict.fromkeys(_snap_lag(ens, x) for x in sweep_lags))
-    max_lag = max(sweep_lags)
-    sweep = _stage("diffusion-sweep", diffusion_sweep, ens,
-                   est_spec(max_lag), sweep_lags)
-    _write_json(run_dir / "dsweep.json", sweep.to_dict())
+    # coarse-grained estimators on the stationary window
+    spec0, _, _, _, rho_field, sweep = _estimator_stage(
+        cfg, ens, run_dir, window, 0.0, (1, 2, 3, 4, 6, 10))
 
     branch = _stage("branch-classifier", classify_branch, ens, spec0,
                     particle.mass, particle.potential.f,
@@ -417,9 +423,8 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path) -> ComparisonReport:
                   (rho_field.x_centers, np.zeros_like(u_ref_bins), u_ref_bins))
 
     # simulation-side window statistics
-    sel = (ens.times >= window[0]) & (ens.times <= window[1])
-    ok = ens.ok_mask()
-    xw = ens.positions[ok][:, sel]
+    xw = ens.intact("positions",
+                    (ens.times >= window[0]) & (ens.times <= window[1]))
     per_traj_x2 = np.mean(xw**2, axis=1)
     xbar = float(np.mean(xw))
     x_var_sed = float(np.mean(per_traj_x2)) - xbar**2
@@ -523,34 +528,9 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path) -> ComparisonReport:
 
     cg = cfg["coarse_grain"]
     window = tuple(float(x) for x in cg["t_window"])
-    delta_t = _snap_lag(eq, cg["delta_t"])
-    thin_steps = max(1, int(round(float(cg.get("thin_time", 1e30)) / eq.rec_dt)))
-
-    def est_spec(lag):
-        return _cg_from_config(
-            cfg, lag, _refs_in_window(eq, window, lag, thin_steps))
-
-    spec0 = est_spec(delta_t)
-    v_field = _stage("estimate-v", estimate_v, eq, spec0)
-    u_field = _stage("estimate-u", estimate_u, eq, spec0)
-    va_est = _stage("estimate-va", estimate_va, eq, spec0)
-    rho_field = _stage("density", density_estimate, eq, spec0)
-    fields_dir = run_dir / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
-    v_field.to_csv(fields_dir / "v.csv")
-    u_field.to_csv(fields_dir / "u.csv")
-    va_est.backward_difference.to_csv(fields_dir / "va_direct.csv")
-    va_est.v_minus_u.to_csv(fields_dir / "va_combo.csv")
-    rho_field.to_csv(fields_dir / "rho.csv")
-
-    sweep_lags = cg.get("delta_t_sweep")
-    if sweep_lags is None:
-        sweep_lags = [eq.rec_dt * k for k in (1, 2, 4, 10)]
-    sweep_lags = list(dict.fromkeys(_snap_lag(eq, x) for x in sweep_lags))
-    max_lag = max(sweep_lags)
-    sweep = _stage("diffusion-sweep", diffusion_sweep, eq, est_spec(max_lag),
-                   sweep_lags)
-    _write_json(run_dir / "dsweep.json", sweep.to_dict())
+    spec0, v_field, u_field, va_est, _, sweep = _estimator_stage(
+        cfg, eq, run_dir, window, 1e30, (1, 2, 4, 10))
+    delta_t = spec0.delta_t
 
     # branch classification on the early relaxing window, time derivatives
     # measured across three reference times
@@ -566,10 +546,8 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path) -> ComparisonReport:
     span = 3.2 * math.sqrt(s_star)
     # coarser bins than the estimator grid: the classifier needs smooth
     # second derivatives over the occupied span more than x resolution
-    relax_spec = CoarseGrainSpec(
-        delta_t=delta_t, x_bins=int(cg.get("classifier_bins", 16)),
-        x_range=(-span, span), reference_times=refs,
-        min_count=int(cg.get("min_count", 25)))
+    relax_spec = replace(spec0, x_bins=int(cg.get("classifier_bins", 16)),
+                         x_range=(-span, span), reference_times=refs)
     branch = _stage("branch-classifier", classify_branch, relax, relax_spec,
                     particle.mass, particle.potential.f,
                     D=None, time_derivative="measured")
@@ -674,8 +652,9 @@ def run_experiment(config, output_root=None) -> RunResult:
 
     The run directory (outputs.directory, resolved under output_root or the
     current directory) receives a verbatim copy of the config, every stage
-    artifact, report.json/report.txt, and run.json. Nothing is written if
-    validation fails. Exit code 0 means every report row passed.
+    artifact, report.json/report.txt, and run.json. Nothing is left behind
+    if validation fails or the pipeline refuses the config (ConfigError).
+    Exit code 0 means every report row passed.
     """
     if isinstance(config, (str, Path)):
         cfg = load_config(config)
@@ -687,11 +666,19 @@ def run_experiment(config, output_root=None) -> RunResult:
     run_dir = root / cfg["outputs"]["directory"]
     if run_dir.exists() and any(run_dir.iterdir()):
         raise ConfigError(f"output directory {run_dir} exists and is not empty")
+    existed = run_dir.exists()
     run_dir.mkdir(parents=True, exist_ok=True)
 
     (run_dir / "config.json").write_text(dumps_config(cfg))
     start = _time.monotonic()
-    report = PIPELINES[pipeline](cfg, run_dir)
+    try:
+        report = PIPELINES[pipeline](cfg, run_dir)
+    except ConfigError:
+        # refused before any stage output: leave the directory as found
+        shutil.rmtree(run_dir)
+        if existed:
+            run_dir.mkdir()
+        raise
     elapsed = _time.monotonic() - start
 
     _write_json(run_dir / "report.json", report.to_dict())
@@ -819,15 +806,11 @@ def emit_plot_data(run_dir) -> list:
         particle = _build_particle(cfg, c=float(cfg["field"].get("c", 1.0)))
         window = tuple(float(x) for x in cfg["coarse_grain"]["t_window"])
         sel = (ens.times >= window[0]) & (ens.times <= window[1])
-        ok = ens.ok_mask()
-        x = ens.positions[ok][:, sel]
-        vv = ens.velocities[ok][:, sel]
-        ef = ens.field_values[ok][:, sel]
-        m, e, tau = particle.mass, particle.charge, particle.tau
-        acc = (particle.potential.f(x) + tau * particle.potential.fprime(x) * vv
-               + e * ef) / m
-        absorbed = np.mean(e * ef * vv, axis=0)
-        radiated = np.mean(m * tau * acc**2, axis=0)
+        vv = ens.intact("velocities", sel)
+        ef = ens.intact("field_values", sel)
+        acc = particle.acceleration(ens.intact("positions", sel), vv, ef)
+        absorbed = np.mean(particle.charge * ef * vv, axis=0)
+        radiated = np.mean(particle.mass * particle.tau * acc**2, axis=0)
         written += _write_figure(
             plot_dir, "balance_trace", "Energy balance across the window",
             "t", "power", "t,absorbed,radiated",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,20 +147,26 @@ class _Samples:
     xp: np.ndarray      # forward positions
     xm: np.ndarray      # backward positions
     ref_times: np.ndarray
-    k: int
     delta_t: float
+
+    def v_increments(self) -> np.ndarray:
+        """Symmetric-difference samples of the current velocity v."""
+        return (self.xp - self.xm) / (2.0 * self.delta_t)
+
+    def u_increments(self) -> np.ndarray:
+        """Second-difference samples of the osmotic velocity u."""
+        return (self.xp + self.xm - 2.0 * self.x0) / (2.0 * self.delta_t)
 
 
 def _gather(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> _Samples:
     k = _lag_steps(ens, spec.delta_t)
     ridx = _reference_indices(ens, spec, k)
-    ok = ens.ok_mask()
-    if not ok.any():
+    if not ens.ok_mask().any():
         raise KinematicsError("no intact trajectories in the ensemble")
-    pos = ens.positions[ok]
     return _Samples(
-        x0=pos[:, ridx], xp=pos[:, ridx + k], xm=pos[:, ridx - k],
-        ref_times=ens.times[ridx], k=k, delta_t=k * ens.rec_dt,
+        x0=ens.intact("positions", ridx), xp=ens.intact("positions", ridx + k),
+        xm=ens.intact("positions", ridx - k),
+        ref_times=ens.times[ridx], delta_t=k * ens.rec_dt,
     )
 
 
@@ -214,15 +220,13 @@ def _make_field(kind, edges, counts, mean, se, samples: _Samples,
 def estimate_v(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> BinnedField:
     """Current velocity v(x) from the symmetric difference."""
     s = _gather(ens, spec)
-    vals = (s.xp - s.xm) / (2.0 * s.delta_t)
-    return _binned_field_from(s, spec, vals, "v")
+    return _binned_field_from(s, spec, s.v_increments(), "v")
 
 
 def estimate_u(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> BinnedField:
     """Osmotic velocity u(x) from the second symmetric difference."""
     s = _gather(ens, spec)
-    vals = (s.xp + s.xm - 2.0 * s.x0) / (2.0 * s.delta_t)
-    return _binned_field_from(s, spec, vals, "u")
+    return _binned_field_from(s, spec, s.u_increments(), "u")
 
 
 def _binned_field_from(s: _Samples, spec: CoarseGrainSpec, vals, kind,
@@ -256,9 +260,8 @@ def estimate_va(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> VaEstimate:
     edges = _bin_edges(spec, s.x0.ravel())
     direct = _binned_field_from(
         s, spec, (s.x0 - s.xm) / s.delta_t, "va", edges=edges)
-    v = _binned_field_from(s, spec, (s.xp - s.xm) / (2 * s.delta_t), "v", edges=edges)
-    u = _binned_field_from(
-        s, spec, (s.xp + s.xm - 2 * s.x0) / (2 * s.delta_t), "u", edges=edges)
+    v = _binned_field_from(s, spec, s.v_increments(), "v", edges=edges)
+    u = _binned_field_from(s, spec, s.u_increments(), "u", edges=edges)
     combo = _make_field("va", edges, v.counts, v.values - u.values,
                         np.hypot(v.std_error, u.std_error), s, spec,
                         route="v_minus_u")
@@ -292,7 +295,11 @@ def estimate_D(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     available behind subtract_mean=False. The standard error treats
     trajectories, not samples, as the independent unit.
     """
-    s = _gather(ens, spec)
+    return _diffusion(_gather(ens, spec), spec, subtract_mean)
+
+
+def _diffusion(s: _Samples, spec: CoarseGrainSpec,
+               subtract_mean: bool = True) -> DiffusionEstimate:
     dx = s.xp - s.x0
     if subtract_mean:
         x = s.x0.ravel()
@@ -312,7 +319,7 @@ def estimate_D(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
         raise KinematicsError("too few trajectories for a diffusion estimate")
     value = float(np.mean(per_traj))
     se = float(np.std(per_traj, ddof=1) / math.sqrt(per_traj.size))
-    n = int(np.isfinite(samples).sum())
+    n = int(finite.sum())
     return DiffusionEstimate(value=value, std_error=se, delta_t=s.delta_t,
                              subtract_mean=subtract_mean, n_samples=n)
 
@@ -350,13 +357,8 @@ def diffusion_sweep(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
                     delta_ts, subtract_mean: bool = True,
                     plateau_rtol: float = 0.05) -> DiffusionSweep:
     delta_ts = np.asarray(sorted(delta_ts), dtype=float)
-    ests = []
-    for dt in delta_ts:
-        sp = CoarseGrainSpec(
-            delta_t=float(dt), x_bins=spec.x_bins, x_range=spec.x_range,
-            reference_times=spec.reference_times, thin_stride=spec.thin_stride,
-            min_count=spec.min_count)
-        ests.append(estimate_D(ens, sp, subtract_mean=subtract_mean))
+    ests = [estimate_D(ens, replace(spec, delta_t=float(dt)),
+                       subtract_mean=subtract_mean) for dt in delta_ts]
 
     def window_ok(i, j):
         for a in range(i, j + 1):
@@ -392,9 +394,11 @@ def diffusion_sweep(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
 def density_estimate(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> BinnedField:
     """Normalized position density on the coarse-graining bins."""
     s = _gather(ens, spec)
-    x = s.x0.ravel()
-    edges = _bin_edges(spec, x)
-    idx, inside = _bin_index(edges, x)
+    return _density_field(s, spec, _bin_edges(spec, s.x0.ravel()))
+
+
+def _density_field(s: _Samples, spec: CoarseGrainSpec, edges) -> BinnedField:
+    idx, inside = _bin_index(edges, s.x0.ravel())
     counts = np.bincount(idx, weights=inside.astype(float), minlength=spec.x_bins)
     n = float(inside.sum())
     width = float(edges[1] - edges[0])
@@ -459,9 +463,8 @@ class ResidualReport:
     warnings: list
 
 
-def _fields_at_times(ens, spec, edges):
+def _fields_at_times(s: _Samples, spec: CoarseGrainSpec, edges):
     """Per-reference-time binned v, u, rho on shared edges."""
-    s = _gather(ens, spec)
     n_ref = s.ref_times.size
     nb = spec.x_bins
     v = np.empty((n_ref, nb))
@@ -469,18 +472,16 @@ def _fields_at_times(ens, spec, edges):
     rho = np.empty((n_ref, nb))
     cnt = np.empty((n_ref, nb))
     width = float(edges[1] - edges[0])
+    cv, cu = s.v_increments(), s.u_increments()
     for r in range(n_ref):
-        x = s.x0[:, r]
-        idx, inside = _bin_index(edges, x)
-        cv = (s.xp[:, r] - s.xm[:, r]) / (2 * s.delta_t)
-        cu = (s.xp[:, r] + s.xm[:, r] - 2 * s.x0[:, r]) / (2 * s.delta_t)
-        c, mv, _ = _binned_mean(idx, inside, cv, nb)
-        _, mu, _ = _binned_mean(idx, inside, cu, nb)
+        idx, inside = _bin_index(edges, s.x0[:, r])
+        c, mv, _ = _binned_mean(idx, inside, cv[:, r], nb)
+        _, mu, _ = _binned_mean(idx, inside, cu[:, r], nb)
         n = float(inside.sum())
         v[r], u[r] = mv, mu
         rho[r] = c / n / width
         cnt[r] = c
-    return s, v, u, rho, cnt
+    return v, u, rho, cnt
 
 
 def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
@@ -494,22 +495,29 @@ def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     """
     if lam not in (-1, 1):
         raise KinematicsError("lam must be +1 or -1")
+    return _branch_residuals(_gather(ens, spec), spec, mass, force, (lam,), D,
+                             time_derivative)[lam]
+
+
+def _branch_residuals(s: _Samples, spec: CoarseGrainSpec, mass: float, force,
+                      lams, D, time_derivative: str) -> dict:
+    """ResidualReport per branch sign in lams; only the momentum residual
+    depends on the sign."""
     if time_derivative not in ("omitted", "measured"):
         raise KinematicsError("time_derivative must be 'omitted' or 'measured'")
     warnings = []
     if D is None:
-        D = estimate_D(ens, spec).value
+        D = _diffusion(s, spec).value
 
-    s_probe = _gather(ens, spec)
-    edges = _bin_edges(spec, s_probe.x0.ravel())
+    edges = _bin_edges(spec, s.x0.ravel())
     width = float(edges[1] - edges[0])
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     if time_derivative == "omitted":
         warnings.append("time-derivative terms omitted (stationarity assumed)")
-        v_f = estimate_v(ens, spec)
-        u_f = estimate_u(ens, spec)
-        rho_f = density_estimate(ens, spec)
+        v_f = _binned_field_from(s, spec, s.v_increments(), "v", edges=edges)
+        u_f = _binned_field_from(s, spec, s.u_increments(), "u", edges=edges)
+        rho_f = _density_field(s, spec, edges)
         run = _largest_valid_run(v_f.valid & u_f.valid)
         sl_c = centers[run]
         v = v_f.values[run]
@@ -518,7 +526,7 @@ def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
         counts = v_f.counts[run]
         dtv = np.zeros_like(v)
         dtrho = np.zeros_like(v)
-        ref_times = v_f.reference_times
+        ref_times = s.ref_times
     else:
         if spec.reference_times is None or len(spec.reference_times) < 3:
             raise KinematicsError(
@@ -529,7 +537,7 @@ def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
         ht = float(steps[0])
         warnings.append("time derivatives measured by differencing binned "
                         "fields across reference times (experimental)")
-        s, v_t, u_t, rho_t, cnt_t = _fields_at_times(ens, spec, edges)
+        v_t, u_t, rho_t, cnt_t = _fields_at_times(s, spec, edges)
         mid = slice(1, v_t.shape[0] - 1)
         valid = (cnt_t >= spec.min_count).all(axis=0) & np.isfinite(v_t).all(axis=0)
         run = _largest_valid_run(valid)
@@ -550,24 +558,27 @@ def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     conv = dtv + v * vp                    # convective acceleration
     osm = u * up + D * upp                 # osmotic acceleration
     fx = np.asarray(force(sl_c), dtype=float)
-    momentum = mass * (conv - lam * osm) - fx
     continuity = dtrho + rv
 
     scale = max(float(np.max(np.abs(fx))), mass * float(np.max(np.abs(conv))),
                 mass * float(np.max(np.abs(osm))), 1e-300)
     w = counts / counts.sum()
-    rel_m = float(np.sqrt(np.sum(w * momentum**2))) / scale
     rho_scale = max(float(np.max(np.abs(rho * v))) / max(width, 1e-300),
                     float(np.max(np.abs(dtrho))), 1e-300)
     rel_c = float(np.sqrt(np.sum(w * continuity**2))) / rho_scale
 
-    return ResidualReport(
-        lam=lam, delta_t=s_probe.delta_t, time_derivative=time_derivative,
-        x_centers=sl_c, momentum_residual=momentum,
-        continuity_residual=continuity, counts=counts,
-        relative_momentum=rel_m, relative_continuity=rel_c, scale=scale,
-        D_used=float(D), reference_times=ref_times, warnings=warnings,
-    )
+    reports = {}
+    for lam in lams:
+        momentum = mass * (conv - lam * osm) - fx
+        rel_m = float(np.sqrt(np.sum(w * momentum**2))) / scale
+        reports[lam] = ResidualReport(
+            lam=lam, delta_t=s.delta_t, time_derivative=time_derivative,
+            x_centers=sl_c, momentum_residual=momentum,
+            continuity_residual=continuity, counts=counts,
+            relative_momentum=rel_m, relative_continuity=rel_c, scale=scale,
+            D_used=float(D), reference_times=ref_times, warnings=list(warnings),
+        )
+    return reports
 
 
 @dataclass
@@ -597,17 +608,12 @@ def classify_branch(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     ratio is (worse residual)/(better residual); a ratio near 1 means the
     data cannot distinguish the branches at this lag and ensemble size.
     """
-    if D is None:
-        D = estimate_D(ens, spec).value
-    reports = {
-        lam: dynamics_residuals(ens, spec, mass, force, lam, D=D,
-                                time_derivative=time_derivative)
-        for lam in (+1, -1)
-    }
+    reports = _branch_residuals(_gather(ens, spec), spec, mass, force,
+                                (+1, -1), D, time_derivative)
     r_plus = reports[+1].relative_momentum
     r_minus = reports[-1].relative_momentum
     selected = +1 if r_plus <= r_minus else -1
     worse = max(r_plus, r_minus)
     better = max(min(r_plus, r_minus), 1e-300)
     return BranchReport(selected_lam=selected, ratio=worse / better,
-                        reports=reports, D_used=float(D))
+                        reports=reports, D_used=reports[+1].D_used)

@@ -52,6 +52,14 @@ def test_unknown_key_is_an_error_with_line_number(tmp_path):
     assert f":{expected}:" in msg
 
 
+def test_field_dump_is_an_unknown_key():
+    # no pipeline ever read outputs.field_dump; accepting it ignored it silently
+    cfg = minimal_ou_config()
+    cfg["outputs"]["field_dump"] = True
+    with pytest.raises(ConfigError, match="unknown key.*field_dump"):
+        validate_config(cfg)
+
+
 def test_unknown_top_level_key():
     cfg = minimal_ou_config()
     cfg["extra_block"] = {}

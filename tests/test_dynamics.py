@@ -212,6 +212,22 @@ def test_stable_run_reports_ok_status():
     assert np.all(ens.ok_mask())
 
 
+def test_intact_selects_rows_and_columns():
+    ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
+                             0.0, 0.1, 10, 4, 1)
+    sel = ens.times >= 0.5
+    assert ens.intact("positions") is ens.positions
+    np.testing.assert_array_equal(ens.intact("velocities", sel),
+                                  ens.velocities[:, sel])
+    ens.status[1] = STATUS_NONFINITE
+    ok = ens.ok_mask()
+    np.testing.assert_array_equal(ens.intact("positions"), ens.positions[ok])
+    np.testing.assert_array_equal(ens.intact("field_values", sel),
+                                  ens.field_values[ok][:, sel])
+    np.testing.assert_array_equal(ens.intact("positions", [0, 3]),
+                                  ens.positions[ok][:, [0, 3]])
+
+
 def test_step_size_guard():
     with pytest.raises(IntegrationError, match="step-size"):
         integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(0.0, 0.0),
@@ -378,6 +394,18 @@ def test_potential_evaluators():
     np.testing.assert_allclose(quart.fprime(x), -9.0 * x ** 2, rtol=1e-15)
 
     assert free_potential().omega_char(1.0) is None
+
+
+def test_particle_acceleration_and_energy():
+    particle = ParticleSpec.from_tau(2.0, 0.01, quartic_potential(3.0))
+    x = np.array([0.5, -1.0, 1.5])
+    v = np.array([0.2, 0.3, -0.7])
+    e = np.array([1.0, -2.0, 0.4])
+    expected = (-3.0 * x**3 - 0.01 * 9.0 * x**2 * v + particle.charge * e) / 2.0
+    np.testing.assert_allclose(particle.acceleration(x, v, e), expected,
+                               rtol=1e-14)
+    np.testing.assert_allclose(particle.energy(x, v), v**2 + 0.75 * x**4,
+                               rtol=1e-15)
 
 
 def test_tabulated_potential_reproduces_smooth_source():

@@ -9,10 +9,12 @@ configuration runs at full size and must pass everything.
 import copy
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
 
+from sedsim import harness
 from sedsim.cli import main
 from sedsim.config import ConfigError, dumps_config, load_config, validate_config
 from sedsim.harness import (
@@ -139,6 +141,47 @@ def test_invalid_config_writes_nothing(tmp_path):
     assert not (tmp_path / "mini_sed").exists()
 
 
+def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
+        tmp_path, monkeypatch, capsys):
+    # 128 modes on [0.9, 1.1]: the field repeats after 2 pi 128/0.2 = 4021.24
+    cfg = mini_sed_config()
+    cfg["time"]["t_final"] = 5000.0
+    cfg_path = tmp_path / "long.json"
+    cfg_path.write_text(json.dumps(cfg))
+    root = tmp_path / "out"
+    monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(root))
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "comb period" in err and "4021.24" in err
+    assert not (root / "mini_sed").exists()
+
+    # the corrected config runs to completion in the same output root
+    cfg["time"]["t_final"] = 300.0
+    cfg["coarse_grain"]["t_window"] = [150.0, 300.0]
+    cfg["coarse_grain"]["delta_t_sweep"] = [1.2, 2.4]
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path)]) in (0, 1)
+    assert (root / "mini_sed" / "report.json").is_file()
+
+
+def test_store_field_false_is_refused_before_integrating(
+        tmp_path, monkeypatch, capsys):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated a run that is refused anyway")
+
+    monkeypatch.setattr(harness, "integrate_ensemble", integrate)
+    cfg = mini_sed_config()
+    cfg["ensemble"]["store_field"] = False
+    cfg_path = tmp_path / "nofield.json"
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(tmp_path))
+    start = time.perf_counter()
+    assert main(["run", str(cfg_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "store_field" in capsys.readouterr().err
+    assert not (tmp_path / "mini_sed").exists()
+
+
 def test_unknown_experiment_is_a_config_error(tmp_path):
     cfg = mini_sed_config()
     cfg["experiment"] = "sed_quartic_ground"
@@ -223,6 +266,15 @@ def test_same_config_reproduces_ensemble_bytes(tmp_path):
     cfg["coarse_grain"]["delta_t_sweep"] = [1.2, 2.4]
     a = run_experiment(cfg, output_root=tmp_path / "a")
     b = run_experiment(cfg, output_root=tmp_path / "b")
-    for rel in ("ensemble/positions.npy", "ensemble/velocities.npy",
-                "ensemble/field_values.npy", "ensemble/seeds.npy"):
+
+    def files(run_dir):
+        # run.json alone holds the wall time
+        return sorted(p.relative_to(run_dir) for p in run_dir.rglob("*")
+                      if p.is_file() and p != run_dir / "run.json")
+
+    rels = files(a.run_dir)
+    assert rels == files(b.run_dir)
+    assert Path("ensemble/field_values.npy") in rels
+    assert Path("fields/va_combo.csv") in rels
+    for rel in rels:
         assert (a.run_dir / rel).read_bytes() == (b.run_dir / rel).read_bytes(), rel

@@ -6,6 +6,7 @@ samplers from the reference module, never on the trajectory integrator, so
 an integrator defect cannot mask an estimator defect.
 """
 
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from sedsim.dynamics import (
+    STATUS_NONFINITE,
     GaussianIC,
     ParticleSpec,
     TrajectoryEnsemble,
@@ -226,6 +228,39 @@ def test_measured_time_derivative_needs_uniform_references():
             ens, CoarseGrainSpec(delta_t=0.01, x_bins=8, min_count=5,
                                  reference_times=(0.1, 0.15, 0.22)),
             1.0, lambda x: -x, -1, time_derivative="measured")
+
+
+@pytest.mark.parametrize("x0, refs, time_derivative", [
+    ("stationary", None, "omitted"),
+    (0.0, (0.15, 0.18, 0.21), "measured"),
+])
+def test_shared_samples_match_the_standalone_estimators_bitwise(
+        x0, refs, time_derivative):
+    # estimate_va and classify_branch derive several estimates from one set
+    # of gathered samples; each must equal its standalone route to the bit.
+    # Flagged rows route the gather through the intact-row selection.
+    ens = ou_ensemble(0.1, 0.1, 20000, 0.01, 26, 45, x0=x0)
+    ens.status[::97] = STATUS_NONFINITE
+    spec = CoarseGrainSpec(delta_t=0.01, x_bins=16, reference_times=refs)
+    va = estimate_va(ens, spec)
+    np.testing.assert_array_equal(
+        va.v_minus_u.values,
+        estimate_v(ens, spec).values - estimate_u(ens, spec).values)
+
+    force = lambda x: -0.1 * x
+    branch = classify_branch(ens, spec, 1.0, force,
+                             time_derivative=time_derivative)
+    D = estimate_D(ens, spec).value
+    assert branch.D_used == D
+    for lam in (+1, -1):
+        alone = dynamics_residuals(ens, spec, 1.0, force, lam, D=D,
+                                   time_derivative=time_derivative)
+        for f in dataclasses.fields(alone):
+            got, want = getattr(branch.reports[lam], f.name), getattr(alone, f.name)
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want, err_msg=f.name)
+            else:
+                assert got == want, f.name
 
 
 # ---------------------------------------------------------------------------
