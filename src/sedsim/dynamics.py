@@ -255,7 +255,9 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     Each trajectory is driven by its own field realization seeded from
     (master_seed, trajectory index); results are bit-identical across runs
     and across n_workers. dt must resolve the fastest synthesized mode:
-    dt <= 2 pi / (10 omega_cutoff).
+    dt <= 2 pi / (10 omega_cutoff). A warning is recorded in meta when dt
+    exceeds 2 pi / (10 omega_loc), omega_loc = sqrt(max |f'(x)| / m) over
+    the recorded positions.
     """
     if n_traj < 1:
         raise IntegrationError("n_traj must be at least 1")
@@ -304,11 +306,11 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
         lo, hi = span
         n = hi - lo
         tab = np.empty((n, nsub))
+        cache_grid([make_field(fspec, (master_seed, i, 0)) for i in range(lo, hi)],
+                   t0, h2, nsub, out=tab[:, None, :])
         x = np.empty(n)
         v = np.empty(n)
         for i in range(n):
-            fr = make_field(fspec, (master_seed, lo + i, 0))
-            tab[i] = cache_grid(fr, t0, h2, nsub)[0]
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence((master_seed, lo + i, 1)))
             )
@@ -364,11 +366,24 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                      "tau": particle.tau, "c": particle.c,
                      "potential_kind": particle.potential.kind},
     }
-    return TrajectoryEnsemble(
+    ens = TrajectoryEnsemble(
         t0=t0, dt=dt, n_steps=n_steps, record_stride=record_stride,
         times=times, positions=xs, velocities=vs, seeds=seeds, status=status,
         field_values=es, meta=meta,
     )
+    # the dt bound above knows only the field band; a stiff potential can
+    # move faster than the field where the trajectories actually went
+    fp_max = np.max(np.abs(particle.potential.fprime(ens.intact("positions"))),
+                    initial=0.0)
+    omega_loc = math.sqrt(float(fp_max) / particle.mass)
+    if 10.0 * omega_loc * dt > 2.0 * math.pi:
+        warnings.append(
+            f"step size dt={dt:g} exceeds 2 pi/(10 omega_loc)="
+            f"{2.0 * math.pi / (10.0 * omega_loc):g}, with omega_loc = "
+            f"sqrt(max|f'(x)|/m) = {omega_loc:.4g} over the recorded "
+            f"positions; RK4 may not follow the motion"
+        )
+    return ens
 
 
 # ---------------------------------------------------------------------------

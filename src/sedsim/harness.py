@@ -41,7 +41,7 @@ import numpy as np
 from ._version import __version__
 from .config import (ConfigError, config_hash, dumps_config, load_config,
                      validate_config)
-from .dynamics import (IntegrationError, ParticleSpec, TrajectoryEnsemble,
+from .dynamics import (CHUNK, IntegrationError, ParticleSpec, TrajectoryEnsemble,
                        DeltaIC, GaussianIC, dump_ensemble, energy_balance,
                        free_potential, harmonic_potential, integrate_ensemble,
                        load_ensemble, quartic_potential, relaxation_curve,
@@ -343,7 +343,8 @@ def _estimator_stage(cfg: dict, ens: TrajectoryEnsemble, run_dir: Path,
 # ---------------------------------------------------------------------------
 # sed_harmonic_ground pipeline
 
-def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path) -> ComparisonReport:
+def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
+                                  resolved: dict) -> ComparisonReport:
     fspec = _build_field_spec(cfg)
     particle = _build_particle(cfg, c=fspec.c)
     omega0 = particle.potential.params.get("omega0")
@@ -355,16 +356,20 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path) -> ComparisonReport:
                           "true: the energy balance reads the stored field")
     tcfg = cfg["time"]
     t0 = float(tcfg.get("t0", 0.0))
-    dt, n_steps, _ = _stage("time-grid", _resolve_time_grid, fspec, t0,
-                            float(tcfg["dt"]), float(tcfg["t_final"]))
+    dt, n_steps, n_fft = _stage("time-grid", _resolve_time_grid, fspec, t0,
+                                float(tcfg["dt"]), float(tcfg["t_final"]))
     stride = int(tcfg.get("record_stride", 1))
     ic = _build_ic(cfg, particle, fspec.hbar)
     master_seed = int(cfg["seeds"]["master_seed"])
+    n_traj = int(ecf["n_traj"])
+    n_workers = int(ecf.get("n_workers", 1))
+    resolved.update(dt=dt, n_steps=n_steps, n_fft=n_fft,
+                    n_chunks=math.ceil(n_traj / CHUNK), n_workers=n_workers)
 
     ens = _stage("integrate", integrate_ensemble,
                  particle, fspec, ic, t0, dt, n_steps,
-                 int(ecf["n_traj"]), master_seed, record_stride=stride,
-                 n_workers=int(ecf.get("n_workers", 1)))
+                 n_traj, master_seed, record_stride=stride,
+                 n_workers=n_workers)
 
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     if dump_fmt != "none":
@@ -495,7 +500,8 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 # ou_calibration pipeline
 
-def _pipeline_ou_calibration(cfg: dict, run_dir: Path) -> ComparisonReport:
+def _pipeline_ou_calibration(cfg: dict, run_dir: Path,
+                             resolved: dict) -> ComparisonReport:
     particle = _build_particle(cfg)
     stiffness = particle.potential.params.get("stiffness")
     if stiffness is None:
@@ -510,6 +516,7 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path) -> ComparisonReport:
     t0 = float(tcfg.get("t0", 0.0))
     dt = float(tcfg["dt"])
     n_steps = int(round((float(tcfg["t_final"]) - t0) / dt))
+    resolved.update(dt=dt, n_steps=n_steps)
     master_seed = int(cfg["seeds"]["master_seed"])
     n_traj = int(cfg["ensemble"]["n_traj"])
 
@@ -631,6 +638,8 @@ def _first_ref_index(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> int:
     return int(round((t - ens.t0) / ens.rec_dt))
 
 
+# pipeline(cfg, run_dir, resolved) -> ComparisonReport; it records the time
+# grid it resolved into the dict `resolved`, which run.json carries.
 PIPELINES = {
     "sed_harmonic_ground": _pipeline_sed_harmonic_ground,
     "ou_calibration": _pipeline_ou_calibration,
@@ -652,7 +661,9 @@ def run_experiment(config, output_root=None) -> RunResult:
 
     The run directory (outputs.directory, resolved under output_root or the
     current directory) receives a verbatim copy of the config, every stage
-    artifact, report.json/report.txt, and run.json. Nothing is left behind
+    artifact, report.json/report.txt, and run.json, which adds the exit
+    code, the wall time and the time grid the pipeline resolved (dt,
+    n_steps; for SED also n_fft, n_chunks, n_workers). Nothing is left behind
     if validation fails or the pipeline refuses the config (ConfigError).
     Exit code 0 means every report row passed.
     """
@@ -671,8 +682,9 @@ def run_experiment(config, output_root=None) -> RunResult:
 
     (run_dir / "config.json").write_text(dumps_config(cfg))
     start = _time.monotonic()
+    resolved = {}
     try:
-        report = PIPELINES[pipeline](cfg, run_dir)
+        report = PIPELINES[pipeline](cfg, run_dir, resolved)
     except ConfigError:
         # refused before any stage output: leave the directory as found
         shutil.rmtree(run_dir)
@@ -689,6 +701,7 @@ def run_experiment(config, output_root=None) -> RunResult:
         "code_version": __version__,
         "exit_code": report.exit_code,
         "wall_seconds": elapsed,
+        **resolved,
     })
     return RunResult(run_dir=run_dir, report=report,
                      exit_code=report.exit_code)

@@ -7,6 +7,7 @@ against the discrete linear-response prediction frozen below.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from sedsim.dynamics import (
     stationary_guess_ic,
     tabulated_potential,
 )
-from sedsim.field import FieldSpec
+from sedsim.field import FieldSpec, cache_grid, comb_cache_params, make_field
+
+SED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sed_harmonic_ground.json"
 
 # Stationary moments of the driven harmonic oscillator for the exact comb
 # below (omega in [0.02, 2], 512 modes, uniform spacing, hbar = m = c = 1,
@@ -192,6 +195,18 @@ def test_worker_count_does_not_change_bits():
     assert np.array_equal(serial.field_values, threaded.field_values)
 
 
+def test_field_values_are_the_single_call_grid():
+    # 7 trajectories: chunk synthesis in FFT blocks that do not divide it
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
+    h, _ = comb_cache_params(fspec, h_target=0.1, min_points=401)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    ens = integrate_ensemble(particle, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
+                             7.5, 2.0 * h, 200, 7, 31, record_stride=3)
+    for i in range(7):
+        grid = cache_grid(make_field(fspec, (31, i, 0)), 7.5, h, 401)[0]
+        assert np.array_equal(ens.field_values[i], grid[::6])
+
+
 # ---------------------------------------------------------------------------
 # guards and status flags
 
@@ -259,6 +274,36 @@ def test_comb_period_warning():
     ens = integrate_ensemble(particle, fspec, DeltaIC(0.0, 0.0),
                              0.0, 0.5, 600, 1, 1)
     assert any("field values repeat" in w for w in ens.meta["warnings"])
+
+
+def test_step_size_warning_follows_the_local_frequency():
+    # V = x^4/4 from x0 = 3: omega_loc = sqrt(3) 3 = 5.2, so dt 0.2 takes
+    # about 6 steps per local period; the field band alone allows 0.57
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
+    ens = integrate_ensemble(particle, fspec, DeltaIC(3.0, 0.0),
+                             0.0, 0.2, 100, 2, 1)
+    assert np.all(ens.status == STATUS_OK)
+    assert any("omega_loc" in w for w in ens.meta["warnings"])
+    fine = integrate_ensemble(particle, fspec, DeltaIC(3.0, 0.0),
+                              0.0, 0.05, 400, 2, 1)
+    assert fine.meta["warnings"] == []
+
+
+def test_shipped_harmonic_parameters_do_not_warn():
+    cfg = json.loads(SED_CONFIG.read_text())
+    f, p = cfg["field"], cfg["particle"]
+    fspec = FieldSpec(hbar=f["hbar"], c=f["c"], omega_cutoff=f["omega_cutoff"],
+                      omega_min=f["omega_min"], n_modes=f["n_modes"])
+    omega0 = p["potential"]["omega0"]
+    particle = ParticleSpec.from_tau(p["mass"], p["tau"],
+                                     harmonic_potential(omega0, p["mass"]))
+    h, _ = comb_cache_params(fspec, h_target=cfg["time"]["dt"] / 2.0)
+    ens = integrate_ensemble(particle, fspec,
+                             stationary_guess_ic(f["hbar"], p["mass"], omega0),
+                             0.0, 2.0 * h, 2000, 4, 7,
+                             record_stride=cfg["time"]["record_stride"])
+    assert ens.meta["warnings"] == []
 
 
 # ---------------------------------------------------------------------------

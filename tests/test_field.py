@@ -140,6 +140,65 @@ def test_cached_grid_nonzero_origin():
     assert np.max(np.abs(vals - direct)) / np.max(np.abs(direct)) < 1e-12
 
 
+def _unbatched_comb_grid(fr, t0, h, n_points):
+    """Reference synthesis: one unbatched inverse FFT per component, with
+    the carrier exp(i omega_min t) computed per call."""
+    t_grid = t0 + h * np.arange(n_points)
+    dw = (fr.omegas[-1] - fr.omegas[0]) / (fr.omegas.size - 1)
+    n_fft = int(round(2.0 * math.pi / (dw * h)))
+    idx = np.arange(fr.omegas.size)
+    prefac = np.exp(1j * float(fr.omegas[0]) * t_grid)
+    values = np.empty((fr.phases.shape[0], n_points))
+    for k in range(fr.phases.shape[0]):
+        c = fr.amps * np.exp(1j * (fr.phases[k] + idx * dw * t0))
+        total = n_fft * np.fft.ifft(c, n=n_fft)
+        values[k] = np.real(prefac * total[:n_points])
+    return values
+
+
+@pytest.mark.parametrize("components", [1, 3])
+def test_batched_cache_grid_is_the_single_call_bitwise(components):
+    # 7 realizations: more than one FFT block and not a multiple of one
+    spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=128,
+                     components=components)
+    h, _ = comb_cache_params(spec, h_target=0.05, min_points=700)
+    frs = [make_field(spec, (5, i)) for i in range(7)]
+    batch = cache_grid(frs, 41.3, h, 700)
+    assert batch.shape == (7, components, 700)
+    for i, fr in enumerate(frs):
+        single = cache_grid(make_field(spec, (5, i)), 41.3, h, 700)
+        assert np.array_equal(batch[i], single)
+        assert np.array_equal(single, _unbatched_comb_grid(fr, 41.3, h, 700))
+        assert np.array_equal(fr.values, single)
+        assert np.array_equal(fr.time_grid, 41.3 + h * np.arange(700))
+
+
+@pytest.mark.parametrize("spacing", ["uniform-in-omega^4", "uniform"])
+def test_cache_grid_fallback_is_the_direct_sum(spacing):
+    spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=64,
+                     mode_spacing=spacing)
+    if spacing == "uniform":
+        # an FFT-exact step, but a grid that runs past the comb period
+        h, n_fft = comb_cache_params(spec, h_target=0.05)
+        n_points = n_fft + 50
+    else:
+        h, n_points = 0.05, 300
+    frs = [make_field(spec, (6, i)) for i in range(3)]
+    batch = cache_grid(frs, 2.5, h, n_points)
+    ts = 2.5 + h * np.arange(n_points)
+    for i in range(3):
+        assert np.array_equal(batch[i], eval_field(make_field(spec, (6, i)), ts))
+
+
+def test_cache_grid_refuses_mixed_specs_and_misshaped_output():
+    a = make_field(FieldSpec(omega_cutoff=1.0, n_modes=8), 1)
+    b = make_field(FieldSpec(omega_cutoff=1.0, n_modes=16), 2)
+    with pytest.raises(ValueError, match="one FieldSpec"):
+        cache_grid([a, b], 0.0, 0.1, 10)
+    with pytest.raises(ValueError, match="shape"):
+        cache_grid([a], 0.0, 0.1, 10, out=np.empty((1, 10)))
+
+
 def test_comb_anti_periodicity():
     # modes sit at cell midpoints, so when omega_min is a multiple of
     # dOmega every mode advances by an odd multiple of pi over 2 pi/dOmega:

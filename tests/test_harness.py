@@ -90,6 +90,19 @@ def test_run_json_mirrors_the_report(sed_run):
     assert run_meta["wall_seconds"] > 0
 
 
+def test_run_json_records_the_resolved_grid(sed_run, ou_run):
+    run_meta = json.loads((sed_run.run_dir / "run.json").read_text())
+    ens_meta = json.loads((sed_run.run_dir / "ensemble" / "meta.json").read_text())
+    assert run_meta["dt"] == ens_meta["dt"]
+    assert run_meta["n_steps"] == ens_meta["n_steps"]
+    assert run_meta["n_fft"] >= 2 * run_meta["n_steps"] + 1
+    assert run_meta["n_chunks"] == 1          # 120 trajectories, chunks of 256
+    assert run_meta["n_workers"] == 1
+    ou_meta = json.loads((ou_run.run_dir / "run.json").read_text())
+    ou_ens = json.loads((ou_run.run_dir / "ensemble" / "meta.json").read_text())
+    assert (ou_meta["dt"], ou_meta["n_steps"]) == (ou_ens["dt"], ou_ens["n_steps"])
+
+
 def test_report_round_trips_and_renders(sed_run):
     report = load_report(sed_run.run_dir)
     assert isinstance(report, ComparisonReport)
