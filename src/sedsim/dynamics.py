@@ -10,6 +10,22 @@ m x'' ~ f on the small term), exact to O(tau^2). The synthesized field is a
 smooth function of time once its phases are drawn, so each trajectory is an
 ordinary (non-stochastic) ODE integrated with classical RK4; field values at
 substage times come from the mode sum via the cached evaluation grid.
+
+For the harmonic potential the force is linear in x, so one RK4 step is an
+affine map s_{k+1} = M s_k + G (e_2k, e_2k+1, e_2k+2) of the state
+s = (x, v) and the half-step field values, with M the RK4 stability
+polynomial of the system matrix times dt. M and G are read off by applying
+the RK4 step itself to unit inputs. Eliminating v (Cayley-Hamilton) makes x
+a two-pole IIR filter of the field table,
+
+    x_{k+2} = tr(M) x_{k+1} - det(M) x_k + w_k,
+
+with w_k a 5-tap FIR over e_2k..e_2k+4, which scipy.signal.lfilter runs as
+one C pass over the even and one over the odd half-step columns. v at each
+record follows from x at that step and the one before. This recurrence path
+and the step loop used for every other potential compute the same RK4
+trajectory and differ by rounding only: at most 3.6e-12 sigma_x over the
+shipped run. ens.meta["integrator"] names the path that ran.
 """
 
 from __future__ import annotations
@@ -22,12 +38,17 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.signal import lfilter, lfiltic
 
 from .field import FieldSpec, cache_grid, make_field
 
 # Trajectories are integrated in fixed-size chunks regardless of worker
 # count, so results are bit-identical across schedules.
 CHUNK = 256
+
+# Rows of a chunk filtered together on the recurrence path; each full-length
+# temporary is ROW_BLOCK x n_steps doubles, 12.8 MB on the shipped grid.
+ROW_BLOCK = 32
 
 DUMP_SCHEMA_VERSION = 1
 
@@ -49,6 +70,16 @@ class Potential:
     f: callable
     fprime: callable
     params: dict = dc_field(default_factory=dict)
+
+    @property
+    def linear(self) -> bool:
+        """Force -k x with a constant k, so that one RK4 step is an affine
+        map and the integrator takes the recurrence path. Only the harmonic
+        kind qualifies. The free particle's recurrence has a double pole at
+        z = 1, where the filter's rounding grows fast: on the shipped grid,
+        50,063 steps from (0.3, 0.2), it strayed 3e-7 from a long-double RK4,
+        against 3e-11 for the step loop."""
+        return self.kind == "harmonic"
 
     def omega_char(self, mass: float) -> float | None:
         """Characteristic angular frequency from curvature at the minimum."""
@@ -245,6 +276,63 @@ class TrajectoryEnsemble:
         return arr[ok] if cols is None else arr[np.ix_(ok, cols)]
 
 
+def _recurrence_records(step, x0, v0, tab, stride: int):
+    """RK4 for a force linear in x, run as its own linear recurrence.
+
+    Returns positions and velocities every stride steps of the rows that
+    start at (x0, v0) and are driven by the half-step field table tab,
+    shape (rows, 2 n_steps + 1). With s = (x, v) and
+    u_k = (e_2k, e_2k+1, e_2k+2), one step is s_{k+1} = M s_k + G u_k. M
+    and G are read off by applying step to unit states and unit field
+    values, so the recurrence is RK4's own map. Since
+    M^2 = tr(M) M - det(M) (Cayley-Hamilton),
+
+        x_{k+2} = tr(M) x_{k+1} - det(M) x_k + P_0 u_k + G_0 u_{k+1},
+
+    P = M G - tr(M) G: a two-pole IIR filter over a 5-tap FIR of the
+    half-step table. Each row is filtered on its own, so results do not
+    depend on how many rows go into one call.
+    """
+    M = np.column_stack([step(1.0, 0.0, 0.0, 0.0, 0.0),
+                         step(0.0, 1.0, 0.0, 0.0, 0.0)])
+    G = np.column_stack([step(0.0, 0.0, *u) for u in np.eye(3)])
+    tr = M[0, 0] + M[1, 1]
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    P = M @ G - tr * G
+    a = np.array([1.0, -tr, det])
+    # taps of x_n on e_2n, e_2n-2, e_2n-4 and on e_2n-1, e_2n-3
+    b_even = np.array([G[0, 2], P[0, 2] + G[0, 0], P[0, 0]])
+    b_odd = np.array([G[0, 1], P[0, 1]])
+
+    n_steps = tab.shape[1] // 2
+    even, odd = tab[:, 0::2], tab[:, 1::2]
+    x1, _ = step(x0, v0, even[:, 0], odd[:, 0], even[:, 1])
+    # x = (even-column response continuing from x0, x1 - z_0)
+    #   + (odd-column response from rest, one step late)
+    z = lfilter(b_odd, a, odd)
+    zi = np.array([lfiltic(b_even, a, (p1, p0), (e1, e0))
+                   for p1, p0, e1, e0 in zip(x1 - z[:, 0], x0,
+                                             even[:, 1], even[:, 0])])
+    x = np.empty((tab.shape[0], n_steps + 1))
+    x[:, 0] = x0
+    x[:, 1] = x1
+    np.add(lfilter(b_even, a, even[:, 2:], zi=zi)[0], z[:, 1:], out=x[:, 2:])
+
+    # v_k from x_k, x_{k-1} and u_{k-1}, eliminating v_{k-1} between the two
+    # rows of the step, at the records k = stride, 2 stride, ..., last; basic
+    # slices, not index arrays, keep these gathers cheap
+    vx = np.array([M[1, 1], -det]) / M[0, 1]
+    vu = (M[0, 1] * G[1] - M[1, 1] * G[0]) / M[0, 1]
+    last = n_steps - n_steps % stride
+    prev = slice(stride - 1, last, stride)
+    v = np.empty((tab.shape[0], last // stride + 1))
+    v[:, 0] = v0
+    v[:, 1:] = (vx[0] * x[:, stride::stride] + vx[1] * x[:, prev]
+                + vu[0] * even[:, prev] + vu[1] * odd[:, prev]
+                + vu[2] * even[:, stride::stride])
+    return x[:, ::stride], v
+
+
 def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                        t0: float, dt: float, n_steps: int, n_traj: int,
                        master_seed: int, record_stride: int = 1,
@@ -257,7 +345,9 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     and across n_workers. dt must resolve the fastest synthesized mode:
     dt <= 2 pi / (10 omega_cutoff). A warning is recorded in meta when dt
     exceeds 2 pi / (10 omega_loc), omega_loc = sqrt(max |f'(x)| / m) over
-    the recorded positions.
+    the recorded positions. Potentials whose force is linear in x
+    (Potential.linear) run RK4 as a linear recurrence filtered over the
+    field table, ROW_BLOCK rows at a time; the others step it in a loop.
     """
     if n_traj < 1:
         raise IntegrationError("n_traj must be at least 1")
@@ -301,6 +391,24 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     h2 = 0.5 * dt
     w6 = dt / 6.0
 
+    def step(x, v, e0, eh, e1):
+        """One classical RK4 step from (x, v) with the field at the start,
+        the midpoint and the end of the step."""
+        a1 = acc(x, v, e0)
+        x2 = x + h2 * v
+        v2 = v + h2 * a1
+        a2 = acc(x2, v2, eh)
+        x3 = x + h2 * v2
+        v3 = v + h2 * a2
+        a3 = acc(x3, v3, eh)
+        x4 = x + dt * v3
+        v4 = v + dt * a3
+        a4 = acc(x4, v4, e1)
+        return (x + w6 * (v + 2.0 * (v2 + v3) + v4),
+                v + w6 * (a1 + 2.0 * (a2 + a3) + a4))
+
+    linear = particle.potential.linear
+
     def chunk(span):
         """Integrate trajectories [lo, hi); write records into output slices."""
         lo, hi = span
@@ -316,27 +424,26 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
             )
             x[i], v[i] = ic.sample(rng)
 
+        if linear:
+            for b in range(0, n, ROW_BLOCK):
+                rows = slice(b, min(b + ROW_BLOCK, n))
+                out = slice(lo + b, lo + rows.stop)
+                xs[out], vs[out] = _recurrence_records(step, x[rows], v[rows],
+                                                       tab[rows], record_stride)
+            bad = ~(np.isfinite(xs[lo:hi]).all(axis=1)
+                    & np.isfinite(vs[lo:hi]).all(axis=1))
+            status[lo:hi][bad] = STATUS_NONFINITE
+            if store_field:
+                es[lo:hi] = tab[:, ::2 * record_stride]
+            return
+
         xs[lo:hi, 0] = x
         vs[lo:hi, 0] = v
         if store_field:
             es[lo:hi, 0] = tab[:, 0]
 
         for k in range(n_steps):
-            e0 = tab[:, 2 * k]
-            eh = tab[:, 2 * k + 1]
-            e1 = tab[:, 2 * k + 2]
-            a1 = acc(x, v, e0)
-            x2 = x + h2 * v
-            v2 = v + h2 * a1
-            a2 = acc(x2, v2, eh)
-            x3 = x + h2 * v2
-            v3 = v + h2 * a2
-            a3 = acc(x3, v3, eh)
-            x4 = x + dt * v3
-            v4 = v + dt * a3
-            a4 = acc(x4, v4, e1)
-            x = x + w6 * (v + 2.0 * (v2 + v3) + v4)
-            v = v + w6 * (a1 + 2.0 * (a2 + a3) + a4)
+            x, v = step(x, v, tab[:, 2 * k], tab[:, 2 * k + 1], tab[:, 2 * k + 2])
             kk = k + 1
             if kk % record_stride == 0:
                 j = kk // record_stride
@@ -359,6 +466,7 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     times = t0 + dt * record_stride * np.arange(n_rec)
     meta = {
         "master_seed": int(master_seed),
+        "integrator": "rk4-recurrence" if linear else "rk4-loop",
         "omega_char": omega_char,
         "warnings": warnings,
         "field_spec": vars(fspec).copy(),

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import resource
 import shutil
 import time as _time
 from dataclasses import dataclass, field as dc_field, replace
@@ -278,13 +279,23 @@ def _snap_lag(ens: TrajectoryEnsemble, lag) -> float:
     return k * ens.rec_dt
 
 
-def _stage(name: str, fn, *args, **kwargs):
+def _stage(info: dict, name: str, fn, *args, **kwargs):
+    """Run one pipeline stage. Appends its wall time, its CPU time and the
+    process's peak RSS after it to info["stages"], which run.json carries."""
+    wall0, cpu0 = _time.perf_counter(), _time.process_time()
     try:
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
     except (ConfigError, PipelineError):
         raise
     except Exception as exc:
         raise PipelineError(f"stage {name!r} failed: {exc}") from exc
+    info.setdefault("stages", []).append({
+        "name": name,
+        "wall_s": _time.perf_counter() - wall0,
+        "cpu_s": _time.process_time() - cpu0,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    })
+    return result
 
 
 def _write_json(path: Path, obj) -> None:
@@ -299,8 +310,8 @@ def _write_xy_csv(path: Path, header: str, columns) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _estimator_stage(cfg: dict, ens: TrajectoryEnsemble, run_dir: Path,
-                     window, thin_time: float, sweep_steps):
+def _estimator_stage(cfg: dict, info: dict, ens: TrajectoryEnsemble,
+                     run_dir: Path, window, thin_time: float, sweep_steps):
     """v, u, v_a, density (fields/) and the diffusion sweep (dsweep.json) on
     the window's reference times; thin_time and sweep_steps (multiples of
     the recorded step) are the defaults of coarse_grain.thin_time and
@@ -318,10 +329,10 @@ def _estimator_stage(cfg: dict, ens: TrajectoryEnsemble, run_dir: Path,
             min_count=int(cg.get("min_count", 25)))
 
     spec0 = est_spec(_snap_lag(ens, cg["delta_t"]))
-    v_field = _stage("estimate-v", estimate_v, ens, spec0)
-    u_field = _stage("estimate-u", estimate_u, ens, spec0)
-    va_est = _stage("estimate-va", estimate_va, ens, spec0)
-    rho_field = _stage("density", density_estimate, ens, spec0)
+    v_field = _stage(info, "estimate-v", estimate_v, ens, spec0)
+    u_field = _stage(info, "estimate-u", estimate_u, ens, spec0)
+    va_est = _stage(info, "estimate-va", estimate_va, ens, spec0)
+    rho_field = _stage(info, "density", density_estimate, ens, spec0)
     fields_dir = run_dir / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
     v_field.to_csv(fields_dir / "v.csv")
@@ -334,7 +345,7 @@ def _estimator_stage(cfg: dict, ens: TrajectoryEnsemble, run_dir: Path,
     if sweep_lags is None:
         sweep_lags = [ens.rec_dt * k for k in sweep_steps]
     sweep_lags = list(dict.fromkeys(_snap_lag(ens, x) for x in sweep_lags))
-    sweep = _stage("diffusion-sweep", diffusion_sweep, ens,
+    sweep = _stage(info, "diffusion-sweep", diffusion_sweep, ens,
                    est_spec(max(sweep_lags)), sweep_lags)
     _write_json(run_dir / "dsweep.json", sweep.to_dict())
     return spec0, v_field, u_field, va_est, rho_field, sweep
@@ -344,7 +355,7 @@ def _estimator_stage(cfg: dict, ens: TrajectoryEnsemble, run_dir: Path,
 # sed_harmonic_ground pipeline
 
 def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
-                                  resolved: dict) -> ComparisonReport:
+                                  info: dict) -> ComparisonReport:
     fspec = _build_field_spec(cfg)
     particle = _build_particle(cfg, c=fspec.c)
     omega0 = particle.potential.params.get("omega0")
@@ -356,37 +367,37 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
                           "true: the energy balance reads the stored field")
     tcfg = cfg["time"]
     t0 = float(tcfg.get("t0", 0.0))
-    dt, n_steps, n_fft = _stage("time-grid", _resolve_time_grid, fspec, t0,
+    dt, n_steps, n_fft = _stage(info, "time-grid", _resolve_time_grid, fspec, t0,
                                 float(tcfg["dt"]), float(tcfg["t_final"]))
     stride = int(tcfg.get("record_stride", 1))
     ic = _build_ic(cfg, particle, fspec.hbar)
     master_seed = int(cfg["seeds"]["master_seed"])
     n_traj = int(ecf["n_traj"])
     n_workers = int(ecf.get("n_workers", 1))
-    resolved.update(dt=dt, n_steps=n_steps, n_fft=n_fft,
+    info.update(dt=dt, n_steps=n_steps, n_fft=n_fft,
                     n_chunks=math.ceil(n_traj / CHUNK), n_workers=n_workers)
 
-    ens = _stage("integrate", integrate_ensemble,
+    ens = _stage(info, "integrate", integrate_ensemble,
                  particle, fspec, ic, t0, dt, n_steps,
                  n_traj, master_seed, record_stride=stride,
                  n_workers=n_workers)
 
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     if dump_fmt != "none":
-        _stage("dump", dump_ensemble, ens, run_dir / "ensemble", dump_fmt)
+        _stage(info, "dump", dump_ensemble, ens, run_dir / "ensemble", dump_fmt)
 
     window = tuple(float(x) for x in cfg["coarse_grain"]["t_window"])
-    balance = _stage("energy-balance", energy_balance, ens, particle, window)
+    balance = _stage(info, "energy-balance", energy_balance, ens, particle, window)
     _write_json(run_dir / "balance.json", balance.to_dict())
 
-    rtimes, rcurve = _stage("relaxation", relaxation_curve, ens, particle)
+    rtimes, rcurve = _stage(info, "relaxation", relaxation_curve, ens, particle)
     _write_xy_csv(run_dir / "relaxation.csv", "t,mean_energy", (rtimes, rcurve))
 
     # coarse-grained estimators on the stationary window
     spec0, _, _, _, rho_field, sweep = _estimator_stage(
-        cfg, ens, run_dir, window, 0.0, (1, 2, 3, 4, 6, 10))
+        cfg, info, ens, run_dir, window, 0.0, (1, 2, 3, 4, 6, 10))
 
-    branch = _stage("branch-classifier", classify_branch, ens, spec0,
+    branch = _stage(info, "branch-classifier", classify_branch, ens, spec0,
                     particle.mass, particle.potential.f,
                     D=None, time_derivative="omitted")
     _write_json(run_dir / "branch.json", {
@@ -400,7 +411,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
     ac_reals = [make_field(fspec, (master_seed, i, 2)) for i in range(n_ac)]
     ac_lags = [0.0, 0.5 * math.pi / fspec.omega_cutoff,
                2.0 * math.pi / fspec.omega_cutoff]
-    ac = _stage("field-autocorrelation", autocorrelation_check, ac_reals, ac_lags)
+    ac = _stage(info, "field-autocorrelation", autocorrelation_check, ac_reals, ac_lags)
     _write_json(run_dir / "field_autocorr.json", ac)
 
     # quantum reference: eigensolve of the wave equation on a grid
@@ -413,7 +424,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
         grid = GridSpec(float(gcfg["x_min"]), float(gcfg["x_max"]),
                         int(gcfg["n_points"]))
     energies, states = _stage(
-        "reference-eigensolve", solve_stationary, grid,
+        info, "reference-eigensolve", solve_stationary, grid,
         particle.potential.V, particle.mass, d_ref, 1)
     psi0 = states[0]
     e0 = float(energies[0])
@@ -501,7 +512,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
 # ou_calibration pipeline
 
 def _pipeline_ou_calibration(cfg: dict, run_dir: Path,
-                             resolved: dict) -> ComparisonReport:
+                             info: dict) -> ComparisonReport:
     particle = _build_particle(cfg)
     stiffness = particle.potential.params.get("stiffness")
     if stiffness is None:
@@ -516,27 +527,27 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path,
     t0 = float(tcfg.get("t0", 0.0))
     dt = float(tcfg["dt"])
     n_steps = int(round((float(tcfg["t_final"]) - t0) / dt))
-    resolved.update(dt=dt, n_steps=n_steps)
+    info.update(dt=dt, n_steps=n_steps)
     master_seed = int(cfg["seeds"]["master_seed"])
     n_traj = int(cfg["ensemble"]["n_traj"])
 
-    eq = _stage("sample-equilibrium", ou_ensemble, theta, d0, n_traj, dt,
+    eq = _stage(info, "sample-equilibrium", ou_ensemble, theta, d0, n_traj, dt,
                 n_steps, (master_seed, 0), x0="stationary", t0=t0)
     n_relax = int(lv.get("n_traj_relax", 500_000))
-    relax = _stage("sample-relaxing", ou_ensemble, theta, d0, n_relax, dt,
+    relax = _stage(info, "sample-relaxing", ou_ensemble, theta, d0, n_relax, dt,
                    n_steps, (master_seed, 1), x0=float(lv.get("x_start", 0.0)),
                    t0=t0)
 
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     if dump_fmt != "none":
-        _stage("dump", dump_ensemble, eq, run_dir / "ensemble", dump_fmt)
-        _stage("dump-relaxing", dump_ensemble, relax,
+        _stage(info, "dump", dump_ensemble, eq, run_dir / "ensemble", dump_fmt)
+        _stage(info, "dump-relaxing", dump_ensemble, relax,
                run_dir / "ensemble_relaxing", dump_fmt)
 
     cg = cfg["coarse_grain"]
     window = tuple(float(x) for x in cg["t_window"])
     spec0, v_field, u_field, va_est, _, sweep = _estimator_stage(
-        cfg, eq, run_dir, window, 1e30, (1, 2, 4, 10))
+        cfg, info, eq, run_dir, window, 1e30, (1, 2, 4, 10))
     delta_t = spec0.delta_t
 
     # branch classification on the early relaxing window, time derivatives
@@ -555,7 +566,7 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path,
     # second derivatives over the occupied span more than x resolution
     relax_spec = replace(spec0, x_bins=int(cg.get("classifier_bins", 16)),
                          x_range=(-span, span), reference_times=refs)
-    branch = _stage("branch-classifier", classify_branch, relax, relax_spec,
+    branch = _stage(info, "branch-classifier", classify_branch, relax, relax_spec,
                     particle.mass, particle.potential.f,
                     D=None, time_derivative="measured")
     _write_json(run_dir / "branch.json", {
@@ -638,8 +649,9 @@ def _first_ref_index(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> int:
     return int(round((t - ens.t0) / ens.rec_dt))
 
 
-# pipeline(cfg, run_dir, resolved) -> ComparisonReport; it records the time
-# grid it resolved into the dict `resolved`, which run.json carries.
+# pipeline(cfg, run_dir, info) -> ComparisonReport; it records the time grid
+# it resolved and, through _stage, the stage ledger into the dict `info`,
+# which run.json carries.
 PIPELINES = {
     "sed_harmonic_ground": _pipeline_sed_harmonic_ground,
     "ou_calibration": _pipeline_ou_calibration,
@@ -662,8 +674,10 @@ def run_experiment(config, output_root=None) -> RunResult:
     The run directory (outputs.directory, resolved under output_root or the
     current directory) receives a verbatim copy of the config, every stage
     artifact, report.json/report.txt, and run.json, which adds the exit
-    code, the wall time and the time grid the pipeline resolved (dt,
-    n_steps; for SED also n_fft, n_chunks, n_workers). Nothing is left behind
+    code, the wall time, the time grid the pipeline resolved (dt,
+    n_steps; for SED also n_fft, n_chunks, n_workers) and the stage ledger
+    "stages": per stage its name, wall_s, cpu_s and the process's
+    peak_rss_mb when it ended. Nothing is left behind
     if validation fails or the pipeline refuses the config (ConfigError).
     Exit code 0 means every report row passed.
     """
@@ -682,9 +696,9 @@ def run_experiment(config, output_root=None) -> RunResult:
 
     (run_dir / "config.json").write_text(dumps_config(cfg))
     start = _time.monotonic()
-    resolved = {}
+    info = {}
     try:
-        report = PIPELINES[pipeline](cfg, run_dir, resolved)
+        report = PIPELINES[pipeline](cfg, run_dir, info)
     except ConfigError:
         # refused before any stage output: leave the directory as found
         shutil.rmtree(run_dir)
@@ -701,7 +715,7 @@ def run_experiment(config, output_root=None) -> RunResult:
         "code_version": __version__,
         "exit_code": report.exit_code,
         "wall_seconds": elapsed,
-        **resolved,
+        **info,
     })
     return RunResult(run_dir=run_dir, report=report,
                      exit_code=report.exit_code)

@@ -16,13 +16,14 @@ and u = (x(t+dt) + x(t-dt) - 2 x(t))/(2 dt), conditioned on x(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import TrajectoryEnsemble
-from .field import FieldSpec, mode_table, spectral_density
+from .dynamics import ParticleSpec, TrajectoryEnsemble
+from .field import (FieldRealization, FieldSpec, eval_field, mode_table,
+                    spectral_density)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +242,63 @@ class HarmonicResponse:
         return self.x_var * (1.0 - rho) / delta
 
 
+def susceptibility(omega, omega0: float, gamma: float):
+    """H(omega) = 1/(omega0^2 - omega^2 + i gamma omega): the steady
+    response of x'' + gamma x' + omega0^2 x to the drive e^{i omega t}."""
+    return 1.0 / (omega0**2 - np.square(omega) + 1j * gamma * np.asarray(omega))
+
+
 def harmonic_response(fspec: FieldSpec, mass: float, charge: float,
                       tau: float, omega0: float) -> HarmonicResponse:
     omegas, dws, _amps = mode_table(fspec)
     s_vals = spectral_density(fspec, omegas)
     gamma = tau * omega0**2
-    h2 = 1.0 / ((omega0**2 - omegas**2) ** 2 + (gamma * omegas) ** 2)
+    h2 = np.abs(susceptibility(omegas, omega0, gamma)) ** 2
     weights = (charge / mass) ** 2 * s_vals * dws * h2
     return HarmonicResponse(omegas=omegas, weights=weights,
                             omega0=omega0, gamma=gamma)
+
+
+def harmonic_trajectory(fr: FieldRealization, particle: ParticleSpec, t,
+                        x0: float, v0: float):
+    """Exact trajectory of the reduced-order harmonic equation driven by one
+    field realization (Boyer, Phys. Rev. D 11, 790 (1975)):
+
+        x'' + gamma x' + omega0^2 x = (e/m) E(t),
+        omega0^2 = k/m, gamma = tau omega0^2.
+
+    The steady response to E = Re sum_n c_n e^{i omega_n t} is the mode sum
+    Re sum_n (e/m) c_n H(omega_n) e^{i omega_n t}, evaluated directly; the
+    homogeneous solution, which decays as exp(-gamma t/2), is added so that
+    x = x0 and x' = v0 at t[0]. No time stepping is involved, so this checks
+    the integrator independently. Returns (x, v) at the times t.
+    """
+    if particle.potential.kind != "harmonic":
+        raise ValueError("harmonic_trajectory needs a harmonic potential")
+    if fr.phases.shape[0] != 1:
+        raise ValueError("harmonic_trajectory needs a one-component field")
+    w0sq = particle.potential.params["stiffness"] / particle.mass
+    gamma = particle.tau * w0sq
+    if gamma >= 2.0 * math.sqrt(w0sq):
+        raise ValueError("harmonic_trajectory needs an underdamped oscillator")
+    t = np.asarray(t, dtype=float)
+    resp = (particle.charge / particle.mass) * fr.amps * susceptibility(
+        fr.omegas, math.sqrt(w0sq), gamma)
+    # the steady x and v are mode sums like the field itself
+    phases = fr.phases + np.angle(resp)
+    x = eval_field(replace(fr, amps=np.abs(resp), phases=phases,
+                           time_grid=None, values=None), t)[0]
+    v = eval_field(replace(fr, amps=np.abs(resp) * fr.omegas,
+                           phases=phases + 0.5 * math.pi,
+                           time_grid=None, values=None), t)[0]
+    wd = math.sqrt(w0sq - 0.25 * gamma**2)
+    a = x0 - x[0]
+    b = (v0 - v[0] + 0.5 * gamma * a) / wd
+    s = t - t[0]
+    decay, cos, sin = np.exp(-0.5 * gamma * s), np.cos(wd * s), np.sin(wd * s)
+    x += decay * (a * cos + b * sin)
+    v += decay * ((wd * b - 0.5 * gamma * a) * cos - (wd * a + 0.5 * gamma * b) * sin)
+    return x, v
 
 
 def harmonic_response_continuum(fspec: FieldSpec, mass: float, charge: float,

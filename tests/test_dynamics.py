@@ -7,6 +7,7 @@ against the discrete linear-response prediction frozen below.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from sedsim.dynamics import (
     tabulated_potential,
 )
 from sedsim.field import FieldSpec, cache_grid, comb_cache_params, make_field
+from sedsim.reference import harmonic_response, harmonic_trajectory
 
 SED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sed_harmonic_ground.json"
 
@@ -46,6 +48,34 @@ ZERO_FIELD = FieldSpec(omega_cutoff=2.0, n_modes=4, hbar=0.0)
 def harmonic_particle(tau: float = 0.0) -> ParticleSpec:
     return ParticleSpec(mass=1.0, charge=0.0, tau=tau,
                         potential=harmonic_potential(1.0, 1.0))
+
+
+def shipped_run_parameters(tau=None):
+    """Field, particle, initial conditions and resolved step of the shipped
+    harmonic config, optionally at another tau."""
+    cfg = json.loads(SED_CONFIG.read_text())
+    f, p = cfg["field"], cfg["particle"]
+    fspec = FieldSpec(hbar=f["hbar"], c=f["c"], omega_cutoff=f["omega_cutoff"],
+                      omega_min=f["omega_min"], n_modes=f["n_modes"])
+    omega0 = p["potential"]["omega0"]
+    particle = ParticleSpec.from_tau(p["mass"], p["tau"] if tau is None else tau,
+                                     harmonic_potential(omega0, p["mass"]))
+    h, _ = comb_cache_params(fspec, h_target=cfg["time"]["dt"] / 2.0)
+    ic = stationary_guess_ic(f["hbar"], p["mass"], omega0)
+    return fspec, particle, ic, 2.0 * h, cfg["time"]["record_stride"]
+
+
+def on_the_loop(particle: ParticleSpec) -> ParticleSpec:
+    """The same forces under a potential kind the recurrence path does not
+    claim, so integrate_ensemble steps them through the RK4 loop."""
+    return replace(particle, potential=replace(particle.potential,
+                                               kind="harmonic-on-the-loop"))
+
+
+def shipped_sigma_x(fspec, particle) -> float:
+    omega0 = particle.potential.params["omega0"]
+    return math.sqrt(harmonic_response(fspec, particle.mass, particle.charge,
+                                       particle.tau, omega0).x_var)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +97,7 @@ def test_free_particle_moves_linearly():
                             potential=free_potential())
     ens = integrate_ensemble(particle, ZERO_FIELD, DeltaIC(0.5, 0.3),
                              0.0, 0.1, 40, 1, 1)
+    assert ens.meta["integrator"] == "rk4-loop"
     np.testing.assert_allclose(ens.positions[0], 0.5 + 0.3 * ens.times,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(ens.velocities[0], 0.3, rtol=0, atol=1e-12)
@@ -107,6 +138,54 @@ def test_radiation_damping_envelope():
         np.cos(omega_d * t) + (gamma / (2.0 * omega_d)) * np.sin(omega_d * t)
     )
     assert np.max(np.abs(ens.positions[0] - exact)) <= 1e-8
+
+
+def test_rk4_follows_the_exact_comb_response():
+    # the integrator's independent check: the closed-form trajectory of the
+    # same field realization from the same start, at the shipped dt, tau and
+    # band; RK4's phase drift reaches about 2.3 % of sigma_x by t = 2000
+    fspec, particle, ic, dt, stride = shipped_run_parameters()
+    n_steps = int(math.ceil(2000.0 / dt))
+    ens = integrate_ensemble(particle, fspec, ic, 0.0, dt, n_steps, 4, 7,
+                             record_stride=stride)
+    sigma_x = shipped_sigma_x(fspec, particle)
+    for i in range(4):
+        x, v = harmonic_trajectory(make_field(fspec, (7, i, 0)), particle,
+                                   ens.times, ens.positions[i, 0],
+                                   ens.velocities[i, 0])
+        assert np.max(np.abs(ens.positions[i] - x)) <= 0.05 * sigma_x
+        assert np.max(np.abs(ens.velocities[i] - v)) <= 0.05 * sigma_x
+
+
+@pytest.mark.parametrize("tau", [None, 1e-5])
+def test_recurrence_matches_the_step_loop(tau):
+    # shipped parameters, and tau 1e-5 with the filter's poles at radius
+    # 1 - 1.4e-6, where direct-form rounding grows the most
+    fspec, particle, ic, dt, stride = shipped_run_parameters(tau)
+    args = (fspec, ic, 0.0, dt, 6000, 10, 5)
+    fast = integrate_ensemble(particle, *args, record_stride=stride)
+    loop = integrate_ensemble(on_the_loop(particle), *args, record_stride=stride)
+    assert fast.meta["integrator"] == "rk4-recurrence"
+    assert loop.meta["integrator"] == "rk4-loop"
+    sigma_x = shipped_sigma_x(fspec, particle)
+    assert np.max(np.abs(fast.positions - loop.positions)) <= 1e-9 * sigma_x
+    assert np.max(np.abs(fast.velocities - loop.velocities)) <= 1e-9 * sigma_x
+    assert np.array_equal(fast.field_values, loop.field_values)
+    assert np.array_equal(fast.status, loop.status)
+
+
+@pytest.mark.parametrize("n_steps,stride", [(1, 1), (2, 1), (5, 7), (14, 2),
+                                            (13, 3)])
+def test_recurrence_matches_the_step_loop_on_short_runs(n_steps, stride):
+    fspec, particle, ic, dt, _ = shipped_run_parameters()
+    args = (fspec, ic, 0.0, dt, n_steps, 3, 5)
+    fast = integrate_ensemble(particle, *args, record_stride=stride)
+    loop = integrate_ensemble(on_the_loop(particle), *args, record_stride=stride)
+    assert fast.positions.shape == loop.positions.shape
+    assert fast.velocities.shape == loop.velocities.shape
+    np.testing.assert_allclose(fast.positions, loop.positions, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(fast.velocities, loop.velocities,
+                               rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +261,19 @@ def test_trajectory_seeding_is_independent_of_ensemble_size():
     assert np.array_equal(big.field_values[:3], small.field_values)
 
 
+def test_trajectory_seeding_is_independent_of_ensemble_size_on_the_loop():
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=16)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
+    big = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0),
+                             0.0, 0.2, 50, 5, 77)
+    small = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0),
+                               0.0, 0.2, 50, 3, 77)
+    assert big.meta["integrator"] == "rk4-loop"
+    assert np.array_equal(big.positions[:3], small.positions)
+    assert np.array_equal(big.velocities[:3], small.velocities)
+    assert np.array_equal(big.field_values[:3], small.field_values)
+
+
 def test_worker_count_does_not_change_bits():
     # more trajectories than one scheduling chunk, so threads actually split
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
@@ -190,6 +282,20 @@ def test_worker_count_does_not_change_bits():
     serial = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, 300, 9)
     threaded = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, 300, 9,
                                   n_workers=3)
+    assert serial.meta["integrator"] == "rk4-recurrence"
+    assert np.array_equal(serial.positions, threaded.positions)
+    assert np.array_equal(serial.velocities, threaded.velocities)
+    assert np.array_equal(serial.field_values, threaded.field_values)
+
+
+def test_worker_count_does_not_change_bits_on_the_loop():
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
+    serial = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0),
+                                0.0, 0.2, 20, 300, 9)
+    threaded = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0),
+                                  0.0, 0.2, 20, 300, 9, n_workers=3)
+    assert serial.meta["integrator"] == "rk4-loop"
     assert np.array_equal(serial.positions, threaded.positions)
     assert np.array_equal(serial.velocities, threaded.velocities)
     assert np.array_equal(serial.field_values, threaded.field_values)
@@ -218,6 +324,20 @@ def test_unstable_quartic_is_flagged_not_raised():
                                  0.0, 0.05, 100, 1, 1)
     assert ens.status[0] == STATUS_NONFINITE
     assert not ens.ok_mask()[0]
+
+
+@pytest.mark.parametrize("loop", [False, True])
+def test_unstable_harmonic_is_flagged_on_both_paths(loop):
+    # omega0 dt = 5 lies outside RK4's stability region: the state overflows
+    particle = ParticleSpec(mass=1.0, charge=0.0, tau=0.0,
+                            potential=harmonic_potential(100.0, 1.0))
+    if loop:
+        particle = on_the_loop(particle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ens = integrate_ensemble(particle, ZERO_FIELD, DeltaIC(1.0, 0.0),
+                                 0.0, 0.05, 1000, 2, 1, record_stride=10)
+    assert np.all(ens.status == STATUS_NONFINITE)
+    assert not np.all(np.isfinite(ens.positions[:, -1]))
 
 
 def test_stable_run_reports_ok_status():
@@ -291,18 +411,9 @@ def test_step_size_warning_follows_the_local_frequency():
 
 
 def test_shipped_harmonic_parameters_do_not_warn():
-    cfg = json.loads(SED_CONFIG.read_text())
-    f, p = cfg["field"], cfg["particle"]
-    fspec = FieldSpec(hbar=f["hbar"], c=f["c"], omega_cutoff=f["omega_cutoff"],
-                      omega_min=f["omega_min"], n_modes=f["n_modes"])
-    omega0 = p["potential"]["omega0"]
-    particle = ParticleSpec.from_tau(p["mass"], p["tau"],
-                                     harmonic_potential(omega0, p["mass"]))
-    h, _ = comb_cache_params(fspec, h_target=cfg["time"]["dt"] / 2.0)
-    ens = integrate_ensemble(particle, fspec,
-                             stationary_guess_ic(f["hbar"], p["mass"], omega0),
-                             0.0, 2.0 * h, 2000, 4, 7,
-                             record_stride=cfg["time"]["record_stride"])
+    fspec, particle, ic, dt, stride = shipped_run_parameters()
+    ens = integrate_ensemble(particle, fspec, ic, 0.0, dt, 2000, 4, 7,
+                             record_stride=stride)
     assert ens.meta["warnings"] == []
 
 

@@ -103,6 +103,21 @@ def test_run_json_records_the_resolved_grid(sed_run, ou_run):
     assert (ou_meta["dt"], ou_meta["n_steps"]) == (ou_ens["dt"], ou_ens["n_steps"])
 
 
+def test_run_json_records_the_stage_ledger(sed_run, ou_run):
+    for run, stage in ((sed_run, "integrate"), (ou_run, "sample-relaxing")):
+        run_meta = json.loads((run.run_dir / "run.json").read_text())
+        stages = run_meta["stages"]
+        assert stage in [s["name"] for s in stages]
+        assert all(set(s) == {"name", "wall_s", "cpu_s", "peak_rss_mb"}
+                   for s in stages)
+        assert all(s["wall_s"] >= 0 and s["cpu_s"] >= 0 for s in stages)
+        assert sum(s["wall_s"] for s in stages) <= run_meta["wall_seconds"]
+        peaks = [s["peak_rss_mb"] for s in stages]
+        assert peaks[0] > 0 and peaks == sorted(peaks)
+    ens_meta = json.loads((sed_run.run_dir / "ensemble" / "meta.json").read_text())
+    assert ens_meta["meta"]["integrator"] == "rk4-recurrence"
+
+
 def test_report_round_trips_and_renders(sed_run):
     report = load_report(sed_run.run_dir)
     assert isinstance(report, ComparisonReport)

@@ -11,12 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from sedsim.field import FieldSpec
+from sedsim.dynamics import ParticleSpec, harmonic_potential, quartic_potential
+from sedsim.field import FieldSpec, eval_field, make_field
 from sedsim.reference import (
     gaussian_density,
     ground_state_reference,
     harmonic_response,
     harmonic_response_continuum,
+    harmonic_trajectory,
     ou_autocorrelation,
     ou_diffusion_estimate,
     ou_ensemble,
@@ -219,6 +221,42 @@ def test_response_autocorrelation_and_smooth_lag_limits():
     assert all(a > b for a, b in zip(d_vals, d_vals[1:]))
     assert all(a > b for a, b in zip(u_vals, u_vals[1:]))
     assert resp.diffusion_estimate(0.01) < 0.05 * resp.x_var
+
+
+def test_harmonic_trajectory_solves_the_driven_equation():
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
+    particle = ParticleSpec.from_tau(2.0, 1e-2, harmonic_potential(0.8, 2.0))
+    fr = make_field(fspec, (3, 0, 0))
+    t = np.linspace(5.0, 25.0, 4001)
+    x, v = harmonic_trajectory(fr, particle, t, 0.3, -0.2)
+    assert x[0] == pytest.approx(0.3, abs=1e-14)
+    assert v[0] == pytest.approx(-0.2, abs=1e-14)
+    # x'' + gamma x' + omega0^2 x = (e/m) E by central differences, whose
+    # own error here is ~1e-6 of x''
+    h = t[1] - t[0]
+    xdd = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / h**2
+    gamma = particle.tau * 0.8**2
+    drive = particle.charge / particle.mass * eval_field(fr, t[1:-1])[0]
+    resid = xdd + gamma * v[1:-1] + 0.8**2 * x[1:-1] - drive
+    assert np.max(np.abs(resid)) <= 1e-5 * np.max(np.abs(xdd))
+    vdiff = (x[2:] - x[:-2]) / (2.0 * h)
+    assert np.max(np.abs(vdiff - v[1:-1])) <= 1e-5 * np.max(np.abs(v))
+
+
+def test_harmonic_trajectory_without_a_field_is_the_damped_cosine():
+    quiet = FieldSpec(omega_cutoff=2.0, n_modes=4, hbar=0.0)
+    particle = ParticleSpec.from_tau(1.0, 0.01, harmonic_potential(1.0, 1.0))
+    t = np.linspace(0.0, 50.0, 501)
+    x, v = harmonic_trajectory(make_field(quiet, 1), particle, t, 1.0, 0.0)
+    gamma = 0.01
+    wd = math.sqrt(1.0 - gamma**2 / 4.0)
+    exact = np.exp(-gamma * t / 2.0) * (np.cos(wd * t)
+                                        + gamma / (2.0 * wd) * np.sin(wd * t))
+    np.testing.assert_allclose(x, exact, rtol=0, atol=1e-13)
+    with pytest.raises(ValueError, match="harmonic"):
+        harmonic_trajectory(make_field(quiet, 1),
+                            ParticleSpec.from_tau(1.0, 0.01, quartic_potential(1.0)),
+                            t, 1.0, 0.0)
 
 
 def test_ground_state_reference_values():
