@@ -6,7 +6,7 @@ climbs toward the prediction of the band-limited linear response, on the
 timescale 1/(tau omega0^2). With hbar = m = omega0 = 1 the stationary
 energy sits near 1/2.
 
-Runtime is a few seconds; increase n_traj for smoother curves.
+Runtime is about a second; increase n_traj for smoother curves.
 """
 
 import math

@@ -19,10 +19,11 @@ from .constants import (ConstantsError, PhysicalConstants, load_constants,
                         transition_time, transition_time_from)
 from .dynamics import (DeltaIC, EnergyBalanceReport, GaussianIC,
                        IntegrationError, ParticleSpec, Potential,
-                       TrajectoryEnsemble, dump_ensemble, energy_balance,
-                       free_potential, harmonic_potential, integrate_ensemble,
-                       load_ensemble, quartic_potential, relaxation_curve,
-                       stationary_guess_ic, tabulated_potential)
+                       TrajectoryEnsemble, comb_time_grid, dump_ensemble,
+                       energy_balance, free_potential, harmonic_potential,
+                       integrate_ensemble, load_ensemble, quartic_potential,
+                       relaxation_curve, stationary_guess_ic,
+                       tabulated_potential)
 from .field import (FieldRealization, FieldSpec, autocorrelation_check,
                     autocovariance, autocovariance_quad, cache_grid,
                     dump_field_csv, eval_field, make_field, mode_table,

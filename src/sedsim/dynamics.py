@@ -40,7 +40,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.signal import lfilter, lfiltic
 
-from .field import FieldSpec, cache_grid, make_field
+from .field import FieldSpec, cache_grid, comb_cache_params, make_field
 
 # Trajectories are integrated in fixed-size chunks regardless of worker
 # count, so results are bit-identical across schedules.
@@ -218,13 +218,6 @@ def stationary_guess_ic(hbar: float, mass: float, omega0: float) -> GaussianIC:
                       v_std=math.sqrt(hbar * omega0 / (2 * mass)))
 
 
-IC_SAMPLERS = {
-    "delta": DeltaIC,
-    "gaussian": GaussianIC,
-    "stationary-guess": stationary_guess_ic,
-}
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -333,6 +326,30 @@ def _recurrence_records(step, x0, v0, tab, stride: int):
     return x[:, ::stride], v
 
 
+def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
+    """(dt, n_steps, n_fft): the step, at most dt, and the step count of a
+    run of length span whose half-step field table is one length-n_fft FFT
+    of the uniform comb (cache_grid). A resolved grid resolves to itself.
+    Refuses a non-positive span or dt, a non-uniform comb, and a run past
+    the comb period, where the field repeats."""
+    if span <= 0 or dt <= 0:
+        raise IntegrationError("need a positive run length and dt")
+    if fspec.mode_spacing != "uniform":
+        raise IntegrationError("the integrator needs uniform mode spacing")
+    h, n_fft = comb_cache_params(fspec, h_target=dt / 2.0)
+    period = h * n_fft       # 2 pi n_modes/(omega_cutoff - omega_min)
+    if span < period:
+        for _ in range(8):
+            n_steps = max(1, int(math.ceil(span / (2.0 * h) - 1e-9)))
+            if n_fft >= 2 * n_steps + 1:
+                return 2.0 * h, n_steps, n_fft
+            h, n_fft = comb_cache_params(fspec, h_target=dt / 2.0,
+                                         min_points=2 * n_steps + 1)
+    raise IntegrationError(
+        f"run length {span:g} does not fit inside the comb period "
+        f"2 pi n_modes/(omega_cutoff - omega_min) = {period:g}")
+
+
 def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                        t0: float, dt: float, n_steps: int, n_traj: int,
                        master_seed: int, record_stride: int = 1,
@@ -343,7 +360,9 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     Each trajectory is driven by its own field realization seeded from
     (master_seed, trajectory index); results are bit-identical across runs
     and across n_workers. dt must resolve the fastest synthesized mode:
-    dt <= 2 pi / (10 omega_cutoff). A warning is recorded in meta when dt
+    dt <= 2 pi / (10 omega_cutoff); the run goes on the grid
+    comb_time_grid(fspec, dt, n_steps dt), whose step and step count are
+    ens.dt and ens.n_steps. A warning is recorded in meta when dt
     exceeds 2 pi / (10 omega_loc), omega_loc = sqrt(max |f'(x)| / m) over
     the recorded positions. Potentials whose force is linear in x
     (Potential.linear) run RK4 as a linear recurrence filtered over the
@@ -357,6 +376,7 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
             f"step-size violation: dt={dt:g} exceeds 2 pi/(10 omega_cutoff)"
             f"={dt_max:g}"
         )
+    dt, n_steps, _ = comb_time_grid(fspec, dt, n_steps * dt)
 
     warnings = []
     omega_char = particle.potential.omega_char(particle.mass) or fspec.omega_cutoff
@@ -365,15 +385,6 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
             f"order reduction marginal: tau*omega_char = "
             f"{particle.tau * omega_char:.3g} > 0.1"
         )
-    if fspec.mode_spacing == "uniform":
-        comb_period = 2.0 * math.pi * fspec.n_modes / (
-            fspec.omega_cutoff - fspec.omega_min
-        )
-        if n_steps * dt > comb_period:
-            warnings.append(
-                f"run length {n_steps * dt:g} exceeds the synthesized comb "
-                f"period {comb_period:g}; field values repeat"
-            )
     if fspec.components != 1:
         raise IntegrationError("integrator is one-dimensional; need components=1")
 

@@ -184,16 +184,16 @@ def cache_grid(fr, t0: float, h: float, n_points: int, out=None) -> np.ndarray:
     """Populate the cached evaluation grid t0 + j*h, j = 0..n_points-1.
 
     fr is one FieldRealization, or a sequence of realizations of one spec
-    filled together. When the modes form an arithmetic comb and
-    dOmega*h*N = 2 pi for an integer N >= n_points, the grid values come
-    from a length-N inverse FFT per (realization, component) row, batched
-    FFT_BLOCK rows at a time through one reused workspace; that is the same
-    mode sum regrouped algebraically, and it agrees with direct evaluation
-    to ~1e-14 relative. Otherwise each realization falls back to direct
-    evaluation. Returns the cached values, shape (components, n_points) for
-    one realization and (n_realizations, components, n_points) for a
-    sequence, written into out when given. Each realization keeps its time
-    grid and its values as attributes.
+    filled together. The modes must form an arithmetic comb with
+    dOmega*h*N = 2 pi for an integer N >= n_points, else ValueError
+    (eval_field evaluates anywhere). The values come from a length-N inverse
+    FFT per (realization, component) row, batched FFT_BLOCK rows at a time
+    through one reused workspace; that is the same mode sum regrouped
+    algebraically, and it agrees with direct evaluation to ~1e-14 relative.
+    Returns the cached values, shape (components, n_points) for one
+    realization and (n_realizations, components, n_points) for a sequence,
+    written into out when given. Each realization keeps its time grid and
+    its values as attributes.
     """
     single = isinstance(fr, FieldRealization)
     frs = [fr] if single else list(fr)
@@ -206,7 +206,6 @@ def cache_grid(fr, t0: float, h: float, n_points: int, out=None) -> np.ndarray:
     elif out.shape != (len(frs), ncomp, n_points):
         raise ValueError(f"out has shape {out.shape}, need "
                          f"{(len(frs), ncomp, n_points)}")
-    t_grid = t0 + h * np.arange(n_points)
     omegas = frs[0].omegas
     dw = _comb_spacing(omegas)
     n_fft = 0
@@ -214,25 +213,25 @@ def cache_grid(fr, t0: float, h: float, n_points: int, out=None) -> np.ndarray:
         n_real = TWO_PI / (dw * h)
         if abs(n_real - round(n_real)) < 1e-6:
             n_fft = int(round(n_real))
-    if n_fft >= n_points:
-        carrier = np.exp(1j * float(omegas[0]) * t_grid)
-        shift = np.arange(omegas.size) * dw * t0
-        amps = frs[0].amps
-        # row r holds component r % ncomp of realization r // ncomp
-        phases = np.concatenate([f.phases for f in frs])
-        work = np.empty((min(FFT_BLOCK, phases.shape[0]), n_fft), dtype=complex)
-        for lo in range(0, phases.shape[0], FFT_BLOCK):
-            c = amps * np.exp(1j * (phases[lo:lo + FFT_BLOCK] + shift))
-            block = work[:c.shape[0]]
-            np.fft.ifft(c, n=n_fft, axis=-1, out=block)
-            block *= n_fft
-            head = block[:, :n_points]
-            np.multiply(carrier, head, out=head)
-            for r, row in enumerate(head.real, lo):
-                out[divmod(r, ncomp)] = row
-    else:
-        for i, f in enumerate(frs):
-            out[i] = eval_field(f, t_grid)
+    if n_fft < n_points:
+        raise ValueError(f"{n_points} points at step {h:g} are not an "
+                         "FFT-exact grid inside the comb period")
+    t_grid = t0 + h * np.arange(n_points)
+    carrier = np.exp(1j * float(omegas[0]) * t_grid)
+    shift = np.arange(omegas.size) * dw * t0
+    amps = frs[0].amps
+    # row r holds component r % ncomp of realization r // ncomp
+    phases = np.concatenate([f.phases for f in frs])
+    work = np.empty((min(FFT_BLOCK, phases.shape[0]), n_fft), dtype=complex)
+    for lo in range(0, phases.shape[0], FFT_BLOCK):
+        c = amps * np.exp(1j * (phases[lo:lo + FFT_BLOCK] + shift))
+        block = work[:c.shape[0]]
+        np.fft.ifft(c, n=n_fft, axis=-1, out=block)
+        block *= n_fft
+        head = block[:, :n_points]
+        np.multiply(carrier, head, out=head)
+        for r, row in enumerate(head.real, lo):
+            out[divmod(r, ncomp)] = row
     for f, values in zip(frs, out):
         f.time_grid = t_grid
         f.values = values

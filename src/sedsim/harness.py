@@ -43,14 +43,14 @@ from ._version import __version__
 from .config import (ConfigError, config_hash, dumps_config, load_config,
                      validate_config)
 from .dynamics import (CHUNK, IntegrationError, ParticleSpec, TrajectoryEnsemble,
-                       DeltaIC, GaussianIC, dump_ensemble, energy_balance,
-                       free_potential, harmonic_potential, integrate_ensemble,
-                       load_ensemble, quartic_potential, relaxation_curve,
-                       stationary_guess_ic, tabulated_potential)
-from .field import FieldSpec, autocorrelation_check, comb_cache_params, make_field
+                       DeltaIC, GaussianIC, comb_time_grid, dump_ensemble,
+                       energy_balance, free_potential, harmonic_potential,
+                       integrate_ensemble, load_ensemble, quartic_potential,
+                       relaxation_curve, stationary_guess_ic,
+                       tabulated_potential)
+from .field import FieldSpec, autocorrelation_check, make_field
 from .kinematics import (CoarseGrainSpec, classify_branch, density_estimate,
-                         diffusion_sweep, estimate_D, estimate_u, estimate_v,
-                         estimate_va)
+                         diffusion_sweep, estimate_u, estimate_v, estimate_va)
 from .reference import (gaussian_density, ou_ensemble,
                         ou_stationary_variance, ou_u_slope_equilibrium)
 from .schrodinger import GridSpec, solve_stationary, velocity_fields
@@ -237,26 +237,12 @@ def _build_ic(cfg: dict, particle: ParticleSpec, hbar: float):
     raise ConfigError(f"unknown initial-condition sampler {sampler!r}")
 
 
-def _resolve_time_grid(fspec: FieldSpec, t0: float, dt_cfg: float,
-                       t_final: float):
-    """Shrink dt so the half-step grid lands exactly on the mode-comb FFT
-    grid; returns (dt, n_steps, n_fft). The resolved dt never exceeds the
-    configured one, so the step-size precondition is preserved. The run
-    must end inside the comb period, where the field starts to repeat."""
-    span = t_final - t0
-    if span <= 0 or dt_cfg <= 0:
-        raise ConfigError("time block must have t_final > t0 and dt > 0")
-    h, n_fft = comb_cache_params(fspec, h_target=dt_cfg / 2.0)
-    period = h * n_fft       # 2 pi n_modes/(omega_cutoff - omega_min)
-    if span < period:
-        for _ in range(8):
-            n_steps = max(1, int(math.ceil(span / (2.0 * h) - 1e-9)))
-            if n_fft >= 2 * n_steps + 1:
-                return 2.0 * h, n_steps, n_fft
-            h, n_fft = comb_cache_params(fspec, h_target=dt_cfg / 2.0,
-                                         min_points=2 * n_steps + 1)
-    raise ConfigError(f"run length {span:g} does not fit inside the comb period "
-                      f"2 pi n_modes/(omega_cutoff - omega_min) = {period:g}")
+def _time_grid(fspec: FieldSpec, dt: float, span: float):
+    """comb_time_grid; what it refuses is a config error."""
+    try:
+        return comb_time_grid(fspec, dt, span)
+    except IntegrationError as exc:
+        raise ConfigError(f"time block: {exc}") from exc
 
 
 def _refs_in_window(ens: TrajectoryEnsemble, window, lag: float,
@@ -367,8 +353,8 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
                           "true: the energy balance reads the stored field")
     tcfg = cfg["time"]
     t0 = float(tcfg.get("t0", 0.0))
-    dt, n_steps, n_fft = _stage(info, "time-grid", _resolve_time_grid, fspec, t0,
-                                float(tcfg["dt"]), float(tcfg["t_final"]))
+    dt, n_steps, n_fft = _stage(info, "time-grid", _time_grid, fspec,
+                                float(tcfg["dt"]), float(tcfg["t_final"]) - t0)
     stride = int(tcfg.get("record_stride", 1))
     ic = _build_ic(cfg, particle, fspec.hbar)
     master_seed = int(cfg["seeds"]["master_seed"])
@@ -514,9 +500,9 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
 def _pipeline_ou_calibration(cfg: dict, run_dir: Path,
                              info: dict) -> ComparisonReport:
     particle = _build_particle(cfg)
-    stiffness = particle.potential.params.get("stiffness")
-    if stiffness is None:
+    if not particle.potential.linear:
         raise ConfigError("ou_calibration requires a harmonic potential")
+    stiffness = particle.potential.params["stiffness"]
     lv = cfg["langevin"]
     friction = float(lv["friction"])
     d0 = float(lv["D0"])

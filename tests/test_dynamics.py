@@ -19,6 +19,7 @@ from sedsim.dynamics import (
     DeltaIC,
     IntegrationError,
     ParticleSpec,
+    comb_time_grid,
     dump_ensemble,
     energy_balance,
     free_potential,
@@ -45,6 +46,16 @@ E_ORACLE = 0.503881299611904221101
 ZERO_FIELD = FieldSpec(omega_cutoff=2.0, n_modes=4, hbar=0.0)
 
 
+def shipped_field_and_step():
+    """Field spec and configured dt, t0 and t_final of the shipped harmonic
+    config."""
+    cfg = json.loads(SED_CONFIG.read_text())
+    f, t = cfg["field"], cfg["time"]
+    fspec = FieldSpec(hbar=f["hbar"], c=f["c"], omega_cutoff=f["omega_cutoff"],
+                      omega_min=f["omega_min"], n_modes=f["n_modes"])
+    return fspec, t["dt"], t.get("t0", 0.0), t["t_final"]
+
+
 def harmonic_particle(tau: float = 0.0) -> ParticleSpec:
     return ParticleSpec(mass=1.0, charge=0.0, tau=tau,
                         potential=harmonic_potential(1.0, 1.0))
@@ -54,15 +65,14 @@ def shipped_run_parameters(tau=None):
     """Field, particle, initial conditions and resolved step of the shipped
     harmonic config, optionally at another tau."""
     cfg = json.loads(SED_CONFIG.read_text())
-    f, p = cfg["field"], cfg["particle"]
-    fspec = FieldSpec(hbar=f["hbar"], c=f["c"], omega_cutoff=f["omega_cutoff"],
-                      omega_min=f["omega_min"], n_modes=f["n_modes"])
+    p = cfg["particle"]
+    fspec, dt, t0, t_final = shipped_field_and_step()
     omega0 = p["potential"]["omega0"]
     particle = ParticleSpec.from_tau(p["mass"], p["tau"] if tau is None else tau,
                                      harmonic_potential(omega0, p["mass"]))
-    h, _ = comb_cache_params(fspec, h_target=cfg["time"]["dt"] / 2.0)
-    ic = stationary_guess_ic(f["hbar"], p["mass"], omega0)
-    return fspec, particle, ic, 2.0 * h, cfg["time"]["record_stride"]
+    dt, _, _ = comb_time_grid(fspec, dt, t_final - t0)
+    ic = stationary_guess_ic(fspec.hbar, p["mass"], omega0)
+    return fspec, particle, ic, dt, cfg["time"]["record_stride"]
 
 
 def on_the_loop(particle: ParticleSpec) -> ParticleSpec:
@@ -186,6 +196,61 @@ def test_recurrence_matches_the_step_loop_on_short_runs(n_steps, stride):
     np.testing.assert_allclose(fast.positions, loop.positions, rtol=0, atol=1e-14)
     np.testing.assert_allclose(fast.velocities, loop.velocities,
                                rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the comb-exact time grid
+
+def test_shipped_grid_is_its_own_fixed_point():
+    fspec, dt_cfg, t0, t_final = shipped_field_and_step()
+    dt, n_steps, n_fft = comb_time_grid(fspec, dt_cfg, t_final - t0)
+    assert (dt, n_steps, n_fft) == (0.19974982317874132, 50063, 161051)
+    assert comb_time_grid(fspec, dt, n_steps * dt) == (dt, n_steps, n_fft)
+
+
+def test_grid_widened_to_hold_the_run_is_its_own_fixed_point():
+    # 812.27 sits within one half step of the comb period 812.37, so the
+    # first FFT length (10,890) cannot hold the run and the step shrinks
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=256)
+    _, first_n_fft = comb_cache_params(fspec, h_target=0.15 / 2.0)
+    dt, n_steps, n_fft = comb_time_grid(fspec, 0.15, 812.27)
+    assert first_n_fft < 2 * n_steps + 1 <= n_fft
+    assert n_steps * dt >= 812.27
+    assert comb_time_grid(fspec, dt, n_steps * dt) == (dt, n_steps, n_fft)
+
+
+@pytest.mark.parametrize("loop", [False, True])
+def test_round_dt_runs_on_the_resolved_grid_bitwise(loop):
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=256)
+    particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
+    if loop:
+        particle = on_the_loop(particle)
+    dt, n_steps, _ = comb_time_grid(fspec, 0.15, 300 * 0.15)
+    ic = stationary_guess_ic(1.0, 1.0, 1.0)
+    a = integrate_ensemble(particle, fspec, ic, 0.0, 0.15, 300, 4, 3,
+                           record_stride=2)
+    b = integrate_ensemble(particle, fspec, ic, 0.0, dt, n_steps, 4, 3,
+                           record_stride=2)
+    assert (a.dt, a.n_steps) == (b.dt, b.n_steps) == (dt, n_steps)
+    assert dt < 0.15
+    for name in ("times", "positions", "velocities", "field_values", "status"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_run_past_the_comb_period_is_refused():
+    # 8 modes on [0.9, 1.1]: the field repeats after 2 pi 8/0.2 = 251.3
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    with pytest.raises(IntegrationError, match="comb period .* = 251.327"):
+        integrate_ensemble(particle, fspec, DeltaIC(0.0, 0.0),
+                           0.0, 0.5, 600, 1, 1)
+    with pytest.raises(IntegrationError, match="uniform mode spacing"):
+        integrate_ensemble(particle,
+                           replace(fspec, mode_spacing="uniform-in-omega^4"),
+                           DeltaIC(0.0, 0.0), 0.0, 0.5, 10, 1, 1)
+    with pytest.raises(IntegrationError, match="positive run length"):
+        integrate_ensemble(particle, fspec, DeltaIC(0.0, 0.0),
+                           0.0, 0.5, 0, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +393,19 @@ def test_unstable_quartic_is_flagged_not_raised():
 
 @pytest.mark.parametrize("loop", [False, True])
 def test_unstable_harmonic_is_flagged_on_both_paths(loop):
-    # omega0 dt = 5 lies outside RK4's stability region: the state overflows
+    # omega0 dt = 5 lies outside RK4's stability region: the state overflows.
+    # A quiet 4-mode comb with dOmega = pi/25.6 repeats after 51.2, past the
+    # run's 50, and holds dt 0.05 exactly (N = 2048)
+    quiet = FieldSpec(omega_cutoff=math.pi / 6.4, n_modes=4, hbar=0.0)
     particle = ParticleSpec(mass=1.0, charge=0.0, tau=0.0,
                             potential=harmonic_potential(100.0, 1.0))
     if loop:
         particle = on_the_loop(particle)
     with np.errstate(over="ignore", invalid="ignore"):
-        ens = integrate_ensemble(particle, ZERO_FIELD, DeltaIC(1.0, 0.0),
+        ens = integrate_ensemble(particle, quiet, DeltaIC(1.0, 0.0),
                                  0.0, 0.05, 1000, 2, 1, record_stride=10)
+    assert ens.dt == pytest.approx(0.05, rel=1e-14)
+    assert ens.n_steps == 1000
     assert np.all(ens.status == STATUS_NONFINITE)
     assert not np.all(np.isfinite(ens.positions[:, -1]))
 
@@ -386,14 +456,6 @@ def test_order_reduction_warning():
     ens = integrate_ensemble(harmonic_particle(tau=0.2), ZERO_FIELD,
                              DeltaIC(0.0, 0.0), 0.0, 0.1, 10, 1, 1)
     assert any("order reduction" in w for w in ens.meta["warnings"])
-
-
-def test_comb_period_warning():
-    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=8)
-    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
-    ens = integrate_ensemble(particle, fspec, DeltaIC(0.0, 0.0),
-                             0.0, 0.5, 600, 1, 1)
-    assert any("field values repeat" in w for w in ens.meta["warnings"])
 
 
 def test_step_size_warning_follows_the_local_frequency():
@@ -471,7 +533,7 @@ def test_csv_dump_parses_back(tmp_path):
     dump_ensemble(ens, tmp_path / "d", fmt="csv")
     lines = (tmp_path / "d" / "trajectories.csv").read_text().splitlines()
     assert lines[0] == "traj_id,t,x,v"
-    assert len(lines) == 1 + 2 * 6
+    assert len(lines) == 1 + 2 * ens.times.size
     row = lines[1].split(",")
     assert int(row[0]) == 0
     assert float(row[1]) == ens.times[0]
@@ -507,10 +569,13 @@ def test_dump_schema_version_guard(tmp_path):
 def test_record_stride_and_time_grid():
     ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
                              2.5, 0.1, 10, 2, 1, record_stride=3)
-    assert ens.positions.shape == (2, 4)
-    np.testing.assert_allclose(ens.times, 2.5 + 0.3 * np.arange(4),
+    # dt shrinks to the comb-exact step, which records every 3 steps
+    assert ens.dt <= 0.1
+    assert ens.rec_dt == 3 * ens.dt
+    assert ens.positions.shape == (2, ens.n_steps // 3 + 1)
+    np.testing.assert_allclose(ens.times,
+                               2.5 + ens.rec_dt * np.arange(ens.times.size),
                                rtol=0, atol=1e-15)
-    assert ens.rec_dt == pytest.approx(0.3)
 
 
 def test_stationary_guess_widths():

@@ -174,20 +174,24 @@ def test_batched_cache_grid_is_the_single_call_bitwise(components):
 
 
 @pytest.mark.parametrize("spacing", ["uniform-in-omega^4", "uniform"])
-def test_cache_grid_fallback_is_the_direct_sum(spacing):
+def test_cache_grid_refuses_grids_off_the_fft_path(spacing):
+    # off the FFT path eval_field is the route; cache_grid does not fall back
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=64,
                      mode_spacing=spacing)
-    if spacing == "uniform":
-        # an FFT-exact step, but a grid that runs past the comb period
-        h, n_fft = comb_cache_params(spec, h_target=0.05)
-        n_points = n_fft + 50
-    else:
-        h, n_points = 0.05, 300
+    h, n_fft = comb_cache_params(FieldSpec(omega_cutoff=2.0, omega_min=0.5,
+                                           n_modes=64), h_target=0.05)
     frs = [make_field(spec, (6, i)) for i in range(3)]
-    batch = cache_grid(frs, 2.5, h, n_points)
-    ts = 2.5 + h * np.arange(n_points)
-    for i in range(3):
-        assert np.array_equal(batch[i], eval_field(make_field(spec, (6, i)), ts))
+    with pytest.raises(ValueError, match="FFT-exact"):
+        cache_grid(frs, 2.5, 0.05, 300)
+    if spacing == "uniform":
+        # an FFT-exact step fills one comb period, and not a point more
+        assert cache_grid(frs, 2.5, h, n_fft).shape == (3, 1, n_fft)
+        with pytest.raises(ValueError, match="FFT-exact"):
+            cache_grid(frs, 2.5, h, n_fft + 1)
+    else:
+        # the uniform comb's exact step, without a comb
+        with pytest.raises(ValueError, match="FFT-exact"):
+            cache_grid(frs, 2.5, h, 300)
 
 
 def test_cache_grid_refuses_mixed_specs_and_misshaped_output():

@@ -171,17 +171,23 @@ def test_invalid_config_writes_nothing(tmp_path):
 
 def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
         tmp_path, monkeypatch, capsys):
-    # 128 modes on [0.9, 1.1]: the field repeats after 2 pi 128/0.2 = 4021.24
+    # 128 modes on [0.9, 1.1]: the field repeats after 2 pi 128/0.2 = 4021.24;
+    # a comb uniform in omega^4 has no FFT-exact grid at all
     cfg = mini_sed_config()
-    cfg["time"]["t_final"] = 5000.0
     cfg_path = tmp_path / "long.json"
-    cfg_path.write_text(json.dumps(cfg))
     root = tmp_path / "out"
     monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(root))
-    assert main(["run", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert "comb period" in err and "4021.24" in err
-    assert not (root / "mini_sed").exists()
+    for section, key, value, message in (
+            ("time", "t_final", 5000.0, "comb period 2 pi n_modes/(omega_cutoff"
+                                        " - omega_min) = 4021.24"),
+            ("field", "mode_spacing", "uniform-in-omega^4",
+             "needs uniform mode spacing")):
+        bad = copy.deepcopy(cfg)
+        bad[section][key] = value
+        cfg_path.write_text(json.dumps(bad))
+        assert main(["run", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (root / "mini_sed").exists()
 
     # the corrected config runs to completion in the same output root
     cfg["time"]["t_final"] = 300.0
@@ -190,6 +196,25 @@ def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", str(cfg_path)]) in (0, 1)
     assert (root / "mini_sed" / "report.json").is_file()
+
+
+def test_ou_calibration_refuses_a_nonlinear_potential(
+        tmp_path, monkeypatch, capsys):
+    # a tabulated V = x^2/2 + x^4 has a positive curvature at its minimum,
+    # but no OU process has this drift; refused before anything is written
+    cfg = json.loads(OU_CONFIG.read_text())
+    x = [-4.0 + 0.1 * i for i in range(81)]
+    cfg["particle"]["potential"] = {"kind": "tabulated", "x": x,
+                                    "V": [0.5 * v**2 + v**4 for v in x]}
+    # small ensembles, so that a run that is not refused fails fast
+    cfg["ensemble"]["n_traj"] = 2000
+    cfg["langevin"]["n_traj_relax"] = 2000
+    cfg_path = tmp_path / "quartic_ou.json"
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run", str(cfg_path)]) == 2
+    assert "requires a harmonic potential" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "ou_probe").exists()
 
 
 def test_store_field_false_is_refused_before_integrating(

@@ -151,8 +151,11 @@ def test_smooth_paths_have_no_diffusion_plateau():
                             potential=harmonic_potential(1.0, 1.0))
     ens = integrate_ensemble(particle, zero_field, GaussianIC(0.7, 0.7),
                              0.0, 0.05, 120, 400, 45)
-    spec = CoarseGrainSpec(delta_t=0.05, x_bins=21, thin_stride=3, min_count=10)
-    sweep = diffusion_sweep(ens, spec, [0.05, 0.1, 0.2, 0.4, 0.8])
+    # lags on the recorded grid, which is the comb-exact step below 0.05
+    lags = [k * ens.rec_dt for k in (1, 2, 4, 8, 16)]
+    spec = CoarseGrainSpec(delta_t=lags[0], x_bins=21, thin_stride=3,
+                           min_count=10)
+    sweep = diffusion_sweep(ens, spec, lags)
     values = [e.value for e in sweep.estimates]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] > 8.0 * values[0]

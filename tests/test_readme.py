@@ -6,7 +6,12 @@ from pathlib import Path
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_library_quick_start_runs():
+def test_library_quick_start_runs(monkeypatch):
+    def direct_sum(*args, **kwargs):
+        raise AssertionError("the quick start left the FFT path")
+
+    # the integrator's field table is an FFT of the comb, never a direct sum
+    monkeypatch.setattr("sedsim.field.eval_field", direct_sum)
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
     assert len(blocks) == 1
     namespace = {}
