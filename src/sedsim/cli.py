@@ -3,6 +3,7 @@
 Subcommands:
     run <config-path>                     execute a pipeline from a config
     report <run-dir>                      re-render a stored comparison report
+                                          and print its stage ledger
     plot <run-dir>                        emit gnuplot data/script pairs
     constants transition-time             (alpha * omega_C)^-1 for a particle
 
@@ -19,7 +20,8 @@ import sys
 
 from .config import ConfigError
 from .constants import ConstantsError, load_constants, transition_time
-from .harness import PipelineError, emit_plot_data, load_report, run_experiment
+from .harness import (PipelineError, emit_plot_data, load_report,
+                      run_experiment, stage_ledger_text)
 
 OUTPUT_ROOT_ENV = "SEDSIM_OUTPUT_ROOT"
 
@@ -64,6 +66,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             report = load_report(args.run_dir)
             sys.stdout.write(report.to_text())
+            sys.stdout.write(stage_ledger_text(args.run_dir))
             return report.exit_code
         if args.command == "plot":
             for path in emit_plot_data(args.run_dir):

@@ -330,24 +330,26 @@ def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
     """(dt, n_steps, n_fft): the step, at most dt, and the step count of a
     run of length span whose half-step field table is one length-n_fft FFT
     of the uniform comb (cache_grid). A resolved grid resolves to itself.
-    Refuses a non-positive span or dt, a non-uniform comb, and a run past
-    the comb period, where the field repeats."""
+    Refuses a non-positive span or dt, a non-uniform comb, and a run that
+    does not end inside the comb period, where the field repeats. Inside
+    it, each widening grows n_fft strictly, and any n_fft >= 3 period /
+    (period - span) holds the run, so the widening ends."""
     if span <= 0 or dt <= 0:
         raise IntegrationError("need a positive run length and dt")
     if fspec.mode_spacing != "uniform":
         raise IntegrationError("the integrator needs uniform mode spacing")
     h, n_fft = comb_cache_params(fspec, h_target=dt / 2.0)
     period = h * n_fft       # 2 pi n_modes/(omega_cutoff - omega_min)
-    if span < period:
-        for _ in range(8):
-            n_steps = max(1, int(math.ceil(span / (2.0 * h) - 1e-9)))
-            if n_fft >= 2 * n_steps + 1:
-                return 2.0 * h, n_steps, n_fft
-            h, n_fft = comb_cache_params(fspec, h_target=dt / 2.0,
-                                         min_points=2 * n_steps + 1)
-    raise IntegrationError(
-        f"run length {span:g} does not fit inside the comb period "
-        f"2 pi n_modes/(omega_cutoff - omega_min) = {period:g}")
+    if span >= period:
+        raise IntegrationError(
+            f"run length {span:g} does not fit inside the comb period "
+            f"2 pi n_modes/(omega_cutoff - omega_min) = {period:g}")
+    while True:
+        n_steps = max(1, int(math.ceil(span / (2.0 * h) - 1e-9)))
+        if n_fft >= 2 * n_steps + 1:
+            return 2.0 * h, n_steps, n_fft
+        h, n_fft = comb_cache_params(fspec, h_target=dt / 2.0,
+                                     min_points=2 * n_steps + 1)
 
 
 def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,

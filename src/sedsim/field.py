@@ -10,6 +10,15 @@ truncated at omega_cutoff (optionally banded above omega_min). Fixed
 amplitudes with independent uniform phases give an exactly stationary
 process whose ensemble autocovariance converges to the band integral of
 S(omega) cos(omega lag) as n_modes grows; per-mode energy is hbar*omega/2.
+
+On a uniform comb omega_n = omega_0 + n dOmega sampled at step h with
+dOmega h = 2 pi/N, the grid values are the real part of a length-N inverse
+DFT of the n_modes mode coefficients times the carrier exp(i omega_0 t).
+cache_grid evaluates that sum in Bailey's four-step order (J. Supercomput.
+4, 23 (1990)) with the input pruned to the occupied bins (Markel, IEEE
+Trans. Audio Electroacoust. 19, 305 (1971)): for N = L Q with Q >= n_modes
+the grid point j = r + L q is sum_n (c_n w_N^(n r)) w_Q^(n q), so each row
+is L short length-Q transforms that stay in cache instead of one long one.
 """
 
 from __future__ import annotations
@@ -28,14 +37,6 @@ MODE_SPACINGS = ("uniform", "uniform-in-omega^4")
 # Direct evaluation processes the time axis in blocks of this many points to
 # bound the (n_modes x block) workspace.
 _EVAL_BLOCK = 4096
-
-# cache_grid transforms this many rows per batched inverse FFT. Its complex
-# workspace (FFT_BLOCK x n_fft x 16 bytes, 5 MB on the shipped grid) stays
-# below the ~8 MB transient of one unbatched transform: glibc keeps a freed
-# workspace much larger than that on its heap, which raised the shipped
-# run's peak RSS by ~18 MB at 4 rows, while 2 rows synthesize as fast.
-FFT_BLOCK = 2
-
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -185,11 +186,17 @@ def cache_grid(fr, t0: float, h: float, n_points: int, out=None) -> np.ndarray:
 
     fr is one FieldRealization, or a sequence of realizations of one spec
     filled together. The modes must form an arithmetic comb with
-    dOmega*h*N = 2 pi for an integer N >= n_points, else ValueError
-    (eval_field evaluates anywhere). The values come from a length-N inverse
-    FFT per (realization, component) row, batched FFT_BLOCK rows at a time
-    through one reused workspace; that is the same mode sum regrouped
-    algebraically, and it agrees with direct evaluation to ~1e-14 relative.
+    dOmega*h*N = 2 pi for an integer N >= max(n_points, n_modes), else
+    ValueError (eval_field evaluates anywhere). Each (realization,
+    component) row is the length-N mode sum split in four steps: Q is the
+    smallest divisor of N with Q >= n_modes and L = N/Q; the coefficients
+    times an (L, n_modes) twiddle table w_N^(n r) go through L inverse FFTs
+    of length Q, whose column q is grid point r + L q, and then through the
+    carrier exp(i omega_0 t). With no proper divisor, L = 1: one length-N
+    transform. Rows go one at a time through two (L, Q) complex work
+    arrays (5 MB on the shipped grid), so a row's values do not depend on
+    the rows it shares a call with. The values agree with direct evaluation
+    to ~1e-14 relative.
     Returns the cached values, shape (components, n_points) for one
     realization and (n_realizations, components, n_points) for a sequence,
     written into out when given. Each realization keeps its time grid and
@@ -207,31 +214,43 @@ def cache_grid(fr, t0: float, h: float, n_points: int, out=None) -> np.ndarray:
         raise ValueError(f"out has shape {out.shape}, need "
                          f"{(len(frs), ncomp, n_points)}")
     omegas = frs[0].omegas
+    m = omegas.size
     dw = _comb_spacing(omegas)
     n_fft = 0
     if dw is not None:
         n_real = TWO_PI / (dw * h)
         if abs(n_real - round(n_real)) < 1e-6:
             n_fft = int(round(n_real))
-    if n_fft < n_points:
+    if n_fft < max(n_points, m):
         raise ValueError(f"{n_points} points at step {h:g} are not an "
                          "FFT-exact grid inside the comb period")
+    q_len = min(d for k in range(1, math.isqrt(n_fft) + 1) if n_fft % k == 0
+                for d in (k, n_fft // k) if d >= m)
+    n_rows = n_fft // q_len
+    n_cols = -(-n_points // n_rows)     # columns q that hold grid points
+    full = n_points // n_rows           # columns with all n_rows points
+    n = np.arange(m)
+    twiddle = np.exp(1j * (TWO_PI / n_fft)
+                     * (np.arange(n_rows)[:, None] * n % n_fft))
+    j = np.arange(n_rows)[:, None] + n_rows * np.arange(n_cols)
+    carrier = np.exp(1j * float(omegas[0]) * (t0 + h * j))
     t_grid = t0 + h * np.arange(n_points)
-    carrier = np.exp(1j * float(omegas[0]) * t_grid)
-    shift = np.arange(omegas.size) * dw * t0
+    shift = n * dw * t0
     amps = frs[0].amps
     # row r holds component r % ncomp of realization r // ncomp
     phases = np.concatenate([f.phases for f in frs])
-    work = np.empty((min(FFT_BLOCK, phases.shape[0]), n_fft), dtype=complex)
-    for lo in range(0, phases.shape[0], FFT_BLOCK):
-        c = amps * np.exp(1j * (phases[lo:lo + FFT_BLOCK] + shift))
-        block = work[:c.shape[0]]
-        np.fft.ifft(c, n=n_fft, axis=-1, out=block)
-        block *= n_fft
-        head = block[:, :n_points]
-        np.multiply(carrier, head, out=head)
-        for r, row in enumerate(head.real, lo):
-            out[divmod(r, ncomp)] = row
+    spectrum = np.zeros((n_rows, q_len), dtype=complex)
+    work = np.empty_like(spectrum)
+    head = work[:, :n_cols]
+    for r, ph in enumerate(phases):
+        np.multiply(amps * np.exp(1j * (ph + shift)), twiddle,
+                    out=spectrum[:, :m])
+        np.fft.ifft(spectrum, axis=-1, norm="forward", out=work)
+        np.multiply(head, carrier, out=head)
+        row = out[divmod(r, ncomp)]
+        row[:full * n_rows].reshape(full, n_rows)[...] = head.real[:, :full].T
+        if full < n_cols:
+            row[full * n_rows:] = head.real[:n_points - full * n_rows, full]
     for f, values in zip(frs, out):
         f.time_grid = t_grid
         f.values = values

@@ -663,8 +663,9 @@ def run_experiment(config, output_root=None) -> RunResult:
     code, the wall time, the time grid the pipeline resolved (dt,
     n_steps; for SED also n_fft, n_chunks, n_workers) and the stage ledger
     "stages": per stage its name, wall_s, cpu_s and the process's
-    peak_rss_mb when it ended. Nothing is left behind
-    if validation fails or the pipeline refuses the config (ConfigError).
+    peak_rss_mb when it ended. Nothing is left behind, not even the parent
+    directories it created, if validation fails or the pipeline refuses the
+    config (ConfigError).
     Exit code 0 means every report row passed.
     """
     if isinstance(config, (str, Path)):
@@ -677,7 +678,8 @@ def run_experiment(config, output_root=None) -> RunResult:
     run_dir = root / cfg["outputs"]["directory"]
     if run_dir.exists() and any(run_dir.iterdir()):
         raise ConfigError(f"output directory {run_dir} exists and is not empty")
-    existed = run_dir.exists()
+    # the directories mkdir creates, deepest first
+    created = [d for d in (run_dir, *run_dir.parents) if not d.exists()]
     run_dir.mkdir(parents=True, exist_ok=True)
 
     (run_dir / "config.json").write_text(dumps_config(cfg))
@@ -686,9 +688,11 @@ def run_experiment(config, output_root=None) -> RunResult:
     try:
         report = PIPELINES[pipeline](cfg, run_dir, info)
     except ConfigError:
-        # refused before any stage output: leave the directory as found
+        # refused before any stage output: leave the directories as found
         shutil.rmtree(run_dir)
-        if existed:
+        for d in created[1:]:
+            d.rmdir()
+        if not created:
             run_dir.mkdir()
         raise
     elapsed = _time.monotonic() - start
@@ -712,6 +716,24 @@ def load_report(run_dir) -> ComparisonReport:
     if not path.exists():
         raise ConfigError(f"no report.json under {run_dir}")
     return ComparisonReport.from_dict(json.loads(path.read_text()))
+
+
+def stage_ledger_text(run_dir) -> str:
+    """run.json's stage ledger as a table, closed by the share of the run's
+    wall_seconds that its stages cover; empty for a run without one."""
+    path = Path(run_dir) / "run.json"
+    run = json.loads(path.read_text()) if path.exists() else {}
+    stages = run.get("stages")
+    if not stages:
+        return ""
+    lines = [f"{'stage':<24}{'wall_s':>10}{'cpu_s':>10}{'peak_rss_mb':>13}"]
+    for st in stages:
+        lines.append(f"{st['name']:<24}{st['wall_s']:>10.3f}"
+                     f"{st['cpu_s']:>10.3f}{st['peak_rss_mb']:>13.1f}")
+    covered = sum(st["wall_s"] for st in stages)
+    lines.append(f"stages cover {100.0 * covered / run['wall_seconds']:.1f} % "
+                 f"of wall_seconds {run['wall_seconds']:.3f}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

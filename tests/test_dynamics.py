@@ -219,6 +219,30 @@ def test_grid_widened_to_hold_the_run_is_its_own_fixed_point():
     assert comb_time_grid(fspec, dt, n_steps * dt) == (dt, n_steps, n_fft)
 
 
+def test_grid_widening_runs_until_the_run_fits():
+    # 812.315 ends 0.056 before the comb period 812.371: each widening
+    # re-grows n_steps, and the grid fits only after 64 widenings
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=256)
+    dt, n_steps, n_fft = comb_time_grid(fspec, 0.15, 812.315)
+    assert 2 * n_steps + 1 <= n_fft
+    assert 812.315 <= n_steps * dt < dt * n_fft / 2.0
+    assert comb_time_grid(fspec, dt, n_steps * dt) == (dt, n_steps, n_fft)
+    dt, n_steps, n_fft = comb_time_grid(fspec, 0.15, 812.297)
+    assert (round(dt, 6), n_steps, n_fft) == (0.148582, 5467, 10935)
+    period = 2.0 * math.pi * 256 / 1.98
+    for span in (period, period + 1e-9, 900.0):
+        with pytest.raises(IntegrationError, match="comb period"):
+            comb_time_grid(fspec, 0.15, span)
+
+
+def test_sedbench_quartic_grid_is_its_own_fixed_point():
+    fspec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=768)
+    grid = comb_time_grid(fspec, 0.13, 3000.0)
+    assert grid == (0.1299794293848868, 23081, 49500)
+    dt, n_steps, _ = grid
+    assert comb_time_grid(fspec, dt, n_steps * dt) == grid
+
+
 @pytest.mark.parametrize("loop", [False, True])
 def test_round_dt_runs_on_the_resolved_grid_bitwise(loop):
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=256)

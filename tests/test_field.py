@@ -168,9 +168,54 @@ def test_batched_cache_grid_is_the_single_call_bitwise(components):
     for i, fr in enumerate(frs):
         single = cache_grid(make_field(spec, (5, i)), 41.3, h, 700)
         assert np.array_equal(batch[i], single)
-        assert np.array_equal(single, _unbatched_comb_grid(fr, 41.3, h, 700))
+        # the same sum in another operation order (four-step vs one FFT)
+        ref = _unbatched_comb_grid(fr, 41.3, h, 700)
+        assert np.max(np.abs(single - ref)) <= 1e-14 * fr.amps.sum()
         assert np.array_equal(fr.values, single)
         assert np.array_equal(fr.time_grid, 41.3 + h * np.arange(700))
+
+
+def _four_step_rows(n_fft, n_modes):
+    """L = n_fft/Q for the smallest divisor Q >= n_modes, by brute force."""
+    return n_fft // next(d for d in range(n_modes, n_fft + 1)
+                         if n_fft % d == 0)
+
+
+@pytest.mark.parametrize("n_modes, n_fft, n_points, t0, components, rows", [
+    (128, 11**3, 11**3, 0.0, 1, 1),     # no proper divisor >= 128: one FFT
+    (96, 720, 601, 0.0, 1, 6),          # last column holds 1 of 6 points
+    (96, 720, 600, -37.25, 1, 6),
+    (96, 720, 599, 12.5, 3, 6),
+    (96, 720, 5, 3.0, 1, 6),            # fewer points than rows
+])
+def test_four_step_grid_is_the_mode_sum(n_modes, n_fft, n_points, t0,
+                                        components, rows):
+    spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=n_modes,
+                     components=components)
+    assert _four_step_rows(n_fft, n_modes) == rows
+    h = 2.0 * math.pi / (1.5 / n_modes * n_fft)
+    frs = [make_field(spec, (8, i)) for i in range(3)]
+    batch = cache_grid(frs, t0, h, n_points)
+    for i, fr in enumerate(frs):
+        single = cache_grid(make_field(spec, (8, i)), t0, h, n_points)
+        assert np.array_equal(batch[i], single)
+        direct = eval_field(fr, t0 + h * np.arange(n_points))
+        assert np.max(np.abs(single - direct)) <= 1e-13 * fr.amps.sum()
+
+
+def test_four_step_grid_on_the_shipped_comb():
+    # configs/sed_harmonic_ground.json: Q = 11^3, L = 121 rows, and the
+    # 2 n_steps + 1 half-step points of the shipped run
+    spec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=512)
+    h, n_fft = comb_cache_params(spec, h_target=0.1)
+    assert n_fft == 161051 and _four_step_rows(n_fft, 512) == 121
+    frs = [make_field(spec, (7, i, 0)) for i in range(3)]
+    batch = cache_grid(frs, 0.0, h, 100127)
+    for i, fr in enumerate(frs):
+        assert np.array_equal(
+            batch[i], cache_grid(make_field(spec, (7, i, 0)), 0.0, h, 100127))
+        ref = _unbatched_comb_grid(fr, 0.0, h, 100127)
+        assert np.max(np.abs(batch[i] - ref)) <= 1e-14 * fr.amps.sum()
 
 
 @pytest.mark.parametrize("spacing", ["uniform-in-omega^4", "uniform"])
@@ -188,6 +233,9 @@ def test_cache_grid_refuses_grids_off_the_fft_path(spacing):
         assert cache_grid(frs, 2.5, h, n_fft).shape == (3, 1, n_fft)
         with pytest.raises(ValueError, match="FFT-exact"):
             cache_grid(frs, 2.5, h, n_fft + 1)
+        # a comb period of 32 steps cannot hold 64 modes without folding
+        with pytest.raises(ValueError, match="FFT-exact"):
+            cache_grid(frs, 2.5, h * n_fft / 32, 10)
     else:
         # the uniform comb's exact step, without a comb
         with pytest.raises(ValueError, match="FFT-exact"):

@@ -214,7 +214,7 @@ def test_ou_calibration_refuses_a_nonlinear_potential(
     monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(tmp_path))
     assert main(["run", str(cfg_path)]) == 2
     assert "requires a harmonic potential" in capsys.readouterr().err
-    assert not (tmp_path / "runs" / "ou_probe").exists()
+    assert not (tmp_path / "runs").exists()
 
 
 def test_store_field_false_is_refused_before_integrating(
@@ -280,8 +280,21 @@ def test_cli_run_report_plot_cycle(tmp_path, monkeypatch, capsys):
     assert "run directory:" in out
     run_dir = tmp_path / "mini_sed"
 
+    report_txt = (run_dir / "report.txt").read_bytes()
     assert main(["report", str(run_dir)]) == 1
-    assert "pipeline: sed_harmonic_ground" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "pipeline: sed_harmonic_ground" in out
+    # the stage ledger follows the report text
+    stages = json.loads((run_dir / "run.json").read_text())["stages"]
+    integrate = next(s for s in stages if s["name"] == "integrate")
+    row = next(line for line in out.splitlines()
+               if line.split()[:1] == ["integrate"])
+    assert [float(x) for x in row.split()[1:]] == pytest.approx(
+        [integrate["wall_s"], integrate["cpu_s"], integrate["peak_rss_mb"]],
+        abs=1e-3, rel=1e-3)
+    assert out.index("pipeline:") < out.index(row)
+    assert "% of wall_seconds" in out.splitlines()[-1]
+    assert (run_dir / "report.txt").read_bytes() == report_txt
 
     assert main(["plot", str(run_dir)]) == 0
     assert (run_dir / "plots" / "dsweep.gp").is_file()
