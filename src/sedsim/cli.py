@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 all tolerances pass, 1 tolerance failure or pipeline failure,
 2 config/IO errors. SEDSIM_OUTPUT_ROOT overrides the parent directory under
-which outputs.directory is created.
+which outputs.directory is created. `run` writes one progress line to stderr
+per finished chunk of trajectories.
 """
 
 from __future__ import annotations
@@ -54,12 +55,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _progress(done: int, total: int) -> None:
+    sys.stderr.write(f"integrate: {done}/{total} trajectories\n")
+    sys.stderr.flush()
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             result = run_experiment(args.config,
-                                    output_root=os.environ.get(OUTPUT_ROOT_ENV))
+                                    output_root=os.environ.get(OUTPUT_ROOT_ENV),
+                                    progress=_progress)
             sys.stdout.write(result.report.to_text())
             sys.stdout.write(f"run directory: {result.run_dir}\n")
             return result.exit_code

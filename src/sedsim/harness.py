@@ -42,12 +42,12 @@ import numpy as np
 from ._version import __version__
 from .config import (ConfigError, config_hash, dumps_config, load_config,
                      validate_config)
-from .dynamics import (CHUNK, IntegrationError, ParticleSpec, TrajectoryEnsemble,
-                       DeltaIC, GaussianIC, comb_time_grid, dump_ensemble,
-                       energy_balance, free_potential, harmonic_potential,
-                       integrate_ensemble, load_ensemble, quartic_potential,
-                       relaxation_curve, stationary_guess_ic,
-                       tabulated_potential)
+from .dynamics import (CHUNK, STATUS_OK, IntegrationError, ParticleSpec,
+                       TrajectoryEnsemble, DeltaIC, GaussianIC, comb_time_grid,
+                       dump_ensemble, energy_balance, free_potential,
+                       harmonic_potential, integrate_ensemble, load_ensemble,
+                       quartic_potential, relaxation_curve,
+                       stationary_guess_ic, tabulated_potential)
 from .field import FieldSpec, autocorrelation_check, make_field
 from .kinematics import (CoarseGrainSpec, classify_branch, density_estimate,
                          diffusion_sweep, estimate_u, estimate_v, estimate_va)
@@ -340,8 +340,8 @@ def _estimator_stage(cfg: dict, info: dict, ens: TrajectoryEnsemble,
 # ---------------------------------------------------------------------------
 # sed_harmonic_ground pipeline
 
-def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
-                                  info: dict) -> ComparisonReport:
+def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
+                                  progress=None) -> ComparisonReport:
     fspec = _build_field_spec(cfg)
     particle = _build_particle(cfg, c=fspec.c)
     omega0 = particle.potential.params.get("omega0")
@@ -366,7 +366,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
     ens = _stage(info, "integrate", integrate_ensemble,
                  particle, fspec, ic, t0, dt, n_steps,
                  n_traj, master_seed, record_stride=stride,
-                 n_workers=n_workers)
+                 n_workers=n_workers, progress=progress)
 
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     if dump_fmt != "none":
@@ -490,6 +490,11 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
                   _tol(cfg, "autocorr_z", 3.0),
                   sed_prov=f"{n_ac} fresh field realizations (field_autocorr.json)",
                   ref_prov="band-limited spectral integral, closed form"),
+        _make_row("non_finite_trajectories", "exact",
+                  int(np.count_nonzero(ens.status != STATUS_OK)), 0, 0.0,
+                  sed_prov="status flags of the integrated trajectories "
+                           "(ensemble/)",
+                  ref_prov="every trajectory stays finite"),
     ]
     return report
 
@@ -497,8 +502,8 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path,
 # ---------------------------------------------------------------------------
 # ou_calibration pipeline
 
-def _pipeline_ou_calibration(cfg: dict, run_dir: Path,
-                             info: dict) -> ComparisonReport:
+def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
+                             progress=None) -> ComparisonReport:
     particle = _build_particle(cfg)
     if not particle.potential.linear:
         raise ConfigError("ou_calibration requires a harmonic potential")
@@ -635,9 +640,10 @@ def _first_ref_index(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> int:
     return int(round((t - ens.t0) / ens.rec_dt))
 
 
-# pipeline(cfg, run_dir, info) -> ComparisonReport; it records the time grid
-# it resolved and, through _stage, the stage ledger into the dict `info`,
-# which run.json carries.
+# pipeline(cfg, run_dir, info, progress) -> ComparisonReport; it records the
+# time grid it resolved and, through _stage, the stage ledger into the dict
+# `info`, which run.json carries, and hands progress to integrate_ensemble
+# (the exact OU sampler has no chunks to report).
 PIPELINES = {
     "sed_harmonic_ground": _pipeline_sed_harmonic_ground,
     "ou_calibration": _pipeline_ou_calibration,
@@ -654,7 +660,7 @@ class RunResult:
     exit_code: int
 
 
-def run_experiment(config, output_root=None) -> RunResult:
+def run_experiment(config, output_root=None, progress=None) -> RunResult:
     """Execute a registered pipeline from a config dict or file path.
 
     The run directory (outputs.directory, resolved under output_root or the
@@ -665,7 +671,8 @@ def run_experiment(config, output_root=None) -> RunResult:
     "stages": per stage its name, wall_s, cpu_s and the process's
     peak_rss_mb when it ended. Nothing is left behind, not even the parent
     directories it created, if validation fails or the pipeline refuses the
-    config (ConfigError).
+    config (ConfigError). progress is integrate_ensemble's per-chunk
+    callback; by default nothing is printed.
     Exit code 0 means every report row passed.
     """
     if isinstance(config, (str, Path)):
@@ -686,7 +693,7 @@ def run_experiment(config, output_root=None) -> RunResult:
     start = _time.monotonic()
     info = {}
     try:
-        report = PIPELINES[pipeline](cfg, run_dir, info)
+        report = PIPELINES[pipeline](cfg, run_dir, info, progress)
     except ConfigError:
         # refused before any stage output: leave the directories as found
         shutil.rmtree(run_dir)

@@ -7,11 +7,13 @@ against the discrete linear-response prediction frozen below.
 
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from sedsim.dynamics import (
     STATUS_NONFINITE,
@@ -31,7 +33,8 @@ from sedsim.dynamics import (
     stationary_guess_ic,
     tabulated_potential,
 )
-from sedsim.field import FieldSpec, cache_grid, comb_cache_params, make_field
+from sedsim.field import (FieldSpec, cache_grid, comb_cache_params, eval_field,
+                          make_field)
 from sedsim.reference import harmonic_response, harmonic_trajectory
 
 SED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sed_harmonic_ground.json"
@@ -167,6 +170,58 @@ def test_rk4_follows_the_exact_comb_response():
         assert np.max(np.abs(ens.velocities[i] - v)) <= 0.05 * sigma_x
 
 
+def quartic_loop_deviation(dt_cfg: float, span: float):
+    """RK4-loop quartic trajectories (k4 = 1, tau = 0.02, 96 modes on
+    [0.1, 1.6], four trajectories from x = 1.5 at rest) against DOP853 at
+    rtol 1e-11 driven by the direct mode sum eval_field, with the force
+    written out here. Returns (max |dx| / sigma_x, the RK4 error estimate in
+    the same unit, the resolved dt); sigma_x is the rms recorded position."""
+    fspec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=96)
+    k4, tau = 1.0, 0.02
+    particle = ParticleSpec.from_tau(1.0, tau, quartic_potential(k4))
+    dt, n_steps, _ = comb_time_grid(fspec, dt_cfg, span)
+    ens = integrate_ensemble(particle, fspec, DeltaIC(1.5, 0.0), 0.0, dt,
+                             n_steps, 4, 11)
+    assert ens.meta["integrator"] == "rk4-loop"
+    frs = [make_field(fspec, (11, i, 0)) for i in range(4)]
+    charge = particle.charge
+
+    def rhs(t, y):
+        x, v = y[:4], y[4:]
+        e = np.array([eval_field(fr, t)[0] for fr in frs])
+        return np.concatenate((v, -k4 * x**3 - tau * 3.0 * k4 * x**2 * v
+                               + charge * e))
+
+    sol = solve_ivp(rhs, (0.0, ens.times[-1]),
+                    np.concatenate((ens.positions[:, 0], ens.velocities[:, 0])),
+                    method="DOP853", t_eval=ens.times, rtol=1e-11, atol=1e-12)
+    assert sol.success
+    sigma_x = math.sqrt(float(np.mean(np.square(ens.positions))))
+    # RK4 advances x' = i w x with phase error (w dt)^5/120 per step, so an
+    # orbit of amplitude A drifts by A T w^5 dt^4/120 over a span T; w is
+    # the local frequency sqrt(3 k4) A at the largest |x| reached
+    amp = float(np.max(np.abs(ens.positions)))
+    w = math.sqrt(3.0 * k4) * amp
+    estimate = amp * ens.times[-1] * w**5 * dt**4 / 120.0
+    dev = float(np.max(np.abs(ens.positions - sol.y[:4])))
+    return dev / sigma_x, estimate / sigma_x, dt
+
+
+def test_rk4_loop_follows_dop853_on_the_quartic():
+    # the loop path's independent check, at sedbench's quartic dt, tau and
+    # band over 30 time units (about ten local periods), short enough that
+    # the driven quartic's sensitivity to the start has not amplified the
+    # truncation error: measured 0.0149 sigma_x against an estimate of
+    # 0.030, and 0.00067 at half the step, a 22x drop for 1.98^4 = 15.5
+    coarse, bound, dt = quartic_loop_deviation(0.13, 30.0)
+    fine, fine_bound, dt_fine = quartic_loop_deviation(0.065, 30.0)
+    assert coarse <= bound
+    assert fine <= fine_bound
+    # fourth order: the deviation is RK4's truncation, not a misplaced
+    # field sample or force term, which would shrink at most linearly
+    assert coarse / fine >= 0.5 * (dt / dt_fine) ** 4
+
+
 @pytest.mark.parametrize("tau", [None, 1e-5])
 def test_recurrence_matches_the_step_loop(tau):
     # shipped parameters, and tau 1e-5 with the filter's poles at radius
@@ -233,6 +288,24 @@ def test_grid_widening_runs_until_the_run_fits():
     for span in (period, period + 1e-9, 900.0):
         with pytest.raises(IntegrationError, match="comb period"):
             comb_time_grid(fspec, 0.15, span)
+
+
+def test_span_just_inside_the_comb_period_is_refused_before_any_table():
+    # within P (1 - 1e-6) or P (1 - 1e-9) of the comb period P the widening
+    # would shrink dt from 0.15 to 0.0016 (501,187 steps, a 2 GB table per
+    # chunk) or to 5e8 steps; it stops once the step falls below dt/2
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=256)
+    period = 2.0 * math.pi * 256 / 1.98
+    for span in (period * (1 - 1e-6), period * (1 - 1e-9)):
+        with pytest.raises(IntegrationError, match="below dt/2 = 0.075"):
+            comb_time_grid(fspec, 0.15, span)
+    particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
+    with pytest.raises(IntegrationError, match="below dt/2"):
+        integrate_ensemble(particle, fspec, DeltaIC(0.0, 0.0), 0.0,
+                           period * (1 - 1e-6) / 5416, 5416, 1, 1)
+    # 812.315 still resolves: its widened step 0.1116 is above 0.075
+    dt, _, _ = comb_time_grid(fspec, 0.15, 812.315)
+    assert dt == pytest.approx(0.111643, abs=1e-6)
 
 
 def test_sedbench_quartic_grid_is_its_own_fixed_point():
@@ -388,6 +461,33 @@ def test_worker_count_does_not_change_bits_on_the_loop():
     assert np.array_equal(serial.positions, threaded.positions)
     assert np.array_equal(serial.velocities, threaded.velocities)
     assert np.array_equal(serial.field_values, threaded.field_values)
+
+
+@pytest.mark.parametrize("n_workers", [1, 4])
+def test_progress_is_called_once_per_chunk(n_workers, capsys):
+    # 1,800 trajectories are 8 chunks (7 x 256 + 8); 4 threads on a
+    # shortened switch interval would expose a lost update of the count
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ens = integrate_ensemble(
+            particle, fspec, DeltaIC(0.5, 0.0), 0.0, 0.2, 10, 1800, 9,
+            n_workers=n_workers,
+            progress=lambda done, total: calls.append((done, total)))
+    finally:
+        sys.setswitchinterval(interval)
+    done = [d for d, _ in calls]
+    assert [total for _, total in calls] == [1800] * 8
+    # calls never overlap, so the count rises by one chunk per call
+    assert done[-1] == 1800
+    assert {b - a for a, b in zip([0] + done[:-1], done)} <= {256, 8}
+    quiet = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0), 0.0, 0.2,
+                               10, 1800, 9, n_workers=n_workers)
+    assert np.array_equal(ens.positions, quiet.positions)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_field_values_are_the_single_call_grid():
@@ -639,6 +739,18 @@ def test_potential_evaluators():
     np.testing.assert_allclose(quart.fprime(x), -9.0 * x ** 2, rtol=1e-15)
 
     assert free_potential().omega_char(1.0) is None
+
+
+@pytest.mark.parametrize("k4", [1.0, 3.0, 0.7, 1.3e-3])
+def test_quartic_evaluators_are_pow_to_a_few_ulp(k4):
+    # f and V multiply squares instead of calling pow; 10^4 values of x
+    # over six decades, both signs: measured at most 2 ulp (f), 3 ulp (V)
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-3.0, 3.0, 10_000)
+    quart = quartic_potential(k4)
+    np.testing.assert_array_max_ulp(quart.f(x), -k4 * x**3, maxulp=4)
+    np.testing.assert_array_max_ulp(quart.fprime(x), -3.0 * k4 * x**2, maxulp=4)
+    np.testing.assert_array_max_ulp(quart.V(x), k4 * x**4 / 4.0, maxulp=4)
 
 
 def test_particle_acceleration_and_energy():

@@ -12,6 +12,7 @@ import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sedsim import harness
@@ -29,7 +30,8 @@ SED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "sed_harmonic_
 OU_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ou_calibration.json"
 
 SED_ROWS = ["mean_energy", "position_variance", "pooled_D", "energy_balance",
-            "branch_selected", "branch_margin", "field_autocorr_max_z"]
+            "branch_selected", "branch_margin", "field_autocorr_max_z",
+            "non_finite_trajectories"]
 OU_ROWS = ["position_variance", "flow_velocity_max_pull",
            "osmotic_velocity_max_pull", "diffusion_sweep_max_pull",
            "diffusion_plateau_found", "va_consistent_fraction",
@@ -142,6 +144,38 @@ def test_exit_code_tracks_row_outcomes(sed_run):
     assert failed  # at least one statistical row flags the tiny ensemble
 
 
+def test_non_finite_row_counts_flagged_trajectories(sed_run):
+    row = {r.observable: r for r in sed_run.report.rows}["non_finite_trajectories"]
+    assert (row.sed_value, row.ref_value, row.tolerance_kind) == (0, 0, "exact")
+    assert row.passed
+
+
+def test_rk4_unstable_run_fails_on_the_non_finite_row(tmp_path):
+    # omega0 dt = 14.25 x 0.19947 = 2.842 lies past RK4's stability limit
+    # 2 sqrt(2) = 2.828 on the imaginary axis: every trajectory grows by
+    # 3.6 % a step and overflows near t = 4040, a few time units earlier or
+    # later with its start and its field. At t_final 4040, 15 of 200 have
+    # overflowed, and the intact rows, still of order one in the early
+    # window, carry the pipeline to its report (from t_final 4044 on, too
+    # few are left and the branch classifier raises first)
+    cfg = mini_sed_config()
+    cfg["field"]["n_modes"] = 256          # comb period 8,042 holds the run
+    cfg["particle"]["potential"]["omega0"] = 14.25
+    cfg["particle"]["tau"] = 1e-6
+    cfg["ensemble"]["n_traj"] = 200
+    cfg["time"]["t_final"] = 4040.0
+    cfg["coarse_grain"].update(
+        t_window=[0.0, 12.0], x_bins={"min": -3.0, "max": 3.0, "n": 15},
+        min_count=5, delta_t_sweep=[1.2, 2.4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_experiment(cfg, output_root=tmp_path)
+    status = np.load(result.run_dir / "ensemble" / "status.npy")
+    row = {r.observable: r for r in result.report.rows}["non_finite_trajectories"]
+    assert row.sed_value == np.count_nonzero(status) > 0
+    assert not row.passed
+    assert result.exit_code == 1
+
+
 def test_calibration_run_passes_everything(ou_run):
     assert ou_run.exit_code == 0
     report = load_report(ou_run.run_dir)
@@ -172,7 +206,8 @@ def test_invalid_config_writes_nothing(tmp_path):
 def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
         tmp_path, monkeypatch, capsys):
     # 128 modes on [0.9, 1.1]: the field repeats after 2 pi 128/0.2 = 4021.24;
-    # a comb uniform in omega^4 has no FFT-exact grid at all
+    # 4021.2 ends so close to it that the step would fall below dt/2; a
+    # comb uniform in omega^4 has no FFT-exact grid at all
     cfg = mini_sed_config()
     cfg_path = tmp_path / "long.json"
     root = tmp_path / "out"
@@ -180,6 +215,8 @@ def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
     for section, key, value, message in (
             ("time", "t_final", 5000.0, "comb period 2 pi n_modes/(omega_cutoff"
                                         " - omega_min) = 4021.24"),
+            ("time", "t_final", 4021.2, "comb period 4021.24; holding it "
+                                        "would take the step below dt/2 = 0.1"),
             ("field", "mode_spacing", "uniform-in-omega^4",
              "needs uniform mode spacing")):
         bad = copy.deepcopy(cfg)
@@ -276,8 +313,10 @@ def test_cli_run_report_plot_cycle(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(tmp_path))
 
     assert main(["run", str(cfg_path)]) == 1  # tolerance failures, not errors
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "run directory:" in out
+    # one progress line per finished chunk of integrate_ensemble
+    assert err == "integrate: 120/120 trajectories\n"
     run_dir = tmp_path / "mini_sed"
 
     report_txt = (run_dir / "report.txt").read_bytes()
