@@ -12,20 +12,23 @@ ordinary (non-stochastic) ODE integrated with classical RK4; field values at
 substage times come from the mode sum via the cached evaluation grid.
 
 For the harmonic potential the force is linear in x, so one RK4 step is an
-affine map s_{k+1} = M s_k + G (e_2k, e_2k+1, e_2k+2) of the state
-s = (x, v) and the half-step field values, with M the RK4 stability
-polynomial of the system matrix times dt. M and G are read off by applying
-the RK4 step itself to unit inputs. Eliminating v (Cayley-Hamilton) makes x
-a two-pole IIR filter of the field table,
-
-    x_{k+2} = tr(M) x_{k+1} - det(M) x_k + w_k,
-
-with w_k a 5-tap FIR over e_2k..e_2k+4, which scipy.signal.lfilter runs as
-one C pass over the even and one over the odd half-step columns. v at each
-record follows from x at that step and the one before. This recurrence path
-and the step loop used for every other potential compute the same RK4
-trajectory and differ by rounding only: at most 3.6e-12 sigma_x over the
-shipped run. ens.meta["integrator"] names the path that ran.
+affine map s_{k+1} = M s_k + G u_k of the state s = (x, v), with u_k the
+field at the start, the midpoint and the end of step k and M the RK4
+stability polynomial of the system matrix times dt. M and G are read off
+by applying the RK4 step itself to unit inputs. The field is a sum of comb
+modes, so the RK4 trajectory is known exactly at every step, the discrete
+form of Boyer's mode-sum response (Phys. Rev. D 11, 790 (1975)): a steady
+part Re sum_n c_n K_n e^{i omega_n t_k} with
+K_n = (z_n I - M)^{-1} G (1, zeta_n, zeta_n^2), zeta_n = e^{i omega_n dt/2},
+z_n = zeta_n^2, plus the transient P^j (s_0 - s_p(0)), P = M^record_stride,
+at record j. field.comb_sum_grid evaluates the steady x and v and the
+stored field on the record grid only, so this response path builds no
+field table and takes no step. It and the step loop used for every other
+potential compute the same RK4 trajectory and differ by rounding only: at
+most 3.2e-12 sigma_x over the shipped run, 1.2e-11 at tau = 1e-5. Both
+paths store the field from comb_sum_grid. ens.meta["integrator"] names the
+path that ran; on the response path ens.meta["rk4_spectral_radius"] holds
+max|lambda(M)|, and a warning is recorded when it is at least 1.
 """
 
 from __future__ import annotations
@@ -39,17 +42,24 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.signal import lfilter, lfiltic
 
-from .field import FieldSpec, cache_grid, comb_cache_params, make_field
+from .field import (FieldSpec, cache_grid, comb_cache_params, comb_sum_grid,
+                    make_field, mode_table)
 
 # Trajectories are integrated in fixed-size chunks regardless of worker
 # count, so results are bit-identical across schedules.
 CHUNK = 256
 
-# Rows of a chunk filtered together on the recurrence path; each full-length
-# temporary is ROW_BLOCK x n_steps doubles, 12.8 MB on the shipped grid.
+# Rows of a chunk that take their transient together on the response path;
+# each temporary is ROW_BLOCK x n_rec doubles, 2.1 MB on the shipped grid.
 ROW_BLOCK = 32
+
+# Records per block of the transient on the response path; see _add_transient.
+_TRANSIENT_BLOCK = 64
+
+# Values per block of the window reductions in energy_balance and
+# relaxation_curve, 2 MB of doubles per copied array.
+_REDUCE_BLOCK = 1 << 18
 
 DUMP_SCHEMA_VERSION = 1
 
@@ -75,11 +85,9 @@ class Potential:
     @property
     def linear(self) -> bool:
         """Force -k x with a constant k, so that one RK4 step is an affine
-        map and the integrator takes the recurrence path. Only the harmonic
-        kind qualifies. The free particle's recurrence has a double pole at
-        z = 1, where the filter's rounding grows fast: on the shipped grid,
-        50,063 steps from (0.3, 0.2), it strayed 3e-7 from a long-double RK4,
-        against 3e-11 for the step loop."""
+        map and the integrator takes the response path. Only the harmonic
+        kind qualifies; the free particle, whose step map has the double
+        eigenvalue 1, stays on the step loop."""
         return self.kind == "harmonic"
 
     def omega_char(self, mass: float) -> float | None:
@@ -272,61 +280,65 @@ class TrajectoryEnsemble:
         return arr[ok] if cols is None else arr[np.ix_(ok, cols)]
 
 
-def _recurrence_records(step, x0, v0, tab, stride: int):
-    """RK4 for a force linear in x, run as its own linear recurrence.
+def _step_response(step, omegas, h2: float, stride: int):
+    """RK4's step map for a force linear in x, and its exact response to
+    each comb mode.
 
-    Returns positions and velocities every stride steps of the rows that
-    start at (x0, v0) and are driven by the half-step field table tab,
-    shape (rows, 2 n_steps + 1). With s = (x, v) and
-    u_k = (e_2k, e_2k+1, e_2k+2), one step is s_{k+1} = M s_k + G u_k. M
-    and G are read off by applying step to unit states and unit field
-    values, so the recurrence is RK4's own map. Since
-    M^2 = tr(M) M - det(M) (Cayley-Hamilton),
-
-        x_{k+2} = tr(M) x_{k+1} - det(M) x_k + P_0 u_k + G_0 u_{k+1},
-
-    P = M G - tr(M) G: a two-pole IIR filter over a 5-tap FIR of the
-    half-step table. Each row is filtered on its own, so results do not
-    depend on how many rows go into one call.
+    With s = (x, v) and u_k the field at the start, the midpoint and the
+    end of step k, one step is s_{k+1} = M s_k + G u_k; M and G are read off
+    by applying step to unit states and unit field values, so the map is
+    RK4's own. A mode e^{i omega t}, with zeta = e^{i omega h2} and
+    z = zeta^2, gives u_k = e^{i omega t_k} (1, zeta, zeta^2), so the steady
+    state it drives is s_k = e^{i omega t_k} K with
+    K = (z I - M)^{-1} G (1, zeta, zeta^2). Returns (rho, K, P): rho the
+    spectral radius max|lambda(M)|, K of shape (2, n_modes), and
+    P = M^stride, the map from one record to the next.
     """
     M = np.column_stack([step(1.0, 0.0, 0.0, 0.0, 0.0),
                          step(0.0, 1.0, 0.0, 0.0, 0.0)])
     G = np.column_stack([step(0.0, 0.0, *u) for u in np.eye(3)])
-    tr = M[0, 0] + M[1, 1]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    P = M @ G - tr * G
-    a = np.array([1.0, -tr, det])
-    # taps of x_n on e_2n, e_2n-2, e_2n-4 and on e_2n-1, e_2n-3
-    b_even = np.array([G[0, 2], P[0, 2] + G[0, 0], P[0, 0]])
-    b_odd = np.array([G[0, 1], P[0, 1]])
+    zeta = np.exp(1j * omegas * h2)
+    z = zeta * zeta
+    g = G[:, :1] + G[:, 1:2] * zeta + G[:, 2:] * z
+    det = (z - M[0, 0]) * (z - M[1, 1]) - M[0, 1] * M[1, 0]
+    K = np.array([(z - M[1, 1]) * g[0] + M[0, 1] * g[1],
+                  M[1, 0] * g[0] + (z - M[0, 0]) * g[1]]) / det
+    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    return rho, K, np.linalg.matrix_power(M, stride)
 
-    n_steps = tab.shape[1] // 2
-    even, odd = tab[:, 0::2], tab[:, 1::2]
-    x1, _ = step(x0, v0, even[:, 0], odd[:, 0], even[:, 1])
-    # x = (even-column response continuing from x0, x1 - z_0)
-    #   + (odd-column response from rest, one step late)
-    z = lfilter(b_odd, a, odd)
-    zi = np.array([lfiltic(b_even, a, (p1, p0), (e1, e0))
-                   for p1, p0, e1, e0 in zip(x1 - z[:, 0], x0,
-                                             even[:, 1], even[:, 0])])
-    x = np.empty((tab.shape[0], n_steps + 1))
-    x[:, 0] = x0
-    x[:, 1] = x1
-    np.add(lfilter(b_even, a, even[:, 2:], zi=zi)[0], z[:, 1:], out=x[:, 2:])
 
-    # v_k from x_k, x_{k-1} and u_{k-1}, eliminating v_{k-1} between the two
-    # rows of the step, at the records k = stride, 2 stride, ..., last; basic
-    # slices, not index arrays, keep these gathers cheap
-    vx = np.array([M[1, 1], -det]) / M[0, 1]
-    vu = (M[0, 1] * G[1] - M[1, 1] * G[0]) / M[0, 1]
-    last = n_steps - n_steps % stride
-    prev = slice(stride - 1, last, stride)
-    v = np.empty((tab.shape[0], last // stride + 1))
-    v[:, 0] = v0
-    v[:, 1:] = (vx[0] * x[:, stride::stride] + vx[1] * x[:, prev]
-                + vu[0] * even[:, prev] + vu[1] * odd[:, prev]
-                + vu[2] * even[:, stride::stride])
-    return x[:, ::stride], v
+def _add_transient(x, v, x0, v0, P, growth: float):
+    """Add the homogeneous part P^j (s_0 - s_p(0)) to the steady records
+    x, v (rows, n_rec) in place, so that each row starts at (x0, v0).
+
+    Records go in blocks of B: each row's block starts Q^b d, Q = P^B, come
+    from a loop over blocks, and inside a block the shared powers P^r,
+    r < B, follow. growth is the log of P's spectral radius where it
+    exceeds 1, else 0; B keeps the growth within a block below 2^64, so
+    the shared powers stay finite also when RK4 is unstable, and a row
+    overflows when its own state does, as on the step loop.
+    """
+    n_rec = x.shape[1]
+    block = max(1, min(_TRANSIENT_BLOCK, n_rec,
+                       int(64 * math.log(2.0) / growth) if growth else n_rec))
+    powers = [np.eye(2)]
+    for _ in range(block):
+        powers.append(powers[-1] @ P)
+    Q = powers.pop()
+    W = np.array(powers)                       # (block, 2, 2)
+    n_blocks = -(-n_rec // block)
+    d = np.empty((2, x.shape[0], n_blocks))
+    dx, dv = x0 - x[:, 0], v0 - v[:, 0]
+    for b in range(n_blocks):
+        d[0, :, b], d[1, :, b] = dx, dv
+        dx, dv = Q[0, 0] * dx + Q[0, 1] * dv, Q[1, 0] * dx + Q[1, 1] * dv
+    for lo in range(0, x.shape[0], ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        for i, rec in enumerate((x[rows], v[rows])):
+            h = (d[0, rows, :, None] * W[:, i, 0]
+                 + d[1, rows, :, None] * W[:, i, 1])
+            rec += h.reshape(len(rec), -1)[:, :n_rec]
+    x[:, 0], v[:, 0] = x0, v0
 
 
 def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
@@ -377,8 +389,9 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     ens.dt and ens.n_steps. A warning is recorded in meta when dt
     exceeds 2 pi / (10 omega_loc), omega_loc = sqrt(max |f'(x)| / m) over
     the recorded positions. Potentials whose force is linear in x
-    (Potential.linear) run RK4 as a linear recurrence filtered over the
-    field table, ROW_BLOCK rows at a time; the others step it in a loop.
+    (Potential.linear) take RK4's exact response on the record grid, a
+    chunk at a time, with no field table; the others step RK4 in a loop
+    over a chunk's half-step field table from cache_grid.
     progress, when given, is called as progress(done, n_traj) each time a
     chunk of CHUNK trajectories finishes, done counting the trajectories
     finished so far; calls never overlap, also with n_workers > 1.
@@ -434,14 +447,23 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                 v + w6 * (a1 + 2.0 * (a2 + a3) + a4))
 
     linear = particle.potential.linear
+    omegas, _, amps = mode_table(fspec)
+    rec_step = 2 * record_stride          # half steps from record to record
+    if linear:
+        rho, K, P = _step_response(step, omegas, h2, record_stride)
+        if rho >= 1.0:
+            warnings.append(
+                f"RK4 step map has spectral radius max|lambda(M)| = {rho:.12g}"
+                f" >= 1 at dt={dt:g}: deviations from the steady response do"
+                f" not decay, and above 1 they grow until they overflow")
+        growth = record_stride * math.log(max(rho, 1.0))
 
     def chunk(span):
         """Integrate trajectories [lo, hi); write records into output slices."""
         lo, hi = span
         n = hi - lo
-        tab = np.empty((n, nsub))
-        cache_grid([make_field(fspec, (master_seed, i, 0)) for i in range(lo, hi)],
-                   t0, h2, nsub, out=tab[:, None, :])
+        frs = [make_field(fspec, (master_seed, i, 0)) for i in range(lo, hi)]
+        coefs = amps * np.exp(1j * np.array([f.phases[0] for f in frs]))
         x = np.empty(n)
         v = np.empty(n)
         for i in range(n):
@@ -449,25 +471,32 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                 np.random.Philox(np.random.SeedSequence((master_seed, lo + i, 1)))
             )
             x[i], v[i] = ic.sample(rng)
+        if store_field:
+            comb_sum_grid(coefs, omegas, t0, h2, rec_step, n_rec,
+                          out=es[lo:hi])
 
         if linear:
-            for b in range(0, n, ROW_BLOCK):
-                rows = slice(b, min(b + ROW_BLOCK, n))
-                out = slice(lo + b, lo + rows.stop)
-                xs[out], vs[out] = _recurrence_records(step, x[rows], v[rows],
-                                                       tab[rows], record_stride)
-            bad = ~(np.isfinite(xs[lo:hi]).all(axis=1)
-                    & np.isfinite(vs[lo:hi]).all(axis=1))
-            status[lo:hi][bad] = STATUS_NONFINITE
-            if store_field:
-                es[lo:hi] = tab[:, ::2 * record_stride]
+            for rec, k in ((xs, K[0]), (vs, K[1])):
+                comb_sum_grid(coefs * k, omegas, t0, h2, rec_step, n_rec,
+                              out=rec[lo:hi])
+            _add_transient(xs[lo:hi], vs[lo:hi], x, v, P, growth)
+            finite = np.isfinite(xs[lo:hi]) & np.isfinite(vs[lo:hi])
+            for i in np.flatnonzero(~finite.all(axis=1)):
+                # NaN from the first non-finite record on, as a row that
+                # overflows on the step loop
+                first = int(np.argmin(finite[i]))
+                xs[lo + i, first:] = vs[lo + i, first:] = np.nan
+                status[lo + i] = STATUS_NONFINITE
             return
 
+        # the loop keeps its table for n_steps steps; no other copy of the
+        # chunk's field stays allocated beside it
+        del coefs
+        tab = np.empty((n, nsub))
+        cache_grid(frs, t0, h2, nsub, out=tab[:, None, :])
+        del frs
         xs[lo:hi, 0] = x
         vs[lo:hi, 0] = v
-        if store_field:
-            es[lo:hi, 0] = tab[:, 0]
-
         for k in range(n_steps):
             x, v = step(x, v, tab[:, 2 * k], tab[:, 2 * k + 1], tab[:, 2 * k + 2])
             kk = k + 1
@@ -478,8 +507,6 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                     status[lo:hi][bad] = STATUS_NONFINITE
                 xs[lo:hi, j] = x
                 vs[lo:hi, j] = v
-                if store_field:
-                    es[lo:hi, j] = tab[:, 2 * kk]
 
     lock = threading.Lock()
     n_done = 0
@@ -503,7 +530,7 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     times = t0 + dt * record_stride * np.arange(n_rec)
     meta = {
         "master_seed": int(master_seed),
-        "integrator": "rk4-recurrence" if linear else "rk4-loop",
+        "integrator": "rk4-response" if linear else "rk4-loop",
         "omega_char": omega_char,
         "warnings": warnings,
         "field_spec": vars(fspec).copy(),
@@ -511,6 +538,8 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                      "tau": particle.tau, "c": particle.c,
                      "potential_kind": particle.potential.kind},
     }
+    if linear:
+        meta["rk4_spectral_radius"] = rho
     ens = TrajectoryEnsemble(
         t0=t0, dt=dt, n_steps=n_steps, record_stride=record_stride,
         times=times, positions=xs, velocities=vs, seeds=seeds, status=status,
@@ -584,16 +613,24 @@ def energy_balance(ens: TrajectoryEnsemble, particle: ParticleSpec,
     if (t_end - t_start) < 10.0 * (2.0 * math.pi / omega_char):
         warnings.append("window shorter than 10 periods of the systematic motion")
 
-    x = ens.intact("positions", sel)
-    v = ens.intact("velocities", sel)
-    efield = ens.intact("field_values", sel)
-    absorbed_traj = np.mean(particle.charge * efield * v, axis=1)
-    radiated_traj = np.mean(particle.mass * particle.tau
-                            * particle.acceleration(x, v, efield)**2, axis=1)
-    energy_ti = particle.energy(x, v)
-    energy_traj = np.mean(energy_ti, axis=1)
+    # window sums per trajectory of the absorbed power, the radiated power
+    # and the energy, added column by column in time order
+    nt, w = int(np.count_nonzero(ens.ok_mask())), int(np.count_nonzero(sel))
+    sums = np.zeros((3, nt))
+    e_of_t = np.empty(w)
+    # the recorded times increase, so the window is one run of columns
+    first = int(np.argmax(sel))
+    blocks = _column_blocks(ens, ("positions", "velocities", "field_values"),
+                            slice(first, first + w), "F")
+    for cols, (x, v, efield) in blocks:
+        _add_in_order(sums[0], (particle.charge * efield * v).T)
+        _add_in_order(sums[1], (particle.mass * particle.tau
+                                * particle.acceleration(x, v, efield)**2).T)
+        energy_ti = particle.energy(x, v)
+        _add_in_order(sums[2], energy_ti.T)
+        e_of_t[cols] = np.mean(energy_ti, axis=0)
+    absorbed_traj, radiated_traj, energy_traj = sums / w
 
-    nt = x.shape[0]
     absorbed = float(np.mean(absorbed_traj))
     radiated = float(np.mean(radiated_traj))
     energy = float(np.mean(energy_traj))
@@ -603,7 +640,6 @@ def energy_balance(ens: TrajectoryEnsemble, particle: ParticleSpec,
 
     # net energy drift across the window, from a linear fit of the
     # ensemble-mean energy
-    e_of_t = np.mean(energy_ti, axis=0)
     tw = ens.times[sel]
     slope, se_trend = 0.0, 0.0
     if tw.size > 2:
@@ -632,8 +668,42 @@ def relaxation_curve(ens: TrajectoryEnsemble, particle: ParticleSpec):
     """
     if ens.n_traj < 100:
         raise IntegrationError("relaxation curve needs an ensemble of >= 100")
-    energy = particle.energy(ens.intact("positions"), ens.intact("velocities"))
-    return ens.times.copy(), np.mean(energy, axis=0)
+    curve = np.empty(ens.times.size)
+    every = slice(0, ens.times.size)
+    for cols, (x, v) in _column_blocks(ens, ("positions", "velocities"),
+                                       every, "K"):
+        curve[cols] = np.mean(particle.energy(x, v), axis=0)
+    return ens.times.copy(), curve
+
+
+def _column_blocks(ens: TrajectoryEnsemble, names, cols: slice, order: str):
+    """The STATUS_OK rows of the named arrays over the recorded columns
+    cols, in blocks of consecutive columns holding about _REDUCE_BLOCK
+    values each. Yields (slice into cols, [one block per name]); order "F"
+    copies each block column-major, "K" leaves it as indexed, row-major.
+
+    A block holds every intact row, so a reduction over trajectories sums
+    each column as the whole array would: pairwise for "F", in order for
+    "K". Sums along time go through _add_in_order. energy_balance uses "F"
+    and relaxation_curve "K", the layouts their whole-window arrays had,
+    so both keep their bytes while copying one block at a time.
+    """
+    ok = ens.ok_mask()
+    rows = slice(None) if ok.all() else np.flatnonzero(ok)
+    width = max(1, _REDUCE_BLOCK // max(1, np.count_nonzero(ok)))
+    for lo in range(cols.start, cols.stop, width):
+        block = (rows, slice(lo, min(lo + width, cols.stop)))
+        yield (slice(lo - cols.start, block[1].stop - cols.start),
+               [np.asarray(getattr(ens, name)[block], order=order)
+                for name in names])
+
+
+def _add_in_order(total, rows):
+    """Add rows to total one at a time, in order, as numpy sums an array
+    along an axis that is not its contiguous one; a running total over
+    blocks is then that whole-array sum bit for bit."""
+    for row in rows:
+        total += row
 
 
 # ---------------------------------------------------------------------------

@@ -267,14 +267,21 @@ def _snap_lag(ens: TrajectoryEnsemble, lag) -> float:
 
 def _stage(info: dict, name: str, fn, *args, **kwargs):
     """Run one pipeline stage. Appends its wall time, its CPU time and the
-    process's peak RSS after it to info["stages"], which run.json carries."""
+    process's peak RSS after it to info["stages"], which run.json carries.
+    A stage that raises (other than a ConfigError) sets info["failed_stage"]
+    and becomes a PipelineError naming the stage and, once integration has
+    flagged trajectories, their count."""
     wall0, cpu0 = _time.perf_counter(), _time.process_time()
     try:
         result = fn(*args, **kwargs)
-    except (ConfigError, PipelineError):
+    except ConfigError:
         raise
     except Exception as exc:
-        raise PipelineError(f"stage {name!r} failed: {exc}") from exc
+        info["failed_stage"] = name
+        bad = info.get("non_finite_trajectories", 0)
+        note = (f" ({bad} of {info['n_traj']} trajectories non-finite)"
+                if bad else "")
+        raise PipelineError(f"stage {name!r} failed: {exc}{note}") from exc
     info.setdefault("stages", []).append({
         "name": name,
         "wall_s": _time.perf_counter() - wall0,
@@ -367,6 +374,8 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
                  particle, fspec, ic, t0, dt, n_steps,
                  n_traj, master_seed, record_stride=stride,
                  n_workers=n_workers, progress=progress)
+    info.update(n_traj=n_traj, non_finite_trajectories=int(
+        np.count_nonzero(ens.status != STATUS_OK)))
 
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     if dump_fmt != "none":
@@ -491,7 +500,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
                   sed_prov=f"{n_ac} fresh field realizations (field_autocorr.json)",
                   ref_prov="band-limited spectral integral, closed form"),
         _make_row("non_finite_trajectories", "exact",
-                  int(np.count_nonzero(ens.status != STATUS_OK)), 0, 0.0,
+                  info["non_finite_trajectories"], 0, 0.0,
                   sed_prov="status flags of the integrated trajectories "
                            "(ensemble/)",
                   ref_prov="every trajectory stays finite"),
@@ -671,7 +680,10 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
     "stages": per stage its name, wall_s, cpu_s and the process's
     peak_rss_mb when it ended. Nothing is left behind, not even the parent
     directories it created, if validation fails or the pipeline refuses the
-    config (ConfigError). progress is integrate_ensemble's per-chunk
+    config (ConfigError). A run that fails later keeps its partial
+    artifacts, writes no report, and its run.json names the failed_stage
+    and the error beside the ledger of the stages before it; the error is
+    raised again. progress is integrate_ensemble's per-chunk
     callback; by default nothing is printed.
     Exit code 0 means every report row passed.
     """
@@ -701,6 +713,19 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
             d.rmdir()
         if not created:
             run_dir.mkdir()
+        raise
+    except Exception as exc:
+        # the partial artifacts stay; run.json says the run failed, where,
+        # and what the stages before it cost
+        _write_json(run_dir / "run.json", {
+            "pipeline": pipeline,
+            "config_hash": config_hash(cfg),
+            "code_version": __version__,
+            "failed_stage": info.pop("failed_stage", None),
+            "error": str(exc),
+            "wall_seconds": _time.monotonic() - start,
+            **info,
+        })
         raise
     elapsed = _time.monotonic() - start
 

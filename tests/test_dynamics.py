@@ -8,6 +8,7 @@ against the discrete linear-response prediction frozen below.
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,8 +34,9 @@ from sedsim.dynamics import (
     stationary_guess_ic,
     tabulated_potential,
 )
-from sedsim.field import (FieldSpec, cache_grid, comb_cache_params, eval_field,
-                          make_field)
+import sedsim.dynamics
+from sedsim.field import (FieldSpec, cache_grid, comb_cache_params,
+                          comb_sum_grid, eval_field, make_field)
 from sedsim.reference import harmonic_response, harmonic_trajectory
 
 SED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sed_harmonic_ground.json"
@@ -79,7 +81,7 @@ def shipped_run_parameters(tau=None):
 
 
 def on_the_loop(particle: ParticleSpec) -> ParticleSpec:
-    """The same forces under a potential kind the recurrence path does not
+    """The same forces under a potential kind the response path does not
     claim, so integrate_ensemble steps them through the RK4 loop."""
     return replace(particle, potential=replace(particle.potential,
                                                kind="harmonic-on-the-loop"))
@@ -230,13 +232,129 @@ def test_recurrence_matches_the_step_loop(tau):
     args = (fspec, ic, 0.0, dt, 6000, 10, 5)
     fast = integrate_ensemble(particle, *args, record_stride=stride)
     loop = integrate_ensemble(on_the_loop(particle), *args, record_stride=stride)
-    assert fast.meta["integrator"] == "rk4-recurrence"
+    assert fast.meta["integrator"] == "rk4-response"
     assert loop.meta["integrator"] == "rk4-loop"
     sigma_x = shipped_sigma_x(fspec, particle)
     assert np.max(np.abs(fast.positions - loop.positions)) <= 1e-9 * sigma_x
     assert np.max(np.abs(fast.velocities - loop.velocities)) <= 1e-9 * sigma_x
     assert np.array_equal(fast.field_values, loop.field_values)
     assert np.array_equal(fast.status, loop.status)
+
+
+def test_response_matches_the_step_loop_over_the_shipped_run():
+    # all 50,063 steps of the shipped grid: the loop and the response
+    # differ by rounding only, measured at most 3.2e-12 sigma_x
+    fspec, particle, ic, dt, stride = shipped_run_parameters()
+    _, n_steps, _ = comb_time_grid(fspec, dt, 10000.0)
+    args = (fspec, ic, 0.0, dt, n_steps, 2, 5)
+    fast = integrate_ensemble(particle, *args, record_stride=stride)
+    loop = integrate_ensemble(on_the_loop(particle), *args, record_stride=stride)
+    assert fast.n_steps == loop.n_steps == 50063
+    sigma_x = shipped_sigma_x(fspec, particle)
+    assert np.max(np.abs(fast.positions - loop.positions)) <= 1e-9 * sigma_x
+    assert np.max(np.abs(fast.velocities - loop.velocities)) <= 1e-9 * sigma_x
+    assert np.array_equal(fast.field_values, loop.field_values)
+
+
+def test_response_path_builds_no_field_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a half-step field table")
+
+    monkeypatch.setattr(sedsim.dynamics, "cache_grid", no_table)
+    fspec, particle, ic, dt, stride = shipped_run_parameters()
+    ens = integrate_ensemble(particle, fspec, ic, 0.0, dt, 600, 3, 5,
+                             record_stride=stride)
+    assert ens.meta["integrator"] == "rk4-response"
+    assert np.all(np.isfinite(ens.positions))
+    with pytest.raises(AssertionError, match="half-step field table"):
+        integrate_ensemble(on_the_loop(particle), fspec, ic, 0.0, dt, 600, 3,
+                           5, record_stride=stride)
+
+
+def rk4_radius(omega0: float, tau: float, dt: float) -> float:
+    """max |R(lambda dt)| over the eigenvalues lambda of x'' = -omega0^2 x
+    - tau omega0^2 x', R the RK4 stability polynomial."""
+    gamma = tau * omega0**2
+    root = np.sqrt(complex(gamma**2 - 4.0 * omega0**2))
+    z = np.array([-gamma + root, -gamma - root]) / 2.0 * dt
+    return float(np.max(np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)))
+
+
+def test_rk4_spectral_radius_is_recorded_and_instability_warned():
+    fspec, particle, ic, dt, stride = shipped_run_parameters()
+    ens = integrate_ensemble(particle, fspec, ic, 0.0, dt, 60, 2, 5)
+    radius = ens.meta["rk4_spectral_radius"]
+    assert radius == pytest.approx(rk4_radius(1.0, particle.tau, ens.dt),
+                                   rel=0, abs=1e-14)
+    assert radius < 1.0
+    assert ens.meta["warnings"] == []
+    # omega0 dt = 5 lies outside RK4's stability region
+    quiet = FieldSpec(omega_cutoff=math.pi / 6.4, n_modes=4, hbar=0.0)
+    unstable = ParticleSpec(mass=1.0, charge=0.0, tau=0.0,
+                            potential=harmonic_potential(100.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ens = integrate_ensemble(unstable, quiet, DeltaIC(1.0, 0.0),
+                                 0.0, 0.05, 100, 1, 1)
+    assert ens.meta["rk4_spectral_radius"] == pytest.approx(
+        rk4_radius(100.0, 0.0, ens.dt), rel=1e-13)
+    assert any("spectral radius" in w and ">= 1" in w
+               for w in ens.meta["warnings"])
+    loop = integrate_ensemble(on_the_loop(particle), fspec, ic, 0.0, dt, 60, 2, 5)
+    assert "rk4_spectral_radius" not in loop.meta
+
+
+class ListedStarts:
+    """Initial positions taken in order from a list, at rest."""
+
+    def __init__(self, x0):
+        self.x0 = iter(x0)
+
+    def sample(self, rng):
+        return next(self.x0), 0.0
+
+
+def test_unstable_rows_overflow_one_by_one():
+    # a row that starts at rest in a quiet field stays at rest, while the
+    # others overflow at records set by their own starts: 46, 23 and 1 of
+    # 100 on both paths
+    quiet = FieldSpec(omega_cutoff=math.pi / 6.4, n_modes=4, hbar=0.0)
+    particle = ParticleSpec(mass=1.0, charge=0.0, tau=0.0,
+                            potential=harmonic_potential(100.0, 1.0))
+    starts = [0.0, 1e-300, 1.0, 1e300]
+    firsts = []
+    for p in (particle, on_the_loop(particle)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ens = integrate_ensemble(p, quiet, ListedStarts(starts), 0.0, 0.05,
+                                     1000, 4, 1, record_stride=10)
+        assert list(ens.status) == [STATUS_OK] + [STATUS_NONFINITE] * 3
+        assert np.all(ens.positions[0] == 0.0)
+        first = [int(np.argmin(np.isfinite(ens.positions[i]))) for i in (1, 2, 3)]
+        assert 0 < first[2] < first[1] < first[0]
+        for i, j in zip((1, 2, 3), first):
+            assert not np.any(np.isfinite(ens.positions[i, j:]))
+            assert np.all(np.isfinite(ens.positions[i, :j]))
+        firsts.append(first)
+    assert firsts[0] == firsts[1]
+
+
+def test_overflowed_rows_stay_non_finite():
+    # omega0 dt = 2.84 lies just past RK4's limit 2 sqrt(2): the state grows
+    # by a few percent a step while it turns, so its records cross the
+    # overflow threshold back and forth; a flagged row keeps no finite
+    # record after its first non-finite one, on either path
+    quiet = FieldSpec(omega_cutoff=2.0, n_modes=256, hbar=0.0)
+    particle = ParticleSpec(mass=1.0, charge=0.0, tau=0.0,
+                            potential=harmonic_potential(14.25, 1.0))
+    for p in (particle, on_the_loop(particle)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ens = integrate_ensemble(p, quiet, ListedStarts([1e300, 1e298, 1e296]),
+                                     0.0, 0.2, 3000, 3, 1, record_stride=6)
+        assert 2.83 < 14.25 * ens.dt < 2.85
+        assert np.all(ens.status == STATUS_NONFINITE)
+        finite = np.isfinite(ens.positions) & np.isfinite(ens.velocities)
+        for row in finite:
+            first = int(np.argmin(row))
+            assert first > 0 and not row[first:].any()
 
 
 @pytest.mark.parametrize("n_steps,stride", [(1, 1), (2, 1), (5, 7), (14, 2),
@@ -444,7 +562,7 @@ def test_worker_count_does_not_change_bits():
     serial = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, 300, 9)
     threaded = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, 300, 9,
                                   n_workers=3)
-    assert serial.meta["integrator"] == "rk4-recurrence"
+    assert serial.meta["integrator"] == "rk4-response"
     assert np.array_equal(serial.positions, threaded.positions)
     assert np.array_equal(serial.velocities, threaded.velocities)
     assert np.array_equal(serial.field_values, threaded.field_values)
@@ -491,15 +609,22 @@ def test_progress_is_called_once_per_chunk(n_workers, capsys):
 
 
 def test_field_values_are_the_single_call_grid():
-    # 7 trajectories: chunk synthesis in FFT blocks that do not divide it
+    # 7 trajectories, fewer than a transform block; both paths store the
+    # record-grid mode sum of one comb_sum_grid call per trajectory, which
+    # is every 6th point of the half-step table up to rounding
     fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
     h, _ = comb_cache_params(fspec, h_target=0.1, min_points=401)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
-    ens = integrate_ensemble(particle, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
-                             7.5, 2.0 * h, 200, 7, 31, record_stride=3)
-    for i in range(7):
-        grid = cache_grid(make_field(fspec, (31, i, 0)), 7.5, h, 401)[0]
-        assert np.array_equal(ens.field_values[i], grid[::6])
+    for p in (particle, on_the_loop(particle)):
+        ens = integrate_ensemble(p, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
+                                 7.5, 2.0 * h, 200, 7, 31, record_stride=3)
+        for i in range(7):
+            fr = make_field(fspec, (31, i, 0))
+            single = comb_sum_grid(fr.amps * np.exp(1j * fr.phases[0]),
+                                   fr.omegas, 7.5, h, 6, 67)
+            assert np.array_equal(ens.field_values[i], single)
+            grid = cache_grid(fr, 7.5, h, 401)[0]
+            assert np.max(np.abs(single - grid[::6])) <= 1e-13 * np.std(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +730,57 @@ def test_shipped_harmonic_parameters_do_not_warn():
 
 # ---------------------------------------------------------------------------
 # energy balance edge cases
+
+@pytest.mark.parametrize("flagged", [[], [3, 4, 399]])
+def test_window_reductions_go_block_by_block(monkeypatch, flagged):
+    # 400 trajectories x 2,001 records, 6.4 MB per array. With blocks of
+    # 4,096 values the reductions hold a few 32 kB copies at a time, and
+    # their bytes do not depend on the block width
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=64)
+    particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
+    ens = integrate_ensemble(particle, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
+                             0.0, 0.1, 2000, 400, 3)
+    ens.status[flagged] = STATUS_NONFINITE
+    window = (50.0, 200.0)
+    balance = energy_balance(ens, particle, window).to_json()
+    curve = relaxation_curve(ens, particle)[1]
+    monkeypatch.setattr(sedsim.dynamics, "_REDUCE_BLOCK", 4096)
+    tracemalloc.start()
+    try:
+        assert energy_balance(ens, particle, window).to_json() == balance
+        balance_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert np.array_equal(relaxation_curve(ens, particle)[1], curve)
+        curve_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(balance_peak, curve_peak) < 0.1 * ens.positions.nbytes
+
+
+def test_energy_curve_sums_trajectories_as_the_whole_array_did():
+    # the window copies of every intact row were column-major, so each
+    # trajectory summed along time in order and each time summed the
+    # trajectories pairwise; the relaxation curve summed rows in order
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=64)
+    particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
+    ens = integrate_ensemble(particle, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
+                             0.0, 0.1, 2000, 300, 3)
+    sel = (ens.times >= 50.0) & (ens.times <= 200.0)
+    x, v, e = (ens.positions[:, sel], ens.velocities[:, sel],
+               ens.field_values[:, sel])
+    assert x.flags.f_contiguous
+    energy = particle.energy(x, v)
+    report = energy_balance(ens, particle, (50.0, 200.0))
+    absorbed = np.mean(particle.charge * e * v, axis=1)
+    assert report.mean_absorbed_power == float(np.mean(absorbed))
+    assert report.se_energy == float(np.std(np.mean(energy, axis=1), ddof=1)
+                                     / math.sqrt(300))
+    e_of_t = np.mean(energy, axis=0)
+    fit = np.polyfit(ens.times[sel], e_of_t, 1)
+    assert report.energy_trend == float(fit[0]) * 150.0
+    whole = np.mean(particle.energy(ens.positions, ens.velocities), axis=0)
+    assert np.array_equal(relaxation_curve(ens, particle)[1], whole)
+
 
 def test_energy_balance_zero_charge():
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)

@@ -8,8 +8,8 @@ from scipy import stats
 
 from sedsim.field import (FieldRealization, FieldSpec, autocorrelation_check,
                           autocovariance, autocovariance_quad, cache_grid,
-                          comb_cache_params, dump_field_csv, eval_field,
-                          make_field, mode_table, spectral_density)
+                          comb_cache_params, comb_sum_grid, dump_field_csv,
+                          eval_field, make_field, mode_table, spectral_density)
 
 # band integral (2/(3 pi)) int w^3 cos(w lag) dw, frozen from a 30-digit
 # mpmath quadrature
@@ -216,6 +216,60 @@ def test_four_step_grid_on_the_shipped_comb():
             batch[i], cache_grid(make_field(spec, (7, i, 0)), 0.0, h, 100127))
         ref = _unbatched_comb_grid(fr, 0.0, h, 100127)
         assert np.max(np.abs(batch[i] - ref)) <= 1e-14 * fr.amps.sum()
+
+
+@pytest.mark.parametrize("n_fft, step, n_points, t0", [
+    (720, 2, 50, 0.0),          # record stride 1, fewer points than modes
+    (720, 6, 300, -37.25),      # stride 3, gcd(6, 720) = 6
+    (720, 14, 96, 12.5),        # stride 7, gcd(14, 720) = 2
+    (11**3, 6, 700, 3.0),       # gcd(6, 1331) = 1, past the comb period
+    (720, 3, 200, 5.5),         # an odd step: chirp phases mod 2N
+])
+def test_comb_sum_grid_is_the_mode_sum(n_fft, step, n_points, t0):
+    spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=96)
+    omegas, _, _ = mode_table(spec)
+    h = 2.0 * math.pi / (1.5 / 96 * n_fft)
+    rng = np.random.default_rng(n_fft + step)
+    coefs = rng.standard_normal((3, 96)) + 1j * rng.standard_normal((3, 96))
+    out = np.empty((3, n_points))
+    assert comb_sum_grid(coefs, omegas, t0, h, step, n_points, out=out) is out
+    t = t0 + h * (step * np.arange(n_points))
+    for c, values in zip(coefs, out):
+        fr = FieldRealization(spec=spec, omegas=omegas, amps=np.abs(c),
+                              phases=np.angle(c)[None])
+        assert (np.max(np.abs(values - eval_field(fr, t)[0]))
+                <= 1e-13 * np.abs(c).sum())
+        # a row's values do not depend on the rows it shares a call with
+        assert np.array_equal(comb_sum_grid(c, omegas, t0, h, step, n_points),
+                              values)
+
+
+def test_comb_sum_grid_on_the_shipped_record_grid():
+    # configs/sed_harmonic_ground.json records every 6 steps, 12 half steps
+    spec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=512)
+    h, _ = comb_cache_params(spec, h_target=0.1)
+    frs = [make_field(spec, (7, i, 0)) for i in range(3)]
+    coefs = np.array([fr.amps * np.exp(1j * fr.phases[0]) for fr in frs])
+    records = comb_sum_grid(coefs, frs[0].omegas, 0.0, h, 12, 8344)
+    table = cache_grid(frs, 0.0, h, 100127)[:, 0, ::12]
+    assert np.max(np.abs(records - table)) <= 1e-13 * np.std(table)
+
+
+def test_comb_sum_grid_refuses_grids_off_the_comb():
+    spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=64)
+    omegas, _, amps = mode_table(spec)
+    h, _ = comb_cache_params(spec, h_target=0.05)
+    with pytest.raises(ValueError, match="FFT-exact"):
+        comb_sum_grid(amps, omegas, 0.0, 0.05, 2, 10)
+    with pytest.raises(ValueError, match="FFT-exact"):
+        comb_sum_grid(amps, omegas, 0.0, h, 0, 10)
+    with pytest.raises(ValueError, match="FFT-exact"):
+        comb_sum_grid(amps[:-1], omegas, 0.0, h, 2, 10)
+    warped, _, _ = mode_table(FieldSpec(omega_cutoff=2.0, omega_min=0.5,
+                                        n_modes=64,
+                                        mode_spacing="uniform-in-omega^4"))
+    with pytest.raises(ValueError, match="FFT-exact"):
+        comb_sum_grid(amps, warped, 0.0, h, 2, 10)
 
 
 @pytest.mark.parametrize("spacing", ["uniform-in-omega^4", "uniform"])

@@ -90,6 +90,8 @@ def test_run_json_mirrors_the_report(sed_run):
     assert run_meta["exit_code"] == sed_run.exit_code
     assert run_meta["config_hash"] == sed_run.report.config_hash
     assert run_meta["wall_seconds"] > 0
+    assert "failed_stage" not in run_meta
+    assert (run_meta["non_finite_trajectories"], run_meta["n_traj"]) == (0, 120)
 
 
 def test_run_json_records_the_resolved_grid(sed_run, ou_run):
@@ -117,7 +119,7 @@ def test_run_json_records_the_stage_ledger(sed_run, ou_run):
         peaks = [s["peak_rss_mb"] for s in stages]
         assert peaks[0] > 0 and peaks == sorted(peaks)
     ens_meta = json.loads((sed_run.run_dir / "ensemble" / "meta.json").read_text())
-    assert ens_meta["meta"]["integrator"] == "rk4-recurrence"
+    assert ens_meta["meta"]["integrator"] == "rk4-response"
 
 
 def test_report_round_trips_and_renders(sed_run):
@@ -154,7 +156,7 @@ def test_rk4_unstable_run_fails_on_the_non_finite_row(tmp_path):
     # omega0 dt = 14.25 x 0.19947 = 2.842 lies past RK4's stability limit
     # 2 sqrt(2) = 2.828 on the imaginary axis: every trajectory grows by
     # 3.6 % a step and overflows near t = 4040, a few time units earlier or
-    # later with its start and its field. At t_final 4040, 15 of 200 have
+    # later with its start and its field. At t_final 4040, 13 of 200 have
     # overflowed, and the intact rows, still of order one in the early
     # window, carry the pipeline to its report (from t_final 4044 on, too
     # few are left and the branch classifier raises first)
@@ -174,6 +176,57 @@ def test_rk4_unstable_run_fails_on_the_non_finite_row(tmp_path):
     assert row.sed_value == np.count_nonzero(status) > 0
     assert not row.passed
     assert result.exit_code == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_stage_names_the_non_finite_count(tmp_path, monkeypatch, capsys):
+    # omega0 dt = 14.5 x 0.19947 = 2.89, past RK4's limit 2.828: by t_final
+    # 1137 all 120 trajectories have overflowed, and a later stage has
+    # nothing left to work on. The partial directory says that it failed
+    cfg = mini_sed_config()
+    cfg["field"]["n_modes"] = 256
+    cfg["particle"]["potential"]["omega0"] = 14.5
+    cfg["particle"]["tau"] = 1e-6
+    cfg["time"]["t_final"] = 1137.0
+    cfg["coarse_grain"].update(
+        t_window=[0.0, 12.0], x_bins={"min": -3.0, "max": 3.0, "n": 15},
+        min_count=5, delta_t_sweep=[1.2, 2.4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PipelineError,
+                           match=r"\(120 of 120 trajectories non-finite\)$") as err:
+            run_experiment(cfg, output_root=tmp_path)
+    run_dir = tmp_path / "mini_sed"
+    run = json.loads((run_dir / "run.json").read_text())
+    assert run["error"] == str(err.value)
+    assert run["error"].startswith(f"stage {run['failed_stage']!r} failed: ")
+    names = [st["name"] for st in run["stages"]]
+    assert names[:2] == ["time-grid", "integrate"]
+    assert run["failed_stage"] not in names
+    assert (run["non_finite_trajectories"], run["n_traj"]) == (120, 120)
+    assert not (run_dir / "report.json").exists()
+    assert "exit_code" not in run
+
+    cfg_path = tmp_path / "unstable.json"
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(tmp_path / "cli"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(cfg_path)]) == 1
+    assert "(120 of 120 trajectories non-finite)" in capsys.readouterr().err
+
+
+def test_failed_stage_without_flagged_trajectories(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("no balance today")
+
+    monkeypatch.setattr(harness, "energy_balance", broken)
+    with pytest.raises(PipelineError) as err:
+        run_experiment(mini_sed_config(), output_root=tmp_path)
+    assert str(err.value) == "stage 'energy-balance' failed: no balance today"
+    run = json.loads((tmp_path / "mini_sed" / "run.json").read_text())
+    assert run["failed_stage"] == "energy-balance"
+    assert run["non_finite_trajectories"] == 0
+    assert [st["name"] for st in run["stages"]] == ["time-grid", "integrate",
+                                                   "dump"]
 
 
 def test_calibration_run_passes_everything(ou_run):
