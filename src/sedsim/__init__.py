@@ -25,9 +25,8 @@ from .dynamics import (DeltaIC, EnergyBalanceReport, GaussianIC,
                        relaxation_curve, stationary_guess_ic,
                        tabulated_potential)
 from .field import (FieldRealization, FieldSpec, autocorrelation_check,
-                    autocovariance, autocovariance_quad, cache_grid,
-                    dump_field_csv, eval_field, make_field, mode_table,
-                    spectral_density)
+                    autocovariance, autocovariance_quad, dump_field_csv,
+                    eval_field, make_field, mode_table, spectral_density)
 from .harness import (ComparisonReport, PipelineError, ReportRow, RunResult,
                       emit_plot_data, load_report, run_experiment)
 from .kinematics import (BinnedField, BranchReport, CoarseGrainSpec,

@@ -9,7 +9,9 @@ solutions, so m tau x''' is replaced by tau f'(x) x' (substituting
 m x'' ~ f on the small term), exact to O(tau^2). The synthesized field is a
 smooth function of time once its phases are drawn, so each trajectory is an
 ordinary (non-stochastic) ODE integrated with classical RK4; field values at
-substage times come from the mode sum via the cached evaluation grid.
+substage times come from the mode sum on the half-step grid, one slab of
+_SLAB half steps at a time, just ahead of the steps that read it
+(field.comb_sum_slabs).
 
 For the harmonic potential the force is linear in x, so one RK4 step is an
 affine map s_{k+1} = M s_k + G u_k of the state s = (x, v), with u_k the
@@ -41,14 +43,23 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .field import (FieldSpec, cache_grid, comb_cache_params, comb_sum_grid,
-                    make_field, mode_table)
+from .field import (FieldSpec, comb_cache_params, comb_sum_grid,
+                    comb_sum_slabs, make_field, mode_table)
 
 # Trajectories are integrated in fixed-size chunks regardless of worker
-# count, so results are bit-identical across schedules.
-CHUNK = 256
+# count, so results are bit-identical across schedules. On sedbench's
+# quartic comb (1,024 trajectories, 6,000 steps, 3 alternating runs) the
+# step loop took 243-350 ns per trajectory-step, synthesis included, at
+# 512 wide, 359-468 at 256, and 239-252 at 1,024 for twice the slab.
+CHUNK = 512
+
+# Half steps per field slab of the step loop; a chunk's slab is
+# CHUNK x (_SLAB + 1) doubles, 33.6 MB. Each slab is one Bluestein
+# convolution of length n_modes + _SLAB per row, so shorter slabs cost
+# more per point: 512 rows of sedbench's quartic run took 0.47-0.51 s at
+# 8,192 and 0.57-0.62 s at 4,096.
+_SLAB = 8192
 
 # Rows of a chunk that take their transient together on the response path;
 # each temporary is ROW_BLOCK x n_rec doubles, 2.1 MB on the shipped grid.
@@ -130,6 +141,10 @@ def quartic_potential(k4: float) -> Potential:
 
 def tabulated_potential(x_table, V_table) -> Potential:
     """Cubic-spline potential; force is the exact spline derivative."""
+    # imported here: scipy.interpolate doubles the package's import time,
+    # and no shipped config tabulates its potential
+    from scipy.interpolate import CubicSpline
+
     x_table = np.asarray(x_table, dtype=float)
     V_table = np.asarray(V_table, dtype=float)
     spline = CubicSpline(x_table, V_table)
@@ -343,14 +358,16 @@ def _add_transient(x, v, x0, v0, P, growth: float):
 
 def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
     """(dt, n_steps, n_fft): the step, at most dt, and the step count of a
-    run of length span whose half-step field table is one length-n_fft FFT
-    of the uniform comb (cache_grid). A resolved grid resolves to itself.
+    run of length span whose 2 n_steps + 1 half-step field points lie on
+    the uniform comb's FFT-exact grid of period n_fft half steps
+    (comb_sum_grid). A resolved grid resolves to itself.
     Refuses a non-positive span or dt, a non-uniform comb, and a run that
     does not end inside the comb period, where the field repeats. Inside
     it, each widening grows n_fft strictly, and any n_fft >= 3 period /
     (period - span) holds the run, so the widening ends; but a span just
     short of the period would shrink the step without limit, so a widening
-    that takes the step below dt/2 is refused before any table exists."""
+    that takes the step below dt/2 is refused before anything is
+    integrated."""
     if span <= 0 or dt <= 0:
         raise IntegrationError("need a positive run length and dt")
     if fspec.mode_spacing != "uniform":
@@ -390,8 +407,9 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     exceeds 2 pi / (10 omega_loc), omega_loc = sqrt(max |f'(x)| / m) over
     the recorded positions. Potentials whose force is linear in x
     (Potential.linear) take RK4's exact response on the record grid, a
-    chunk at a time, with no field table; the others step RK4 in a loop
-    over a chunk's half-step field table from cache_grid.
+    chunk at a time; the others step RK4 in a loop, reading the field of a
+    chunk from slabs of _SLAB half steps (comb_sum_slabs) filled just ahead
+    of the steps. Neither path holds a field table of the whole run.
     progress, when given, is called as progress(done, n_traj) each time a
     chunk of CHUNK trajectories finishes, done counting the trajectories
     finished so far; calls never overlap, also with n_workers > 1.
@@ -426,7 +444,6 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     seeds[:, 1] = np.arange(n_traj)
 
     acc = particle.acceleration
-    nsub = 2 * n_steps + 1
     h2 = 0.5 * dt
     w6 = dt / 6.0
 
@@ -462,8 +479,9 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
         """Integrate trajectories [lo, hi); write records into output slices."""
         lo, hi = span
         n = hi - lo
-        frs = [make_field(fspec, (master_seed, i, 0)) for i in range(lo, hi)]
-        coefs = amps * np.exp(1j * np.array([f.phases[0] for f in frs]))
+        coefs = amps * np.exp(1j * np.array(
+            [make_field(fspec, (master_seed, i, 0)).phases[0]
+             for i in range(lo, hi)]))
         x = np.empty(n)
         v = np.empty(n)
         for i in range(n):
@@ -489,24 +507,23 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                 status[lo + i] = STATUS_NONFINITE
             return
 
-        # the loop keeps its table for n_steps steps; no other copy of the
-        # chunk's field stays allocated beside it
-        del coefs
-        tab = np.empty((n, nsub))
-        cache_grid(frs, t0, h2, nsub, out=tab[:, None, :])
-        del frs
         xs[lo:hi, 0] = x
         vs[lo:hi, 0] = v
-        for k in range(n_steps):
-            x, v = step(x, v, tab[:, 2 * k], tab[:, 2 * k + 1], tab[:, 2 * k + 2])
-            kk = k + 1
-            if kk % record_stride == 0:
-                j = kk // record_stride
-                bad = ~(np.isfinite(x) & np.isfinite(v))
-                if bad.any():
-                    status[lo:hi][bad] = STATUS_NONFINITE
-                xs[lo:hi, j] = x
-                vs[lo:hi, j] = v
+        # a slab holds an even number of half steps, so each step's three
+        # field values lie in one slab
+        k = 0
+        for slab in comb_sum_slabs(coefs, omegas, t0, h2, 2 * n_steps + 1,
+                                   _SLAB):
+            for c in range(0, slab.shape[1] - 1, 2):
+                x, v = step(x, v, slab[:, c], slab[:, c + 1], slab[:, c + 2])
+                k += 1
+                if k % record_stride == 0:
+                    j = k // record_stride
+                    bad = ~(np.isfinite(x) & np.isfinite(v))
+                    if bad.any():
+                        status[lo:hi][bad] = STATUS_NONFINITE
+                    xs[lo:hi, j] = x
+                    vs[lo:hi, j] = v
 
     lock = threading.Lock()
     n_done = 0

@@ -14,21 +14,16 @@ S(omega) cos(omega lag) as n_modes grows; per-mode energy is hbar*omega/2.
 On a uniform comb omega_n = omega_0 + n dOmega sampled at step h with
 dOmega h = 2 pi/N, the grid values are the real part of a length-N inverse
 DFT of the n_modes mode coefficients times the carrier exp(i omega_0 t).
-cache_grid evaluates that sum in Bailey's four-step order (J. Supercomput.
-4, 23 (1990)) with the input pruned to the occupied bins (Markel, IEEE
-Trans. Audio Electroacoust. 19, 305 (1971)): for N = L Q with Q >= n_modes
-the grid point j = r + L q is sum_n (c_n w_N^(n r)) w_Q^(n q), so each row
-is L short length-Q transforms that stay in cache instead of one long one.
-comb_sum_grid evaluates any coefficient rows over the same comb on every
-step-th point of that grid only, as a Bluestein chirp-z convolution whose
-length follows the modes and the points, not N; the integrator's record
-grid is such a subgrid.
+comb_sum_grid evaluates that sum on any stretch of every step-th point of
+the grid as a Bluestein chirp-z convolution whose length follows the modes
+and the points, not N: the integrator's record grid is such a subgrid, and
+its step loop takes the half-step grid one slab at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -101,7 +96,7 @@ def mode_table(spec: FieldSpec):
     n = spec.n_modes
     if spec.mode_spacing == "uniform":
         # Single shared spacing float keeps the comb arithmetic exact enough
-        # for the FFT-based cached-grid path to reconstruct it.
+        # for comb_sum_grid to reconstruct it.
         dw = (spec.omega_cutoff - spec.omega_min) / n
         omegas = spec.omega_min + dw * (np.arange(n) + 0.5)
         dws = np.full(n, dw)
@@ -126,8 +121,6 @@ class FieldRealization:
     omegas: np.ndarray
     amps: np.ndarray
     phases: np.ndarray  # shape (components, n_modes)
-    time_grid: np.ndarray | None = dc_field(default=None, repr=False)
-    values: np.ndarray | None = dc_field(default=None, repr=False)
 
 
 def make_field(spec: FieldSpec, seed) -> FieldRealization:
@@ -177,7 +170,7 @@ def _comb_spacing(omegas: np.ndarray) -> float | None:
 def comb_cache_params(spec: FieldSpec, h_target: float, min_points: int = 1):
     """Grid step h <= h_target such that the uniform comb is FFT-exact.
 
-    The cached-grid fast path needs dOmega * h = 2 pi / N for integer N.
+    comb_sum_grid needs dOmega * h = 2 pi / N for integer N.
     Returns (h, N) with N a fast FFT length covering min_points samples.
     Only meaningful for "uniform" mode spacing.
     """
@@ -201,22 +194,26 @@ def _comb_fft_length(omegas: np.ndarray, h: float):
 
 
 def comb_sum_grid(coefs, omegas, t0: float, h: float, step: int,
-                  n_points: int, out=None) -> np.ndarray:
-    """Re sum_n coefs[..., n] exp(i omega_n t_j) on t_j = t0 + j step h,
-    j = 0..n_points-1, for complex coefficient rows over the modes omegas.
+                  n_points: int, out=None, start: int = 0) -> np.ndarray:
+    """Re sum_n coefs[..., n] exp(i omega_n t_j) on t_j = t0 + (start + j
+    step) h, j = 0..n_points-1, for complex coefficient rows over the modes
+    omegas.
 
     The modes must form an arithmetic comb with dOmega h N = 2 pi for an
-    integer N, else ValueError; step is a positive integer, so the grid is
-    every step-th point of cache_grid's. Then n dOmega t_j - n dOmega t0 is
-    pi step 2 n j/N, and with 2 n j = n^2 + j^2 - (j - n)^2 each row is one
-    Bluestein chirp-z convolution (IEEE Trans. Audio Electroacoust. 18, 451
-    (1970)) of length next_fast_len(n_modes + n_points - 1). The chirp
-    phases pi (step k^2 mod 2N)/N are reduced in integers, exact as
-    cache_grid's twiddles, and the carrier is exp(i omega_0 (t0 + h (step
-    j))), cache_grid's float expression at its point step j. Rows go through
-    the transforms _SUM_BLOCK at a time, and a row's values do not depend
-    on the rows it shares a call with. Returns shape coefs.shape[:-1] +
-    (n_points,), written into out, a C-contiguous array, when given.
+    integer N, else ValueError; start and step are integers, step positive,
+    so the grid is every step-th point from point start of the comb's grid
+    t0 + k h. Then n dOmega t_j - n dOmega t0 is 2 pi n start/N + pi step
+    2 n j/N, and with 2 n j = n^2 + j^2 - (j - n)^2 each row is one Bluestein
+    chirp-z convolution (IEEE Trans. Audio Electroacoust. 18, 451 (1970)) of
+    length next_fast_len(n_modes + n_points - 1). The phases
+    2 pi (n start mod N)/N and the chirp phases pi (step k^2 mod 2N)/N are
+    reduced in integers, so they stay exact however far the grid runs from
+    t0, and the carrier is exp(i omega_0 (t0 + h (start + step j))). Rows go
+    through the transforms _SUM_BLOCK at a time, and a row's values do not
+    depend on the rows it shares a call with. Returns shape coefs.shape[:-1]
+    + (n_points,), written into out when given; out may be a strided view,
+    such as a column range of a larger array, as long as it reshapes to
+    (rows, n_points) without a copy.
     """
     coefs = np.asarray(coefs)
     m = omegas.size
@@ -227,8 +224,11 @@ def comb_sum_grid(coefs, omegas, t0: float, h: float, step: int,
     shape = coefs.shape[:-1] + (n_points,)
     if out is None:
         out = np.empty(shape)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, not {out.shape}")
+    values = out.reshape(-1, n_points)
+    if not np.may_share_memory(values, out):
+        raise ValueError("out must reshape to (rows, n_points) without a copy")
     n_conv = next_fast_len(m + n_points - 1)
     k = np.arange(max(m, n_points))
     chirp = np.exp(1j * (math.pi / n_fft)
@@ -238,11 +238,12 @@ def comb_sum_grid(coefs, omegas, t0: float, h: float, step: int,
     kernel[:n_points] = chirp[:n_points].conj()
     kernel[n_conv - m + 1:] = chirp[m - 1:0:-1].conj()
     kernel = np.fft.fft(kernel, norm="forward")
-    pre = chirp[:m] * np.exp(1j * (np.arange(m) * dw * t0))
+    n = np.arange(m)
+    pre = chirp[:m] * np.exp(1j * (n * dw * t0 + (TWO_PI / n_fft)
+                                   * (n * (start % n_fft) % n_fft)))
     post = chirp[:n_points] * np.exp(
-        1j * float(omegas[0]) * (t0 + h * (step * np.arange(n_points))))
+        1j * float(omegas[0]) * (t0 + h * (start + step * np.arange(n_points))))
     rows = coefs.reshape(-1, m)
-    values = out.reshape(-1, n_points)
     work = np.empty((min(_SUM_BLOCK, len(rows)), n_conv), dtype=complex)
     for lo in range(0, len(rows), _SUM_BLOCK):
         block = rows[lo:lo + _SUM_BLOCK]
@@ -258,75 +259,28 @@ def comb_sum_grid(coefs, omegas, t0: float, h: float, step: int,
     return out
 
 
-def cache_grid(fr, t0: float, h: float, n_points: int, out=None) -> np.ndarray:
-    """Populate the cached evaluation grid t0 + j*h, j = 0..n_points-1.
+def comb_sum_slabs(coefs, omegas, t0: float, h: float, n_points: int,
+                   width: int):
+    """comb_sum_grid on the grid t0 + j h, j = 0..n_points-1, in slabs of
+    width + 1 columns, so that no array of n_points columns exists.
 
-    fr is one FieldRealization, or a sequence of realizations of one spec
-    filled together. The modes must form an arithmetic comb with
-    dOmega*h*N = 2 pi for an integer N >= max(n_points, n_modes), else
-    ValueError (eval_field evaluates anywhere). Each (realization,
-    component) row is the length-N mode sum split in four steps: Q is the
-    smallest divisor of N with Q >= n_modes and L = N/Q; the coefficients
-    times an (L, n_modes) twiddle table w_N^(n r) go through L inverse FFTs
-    of length Q, whose column q is grid point r + L q, and then through the
-    carrier exp(i omega_0 t). With no proper divisor, L = 1: one length-N
-    transform. Rows go one at a time through two (L, Q) complex work
-    arrays (5 MB on the shipped grid), so a row's values do not depend on
-    the rows it shares a call with. The values agree with direct evaluation
-    to ~1e-14 relative.
-    Returns the cached values, shape (components, n_points) for one
-    realization and (n_realizations, components, n_points) for a sequence,
-    written into out when given. Each realization keeps its time grid and
-    its values as attributes.
+    Yields views shaped coefs.shape[:-1] + (w + 1,), w <= width, whose
+    columns are the points s0..s0 + w, s0 = 0, width, 2 width, ...: each
+    slab starts with the last column of the one before, computed once, so
+    a value read across a seam is the same value. The points past the
+    first come from comb_sum_grid's integer start index. All slabs share
+    one buffer; consume a slab before taking the next.
     """
-    single = isinstance(fr, FieldRealization)
-    frs = [fr] if single else list(fr)
-    spec = frs[0].spec
-    if any(f.spec != spec for f in frs):
-        raise ValueError("cache_grid needs realizations of one FieldSpec")
-    ncomp = spec.components
-    if out is None:
-        out = np.empty((len(frs), ncomp, n_points))
-    elif out.shape != (len(frs), ncomp, n_points):
-        raise ValueError(f"out has shape {out.shape}, need "
-                         f"{(len(frs), ncomp, n_points)}")
-    omegas = frs[0].omegas
-    m = omegas.size
-    dw, n_fft = _comb_fft_length(omegas, h)
-    if n_fft < max(n_points, m):
-        raise ValueError(f"{n_points} points at step {h:g} are not an "
-                         "FFT-exact grid inside the comb period")
-    q_len = min(d for k in range(1, math.isqrt(n_fft) + 1) if n_fft % k == 0
-                for d in (k, n_fft // k) if d >= m)
-    n_rows = n_fft // q_len
-    n_cols = -(-n_points // n_rows)     # columns q that hold grid points
-    full = n_points // n_rows           # columns with all n_rows points
-    n = np.arange(m)
-    twiddle = np.exp(1j * (TWO_PI / n_fft)
-                     * (np.arange(n_rows)[:, None] * n % n_fft))
-    j = np.arange(n_rows)[:, None] + n_rows * np.arange(n_cols)
-    carrier = np.exp(1j * float(omegas[0]) * (t0 + h * j))
-    t_grid = t0 + h * np.arange(n_points)
-    shift = n * dw * t0
-    amps = frs[0].amps
-    # row r holds component r % ncomp of realization r // ncomp
-    phases = np.concatenate([f.phases for f in frs])
-    spectrum = np.zeros((n_rows, q_len), dtype=complex)
-    work = np.empty_like(spectrum)
-    head = work[:, :n_cols]
-    for r, ph in enumerate(phases):
-        np.multiply(amps * np.exp(1j * (ph + shift)), twiddle,
-                    out=spectrum[:, :m])
-        np.fft.ifft(spectrum, axis=-1, norm="forward", out=work)
-        np.multiply(head, carrier, out=head)
-        row = out[divmod(r, ncomp)]
-        row[:full * n_rows].reshape(full, n_rows)[...] = head.real[:, :full].T
-        if full < n_cols:
-            row[full * n_rows:] = head.real[:n_points - full * n_rows, full]
-    for f, values in zip(frs, out):
-        f.time_grid = t_grid
-        f.values = values
-    return out[0] if single else out
+    coefs = np.asarray(coefs)
+    width = max(1, min(width, n_points - 1))
+    slab = np.empty(coefs.shape[:-1] + (width + 1,))
+    comb_sum_grid(coefs, omegas, t0, h, 1, 1, out=slab[..., width:])
+    for s0 in range(0, n_points - 1, width):
+        w = min(width, n_points - 1 - s0)
+        slab[..., 0] = slab[..., width]
+        comb_sum_grid(coefs, omegas, t0, h, 1, w, out=slab[..., 1:w + 1],
+                      start=s0 + 1)
+        yield slab[..., :w + 1]
 
 
 def _band_integral_series(w: float, b: float) -> float:

@@ -23,12 +23,11 @@ from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .dynamics import TrajectoryEnsemble
 
+# points of the Savitzky-Golay window in dynamics_residuals' derivatives
 SAVGOL_WINDOW = 5
-SAVGOL_ORDER = 2
 
 
 class KinematicsError(ValueError):
@@ -431,8 +430,23 @@ def _largest_valid_run(valid: np.ndarray) -> slice:
 
 
 def _sg(values: np.ndarray, width: float, deriv: int) -> np.ndarray:
-    return savgol_filter(values, SAVGOL_WINDOW, SAVGOL_ORDER, deriv=deriv,
-                         delta=width, mode="interp")
+    """Derivative deriv (1 or 2) of values on bins of the given width by
+    the Savitzky-Golay filter of window 5 and order 2 in closed form
+    (Anal. Chem. 36, 1627 (1964)), as scipy.signal.savgol_filter(values, 5,
+    2, deriv, width, mode="interp"). The quadratic fitted to the 5 points
+    at offsets -2..2 around a point has slope (-2, -1, 0, 1, 2)/10 and half
+    curvature (2, -1, -2, -1, 2)/14 per bin; each of the first and last two
+    points takes the derivative of the quadratic fitted to the first or
+    last 5 points."""
+    y = np.asarray(values, dtype=float)
+    slope = (2.0 * (y[4:] - y[:-4]) + (y[3:-1] - y[1:-3])) / 10.0
+    curv = (2.0 * (y[4:] + y[:-4]) - (y[3:-1] + y[1:-3]) - 2.0 * y[2:-2]) / 14.0
+    if deriv == 2:
+        return np.concatenate(([curv[0]] * 2, curv, [curv[-1]] * 2)) * (
+            2.0 / width**2)
+    edge = np.array([1.0, 2.0])
+    return np.concatenate((slope[0] - 2.0 * curv[0] * edge[::-1], slope,
+                           slope[-1] + 2.0 * curv[-1] * edge)) / width
 
 
 @dataclass

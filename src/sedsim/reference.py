@@ -286,11 +286,9 @@ def harmonic_trajectory(fr: FieldRealization, particle: ParticleSpec, t,
         fr.omegas, math.sqrt(w0sq), gamma)
     # the steady x and v are mode sums like the field itself
     phases = fr.phases + np.angle(resp)
-    x = eval_field(replace(fr, amps=np.abs(resp), phases=phases,
-                           time_grid=None, values=None), t)[0]
+    x = eval_field(replace(fr, amps=np.abs(resp), phases=phases), t)[0]
     v = eval_field(replace(fr, amps=np.abs(resp) * fr.omegas,
-                           phases=phases + 0.5 * math.pi,
-                           time_grid=None, values=None), t)[0]
+                           phases=phases + 0.5 * math.pi), t)[0]
     wd = math.sqrt(w0sq - 0.25 * gamma**2)
     a = x0 - x[0]
     b = (v0 - v[0] + 0.5 * gamma * a) / wd

@@ -14,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.integrate import solve_ivp
 
 from sedsim.dynamics import (
+    CHUNK,
     STATUS_NONFINITE,
     STATUS_OK,
     DeltaIC,
@@ -35,8 +37,9 @@ from sedsim.dynamics import (
     tabulated_potential,
 )
 import sedsim.dynamics
-from sedsim.field import (FieldSpec, cache_grid, comb_cache_params,
-                          comb_sum_grid, eval_field, make_field)
+import sedsim.field
+from sedsim.field import (FieldSpec, comb_cache_params, comb_sum_grid,
+                          eval_field, make_field)
 from sedsim.reference import harmonic_response, harmonic_trajectory
 
 SED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sed_harmonic_ground.json"
@@ -256,19 +259,51 @@ def test_response_matches_the_step_loop_over_the_shipped_run():
     assert np.array_equal(fast.field_values, loop.field_values)
 
 
-def test_response_path_builds_no_field_table(monkeypatch):
-    def no_table(*args, **kwargs):
-        raise AssertionError("built a half-step field table")
+def held_beyond_output(particle, n_steps):
+    """tracemalloc peak of integrate_ensemble on 64 trajectories of a
+    64-mode comb at the shipped step, less its output arrays; the bound
+    that peak keeps without a field table of the run; and the size of that
+    table. The bound is a (64, n_points + 1) field array, comb_sum_grid's
+    work array three times (the transforms copy it) and four copies of the
+    chunk's mode coefficients, n_points the longest grid one comb_sum_grid
+    call fills: a slab on the step loop, the record grid on the response
+    path."""
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
+    _, _, ic, dt, stride = shipped_run_parameters()
+    tracemalloc.start()
+    try:
+        ens = integrate_ensemble(particle, fspec, ic, 0.0, dt, n_steps, 64, 5,
+                                 record_stride=stride)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = ens.positions.nbytes + ens.velocities.nbytes + ens.field_values.nbytes
+    n_points = (ens.times.size if ens.meta["integrator"] == "rk4-response"
+                else min(sedsim.dynamics._SLAB, 2 * n_steps))
+    work = (sedsim.field._SUM_BLOCK * 16
+            * next_fast_len(fspec.n_modes + n_points - 1))
+    bound = 64 * (n_points + 1) * 8 + 3 * work + 4 * 64 * fspec.n_modes * 16
+    return peak - output, bound, 64 * (2 * n_steps + 1) * 8
 
-    monkeypatch.setattr(sedsim.dynamics, "cache_grid", no_table)
-    fspec, particle, ic, dt, stride = shipped_run_parameters()
-    ens = integrate_ensemble(particle, fspec, ic, 0.0, dt, 600, 3, 5,
-                             record_stride=stride)
-    assert ens.meta["integrator"] == "rk4-response"
-    assert np.all(np.isfinite(ens.positions))
-    with pytest.raises(AssertionError, match="half-step field table"):
-        integrate_ensemble(on_the_loop(particle), fspec, ic, 0.0, dt, 600, 3,
-                           5, record_stride=stride)
+
+def test_response_path_builds_no_field_table():
+    # the longer run's bound holds at both run lengths, and the longer
+    # run's half-step table would not fit under it: measured 0.54 and
+    # 0.95 MB against a bound of 1.73 MB and a 4.10 MB table
+    _, particle, _, _, _ = shipped_run_parameters()
+    short, _, _ = held_beyond_output(particle, 1000)
+    held, bound, table = held_beyond_output(particle, 4000)
+    assert max(short, held) <= bound < table / 2
+
+
+def test_step_loop_builds_no_field_table(monkeypatch):
+    # slabs of 256 half steps, 16 of them in the longer run: measured
+    # 0.79 and 0.78 MB against a bound of 0.89 MB and a 2.05 MB table
+    monkeypatch.setattr(sedsim.dynamics, "_SLAB", 256)
+    _, particle, _, _, _ = shipped_run_parameters()
+    short, _, _ = held_beyond_output(on_the_loop(particle), 500)
+    held, bound, table = held_beyond_output(on_the_loop(particle), 2000)
+    assert max(short, held) <= bound < table / 2
 
 
 def rk4_radius(omega0: float, tau: float, dt: float) -> float:
@@ -555,12 +590,13 @@ def test_trajectory_seeding_is_independent_of_ensemble_size_on_the_loop():
 
 
 def test_worker_count_does_not_change_bits():
-    # more trajectories than one scheduling chunk, so threads actually split
+    # three scheduling chunks, the last one short, so threads actually split
+    n_traj = 2 * CHUNK + 44
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     ic = stationary_guess_ic(1.0, 1.0, 1.0)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
-    serial = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, 300, 9)
-    threaded = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, 300, 9,
+    serial = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9)
+    threaded = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
                                   n_workers=3)
     assert serial.meta["integrator"] == "rk4-response"
     assert np.array_equal(serial.positions, threaded.positions)
@@ -571,10 +607,11 @@ def test_worker_count_does_not_change_bits():
 def test_worker_count_does_not_change_bits_on_the_loop():
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
+    n_traj = 2 * CHUNK + 44
     serial = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0),
-                                0.0, 0.2, 20, 300, 9)
+                                0.0, 0.2, 20, n_traj, 9)
     threaded = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0),
-                                  0.0, 0.2, 20, 300, 9, n_workers=3)
+                                  0.0, 0.2, 20, n_traj, 9, n_workers=3)
     assert serial.meta["integrator"] == "rk4-loop"
     assert np.array_equal(serial.positions, threaded.positions)
     assert np.array_equal(serial.velocities, threaded.velocities)
@@ -583,8 +620,9 @@ def test_worker_count_does_not_change_bits_on_the_loop():
 
 @pytest.mark.parametrize("n_workers", [1, 4])
 def test_progress_is_called_once_per_chunk(n_workers, capsys):
-    # 1,800 trajectories are 8 chunks (7 x 256 + 8); 4 threads on a
+    # 8 chunks, 7 full ones and one of 8 trajectories; 4 threads on a
     # shortened switch interval would expose a lost update of the count
+    n_traj = 7 * CHUNK + 8
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
     calls = []
@@ -592,18 +630,18 @@ def test_progress_is_called_once_per_chunk(n_workers, capsys):
     sys.setswitchinterval(1e-6)
     try:
         ens = integrate_ensemble(
-            particle, fspec, DeltaIC(0.5, 0.0), 0.0, 0.2, 10, 1800, 9,
+            particle, fspec, DeltaIC(0.5, 0.0), 0.0, 0.2, 10, n_traj, 9,
             n_workers=n_workers,
             progress=lambda done, total: calls.append((done, total)))
     finally:
         sys.setswitchinterval(interval)
     done = [d for d, _ in calls]
-    assert [total for _, total in calls] == [1800] * 8
+    assert [total for _, total in calls] == [n_traj] * 8
     # calls never overlap, so the count rises by one chunk per call
-    assert done[-1] == 1800
-    assert {b - a for a, b in zip([0] + done[:-1], done)} <= {256, 8}
+    assert done[-1] == n_traj
+    assert {b - a for a, b in zip([0] + done[:-1], done)} <= {CHUNK, 8}
     quiet = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0), 0.0, 0.2,
-                               10, 1800, 9, n_workers=n_workers)
+                               10, n_traj, 9, n_workers=n_workers)
     assert np.array_equal(ens.positions, quiet.positions)
     assert capsys.readouterr() == ("", "")
 
@@ -611,7 +649,7 @@ def test_progress_is_called_once_per_chunk(n_workers, capsys):
 def test_field_values_are_the_single_call_grid():
     # 7 trajectories, fewer than a transform block; both paths store the
     # record-grid mode sum of one comb_sum_grid call per trajectory, which
-    # is every 6th point of the half-step table up to rounding
+    # is every 6th point of the half-step grid up to rounding
     fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
     h, _ = comb_cache_params(fspec, h_target=0.1, min_points=401)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
@@ -623,7 +661,8 @@ def test_field_values_are_the_single_call_grid():
             single = comb_sum_grid(fr.amps * np.exp(1j * fr.phases[0]),
                                    fr.omegas, 7.5, h, 6, 67)
             assert np.array_equal(ens.field_values[i], single)
-            grid = cache_grid(fr, 7.5, h, 401)[0]
+            grid = comb_sum_grid(fr.amps * np.exp(1j * fr.phases[0]),
+                                 fr.omegas, 7.5, h, 1, 401)
             assert np.max(np.abs(single - grid[::6])) <= 1e-13 * np.std(grid)
 
 

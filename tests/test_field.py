@@ -7,9 +7,10 @@ import pytest
 from scipy import stats
 
 from sedsim.field import (FieldRealization, FieldSpec, autocorrelation_check,
-                          autocovariance, autocovariance_quad, cache_grid,
-                          comb_cache_params, comb_sum_grid, dump_field_csv,
-                          eval_field, make_field, mode_table, spectral_density)
+                          autocovariance, autocovariance_quad,
+                          comb_cache_params, comb_sum_grid, comb_sum_slabs,
+                          dump_field_csv, eval_field, make_field, mode_table,
+                          spectral_density)
 
 # band integral (2/(3 pi)) int w^3 cos(w lag) dw, frozen from a 30-digit
 # mpmath quadrature
@@ -119,14 +120,20 @@ def test_tuple_seeds_give_distinct_streams():
     assert not np.array_equal(a.phases, b.phases)
 
 
+def coefficients(frs):
+    """Mode coefficient rows amps exp(i phases), shape (len(frs),
+    components, n_modes)."""
+    return np.array([fr.amps * np.exp(1j * fr.phases) for fr in frs])
+
+
 def test_cached_grid_matches_direct_evaluation():
+    # the half-step grid of a run: every point of the FFT-exact comb grid
     spec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=512)
     h, n_fft = comb_cache_params(spec, h_target=0.1, min_points=4001)
     assert h <= 0.1 and n_fft >= 4001
     fr = make_field(spec, 7)
-    vals = cache_grid(fr, 0.0, h, 4001)
-    ts = fr.time_grid
-    direct = eval_field(make_field(spec, 7), ts)
+    vals = comb_sum_grid(coefficients([fr])[0], fr.omegas, 0.0, h, 1, 4001)
+    direct = eval_field(make_field(spec, 7), h * np.arange(4001))
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(vals - direct)) / scale < 1e-12
 
@@ -135,8 +142,8 @@ def test_cached_grid_nonzero_origin():
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=128)
     h, _ = comb_cache_params(spec, h_target=0.05, min_points=512)
     fr = make_field(spec, 9)
-    vals = cache_grid(fr, 123.456, h, 512)
-    direct = eval_field(make_field(spec, 9), fr.time_grid)
+    vals = comb_sum_grid(coefficients([fr])[0], fr.omegas, 123.456, h, 1, 512)
+    direct = eval_field(make_field(spec, 9), 123.456 + h * np.arange(512))
     assert np.max(np.abs(vals - direct)) / np.max(np.abs(direct)) < 1e-12
 
 
@@ -157,67 +164,116 @@ def _unbatched_comb_grid(fr, t0, h, n_points):
 
 
 @pytest.mark.parametrize("components", [1, 3])
-def test_batched_cache_grid_is_the_single_call_bitwise(components):
-    # 7 realizations: more than one FFT block and not a multiple of one
+def test_batched_comb_sum_grid_is_the_single_call_bitwise(components):
+    # 7 realizations: 7 x components rows, not a multiple of a transform
+    # block when components is 3
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=128,
                      components=components)
     h, _ = comb_cache_params(spec, h_target=0.05, min_points=700)
     frs = [make_field(spec, (5, i)) for i in range(7)]
-    batch = cache_grid(frs, 41.3, h, 700)
+    batch = comb_sum_grid(coefficients(frs), frs[0].omegas, 41.3, h, 1, 700)
     assert batch.shape == (7, components, 700)
     for i, fr in enumerate(frs):
-        single = cache_grid(make_field(spec, (5, i)), 41.3, h, 700)
+        single = comb_sum_grid(coefficients([make_field(spec, (5, i))])[0],
+                               fr.omegas, 41.3, h, 1, 700)
         assert np.array_equal(batch[i], single)
-        # the same sum in another operation order (four-step vs one FFT)
+        # the same sum in another operation order (chirp-z vs one FFT)
         ref = _unbatched_comb_grid(fr, 41.3, h, 700)
         assert np.max(np.abs(single - ref)) <= 1e-14 * fr.amps.sum()
-        assert np.array_equal(fr.values, single)
-        assert np.array_equal(fr.time_grid, 41.3 + h * np.arange(700))
-
-
-def _four_step_rows(n_fft, n_modes):
-    """L = n_fft/Q for the smallest divisor Q >= n_modes, by brute force."""
-    return n_fft // next(d for d in range(n_modes, n_fft + 1)
-                         if n_fft % d == 0)
 
 
 @pytest.mark.parametrize("n_modes, n_fft, n_points, t0, components, rows", [
-    (128, 11**3, 11**3, 0.0, 1, 1),     # no proper divisor >= 128: one FFT
-    (96, 720, 601, 0.0, 1, 6),          # last column holds 1 of 6 points
+    (128, 11**3, 11**3, 0.0, 1, 1),     # one full comb period, one row
+    (96, 720, 601, 0.0, 1, 6),
     (96, 720, 600, -37.25, 1, 6),
-    (96, 720, 599, 12.5, 3, 6),
-    (96, 720, 5, 3.0, 1, 6),            # fewer points than rows
+    (96, 720, 599, 12.5, 3, 6),         # 18 rows, not a multiple of a block
+    (96, 720, 5, 3.0, 1, 6),            # fewer points than modes
 ])
 def test_four_step_grid_is_the_mode_sum(n_modes, n_fft, n_points, t0,
                                         components, rows):
+    # every point of the grid, over one whole comb period (11^3) and over
+    # less; each row of a call of `rows` realizations is the direct mode sum
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=n_modes,
                      components=components)
-    assert _four_step_rows(n_fft, n_modes) == rows
     h = 2.0 * math.pi / (1.5 / n_modes * n_fft)
-    frs = [make_field(spec, (8, i)) for i in range(3)]
-    batch = cache_grid(frs, t0, h, n_points)
+    frs = [make_field(spec, (8, i)) for i in range(rows)]
+    batch = comb_sum_grid(coefficients(frs), frs[0].omegas, t0, h, 1,
+                          n_points)
     for i, fr in enumerate(frs):
-        single = cache_grid(make_field(spec, (8, i)), t0, h, n_points)
+        single = comb_sum_grid(coefficients([make_field(spec, (8, i))])[0],
+                               fr.omegas, t0, h, 1, n_points)
         assert np.array_equal(batch[i], single)
         direct = eval_field(fr, t0 + h * np.arange(n_points))
         assert np.max(np.abs(single - direct)) <= 1e-13 * fr.amps.sum()
 
 
 def test_four_step_grid_on_the_shipped_comb():
-    # configs/sed_harmonic_ground.json: Q = 11^3, L = 121 rows, and the
-    # 2 n_steps + 1 half-step points of the shipped run
+    # configs/sed_harmonic_ground.json: the 2 n_steps + 1 half-step points
+    # of the shipped run on its comb of period 161,051 half steps
     spec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=512)
     h, n_fft = comb_cache_params(spec, h_target=0.1)
-    assert n_fft == 161051 and _four_step_rows(n_fft, 512) == 121
+    assert n_fft == 161051
     frs = [make_field(spec, (7, i, 0)) for i in range(3)]
-    batch = cache_grid(frs, 0.0, h, 100127)
+    batch = comb_sum_grid(coefficients(frs), frs[0].omegas, 0.0, h, 1, 100127)
     for i, fr in enumerate(frs):
-        assert np.array_equal(
-            batch[i], cache_grid(make_field(spec, (7, i, 0)), 0.0, h, 100127))
+        assert np.array_equal(batch[i], comb_sum_grid(
+            coefficients([make_field(spec, (7, i, 0))])[0], fr.omegas, 0.0,
+            h, 1, 100127))
         ref = _unbatched_comb_grid(fr, 0.0, h, 100127)
         assert np.max(np.abs(batch[i] - ref)) <= 1e-14 * fr.amps.sum()
 
 
+def test_slabs_are_the_single_call_grid():
+    # sedbench's quartic comb; 2,001 half steps in slabs of 600 are four
+    # slabs, the last of 200, each starting with the one before's last point
+    spec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=768)
+    h, _ = comb_cache_params(spec, h_target=0.065)
+    frs = [make_field(spec, (11, i, 0)) for i in range(5)]
+    coefs = coefficients(frs)[:, 0]
+    whole = comb_sum_grid(coefs, frs[0].omegas, 2.5, h, 1, 2001)
+    slabs = [s.copy() for s in comb_sum_slabs(coefs, frs[0].omegas, 2.5, h,
+                                              2001, 600)]
+    assert [s.shape for s in slabs] == [(5, 601)] * 3 + [(5, 201)]
+    for a, b in zip(slabs, slabs[1:]):
+        assert np.array_equal(a[:, -1], b[:, 0])
+    streamed = np.concatenate([slabs[0]] + [s[:, 1:] for s in slabs[1:]],
+                              axis=1)
+    assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.std(whole)
+    # a run shorter than one slab is one slab of all its points
+    (short,) = [s.copy() for s in comb_sum_slabs(coefs, frs[0].omegas, 2.5,
+                                                  h, 41, 600)]
+    assert short.shape == (5, 41)
+    assert np.max(np.abs(short - whole[:, :41])) <= 1e-13 * np.std(whole)
+
+
+def test_start_index_is_exact_near_the_end_of_the_comb_period():
+    # with omega_min 0 every mode omega_n = (n + 1/2) dOmega turns by an odd
+    # multiple of pi over the comb period N h, so the field at grid point
+    # N + j is minus the field at point j, which eval_field evaluates at a
+    # small time without the rounding of n dOmega t at t ~ N h. Phases
+    # reduced from the integer start stay at 4e-15 of the field's standard
+    # deviation; the float start t0 + start h misses by 9e-14 to 6e-13
+    spec = FieldSpec(omega_cutoff=1.6, n_modes=768)
+    h, n_fft = comb_cache_params(spec, h_target=0.05)
+    j = np.arange(-40, 40)
+    for seed in range(3):
+        fr = make_field(spec, seed)
+        values = comb_sum_grid(coefficients([fr])[0, 0], fr.omegas, 3.25, h,
+                               1, j.size, start=n_fft + j[0])
+        reference = -eval_field(fr, 3.25 + h * j)[0]
+        sigma = math.sqrt(np.sum(fr.amps**2) / 2.0)
+        assert np.max(np.abs(values - reference)) <= 1e-14 * sigma
+
+
+def test_comb_sum_grid_with_a_start_is_the_tail_of_the_grid():
+    # start and step together: every 3rd point from point 101
+    spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=96)
+    omegas, _, amps = mode_table(spec)
+    h = 2.0 * math.pi / (1.5 / 96 * 720)
+    coefs = coefficients([make_field(spec, (9, i)) for i in range(2)])[:, 0]
+    tail = comb_sum_grid(coefs, omegas, -4.0, h, 3, 200, start=101)
+    grid = comb_sum_grid(coefs, omegas, -4.0, h, 1, 701)
+    assert np.max(np.abs(tail - grid[:, 101::3])) <= 1e-13 * amps.sum()
 @pytest.mark.parametrize("n_fft, step, n_points, t0", [
     (720, 2, 50, 0.0),          # record stride 1, fewer points than modes
     (720, 6, 300, -37.25),      # stride 3, gcd(6, 720) = 6
@@ -251,7 +307,7 @@ def test_comb_sum_grid_on_the_shipped_record_grid():
     frs = [make_field(spec, (7, i, 0)) for i in range(3)]
     coefs = np.array([fr.amps * np.exp(1j * fr.phases[0]) for fr in frs])
     records = comb_sum_grid(coefs, frs[0].omegas, 0.0, h, 12, 8344)
-    table = cache_grid(frs, 0.0, h, 100127)[:, 0, ::12]
+    table = comb_sum_grid(coefs, frs[0].omegas, 0.0, h, 1, 100127)[:, ::12]
     assert np.max(np.abs(records - table)) <= 1e-13 * np.std(table)
 
 
@@ -270,39 +326,12 @@ def test_comb_sum_grid_refuses_grids_off_the_comb():
                                         mode_spacing="uniform-in-omega^4"))
     with pytest.raises(ValueError, match="FFT-exact"):
         comb_sum_grid(amps, warped, 0.0, h, 2, 10)
-
-
-@pytest.mark.parametrize("spacing", ["uniform-in-omega^4", "uniform"])
-def test_cache_grid_refuses_grids_off_the_fft_path(spacing):
-    # off the FFT path eval_field is the route; cache_grid does not fall back
-    spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=64,
-                     mode_spacing=spacing)
-    h, n_fft = comb_cache_params(FieldSpec(omega_cutoff=2.0, omega_min=0.5,
-                                           n_modes=64), h_target=0.05)
-    frs = [make_field(spec, (6, i)) for i in range(3)]
-    with pytest.raises(ValueError, match="FFT-exact"):
-        cache_grid(frs, 2.5, 0.05, 300)
-    if spacing == "uniform":
-        # an FFT-exact step fills one comb period, and not a point more
-        assert cache_grid(frs, 2.5, h, n_fft).shape == (3, 1, n_fft)
-        with pytest.raises(ValueError, match="FFT-exact"):
-            cache_grid(frs, 2.5, h, n_fft + 1)
-        # a comb period of 32 steps cannot hold 64 modes without folding
-        with pytest.raises(ValueError, match="FFT-exact"):
-            cache_grid(frs, 2.5, h * n_fft / 32, 10)
-    else:
-        # the uniform comb's exact step, without a comb
-        with pytest.raises(ValueError, match="FFT-exact"):
-            cache_grid(frs, 2.5, h, 300)
-
-
-def test_cache_grid_refuses_mixed_specs_and_misshaped_output():
-    a = make_field(FieldSpec(omega_cutoff=1.0, n_modes=8), 1)
-    b = make_field(FieldSpec(omega_cutoff=1.0, n_modes=16), 2)
-    with pytest.raises(ValueError, match="one FieldSpec"):
-        cache_grid([a, b], 0.0, 0.1, 10)
+    # out of another shape, or one that would be written through a copy
     with pytest.raises(ValueError, match="shape"):
-        cache_grid([a], 0.0, 0.1, 10, out=np.empty((1, 10)))
+        comb_sum_grid(amps, omegas, 0.0, h, 2, 10, out=np.empty((1, 10)))
+    with pytest.raises(ValueError, match="without a copy"):
+        comb_sum_grid(np.stack([[amps] * 2] * 3), omegas, 0.0, h, 2, 10,
+                      out=np.empty((2, 3, 10)).transpose(1, 0, 2))
 
 
 def test_comb_anti_periodicity():

@@ -8,7 +8,10 @@ configuration runs at full size and must pass everything.
 
 import copy
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -100,7 +103,7 @@ def test_run_json_records_the_resolved_grid(sed_run, ou_run):
     assert run_meta["dt"] == ens_meta["dt"]
     assert run_meta["n_steps"] == ens_meta["n_steps"]
     assert run_meta["n_fft"] >= 2 * run_meta["n_steps"] + 1
-    assert run_meta["n_chunks"] == 1          # 120 trajectories, chunks of 256
+    assert run_meta["n_chunks"] == 1          # 120 trajectories, one chunk
     assert run_meta["n_workers"] == 1
     ou_meta = json.loads((ou_run.run_dir / "run.json").read_text())
     ou_ens = json.loads((ou_run.run_dir / "ensemble" / "meta.json").read_text())
@@ -436,3 +439,16 @@ def test_same_config_reproduces_ensemble_bytes(tmp_path):
     assert Path("fields/va_combo.csv") in rels
     for rel in rels:
         assert (a.run_dir / rel).read_bytes() == (b.run_dir / rel).read_bytes(), rel
+
+
+def test_import_leaves_scipy_signal_and_interpolate_out():
+    # the two subpackages were most of the package's import time, for one
+    # filter and one spline that no shipped config needs
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, sedsim.harness; print(sorted(m for m in sys.modules"
+             " if m.split('.')[:2] in (['scipy', 'signal'],"
+             " ['scipy', 'interpolate'])))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -22,6 +22,7 @@ from sedsim.dynamics import (
     integrate_ensemble,
 )
 from sedsim.field import FieldSpec
+import sedsim.kinematics
 from sedsim.kinematics import (
     CoarseGrainSpec,
     KinematicsError,
@@ -360,3 +361,25 @@ def test_binned_field_csv_round_trip(tmp_path):
     assert sidecar["kind"] == "u"
     assert sidecar["delta_t"] == pytest.approx(0.05)
     assert len(sidecar["reference_times"]) == u.reference_times.size
+
+
+@pytest.mark.parametrize("deriv", [1, 2])
+def test_closed_form_savgol_is_scipy_savgol_to_a_few_ulp(deriv):
+    # dynamics_residuals' derivatives: the window-5, order-2 stencils and
+    # the edge quadratics against scipy's least-squares fit, on runs from
+    # the shortest the residuals accept (5 bins) up; measured at most 7.1
+    # (deriv 1) and 3.6 (deriv 2) ulp of max|y| / width^deriv, largest at
+    # the edges, where scipy fits by lstsq
+    from scipy.signal import savgol_filter
+
+    rng = np.random.default_rng(41 + deriv)
+    eps = np.finfo(float).eps
+    for n in (5, 6, 7, 12, 41):
+        for _ in range(40):
+            y = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+            width = rng.uniform(0.05, 2.0)
+            ours = sedsim.kinematics._sg(y, width, deriv)
+            ref = savgol_filter(y, 5, 2, deriv=deriv, delta=width,
+                                mode="interp")
+            scale = np.max(np.abs(y)) / width**deriv
+            assert np.max(np.abs(ours - ref)) <= 16 * eps * scale
