@@ -31,7 +31,7 @@ from .harness import (ComparisonReport, PipelineError, ReportRow, RunResult,
                       emit_plot_data, load_report, run_experiment)
 from .kinematics import (BinnedField, BranchReport, CoarseGrainSpec,
                          DiffusionEstimate, DiffusionSweep, KinematicsError,
-                         ResidualReport, VaEstimate, classify_branch,
+                         ResidualReport, SampleSet, VaEstimate, classify_branch,
                          density_estimate, diffusion_sweep, dynamics_residuals,
                          estimate_D, estimate_u, estimate_v, estimate_va)
 from .schrodinger import (GridError, GridSpec, WaveFunctionState,

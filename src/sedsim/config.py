@@ -33,8 +33,6 @@ _SCHEMA = {
         "omega_cutoff": (_NUM, True),
         "omega_min": (_NUM, False),
         "n_modes": (int, True),
-        "mode_spacing": (str, False),
-        "components": (int, False),
     },
     "particle": {
         "mass": (_NUM, True),

@@ -49,8 +49,8 @@ from .dynamics import (CHUNK, STATUS_OK, IntegrationError, ParticleSpec,
                        quartic_potential, relaxation_curve,
                        stationary_guess_ic, tabulated_potential)
 from .field import FieldSpec, autocorrelation_check, make_field
-from .kinematics import (CoarseGrainSpec, classify_branch, density_estimate,
-                         diffusion_sweep, estimate_u, estimate_v, estimate_va)
+from .kinematics import (CoarseGrainSpec, SampleSet, classify_branch,
+                         diffusion_sweep)
 from .reference import (gaussian_density, ou_ensemble,
                         ou_stationary_variance, ou_u_slope_equilibrium)
 from .schrodinger import GridSpec, solve_stationary, velocity_fields
@@ -180,8 +180,6 @@ def _build_field_spec(cfg: dict) -> FieldSpec:
         omega_cutoff=float(f["omega_cutoff"]),
         omega_min=float(f.get("omega_min", 0.0)),
         n_modes=int(f["n_modes"]),
-        mode_spacing=f.get("mode_spacing", "uniform"),
-        components=int(f.get("components", 1)),
     )
 
 
@@ -303,12 +301,12 @@ def _write_xy_csv(path: Path, header: str, columns) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _estimator_stage(cfg: dict, info: dict, ens: TrajectoryEnsemble,
-                     run_dir: Path, window, thin_time: float, sweep_steps):
-    """v, u, v_a, density (fields/) and the diffusion sweep (dsweep.json) on
-    the window's reference times; thin_time and sweep_steps (multiples of
-    the recorded step) are the defaults of coarse_grain.thin_time and
-    .delta_t_sweep. Returns (spec at the lag, v, u, v_a, density, sweep)."""
+def _coarse_grain_specs(cfg: dict, ens: TrajectoryEnsemble, window,
+                        thin_time: float, sweep_steps):
+    """The spec at coarse_grain.delta_t, the spec at the largest sweep lag
+    and the sweep lags, on the window's reference times; thin_time and
+    sweep_steps (multiples of the recorded step) are the defaults of
+    coarse_grain.thin_time and .delta_t_sweep."""
     cg = cfg["coarse_grain"]
     bins = cg["x_bins"]
     thin_steps = max(1, int(round(float(cg.get("thin_time", thin_time))
@@ -321,11 +319,20 @@ def _estimator_stage(cfg: dict, info: dict, ens: TrajectoryEnsemble,
             reference_times=_refs_in_window(ens, window, lag, thin_steps),
             min_count=int(cg.get("min_count", 25)))
 
-    spec0 = est_spec(_snap_lag(ens, cg["delta_t"]))
-    v_field = _stage(info, "estimate-v", estimate_v, ens, spec0)
-    u_field = _stage(info, "estimate-u", estimate_u, ens, spec0)
-    va_est = _stage(info, "estimate-va", estimate_va, ens, spec0)
-    rho_field = _stage(info, "density", density_estimate, ens, spec0)
+    sweep_lags = cg.get("delta_t_sweep")
+    if sweep_lags is None:
+        sweep_lags = [ens.rec_dt * k for k in sweep_steps]
+    sweep_lags = list(dict.fromkeys(_snap_lag(ens, x) for x in sweep_lags))
+    return (est_spec(_snap_lag(ens, cg["delta_t"])), est_spec(max(sweep_lags)),
+            sweep_lags)
+
+
+def _field_stages(info: dict, samples: SampleSet, run_dir: Path):
+    """v, u, v_a and density from one sample set, written to fields/."""
+    v_field = _stage(info, "estimate-v", samples.field, "v")
+    u_field = _stage(info, "estimate-u", samples.field, "u")
+    va_est = _stage(info, "estimate-va", samples.va)
+    rho_field = _stage(info, "density", samples.density)
     fields_dir = run_dir / "fields"
     fields_dir.mkdir(parents=True, exist_ok=True)
     v_field.to_csv(fields_dir / "v.csv")
@@ -333,15 +340,7 @@ def _estimator_stage(cfg: dict, info: dict, ens: TrajectoryEnsemble,
     va_est.backward_difference.to_csv(fields_dir / "va_direct.csv")
     va_est.v_minus_u.to_csv(fields_dir / "va_combo.csv")
     rho_field.to_csv(fields_dir / "rho.csv")
-
-    sweep_lags = cg.get("delta_t_sweep")
-    if sweep_lags is None:
-        sweep_lags = [ens.rec_dt * k for k in sweep_steps]
-    sweep_lags = list(dict.fromkeys(_snap_lag(ens, x) for x in sweep_lags))
-    sweep = _stage(info, "diffusion-sweep", diffusion_sweep, ens,
-                   est_spec(max(sweep_lags)), sweep_lags)
-    _write_json(run_dir / "dsweep.json", sweep.to_dict())
-    return spec0, v_field, u_field, va_est, rho_field, sweep
+    return v_field, u_field, va_est, rho_field
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +387,24 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
     rtimes, rcurve = _stage(info, "relaxation", relaxation_curve, ens, particle)
     _write_xy_csv(run_dir / "relaxation.csv", "t,mean_energy", (rtimes, rcurve))
 
-    # coarse-grained estimators on the stationary window
-    spec0, _, _, _, rho_field, sweep = _estimator_stage(
-        cfg, info, ens, run_dir, window, 0.0, (1, 2, 3, 4, 6, 10))
-
-    branch = _stage(info, "branch-classifier", classify_branch, ens, spec0,
+    # coarse-grained estimators on the stationary window: the fields and the
+    # classifier share one sample set, dropped before the sweep builds its own
+    spec0, sweep_spec, sweep_lags = _coarse_grain_specs(
+        cfg, ens, window, 0.0, (1, 2, 3, 4, 6, 10))
+    samples = _stage(info, "gather-samples", SampleSet, ens, spec0)
+    rho_field = _field_stages(info, samples, run_dir)[3]
+    branch = _stage(info, "branch-classifier", samples.classify_branch,
                     particle.mass, particle.potential.f,
                     D=None, time_derivative="omitted")
+    del samples
     _write_json(run_dir / "branch.json", {
         **branch.to_dict(),
         "time_derivative": "omitted",
         "warnings": branch.reports[+1].warnings,
     })
+    sweep = _stage(info, "diffusion-sweep", diffusion_sweep, ens, sweep_spec,
+                   sweep_lags)
+    _write_json(run_dir / "dsweep.json", sweep.to_dict())
 
     # field-synthesis cross-check: fresh realizations, never the driving ones
     n_ac = 200
@@ -546,8 +551,16 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
 
     cg = cfg["coarse_grain"]
     window = tuple(float(x) for x in cg["t_window"])
-    spec0, v_field, u_field, va_est, _, sweep = _estimator_stage(
-        cfg, info, eq, run_dir, window, 1e30, (1, 2, 4, 10))
+    spec0, sweep_spec, sweep_lags = _coarse_grain_specs(
+        cfg, eq, window, 1e30, (1, 2, 4, 10))
+    samples = _stage(info, "gather-samples", SampleSet, eq, spec0)
+    v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
+    # the variance row reads the first reference time's central samples
+    x_ref2 = np.square(samples.x0[:, 0])
+    del samples
+    sweep = _stage(info, "diffusion-sweep", diffusion_sweep, eq, sweep_spec,
+                   sweep_lags)
+    _write_json(run_dir / "dsweep.json", sweep.to_dict())
     delta_t = spec0.delta_t
 
     # branch classification on the early relaxing window, time derivatives
@@ -593,9 +606,8 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
                / u_field.std_error[uu])
     pulls_d = [abs(e.value - d0) / e.std_error for e in sweep.estimates]
 
-    x_ref2 = np.square(eq.positions[:, _first_ref_index(eq, spec0)])
     var_sed = float(np.mean(x_ref2))
-    var_se = float(np.std(x_ref2, ddof=1) / math.sqrt(eq.n_traj))
+    var_se = float(np.std(x_ref2, ddof=1) / math.sqrt(x_ref2.size))
 
     eq_prov = "equilibrium-start exact sampler (ensemble/)"
     relax_prov = "cold-start exact sampler, relaxing window (ensemble_relaxing/)"
@@ -642,11 +654,6 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
                   ref_prov="discrimination margin required by config"),
     ]
     return report
-
-
-def _first_ref_index(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> int:
-    t = spec.reference_times[0]
-    return int(round((t - ens.t0) / ens.rec_dt))
 
 
 # pipeline(cfg, run_dir, info, progress) -> ComparisonReport; it records the

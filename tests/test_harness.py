@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sedsim import harness
+from sedsim import harness, kinematics
 from sedsim.cli import main
 from sedsim.config import ConfigError, dumps_config, load_config, validate_config
+from sedsim.dynamics import TrajectoryEnsemble
 from sedsim.harness import (
     ComparisonReport,
     PipelineError,
@@ -243,6 +244,38 @@ def test_calibration_run_passes_everything(ou_run):
     assert by_name["diffusion_plateau_found"].passed
 
 
+def test_each_reference_set_is_gathered_and_binned_once(tmp_path, monkeypatch):
+    # sed: one sample set at the lag (fields and classifier), one for the
+    # sweep; ou: those two plus the relaxing classifier's. Positions are
+    # gathered once per column block: x0, xp, xm at the lag, x0 plus one
+    # forward block per lag for the sweep; on sed the integrator's step
+    # check and the window statistics read them once more each.
+    counts = {"bin": 0, "gather": 0}
+    bin_index = kinematics._bin_index
+    intact = TrajectoryEnsemble.intact
+
+    def counting_bin_index(*args):
+        counts["bin"] += 1
+        return bin_index(*args)
+
+    def counting_intact(ens, name, cols=None):
+        counts["gather"] += name == "positions"
+        return intact(ens, name, cols)
+
+    monkeypatch.setattr(kinematics, "_bin_index", counting_bin_index)
+    monkeypatch.setattr(TrajectoryEnsemble, "intact", counting_intact)
+    run_experiment(mini_sed_config(), output_root=tmp_path / "sed")
+    assert counts == {"bin": 2, "gather": 2 + 3 + (1 + 3)}
+
+    counts.update(bin=0, gather=0)
+    ou = json.loads(OU_CONFIG.read_text())
+    ou["ensemble"]["n_traj"] = 20_000
+    ou["langevin"]["n_traj_relax"] = 50_000
+    ou["outputs"]["ensemble_dump"] = "none"
+    run_experiment(ou, output_root=tmp_path / "ou")
+    assert counts == {"bin": 3, "gather": 3 + (1 + 4) + 3}
+
+
 def test_existing_run_directory_is_refused(tmp_path):
     cfg = mini_sed_config()
     (tmp_path / "mini_sed").mkdir()
@@ -262,8 +295,9 @@ def test_invalid_config_writes_nothing(tmp_path):
 def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
         tmp_path, monkeypatch, capsys):
     # 128 modes on [0.9, 1.1]: the field repeats after 2 pi 128/0.2 = 4021.24;
-    # 4021.2 ends so close to it that the step would fall below dt/2; a
-    # comb uniform in omega^4 has no FFT-exact grid at all
+    # 4021.2 ends so close to it that the step would fall below dt/2; the
+    # field keys with a single usable value (a uniform comb, one component)
+    # are not part of the schema
     cfg = mini_sed_config()
     cfg_path = tmp_path / "long.json"
     root = tmp_path / "out"
@@ -274,7 +308,8 @@ def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
             ("time", "t_final", 4021.2, "comb period 4021.24; holding it "
                                         "would take the step below dt/2 = 0.1"),
             ("field", "mode_spacing", "uniform-in-omega^4",
-             "needs uniform mode spacing")):
+             "unknown key 'mode_spacing' in field"),
+            ("field", "components", 3, "unknown key 'components' in field")):
         bad = copy.deepcopy(cfg)
         bad[section][key] = value
         cfg_path.write_text(json.dumps(bad))

@@ -26,6 +26,7 @@ import sedsim.kinematics
 from sedsim.kinematics import (
     CoarseGrainSpec,
     KinematicsError,
+    SampleSet,
     classify_branch,
     density_estimate,
     diffusion_sweep,
@@ -234,15 +235,35 @@ def test_measured_time_derivative_needs_uniform_references():
             1.0, lambda x: -x, -1, time_derivative="measured")
 
 
+def assert_bitwise(got, want, name=""):
+    """Equal to the bit, field by field through nested dataclasses."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), name
+        for f in dataclasses.fields(want):
+            assert_bitwise(getattr(got, f.name), getattr(want, f.name), f.name)
+    elif isinstance(want, np.ndarray):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    elif isinstance(want, list):
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            assert_bitwise(a, b, name)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), name
+        for key in want:
+            assert_bitwise(got[key], want[key], f"{name}[{key!r}]")
+    else:
+        assert got == want, name
+
+
 @pytest.mark.parametrize("x0, refs, time_derivative", [
     ("stationary", None, "omitted"),
     (0.0, (0.15, 0.18, 0.21), "measured"),
 ])
 def test_shared_samples_match_the_standalone_estimators_bitwise(
         x0, refs, time_derivative):
-    # estimate_va and classify_branch derive several estimates from one set
-    # of gathered samples; each must equal its standalone route to the bit.
-    # Flagged rows route the gather through the intact-row selection.
+    # one sample set serves every estimator; each estimate read from it must
+    # equal its standalone route to the bit. Flagged rows route the gather
+    # through the intact-row selection.
     ens = ou_ensemble(0.1, 0.1, 20000, 0.01, 26, 45, x0=x0)
     ens.status[::97] = STATUS_NONFINITE
     spec = CoarseGrainSpec(delta_t=0.01, x_bins=16, reference_times=refs)
@@ -251,20 +272,32 @@ def test_shared_samples_match_the_standalone_estimators_bitwise(
         va.v_minus_u.values,
         estimate_v(ens, spec).values - estimate_u(ens, spec).values)
 
+    samples = SampleSet(ens, spec)
+    assert_bitwise(samples.field("v"), estimate_v(ens, spec))
+    assert_bitwise(samples.field("u"), estimate_u(ens, spec))
+    assert_bitwise(samples.va(), va)
+    assert_bitwise(samples.density(), density_estimate(ens, spec))
+
     force = lambda x: -0.1 * x
-    branch = classify_branch(ens, spec, 1.0, force,
-                             time_derivative=time_derivative)
+    branch = samples.classify_branch(1.0, force, time_derivative=time_derivative)
+    assert_bitwise(branch, classify_branch(ens, spec, 1.0, force,
+                                           time_derivative=time_derivative))
     D = estimate_D(ens, spec).value
     assert branch.D_used == D
     for lam in (+1, -1):
         alone = dynamics_residuals(ens, spec, 1.0, force, lam, D=D,
                                    time_derivative=time_derivative)
-        for f in dataclasses.fields(alone):
-            got, want = getattr(branch.reports[lam], f.name), getattr(alone, f.name)
-            if isinstance(want, np.ndarray):
-                np.testing.assert_array_equal(got, want, err_msg=f.name)
-            else:
-                assert got == want, f.name
+        assert_bitwise(branch.reports[lam], alone)
+
+    # the sweep's lags share the largest lag's reference set; with explicit
+    # reference times each lag equals estimate_D on the same times
+    lags = (0.01, 0.02, 0.04)
+    sweep_spec = dataclasses.replace(
+        spec, reference_times=refs or tuple(ens.times[4:23:2]))
+    sweep = diffusion_sweep(ens, sweep_spec, lags)
+    assert_bitwise(sweep.estimates,
+                   [estimate_D(ens, dataclasses.replace(sweep_spec, delta_t=lag))
+                    for lag in lags])
 
 
 # ---------------------------------------------------------------------------
