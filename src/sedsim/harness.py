@@ -343,6 +343,18 @@ def _field_stages(info: dict, samples: SampleSet, run_dir: Path):
     return v_field, u_field, va_est, rho_field
 
 
+def _window_statistics(ens: TrajectoryEnsemble, window):
+    """Position variance over the window's records, pooled over the intact
+    trajectories, and its standard error from the per-trajectory means."""
+    xw = ens.intact("positions",
+                    (ens.times >= window[0]) & (ens.times <= window[1]))
+    per_traj_x2 = np.mean(xw**2, axis=1)
+    xbar = float(np.mean(xw))
+    x_var_sed = float(np.mean(per_traj_x2)) - xbar**2
+    x_var_se = float(np.std(per_traj_x2, ddof=1) / math.sqrt(per_traj_x2.shape[0]))
+    return x_var_sed, x_var_se
+
+
 # ---------------------------------------------------------------------------
 # sed_harmonic_ground pipeline
 
@@ -438,13 +450,8 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
     _write_xy_csv(run_dir / "velocity_qm.csv", "x,v_qm,u_qm",
                   (rho_field.x_centers, np.zeros_like(u_ref_bins), u_ref_bins))
 
-    # simulation-side window statistics
-    xw = ens.intact("positions",
-                    (ens.times >= window[0]) & (ens.times <= window[1]))
-    per_traj_x2 = np.mean(xw**2, axis=1)
-    xbar = float(np.mean(xw))
-    x_var_sed = float(np.mean(per_traj_x2)) - xbar**2
-    x_var_se = float(np.std(per_traj_x2, ddof=1) / math.sqrt(per_traj_x2.shape[0]))
+    x_var_sed, x_var_se = _stage(info, "window-statistics",
+                                 _window_statistics, ens, window)
 
     if sweep.plateau_found:
         d_sed = sweep.value

@@ -327,7 +327,8 @@ class SampleSet:
     x0.ravel() order) their bins on edges fixed by spec.x_range or the
     sample extent. xp and xm, k steps ahead and behind, are gathered on
     first use; diffusion(steps=j) gathers only the positions j steps
-    ahead, so shorter lags share x0 and its bins.
+    ahead, so shorter lags share x0 and its bins. Each binned field and the
+    density are computed once per set and shared by every caller.
     """
 
     def __init__(self, ens: TrajectoryEnsemble, spec: CoarseGrainSpec):
@@ -344,6 +345,7 @@ class SampleSet:
         self.width = float(edges[1] - edges[0])
         self.centers = 0.5 * (edges[:-1] + edges[1:])
         self.idx, self.inside = _bin_index(edges, x)
+        self._fields = {}
 
     def _ahead(self, steps: int) -> np.ndarray:
         return self.ens.intact("positions", self.ridx + steps)
@@ -374,10 +376,12 @@ class SampleSet:
 
     def field(self, kind: str) -> BinnedField:
         """Bin-conditional mean of the v, u or va increments."""
-        counts, mean, se = _binned_mean(self.idx, self.inside,
-                                        self._increments(kind).ravel(),
-                                        self.spec.x_bins)
-        return self._binned_field(kind, counts, mean, se)
+        if kind not in self._fields:
+            counts, mean, se = _binned_mean(self.idx, self.inside,
+                                            self._increments(kind).ravel(),
+                                            self.spec.x_bins)
+            self._fields[kind] = self._binned_field(kind, counts, mean, se)
+        return self._fields[kind]
 
     def va(self) -> VaEstimate:
         direct = self.field("va")
@@ -395,14 +399,17 @@ class SampleSet:
 
     def density(self) -> BinnedField:
         """Normalized position density on the coarse-graining bins."""
-        counts = np.bincount(self.idx, weights=self.inside.astype(float),
-                             minlength=self.spec.x_bins)
-        n = float(self.inside.sum())
-        p = counts / n
-        rho = p / self.width
-        se = np.sqrt(np.maximum(p * (1 - p), 0.0) / n) / self.width
-        return self._binned_field("rho", counts, rho, se,
-                                  normalization="unit integral over binned range")
+        if "rho" not in self._fields:
+            counts = np.bincount(self.idx, weights=self.inside.astype(float),
+                                 minlength=self.spec.x_bins)
+            n = float(self.inside.sum())
+            p = counts / n
+            rho = p / self.width
+            se = np.sqrt(np.maximum(p * (1 - p), 0.0) / n) / self.width
+            self._fields["rho"] = self._binned_field(
+                "rho", counts, rho, se,
+                normalization="unit integral over binned range")
+        return self._fields["rho"]
 
     def diffusion(self, subtract_mean: bool = True,
                   steps: int | None = None) -> DiffusionEstimate:

@@ -112,10 +112,11 @@ def test_run_json_records_the_resolved_grid(sed_run, ou_run):
 
 
 def test_run_json_records_the_stage_ledger(sed_run, ou_run):
-    for run, stage in ((sed_run, "integrate"), (ou_run, "sample-relaxing")):
+    for run, names in ((sed_run, {"integrate", "window-statistics"}),
+                       (ou_run, {"sample-relaxing"})):
         run_meta = json.loads((run.run_dir / "run.json").read_text())
         stages = run_meta["stages"]
-        assert stage in [s["name"] for s in stages]
+        assert names <= {s["name"] for s in stages}
         assert all(set(s) == {"name", "wall_s", "cpu_s", "peak_rss_mb"}
                    for s in stages)
         assert all(s["wall_s"] >= 0 and s["cpu_s"] >= 0 for s in stages)
@@ -249,31 +250,44 @@ def test_each_reference_set_is_gathered_and_binned_once(tmp_path, monkeypatch):
     # sweep; ou: those two plus the relaxing classifier's. Positions are
     # gathered once per column block: x0, xp, xm at the lag, x0 plus one
     # forward block per lag for the sweep; on sed the integrator's step
-    # check and the window statistics read them once more each.
-    counts = {"bin": 0, "gather": 0}
+    # check and the window statistics read them once more each. Each binned
+    # mean is computed once per set: sed v, u, va, the classifier's D and
+    # one D per sweep lag; ou v, u, va, one D per sweep lag, and the relaxing
+    # classifier's D and its v and u at three reference times. The parent
+    # recomputed v and u inside va and the omitted-mode residuals: 11 and 16
+    # calls on these configs (14 and 16 on the shipped ones).
+    counts = {"bin": 0, "gather": 0, "binned_mean": 0}
     bin_index = kinematics._bin_index
+    binned_mean = kinematics._binned_mean
     intact = TrajectoryEnsemble.intact
 
     def counting_bin_index(*args):
         counts["bin"] += 1
         return bin_index(*args)
 
+    def counting_binned_mean(*args):
+        counts["binned_mean"] += 1
+        return binned_mean(*args)
+
     def counting_intact(ens, name, cols=None):
         counts["gather"] += name == "positions"
         return intact(ens, name, cols)
 
     monkeypatch.setattr(kinematics, "_bin_index", counting_bin_index)
+    monkeypatch.setattr(kinematics, "_binned_mean", counting_binned_mean)
     monkeypatch.setattr(TrajectoryEnsemble, "intact", counting_intact)
     run_experiment(mini_sed_config(), output_root=tmp_path / "sed")
-    assert counts == {"bin": 2, "gather": 2 + 3 + (1 + 3)}
+    assert counts == {"bin": 2, "gather": 2 + 3 + (1 + 3),
+                      "binned_mean": 2 + 1 + 1 + 3}
 
-    counts.update(bin=0, gather=0)
+    counts.update(bin=0, gather=0, binned_mean=0)
     ou = json.loads(OU_CONFIG.read_text())
     ou["ensemble"]["n_traj"] = 20_000
     ou["langevin"]["n_traj_relax"] = 50_000
     ou["outputs"]["ensemble_dump"] = "none"
     run_experiment(ou, output_root=tmp_path / "ou")
-    assert counts == {"bin": 3, "gather": 3 + (1 + 4) + 3}
+    assert counts == {"bin": 3, "gather": 3 + (1 + 4) + 3,
+                      "binned_mean": 2 + 1 + 4 + (1 + 2 * 3)}
 
 
 def test_existing_run_directory_is_refused(tmp_path):

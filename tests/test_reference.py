@@ -7,10 +7,12 @@ the main pipeline is involved on either route.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sedsim import reference
 from sedsim.dynamics import ParticleSpec, harmonic_potential, quartic_potential
 from sedsim.field import FieldSpec, eval_field, make_field
 from sedsim.reference import (
@@ -90,6 +92,71 @@ def test_sampler_input_validation():
         ou_ensemble(-1.0, 0.3, 10, 0.1, 2, 1)
     with pytest.raises(ValueError, match="stationary"):
         ou_ensemble(0.0, 0.3, 10, 0.1, 2, 1, x0="stationary")
+
+
+
+def whole_array_oracle(theta, D0, n_traj, dt, n_steps, seed, x0=0.0):
+    """The sampler as one whole-array noise draw and a loop over columns:
+    the stationary starts, then every increment in row-major order."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    x = np.empty((n_traj, n_steps + 1))
+    if x0 == "stationary":
+        x[:, 0] = math.sqrt(D0 / theta) * rng.standard_normal(n_traj)
+    else:
+        x[:, 0] = float(x0)
+    if theta > 0:
+        rho = math.exp(-theta * dt)
+        step_std = math.sqrt(D0 / theta * (1.0 - rho * rho))
+    else:
+        rho, step_std = 1.0, math.sqrt(2.0 * D0 * dt)
+    noise = rng.standard_normal((n_traj, n_steps))
+    for j in range(n_steps):
+        x[:, j + 1] = rho * x[:, j] + step_std * noise[:, j]
+    return x
+
+
+BLOCK = reference._ROW_BLOCK
+
+
+@pytest.mark.parametrize("theta, n_traj, n_steps, x0", [
+    (0.8, 1, 6, 0.7),
+    (0.8, 1, 6, "stationary"),
+    (0.8, BLOCK, 6, 0.7),
+    (0.8, BLOCK, 6, "stationary"),
+    (0.8, BLOCK + 1, 6, 0.7),                 # ragged last block
+    (0.8, 2 * BLOCK + 1, 6, "stationary"),
+    (0.0, BLOCK + 1, 6, 0.7),                 # Wiener, through wiener_ensemble
+    (0.8, BLOCK + 1, 0, "stationary"),        # starts only
+    (0.8, 0, 6, "stationary"),                # no trajectories
+])
+def test_row_blocks_reproduce_the_whole_array_draw(theta, n_traj, n_steps, x0):
+    args = (0.3, n_traj, 0.05, n_steps, (5, 2))
+    ens = (wiener_ensemble(*args, x0=x0) if theta == 0
+           else ou_ensemble(theta, *args, x0=x0))
+    assert np.array_equal(ens.positions,
+                          whole_array_oracle(theta, *args, x0=x0))
+    assert ens.positions.shape == (n_traj, n_steps + 1)
+    assert ens.seeds.shape == (n_traj, 2) and ens.status.shape == (n_traj,)
+    assert np.array_equal(ens.seeds[:, 1], np.arange(n_traj))
+
+
+def test_sampler_memory_is_the_output_plus_one_block():
+    # one block of noise plus a few block-long columns of temporaries (one
+    # column step, one block of stationary starts); the whole-array draw
+    # held n_traj x n_steps doubles of noise on top of the output
+    n_steps = 40
+    bound = 8 * BLOCK * (n_steps + 6)
+    for n_traj in (3 * BLOCK, 12 * BLOCK):
+        tracemalloc.start()
+        try:
+            ens = ou_ensemble(0.8, 0.3, n_traj, 0.05, n_steps, 7,
+                              x0="stationary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(a.nbytes for a in (ens.positions, ens.seeds,
+                                        ens.status, ens.times))
+        assert peak - output < bound
 
 
 # ---------------------------------------------------------------------------
