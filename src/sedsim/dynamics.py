@@ -61,16 +61,15 @@ CHUNK = 512
 # 8,192 and 0.57-0.62 s at 4,096.
 _SLAB = 8192
 
-# Rows of a chunk that take their transient together on the response path;
-# each temporary is ROW_BLOCK x n_rec doubles, 2.1 MB on the shipped grid.
+# Rows taken together wherever whole rows of records are worked on: the
+# transient on the response path and the walk of intact_blocks.
+# Each temporary is ROW_BLOCK x n_rec doubles, 2.1 MB on the shipped grid.
+# On the shipped run the window reductions took about as long at 8 to 64
+# rows; at 128 the relaxation curve took 1.6x as long.
 ROW_BLOCK = 32
 
 # Records per block of the transient on the response path; see _add_transient.
 _TRANSIENT_BLOCK = 64
-
-# Values per block of the window reductions in energy_balance and
-# relaxation_curve, 2 MB of doubles per copied array.
-_REDUCE_BLOCK = 1 << 18
 
 DUMP_SCHEMA_VERSION = 1
 
@@ -284,15 +283,34 @@ class TrajectoryEnsemble:
     def ok_mask(self) -> np.ndarray:
         return self.status == STATUS_OK
 
-    def intact(self, name: str, cols=None) -> np.ndarray:
-        """STATUS_OK rows of positions, velocities or field_values, limited
-        to the recorded columns cols (mask or indices) when given. Copies only
-        the selection; returns the stored array when nothing is excluded."""
+    def intact(self, name: str, cols) -> np.ndarray:
+        """STATUS_OK rows of positions, velocities or field_values at the
+        recorded columns cols (mask or indices), copying only the
+        selection. Whole rows go through intact_blocks."""
         arr = getattr(self, name)
         ok = self.ok_mask()
-        if ok.all():
-            return arr if cols is None else arr[:, cols]
-        return arr[ok] if cols is None else arr[np.ix_(ok, cols)]
+        return arr[:, cols] if ok.all() else arr[np.ix_(ok, cols)]
+
+    def intact_blocks(self, names, cols: slice = slice(None)):
+        """Walk the STATUS_OK rows of the named arrays over the recorded
+        columns cols, ROW_BLOCK rows at a time in row order, yielding one
+        row-major block per name: views when no row is flagged, else
+        copies. A reduction along time is local to a block's rows; one over
+        trajectories adds each block's column sums in order (Chan, Golub &
+        LeVeque, Am. Stat. 37, 242 (1983)). With no intact row the walk
+        yields one empty block."""
+        ok = np.flatnonzero(self.ok_mask())
+        whole = ok.size == self.n_traj
+        for lo in range(0, max(ok.size, 1), ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK) if whole else ok[lo:lo + ROW_BLOCK]
+            yield [getattr(self, name)[rows, cols] for name in names]
+
+    def window_columns(self, window) -> slice:
+        """The recorded columns with window[0] <= t <= window[1]; the
+        recorded times increase, so they are one slice."""
+        lo = int(np.searchsorted(self.times, window[0], side="left"))
+        hi = int(np.searchsorted(self.times, window[1], side="right"))
+        return slice(lo, max(lo, hi))
 
 
 def _step_response(step, omegas, h2: float, stride: int):
@@ -564,9 +582,9 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     )
     # the dt bound above knows only the field band; a stiff potential can
     # move faster than the field where the trajectories actually went
-    fp_max = np.max(np.abs(particle.potential.fprime(ens.intact("positions"))),
-                    initial=0.0)
-    omega_loc = math.sqrt(float(fp_max) / particle.mass)
+    fp_max = max(float(np.max(np.abs(particle.potential.fprime(x)), initial=0.0))
+                 for (x,) in ens.intact_blocks(("positions",)))
+    omega_loc = math.sqrt(fp_max / particle.mass)
     if 10.0 * omega_loc * dt > 2.0 * math.pi:
         warnings.append(
             f"step size dt={dt:g} exceeds 2 pi/(10 omega_loc)="
@@ -622,31 +640,33 @@ def energy_balance(ens: TrajectoryEnsemble, particle: ParticleSpec,
     if ens.field_values is None:
         raise IntegrationError("ensemble was integrated without stored field values")
     t_start, t_end = window
-    sel = (ens.times >= t_start) & (ens.times <= t_end)
-    if not sel.any():
+    cols = ens.window_columns(window)
+    w = cols.stop - cols.start
+    if w == 0:
         raise IntegrationError(f"empty window {window} on recorded grid")
+    nt = int(np.count_nonzero(ens.ok_mask()))
+    if nt == 0:
+        raise IntegrationError("no intact trajectory: every row is non-finite")
     warnings = []
     omega_char = ens.meta.get("omega_char") or 1.0
     if (t_end - t_start) < 10.0 * (2.0 * math.pi / omega_char):
         warnings.append("window shorter than 10 periods of the systematic motion")
 
-    # window sums per trajectory of the absorbed power, the radiated power
-    # and the energy, added column by column in time order
-    nt, w = int(np.count_nonzero(ens.ok_mask())), int(np.count_nonzero(sel))
-    sums = np.zeros((3, nt))
-    e_of_t = np.empty(w)
-    # the recorded times increase, so the window is one run of columns
-    first = int(np.argmax(sel))
-    blocks = _column_blocks(ens, ("positions", "velocities", "field_values"),
-                            slice(first, first + w), "F")
-    for cols, (x, v, efield) in blocks:
-        _add_in_order(sums[0], (particle.charge * efield * v).T)
-        _add_in_order(sums[1], (particle.mass * particle.tau
-                                * particle.acceleration(x, v, efield)**2).T)
-        energy_ti = particle.energy(x, v)
-        _add_in_order(sums[2], energy_ti.T)
-        e_of_t[cols] = np.mean(energy_ti, axis=0)
-    absorbed_traj, radiated_traj, energy_traj = sums / w
+    # per trajectory: window means of the absorbed power, the radiated power
+    # and the energy; per time: the energy summed over trajectories
+    per_traj = []
+    e_sum = np.zeros(w)
+    for x, v, efield in ens.intact_blocks(
+            ("positions", "velocities", "field_values"), cols):
+        energy = particle.energy(x, v)
+        per_traj.append([
+            np.mean(particle.charge * efield * v, axis=1),
+            np.mean(particle.mass * particle.tau
+                    * particle.acceleration(x, v, efield)**2, axis=1),
+            np.mean(energy, axis=1)])
+        e_sum += np.sum(energy, axis=0)
+    absorbed_traj, radiated_traj, energy_traj = np.concatenate(per_traj, axis=1)
+    e_of_t = e_sum / nt
 
     absorbed = float(np.mean(absorbed_traj))
     radiated = float(np.mean(radiated_traj))
@@ -657,7 +677,7 @@ def energy_balance(ens: TrajectoryEnsemble, particle: ParticleSpec,
 
     # net energy drift across the window, from a linear fit of the
     # ensemble-mean energy
-    tw = ens.times[sel]
+    tw = ens.times[cols]
     slope, se_trend = 0.0, 0.0
     if tw.size > 2:
         fit = np.polyfit(tw, e_of_t, 1)
@@ -679,48 +699,19 @@ def energy_balance(ens: TrajectoryEnsemble, particle: ParticleSpec,
 def relaxation_curve(ens: TrajectoryEnsemble, particle: ParticleSpec):
     """Ensemble-mean energy at each recorded time.
 
-    Returns (times, mean_energy). Requires at least 100 trajectories for a
-    meaningful mean; the approach to the stationary plateau should be judged
-    on window averages, not pointwise.
+    Returns (times, mean_energy), the mean over the intact trajectories:
+    on its window, the numbers energy_balance fits. Requires at least 100
+    intact trajectories for a meaningful mean; the approach to the
+    stationary plateau should be judged on window averages, not pointwise.
     """
-    if ens.n_traj < 100:
-        raise IntegrationError("relaxation curve needs an ensemble of >= 100")
-    curve = np.empty(ens.times.size)
-    every = slice(0, ens.times.size)
-    for cols, (x, v) in _column_blocks(ens, ("positions", "velocities"),
-                                       every, "K"):
-        curve[cols] = np.mean(particle.energy(x, v), axis=0)
-    return ens.times.copy(), curve
-
-
-def _column_blocks(ens: TrajectoryEnsemble, names, cols: slice, order: str):
-    """The STATUS_OK rows of the named arrays over the recorded columns
-    cols, in blocks of consecutive columns holding about _REDUCE_BLOCK
-    values each. Yields (slice into cols, [one block per name]); order "F"
-    copies each block column-major, "K" leaves it as indexed, row-major.
-
-    A block holds every intact row, so a reduction over trajectories sums
-    each column as the whole array would: pairwise for "F", in order for
-    "K". Sums along time go through _add_in_order. energy_balance uses "F"
-    and relaxation_curve "K", the layouts their whole-window arrays had,
-    so both keep their bytes while copying one block at a time.
-    """
-    ok = ens.ok_mask()
-    rows = slice(None) if ok.all() else np.flatnonzero(ok)
-    width = max(1, _REDUCE_BLOCK // max(1, np.count_nonzero(ok)))
-    for lo in range(cols.start, cols.stop, width):
-        block = (rows, slice(lo, min(lo + width, cols.stop)))
-        yield (slice(lo - cols.start, block[1].stop - cols.start),
-               [np.asarray(getattr(ens, name)[block], order=order)
-                for name in names])
-
-
-def _add_in_order(total, rows):
-    """Add rows to total one at a time, in order, as numpy sums an array
-    along an axis that is not its contiguous one; a running total over
-    blocks is then that whole-array sum bit for bit."""
-    for row in rows:
-        total += row
+    n_ok = int(np.count_nonzero(ens.ok_mask()))
+    if n_ok < 100:
+        raise IntegrationError(f"relaxation curve needs >= 100 intact "
+                               f"trajectories, has {n_ok}")
+    total = np.zeros(ens.times.size)
+    for x, v in ens.intact_blocks(("positions", "velocities")):
+        total += np.sum(particle.energy(x, v), axis=0)
+    return ens.times.copy(), total / n_ok
 
 
 # ---------------------------------------------------------------------------

@@ -248,12 +248,12 @@ def _refs_in_window(ens: TrajectoryEnsemble, window, lag: float,
     """Recorded times inside the window with room for +/- lag, thinned."""
     lo = max(window[0], ens.times[0] + lag)
     hi = min(window[1], ens.times[-1] - lag)
-    sel = np.nonzero((ens.times >= lo - 1e-9) & (ens.times <= hi + 1e-9))[0]
-    sel = sel[::max(1, thin_steps)]
-    if sel.size == 0:
+    refs = ens.times[ens.window_columns((lo - 1e-9, hi + 1e-9))]
+    refs = refs[::max(1, thin_steps)]
+    if refs.size == 0:
         raise PipelineError(
             f"no recorded times inside window {list(window)} with lag {lag:g}")
-    return tuple(float(t) for t in ens.times[sel])
+    return tuple(float(t) for t in refs)
 
 
 def _snap_lag(ens: TrajectoryEnsemble, lag) -> float:
@@ -345,11 +345,13 @@ def _field_stages(info: dict, samples: SampleSet, run_dir: Path):
 
 def _window_statistics(ens: TrajectoryEnsemble, window):
     """Position variance over the window's records, pooled over the intact
-    trajectories, and its standard error from the per-trajectory means."""
-    xw = ens.intact("positions",
-                    (ens.times >= window[0]) & (ens.times <= window[1]))
-    per_traj_x2 = np.mean(xw**2, axis=1)
-    xbar = float(np.mean(xw))
+    trajectories, and its standard error from the per-trajectory means.
+    Every trajectory has the window's records, so the pooled mean is the
+    mean of the per-trajectory means."""
+    blocks = ens.intact_blocks(("positions",), ens.window_columns(window))
+    per_traj_x, per_traj_x2 = np.concatenate(
+        [[np.mean(x, axis=1), np.mean(x**2, axis=1)] for (x,) in blocks], axis=1)
+    xbar = float(np.mean(per_traj_x))
     x_var_sed = float(np.mean(per_traj_x2)) - xbar**2
     x_var_se = float(np.std(per_traj_x2, ddof=1) / math.sqrt(per_traj_x2.shape[0]))
     return x_var_sed, x_var_se
@@ -885,17 +887,18 @@ def emit_plot_data(run_dir) -> list:
                 "missing artifact: ensemble field values "
                 "(rerun with ensemble.store_field = true)")
         particle = _build_particle(cfg, c=float(cfg["field"].get("c", 1.0)))
-        window = tuple(float(x) for x in cfg["coarse_grain"]["t_window"])
-        sel = (ens.times >= window[0]) & (ens.times <= window[1])
-        vv = ens.intact("velocities", sel)
-        ef = ens.intact("field_values", sel)
-        acc = particle.acceleration(ens.intact("positions", sel), vv, ef)
-        absorbed = np.mean(particle.charge * ef * vv, axis=0)
-        radiated = np.mean(particle.mass * particle.tau * acc**2, axis=0)
+        cols = ens.window_columns(cfg["coarse_grain"]["t_window"])
+        absorbed, radiated = np.zeros((2, cols.stop - cols.start))
+        for x, v, ef in ens.intact_blocks(
+                ("positions", "velocities", "field_values"), cols):
+            acc = particle.acceleration(x, v, ef)
+            absorbed += np.sum(particle.charge * ef * v, axis=0)
+            radiated += np.sum(particle.mass * particle.tau * acc**2, axis=0)
+        n_ok = np.count_nonzero(ens.ok_mask())
         written += _write_figure(
             plot_dir, "balance_trace", "Energy balance across the window",
             "t", "power", "t,absorbed,radiated",
-            (ens.times[sel], absorbed, radiated),
+            (ens.times[cols], absorbed / n_ok, radiated / n_ok),
             'u 1:2 w l t "absorbed", "balance_trace.dat" u 1:3 w l t "radiated"')
 
     return written

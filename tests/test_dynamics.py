@@ -19,11 +19,13 @@ from scipy.integrate import solve_ivp
 
 from sedsim.dynamics import (
     CHUNK,
+    ROW_BLOCK,
     STATUS_NONFINITE,
     STATUS_OK,
     DeltaIC,
     IntegrationError,
     ParticleSpec,
+    TrajectoryEnsemble,
     comb_time_grid,
     dump_ensemble,
     energy_balance,
@@ -40,6 +42,7 @@ import sedsim.dynamics
 import sedsim.field
 from sedsim.field import (FieldSpec, comb_cache_params, comb_sum_grid,
                           eval_field, make_field)
+from sedsim.harness import _window_statistics
 from sedsim.reference import harmonic_response, harmonic_trajectory
 
 SED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sed_harmonic_ground.json"
@@ -545,6 +548,17 @@ def test_relaxation_curve_needs_a_real_ensemble():
                              0.0, 0.1, 10, 3, 1)
     with pytest.raises(IntegrationError, match="100"):
         relaxation_curve(ens, harmonic_particle())
+    # the mean is over the intact rows, so they are what counts
+    ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
+                             0.0, 0.1, 10, 120, 1)
+    ens.status[:20] = STATUS_NONFINITE
+    ens.positions[:20] = np.nan
+    curve = relaxation_curve(ens, harmonic_particle())[1]
+    np.testing.assert_allclose(curve, np.mean(harmonic_particle().energy(
+        ens.positions[20:], ens.velocities[20:]), axis=0), rtol=1e-13)
+    ens.status[20] = STATUS_NONFINITE
+    with pytest.raises(IntegrationError, match="100 intact trajectories, has 99"):
+        relaxation_curve(ens, harmonic_particle())
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +723,39 @@ def test_intact_selects_rows_and_columns():
     ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
                              0.0, 0.1, 10, 4, 1)
     sel = ens.times >= 0.5
-    assert ens.intact("positions") is ens.positions
     np.testing.assert_array_equal(ens.intact("velocities", sel),
                                   ens.velocities[:, sel])
     ens.status[1] = STATUS_NONFINITE
     ok = ens.ok_mask()
-    np.testing.assert_array_equal(ens.intact("positions"), ens.positions[ok])
     np.testing.assert_array_equal(ens.intact("field_values", sel),
                                   ens.field_values[ok][:, sel])
     np.testing.assert_array_equal(ens.intact("positions", [0, 3]),
                                   ens.positions[ok][:, [0, 3]])
+
+
+def test_intact_blocks_walk_the_intact_rows():
+    ens = noise_ensemble(2 * ROW_BLOCK + 5, n_rec=11, dt=0.25)
+    for window in ((0.5, 1.5), (0.4, 1.6), (0.0, 2.5), (1.6, 1.7), (1.5, 0.5)):
+        inside = (ens.times >= window[0]) & (ens.times <= window[1])
+        cols = ens.window_columns(window)
+        assert np.array_equal(np.arange(11)[cols], np.flatnonzero(inside))
+    cols = ens.window_columns((0.5, 1.5))
+    assert cols == slice(2, 7)
+    for flagged in ([], [0, ROW_BLOCK, 2 * ROW_BLOCK + 4]):
+        ens.status[flagged] = STATUS_NONFINITE
+        blocks = list(ens.intact_blocks(("positions", "field_values"), cols))
+        assert [len(x) for x, _ in blocks] == [ROW_BLOCK, ROW_BLOCK,
+                                              5 - len(flagged)]
+        for i, name in enumerate(("positions", "field_values")):
+            walked = np.concatenate([b[i] for b in blocks])
+            np.testing.assert_array_equal(walked,
+                                          ens.intact(name, np.arange(2, 7)))
+        # views of the stored rows when none is flagged, else copies
+        shared = [np.shares_memory(x, ens.positions) for x, _ in blocks]
+        assert shared == [not flagged] * len(blocks)
+    ens.status[:] = STATUS_NONFINITE
+    assert [x.shape for (x,) in ens.intact_blocks(("positions",), cols)] == [
+        (0, 5)]
 
 
 def test_step_size_guard():
@@ -770,55 +807,107 @@ def test_shipped_harmonic_parameters_do_not_warn():
 # ---------------------------------------------------------------------------
 # energy balance edge cases
 
+def noise_ensemble(n_traj: int, n_rec: int = 2001, dt: float = 0.1):
+    """Ensemble of standard normal records, for reductions that do not
+    care where the numbers came from."""
+    rng = np.random.default_rng(n_traj)
+    return TrajectoryEnsemble(
+        t0=0.0, dt=dt, n_steps=n_rec - 1, record_stride=1,
+        times=dt * np.arange(n_rec),
+        positions=rng.standard_normal((n_traj, n_rec)),
+        velocities=rng.standard_normal((n_traj, n_rec)),
+        seeds=np.zeros((n_traj, 2), dtype=np.int64),
+        status=np.zeros(n_traj, dtype=np.int8),
+        field_values=rng.standard_normal((n_traj, n_rec)))
+
+
 @pytest.mark.parametrize("flagged", [[], [3, 4, 399]])
-def test_window_reductions_go_block_by_block(monkeypatch, flagged):
-    # 400 trajectories x 2,001 records, 6.4 MB per array. With blocks of
-    # 4,096 values the reductions hold a few 32 kB copies at a time, and
-    # their bytes do not depend on the block width
-    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=64)
+def test_window_reductions_go_block_by_block(flagged):
+    # each reduction holds a few ROW_BLOCK-row blocks of the columns it
+    # walks and never a whole-window copy: at 400 and 1,600 trajectories
+    # (6.4 and 25.6 MB per array) its peak stays under one bound that does
+    # not depend on n_traj
     particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
-    ens = integrate_ensemble(particle, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
-                             0.0, 0.1, 2000, 400, 3)
-    ens.status[flagged] = STATUS_NONFINITE
     window = (50.0, 200.0)
-    balance = energy_balance(ens, particle, window).to_json()
-    curve = relaxation_curve(ens, particle)[1]
-    monkeypatch.setattr(sedsim.dynamics, "_REDUCE_BLOCK", 4096)
-    tracemalloc.start()
-    try:
-        assert energy_balance(ens, particle, window).to_json() == balance
-        balance_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        assert np.array_equal(relaxation_curve(ens, particle)[1], curve)
-        curve_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert max(balance_peak, curve_peak) < 0.1 * ens.positions.nbytes
+    for n_traj in (400, 1600):
+        ens = noise_ensemble(n_traj)
+        ens.status[flagged] = STATUS_NONFINITE
+        # each reduction with the number of records its blocks span
+        walks = ((energy_balance, (ens, particle, window), 1501),
+                 (relaxation_curve, (ens, particle), ens.times.size),
+                 (_window_statistics, (ens, window), 1501))
+        tracemalloc.start()
+        try:
+            for fn, args, width in walks:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                fn(*args)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak < 12 * ROW_BLOCK * width * 8, (fn.__name__, n_traj)
+        finally:
+            tracemalloc.stop()
 
 
-def test_energy_curve_sums_trajectories_as_the_whole_array_did():
-    # the window copies of every intact row were column-major, so each
-    # trajectory summed along time in order and each time summed the
-    # trajectories pairwise; the relaxation curve summed rows in order
+@pytest.mark.parametrize("flagged", [[], [1, 40, 299]])
+def test_window_reductions_sum_row_major_blocks(flagged):
+    # each intact trajectory sums its window pairwise, as a row-major array
+    # does along a row; each time adds the rows of a ROW_BLOCK-row block in
+    # order and then the block sums in order
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=64)
     particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
     ens = integrate_ensemble(particle, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
                              0.0, 0.1, 2000, 300, 3)
+    ens.status[flagged] = STATUS_NONFINITE
+    ok = ens.ok_mask()
+    n_ok = int(np.count_nonzero(ok))
     sel = (ens.times >= 50.0) & (ens.times <= 200.0)
-    x, v, e = (ens.positions[:, sel], ens.velocities[:, sel],
-               ens.field_values[:, sel])
-    assert x.flags.f_contiguous
+    x, v, e = (np.ascontiguousarray(a[ok][:, sel]) for a in
+               (ens.positions, ens.velocities, ens.field_values))
+    assert x.flags.c_contiguous
     energy = particle.energy(x, v)
+
+    def block_column_sums(a):
+        total = np.zeros(a.shape[1])
+        for lo in range(0, len(a), ROW_BLOCK):
+            part = a[lo].copy()
+            for row in a[lo + 1:lo + ROW_BLOCK]:
+                part += row
+            total += part
+        return total
+
     report = energy_balance(ens, particle, (50.0, 200.0))
     absorbed = np.mean(particle.charge * e * v, axis=1)
+    radiated = np.mean(particle.mass * particle.tau
+                       * particle.acceleration(x, v, e)**2, axis=1)
     assert report.mean_absorbed_power == float(np.mean(absorbed))
+    assert report.se_radiated == float(np.std(radiated, ddof=1)
+                                       / math.sqrt(n_ok))
     assert report.se_energy == float(np.std(np.mean(energy, axis=1), ddof=1)
-                                     / math.sqrt(300))
-    e_of_t = np.mean(energy, axis=0)
-    fit = np.polyfit(ens.times[sel], e_of_t, 1)
+                                     / math.sqrt(n_ok))
+    fit = np.polyfit(ens.times[sel], block_column_sums(energy) / n_ok, 1)
     assert report.energy_trend == float(fit[0]) * 150.0
-    whole = np.mean(particle.energy(ens.positions, ens.velocities), axis=0)
-    assert np.array_equal(relaxation_curve(ens, particle)[1], whole)
+    whole = particle.energy(ens.positions[ok], ens.velocities[ok])
+    assert np.array_equal(relaxation_curve(ens, particle)[1],
+                          block_column_sums(whole) / n_ok)
+    per_traj_x, per_traj_x2 = np.mean(x, axis=1), np.mean(x**2, axis=1)
+    assert _window_statistics(ens, (50.0, 200.0)) == (
+        float(np.mean(per_traj_x2) - np.mean(per_traj_x)**2),
+        float(np.std(per_traj_x2, ddof=1) / math.sqrt(n_ok)))
+
+
+def test_energy_trend_fits_the_relaxation_curve(sed_run):
+    # one number for the mean energy at a time: the balance's trend is the
+    # linear fit of the relaxation curve over the window, to the bit
+    ens, particle = sed_run
+    ens = replace(ens, status=ens.status.copy())
+    for flagged in ([], [0, 500, 1199]):
+        ens.status[flagged] = STATUS_NONFINITE
+        window = (15.0, 45.0)
+        times, curve = relaxation_curve(ens, particle)
+        cols = ens.window_columns(window)
+        fit = np.polyfit(times[cols], curve[cols], 1)
+        report = energy_balance(ens, particle, window)
+        assert report.energy_trend == float(fit[0]) * (window[1] - window[0])
 
 
 def test_energy_balance_zero_charge():
@@ -836,6 +925,14 @@ def test_energy_balance_requires_stored_field():
     ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
                              0.0, 0.1, 10, 2, 1, store_field=False)
     with pytest.raises(IntegrationError, match="stored field"):
+        energy_balance(ens, harmonic_particle(), (0.0, 1.0))
+
+
+def test_energy_balance_needs_an_intact_trajectory():
+    ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
+                             0.0, 0.1, 10, 2, 1)
+    ens.status[:] = STATUS_NONFINITE
+    with pytest.raises(IntegrationError, match="no intact trajectory"):
         energy_balance(ens, harmonic_particle(), (0.0, 1.0))
 
 

@@ -183,11 +183,10 @@ def test_rk4_unstable_run_fails_on_the_non_finite_row(tmp_path):
     assert result.exit_code == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_stage_names_the_non_finite_count(tmp_path, monkeypatch, capsys):
     # omega0 dt = 14.5 x 0.19947 = 2.89, past RK4's limit 2.828: by t_final
-    # 1137 all 120 trajectories have overflowed, and a later stage has
-    # nothing left to work on. The partial directory says that it failed
+    # 1137 all 120 trajectories have overflowed, and the energy balance has
+    # no trajectory left to work on. The partial directory says that it failed
     cfg = mini_sed_config()
     cfg["field"]["n_modes"] = 256
     cfg["particle"]["potential"]["omega0"] = 14.5
@@ -206,7 +205,7 @@ def test_failed_stage_names_the_non_finite_count(tmp_path, monkeypatch, capsys):
     assert run["error"].startswith(f"stage {run['failed_stage']!r} failed: ")
     names = [st["name"] for st in run["stages"]]
     assert names[:2] == ["time-grid", "integrate"]
-    assert run["failed_stage"] not in names
+    assert run["failed_stage"] == "energy-balance" not in names
     assert (run["non_finite_trajectories"], run["n_traj"]) == (120, 120)
     assert not (run_dir / "report.json").exists()
     assert "exit_code" not in run
@@ -249,8 +248,9 @@ def test_each_reference_set_is_gathered_and_binned_once(tmp_path, monkeypatch):
     # sed: one sample set at the lag (fields and classifier), one for the
     # sweep; ou: those two plus the relaxing classifier's. Positions are
     # gathered once per column block: x0, xp, xm at the lag, x0 plus one
-    # forward block per lag for the sweep; on sed the integrator's step
-    # check and the window statistics read them once more each. Each binned
+    # forward block per lag for the sweep. The integrator's step check and
+    # the window statistics used to gather them once more each (9 on sed);
+    # both now walk row blocks (TrajectoryEnsemble.intact_blocks). Each binned
     # mean is computed once per set: sed v, u, va, the classifier's D and
     # one D per sweep lag; ou v, u, va, one D per sweep lag, and the relaxing
     # classifier's D and its v and u at three reference times. The parent
@@ -269,7 +269,7 @@ def test_each_reference_set_is_gathered_and_binned_once(tmp_path, monkeypatch):
         counts["binned_mean"] += 1
         return binned_mean(*args)
 
-    def counting_intact(ens, name, cols=None):
+    def counting_intact(ens, name, cols):
         counts["gather"] += name == "positions"
         return intact(ens, name, cols)
 
@@ -277,7 +277,7 @@ def test_each_reference_set_is_gathered_and_binned_once(tmp_path, monkeypatch):
     monkeypatch.setattr(kinematics, "_binned_mean", counting_binned_mean)
     monkeypatch.setattr(TrajectoryEnsemble, "intact", counting_intact)
     run_experiment(mini_sed_config(), output_root=tmp_path / "sed")
-    assert counts == {"bin": 2, "gather": 2 + 3 + (1 + 3),
+    assert counts == {"bin": 2, "gather": 3 + (1 + 3),
                       "binned_mean": 2 + 1 + 1 + 3}
 
     counts.update(bin=0, gather=0, binned_mean=0)
