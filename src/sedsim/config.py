@@ -42,8 +42,6 @@ _SCHEMA = {
             "kind": (str, True),
             "omega0": (_NUM, False),
             "k4": (_NUM, False),
-            "x": (list, False),
-            "V": (list, False),
         },
     },
     "time": {

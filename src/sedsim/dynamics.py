@@ -72,6 +72,7 @@ ROW_BLOCK = 32
 _TRANSIENT_BLOCK = 64
 
 DUMP_SCHEMA_VERSION = 1
+DUMP_FORMATS = ("binary", "csv")
 
 
 class IntegrationError(ValueError):
@@ -379,17 +380,14 @@ def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
     run of length span whose 2 n_steps + 1 half-step field points lie on
     the uniform comb's FFT-exact grid of period n_fft half steps
     (comb_sum_grid). A resolved grid resolves to itself.
-    Refuses a non-positive span or dt, a non-uniform comb, and a run that
-    does not end inside the comb period, where the field repeats. Inside
-    it, each widening grows n_fft strictly, and any n_fft >= 3 period /
-    (period - span) holds the run, so the widening ends; but a span just
-    short of the period would shrink the step without limit, so a widening
-    that takes the step below dt/2 is refused before anything is
-    integrated."""
+    Refuses a non-positive span or dt and a run that does not end inside
+    the comb period, where the field repeats. Inside it, each widening
+    grows n_fft strictly, and any n_fft >= 3 period / (period - span) holds
+    the run, so the widening ends; but a span just short of the period
+    would shrink the step without limit, so a widening that takes the step
+    below dt/2 is refused before anything is integrated."""
     if span <= 0 or dt <= 0:
         raise IntegrationError("need a positive run length and dt")
-    if fspec.mode_spacing != "uniform":
-        raise IntegrationError("the integrator needs uniform mode spacing")
     h, n_fft = comb_cache_params(fspec, h_target=dt / 2.0)
     period = h * n_fft       # 2 pi n_modes/(omega_cutoff - omega_min)
     if span >= period:
@@ -723,7 +721,10 @@ def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Pa
     binary: a directory of .npy files plus meta.json (deterministic bytes,
     suitable for bit-identity comparison). csv: rows (traj_id, t, x, v) with
     full round-trip float precision, intended for small/thinned ensembles.
+    Any other format is refused before the directory is created.
     """
+    if fmt not in DUMP_FORMATS:
+        raise ValueError(f"unknown dump format {fmt!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -745,7 +746,7 @@ def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Pa
         np.save(directory / "status.npy", ens.status)
         if ens.field_values is not None:
             np.save(directory / "field_values.npy", ens.field_values)
-    elif fmt == "csv":
+    else:
         with open(directory / "trajectories.csv", "w") as fh:
             fh.write("traj_id,t,x,v\n")
             for i in range(ens.n_traj):
@@ -754,8 +755,6 @@ def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Pa
                            if ens.velocities is not None else math.nan)
                     fh.write(f"{i},{float(t)!r},"
                              f"{float(ens.positions[i, j])!r},{vij!r}\n")
-    else:
-        raise ValueError(f"unknown dump format {fmt!r}")
     return directory
 
 

@@ -31,8 +31,6 @@ from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 
-MODE_SPACINGS = ("uniform", "uniform-in-omega^4")
-
 # Direct evaluation processes the time axis in blocks of this many points to
 # bound the (n_modes x block) workspace.
 _EVAL_BLOCK = 4096
@@ -53,7 +51,6 @@ class FieldSpec:
     c: float = 1.0
     omega_cutoff: float = 1.0
     n_modes: int = 256
-    mode_spacing: str = "uniform"
     components: int = 1
     omega_min: float = 0.0
 
@@ -62,11 +59,6 @@ class FieldSpec:
             raise ValueError("omega_cutoff must be positive")
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
-        if self.mode_spacing not in MODE_SPACINGS:
-            raise ValueError(
-                f"mode_spacing must be one of {MODE_SPACINGS}, "
-                f"got {self.mode_spacing!r}"
-            )
         if self.components not in (1, 3):
             raise ValueError("components must be 1 or 3")
         if not 0.0 <= self.omega_min < self.omega_cutoff:
@@ -88,22 +80,16 @@ def spectral_density(spec: FieldSpec, omega):
 def mode_table(spec: FieldSpec):
     """Frequencies, cell widths and amplitudes of the discrete modes.
 
-    Cells partition [omega_min, omega_cutoff]; "uniform" splits evenly in
-    omega, "uniform-in-omega^4" evenly in omega^4 so that the omega^3
-    spectrum contributes equal variance per cell. Mode frequencies sit at
-    arithmetic cell midpoints; amplitudes are sqrt(2 S(omega_n) dOmega_n).
+    n_modes cells of equal width split [omega_min, omega_cutoff]; mode
+    frequencies sit at the cell midpoints, a uniform comb, and amplitudes
+    are sqrt(2 S(omega_n) dOmega).
     """
     n = spec.n_modes
-    if spec.mode_spacing == "uniform":
-        # Single shared spacing float keeps the comb arithmetic exact enough
-        # for comb_sum_grid to reconstruct it.
-        dw = (spec.omega_cutoff - spec.omega_min) / n
-        omegas = spec.omega_min + dw * (np.arange(n) + 0.5)
-        dws = np.full(n, dw)
-    else:
-        edges = np.linspace(spec.omega_min**4, spec.omega_cutoff**4, n + 1) ** 0.25
-        omegas = 0.5 * (edges[:-1] + edges[1:])
-        dws = np.diff(edges)
+    # Single shared spacing float keeps the comb arithmetic exact enough
+    # for comb_sum_grid to reconstruct it.
+    dw = (spec.omega_cutoff - spec.omega_min) / n
+    omegas = spec.omega_min + dw * (np.arange(n) + 0.5)
+    dws = np.full(n, dw)
     amps = np.sqrt(2.0 * spectral_density(spec, omegas) * dws)
     return omegas, dws, amps
 
@@ -172,10 +158,7 @@ def comb_cache_params(spec: FieldSpec, h_target: float, min_points: int = 1):
 
     comb_sum_grid needs dOmega * h = 2 pi / N for integer N.
     Returns (h, N) with N a fast FFT length covering min_points samples.
-    Only meaningful for "uniform" mode spacing.
     """
-    if spec.mode_spacing != "uniform":
-        raise ValueError("comb cache requires uniform mode spacing")
     dw = (spec.omega_cutoff - spec.omega_min) / spec.n_modes
     n0 = TWO_PI / (dw * h_target)
     n_fft = next_fast_len(max(int(math.ceil(n0 - 1e-9)), int(min_points)))

@@ -42,12 +42,11 @@ import numpy as np
 from ._version import __version__
 from .config import (ConfigError, config_hash, dumps_config, load_config,
                      validate_config)
-from .dynamics import (CHUNK, STATUS_OK, IntegrationError, ParticleSpec,
-                       TrajectoryEnsemble, DeltaIC, GaussianIC, comb_time_grid,
-                       dump_ensemble, energy_balance, free_potential,
+from .dynamics import (CHUNK, DUMP_FORMATS, STATUS_OK, IntegrationError,
+                       ParticleSpec, TrajectoryEnsemble, DeltaIC, GaussianIC,
+                       comb_time_grid, dump_ensemble, energy_balance,
                        harmonic_potential, integrate_ensemble, load_ensemble,
-                       quartic_potential, relaxation_curve,
-                       stationary_guess_ic, tabulated_potential)
+                       relaxation_curve, stationary_guess_ic)
 from .field import FieldSpec, autocorrelation_check, make_field
 from .kinematics import (CoarseGrainSpec, SampleSet, classify_branch,
                          diffusion_sweep)
@@ -183,30 +182,16 @@ def _build_field_spec(cfg: dict) -> FieldSpec:
     )
 
 
-def _build_potential(pcfg: dict, mass: float):
-    pot = pcfg["potential"]
-    kind = pot["kind"]
-    if kind == "harmonic":
-        if "omega0" not in pot:
-            raise ConfigError("harmonic potential needs particle.potential.omega0")
-        return harmonic_potential(float(pot["omega0"]), mass)
-    if kind == "free":
-        return free_potential()
-    if kind == "quartic":
-        if "k4" not in pot:
-            raise ConfigError("quartic potential needs particle.potential.k4")
-        return quartic_potential(float(pot["k4"]))
-    if kind == "tabulated":
-        if "x" not in pot or "V" not in pot:
-            raise ConfigError("tabulated potential needs particle.potential.x and .V")
-        return tabulated_potential(pot["x"], pot["V"])
-    raise ConfigError(f"unknown potential kind {kind!r}")
-
-
 def _build_particle(cfg: dict, c: float = 1.0) -> ParticleSpec:
+    """The particle in a harmonic trap, whose closed forms both pipelines
+    compare against; any other potential is refused."""
     p = cfg["particle"]
     mass = float(p["mass"])
-    potential = _build_potential(p, mass)
+    pot = p["potential"]
+    if pot["kind"] != "harmonic" or "omega0" not in pot:
+        raise ConfigError('both pipelines need particle.potential.kind '
+                          '"harmonic" with omega0')
+    potential = harmonic_potential(float(pot["omega0"]), mass)
     has_tau, has_charge = "tau" in p, "charge" in p
     if has_tau and has_charge:
         raise ConfigError("particle: give tau or charge, not both")
@@ -228,11 +213,34 @@ def _build_ic(cfg: dict, particle: ParticleSpec, hbar: float):
                           x_mean=float(ic.get("x0", 0.0)),
                           v_mean=float(ic.get("v0", 0.0)))
     if sampler == "stationary-guess":
-        omega0 = particle.potential.params.get("omega0")
-        if omega0 is None:
-            raise ConfigError("stationary-guess sampler needs a harmonic potential")
-        return stationary_guess_ic(hbar, particle.mass, omega0)
+        return stationary_guess_ic(hbar, particle.mass,
+                                   particle.potential.params["omega0"])
     raise ConfigError(f"unknown initial-condition sampler {sampler!r}")
+
+
+def _at_least_one(name: str, value) -> int:
+    if value < 1:
+        raise ConfigError(f"{name} must be at least 1, got {value}")
+    return int(value)
+
+
+def _run_inputs(cfg: dict):
+    """(window, n_traj, dump format) of either pipeline, refused unless
+    coarse_grain.t_window is two increasing times inside [time.t0,
+    time.t_final], ensemble.n_traj is at least 1 and outputs.ensemble_dump
+    is "none" or one of DUMP_FORMATS."""
+    t0, t_final = float(cfg["time"].get("t0", 0.0)), float(cfg["time"]["t_final"])
+    window = cfg["coarse_grain"]["t_window"]
+    if not (len(window) == 2 and all(type(t) in (int, float) for t in window)
+            and t0 <= window[0] < window[1] <= t_final):
+        raise ConfigError(f"coarse_grain.t_window {window} is not two increasing"
+                          f" times inside the run [{t0:g}, {t_final:g}]")
+    dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
+    if dump_fmt not in DUMP_FORMATS + ("none",):
+        raise ConfigError(f"outputs.ensemble_dump {dump_fmt!r} is not 'none' "
+                          f"or one of {DUMP_FORMATS}")
+    n_traj = _at_least_one("ensemble.n_traj", cfg["ensemble"]["n_traj"])
+    return (float(window[0]), float(window[1])), n_traj, dump_fmt
 
 
 def _time_grid(fspec: FieldSpec, dt: float, span: float):
@@ -364,21 +372,19 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
                                   progress=None) -> ComparisonReport:
     fspec = _build_field_spec(cfg)
     particle = _build_particle(cfg, c=fspec.c)
-    omega0 = particle.potential.params.get("omega0")
-    if omega0 is None:
-        raise ConfigError("sed_harmonic_ground requires a harmonic potential")
+    omega0 = particle.potential.params["omega0"]
     ecf = cfg["ensemble"]
     if not ecf.get("store_field", True):
         raise ConfigError("sed_harmonic_ground needs ensemble.store_field = "
                           "true: the energy balance reads the stored field")
+    window, n_traj, dump_fmt = _run_inputs(cfg)
     tcfg = cfg["time"]
+    stride = _at_least_one("time.record_stride", tcfg.get("record_stride", 1))
     t0 = float(tcfg.get("t0", 0.0))
     dt, n_steps, n_fft = _stage(info, "time-grid", _time_grid, fspec,
                                 float(tcfg["dt"]), float(tcfg["t_final"]) - t0)
-    stride = int(tcfg.get("record_stride", 1))
     ic = _build_ic(cfg, particle, fspec.hbar)
     master_seed = int(cfg["seeds"]["master_seed"])
-    n_traj = int(ecf["n_traj"])
     n_workers = int(ecf.get("n_workers", 1))
     info.update(dt=dt, n_steps=n_steps, n_fft=n_fft,
                     n_chunks=math.ceil(n_traj / CHUNK), n_workers=n_workers)
@@ -390,11 +396,9 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
     info.update(n_traj=n_traj, non_finite_trajectories=int(
         np.count_nonzero(ens.status != STATUS_OK)))
 
-    dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     if dump_fmt != "none":
         _stage(info, "dump", dump_ensemble, ens, run_dir / "ensemble", dump_fmt)
 
-    window = tuple(float(x) for x in cfg["coarse_grain"]["t_window"])
     balance = _stage(info, "energy-balance", energy_balance, ens, particle, window)
     _write_json(run_dir / "balance.json", balance.to_dict())
 
@@ -528,8 +532,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
 def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
                              progress=None) -> ComparisonReport:
     particle = _build_particle(cfg)
-    if not particle.potential.linear:
-        raise ConfigError("ou_calibration requires a harmonic potential")
+    window, n_traj, dump_fmt = _run_inputs(cfg)
     stiffness = particle.potential.params["stiffness"]
     lv = cfg["langevin"]
     friction = float(lv["friction"])
@@ -543,23 +546,21 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
     n_steps = int(round((float(tcfg["t_final"]) - t0) / dt))
     info.update(dt=dt, n_steps=n_steps)
     master_seed = int(cfg["seeds"]["master_seed"])
-    n_traj = int(cfg["ensemble"]["n_traj"])
+    n_relax = _at_least_one("langevin.n_traj_relax",
+                            lv.get("n_traj_relax", 500_000))
 
     eq = _stage(info, "sample-equilibrium", ou_ensemble, theta, d0, n_traj, dt,
                 n_steps, (master_seed, 0), x0="stationary", t0=t0)
-    n_relax = int(lv.get("n_traj_relax", 500_000))
     relax = _stage(info, "sample-relaxing", ou_ensemble, theta, d0, n_relax, dt,
                    n_steps, (master_seed, 1), x0=float(lv.get("x_start", 0.0)),
                    t0=t0)
 
-    dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     if dump_fmt != "none":
         _stage(info, "dump", dump_ensemble, eq, run_dir / "ensemble", dump_fmt)
         _stage(info, "dump-relaxing", dump_ensemble, relax,
                run_dir / "ensemble_relaxing", dump_fmt)
 
     cg = cfg["coarse_grain"]
-    window = tuple(float(x) for x in cg["t_window"])
     spec0, sweep_spec, sweep_lags = _coarse_grain_specs(
         cfg, eq, window, 1e30, (1, 2, 4, 10))
     samples = _stage(info, "gather-samples", SampleSet, eq, spec0)
@@ -881,7 +882,11 @@ def emit_plot_data(run_dir) -> list:
             "t,mean_energy", (relax["t"], relax["mean_energy"]),
             'u 1:2 w l t "mean energy"')
 
-        ens = load_ensemble(need("ensemble"))
+        try:
+            ens = load_ensemble(need("ensemble"))
+        except IntegrationError as exc:
+            raise PipelineError(f"missing artifact: binary ensemble dump "
+                                f"under {run_dir} ({exc})") from exc
         if ens.field_values is None:
             raise PipelineError(
                 "missing artifact: ensemble field values "

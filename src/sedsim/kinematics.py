@@ -256,18 +256,19 @@ def _bin_edges(spec: CoarseGrainSpec, x: np.ndarray) -> np.ndarray:
     return np.linspace(lo, hi, spec.x_bins + 1)
 
 
-def _bin_index(edges: np.ndarray, x: np.ndarray):
-    """Bin index per sample and the in-range mask."""
+def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Bin index of each x on edges, or the overflow bin edges.size - 1."""
     idx = np.searchsorted(edges, x, side="right") - 1
-    inside = (x >= edges[0]) & (x < edges[-1])
-    return np.where(inside, idx, 0), inside
+    idx[idx < 0] = edges.size - 1
+    return idx
 
 
-def _binned_mean(idx, inside, samples, n_bins):
-    w = inside.astype(float)
-    counts = np.bincount(idx, weights=w, minlength=n_bins)
-    sums = np.bincount(idx, weights=samples * w, minlength=n_bins)
-    sq = np.bincount(idx, weights=samples**2 * w, minlength=n_bins)
+def _binned_mean(idx, samples, n_bins):
+    """Counts, means and standard errors of samples on bins 0..n_bins-1;
+    the overflow bin n_bins is dropped."""
+    counts = np.bincount(idx, minlength=n_bins + 1)[:n_bins]
+    sums = np.bincount(idx, weights=samples, minlength=n_bins + 1)[:n_bins]
+    sq = np.bincount(idx, weights=samples**2, minlength=n_bins + 1)[:n_bins]
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = sums / counts
         var = np.maximum(sq / counts - mean**2, 0.0)
@@ -323,11 +324,11 @@ class SampleSet:
     once; every estimator reads them.
 
     The reference times are resolved for spec.delta_t, k recorded steps.
-    x0 (n_ok, n_ref) holds the central positions and idx, inside (flat, in
+    x0 (n_ok, n_ref) holds the central positions and idx (flat, in
     x0.ravel() order) their bins on edges fixed by spec.x_range or the
-    sample extent. xp and xm, k steps ahead and behind, are gathered on
-    first use; diffusion(steps=j) gathers only the positions j steps
-    ahead, so shorter lags share x0 and its bins. Each binned field and the
+    sample extent, or x_bins outside the edges. xp and xm, k steps ahead
+    and behind, are gathered on first use; diffusion(steps=j) gathers only
+    the positions j steps ahead, so shorter lags share x0 and its bins. Each binned field and the
     density are computed once per set and shared by every caller.
     """
 
@@ -344,7 +345,7 @@ class SampleSet:
         self.edges = edges = _bin_edges(spec, x)
         self.width = float(edges[1] - edges[0])
         self.centers = 0.5 * (edges[:-1] + edges[1:])
-        self.idx, self.inside = _bin_index(edges, x)
+        self.idx = _bin_index(edges, x)
         self._fields = {}
 
     def _ahead(self, steps: int) -> np.ndarray:
@@ -377,9 +378,8 @@ class SampleSet:
     def field(self, kind: str) -> BinnedField:
         """Bin-conditional mean of the v, u or va increments."""
         if kind not in self._fields:
-            counts, mean, se = _binned_mean(self.idx, self.inside,
-                                            self._increments(kind).ravel(),
-                                            self.spec.x_bins)
+            counts, mean, se = _binned_mean(
+                self.idx, self._increments(kind).ravel(), self.spec.x_bins)
             self._fields[kind] = self._binned_field(kind, counts, mean, se)
         return self._fields[kind]
 
@@ -400,9 +400,9 @@ class SampleSet:
     def density(self) -> BinnedField:
         """Normalized position density on the coarse-graining bins."""
         if "rho" not in self._fields:
-            counts = np.bincount(self.idx, weights=self.inside.astype(float),
-                                 minlength=self.spec.x_bins)
-            n = float(self.inside.sum())
+            n_bins = self.spec.x_bins
+            counts = np.bincount(self.idx, minlength=n_bins + 1)[:n_bins]
+            n = float(counts.sum())
             p = counts / n
             rho = p / self.width
             se = np.sqrt(np.maximum(p * (1 - p), 0.0) / n) / self.width
@@ -419,11 +419,10 @@ class SampleSet:
         delta_t = steps * self.ens.rec_dt
         dx = (self.xp if steps == self.k else self._ahead(steps)) - self.x0
         if subtract_mean:
-            counts, mean, _ = _binned_mean(self.idx, self.inside, dx.ravel(),
-                                           self.spec.x_bins)
-            mean = np.where(counts > 0, mean, 0.0)
-            dx = np.where(self.inside.reshape(dx.shape),
-                          dx - mean[self.idx].reshape(dx.shape), np.nan)
+            mean = _binned_mean(self.idx, dx.ravel(), self.spec.x_bins)[1]
+            # the overflow bin's NaN mean drops its samples from D; not in
+            # place, so dx turns row-major and its row sums stay pairwise
+            dx = dx - np.append(mean, np.nan)[self.idx].reshape(dx.shape)
         samples = dx**2 / (2.0 * delta_t)
         finite = np.isfinite(samples)
         n_per_traj = finite.sum(axis=1)
@@ -441,14 +440,12 @@ class SampleSet:
     def _fields_at_times(self):
         """Per-reference-time binned v, u, rho and counts, each (n_ref, x_bins)."""
         idx = self.idx.reshape(self.x0.shape)
-        inside = self.inside.reshape(self.x0.shape)
         cv, cu = self._increments("v"), self._increments("u")
         rows = []
         for r in range(self.ref_times.size):
-            at = (idx[:, r], inside[:, r])
-            c, v, _ = _binned_mean(*at, cv[:, r], self.spec.x_bins)
-            u = _binned_mean(*at, cu[:, r], self.spec.x_bins)[1]
-            rows.append((v, u, c / float(inside[:, r].sum()) / self.width, c))
+            c, v, _ = _binned_mean(idx[:, r], cv[:, r], self.spec.x_bins)
+            u = _binned_mean(idx[:, r], cu[:, r], self.spec.x_bins)[1]
+            rows.append((v, u, c / float(c.sum()) / self.width, c))
         return [np.array(col) for col in zip(*rows)]
 
     def residuals(self, mass: float, force, lams, D: float | None = None,

@@ -310,8 +310,8 @@ def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
         tmp_path, monkeypatch, capsys):
     # 128 modes on [0.9, 1.1]: the field repeats after 2 pi 128/0.2 = 4021.24;
     # 4021.2 ends so close to it that the step would fall below dt/2; the
-    # field keys with a single usable value (a uniform comb, one component)
-    # are not part of the schema
+    # field key with a single usable value (one component) is not part of
+    # the schema
     cfg = mini_sed_config()
     cfg_path = tmp_path / "long.json"
     root = tmp_path / "out"
@@ -321,8 +321,6 @@ def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
                                         " - omega_min) = 4021.24"),
             ("time", "t_final", 4021.2, "comb period 4021.24; holding it "
                                         "would take the step below dt/2 = 0.1"),
-            ("field", "mode_spacing", "uniform-in-omega^4",
-             "unknown key 'mode_spacing' in field"),
             ("field", "components", 3, "unknown key 'components' in field")):
         bad = copy.deepcopy(cfg)
         bad[section][key] = value
@@ -342,12 +340,10 @@ def test_run_past_the_comb_period_is_refused_and_leaves_nothing(
 
 def test_ou_calibration_refuses_a_nonlinear_potential(
         tmp_path, monkeypatch, capsys):
-    # a tabulated V = x^2/2 + x^4 has a positive curvature at its minimum,
-    # but no OU process has this drift; refused before anything is written
+    # no OU process has the drift of V = x^4/4; refused before anything is
+    # written
     cfg = json.loads(OU_CONFIG.read_text())
-    x = [-4.0 + 0.1 * i for i in range(81)]
-    cfg["particle"]["potential"] = {"kind": "tabulated", "x": x,
-                                    "V": [0.5 * v**2 + v**4 for v in x]}
+    cfg["particle"]["potential"] = {"kind": "quartic", "k4": 1.0}
     # small ensembles, so that a run that is not refused fails fast
     cfg["ensemble"]["n_traj"] = 2000
     cfg["langevin"]["n_traj_relax"] = 2000
@@ -355,16 +351,75 @@ def test_ou_calibration_refuses_a_nonlinear_potential(
     cfg_path.write_text(json.dumps(cfg))
     monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(tmp_path))
     assert main(["run", str(cfg_path)]) == 2
-    assert "requires a harmonic potential" in capsys.readouterr().err
+    assert 'kind "harmonic"' in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
-def test_store_field_false_is_refused_before_integrating(
-        tmp_path, monkeypatch, capsys):
+def refuse_to_integrate(monkeypatch):
+    """Make integrating or sampling an ensemble fail the test."""
     def integrate(*args, **kwargs):
         raise AssertionError("integrated a run that is refused anyway")
 
     monkeypatch.setattr(harness, "integrate_ensemble", integrate)
+    monkeypatch.setattr(harness, "ou_ensemble", integrate)
+
+
+def refused_run(cfg, tmp_path, monkeypatch, capsys) -> str:
+    """Run cfg through the command line; assert exit code 2 and no
+    directory left behind; return stderr."""
+    cfg_path = tmp_path / "refused.json"
+    cfg_path.write_text(json.dumps(cfg))
+    root = tmp_path / "out"
+    monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(root))
+    assert main(["run", str(cfg_path)]) == 2
+    assert not root.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", ["sed", "ou"])
+@pytest.mark.parametrize("potential", [
+    {"kind": "free"}, {"kind": "quartic", "k4": 1.0}, {"kind": "tabulated"},
+    {"kind": "harmonic"}])
+def test_both_pipelines_refuse_every_potential_but_the_harmonic(
+        pipeline, potential, tmp_path, monkeypatch, capsys):
+    refuse_to_integrate(monkeypatch)
+    cfg = mini_sed_config() if pipeline == "sed" else json.loads(
+        OU_CONFIG.read_text())
+    cfg["particle"]["potential"] = potential
+    err = refused_run(cfg, tmp_path, monkeypatch, capsys)
+    assert 'kind "harmonic" with omega0' in err
+
+
+@pytest.mark.parametrize("pipeline,block,key,value,message", [
+    ("sed", "outputs", "ensemble_dump", "binray", "outputs.ensemble_dump"),
+    ("ou", "outputs", "ensemble_dump", "npz", "outputs.ensemble_dump"),
+    ("sed", "time", "record_stride", 0, "time.record_stride must be at least 1"),
+    ("sed", "time", "record_stride", -6, "time.record_stride must be at least 1"),
+    ("sed", "ensemble", "n_traj", 0, "ensemble.n_traj must be at least 1"),
+    ("ou", "ensemble", "n_traj", -1, "ensemble.n_traj must be at least 1"),
+    ("ou", "langevin", "n_traj_relax", 0,
+     "langevin.n_traj_relax must be at least 1"),
+    ("sed", "coarse_grain", "t_window", [1500.0, 900.0], "t_window"),
+    ("sed", "coarse_grain", "t_window", [900.0, 900.0], "t_window"),
+    ("sed", "coarse_grain", "t_window", [900.0], "t_window"),
+    ("sed", "coarse_grain", "t_window", [900.0, 1200.0, 1500.0], "t_window"),
+    ("sed", "coarse_grain", "t_window", [900.0, 1600.0], "t_window"),
+    ("sed", "coarse_grain", "t_window", [-1.0, 900.0], "t_window"),
+    ("sed", "coarse_grain", "t_window", ["900", 1500.0], "t_window"),
+    ("ou", "coarse_grain", "t_window", [0.2, 0.5], "t_window"),
+])
+def test_bad_inputs_are_refused_before_anything_is_written(
+        pipeline, block, key, value, message, tmp_path, monkeypatch, capsys):
+    refuse_to_integrate(monkeypatch)
+    cfg = mini_sed_config() if pipeline == "sed" else json.loads(
+        OU_CONFIG.read_text())
+    cfg[block][key] = value
+    assert message in refused_run(cfg, tmp_path, monkeypatch, capsys)
+
+
+def test_store_field_false_is_refused_before_integrating(
+        tmp_path, monkeypatch, capsys):
+    refuse_to_integrate(monkeypatch)
     cfg = mini_sed_config()
     cfg["ensemble"]["store_field"] = False
     cfg_path = tmp_path / "nofield.json"
@@ -407,6 +462,19 @@ def test_plot_data_names_the_missing_artifact(sed_run, tmp_path):
     (work / "fields" / "rho.csv").unlink()
     with pytest.raises(PipelineError, match="missing artifact.*rho.csv"):
         emit_plot_data(work)
+
+
+def test_plot_of_a_csv_dump_names_the_missing_binary_dump(tmp_path, capsys):
+    # a csv dump cannot be reloaded for the balance trace
+    cfg = mini_sed_config()
+    cfg["time"]["t_final"] = 300.0
+    cfg["coarse_grain"]["t_window"] = [150.0, 300.0]
+    cfg["coarse_grain"]["delta_t_sweep"] = [1.2, 2.4]
+    cfg["outputs"]["ensemble_dump"] = "csv"
+    run_dir = run_experiment(cfg, output_root=tmp_path).run_dir
+    assert (run_dir / "ensemble" / "trajectories.csv").is_file()
+    assert main(["plot", str(run_dir)]) == 2
+    assert "missing artifact: binary ensemble dump" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,26 @@ def test_density_estimate_integrates_to_one():
         assert abs(rho.values[i] - expected) <= 4.0 * rho.std_error[i] + 0.01
 
 
+def test_samples_outside_the_bins_are_counted_nowhere():
+    # pairs of opposite increments in three bins on [-1, 1), and two samples
+    # outside (below the first edge and on the last) with large increments
+    x0 = np.array([-0.9, -0.9, 0.1, 0.1, 0.5, 0.5, -1.2, 1.0])
+    d = np.array([0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 5.0, 5.0])
+    ens = synthetic_ensemble(np.stack([x0, x0, x0 + d], axis=1), 0.1)
+    spec = CoarseGrainSpec(delta_t=0.1, x_bins=5, x_range=(-1.0, 1.0),
+                           reference_times=(0.1,), min_count=1)
+    v = estimate_v(ens, spec)
+    assert np.issubdtype(v.counts.dtype, np.integer)
+    assert v.counts.tolist() == [2, 0, 2, 2, 0]
+    rho = density_estimate(ens, spec)
+    assert float(np.sum(rho.values) * rho.bin_width) == pytest.approx(1.0)
+    # the in-bin means are zero, so D is the inside samples' d^2 / (2 dt)
+    inside = estimate_D(ens, spec)
+    assert inside.n_samples == 6
+    assert inside.value == pytest.approx(np.mean(d[:6] ** 2) / 0.2, rel=1e-12)
+    assert estimate_D(ens, spec, subtract_mean=False).n_samples == 8
+
+
 # ---------------------------------------------------------------------------
 # guards
 
