@@ -292,19 +292,27 @@ class TrajectoryEnsemble:
         ok = self.ok_mask()
         return arr[:, cols] if ok.all() else arr[np.ix_(ok, cols)]
 
-    def intact_blocks(self, names, cols: slice = slice(None)):
+    def intact_blocks(self, names, cols=slice(None), rows: int = ROW_BLOCK):
         """Walk the STATUS_OK rows of the named arrays over the recorded
-        columns cols, ROW_BLOCK rows at a time in row order, yielding one
-        row-major block per name: views when no row is flagged, else
-        copies. A reduction along time is local to a block's rows; one over
+        columns cols (a slice, or indices in the order given), rows rows at
+        a time in row order, yielding one row-major block per name: views
+        when cols is a slice and no row is flagged, else copies. A
+        reduction along time is local to a block's rows; one over
         trajectories adds each block's column sums in order (Chan, Golub &
         LeVeque, Am. Stat. 37, 242 (1983)). With no intact row the walk
         yields one empty block."""
-        ok = np.flatnonzero(self.ok_mask())
-        whole = ok.size == self.n_traj
-        for lo in range(0, max(ok.size, 1), ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK) if whole else ok[lo:lo + ROW_BLOCK]
-            yield [getattr(self, name)[rows, cols] for name in names]
+        ok = self.ok_mask()
+        whole = bool(ok.all())
+        if not whole:
+            ok = np.flatnonzero(ok)
+        index = not isinstance(cols, slice)
+        for lo in range(0, max(self.n_traj if whole else ok.size, 1), rows):
+            part = slice(lo, lo + rows) if whole else ok[lo:lo + rows]
+            if index and not whole:
+                part = part[:, None]
+            blocks = [getattr(self, name)[part, cols] for name in names]
+            # a row slice with index columns copies column-major
+            yield [np.ascontiguousarray(b) for b in blocks] if index else blocks
 
     def window_columns(self, window) -> slice:
         """The recorded columns with window[0] <= t <= window[1]; the
@@ -405,6 +413,13 @@ def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
                 f"run length {span:g} ends {period - span:.3g} before the "
                 f"comb period {period:g}; holding it would take the step "
                 f"below dt/2 = {dt / 2.0:g}")
+
+
+def record_times(t0: float, dt: float, n_steps: int,
+                 record_stride: int = 1) -> np.ndarray:
+    """The times an n_steps run from t0 at step dt records: every
+    record_stride-th step, from the first."""
+    return t0 + dt * record_stride * np.arange(n_steps // record_stride + 1)
 
 
 def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
@@ -560,7 +575,7 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(run_chunk, spans))
 
-    times = t0 + dt * record_stride * np.arange(n_rec)
+    times = record_times(t0, dt, n_steps, record_stride)
     meta = {
         "master_seed": int(master_seed),
         "integrator": "rk4-response" if linear else "rk4-loop",

@@ -46,7 +46,7 @@ from .dynamics import (CHUNK, DUMP_FORMATS, STATUS_OK, IntegrationError,
                        ParticleSpec, TrajectoryEnsemble, DeltaIC, GaussianIC,
                        comb_time_grid, dump_ensemble, energy_balance,
                        harmonic_potential, integrate_ensemble, load_ensemble,
-                       relaxation_curve, stationary_guess_ic)
+                       record_times, relaxation_curve, stationary_guess_ic)
 from .field import FieldSpec, autocorrelation_check, make_field
 from .kinematics import (CoarseGrainSpec, SampleSet, classify_branch,
                          diffusion_sweep)
@@ -243,6 +243,14 @@ def _run_inputs(cfg: dict):
     return (float(window[0]), float(window[1])), n_traj, dump_fmt
 
 
+def _window_holds_a_record(window, times) -> None:
+    """Refuse a coarse_grain.t_window that holds none of the recorded times."""
+    if not np.any((times >= window[0]) & (times <= window[1])):
+        raise ConfigError(
+            f"coarse_grain.t_window {list(window)} holds none of the "
+            f"{times.size} recorded times on [{times[0]:g}, {times[-1]:g}]")
+
+
 def _time_grid(fspec: FieldSpec, dt: float, span: float):
     """comb_time_grid; what it refuses is a config error."""
     try:
@@ -271,9 +279,21 @@ def _snap_lag(ens: TrajectoryEnsemble, lag) -> float:
     return k * ens.rec_dt
 
 
+def _rss_mb():
+    """The process's resident set size in MiB, from /proc/self/statm, or
+    None where that file does not exist."""
+    try:
+        with open("/proc/self/statm") as fh:
+            pages = int(fh.read().split()[1])
+    except FileNotFoundError:
+        return None
+    return pages * resource.getpagesize() / 2**20
+
+
 def _stage(info: dict, name: str, fn, *args, **kwargs):
-    """Run one pipeline stage. Appends its wall time, its CPU time and the
-    process's peak RSS after it to info["stages"], which run.json carries.
+    """Run one pipeline stage. Appends its wall time, its CPU time, the
+    process's peak RSS after it and its RSS then (which shows what a stage
+    freed) to info["stages"], which run.json carries.
     A stage that raises (other than a ConfigError) sets info["failed_stage"]
     and becomes a PipelineError naming the stage and, once integration has
     flagged trajectories, their count."""
@@ -293,6 +313,7 @@ def _stage(info: dict, name: str, fn, *args, **kwargs):
         "wall_s": _time.perf_counter() - wall0,
         "cpu_s": _time.process_time() - cpu0,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "rss_mb": _rss_mb(),
     })
     return result
 
@@ -383,6 +404,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
     t0 = float(tcfg.get("t0", 0.0))
     dt, n_steps, n_fft = _stage(info, "time-grid", _time_grid, fspec,
                                 float(tcfg["dt"]), float(tcfg["t_final"]) - t0)
+    _window_holds_a_record(window, record_times(t0, dt, n_steps, stride))
     ic = _build_ic(cfg, particle, fspec.hbar)
     master_seed = int(cfg["seeds"]["master_seed"])
     n_workers = int(ecf.get("n_workers", 1))
@@ -545,6 +567,7 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
     dt = float(tcfg["dt"])
     n_steps = int(round((float(tcfg["t_final"]) - t0) / dt))
     info.update(dt=dt, n_steps=n_steps)
+    _window_holds_a_record(window, record_times(t0, dt, n_steps))
     master_seed = int(cfg["seeds"]["master_seed"])
     n_relax = _at_least_one("langevin.n_traj_relax",
                             lv.get("n_traj_relax", 500_000))
@@ -566,7 +589,7 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
     samples = _stage(info, "gather-samples", SampleSet, eq, spec0)
     v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
     # the variance row reads the first reference time's central samples
-    x_ref2 = np.square(samples.x0[:, 0])
+    x_ref2 = np.square(eq.intact("positions", samples.ridx[:1])[:, 0])
     del samples
     sweep = _stage(info, "diffusion-sweep", diffusion_sweep, eq, sweep_spec,
                    sweep_lags)
@@ -694,14 +717,14 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
     artifact, report.json/report.txt, and run.json, which adds the exit
     code, the wall time, the time grid the pipeline resolved (dt,
     n_steps; for SED also n_fft, n_chunks, n_workers) and the stage ledger
-    "stages": per stage its name, wall_s, cpu_s and the process's
-    peak_rss_mb when it ended. Nothing is left behind, not even the parent
-    directories it created, if validation fails or the pipeline refuses the
-    config (ConfigError). A run that fails later keeps its partial
-    artifacts, writes no report, and its run.json names the failed_stage
-    and the error beside the ledger of the stages before it; the error is
-    raised again. progress is integrate_ensemble's per-chunk
-    callback; by default nothing is printed.
+    "stages": per stage its name, wall_s, cpu_s, and the process's
+    peak_rss_mb and rss_mb (None without /proc/self/statm) when it ended.
+    Nothing is left behind, not even the parent directories it created, if
+    validation fails or the pipeline refuses the config (ConfigError). A
+    run that fails later keeps its partial artifacts, writes no report,
+    and its run.json names the failed_stage and the error beside the
+    ledger of the stages before it; the error is raised again. progress is
+    integrate_ensemble's per-chunk callback; by default nothing is printed.
     Exit code 0 means every report row passed.
     """
     if isinstance(config, (str, Path)):
@@ -775,10 +798,13 @@ def stage_ledger_text(run_dir) -> str:
     stages = run.get("stages")
     if not stages:
         return ""
-    lines = [f"{'stage':<24}{'wall_s':>10}{'cpu_s':>10}{'peak_rss_mb':>13}"]
+    lines = [f"{'stage':<24}{'wall_s':>10}{'cpu_s':>10}{'peak_rss_mb':>13}"
+             f"{'rss_mb':>9}"]
     for st in stages:
+        rss = st.get("rss_mb")
         lines.append(f"{st['name']:<24}{st['wall_s']:>10.3f}"
-                     f"{st['cpu_s']:>10.3f}{st['peak_rss_mb']:>13.1f}")
+                     f"{st['cpu_s']:>10.3f}{st['peak_rss_mb']:>13.1f}"
+                     + (f"{rss:>9.1f}" if rss is not None else f"{'-':>9}"))
     covered = sum(st["wall_s"] for st in stages)
     lines.append(f"stages cover {100.0 * covered / run['wall_seconds']:.1f} % "
                  f"of wall_seconds {run['wall_seconds']:.3f}")
@@ -825,7 +851,8 @@ def emit_plot_data(run_dir) -> list:
     Figures depend on the pipeline: density overlay, velocity overlays and
     the diffusion sweep always; relaxation curve and the energy-balance
     window trace for field-driven runs. Missing inputs raise with the
-    absent artifact named.
+    absent artifact named. Every input is read before plots/ is created,
+    so a plot that fails writes nothing.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "config.json"
@@ -833,9 +860,6 @@ def emit_plot_data(run_dir) -> list:
         raise PipelineError(f"missing artifact: {cfg_path}")
     cfg = load_config(cfg_path)
     pipeline = cfg["experiment"]
-    plot_dir = run_dir / "plots"
-    plot_dir.mkdir(exist_ok=True)
-    written = []
 
     def need(rel: str) -> Path:
         p = run_dir / rel
@@ -843,44 +867,46 @@ def emit_plot_data(run_dir) -> list:
             raise PipelineError(f"missing artifact: {p}")
         return p
 
+    # _write_figure's arguments after plot_dir, one tuple per figure
+    figures = []
     rho = _read_csv_columns(need("fields/rho.csv"))
     rho_qm = _read_csv_columns(need("density_qm.csv"))
-    written += _write_figure(
-        plot_dir, "density_overlay", "Stationary density: ensemble vs reference",
+    figures.append((
+        "density_overlay", "Stationary density: ensemble vs reference",
         "x", "rho", "x,rho_sed,rho_sed_err,rho_qm",
         (rho["x"], rho["value"], rho["std_error"], rho_qm["rho_qm"]),
         'u 1:2:3 w yerrorbars t "ensemble", "density_overlay.dat" u 1:4 w l t "reference"',
-        extra='set style data points\n')
+        'set style data points\n'))
 
     v = _read_csv_columns(need("fields/v.csv"))
     u = _read_csv_columns(need("fields/u.csv"))
     vqm = _read_csv_columns(need("velocity_qm.csv"))
-    written += _write_figure(
-        plot_dir, "velocity_overlay", "Drift fields: ensemble vs reference",
+    figures.append((
+        "velocity_overlay", "Drift fields: ensemble vs reference",
         "x", "velocity", "x,v_sed,v_err,u_sed,u_err,v_qm,u_qm",
         (v["x"], v["value"], v["std_error"], u["value"], u["std_error"],
          vqm["v_qm"], vqm["u_qm"]),
         'u 1:2:3 w yerrorbars t "v", "velocity_overlay.dat" u 1:4:5 w yerrorbars t "u", '
         '"velocity_overlay.dat" u 1:6 w l t "v ref", '
-        '"velocity_overlay.dat" u 1:7 w l t "u ref"')
+        '"velocity_overlay.dat" u 1:7 w l t "u ref"'))
 
     dsweep = json.loads(need("dsweep.json").read_text())
     order = np.argsort(np.asarray(dsweep["delta_ts"]))
-    written += _write_figure(
-        plot_dir, "dsweep", "Diffusion estimate vs lag", "delta_t", "D",
+    figures.append((
+        "dsweep", "Diffusion estimate vs lag", "delta_t", "D",
         "delta_t,D,D_err",
         (np.asarray(dsweep["delta_ts"])[order],
          np.asarray(dsweep["values"])[order],
          np.asarray(dsweep["std_errors"])[order]),
         'u 1:2:3 w yerrorlines t "D(delta_t)"',
-        extra="set logscale x\n")
+        "set logscale x\n"))
 
     if pipeline == "sed_harmonic_ground":
         relax = _read_csv_columns(need("relaxation.csv"))
-        written += _write_figure(
-            plot_dir, "relaxation", "Ensemble mean energy", "t", "E",
+        figures.append((
+            "relaxation", "Ensemble mean energy", "t", "E",
             "t,mean_energy", (relax["t"], relax["mean_energy"]),
-            'u 1:2 w l t "mean energy"')
+            'u 1:2 w l t "mean energy"'))
 
         try:
             ens = load_ensemble(need("ensemble"))
@@ -900,10 +926,15 @@ def emit_plot_data(run_dir) -> list:
             absorbed += np.sum(particle.charge * ef * v, axis=0)
             radiated += np.sum(particle.mass * particle.tau * acc**2, axis=0)
         n_ok = np.count_nonzero(ens.ok_mask())
-        written += _write_figure(
-            plot_dir, "balance_trace", "Energy balance across the window",
+        figures.append((
+            "balance_trace", "Energy balance across the window",
             "t", "power", "t,absorbed,radiated",
             (ens.times[cols], absorbed / n_ok, radiated / n_ok),
-            'u 1:2 w l t "absorbed", "balance_trace.dat" u 1:3 w l t "radiated"')
+            'u 1:2 w l t "absorbed", "balance_trace.dat" u 1:3 w l t "radiated"'))
 
+    plot_dir = run_dir / "plots"
+    plot_dir.mkdir(exist_ok=True)
+    written = []
+    for figure in figures:
+        written += _write_figure(plot_dir, *figure)
     return written

@@ -13,6 +13,14 @@ The lag dt here is the coarse-graining time, a multiple of the recorded
 step, not the integration step. Estimates are reported per bin with counts
 and standard errors; downstream residual checks weight by counts and never
 use bins below the minimum occupancy.
+
+Every estimate on one reference set reads a SampleSet, which walks the
+intact trajectories in row blocks and keeps only per-bin and
+per-trajectory sums, never a (trajectories x reference times) array. Each
+block's sums are added to the previous blocks' in order (Chan, Golub &
+LeVeque, Am. Stat. 37, 242 (1983)), in the order one np.bincount over the
+whole sample array would take, so the walk leaves every output bit as the
+whole-array formulas give it.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -244,11 +251,14 @@ def _reference_indices(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     return idx
 
 
-def _bin_edges(spec: CoarseGrainSpec, x: np.ndarray) -> np.ndarray:
+def _bin_edges(spec: CoarseGrainSpec, blocks) -> np.ndarray:
+    """Uniform edges on spec.x_range, or without one on the extent of the
+    central samples, which blocks (an iterable of arrays) is walked for."""
     if spec.x_range is not None:
         lo, hi = spec.x_range
     else:
-        lo, hi = float(np.min(x)), float(np.max(x))
+        extent = np.array([(np.min(x), np.max(x)) for x in blocks])
+        lo, hi = float(np.min(extent[:, 0])), float(np.max(extent[:, 1]))
         pad = 1e-9 * max(hi - lo, 1.0)
         lo, hi = lo - pad, hi + pad
     if not hi > lo:
@@ -257,25 +267,41 @@ def _bin_edges(spec: CoarseGrainSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Bin index of each x on edges, or the overflow bin edges.size - 1."""
-    idx = np.searchsorted(edges, x, side="right") - 1
-    idx[idx < 0] = edges.size - 1
+    """Bin index of each x on the uniform edges, or the overflow bin
+    edges.size - 1 (NaN included): np.searchsorted(edges, x, "right") - 1
+    with -1 sent to the overflow bin, at a third of its cost. The bin
+    (x - edges[0]) / width, clipped to the bins, is within one of the
+    answer whenever the width is far above the rounding of the edges; one
+    comparison with the edges on either side then settles it exactly."""
+    n = edges.size - 1
+    t = (x - edges[0]) / (edges[1] - edges[0])
+    np.fmin(t, n - 1, out=t)
+    np.fmax(t, 0, out=t)
+    guess = t.astype(np.intp)
+    idx = guess + ~(x < edges[guess + 1])
+    idx -= x < edges[guess]
+    idx[idx < 0] = n
     return idx
 
 
-def _binned_mean(idx, samples, n_bins):
-    """Counts, means and standard errors of samples on bins 0..n_bins-1;
-    the overflow bin n_bins is dropped."""
-    counts = np.bincount(idx, minlength=n_bins + 1)[:n_bins]
-    sums = np.bincount(idx, weights=samples, minlength=n_bins + 1)[:n_bins]
-    sq = np.bincount(idx, weights=samples**2, minlength=n_bins + 1)[:n_bins]
+def _bin_means(counts, sums):
+    """sums / counts per bin, NaN on empty bins; counts broadcasts against
+    the trailing axes of sums."""
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = sums / counts
+    mean[..., counts == 0] = np.nan
+    return mean
+
+
+def _binned_mean(counts, sums, sq):
+    """Means and standard errors of the samples behind per-bin counts,
+    sums and sums of squares."""
+    mean = _bin_means(counts, sums)
+    with np.errstate(invalid="ignore", divide="ignore"):
         var = np.maximum(sq / counts - mean**2, 0.0)
         se = np.sqrt(var / np.maximum(counts, 1.0))
-    mean[counts == 0] = np.nan
     se[counts == 0] = np.nan
-    return counts, mean, se
+    return mean, se
 
 
 def _largest_valid_run(valid: np.ndarray) -> slice:
@@ -319,17 +345,47 @@ def _sg(values: np.ndarray, width: float, deriv: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one sample set per reference set
 
-class SampleSet:
-    """The intact rows' positions at one reference set, gathered and binned
-    once; every estimator reads them.
+# Samples (trajectory, reference time) per block of a sample set's row
+# walk, so each per-sample temporary of a block is about 256 kB whatever
+# the width of the reference set. In paired in-process runs on sed- and
+# OU-shaped sets this was the fastest choice: 2^16 samples, or 2^16
+# gathered positions whatever the number of lags, made the diffusion
+# sweep 10-15 % slower.
+_BLOCK_SAMPLES = 1 << 15
 
-    The reference times are resolved for spec.delta_t, k recorded steps.
-    x0 (n_ok, n_ref) holds the central positions and idx (flat, in
-    x0.ravel() order) their bins on edges fixed by spec.x_range or the
-    sample extent, or x_bins outside the edges. xp and xm, k steps ahead
-    and behind, are gathered on first use; diffusion(steps=j) gathers only
-    the positions j steps ahead, so shorter lags share x0 and its bins. Each binned field and the
-    density are computed once per set and shared by every caller.
+# the increments binned together, in the order of SampleSet's cell sums
+_KINDS = ("v", "u", "va")
+
+
+def _increments(x: np.ndarray, delta_t: float) -> tuple:
+    """The per-sample increments whose bin means estimate v (symmetric
+    difference), u (second difference) and va (backward difference), in
+    the order of _KINDS, from a block of (x0, xp, xm), each (rows, n_ref)."""
+    x0, xp, xm = x
+    return ((xp - xm) / (2.0 * delta_t), (xp + xm - 2.0 * x0) / (2.0 * delta_t),
+            (x0 - xm) / delta_t)
+
+
+class SampleSet:
+    """The intact rows' positions at one reference set; every estimator
+    reads them.
+
+    The reference times ridx are resolved for spec.delta_t, k recorded
+    steps. The bin edges are fixed by spec.x_range or, without one, by the
+    extent of the central samples. The set holds no per-sample array: each
+    estimate walks the intact rows in blocks of about _BLOCK_SAMPLES
+    samples (TrajectoryEnsemble.intact_blocks), gathers the positions it
+    needs, bins each block's central samples and keeps only per-bin and
+    per-trajectory sums. Bin sums add every block with np.add.at into one
+    accumulator, in the flat order of the (n_ok, n_ref) sample array, so
+    they equal one np.bincount over that array bit for bit; a trajectory's
+    sum is its row's pairwise sum over a row-major block, as over the whole
+    array. v, u and va share one walk (the per-reference-time fields of the
+    measured residuals take one of their own), and it also sums the forward
+    increments whose bin means D subtracts; D then takes one more walk for
+    each trajectory's squared deviations. diffusion_sweep's lags share one
+    walk for the bin means and one for the deviations. Each binned field
+    and the density are computed once per set and shared by every caller.
     """
 
     def __init__(self, ens: TrajectoryEnsemble, spec: CoarseGrainSpec):
@@ -340,33 +396,69 @@ class SampleSet:
             raise KinematicsError("no intact trajectories in the ensemble")
         self.delta_t = self.k * ens.rec_dt
         self.ref_times = ens.times[self.ridx]
-        self.x0 = ens.intact("positions", self.ridx)
-        x = self.x0.ravel()
-        self.edges = edges = _bin_edges(spec, x)
+        self.edges = edges = _bin_edges(
+            spec, (x[0] for x in self._blocks(())))
         self.width = float(edges[1] - edges[0])
         self.centers = 0.5 * (edges[:-1] + edges[1:])
-        self.idx = _bin_index(edges, x)
         self._fields = {}
 
-    def _ahead(self, steps: int) -> np.ndarray:
-        return self.ens.intact("positions", self.ridx + steps)
+    def _blocks(self, offsets):
+        """Walk the intact rows in row order, about _BLOCK_SAMPLES samples
+        at a time: per block, a list of the positions at the reference
+        indices and at each of offsets recorded steps from them, each a
+        row-major (rows, n_ref) copy."""
+        cols = [self.ridx + s for s in (0, *offsets)]
+        rows = max(1, _BLOCK_SAMPLES // self.ridx.size)
+        walks = [self.ens.intact_blocks(("positions",), c, rows) for c in cols]
+        for blocks in zip(*walks):
+            yield [x for (x,) in blocks]
 
-    @cached_property
-    def xp(self) -> np.ndarray:
-        return self._ahead(self.k)
+    def _cell_sums(self, per_time: bool):
+        """(counts, sums, sq): the central samples' counts and, per kind of
+        _KINDS, the sums and sums of squares of its increments, on every
+        bin with the overflow bin last, pooled over the reference times or
+        per reference time. counts has shape (cells,), sums and sq
+        (3, cells), with cells = (n_ref if per_time else 1) (x_bins + 1).
+        The walk also leaves _forward_sums at the set's own lag."""
+        key = ("cells", per_time)
+        if key not in self._fields:
+            n = self.spec.x_bins + 1
+            n_ref = self.ridx.size
+            cells = n * n_ref if per_time else n
+            first = n * np.arange(n_ref) if per_time else 0
+            counts = np.zeros(cells, dtype=np.intp)
+            sums, sq = np.zeros((2, len(_KINDS), cells))
+            forward = np.zeros((1, n))
+            for x in self._blocks((self.k, -self.k)):
+                bins = _bin_index(self.edges, x[0])
+                cell = (bins + first).ravel()
+                counts += np.bincount(cell, minlength=cells)
+                for i, inc in enumerate(_increments(x, self.delta_t)):
+                    np.add.at(sums[i], cell, inc.ravel())
+                    np.add.at(sq[i], cell, (inc**2).ravel())
+                np.add.at(forward[0], bins.ravel(), (x[1] - x[0]).ravel())
+            self._fields[key] = counts, sums, sq
+            self._fields[("forward", (self.k,))] = (
+                counts.reshape(-1, n).sum(axis=0), forward)
+        return self._fields[key]
 
-    @cached_property
-    def xm(self) -> np.ndarray:
-        return self._ahead(-self.k)
-
-    def _increments(self, kind: str) -> np.ndarray:
-        """Per-sample increments whose bin means estimate v (symmetric
-        difference), u (second difference) or va (backward difference)."""
-        if kind == "v":
-            return (self.xp - self.xm) / (2.0 * self.delta_t)
-        if kind == "u":
-            return (self.xp + self.xm - 2.0 * self.x0) / (2.0 * self.delta_t)
-        return (self.x0 - self.xm) / self.delta_t
+    def _forward_sums(self, steps: tuple):
+        """(counts, sums): the central samples' counts and, per lag of
+        steps (recorded steps), the sums of the forward increments, on
+        every bin with the overflow bin last; the first pass of
+        _diffusions."""
+        key = ("forward", steps)
+        if key not in self._fields:
+            n = self.spec.x_bins + 1
+            counts = np.zeros(n, dtype=np.intp)
+            sums = np.zeros((len(steps), n))
+            for x in self._blocks(steps):
+                bins = _bin_index(self.edges, x[0]).ravel()
+                counts += np.bincount(bins, minlength=n)
+                for j in range(len(steps)):
+                    np.add.at(sums[j], bins, (x[j + 1] - x[0]).ravel())
+            self._fields[key] = counts, sums
+        return self._fields[key]
 
     def _binned_field(self, kind, counts, values, se, **meta) -> BinnedField:
         return BinnedField(
@@ -378,9 +470,10 @@ class SampleSet:
     def field(self, kind: str) -> BinnedField:
         """Bin-conditional mean of the v, u or va increments."""
         if kind not in self._fields:
-            counts, mean, se = _binned_mean(
-                self.idx, self._increments(kind).ravel(), self.spec.x_bins)
-            self._fields[kind] = self._binned_field(kind, counts, mean, se)
+            counts, sums, sq = self._cell_sums(False)
+            i, n = _KINDS.index(kind), self.spec.x_bins
+            mean, se = _binned_mean(counts[:n], sums[i, :n], sq[i, :n])
+            self._fields[kind] = self._binned_field(kind, counts[:n], mean, se)
         return self._fields[kind]
 
     def va(self) -> VaEstimate:
@@ -400,8 +493,7 @@ class SampleSet:
     def density(self) -> BinnedField:
         """Normalized position density on the coarse-graining bins."""
         if "rho" not in self._fields:
-            n_bins = self.spec.x_bins
-            counts = np.bincount(self.idx, minlength=n_bins + 1)[:n_bins]
+            counts = self._cell_sums(False)[0][:self.spec.x_bins]
             n = float(counts.sum())
             p = counts / n
             rho = p / self.width
@@ -415,38 +507,69 @@ class SampleSet:
                   steps: int | None = None) -> DiffusionEstimate:
         """D from the forward increments over steps recorded steps, by
         default the set's own lag; see estimate_D."""
-        steps = self.k if steps is None else steps
-        delta_t = steps * self.ens.rec_dt
-        dx = (self.xp if steps == self.k else self._ahead(steps)) - self.x0
+        return self._diffusions((self.k if steps is None else steps,),
+                                subtract_mean)[0]
+
+    def _diffusions(self, steps, subtract_mean: bool) -> list:
+        """DiffusionEstimate at each lag of steps (recorded steps), every
+        lag from the same two walks: the bin means of the increments, then
+        each trajectory's squared deviations from them."""
+        steps = tuple(steps)
+        delta_ts = [j * self.ens.rec_dt for j in steps]
         if subtract_mean:
-            mean = _binned_mean(self.idx, dx.ravel(), self.spec.x_bins)[1]
-            # the overflow bin's NaN mean drops its samples from D; not in
-            # place, so dx turns row-major and its row sums stay pairwise
-            dx = dx - np.append(mean, np.nan)[self.idx].reshape(dx.shape)
-        samples = dx**2 / (2.0 * delta_t)
-        finite = np.isfinite(samples)
-        n_per_traj = finite.sum(axis=1)
-        sums = np.where(finite, samples, 0.0).sum(axis=1)
-        has = n_per_traj > 0
-        per_traj = sums[has] / n_per_traj[has]
-        if per_traj.size < 2:
-            raise KinematicsError("too few trajectories for a diffusion estimate")
-        value = float(np.mean(per_traj))
-        se = float(np.std(per_traj, ddof=1) / math.sqrt(per_traj.size))
-        return DiffusionEstimate(value=value, std_error=se, delta_t=delta_t,
-                                 subtract_mean=subtract_mean,
-                                 n_samples=int(finite.sum()))
+            means = _bin_means(*self._forward_sums(steps))
+            # the overflow bin's NaN mean drops its samples from D
+            means[:, -1] = np.nan
+        n_ok = int(np.count_nonzero(self.ens.ok_mask()))
+        # per lag: each trajectory's mean sample (NaN without one), whether
+        # it has one, and the number of samples
+        per_traj = np.empty((len(steps), n_ok))
+        has = np.empty((len(steps), n_ok), dtype=bool)
+        n_samples = [0] * len(steps)
+        lo = 0
+        for x in self._blocks(steps):
+            if subtract_mean:
+                bins = _bin_index(self.edges, x[0])
+            rows = slice(lo, lo + len(x[0]))
+            for j, delta_t in enumerate(delta_ts):
+                # row-major, so each row's sum over the reference times is
+                # pairwise, as over the whole (n_ok, n_ref) array
+                dx = x[j + 1] - x[0]
+                if subtract_mean:
+                    dx -= means[j][bins]
+                samples = np.square(dx, out=dx)
+                samples /= 2.0 * delta_t
+                finite = np.isfinite(samples)
+                np.copyto(samples, 0.0, where=~finite)
+                n = np.count_nonzero(finite, axis=1)
+                with np.errstate(invalid="ignore"):
+                    per_traj[j, rows] = samples.sum(axis=1) / n
+                has[j, rows] = n > 0
+                n_samples[j] += int(n.sum())
+            lo = rows.stop
+        ests = []
+        for j, delta_t in enumerate(delta_ts):
+            values = per_traj[j][has[j]]
+            if values.size < 2:
+                raise KinematicsError(
+                    "too few trajectories for a diffusion estimate")
+            ests.append(DiffusionEstimate(
+                value=float(np.mean(values)),
+                std_error=float(np.std(values, ddof=1)
+                                / math.sqrt(values.size)),
+                delta_t=delta_t, subtract_mean=subtract_mean,
+                n_samples=n_samples[j]))
+        return ests
 
     def _fields_at_times(self):
         """Per-reference-time binned v, u, rho and counts, each (n_ref, x_bins)."""
-        idx = self.idx.reshape(self.x0.shape)
-        cv, cu = self._increments("v"), self._increments("u")
-        rows = []
-        for r in range(self.ref_times.size):
-            c, v, _ = _binned_mean(idx[:, r], cv[:, r], self.spec.x_bins)
-            u = _binned_mean(idx[:, r], cu[:, r], self.spec.x_bins)[1]
-            rows.append((v, u, c / float(c.sum()) / self.width, c))
-        return [np.array(col) for col in zip(*rows)]
+        counts, sums, _ = self._cell_sums(True)
+        n_ref, n = self.ridx.size, self.spec.x_bins
+        counts = counts.reshape(n_ref, -1)[:, :n]
+        v, u = (_bin_means(counts, s.reshape(n_ref, -1)[:, :n])
+                for s in sums[:2])
+        rho = counts / counts.sum(axis=1, keepdims=True) / self.width
+        return v, u, rho, counts
 
     def residuals(self, mass: float, force, lams, D: float | None = None,
                   time_derivative: str = "omitted") -> dict:
@@ -456,8 +579,6 @@ class SampleSet:
             raise KinematicsError("time_derivative must be 'omitted' or 'measured'")
         spec, width, centers = self.spec, self.width, self.centers
         warnings = []
-        if D is None:
-            D = self.diffusion().value
 
         if time_derivative == "omitted":
             warnings.append("time-derivative terms omitted (stationarity assumed)")
@@ -487,6 +608,9 @@ class SampleSet:
             dtrho = ((rho_t[2:, run] - rho_t[:-2, run]) / (2 * ht)).mean(axis=0)
             ref_times = self.ref_times[1:-1]
 
+        # after the fields, so that D's bin means come with their walk
+        if D is None:
+            D = self.diffusion().value
         sl_c = centers[run]
         vp = _sg(v, width, 1)
         up = _sg(u, width, 1)
@@ -574,8 +698,8 @@ def diffusion_sweep(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     lag, thinned; explicit reference times are used as given."""
     delta_ts = np.asarray(sorted(delta_ts), dtype=float)
     s = SampleSet(ens, replace(spec, delta_t=float(delta_ts[-1])))
-    ests = [s.diffusion(subtract_mean, _lag_steps(ens, float(dt)))
-            for dt in delta_ts]
+    ests = s._diffusions([_lag_steps(ens, float(dt)) for dt in delta_ts],
+                         subtract_mean)
 
     def window_ok(i, j):
         for a in range(i, j + 1):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import ParticleSpec, TrajectoryEnsemble
+from .dynamics import ParticleSpec, TrajectoryEnsemble, record_times
 from .field import (FieldRealization, FieldSpec, eval_field, mode_table,
                     spectral_density)
 
@@ -61,7 +61,7 @@ def ou_ensemble(theta: float, D0: float, n_traj: int, dt: float,
     seeds = np.empty((n_traj, 2), dtype=np.int64)
     seeds[:, 0] = int(seed_key)
     seeds[:, 1] = np.arange(n_traj)
-    times = t0 + dt * np.arange(n_steps + 1)
+    times = record_times(t0, dt, n_steps)
     status = np.zeros(n_traj, dtype=np.int8)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

@@ -749,6 +749,15 @@ def test_intact_blocks_walk_the_intact_rows():
         # views of the stored rows when none is flagged, else copies
         shared = [np.shares_memory(x, ens.positions) for x, _ in blocks]
         assert shared == [not flagged] * len(blocks)
+        # index columns, in the order given, 7 rows at a time: row-major
+        # copies either way
+        picked = np.array([5, 2, 7, 2])
+        blocks = list(ens.intact_blocks(("positions",), picked, 7))
+        assert [len(x) for (x,) in blocks] == [7] * 9 + [69 - len(flagged) - 63]
+        assert all(x.flags.c_contiguous and not np.shares_memory(x, ens.positions)
+                   for (x,) in blocks)
+        np.testing.assert_array_equal(np.concatenate([x for (x,) in blocks]),
+                                      ens.intact("positions", picked))
     ens.status[:] = STATUS_NONFINITE
     assert [x.shape for (x,) in ens.intact_blocks(("positions",), cols)] == [
         (0, 5)]

@@ -117,12 +117,14 @@ def test_run_json_records_the_stage_ledger(sed_run, ou_run):
         run_meta = json.loads((run.run_dir / "run.json").read_text())
         stages = run_meta["stages"]
         assert names <= {s["name"] for s in stages}
-        assert all(set(s) == {"name", "wall_s", "cpu_s", "peak_rss_mb"}
+        assert all(set(s) == {"name", "wall_s", "cpu_s", "peak_rss_mb", "rss_mb"}
                    for s in stages)
         assert all(s["wall_s"] >= 0 and s["cpu_s"] >= 0 for s in stages)
         assert sum(s["wall_s"] for s in stages) <= run_meta["wall_seconds"]
         peaks = [s["peak_rss_mb"] for s in stages]
         assert peaks[0] > 0 and peaks == sorted(peaks)
+        # the current RSS, which can fall, never passes the high-water mark
+        assert all(0 < s["rss_mb"] <= s["peak_rss_mb"] + 1.0 for s in stages)
     ens_meta = json.loads((sed_run.run_dir / "ensemble" / "meta.json").read_text())
     assert ens_meta["meta"]["integrator"] == "rk4-response"
 
@@ -244,26 +246,26 @@ def test_calibration_run_passes_everything(ou_run):
     assert by_name["diffusion_plateau_found"].passed
 
 
-def test_each_reference_set_is_gathered_and_binned_once(tmp_path, monkeypatch):
+def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
     # sed: one sample set at the lag (fields and classifier), one for the
-    # sweep; ou: those two plus the relaxing classifier's. Positions are
-    # gathered once per column block: x0, xp, xm at the lag, x0 plus one
-    # forward block per lag for the sweep. The integrator's step check and
-    # the window statistics used to gather them once more each (9 on sed);
-    # both now walk row blocks (TrajectoryEnsemble.intact_blocks). Each binned
-    # mean is computed once per set: sed v, u, va, the classifier's D and
-    # one D per sweep lag; ou v, u, va, one D per sweep lag, and the relaxing
-    # classifier's D and its v and u at three reference times. The parent
-    # recomputed v and u inside va and the omitted-mode residuals: 11 and 16
-    # calls on these configs (14 and 16 on the shipped ones).
-    counts = {"bin": 0, "gather": 0, "binned_mean": 0}
-    bin_index = kinematics._bin_index
+    # sweep; ou: those two plus the relaxing classifier's. A sample set
+    # holds no positions; each walk gathers them block by block. v, u and
+    # va share one walk (the measured residuals' per-time fields take one
+    # of their own), which also leaves the bin means of D at the set's
+    # lag; D then takes one more walk for the squared deviations. The
+    # sweep's lags share one walk for the bin means and one for the
+    # deviations. sed: fields 1, the classifier's D 1, the sweep 2; ou:
+    # fields 1, the sweep 2, the relaxing classifier's fields at three
+    # times 1 and its D 1. Each binned mean (v, u, va) is finished once per
+    # set, and the ou variance row gathers the first reference column once.
+    counts = {"walk": 0, "gather": 0, "binned_mean": 0}
+    walk = kinematics.SampleSet._blocks
     binned_mean = kinematics._binned_mean
     intact = TrajectoryEnsemble.intact
 
-    def counting_bin_index(*args):
-        counts["bin"] += 1
-        return bin_index(*args)
+    def counting_walk(samples, offsets):
+        counts["walk"] += 1         # when the walk starts
+        yield from walk(samples, offsets)
 
     def counting_binned_mean(*args):
         counts["binned_mean"] += 1
@@ -273,21 +275,19 @@ def test_each_reference_set_is_gathered_and_binned_once(tmp_path, monkeypatch):
         counts["gather"] += name == "positions"
         return intact(ens, name, cols)
 
-    monkeypatch.setattr(kinematics, "_bin_index", counting_bin_index)
+    monkeypatch.setattr(kinematics.SampleSet, "_blocks", counting_walk)
     monkeypatch.setattr(kinematics, "_binned_mean", counting_binned_mean)
     monkeypatch.setattr(TrajectoryEnsemble, "intact", counting_intact)
     run_experiment(mini_sed_config(), output_root=tmp_path / "sed")
-    assert counts == {"bin": 2, "gather": 3 + (1 + 3),
-                      "binned_mean": 2 + 1 + 1 + 3}
+    assert counts == {"walk": 1 + 1 + 2, "gather": 0, "binned_mean": 3}
 
-    counts.update(bin=0, gather=0, binned_mean=0)
+    counts.update(walk=0, gather=0, binned_mean=0)
     ou = json.loads(OU_CONFIG.read_text())
     ou["ensemble"]["n_traj"] = 20_000
     ou["langevin"]["n_traj_relax"] = 50_000
     ou["outputs"]["ensemble_dump"] = "none"
     run_experiment(ou, output_root=tmp_path / "ou")
-    assert counts == {"bin": 3, "gather": 3 + (1 + 4) + 3,
-                      "binned_mean": 2 + 1 + 4 + (1 + 2 * 3)}
+    assert counts == {"walk": 1 + 2 + (1 + 1), "gather": 1, "binned_mean": 3}
 
 
 def test_existing_run_directory_is_refused(tmp_path):
@@ -407,6 +407,12 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
     ("sed", "coarse_grain", "t_window", [-1.0, 900.0], "t_window"),
     ("sed", "coarse_grain", "t_window", ["900", 1500.0], "t_window"),
     ("ou", "coarse_grain", "t_window", [0.2, 0.5], "t_window"),
+    # inside the run but between two records (sed about 1.2 apart on the
+    # resolved comb grid, ou 0.2 and 0.21): refused once the grid is known
+    ("sed", "coarse_grain", "t_window", [150.1, 150.5],
+     "[150.1, 150.5] holds none of the 1254 recorded times on [0, 1499.59]"),
+    ("ou", "coarse_grain", "t_window", [0.201, 0.205],
+     "[0.201, 0.205] holds none of the 41 recorded times on [0, 0.4]"),
 ])
 def test_bad_inputs_are_refused_before_anything_is_written(
         pipeline, block, key, value, message, tmp_path, monkeypatch, capsys):
@@ -465,7 +471,8 @@ def test_plot_data_names_the_missing_artifact(sed_run, tmp_path):
 
 
 def test_plot_of_a_csv_dump_names_the_missing_binary_dump(tmp_path, capsys):
-    # a csv dump cannot be reloaded for the balance trace
+    # a csv dump cannot be reloaded for the balance trace, and the plot
+    # that fails on it writes nothing
     cfg = mini_sed_config()
     cfg["time"]["t_final"] = 300.0
     cfg["coarse_grain"]["t_window"] = [150.0, 300.0]
@@ -475,6 +482,8 @@ def test_plot_of_a_csv_dump_names_the_missing_binary_dump(tmp_path, capsys):
     assert (run_dir / "ensemble" / "trajectories.csv").is_file()
     assert main(["plot", str(run_dir)]) == 2
     assert "missing artifact: binary ensemble dump" in capsys.readouterr().err
+    # every input is checked before the first figure is written
+    assert not (run_dir / "plots").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +511,8 @@ def test_cli_run_report_plot_cycle(tmp_path, monkeypatch, capsys):
     row = next(line for line in out.splitlines()
                if line.split()[:1] == ["integrate"])
     assert [float(x) for x in row.split()[1:]] == pytest.approx(
-        [integrate["wall_s"], integrate["cpu_s"], integrate["peak_rss_mb"]],
+        [integrate["wall_s"], integrate["cpu_s"], integrate["peak_rss_mb"],
+         integrate["rss_mb"]],
         abs=1e-3, rel=1e-3)
     assert out.index("pipeline:") < out.index(row)
     assert "% of wall_seconds" in out.splitlines()[-1]

@@ -9,6 +9,7 @@ an integrator defect cannot mask an estimator defect.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,7 +244,7 @@ def assert_bitwise(got, want, name=""):
             assert_bitwise(getattr(got, f.name), getattr(want, f.name), f.name)
     elif isinstance(want, np.ndarray):
         np.testing.assert_array_equal(got, want, err_msg=name)
-    elif isinstance(want, list):
+    elif isinstance(want, (list, tuple)):
         assert len(got) == len(want), name
         for a, b in zip(got, want):
             assert_bitwise(a, b, name)
@@ -298,6 +299,196 @@ def test_shared_samples_match_the_standalone_estimators_bitwise(
     assert_bitwise(sweep.estimates,
                    [estimate_D(ens, dataclasses.replace(sweep_spec, delta_t=lag))
                     for lag in lags])
+
+
+def whole_array_estimates(ens, spec, lag_steps):
+    """The estimators as whole-array formulas, the form they had before
+    the sample set walked row blocks: every position of the reference set
+    gathered at once, each binned sum one np.bincount over the gathered
+    samples in row-major order, each trajectory's D sum one row of a
+    row-major array. Returns the fields, the density, the per-time fields
+    and D per lag in lag_steps, with and without the mean removed, all on
+    the reference set spec resolves."""
+    ok = ens.ok_mask()
+    k = int(round(spec.delta_t / ens.rec_dt))
+    if spec.reference_times is None:
+        ridx = np.arange(k, ens.times.size - k, spec.thin_stride)
+    else:
+        ridx = np.array([int(round((t - ens.t0) / ens.rec_dt))
+                         for t in spec.reference_times])
+
+    def gather(steps):
+        return np.ascontiguousarray(ens.positions[ok][:, ridx + steps])
+
+    x0, xp, xm = gather(0), gather(k), gather(-k)
+    n = spec.x_bins
+    if spec.x_range is None:
+        lo, hi = float(x0.min()), float(x0.max())
+        pad = 1e-9 * max(hi - lo, 1.0)
+        lo, hi = lo - pad, hi + pad
+    else:
+        lo, hi = spec.x_range
+    edges = np.linspace(lo, hi, n + 1)
+    width = float(edges[1] - edges[0])
+    idx = np.searchsorted(edges, x0, side="right") - 1
+    idx[idx < 0] = n
+
+    def binned(idx, w):
+        counts = np.bincount(idx, minlength=n + 1)
+        sums = np.bincount(idx, weights=w, minlength=n + 1)
+        sq = np.bincount(idx, weights=w**2, minlength=n + 1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = sums / counts
+            se = np.sqrt(np.maximum(sq / counts - mean**2, 0.0)
+                         / np.maximum(counts, 1.0))
+        mean[counts == 0] = np.nan
+        se[counts == 0] = np.nan
+        return counts, mean, se
+
+    dt = k * ens.rec_dt
+    increments = {"v": (xp - xm) / (2.0 * dt),
+                  "u": (xp + xm - 2.0 * x0) / (2.0 * dt),
+                  "va": (x0 - xm) / dt}
+    fields = {kind: [a[:n] for a in binned(idx.ravel(), inc.ravel())]
+              for kind, inc in increments.items()}
+    counts = fields["v"][0]
+    p = counts / float(counts.sum())
+    density = (p / width,
+               np.sqrt(np.maximum(p * (1 - p), 0.0) / counts.sum()) / width)
+
+    # per reference time: v and u means, density, counts, each (n_ref, n)
+    per_time = []
+    for r in range(ridx.size):
+        c, v, _ = binned(idx[:, r], increments["v"][:, r])
+        u = binned(idx[:, r], increments["u"][:, r])[1]
+        per_time.append((v[:n], u[:n], c[:n] / float(c[:n].sum()) / width,
+                         c[:n]))
+    per_time = [np.array(col) for col in zip(*per_time)]
+
+    diffusion = {}
+    for steps in lag_steps:
+        for subtract_mean in (True, False):
+            dx = gather(steps) - x0
+            if subtract_mean:
+                mean = binned(idx.ravel(), dx.ravel())[1]
+                mean[n] = np.nan
+                dx = dx - mean[idx]
+            samples = dx**2 / (2.0 * steps * ens.rec_dt)
+            finite = np.isfinite(samples)
+            n_per = finite.sum(axis=1)
+            sums = np.where(finite, samples, 0.0).sum(axis=1)
+            per_traj = sums[n_per > 0] / n_per[n_per > 0]
+            diffusion[steps, subtract_mean] = (
+                float(np.mean(per_traj)),
+                float(np.std(per_traj, ddof=1) / math.sqrt(per_traj.size)),
+                int(finite.sum()))
+    return fields, density, per_time, diffusion
+
+
+@pytest.mark.parametrize("x0, refs, x_range, flagged", [
+    ("stationary", None, None, False),
+    ("stationary", None, (-0.8, 0.8), True),
+    (0.0, (0.6, 0.9, 1.2, 1.5), None, True),
+    (0.0, (0.6, 0.9, 1.2, 1.5), (-0.4, 0.4), False),
+])
+def test_sample_set_equals_the_whole_array_formulas_bitwise(
+        x0, refs, x_range, flagged, monkeypatch):
+    # reference times None give 290 and more samples per trajectory, past
+    # the 128 of numpy's pairwise-sum blocks; the narrow ranges leave
+    # samples in the overflow bin, whose NaN mean drops them from D
+    ens = ou_ensemble(0.1, 0.1, 2000, 0.01, 300, 49, x0=x0)
+    if flagged:
+        ens.status[::97] = STATUS_NONFINITE
+    spec = CoarseGrainSpec(delta_t=0.02, x_bins=16, x_range=x_range,
+                           reference_times=refs)
+    samples = SampleSet(ens, spec)
+    fields, density, per_time, diffusion = whole_array_estimates(
+        ens, spec, (2,))
+    for kind in ("v", "u", "va"):
+        field = samples.field(kind)
+        assert_bitwise((field.counts, field.values, field.std_error),
+                       fields[kind], kind)
+    rho = samples.density()
+    assert_bitwise((rho.values, rho.std_error), density, "rho")
+    for subtract_mean in (True, False):
+        d = samples.diffusion(subtract_mean)
+        assert_bitwise((d.value, d.std_error, d.n_samples),
+                       diffusion[2, subtract_mean], f"D {subtract_mean}")
+
+    # the sweep's lags on the reference set of the largest lag
+    steps = (1, 2, 5)
+    sweep_spec = dataclasses.replace(spec, delta_t=0.05)
+    diffusion = whole_array_estimates(ens, sweep_spec, steps)[3]
+    for subtract_mean in (True, False):
+        sweep = diffusion_sweep(ens, sweep_spec, [0.01 * j for j in steps],
+                                subtract_mean)
+        assert_bitwise([(e.value, e.std_error, e.n_samples)
+                        for e in sweep.estimates],
+                       [diffusion[j, subtract_mean] for j in steps])
+
+    if refs is not None:
+        # the measured residuals read the per-time fields and D; fed the
+        # whole-array ones, they give the same reports
+        force = lambda x: -0.1 * x
+        got = samples.classify_branch(1.0, force, time_derivative="measured")
+        want_set = SampleSet(ens, spec)
+        monkeypatch.setattr(want_set, "_fields_at_times", lambda: per_time)
+        D = whole_array_estimates(ens, spec, (2,))[3][2, True][0]
+        assert_bitwise(got, want_set.classify_branch(
+            1.0, force, D=D, time_derivative="measured"))
+
+
+def test_bin_index_is_searchsorted_exactly():
+    # the arithmetic guess plus one comparison on either side equals
+    # searchsorted on the edges, on them, one ulp either side, outside
+    # them and at NaN and infinities
+    rng = np.random.default_rng(50)
+    for lo, hi, n in ((-3.0, 3.0, 41), (-0.35, 0.35, 16), (0.1, 0.7, 7),
+                      (-2e-3, 1e-3, 5), (1e3, 1e3 + 1.0, 9),
+                      (-7.3, 7.3 + 1e-9, 25)):
+        edges = np.linspace(lo, hi, n + 1)
+        x = np.concatenate([
+            rng.uniform(2 * lo - hi, 2 * hi - lo, 20000), edges,
+            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [np.nan, np.inf, -np.inf, 1e300, -1e300]])
+        want = np.searchsorted(edges, x, side="right") - 1
+        want[want < 0] = n
+        np.testing.assert_array_equal(
+            sedsim.kinematics._bin_index(edges, x), want)
+        np.testing.assert_array_equal(
+            sedsim.kinematics._bin_index(edges, x[:20000].reshape(-1, 8)),
+            want[:20000].reshape(-1, 8))
+
+
+@pytest.mark.parametrize("flagged", [False, True])
+def test_sample_set_memory_stays_below_a_quarter_of_one_sample_array(flagged):
+    # 16,000 trajectories at 253 reference times: one (n_ok, n_ref) float
+    # array is 32 MB. Every estimate, both residual modes and the sweep
+    # hold per-bin and per-trajectory sums plus one block's temporaries
+    ens = ou_ensemble(0.1, 0.1, 16000, 0.01, 260, 51, x0="stationary")
+    if flagged:
+        ens.status[::97] = STATUS_NONFINITE
+    refs = tuple(float(t) for t in ens.times[4:257])
+    spec = CoarseGrainSpec(delta_t=0.02, x_bins=16, reference_times=refs)
+    one_array = np.count_nonzero(ens.ok_mask()) * len(refs) * 8
+    assert one_array > 8e6
+    force = lambda x: -0.1 * x
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        samples = SampleSet(ens, spec)
+        for kind in ("v", "u", "va"):
+            samples.field(kind)
+        samples.va()
+        samples.density()
+        samples.diffusion(subtract_mean=False)
+        for mode in ("omitted", "measured"):
+            samples.classify_branch(1.0, force, time_derivative=mode)
+        diffusion_sweep(ens, spec, (0.01, 0.02, 0.04))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < one_array / 4, (peak, one_array)
 
 
 # ---------------------------------------------------------------------------
