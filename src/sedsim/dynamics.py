@@ -31,13 +31,24 @@ most 3.2e-12 sigma_x over the shipped run, 1.2e-11 at tau = 1e-5. Both
 paths store the field from comb_sum_grid. ens.meta["integrator"] names the
 path that ran; on the response path ens.meta["rk4_spectral_radius"] holds
 max|lambda(M)|, and a warning is recorded when it is at least 1.
+
+integrate_stream hands each finished chunk of trajectories, in row order,
+to a list of consumers and keeps none of it: an EnsembleWriter appends the
+chunk's rows to the dump, BalanceSums and EnergySums add its blocks of
+intact rows to the energy balance and the relaxation curve, and a
+ColumnStore keeps the positions at the recorded columns the estimators
+read. Each trajectory is seeded on its own (Philox keyed by master seed
+and trajectory index; Salmon et al., SC'11), so a chunk does not depend on
+the others. integrate_ensemble is the stream whose chunks fill whole
+arrays in place; energy_balance, relaxation_curve and dump_ensemble take
+a whole ensemble as one chunk, so both routes give the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -62,7 +73,8 @@ CHUNK = 512
 _SLAB = 8192
 
 # Rows taken together wherever whole rows of records are worked on: the
-# transient on the response path and the walk of intact_blocks.
+# transient on the response path and the walk of intact_blocks, whose
+# blocks the stream's reductions keep across chunk boundaries.
 # Each temporary is ROW_BLOCK x n_rec doubles, 2.1 MB on the shipped grid.
 # On the shipped run the window reductions took about as long at 8 to 64
 # rows; at 128 the relaxation curve took 1.6x as long.
@@ -72,7 +84,7 @@ ROW_BLOCK = 32
 _TRANSIENT_BLOCK = 64
 
 DUMP_SCHEMA_VERSION = 1
-DUMP_FORMATS = ("binary", "csv")
+DUMP_FORMATS = ("binary",)
 
 
 class IntegrationError(ValueError):
@@ -258,7 +270,9 @@ class TrajectoryEnsemble:
     positions/velocities have shape (n_traj, n_rec); times is the recorded
     grid (thinned by record_stride from the integration grid). A trajectory
     that develops non-finite state keeps NaN records from that point on and
-    carries STATUS_NONFINITE, never silently.
+    carries STATUS_NONFINITE, never silently. A streamed ensemble
+    (integrate_stream, reference.ou_stream) comes back without its arrays:
+    positions, velocities and field_values are None.
     """
 
     t0: float
@@ -275,7 +289,7 @@ class TrajectoryEnsemble:
 
     @property
     def n_traj(self) -> int:
-        return self.positions.shape[0]
+        return self.status.shape[0]
 
     @property
     def rec_dt(self) -> float:
@@ -292,22 +306,25 @@ class TrajectoryEnsemble:
         ok = self.ok_mask()
         return arr[:, cols] if ok.all() else arr[np.ix_(ok, cols)]
 
-    def intact_blocks(self, names, cols=slice(None), rows: int = ROW_BLOCK):
+    def intact_blocks(self, names, cols=slice(None), rows: int = ROW_BLOCK,
+                      first: int | None = None):
         """Walk the STATUS_OK rows of the named arrays over the recorded
         columns cols (a slice, or indices in the order given), rows rows at
-        a time in row order, yielding one row-major block per name: views
-        when cols is a slice and no row is flagged, else copies. A
-        reduction along time is local to a block's rows; one over
-        trajectories adds each block's column sums in order (Chan, Golub &
-        LeVeque, Am. Stat. 37, 242 (1983)). With no intact row the walk
-        yields one empty block."""
+        a time in row order (the first block first rows, by default rows),
+        yielding one row-major block per name: views when cols is a slice
+        and no row is flagged, else copies. A reduction along time is local
+        to a block's rows; one over trajectories adds each block's column
+        sums in order (Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983)).
+        With no intact row the walk yields one empty block."""
         ok = self.ok_mask()
         whole = bool(ok.all())
         if not whole:
             ok = np.flatnonzero(ok)
+        n = self.n_traj if whole else ok.size
         index = not isinstance(cols, slice)
-        for lo in range(0, max(self.n_traj if whole else ok.size, 1), rows):
-            part = slice(lo, lo + rows) if whole else ok[lo:lo + rows]
+        cuts = range(rows if first is None else first, n, rows)
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            part = slice(lo, hi) if whole else ok[lo:hi]
             if index and not whole:
                 part = part[:, None]
             blocks = [getattr(self, name)[part, cols] for name in names]
@@ -315,11 +332,15 @@ class TrajectoryEnsemble:
             yield [np.ascontiguousarray(b) for b in blocks] if index else blocks
 
     def window_columns(self, window) -> slice:
-        """The recorded columns with window[0] <= t <= window[1]; the
-        recorded times increase, so they are one slice."""
-        lo = int(np.searchsorted(self.times, window[0], side="left"))
-        hi = int(np.searchsorted(self.times, window[1], side="right"))
-        return slice(lo, max(lo, hi))
+        return window_columns(self.times, window)
+
+
+def window_columns(times: np.ndarray, window) -> slice:
+    """The recorded columns with window[0] <= t <= window[1]; the recorded
+    times increase, so they are one slice."""
+    lo = int(np.searchsorted(times, window[0], side="left"))
+    hi = int(np.searchsorted(times, window[1], side="right"))
+    return slice(lo, max(lo, hi))
 
 
 def _step_response(step, omegas, h2: float, stride: int):
@@ -422,12 +443,14 @@ def record_times(t0: float, dt: float, n_steps: int,
     return t0 + dt * record_stride * np.arange(n_steps // record_stride + 1)
 
 
-def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
-                       t0: float, dt: float, n_steps: int, n_traj: int,
-                       master_seed: int, record_stride: int = 1,
-                       n_workers: int = 1, store_field: bool = True,
-                       progress=None) -> TrajectoryEnsemble:
-    """Integrate n_traj independent trajectories of the reduced-order equation.
+def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
+                     t0: float, dt: float, n_steps: int, n_traj: int,
+                     master_seed: int, consumers=(), record_stride: int = 1,
+                     n_workers: int = 1, store_field: bool = True,
+                     progress=None, out=None) -> TrajectoryEnsemble:
+    """Integrate n_traj independent trajectories of the reduced-order
+    equation, CHUNK at a time, and hand each finished chunk to every
+    consumer in turn as consumer.take(chunk), in row order.
 
     Each trajectory is driven by its own field realization seeded from
     (master_seed, trajectory index); results are bit-identical across runs
@@ -441,9 +464,18 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     chunk at a time; the others step RK4 in a loop, reading the field of a
     chunk from slabs of _SLAB half steps (comb_sum_slabs) filled just ahead
     of the steps. Neither path holds a field table of the whole run.
-    progress, when given, is called as progress(done, n_traj) each time a
-    chunk of CHUNK trajectories finishes, done counting the trajectories
-    finished so far; calls never overlap, also with n_workers > 1.
+
+    A chunk is a TrajectoryEnsemble of its rows (field_values None without
+    store_field) sharing the run's times and meta; a consumer copies what
+    it keeps. With n_workers > 1 up to n_workers chunks are in flight, and
+    one that finishes early waits until the chunks before it are handed
+    over. Without out each chunk's arrays are its own and are dropped once
+    handed over; out(n_rec), when given, returns whole (n_traj, n_rec)
+    arrays (positions, velocities, field_values or None) whose rows the
+    chunks fill in place. progress, when given, is called as
+    progress(done, n_traj) after each chunk is handed over, done counting
+    the trajectories so far. Returns the ensemble without its arrays: its
+    times, seeds, status and meta, warnings included.
     """
     if n_traj < 1:
         raise IntegrationError("n_traj must be at least 1")
@@ -466,9 +498,7 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
         raise IntegrationError("integrator is one-dimensional; need components=1")
 
     n_rec = n_steps // record_stride + 1
-    xs = np.empty((n_traj, n_rec))
-    vs = np.empty((n_traj, n_rec))
-    es = np.empty((n_traj, n_rec)) if store_field else None
+    times = record_times(t0, dt, n_steps, record_stride)
     status = np.zeros(n_traj, dtype=np.int8)
     seeds = np.empty((n_traj, 2), dtype=np.int64)
     seeds[:, 0] = master_seed
@@ -497,85 +527,6 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     linear = particle.potential.linear
     omegas, _, amps = mode_table(fspec)
     rec_step = 2 * record_stride          # half steps from record to record
-    if linear:
-        rho, K, P = _step_response(step, omegas, h2, record_stride)
-        if rho >= 1.0:
-            warnings.append(
-                f"RK4 step map has spectral radius max|lambda(M)| = {rho:.12g}"
-                f" >= 1 at dt={dt:g}: deviations from the steady response do"
-                f" not decay, and above 1 they grow until they overflow")
-        growth = record_stride * math.log(max(rho, 1.0))
-
-    def chunk(span):
-        """Integrate trajectories [lo, hi); write records into output slices."""
-        lo, hi = span
-        n = hi - lo
-        coefs = amps * np.exp(1j * np.array(
-            [make_field(fspec, (master_seed, i, 0)).phases[0]
-             for i in range(lo, hi)]))
-        x = np.empty(n)
-        v = np.empty(n)
-        for i in range(n):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence((master_seed, lo + i, 1)))
-            )
-            x[i], v[i] = ic.sample(rng)
-        if store_field:
-            comb_sum_grid(coefs, omegas, t0, h2, rec_step, n_rec,
-                          out=es[lo:hi])
-
-        if linear:
-            for rec, k in ((xs, K[0]), (vs, K[1])):
-                comb_sum_grid(coefs * k, omegas, t0, h2, rec_step, n_rec,
-                              out=rec[lo:hi])
-            _add_transient(xs[lo:hi], vs[lo:hi], x, v, P, growth)
-            finite = np.isfinite(xs[lo:hi]) & np.isfinite(vs[lo:hi])
-            for i in np.flatnonzero(~finite.all(axis=1)):
-                # NaN from the first non-finite record on, as a row that
-                # overflows on the step loop
-                first = int(np.argmin(finite[i]))
-                xs[lo + i, first:] = vs[lo + i, first:] = np.nan
-                status[lo + i] = STATUS_NONFINITE
-            return
-
-        xs[lo:hi, 0] = x
-        vs[lo:hi, 0] = v
-        # a slab holds an even number of half steps, so each step's three
-        # field values lie in one slab
-        k = 0
-        for slab in comb_sum_slabs(coefs, omegas, t0, h2, 2 * n_steps + 1,
-                                   _SLAB):
-            for c in range(0, slab.shape[1] - 1, 2):
-                x, v = step(x, v, slab[:, c], slab[:, c + 1], slab[:, c + 2])
-                k += 1
-                if k % record_stride == 0:
-                    j = k // record_stride
-                    bad = ~(np.isfinite(x) & np.isfinite(v))
-                    if bad.any():
-                        status[lo:hi][bad] = STATUS_NONFINITE
-                    xs[lo:hi, j] = x
-                    vs[lo:hi, j] = v
-
-    lock = threading.Lock()
-    n_done = 0
-
-    def run_chunk(span):
-        nonlocal n_done
-        chunk(span)
-        if progress is not None:
-            with lock:
-                n_done += span[1] - span[0]
-                progress(n_done, n_traj)
-
-    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
-    if n_workers <= 1:
-        for span in spans:
-            run_chunk(span)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_chunk, spans))
-
-    times = record_times(t0, dt, n_steps, record_stride)
     meta = {
         "master_seed": int(master_seed),
         "integrator": "rk4-response" if linear else "rk4-loop",
@@ -587,16 +538,104 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                      "potential_kind": particle.potential.kind},
     }
     if linear:
+        rho, K, P = _step_response(step, omegas, h2, record_stride)
+        if rho >= 1.0:
+            warnings.append(
+                f"RK4 step map has spectral radius max|lambda(M)| = {rho:.12g}"
+                f" >= 1 at dt={dt:g}: deviations from the steady response do"
+                f" not decay, and above 1 they grow until they overflow")
+        growth = record_stride * math.log(max(rho, 1.0))
         meta["rk4_spectral_radius"] = rho
-    ens = TrajectoryEnsemble(
-        t0=t0, dt=dt, n_steps=n_steps, record_stride=record_stride,
-        times=times, positions=xs, velocities=vs, seeds=seeds, status=status,
-        field_values=es, meta=meta,
-    )
+    whole = out(n_rec) if out is not None else None
+
+    def chunk(span) -> TrajectoryEnsemble:
+        """Integrate trajectories [lo, hi) into the chunk's records."""
+        lo, hi = span
+        n = hi - lo
+        if whole is None:
+            xs, vs = np.empty((n, n_rec)), np.empty((n, n_rec))
+            es = np.empty((n, n_rec)) if store_field else None
+        else:
+            xs, vs, es = (None if a is None else a[lo:hi] for a in whole)
+        st = status[lo:hi]
+        coefs = amps * np.exp(1j * np.array(
+            [make_field(fspec, (master_seed, i, 0)).phases[0]
+             for i in range(lo, hi)]))
+        x = np.empty(n)
+        v = np.empty(n)
+        for i in range(n):
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence((master_seed, lo + i, 1)))
+            )
+            x[i], v[i] = ic.sample(rng)
+        if store_field:
+            comb_sum_grid(coefs, omegas, t0, h2, rec_step, n_rec, out=es)
+
+        if linear:
+            for rec, k in ((xs, K[0]), (vs, K[1])):
+                comb_sum_grid(coefs * k, omegas, t0, h2, rec_step, n_rec,
+                              out=rec)
+            _add_transient(xs, vs, x, v, P, growth)
+            finite = np.isfinite(xs) & np.isfinite(vs)
+            for i in np.flatnonzero(~finite.all(axis=1)):
+                # NaN from the first non-finite record on, as a row that
+                # overflows on the step loop
+                first = int(np.argmin(finite[i]))
+                xs[i, first:] = vs[i, first:] = np.nan
+                st[i] = STATUS_NONFINITE
+        else:
+            xs[:, 0] = x
+            vs[:, 0] = v
+            # a slab holds an even number of half steps, so each step's
+            # three field values lie in one slab
+            k = 0
+            for slab in comb_sum_slabs(coefs, omegas, t0, h2,
+                                       2 * n_steps + 1, _SLAB):
+                for c in range(0, slab.shape[1] - 1, 2):
+                    x, v = step(x, v, slab[:, c], slab[:, c + 1], slab[:, c + 2])
+                    k += 1
+                    if k % record_stride == 0:
+                        j = k // record_stride
+                        bad = ~(np.isfinite(x) & np.isfinite(v))
+                        if bad.any():
+                            st[bad] = STATUS_NONFINITE
+                        xs[:, j] = x
+                        vs[:, j] = v
+        return TrajectoryEnsemble(
+            t0=t0, dt=dt, n_steps=n_steps, record_stride=record_stride,
+            times=times, positions=xs, velocities=vs, seeds=seeds[lo:hi],
+            status=st, field_values=es, meta=meta)
+
     # the dt bound above knows only the field band; a stiff potential can
     # move faster than the field where the trajectories actually went
-    fp_max = max(float(np.max(np.abs(particle.potential.fprime(x)), initial=0.0))
-                 for (x,) in ens.intact_blocks(("positions",)))
+    fp_max = 0.0
+    n_done = 0
+
+    def hand_over(piece: TrajectoryEnsemble):
+        nonlocal fp_max, n_done
+        for consumer in consumers:
+            consumer.take(piece)
+        fp_max = max(fp_max, *(
+            float(np.max(np.abs(particle.potential.fprime(x)), initial=0.0))
+            for (x,) in piece.intact_blocks(("positions",))))
+        n_done += piece.n_traj
+        if progress is not None:
+            progress(n_done, n_traj)
+
+    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
+    if n_workers <= 1:
+        for span in spans:
+            hand_over(chunk(span))
+    else:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            pending = deque()
+            for span in spans:
+                if len(pending) == n_workers:
+                    hand_over(pending.popleft().result())
+                pending.append(pool.submit(chunk, span))
+            while pending:
+                hand_over(pending.popleft().result())
+
     omega_loc = math.sqrt(fp_max / particle.mass)
     if 10.0 * omega_loc * dt > 2.0 * math.pi:
         warnings.append(
@@ -605,6 +644,34 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
             f"sqrt(max|f'(x)|/m) = {omega_loc:.4g} over the recorded "
             f"positions; RK4 may not follow the motion"
         )
+    return TrajectoryEnsemble(
+        t0=t0, dt=dt, n_steps=n_steps, record_stride=record_stride,
+        times=times, positions=None, velocities=None, seeds=seeds,
+        status=status, meta=meta)
+
+
+def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
+                       t0: float, dt: float, n_steps: int, n_traj: int,
+                       master_seed: int, record_stride: int = 1,
+                       n_workers: int = 1, store_field: bool = True,
+                       progress=None) -> TrajectoryEnsemble:
+    """Integrate n_traj trajectories into whole (n_traj, n_rec) arrays of
+    positions, velocities and, with store_field, field values: the
+    integrate_stream whose chunks fill the rows of those arrays in place.
+    See integrate_stream for the grid, the seeding, the warnings and
+    progress."""
+    whole = []
+
+    def allocate(n_rec):
+        whole.extend(np.empty((n_traj, n_rec)) if keep else None
+                     for keep in (True, True, store_field))
+        return whole
+
+    ens = integrate_stream(particle, fspec, ic, t0, dt, n_steps, n_traj,
+                           master_seed, record_stride=record_stride,
+                           n_workers=n_workers, store_field=store_field,
+                           progress=progress, out=allocate)
+    ens.positions, ens.velocities, ens.field_values = whole
     return ens
 
 
@@ -642,6 +709,144 @@ class EnergyBalanceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+class _RowBlockSums:
+    """A reduction over blocks of intact rows at the recorded columns
+    self.cols. take(chunk) hands add() the chunk's intact rows in the
+    blocks intact_blocks yields over the whole ensemble, ROW_BLOCK rows in
+    row order: the rows of a block that a chunk boundary cuts are held, as
+    copies, until the next chunk completes it. Taking a whole ensemble as
+    one chunk is therefore its intact_blocks walk, and a stream of chunks
+    adds the same blocks in the same order."""
+
+    names = ()
+
+    def __init__(self, cols):
+        self.cols = cols
+        self.n = 0              # intact rows added so far
+        self._held = []         # per held part of a block, one array per name
+        self._n_held = 0
+
+    def take(self, chunk: TrajectoryEnsemble):
+        for block in chunk.intact_blocks(self.names, self.cols,
+                                         first=ROW_BLOCK - self._n_held):
+            if len(block[0]) == ROW_BLOCK:
+                self._add(block)
+            elif len(block[0]):
+                self._held.append([b.copy() for b in block])
+                self._n_held += len(block[0])
+                if self._n_held == ROW_BLOCK:
+                    self._flush()
+
+    def _flush(self):
+        """Add the held rows: a block completed across a chunk boundary,
+        or the last block, which no later chunk completes."""
+        if self._held:
+            self._add([np.concatenate(parts) for parts in zip(*self._held)])
+            self._held, self._n_held = [], 0
+
+    def _add(self, block):
+        self.n += len(block[0])
+        self.add(*block)
+
+
+class BalanceSums(_RowBlockSums):
+    """energy_balance's sums over the window's columns: per intact row the
+    window means of the absorbed power, the radiated power and the energy;
+    per time their sums over the rows. report(ens) finishes them for the
+    ensemble ens (its meta and, streamed, without its arrays); trace() is
+    the mean absorbed and radiated power at each window time."""
+
+    names = ("positions", "velocities", "field_values")
+
+    def __init__(self, particle: ParticleSpec, window: tuple, times):
+        cols = window_columns(times, window)
+        if cols.stop == cols.start:
+            raise IntegrationError(f"empty window {window} on recorded grid")
+        super().__init__(cols)
+        self.particle, self.window, self.times = particle, window, times[cols]
+        self.per_traj = []
+        self.sums = np.zeros((3, self.times.size))
+
+    def add(self, x, v, efield):
+        p = self.particle
+        powers = (p.charge * efield * v,
+                  p.mass * p.tau * p.acceleration(x, v, efield)**2,
+                  p.energy(x, v))
+        self.per_traj.append([np.mean(q, axis=1) for q in powers])
+        for total, q in zip(self.sums, powers):
+            total += np.sum(q, axis=0)
+
+    def trace(self):
+        """(times, absorbed, radiated): the ensemble-mean powers at each
+        recorded time of the window."""
+        self._flush()
+        return self.times, self.sums[0] / self.n, self.sums[1] / self.n
+
+    def report(self, ens: TrajectoryEnsemble) -> "EnergyBalanceReport":
+        self._flush()
+        nt = self.n
+        if nt == 0:
+            raise IntegrationError("no intact trajectory: every row is non-finite")
+        t_start, t_end = self.window
+        warnings = []
+        omega_char = ens.meta.get("omega_char") or 1.0
+        if (t_end - t_start) < 10.0 * (2.0 * math.pi / omega_char):
+            warnings.append("window shorter than 10 periods of the systematic motion")
+
+        absorbed_traj, radiated_traj, energy_traj = np.concatenate(
+            self.per_traj, axis=1)
+        e_of_t = self.sums[2] / nt
+
+        absorbed = float(np.mean(absorbed_traj))
+        radiated = float(np.mean(radiated_traj))
+        energy = float(np.mean(energy_traj))
+        se_a = float(np.std(absorbed_traj, ddof=1) / math.sqrt(nt)) if nt > 1 else 0.0
+        se_r = float(np.std(radiated_traj, ddof=1) / math.sqrt(nt)) if nt > 1 else 0.0
+        se_e = float(np.std(energy_traj, ddof=1) / math.sqrt(nt)) if nt > 1 else 0.0
+
+        # net energy drift across the window, from a linear fit of the
+        # ensemble-mean energy
+        tw = self.times
+        slope, se_trend = 0.0, 0.0
+        if tw.size > 2:
+            fit = np.polyfit(tw, e_of_t, 1)
+            slope = float(fit[0])
+            se_trend = float(np.std(e_of_t - np.polyval(fit, tw)) * 2.0)
+        trend = slope * (t_end - t_start)
+        stationary = abs(trend) <= max(0.05 * abs(energy), 3.0 * se_trend)
+
+        ratio = absorbed / radiated if radiated > 0 else math.inf
+        return EnergyBalanceReport(
+            mean_absorbed_power=absorbed, mean_radiated_power=radiated,
+            mean_energy=energy, window=(float(t_start), float(t_end)),
+            se_absorbed=se_a, se_radiated=se_r, se_energy=se_e,
+            balance_ratio=ratio, energy_trend=trend, stationary=stationary,
+            warnings=warnings,
+        )
+
+
+class EnergySums(_RowBlockSums):
+    """relaxation_curve's sums: the energy summed over the intact rows at
+    every recorded time. curve(ens) finishes them."""
+
+    names = ("positions", "velocities")
+
+    def __init__(self, particle: ParticleSpec, n_rec: int):
+        super().__init__(slice(None))
+        self.particle = particle
+        self.total = np.zeros(n_rec)
+
+    def add(self, x, v):
+        self.total += np.sum(self.particle.energy(x, v), axis=0)
+
+    def curve(self, ens: TrajectoryEnsemble):
+        self._flush()
+        if self.n < 100:
+            raise IntegrationError(f"relaxation curve needs >= 100 intact "
+                                   f"trajectories, has {self.n}")
+        return ens.times.copy(), self.total / self.n
+
+
 def energy_balance(ens: TrajectoryEnsemble, particle: ParticleSpec,
                    window: tuple) -> EnergyBalanceReport:
     """Absorbed vs radiated power over a time window.
@@ -652,61 +857,9 @@ def energy_balance(ens: TrajectoryEnsemble, particle: ParticleSpec,
     """
     if ens.field_values is None:
         raise IntegrationError("ensemble was integrated without stored field values")
-    t_start, t_end = window
-    cols = ens.window_columns(window)
-    w = cols.stop - cols.start
-    if w == 0:
-        raise IntegrationError(f"empty window {window} on recorded grid")
-    nt = int(np.count_nonzero(ens.ok_mask()))
-    if nt == 0:
-        raise IntegrationError("no intact trajectory: every row is non-finite")
-    warnings = []
-    omega_char = ens.meta.get("omega_char") or 1.0
-    if (t_end - t_start) < 10.0 * (2.0 * math.pi / omega_char):
-        warnings.append("window shorter than 10 periods of the systematic motion")
-
-    # per trajectory: window means of the absorbed power, the radiated power
-    # and the energy; per time: the energy summed over trajectories
-    per_traj = []
-    e_sum = np.zeros(w)
-    for x, v, efield in ens.intact_blocks(
-            ("positions", "velocities", "field_values"), cols):
-        energy = particle.energy(x, v)
-        per_traj.append([
-            np.mean(particle.charge * efield * v, axis=1),
-            np.mean(particle.mass * particle.tau
-                    * particle.acceleration(x, v, efield)**2, axis=1),
-            np.mean(energy, axis=1)])
-        e_sum += np.sum(energy, axis=0)
-    absorbed_traj, radiated_traj, energy_traj = np.concatenate(per_traj, axis=1)
-    e_of_t = e_sum / nt
-
-    absorbed = float(np.mean(absorbed_traj))
-    radiated = float(np.mean(radiated_traj))
-    energy = float(np.mean(energy_traj))
-    se_a = float(np.std(absorbed_traj, ddof=1) / math.sqrt(nt)) if nt > 1 else 0.0
-    se_r = float(np.std(radiated_traj, ddof=1) / math.sqrt(nt)) if nt > 1 else 0.0
-    se_e = float(np.std(energy_traj, ddof=1) / math.sqrt(nt)) if nt > 1 else 0.0
-
-    # net energy drift across the window, from a linear fit of the
-    # ensemble-mean energy
-    tw = ens.times[cols]
-    slope, se_trend = 0.0, 0.0
-    if tw.size > 2:
-        fit = np.polyfit(tw, e_of_t, 1)
-        slope = float(fit[0])
-        se_trend = float(np.std(e_of_t - np.polyval(fit, tw)) * 2.0)
-    trend = slope * (t_end - t_start)
-    stationary = abs(trend) <= max(0.05 * abs(energy), 3.0 * se_trend)
-
-    ratio = absorbed / radiated if radiated > 0 else math.inf
-    return EnergyBalanceReport(
-        mean_absorbed_power=absorbed, mean_radiated_power=radiated,
-        mean_energy=energy, window=(float(t_start), float(t_end)),
-        se_absorbed=se_a, se_radiated=se_r, se_energy=se_e,
-        balance_ratio=ratio, energy_trend=trend, stationary=stationary,
-        warnings=warnings,
-    )
+    sums = BalanceSums(particle, window, ens.times)
+    sums.take(ens)
+    return sums.report(ens)
 
 
 def relaxation_curve(ens: TrajectoryEnsemble, particle: ParticleSpec):
@@ -717,71 +870,110 @@ def relaxation_curve(ens: TrajectoryEnsemble, particle: ParticleSpec):
     intact trajectories for a meaningful mean; the approach to the
     stationary plateau should be judged on window averages, not pointwise.
     """
-    n_ok = int(np.count_nonzero(ens.ok_mask()))
-    if n_ok < 100:
-        raise IntegrationError(f"relaxation curve needs >= 100 intact "
-                               f"trajectories, has {n_ok}")
-    total = np.zeros(ens.times.size)
-    for x, v in ens.intact_blocks(("positions", "velocities")):
-        total += np.sum(particle.energy(x, v), axis=0)
-    return ens.times.copy(), total / n_ok
+    sums = EnergySums(particle, ens.times.size)
+    sums.take(ens)
+    return sums.curve(ens)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Path:
-    """Persist an ensemble.
+class EnsembleWriter:
+    """A binary dump written as its rows arrive: a directory of .npy files
+    plus meta.json, with deterministic bytes, suitable for bit-identity
+    comparison. The constructor writes the header of each named array's
+    file, shape (n_traj, n_rec); take(chunk) appends the chunk's rows, so
+    chunks must come in row order; close(ens) writes times, seeds and
+    status and then meta.json. Every file holds np.save's bytes, and a dump
+    cut off before close has no meta.json, which load_ensemble refuses.
+    The rows go to the files unmapped: mapped pages would count in the
+    process's resident set."""
 
-    binary: a directory of .npy files plus meta.json (deterministic bytes,
-    suitable for bit-identity comparison). csv: rows (traj_id, t, x, v) with
-    full round-trip float precision, intended for small/thinned ensembles.
-    Any other format is refused before the directory is created.
-    """
+    def __init__(self, directory, n_traj: int, n_rec: int, names):
+        self.directory = Path(directory)
+        self.names = tuple(names)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        (self.directory / "meta.json").unlink(missing_ok=True)
+        header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                  "fortran_order": False, "shape": (n_traj, n_rec)}
+        for name in self.names:
+            with open(self.directory / f"{name}.npy", "wb") as fh:
+                np.lib.format.write_array_header_1_0(fh, header)
+
+    def take(self, chunk: TrajectoryEnsemble):
+        for name in self.names:
+            with open(self.directory / f"{name}.npy", "ab") as fh:
+                getattr(chunk, name).tofile(fh)
+
+    def close(self, ens: TrajectoryEnsemble) -> Path:
+        np.save(self.directory / "times.npy", ens.times)
+        np.save(self.directory / "seeds.npy", ens.seeds)
+        np.save(self.directory / "status.npy", ens.status)
+        meta = {
+            "schema_version": DUMP_SCHEMA_VERSION,
+            "format": "binary",
+            "t0": ens.t0, "dt": ens.dt, "n_steps": ens.n_steps,
+            "record_stride": ens.record_stride, "n_traj": ens.n_traj,
+            "has_field_values": "field_values" in self.names,
+            "has_velocities": "velocities" in self.names,
+            "meta": _jsonable(ens.meta),
+        }
+        (self.directory / "meta.json").write_text(
+            json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        return self.directory
+
+
+class ColumnStore:
+    """Every row's positions at the recorded columns cols (a slice), taken
+    chunk by chunk in row order. ensemble(ens) is them as a
+    TrajectoryEnsemble on that stretch of ens's record grid, starting at
+    its first time, with ens's seeds, status and meta: what the
+    estimators and the window statistics read, without the rest of the
+    run."""
+
+    def __init__(self, n_traj: int, cols: slice):
+        self.cols = cols
+        self.positions = np.empty((n_traj, cols.stop - cols.start))
+        self._rows = 0
+
+    def take(self, chunk: TrajectoryEnsemble):
+        hi = self._rows + chunk.n_traj
+        self.positions[self._rows:hi] = chunk.positions[:, self.cols]
+        self._rows = hi
+
+    def ensemble(self, ens: TrajectoryEnsemble) -> TrajectoryEnsemble:
+        times = ens.times[self.cols]
+        return TrajectoryEnsemble(
+            t0=float(times[0]), dt=ens.dt,
+            n_steps=(times.size - 1) * ens.record_stride,
+            record_stride=ens.record_stride, times=times,
+            positions=self.positions, velocities=None, seeds=ens.seeds,
+            status=ens.status, meta=ens.meta)
+
+
+def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Path:
+    """Persist an ensemble as a binary dump (EnsembleWriter, with the whole
+    ensemble as its one chunk). Any format but "binary" is refused before
+    the directory is created."""
     if fmt not in DUMP_FORMATS:
         raise ValueError(f"unknown dump format {fmt!r}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "schema_version": DUMP_SCHEMA_VERSION,
-        "format": fmt,
-        "t0": ens.t0, "dt": ens.dt, "n_steps": ens.n_steps,
-        "record_stride": ens.record_stride, "n_traj": ens.n_traj,
-        "has_field_values": ens.field_values is not None,
-        "has_velocities": ens.velocities is not None,
-        "meta": _jsonable(ens.meta),
-    }
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    if fmt == "binary":
-        np.save(directory / "times.npy", ens.times)
-        np.save(directory / "positions.npy", ens.positions)
-        if ens.velocities is not None:
-            np.save(directory / "velocities.npy", ens.velocities)
-        np.save(directory / "seeds.npy", ens.seeds)
-        np.save(directory / "status.npy", ens.status)
-        if ens.field_values is not None:
-            np.save(directory / "field_values.npy", ens.field_values)
-    else:
-        with open(directory / "trajectories.csv", "w") as fh:
-            fh.write("traj_id,t,x,v\n")
-            for i in range(ens.n_traj):
-                for j, t in enumerate(ens.times):
-                    vij = (float(ens.velocities[i, j])
-                           if ens.velocities is not None else math.nan)
-                    fh.write(f"{i},{float(t)!r},"
-                             f"{float(ens.positions[i, j])!r},{vij!r}\n")
-    return directory
+    names = [name for name in ("positions", "velocities", "field_values")
+             if getattr(ens, name) is not None]
+    writer = EnsembleWriter(directory, ens.n_traj, ens.times.size, names)
+    writer.take(ens)
+    return writer.close(ens)
 
 
 def load_ensemble(directory) -> TrajectoryEnsemble:
     directory = Path(directory)
+    if not (directory / "meta.json").is_file():
+        raise IntegrationError(f"no meta.json under {directory}: the dump is "
+                               f"missing or was cut off before it was complete")
     meta = json.loads((directory / "meta.json").read_text())
     if meta["schema_version"] != DUMP_SCHEMA_VERSION:
         raise IntegrationError(
             f"unsupported ensemble schema_version {meta['schema_version']}"
         )
-    if meta["format"] != "binary":
-        raise IntegrationError("only binary dumps can be reloaded")
     times = np.load(directory / "times.npy")
     return TrajectoryEnsemble(
         t0=meta["t0"], dt=meta["dt"], n_steps=meta["n_steps"],

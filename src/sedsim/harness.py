@@ -42,16 +42,16 @@ import numpy as np
 from ._version import __version__
 from .config import (ConfigError, config_hash, dumps_config, load_config,
                      validate_config)
-from .dynamics import (CHUNK, DUMP_FORMATS, STATUS_OK, IntegrationError,
+from .dynamics import (CHUNK, DUMP_FORMATS, STATUS_OK, BalanceSums,
+                       ColumnStore, EnergySums, EnsembleWriter, IntegrationError,
                        ParticleSpec, TrajectoryEnsemble, DeltaIC, GaussianIC,
-                       comb_time_grid, dump_ensemble, energy_balance,
-                       harmonic_potential, integrate_ensemble, load_ensemble,
-                       record_times, relaxation_curve, stationary_guess_ic)
+                       comb_time_grid, harmonic_potential, integrate_stream,
+                       record_times, stationary_guess_ic, window_columns)
 from .field import FieldSpec, autocorrelation_check, make_field
 from .kinematics import (CoarseGrainSpec, SampleSet, classify_branch,
                          diffusion_sweep)
-from .reference import (gaussian_density, ou_ensemble,
-                        ou_stationary_variance, ou_u_slope_equilibrium)
+from .reference import (gaussian_density, ou_stationary_variance, ou_stream,
+                        ou_u_slope_equilibrium)
 from .schrodinger import GridSpec, solve_stationary, velocity_fields
 
 
@@ -228,7 +228,7 @@ def _run_inputs(cfg: dict):
     """(window, n_traj, dump format) of either pipeline, refused unless
     coarse_grain.t_window is two increasing times inside [time.t0,
     time.t_final], ensemble.n_traj is at least 1 and outputs.ensemble_dump
-    is "none" or one of DUMP_FORMATS."""
+    is "none" or one of DUMP_FORMATS ("binary")."""
     t0, t_final = float(cfg["time"].get("t0", 0.0)), float(cfg["time"]["t_final"])
     window = cfg["coarse_grain"]["t_window"]
     if not (len(window) == 2 and all(type(t) in (int, float) for t in window)
@@ -259,24 +259,32 @@ def _time_grid(fspec: FieldSpec, dt: float, span: float):
         raise ConfigError(f"time block: {exc}") from exc
 
 
-def _refs_in_window(ens: TrajectoryEnsemble, window, lag: float,
-                    thin_steps: int):
-    """Recorded times inside the window with room for +/- lag, thinned."""
-    lo = max(window[0], ens.times[0] + lag)
-    hi = min(window[1], ens.times[-1] - lag)
-    refs = ens.times[ens.window_columns((lo - 1e-9, hi + 1e-9))]
+def _refs_in_window(times, window, lag: float, thin_steps: int):
+    """Recorded times inside the window with room for +/- lag, thinned;
+    a window without one is refused."""
+    lo = max(window[0], times[0] + lag)
+    hi = min(window[1], times[-1] - lag)
+    refs = times[window_columns(times, (lo - 1e-9, hi + 1e-9))]
     refs = refs[::max(1, thin_steps)]
     if refs.size == 0:
-        raise PipelineError(
-            f"no recorded times inside window {list(window)} with lag {lag:g}")
+        raise ConfigError(
+            f"coarse_grain.t_window {list(window)} holds no recorded time "
+            f"with room for the lag {lag:g} on either side inside the run "
+            f"[{times[0]:g}, {times[-1]:g}]")
     return tuple(float(t) for t in refs)
 
 
-def _snap_lag(ens: TrajectoryEnsemble, lag) -> float:
+def _snap_lag(rec_dt: float, lag) -> float:
     """Nearest positive multiple of the recorded step, as the exact float
     product so downstream multiple-of-grid checks see a zero remainder."""
-    k = max(1, int(round(float(lag) / ens.rec_dt)))
-    return k * ens.rec_dt
+    k = max(1, int(round(float(lag) / rec_dt)))
+    return k * rec_dt
+
+
+def _padded_columns(n_rec: int, first: int, last: int, pad: int) -> slice:
+    """Recorded columns first..last, widened by pad on either side inside
+    the run."""
+    return slice(max(0, first - pad), min(n_rec, last + pad + 1))
 
 
 def _rss_mb():
@@ -330,30 +338,37 @@ def _write_xy_csv(path: Path, header: str, columns) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _coarse_grain_specs(cfg: dict, ens: TrajectoryEnsemble, window,
+def _coarse_grain_specs(cfg: dict, times, rec_dt: float, window,
                         thin_time: float, sweep_steps):
     """The spec at coarse_grain.delta_t, the spec at the largest sweep lag
-    and the sweep lags, on the window's reference times; thin_time and
-    sweep_steps (multiples of the recorded step) are the defaults of
-    coarse_grain.thin_time and .delta_t_sweep."""
+    and the sweep lags, on the window's reference times of the record grid
+    times (step rec_dt), and the recorded columns the specs read: the
+    window's, padded by the largest lag. thin_time and sweep_steps
+    (multiples of the recorded step) are the defaults of
+    coarse_grain.thin_time and .delta_t_sweep. A window without reference
+    times for a lag is refused."""
     cg = cfg["coarse_grain"]
     bins = cg["x_bins"]
     thin_steps = max(1, int(round(float(cg.get("thin_time", thin_time))
-                                  / ens.rec_dt)))
+                                  / rec_dt)))
 
     def est_spec(lag):
         return CoarseGrainSpec(
             delta_t=lag, x_bins=int(bins["n"]),
             x_range=(float(bins["min"]), float(bins["max"])),
-            reference_times=_refs_in_window(ens, window, lag, thin_steps),
+            reference_times=_refs_in_window(times, window, lag, thin_steps),
             min_count=int(cg.get("min_count", 25)))
 
     sweep_lags = cg.get("delta_t_sweep")
     if sweep_lags is None:
-        sweep_lags = [ens.rec_dt * k for k in sweep_steps]
-    sweep_lags = list(dict.fromkeys(_snap_lag(ens, x) for x in sweep_lags))
-    return (est_spec(_snap_lag(ens, cg["delta_t"])), est_spec(max(sweep_lags)),
-            sweep_lags)
+        sweep_lags = [rec_dt * k for k in sweep_steps]
+    sweep_lags = list(dict.fromkeys(_snap_lag(rec_dt, x) for x in sweep_lags))
+    spec0 = est_spec(_snap_lag(rec_dt, cg["delta_t"]))
+    sweep_spec = est_spec(max(sweep_lags))
+    cols = window_columns(times, window)
+    pad = int(round(max(spec0.delta_t, sweep_spec.delta_t) / rec_dt))
+    return (spec0, sweep_spec, sweep_lags,
+            _padded_columns(times.size, cols.start, cols.stop - 1, pad))
 
 
 def _field_stages(info: dict, samples: SampleSet, run_dir: Path):
@@ -404,33 +419,47 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
     t0 = float(tcfg.get("t0", 0.0))
     dt, n_steps, n_fft = _stage(info, "time-grid", _time_grid, fspec,
                                 float(tcfg["dt"]), float(tcfg["t_final"]) - t0)
-    _window_holds_a_record(window, record_times(t0, dt, n_steps, stride))
+    times = record_times(t0, dt, n_steps, stride)
+    _window_holds_a_record(window, times)
+    spec0, sweep_spec, sweep_lags, store_cols = _coarse_grain_specs(
+        cfg, times, dt * stride, window, 0.0, (1, 2, 3, 4, 6, 10))
     ic = _build_ic(cfg, particle, fspec.hbar)
     master_seed = int(cfg["seeds"]["master_seed"])
     n_workers = int(ecf.get("n_workers", 1))
     info.update(dt=dt, n_steps=n_steps, n_fft=n_fft,
                     n_chunks=math.ceil(n_traj / CHUNK), n_workers=n_workers)
 
-    ens = _stage(info, "integrate", integrate_ensemble,
-                 particle, fspec, ic, t0, dt, n_steps,
-                 n_traj, master_seed, record_stride=stride,
-                 n_workers=n_workers, progress=progress)
+    # each chunk goes to the dump, the energy balance, the relaxation curve
+    # and the store of the positions the estimators read, and is dropped
+    balance_sums = BalanceSums(particle, window, times)
+    energy_sums = EnergySums(particle, times.size)
+    store = ColumnStore(n_traj, store_cols)
+    consumers = [balance_sums, energy_sums, store]
+    if dump_fmt != "none":
+        writer = EnsembleWriter(run_dir / "ensemble", n_traj, times.size,
+                                ("positions", "velocities", "field_values"))
+        consumers.append(writer)
+    head = _stage(info, "integrate", integrate_stream,
+                  particle, fspec, ic, t0, dt, n_steps,
+                  n_traj, master_seed, consumers, record_stride=stride,
+                  n_workers=n_workers, progress=progress)
     info.update(n_traj=n_traj, non_finite_trajectories=int(
-        np.count_nonzero(ens.status != STATUS_OK)))
+        np.count_nonzero(head.status != STATUS_OK)))
 
     if dump_fmt != "none":
-        _stage(info, "dump", dump_ensemble, ens, run_dir / "ensemble", dump_fmt)
+        _stage(info, "dump", writer.close, head)
 
-    balance = _stage(info, "energy-balance", energy_balance, ens, particle, window)
+    balance = _stage(info, "energy-balance", balance_sums.report, head)
     _write_json(run_dir / "balance.json", balance.to_dict())
+    _write_xy_csv(run_dir / "balance_trace.csv", "t,absorbed,radiated",
+                  balance_sums.trace())
 
-    rtimes, rcurve = _stage(info, "relaxation", relaxation_curve, ens, particle)
+    rtimes, rcurve = _stage(info, "relaxation", energy_sums.curve, head)
     _write_xy_csv(run_dir / "relaxation.csv", "t,mean_energy", (rtimes, rcurve))
 
     # coarse-grained estimators on the stationary window: the fields and the
     # classifier share one sample set, dropped before the sweep builds its own
-    spec0, sweep_spec, sweep_lags = _coarse_grain_specs(
-        cfg, ens, window, 0.0, (1, 2, 3, 4, 6, 10))
+    ens = store.ensemble(head)
     samples = _stage(info, "gather-samples", SampleSet, ens, spec0)
     rho_field = _field_stages(info, samples, run_dir)[3]
     branch = _stage(info, "branch-classifier", samples.classify_branch,
@@ -567,25 +596,53 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
     dt = float(tcfg["dt"])
     n_steps = int(round((float(tcfg["t_final"]) - t0) / dt))
     info.update(dt=dt, n_steps=n_steps)
-    _window_holds_a_record(window, record_times(t0, dt, n_steps))
+    times = record_times(t0, dt, n_steps)
+    _window_holds_a_record(window, times)
+    cg = cfg["coarse_grain"]
+    spec0, sweep_spec, sweep_lags, eq_cols = _coarse_grain_specs(
+        cfg, times, dt, window, 1e30, (1, 2, 4, 10))
+    delta_t = spec0.delta_t
+    # branch classification on the early relaxing window, time derivatives
+    # measured across three reference times
+    t_star = 2.0 / friction
+    rw = lv.get("t_relax_window")
+    if rw is None:
+        rw = [t_star - 2.0 * delta_t, t_star + 2.0 * delta_t]
+    first, last = (int(round((float(t) - t0) / dt)) for t in rw)
+    k = int(round(delta_t / dt))
+    if not k <= first < last <= n_steps - k:
+        raise ConfigError(
+            f"langevin.t_relax_window {list(rw)} needs two increasing "
+            f"reference times with room for the lag {delta_t:g} on either "
+            f"side inside the run [{t0:g}, {times[-1]:g}]")
+    lo, hi = dt * first + t0, dt * last + t0
+    refs = (lo, (lo + hi) / 2.0, hi)
     master_seed = int(cfg["seeds"]["master_seed"])
     n_relax = _at_least_one("langevin.n_traj_relax",
                             lv.get("n_traj_relax", 500_000))
 
-    eq = _stage(info, "sample-equilibrium", ou_ensemble, theta, d0, n_traj, dt,
-                n_steps, (master_seed, 0), x0="stationary", t0=t0)
-    relax = _stage(info, "sample-relaxing", ou_ensemble, theta, d0, n_relax, dt,
-                   n_steps, (master_seed, 1), x0=float(lv.get("x_start", 0.0)),
-                   t0=t0)
+    def sample(stage, dump_stage, dump_dir, n, seed, x0, cols):
+        """Sample n trajectories; each block goes to the dump and to the
+        store of the columns cols, which the estimators (equilibrium) or
+        the classifier (relaxing) read, and is dropped."""
+        store = ColumnStore(n, cols)
+        consumers = [store]
+        if dump_fmt != "none":
+            writer = EnsembleWriter(run_dir / dump_dir, n, times.size,
+                                    ("positions",))
+            consumers.append(writer)
+        head = _stage(info, stage, ou_stream, theta, d0, n, dt, n_steps,
+                      seed, consumers, x0=x0, t0=t0)
+        if dump_fmt != "none":
+            _stage(info, dump_stage, writer.close, head)
+        return store.ensemble(head)
 
-    if dump_fmt != "none":
-        _stage(info, "dump", dump_ensemble, eq, run_dir / "ensemble", dump_fmt)
-        _stage(info, "dump-relaxing", dump_ensemble, relax,
-               run_dir / "ensemble_relaxing", dump_fmt)
+    eq = sample("sample-equilibrium", "dump", "ensemble", n_traj,
+                (master_seed, 0), "stationary", eq_cols)
+    relax = sample("sample-relaxing", "dump-relaxing", "ensemble_relaxing",
+                   n_relax, (master_seed, 1), float(lv.get("x_start", 0.0)),
+                   _padded_columns(times.size, first, last, k))
 
-    cg = cfg["coarse_grain"]
-    spec0, sweep_spec, sweep_lags = _coarse_grain_specs(
-        cfg, eq, window, 1e30, (1, 2, 4, 10))
     samples = _stage(info, "gather-samples", SampleSet, eq, spec0)
     v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
     # the variance row reads the first reference time's central samples
@@ -594,18 +651,8 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
     sweep = _stage(info, "diffusion-sweep", diffusion_sweep, eq, sweep_spec,
                    sweep_lags)
     _write_json(run_dir / "dsweep.json", sweep.to_dict())
-    delta_t = spec0.delta_t
 
-    # branch classification on the early relaxing window, time derivatives
-    # measured across three reference times
-    t_star = 2.0 / friction
-    rw = lv.get("t_relax_window")
-    if rw is None:
-        rw = [t_star - 2.0 * delta_t, t_star + 2.0 * delta_t]
-    lo = eq.rec_dt * round((float(rw[0]) - t0) / eq.rec_dt) + t0
-    hi = eq.rec_dt * round((float(rw[1]) - t0) / eq.rec_dt) + t0
-    refs = (lo, (lo + hi) / 2.0, hi)
-    mid_idx = int(round((refs[1] - t0) / relax.rec_dt))
+    mid_idx = int(round((refs[1] - relax.t0) / relax.rec_dt))
     s_star = float(np.var(relax.positions[:, mid_idx]))
     span = 3.2 * math.sqrt(s_star)
     # coarser bins than the estimator grid: the classifier needs smooth
@@ -691,7 +738,7 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
 
 # pipeline(cfg, run_dir, info, progress) -> ComparisonReport; it records the
 # time grid it resolved and, through _stage, the stage ledger into the dict
-# `info`, which run.json carries, and hands progress to integrate_ensemble
+# `info`, which run.json carries, and hands progress to integrate_stream
 # (the exact OU sampler has no chunks to report).
 PIPELINES = {
     "sed_harmonic_ground": _pipeline_sed_harmonic_ground,
@@ -723,8 +770,9 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
     validation fails or the pipeline refuses the config (ConfigError). A
     run that fails later keeps its partial artifacts, writes no report,
     and its run.json names the failed_stage and the error beside the
-    ledger of the stages before it; the error is raised again. progress is
-    integrate_ensemble's per-chunk callback; by default nothing is printed.
+    ledger of the stages before it; the error is raised again. A dump cut
+    off that way has no meta.json, which load_ensemble refuses. progress is
+    integrate_stream's per-chunk callback; by default nothing is printed.
     Exit code 0 means every report row passed.
     """
     if isinstance(config, (str, Path)):
@@ -850,9 +898,10 @@ def emit_plot_data(run_dir) -> list:
 
     Figures depend on the pipeline: density overlay, velocity overlays and
     the diffusion sweep always; relaxation curve and the energy-balance
-    window trace for field-driven runs. Missing inputs raise with the
-    absent artifact named. Every input is read before plots/ is created,
-    so a plot that fails writes nothing.
+    window trace (balance_trace.csv) for field-driven runs. The ensemble
+    dump is never read. Missing inputs raise with the absent artifact
+    named. Every input is read before plots/ is created, so a plot that
+    fails writes nothing.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "config.json"
@@ -908,28 +957,11 @@ def emit_plot_data(run_dir) -> list:
             "t,mean_energy", (relax["t"], relax["mean_energy"]),
             'u 1:2 w l t "mean energy"'))
 
-        try:
-            ens = load_ensemble(need("ensemble"))
-        except IntegrationError as exc:
-            raise PipelineError(f"missing artifact: binary ensemble dump "
-                                f"under {run_dir} ({exc})") from exc
-        if ens.field_values is None:
-            raise PipelineError(
-                "missing artifact: ensemble field values "
-                "(rerun with ensemble.store_field = true)")
-        particle = _build_particle(cfg, c=float(cfg["field"].get("c", 1.0)))
-        cols = ens.window_columns(cfg["coarse_grain"]["t_window"])
-        absorbed, radiated = np.zeros((2, cols.stop - cols.start))
-        for x, v, ef in ens.intact_blocks(
-                ("positions", "velocities", "field_values"), cols):
-            acc = particle.acceleration(x, v, ef)
-            absorbed += np.sum(particle.charge * ef * v, axis=0)
-            radiated += np.sum(particle.mass * particle.tau * acc**2, axis=0)
-        n_ok = np.count_nonzero(ens.ok_mask())
+        trace = _read_csv_columns(need("balance_trace.csv"))
         figures.append((
             "balance_trace", "Energy balance across the window",
             "t", "power", "t,absorbed,radiated",
-            (ens.times[cols], absorbed / n_ok, radiated / n_ok),
+            (trace["t"], trace["absorbed"], trace["radiated"]),
             'u 1:2 w l t "absorbed", "balance_trace.dat" u 1:3 w l t "radiated"'))
 
     plot_dir = run_dir / "plots"

@@ -29,17 +29,20 @@ from .field import (FieldRealization, FieldSpec, eval_field, mode_table,
 # ---------------------------------------------------------------------------
 # exact samplers
 
-# Rows drawn and stepped together: the noise block and the columns being
-# stepped stay in cache. On 500,000 x 40 steps (2-core x86_64 host) a block
-# of 512 rows took 0.39 s, 2,048 rows 0.33 s and 8,192 rows 0.36 s; one
-# whole-array draw took 0.67 s, and Philox generation alone 0.23 s.
+# Rows drawn, stepped and handed over together: the noise block and the
+# columns being stepped stay in cache. On 500,000 x 40 steps (2-core
+# x86_64 host) a block of 512 rows took 0.39 s, 2,048 rows 0.33 s and
+# 8,192 rows 0.36 s; one whole-array draw took 0.67 s, and Philox
+# generation alone 0.23 s.
 _ROW_BLOCK = 2048
 
 
-def ou_ensemble(theta: float, D0: float, n_traj: int, dt: float,
-                n_steps: int, seed: int, x0=0.0,
-                t0: float = 0.0) -> TrajectoryEnsemble:
-    """Sample an Ornstein-Uhlenbeck ensemble with the exact transition kernel.
+def ou_stream(theta: float, D0: float, n_traj: int, dt: float,
+              n_steps: int, seed: int, consumers=(), x0=0.0,
+              t0: float = 0.0, out=None) -> TrajectoryEnsemble:
+    """Sample an Ornstein-Uhlenbeck ensemble with the exact transition
+    kernel, _ROW_BLOCK rows at a time, and hand each block to every
+    consumer in turn as consumer.take(block), in row order.
 
     There is no discretization error: x(t+dt) | x(t) is Gaussian with mean
     exp(-theta dt) x(t) and variance (D0/theta)(1 - exp(-2 theta dt)).
@@ -48,53 +51,75 @@ def ou_ensemble(theta: float, D0: float, n_traj: int, dt: float,
     "stationary" (equilibrium draw, theta > 0 only).
 
     One Philox stream supplies the stationary starts of all rows, then each
-    trajectory's increments row by row. Rows are drawn and stepped in blocks
-    of _ROW_BLOCK, so the memory is the output plus one block of noise.
+    trajectory's increments row by row. A block is a TrajectoryEnsemble of
+    its rows in one reused buffer, so a consumer copies what it keeps; the
+    memory is one block of positions and noise besides the consumers'.
+    out, when given, is a whole (n_traj, n_steps + 1) array whose rows the
+    blocks fill in place instead. Returns the ensemble without its
+    positions: times, seeds, status and meta.
     """
     if theta < 0 or D0 < 0:
         raise ValueError("theta and D0 must be nonnegative")
     if x0 == "stationary" and theta <= 0:
         raise ValueError("stationary start requires theta > 0")
-    # the bookkeeping arrays come first so that their temporaries never sit
-    # on top of the positions
     seed_key = seed if isinstance(seed, int) else (seed[0] if len(seed) else 0)
     seeds = np.empty((n_traj, 2), dtype=np.int64)
     seeds[:, 0] = int(seed_key)
     seeds[:, 1] = np.arange(n_traj)
     times = record_times(t0, dt, n_steps)
     status = np.zeros(n_traj, dtype=np.int8)
+    meta = {"process": "ou", "theta": theta, "D0": D0,
+            "x0": x0 if isinstance(x0, str) else float(x0),
+            "master_seed": list(seed) if isinstance(seed, tuple) else int(seed)}
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    x = np.empty((n_traj, n_steps + 1))
     rows = range(0, n_traj, _ROW_BLOCK)
+    starts = np.empty(n_traj) if out is None else out[:, 0]
     if x0 == "stationary":
         scale = math.sqrt(D0 / theta)
         for lo in rows:
-            x[lo:lo + _ROW_BLOCK, 0] = scale * rng.standard_normal(
+            starts[lo:lo + _ROW_BLOCK] = scale * rng.standard_normal(
                 min(_ROW_BLOCK, n_traj - lo))
     else:
-        x[:, 0] = float(x0)
+        starts[:] = float(x0)
     if theta > 0:
         rho = math.exp(-theta * dt)
         step_std = math.sqrt(D0 / theta * (1.0 - rho * rho))
     else:
         rho = 1.0
         step_std = math.sqrt(2.0 * D0 * dt)
+    if out is None:
+        block = np.empty((min(_ROW_BLOCK, n_traj), n_steps + 1))
     noise = np.empty((min(_ROW_BLOCK, n_traj), n_steps))
     for lo in rows:
-        xb = x[lo:lo + _ROW_BLOCK]
-        nb = noise[:xb.shape[0]]
+        hi = min(lo + _ROW_BLOCK, n_traj)
+        xb = block[:hi - lo] if out is None else out[lo:hi]
+        nb = noise[:hi - lo]
+        xb[:, 0] = starts[lo:hi]
         rng.standard_normal(out=nb)
         for j in range(n_steps):
             xb[:, j + 1] = rho * xb[:, j] + step_std * nb[:, j]
-
+        piece = TrajectoryEnsemble(
+            t0=t0, dt=dt, n_steps=n_steps, record_stride=1, times=times,
+            positions=xb, velocities=None, seeds=seeds[lo:hi],
+            status=status[lo:hi], meta=meta)
+        for consumer in consumers:
+            consumer.take(piece)
     return TrajectoryEnsemble(
         t0=t0, dt=dt, n_steps=n_steps, record_stride=1, times=times,
-        positions=x, velocities=None, seeds=seeds, status=status,
-        meta={"process": "ou", "theta": theta, "D0": D0,
-              "x0": x0 if isinstance(x0, str) else float(x0),
-              "master_seed": list(seed) if isinstance(seed, tuple) else int(seed)},
-    )
+        positions=None, velocities=None, seeds=seeds, status=status,
+        meta=meta)
+
+
+def ou_ensemble(theta: float, D0: float, n_traj: int, dt: float,
+                n_steps: int, seed: int, x0=0.0,
+                t0: float = 0.0) -> TrajectoryEnsemble:
+    """The ou_stream ensemble with its whole (n_traj, n_steps + 1) array of
+    positions, which the blocks fill in place."""
+    x = np.empty((n_traj, n_steps + 1))
+    ens = ou_stream(theta, D0, n_traj, dt, n_steps, seed, x0=x0, t0=t0, out=x)
+    ens.positions = x
+    return ens
 
 
 def wiener_ensemble(D0: float, n_traj: int, dt: float, n_steps: int,

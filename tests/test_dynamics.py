@@ -22,7 +22,11 @@ from sedsim.dynamics import (
     ROW_BLOCK,
     STATUS_NONFINITE,
     STATUS_OK,
+    BalanceSums,
+    ColumnStore,
     DeltaIC,
+    EnergySums,
+    EnsembleWriter,
     IntegrationError,
     ParticleSpec,
     TrajectoryEnsemble,
@@ -32,6 +36,7 @@ from sedsim.dynamics import (
     free_potential,
     harmonic_potential,
     integrate_ensemble,
+    integrate_stream,
     load_ensemble,
     quartic_potential,
     relaxation_curve,
@@ -628,6 +633,80 @@ def test_worker_count_does_not_change_bits_on_the_loop():
     assert np.array_equal(serial.field_values, threaded.field_values)
 
 
+class Chunks:
+    """A consumer that keeps a copy of every chunk it takes."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def take(self, chunk):
+        self.chunks.append(replace(
+            chunk, positions=chunk.positions.copy(),
+            velocities=chunk.velocities.copy(),
+            field_values=chunk.field_values.copy(),
+            seeds=chunk.seeds.copy(), status=chunk.status.copy()))
+
+
+@pytest.mark.parametrize("loop", [False, True])
+def test_stream_hands_over_the_chunks_in_row_order(loop):
+    # the chunks, handed over in row order also with 3 workers, are the
+    # rows of integrate_ensemble's arrays; the stream returns the ensemble
+    # without them, and a ColumnStore keeps the columns it was given
+    n_traj = 2 * CHUNK + 44
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    if loop:
+        particle = on_the_loop(particle)
+    ic = stationary_guess_ic(1.0, 1.0, 1.0)
+    whole = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9)
+    for n_workers in (1, 3):
+        chunks, store = Chunks(), ColumnStore(n_traj, slice(4, 9))
+        head = integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
+                                [chunks, store], n_workers=n_workers)
+        assert [c.n_traj for c in chunks.chunks] == [CHUNK, CHUNK, 44]
+        for name in ("positions", "velocities", "field_values", "seeds",
+                     "status"):
+            assert np.array_equal(
+                np.concatenate([getattr(c, name) for c in chunks.chunks]),
+                getattr(whole, name))
+        assert head.positions is head.velocities is head.field_values is None
+        assert np.array_equal(head.status, whole.status)
+        assert np.array_equal(head.times, whole.times)
+        assert head.meta == whole.meta and head.dt == whole.dt
+        part = store.ensemble(head)
+        assert np.array_equal(part.positions, whole.positions[:, 4:9])
+        assert np.array_equal(part.times, whole.times[4:9])
+        assert (part.t0, part.rec_dt) == (whole.times[4], whole.rec_dt)
+
+
+@pytest.mark.parametrize("sizes", [[50, 70, 3, 277], [32, 1, 31, 336]])
+def test_stream_reductions_carry_blocks_across_chunks(sizes):
+    # flagged rows shift the blocks of 32 intact rows off the chunk
+    # boundaries; the stream's reductions hold a cut block until the next
+    # chunk completes it, so they add the whole-array walk's blocks in its
+    # order and agree with it bit for bit
+    particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
+    window = (50.0, 200.0)
+    ens = noise_ensemble(400)
+    ens.status[[0, 48, 49, 51, 120, 121, 122, 399]] = STATUS_NONFINITE
+    balance = BalanceSums(particle, window, ens.times)
+    energy = EnergySums(particle, ens.times.size)
+    cuts = np.cumsum([0, *sizes])
+    assert cuts[-1] == ens.n_traj
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        chunk = replace(ens, **{name: getattr(ens, name)[lo:hi] for name in (
+            "positions", "velocities", "field_values", "seeds", "status")})
+        balance.take(chunk)
+        energy.take(chunk)
+    assert balance.report(ens) == energy_balance(ens, particle, window)
+    whole = BalanceSums(particle, window, ens.times)
+    whole.take(ens)
+    for a, b in zip(balance.trace(), whole.trace()):
+        assert np.array_equal(a, b)
+    times, curve = relaxation_curve(ens, particle)
+    assert np.array_equal(energy.curve(ens)[1], curve)
+
+
 @pytest.mark.parametrize("n_workers", [1, 4])
 def test_progress_is_called_once_per_chunk(n_workers, capsys):
     # 8 chunks, 7 full ones and one of 8 trajectories; 4 threads on a
@@ -968,30 +1047,44 @@ def test_binary_dump_round_trips(tmp_path):
     assert back.meta["master_seed"] == 11
 
 
-def test_csv_dump_parses_back(tmp_path):
-    ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
-                             0.0, 0.1, 5, 2, 1)
-    dump_ensemble(ens, tmp_path / "d", fmt="csv")
-    lines = (tmp_path / "d" / "trajectories.csv").read_text().splitlines()
-    assert lines[0] == "traj_id,t,x,v"
-    assert len(lines) == 1 + 2 * ens.times.size
-    row = lines[1].split(",")
-    assert int(row[0]) == 0
-    assert float(row[1]) == ens.times[0]
-    assert float(row[2]) == ens.positions[0, 0]
-    assert float(row[3]) == ens.velocities[0, 0]
-
-
-def test_only_binary_dumps_reload(tmp_path):
+def test_only_binary_dumps_are_written(tmp_path):
     ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
                              0.0, 0.1, 5, 1, 1)
-    dump_ensemble(ens, tmp_path / "d", fmt="csv")
-    with pytest.raises(IntegrationError, match="binary"):
-        load_ensemble(tmp_path / "d")
-    with pytest.raises(ValueError, match="unknown dump format"):
-        dump_ensemble(ens, tmp_path / "e", fmt="parquet")
-    # refused before the directory or its meta.json is written
-    assert not (tmp_path / "e").exists()
+    for fmt in ("csv", "parquet"):
+        with pytest.raises(ValueError, match="unknown dump format"):
+            dump_ensemble(ens, tmp_path / fmt, fmt=fmt)
+        # refused before the directory or its meta.json is written
+        assert not (tmp_path / fmt).exists()
+
+
+def test_streamed_dump_holds_np_save_bytes(tmp_path):
+    # three chunks, the last one short; the streamed files, the whole-array
+    # dump and np.save of the whole arrays agree byte for byte, and the
+    # stream writes meta.json only when it is closed
+    n_traj = 2 * CHUNK + 44
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    ic = stationary_guess_ic(1.0, 1.0, 1.0)
+    ens = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
+                             record_stride=3)
+    names = ("positions", "velocities", "field_values")
+    writer = EnsembleWriter(tmp_path / "stream", n_traj, ens.times.size, names)
+    head = integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
+                            [writer], record_stride=3)
+    assert not (tmp_path / "stream" / "meta.json").exists()
+    writer.close(head)
+    dump_ensemble(ens, tmp_path / "whole")
+    for name in (*names, "times", "seeds", "status"):
+        np.save(tmp_path / f"{name}.npy", getattr(ens, name))
+        saved = (tmp_path / f"{name}.npy").read_bytes()
+        assert (tmp_path / "stream" / f"{name}.npy").read_bytes() == saved
+        assert (tmp_path / "whole" / f"{name}.npy").read_bytes() == saved
+    assert ((tmp_path / "stream" / "meta.json").read_bytes()
+            == (tmp_path / "whole" / "meta.json").read_bytes())
+    # a dump without its meta.json does not load
+    (tmp_path / "whole" / "meta.json").unlink()
+    with pytest.raises(IntegrationError, match="cut off"):
+        load_ensemble(tmp_path / "whole")
 
 
 def test_dump_schema_version_guard(tmp_path):

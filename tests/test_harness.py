@@ -12,16 +12,19 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sedsim import harness, kinematics
+from sedsim import dynamics, harness, kinematics
 from sedsim.cli import main
 from sedsim.config import ConfigError, dumps_config, load_config, validate_config
-from sedsim.dynamics import TrajectoryEnsemble
+from sedsim.dynamics import (IntegrationError, TrajectoryEnsemble,
+                             load_ensemble)
 from sedsim.harness import (
     ComparisonReport,
     PipelineError,
@@ -76,7 +79,8 @@ def test_run_directory_layout(sed_run):
     assert d.name == "mini_sed"
     for rel in ("config.json", "report.json", "report.txt", "run.json",
                 "balance.json", "branch.json", "dsweep.json",
-                "field_autocorr.json", "relaxation.csv", "density_qm.csv",
+                "field_autocorr.json", "relaxation.csv", "balance_trace.csv",
+                "density_qm.csv",
                 "velocity_qm.csv", "ensemble/positions.npy",
                 "fields/v.csv", "fields/u.csv", "fields/rho.csv",
                 "fields/va_direct.csv", "fields/va_combo.csv"):
@@ -221,10 +225,11 @@ def test_failed_stage_names_the_non_finite_count(tmp_path, monkeypatch, capsys):
 
 
 def test_failed_stage_without_flagged_trajectories(tmp_path, monkeypatch):
+    # the balance's sums are added during integrate; its stage finishes them
     def broken(*args, **kwargs):
         raise ValueError("no balance today")
 
-    monkeypatch.setattr(harness, "energy_balance", broken)
+    monkeypatch.setattr(harness.BalanceSums, "report", broken)
     with pytest.raises(PipelineError) as err:
         run_experiment(mini_sed_config(), output_root=tmp_path)
     assert str(err.value) == "stage 'energy-balance' failed: no balance today"
@@ -360,8 +365,8 @@ def refuse_to_integrate(monkeypatch):
     def integrate(*args, **kwargs):
         raise AssertionError("integrated a run that is refused anyway")
 
-    monkeypatch.setattr(harness, "integrate_ensemble", integrate)
-    monkeypatch.setattr(harness, "ou_ensemble", integrate)
+    monkeypatch.setattr(harness, "integrate_stream", integrate)
+    monkeypatch.setattr(harness, "ou_stream", integrate)
 
 
 def refused_run(cfg, tmp_path, monkeypatch, capsys) -> str:
@@ -392,6 +397,7 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
 
 @pytest.mark.parametrize("pipeline,block,key,value,message", [
     ("sed", "outputs", "ensemble_dump", "binray", "outputs.ensemble_dump"),
+    ("sed", "outputs", "ensemble_dump", "csv", "outputs.ensemble_dump"),
     ("ou", "outputs", "ensemble_dump", "npz", "outputs.ensemble_dump"),
     ("sed", "time", "record_stride", 0, "time.record_stride must be at least 1"),
     ("sed", "time", "record_stride", -6, "time.record_stride must be at least 1"),
@@ -413,6 +419,16 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
      "[150.1, 150.5] holds none of the 1254 recorded times on [0, 1499.59]"),
     ("ou", "coarse_grain", "t_window", [0.201, 0.205],
      "[0.201, 0.205] holds none of the 41 recorded times on [0, 0.4]"),
+    # records, but none with room for the lags: sed one record at the
+    # run's end, ou the last two records
+    ("sed", "coarse_grain", "t_window", [1499.0, 1500.0],
+     "[1499.0, 1500.0] holds no recorded time with room for the lag 2.39"),
+    ("ou", "coarse_grain", "t_window", [0.39, 0.4],
+     "[0.39, 0.4] holds no recorded time with room for the lag 0.02"),
+    ("ou", "langevin", "t_relax_window", [0.01, 0.05],
+     "t_relax_window [0.01, 0.05] needs two increasing reference times"),
+    ("ou", "langevin", "t_relax_window", [0.2, 0.1],
+     "t_relax_window [0.2, 0.1] needs two increasing reference times"),
 ])
 def test_bad_inputs_are_refused_before_anything_is_written(
         pipeline, block, key, value, message, tmp_path, monkeypatch, capsys):
@@ -470,20 +486,145 @@ def test_plot_data_names_the_missing_artifact(sed_run, tmp_path):
         emit_plot_data(work)
 
 
-def test_plot_of_a_csv_dump_names_the_missing_binary_dump(tmp_path, capsys):
-    # a csv dump cannot be reloaded for the balance trace, and the plot
-    # that fails on it writes nothing
+def test_plot_reads_the_balance_trace_not_the_dump(sed_run, tmp_path,
+                                                  monkeypatch):
+    # the trace the plot once computed from the dump, block by block over
+    # the intact rows: the figure keeps those bytes without reading it
+    work = tmp_path / "copy"
+    shutil.copytree(sed_run.run_dir, work)
+    cfg = load_config(work / "config.json")
+    ens = load_ensemble(work / "ensemble")
+    particle = harness._build_particle(cfg)
+    cols = ens.window_columns(cfg["coarse_grain"]["t_window"])
+    absorbed, radiated = np.zeros((2, cols.stop - cols.start))
+    for x, v, ef in ens.intact_blocks(
+            ("positions", "velocities", "field_values"), cols):
+        absorbed += np.sum(particle.charge * ef * v, axis=0)
+        radiated += np.sum(particle.mass * particle.tau
+                           * particle.acceleration(x, v, ef)**2, axis=0)
+    n_ok = np.count_nonzero(ens.ok_mask())
+    expected = "t absorbed radiated\n" + "".join(
+        " ".join(repr(float(c)) for c in row) + "\n"
+        for row in zip(ens.times[cols], absorbed / n_ok, radiated / n_ok))
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the plot loaded an array")
+
+    monkeypatch.setattr(np, "load", no_load)
+    emit_plot_data(work)
+    assert (work / "plots" / "balance_trace.dat").read_text() == expected
+
+    # without the trace the plot names it and writes nothing
+    shutil.rmtree(work / "plots")
+    (work / "balance_trace.csv").unlink()
+    with pytest.raises(PipelineError, match="missing artifact.*balance_trace.csv"):
+        emit_plot_data(work)
+    assert not (work / "plots").exists()
+
+
+# ---------------------------------------------------------------------------
+# the streamed ensemble
+
+def run_files(run_dir):
+    """Relative path -> bytes of every file but run.json, which alone holds
+    timings."""
+    return {p.relative_to(run_dir): p.read_bytes()
+            for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name != "run.json"}
+
+
+def test_chunks_finishing_out_of_order_keep_every_byte(tmp_path, monkeypatch):
+    # 4 chunks of 32 trajectories on 2 workers; chunk 0 waits until chunk 1
+    # has finished, and is still handed over first
+    monkeypatch.setattr(dynamics, "CHUNK", 32)
+    serial = run_experiment(mini_sed_config(), output_root=tmp_path / "serial")
+
     cfg = mini_sed_config()
-    cfg["time"]["t_final"] = 300.0
-    cfg["coarse_grain"]["t_window"] = [150.0, 300.0]
-    cfg["coarse_grain"]["delta_t_sweep"] = [1.2, 2.4]
-    cfg["outputs"]["ensemble_dump"] = "csv"
-    run_dir = run_experiment(cfg, output_root=tmp_path).run_dir
-    assert (run_dir / "ensemble" / "trajectories.csv").is_file()
-    assert main(["plot", str(run_dir)]) == 2
-    assert "missing artifact: binary ensemble dump" in capsys.readouterr().err
-    # every input is checked before the first figure is written
-    assert not (run_dir / "plots").exists()
+    cfg["ensemble"]["n_workers"] = 2
+    seed = cfg["seeds"]["master_seed"]
+    chunk_1_done = threading.Event()
+    make_field, add_transient = dynamics.make_field, dynamics._add_transient
+    waited = []
+
+    def late_chunk_0(fspec, key):
+        if key == (seed, 0, 0):
+            waited.append(chunk_1_done.wait(timeout=60))
+        return make_field(fspec, key)
+
+    def signalling_transient(*args):
+        add_transient(*args)
+        chunk_1_done.set()
+
+    monkeypatch.setattr(dynamics, "make_field", late_chunk_0)
+    monkeypatch.setattr(dynamics, "_add_transient", signalling_transient)
+    threaded = run_experiment(cfg, output_root=tmp_path / "threaded")
+    assert waited == [True]
+    assert json.loads((threaded.run_dir / "run.json").read_text())[
+        "n_workers"] == 2
+    a, b = run_files(serial.run_dir), run_files(threaded.run_dir)
+    assert Path("ensemble/field_values.npy") in a
+    assert a.keys() == b.keys()
+    # the configs differ in n_workers, and the report carries their hash
+    differ = {rel for rel in a if a[rel] != b[rel]}
+    assert differ == {Path("config.json"), Path("report.json"),
+                      Path("report.txt")}
+    assert (serial.report.to_dict()["rows"]
+            == threaded.report.to_dict()["rows"])
+
+
+def test_a_failed_chunk_leaves_a_dump_that_does_not_load(tmp_path,
+                                                         monkeypatch):
+    # the third of 4 chunks raises: the two before it are in the dump,
+    # whose meta.json, written last, is missing
+    monkeypatch.setattr(dynamics, "CHUNK", 32)
+    add_transient = dynamics._add_transient
+    calls = []
+
+    def third_fails(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FloatingPointError("chunk 2 blew up")
+        add_transient(*args)
+
+    monkeypatch.setattr(dynamics, "_add_transient", third_fails)
+    with pytest.raises(PipelineError,
+                       match="stage 'integrate' failed: chunk 2 blew up"):
+        run_experiment(mini_sed_config(), output_root=tmp_path)
+    run_dir = tmp_path / "mini_sed"
+    run = json.loads((run_dir / "run.json").read_text())
+    assert run["failed_stage"] == "integrate"
+    assert [st["name"] for st in run["stages"]] == ["time-grid"]
+    assert not (run_dir / "ensemble" / "meta.json").exists()
+    assert not (run_dir / "balance.json").exists()
+    positions = run_dir / "ensemble" / "positions.npy"
+    with open(positions, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        shape = np.lib.format.read_array_header_1_0(fh)[0]
+        header = fh.tell()
+    assert positions.stat().st_size == header + 2 * 32 * shape[1] * 8
+    with pytest.raises(IntegrationError, match="cut off"):
+        load_ensemble(run_dir / "ensemble")
+
+
+def test_sed_run_holds_a_few_chunks_and_the_store(tmp_path, monkeypatch):
+    # 1,200 trajectories in chunks of 128: the run's peak is the store of
+    # the window's positions and about one chunk (positions, velocities
+    # and field values) with its transforms, far below the 3 whole arrays
+    monkeypatch.setattr(dynamics, "CHUNK", 128)
+    cfg = mini_sed_config()
+    cfg["ensemble"]["n_traj"] = 1200
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg, output_root=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    times = np.load(result.run_dir / "ensemble" / "times.npy")
+    n_window = np.count_nonzero((times >= 900.0) & (times <= 1500.0))
+    store = 1200 * (n_window + 4) * 8
+    chunk = 3 * 128 * times.size * 8
+    whole = 3 * 1200 * times.size * 8
+    assert peak < store + 2 * chunk < whole / 2
 
 
 # ---------------------------------------------------------------------------
