@@ -9,8 +9,11 @@ Subcommands:
 
 Exit codes: 0 all tolerances pass, 1 tolerance failure or pipeline failure,
 2 config/IO errors. SEDSIM_OUTPUT_ROOT overrides the parent directory under
-which outputs.directory is created. `run` writes one progress line to stderr
-per finished chunk of trajectories.
+which outputs.directory is created. `run` writes a progress line to stderr
+each time the finished trajectories reach or pass a multiple of 512, and
+when the last one is done: on the step loop, whose chunks are 512 wide,
+one line per chunk; on the response path, whose chunks are 64 wide, one
+line per 8 chunks.
 """
 
 from __future__ import annotations
@@ -55,9 +58,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _progress(done: int, total: int) -> None:
-    sys.stderr.write(f"integrate: {done}/{total} trajectories\n")
-    sys.stderr.flush()
+# finished trajectories per progress line of `run`
+_PROGRESS_EVERY = 512
+
+
+class _Progress:
+    """integrate_stream's per-chunk callback for one run: a line each time
+    the finished trajectories reach or pass a multiple of _PROGRESS_EVERY,
+    and one when the last is done."""
+
+    def __init__(self):
+        self.shown = 0
+
+    def __call__(self, done: int, total: int) -> None:
+        passed = done // _PROGRESS_EVERY > self.shown // _PROGRESS_EVERY
+        if passed or done == total:
+            self.shown = done
+            sys.stderr.write(f"integrate: {done}/{total} trajectories\n")
+            sys.stderr.flush()
 
 
 def main(argv=None) -> int:
@@ -66,7 +84,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             result = run_experiment(args.config,
                                     output_root=os.environ.get(OUTPUT_ROOT_ENV),
-                                    progress=_progress)
+                                    progress=_Progress())
             sys.stdout.write(result.report.to_text())
             sys.stdout.write(f"run directory: {result.run_dir}\n")
             return result.exit_code

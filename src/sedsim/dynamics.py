@@ -23,9 +23,10 @@ form of Boyer's mode-sum response (Phys. Rev. D 11, 790 (1975)): a steady
 part Re sum_n c_n K_n e^{i omega_n t_k} with
 K_n = (z_n I - M)^{-1} G (1, zeta_n, zeta_n^2), zeta_n = e^{i omega_n dt/2},
 z_n = zeta_n^2, plus the transient P^j (s_0 - s_p(0)), P = M^record_stride,
-at record j. field.comb_sum_grid evaluates the steady x and v and the
-stored field on the record grid only, so this response path builds no
-field table and takes no step. It and the step loop used for every other
+at record j. The steady x and v and the stored field are mode sums on the
+record grid only, through one field.CombPlan built per run and shared by
+every chunk and worker thread, so this response path builds no field table
+and takes no step. It and the step loop used for every other
 potential compute the same RK4 trajectory and differ by rounding only: at
 most 3.2e-12 sigma_x over the shipped run, 1.2e-11 at tau = 1e-5. Both
 paths store the field from comb_sum_grid. ens.meta["integrator"] names the
@@ -39,9 +40,12 @@ intact rows to the energy balance and the relaxation curve, and a
 ColumnStore keeps the positions at the recorded columns the estimators
 read. Each trajectory is seeded on its own (Philox keyed by master seed
 and trajectory index; Salmon et al., SC'11), so a chunk does not depend on
-the others. integrate_ensemble is the stream whose chunks fill whole
-arrays in place; energy_balance, relaxation_curve and dump_ensemble take
-a whole ensemble as one chunk, so both routes give the same bytes.
+the others. A chunk is CHUNK rows on the step loop, whose per-step numpy
+dispatch needs the width, and RESPONSE_CHUNK rows on the response path,
+which computes each row on its own. integrate_ensemble is the stream whose
+chunks fill whole arrays in place; energy_balance, relaxation_curve and
+dump_ensemble take a whole ensemble as one chunk, so both routes give the
+same bytes.
 """
 
 from __future__ import annotations
@@ -55,15 +59,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import (FieldSpec, comb_cache_params, comb_sum_grid,
-                    comb_sum_slabs, make_field, mode_table)
+from .field import (CombPlan, FieldSpec, comb_cache_params, comb_sum_slabs,
+                    make_field, mode_table)
 
 # Trajectories are integrated in fixed-size chunks regardless of worker
-# count, so results are bit-identical across schedules. On sedbench's
+# count, so results are bit-identical across schedules. CHUNK is the step
+# loop's width: its per-step numpy dispatch needs it. On sedbench's
 # quartic comb (1,024 trajectories, 6,000 steps, 3 alternating runs) the
 # step loop took 243-350 ns per trajectory-step, synthesis included, at
 # 512 wide, 359-468 at 256, and 239-252 at 1,024 for twice the slab.
 CHUNK = 512
+
+# The response path's width. Its rows are independent, and a chunk's
+# positions, velocities and field are 3 x RESPONSE_CHUNK x n_rec doubles,
+# 12.8 MB on the shipped record grid (102.5 MB at 512 rows). On the shipped
+# sed run (runs alternating with 64 rows) the process peaked at 148, 155,
+# 167 and 236 MiB at 32, 64, 128 and 512 rows, with 149k, 86k, 56k and 44k
+# minor page faults; at 32 rows integrate took 2.48 s against 2.23 s.
+RESPONSE_CHUNK = 64
 
 # Half steps per field slab of the step loop; a chunk's slab is
 # CHUNK x (_SLAB + 1) doubles, 33.6 MB. Each slab is one Bluestein
@@ -449,8 +462,10 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
                      n_workers: int = 1, store_field: bool = True,
                      progress=None, out=None) -> TrajectoryEnsemble:
     """Integrate n_traj independent trajectories of the reduced-order
-    equation, CHUNK at a time, and hand each finished chunk to every
-    consumer in turn as consumer.take(chunk), in row order.
+    equation, a chunk at a time, and hand each finished chunk to every
+    consumer in turn as consumer.take(chunk), in row order. A chunk is
+    RESPONSE_CHUNK trajectories on the response path and CHUNK on the
+    step loop; the last one may be shorter.
 
     Each trajectory is driven by its own field realization seeded from
     (master_seed, trajectory index); results are bit-identical across runs
@@ -460,10 +475,11 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     ens.dt and ens.n_steps. A warning is recorded in meta when dt
     exceeds 2 pi / (10 omega_loc), omega_loc = sqrt(max |f'(x)| / m) over
     the recorded positions. Potentials whose force is linear in x
-    (Potential.linear) take RK4's exact response on the record grid, a
-    chunk at a time; the others step RK4 in a loop, reading the field of a
-    chunk from slabs of _SLAB half steps (comb_sum_slabs) filled just ahead
-    of the steps. Neither path holds a field table of the whole run.
+    (Potential.linear) take RK4's exact response on the record grid, whose
+    transforms every chunk and worker thread apply through one CombPlan of
+    that grid; the others step RK4 in a loop, reading the field of a chunk
+    from slabs of _SLAB half steps (comb_sum_slabs) filled just ahead of
+    the steps. Neither path holds a field table of the whole run.
 
     A chunk is a TrajectoryEnsemble of its rows (field_values None without
     store_field) sharing the run's times and meta; a consumer copies what
@@ -547,6 +563,8 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
         growth = record_stride * math.log(max(rho, 1.0))
         meta["rk4_spectral_radius"] = rho
     whole = out(n_rec) if out is not None else None
+    # the record grid's transform setup, shared by every chunk and thread
+    records = CombPlan(omegas, t0, h2, rec_step, n_rec)
 
     def chunk(span) -> TrajectoryEnsemble:
         """Integrate trajectories [lo, hi) into the chunk's records."""
@@ -569,12 +587,11 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             )
             x[i], v[i] = ic.sample(rng)
         if store_field:
-            comb_sum_grid(coefs, omegas, t0, h2, rec_step, n_rec, out=es)
+            records(coefs, out=es)
 
         if linear:
             for rec, k in ((xs, K[0]), (vs, K[1])):
-                comb_sum_grid(coefs * k, omegas, t0, h2, rec_step, n_rec,
-                              out=rec)
+                records(coefs * k, out=rec)
             _add_transient(xs, vs, x, v, P, growth)
             finite = np.isfinite(xs) & np.isfinite(vs)
             for i in np.flatnonzero(~finite.all(axis=1)):
@@ -622,7 +639,8 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
         if progress is not None:
             progress(n_done, n_traj)
 
-    spans = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
+    width = RESPONSE_CHUNK if linear else CHUNK
+    spans = [(lo, min(lo + width, n_traj)) for lo in range(0, n_traj, width)]
     if n_workers <= 1:
         for span in spans:
             hand_over(chunk(span))

@@ -17,11 +17,14 @@ DFT of the n_modes mode coefficients times the carrier exp(i omega_0 t).
 comb_sum_grid evaluates that sum on any stretch of every step-th point of
 the grid as a Bluestein chirp-z convolution whose length follows the modes
 and the points, not N: the integrator's record grid is such a subgrid, and
-its step loop takes the half-step grid one slab at a time.
+its step loop takes the half-step grid one slab at a time. A CombPlan holds
+the convolution's setup for one grid, so a caller that sums many rows on
+one grid, in many calls or threads, builds it once.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -176,6 +179,80 @@ def _comb_fft_length(omegas: np.ndarray, h: float):
     return None, 0
 
 
+class CombPlan:
+    """comb_sum_grid's setup for one grid t_j = t0 + (start + j step) h,
+    j = 0..n_points-1, of the FFT-exact comb omegas: the chirp, the
+    transformed chirp kernel and the phases before and after the
+    convolution. plan(coefs, out) is comb_sum_grid(coefs, omegas, t0, h,
+    step, n_points, out, start), bit for bit, on any rows in any number of
+    calls; the plan is read only, so threads share it. plan.at(start) is
+    the plan of the same grid from another start, sharing the chirp and the
+    kernel."""
+
+    def __init__(self, omegas, t0: float, h: float, step: int,
+                 n_points: int, start: int = 0):
+        m = omegas.size
+        dw, n_fft = _comb_fft_length(omegas, h)
+        if n_fft < 1 or step < 1:
+            raise ValueError(f"step {step} x {h:g} over {m} modes is not a "
+                             "grid of the FFT-exact comb")
+        self.m, self.n_points = m, n_points
+        self._grid = (float(omegas[0]), dw, n_fft, t0, h, step)
+        n_conv = next_fast_len(m + n_points - 1)
+        k = np.arange(max(m, n_points))
+        self._chirp = np.exp(1j * (math.pi / n_fft)
+                             * (step * (k * k % (2 * n_fft)) % (2 * n_fft)))
+        # conj(chirp) at lags j - n from -(m - 1) to n_points - 1, wrapped
+        kernel = np.zeros(n_conv, dtype=complex)
+        kernel[:n_points] = self._chirp[:n_points].conj()
+        kernel[n_conv - m + 1:] = self._chirp[m - 1:0:-1].conj()
+        self._kernel = np.fft.fft(kernel, norm="forward")
+        self._shift(start)
+
+    def _shift(self, start: int):
+        omega0, dw, n_fft, t0, h, step = self._grid
+        n = np.arange(self.m)
+        self._pre = self._chirp[:self.m] * np.exp(
+            1j * (n * dw * t0 + (TWO_PI / n_fft) * (n * (start % n_fft) % n_fft)))
+        self._post = self._chirp[:self.n_points] * np.exp(
+            1j * omega0 * (t0 + h * (start + step * np.arange(self.n_points))))
+
+    def at(self, start: int) -> "CombPlan":
+        plan = copy.copy(self)
+        plan._shift(start)
+        return plan
+
+    def __call__(self, coefs, out=None) -> np.ndarray:
+        coefs = np.asarray(coefs)
+        m, n_points = self.m, self.n_points
+        if coefs.shape[-1] != m:
+            raise ValueError(f"coefficient rows of {coefs.shape[-1]} modes are "
+                             f"not over the FFT-exact comb of {m}")
+        shape = coefs.shape[:-1] + (n_points,)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out must have shape {shape}, not {out.shape}")
+        values = out.reshape(-1, n_points)
+        if not np.may_share_memory(values, out):
+            raise ValueError("out must reshape to (rows, n_points) without a copy")
+        rows = coefs.reshape(-1, m)
+        work = np.empty((min(_SUM_BLOCK, len(rows)), self._kernel.size),
+                        dtype=complex)
+        for lo in range(0, len(rows), _SUM_BLOCK):
+            block = rows[lo:lo + _SUM_BLOCK]
+            w = work[:len(block)]
+            np.multiply(block, self._pre, out=w[:, :m])
+            w[:, m:] = 0.0
+            np.fft.fft(w, axis=-1, out=w)
+            w *= self._kernel
+            np.fft.ifft(w, axis=-1, norm="forward", out=w)
+            head = w[:, :n_points]
+            head *= self._post
+            values[lo:lo + len(block)] = head.real
+        return out
+
+
 def comb_sum_grid(coefs, omegas, t0: float, h: float, step: int,
                   n_points: int, out=None, start: int = 0) -> np.ndarray:
     """Re sum_n coefs[..., n] exp(i omega_n t_j) on t_j = t0 + (start + j
@@ -196,50 +273,10 @@ def comb_sum_grid(coefs, omegas, t0: float, h: float, step: int,
     depend on the rows it shares a call with. Returns shape coefs.shape[:-1]
     + (n_points,), written into out when given; out may be a strided view,
     such as a column range of a larger array, as long as it reshapes to
-    (rows, n_points) without a copy.
+    (rows, n_points) without a copy. A caller that sums the same grid many
+    times builds its CombPlan once.
     """
-    coefs = np.asarray(coefs)
-    m = omegas.size
-    dw, n_fft = _comb_fft_length(omegas, h)
-    if n_fft < 1 or coefs.shape[-1] != m or step < 1:
-        raise ValueError(f"step {step} x {h:g} over {m} modes is not a grid "
-                         "of the FFT-exact comb")
-    shape = coefs.shape[:-1] + (n_points,)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"out must have shape {shape}, not {out.shape}")
-    values = out.reshape(-1, n_points)
-    if not np.may_share_memory(values, out):
-        raise ValueError("out must reshape to (rows, n_points) without a copy")
-    n_conv = next_fast_len(m + n_points - 1)
-    k = np.arange(max(m, n_points))
-    chirp = np.exp(1j * (math.pi / n_fft)
-                   * (step * (k * k % (2 * n_fft)) % (2 * n_fft)))
-    # conj(chirp) at lags j - n from -(m - 1) to n_points - 1, wrapped
-    kernel = np.zeros(n_conv, dtype=complex)
-    kernel[:n_points] = chirp[:n_points].conj()
-    kernel[n_conv - m + 1:] = chirp[m - 1:0:-1].conj()
-    kernel = np.fft.fft(kernel, norm="forward")
-    n = np.arange(m)
-    pre = chirp[:m] * np.exp(1j * (n * dw * t0 + (TWO_PI / n_fft)
-                                   * (n * (start % n_fft) % n_fft)))
-    post = chirp[:n_points] * np.exp(
-        1j * float(omegas[0]) * (t0 + h * (start + step * np.arange(n_points))))
-    rows = coefs.reshape(-1, m)
-    work = np.empty((min(_SUM_BLOCK, len(rows)), n_conv), dtype=complex)
-    for lo in range(0, len(rows), _SUM_BLOCK):
-        block = rows[lo:lo + _SUM_BLOCK]
-        w = work[:len(block)]
-        np.multiply(block, pre, out=w[:, :m])
-        w[:, m:] = 0.0
-        np.fft.fft(w, axis=-1, out=w)
-        w *= kernel
-        np.fft.ifft(w, axis=-1, norm="forward", out=w)
-        head = w[:, :n_points]
-        head *= post
-        values[lo:lo + len(block)] = head.real
-    return out
+    return CombPlan(omegas, t0, h, step, n_points, start)(coefs, out)
 
 
 def comb_sum_slabs(coefs, omegas, t0: float, h: float, n_points: int,
@@ -251,18 +288,21 @@ def comb_sum_slabs(coefs, omegas, t0: float, h: float, n_points: int,
     columns are the points s0..s0 + w, s0 = 0, width, 2 width, ...: each
     slab starts with the last column of the one before, computed once, so
     a value read across a seam is the same value. The points past the
-    first come from comb_sum_grid's integer start index. All slabs share
-    one buffer; consume a slab before taking the next.
+    first come from comb_sum_grid's integer start index, the full-width
+    slabs through one CombPlan moved to each start. All slabs share one
+    buffer; consume a slab before taking the next.
     """
     coefs = np.asarray(coefs)
     width = max(1, min(width, n_points - 1))
     slab = np.empty(coefs.shape[:-1] + (width + 1,))
     comb_sum_grid(coefs, omegas, t0, h, 1, 1, out=slab[..., width:])
+    plan = CombPlan(omegas, t0, h, 1, width)
     for s0 in range(0, n_points - 1, width):
         w = min(width, n_points - 1 - s0)
         slab[..., 0] = slab[..., width]
-        comb_sum_grid(coefs, omegas, t0, h, 1, w, out=slab[..., 1:w + 1],
-                      start=s0 + 1)
+        plan = (plan.at(s0 + 1) if w == width
+                else CombPlan(omegas, t0, h, 1, w, start=s0 + 1))
+        plan(coefs, out=slab[..., 1:w + 1])
         yield slab[..., :w + 1]
 
 

@@ -42,8 +42,8 @@ import numpy as np
 from ._version import __version__
 from .config import (ConfigError, config_hash, dumps_config, load_config,
                      validate_config)
-from .dynamics import (CHUNK, DUMP_FORMATS, STATUS_OK, BalanceSums,
-                       ColumnStore, EnergySums, EnsembleWriter, IntegrationError,
+from .dynamics import (DUMP_FORMATS, STATUS_OK, BalanceSums, ColumnStore,
+                       EnergySums, EnsembleWriter, IntegrationError,
                        ParticleSpec, TrajectoryEnsemble, DeltaIC, GaussianIC,
                        comb_time_grid, harmonic_potential, integrate_stream,
                        record_times, stationary_guess_ic, window_columns)
@@ -426,8 +426,14 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
     ic = _build_ic(cfg, particle, fspec.hbar)
     master_seed = int(cfg["seeds"]["master_seed"])
     n_workers = int(ecf.get("n_workers", 1))
-    info.update(dt=dt, n_steps=n_steps, n_fft=n_fft,
-                    n_chunks=math.ceil(n_traj / CHUNK), n_workers=n_workers)
+    info.update(dt=dt, n_steps=n_steps, n_fft=n_fft, n_chunks=0,
+                n_workers=n_workers)
+
+    def handed_over(done, total):
+        # integrate_stream calls this once per chunk it has handed over
+        info["n_chunks"] += 1
+        if progress is not None:
+            progress(done, total)
 
     # each chunk goes to the dump, the energy balance, the relaxation curve
     # and the store of the positions the estimators read, and is dropped
@@ -442,7 +448,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
     head = _stage(info, "integrate", integrate_stream,
                   particle, fspec, ic, t0, dt, n_steps,
                   n_traj, master_seed, consumers, record_stride=stride,
-                  n_workers=n_workers, progress=progress)
+                  n_workers=n_workers, progress=handed_over)
     info.update(n_traj=n_traj, non_finite_trajectories=int(
         np.count_nonzero(head.status != STATUS_OK)))
 
@@ -763,7 +769,8 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
     current directory) receives a verbatim copy of the config, every stage
     artifact, report.json/report.txt, and run.json, which adds the exit
     code, the wall time, the time grid the pipeline resolved (dt,
-    n_steps; for SED also n_fft, n_chunks, n_workers) and the stage ledger
+    n_steps; for SED also n_fft and n_workers, and n_chunks, the chunks
+    integrate_stream handed over) and the stage ledger
     "stages": per stage its name, wall_s, cpu_s, and the process's
     peak_rss_mb and rss_mb (None without /proc/self/statm) when it ended.
     Nothing is left behind, not even the parent directories it created, if

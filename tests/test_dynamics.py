@@ -19,6 +19,7 @@ from scipy.integrate import solve_ivp
 
 from sedsim.dynamics import (
     CHUNK,
+    RESPONSE_CHUNK,
     ROW_BLOCK,
     STATUS_NONFINITE,
     STATUS_OK,
@@ -606,7 +607,7 @@ def test_trajectory_seeding_is_independent_of_ensemble_size_on_the_loop():
 
 def test_worker_count_does_not_change_bits():
     # three scheduling chunks, the last one short, so threads actually split
-    n_traj = 2 * CHUNK + 44
+    n_traj = 2 * RESPONSE_CHUNK + 44
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     ic = stationary_guess_ic(1.0, 1.0, 1.0)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
@@ -651,8 +652,10 @@ class Chunks:
 def test_stream_hands_over_the_chunks_in_row_order(loop):
     # the chunks, handed over in row order also with 3 workers, are the
     # rows of integrate_ensemble's arrays; the stream returns the ensemble
-    # without them, and a ColumnStore keeps the columns it was given
-    n_traj = 2 * CHUNK + 44
+    # without them, and a ColumnStore keeps the columns it was given. Each
+    # path has its own chunk width
+    width = CHUNK if loop else RESPONSE_CHUNK
+    n_traj = 2 * width + 44
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
     if loop:
@@ -663,7 +666,7 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
         chunks, store = Chunks(), ColumnStore(n_traj, slice(4, 9))
         head = integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
                                 [chunks, store], n_workers=n_workers)
-        assert [c.n_traj for c in chunks.chunks] == [CHUNK, CHUNK, 44]
+        assert [c.n_traj for c in chunks.chunks] == [width, width, 44]
         for name in ("positions", "velocities", "field_values", "seeds",
                      "status"):
             assert np.array_equal(
@@ -677,6 +680,35 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
         assert np.array_equal(part.positions, whole.positions[:, 4:9])
         assert np.array_equal(part.times, whole.times[4:9])
         assert (part.t0, part.rec_dt) == (whole.times[4], whole.rec_dt)
+
+
+def test_response_rows_do_not_depend_on_the_chunk_width(monkeypatch):
+    # 70 trajectories of a 96-mode comb, record stride 3: chunks of 1, 5 and
+    # 64 rows (one row, fewer rows than a transform block, more), on 1 and
+    # 3 workers, give the rows of the whole-array integrate_ensemble at the
+    # shipped width, bit for bit
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=96)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    ic = stationary_guess_ic(1.0, 1.0, 1.0)
+    args = (particle, fspec, ic, 0.0, 0.5, 120, 70, 21)
+    whole = integrate_ensemble(*args, record_stride=3)
+    assert whole.meta["integrator"] == "rk4-response"
+    names = ("positions", "velocities", "field_values", "status")
+    for width in (1, 5, 64):
+        monkeypatch.setattr(sedsim.dynamics, "RESPONSE_CHUNK", width)
+        for n_workers in (1, 3):
+            chunks = Chunks()
+            integrate_stream(*args, [chunks], record_stride=3,
+                             n_workers=n_workers)
+            assert {c.n_traj for c in chunks.chunks[:-1]} == {width}
+            assert len(chunks.chunks) == -(-70 // width)
+            ens = integrate_ensemble(*args, record_stride=3,
+                                     n_workers=n_workers)
+            for name in names:
+                assert np.array_equal(np.concatenate(
+                    [getattr(c, name) for c in chunks.chunks]),
+                    getattr(whole, name))
+                assert np.array_equal(getattr(ens, name), getattr(whole, name))
 
 
 @pytest.mark.parametrize("sizes", [[50, 70, 3, 277], [32, 1, 31, 336]])
@@ -1061,7 +1093,7 @@ def test_streamed_dump_holds_np_save_bytes(tmp_path):
     # three chunks, the last one short; the streamed files, the whole-array
     # dump and np.save of the whole arrays agree byte for byte, and the
     # stream writes meta.json only when it is closed
-    n_traj = 2 * CHUNK + 44
+    n_traj = 2 * RESPONSE_CHUNK + 44
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
     ic = stationary_guess_ic(1.0, 1.0, 1.0)

@@ -1,13 +1,15 @@
 """Spectral synthesis: exactness, statistics, and the analytic covariance."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from sedsim.field import (FieldRealization, FieldSpec, autocorrelation_check,
-                          autocovariance, autocovariance_quad,
+from sedsim.field import (CombPlan, FieldRealization, FieldSpec,
+                          autocorrelation_check, autocovariance,
+                          autocovariance_quad,
                           comb_cache_params, comb_sum_grid, comb_sum_slabs,
                           dump_field_csv, eval_field, make_field, mode_table,
                           spectral_density)
@@ -224,6 +226,11 @@ def test_slabs_are_the_single_call_grid():
     assert [s.shape for s in slabs] == [(5, 601)] * 3 + [(5, 201)]
     for a, b in zip(slabs, slabs[1:]):
         assert np.array_equal(a[:, -1], b[:, 0])
+    # the full-width slabs share one plan moved to each start; every slab,
+    # the short last one too, holds a fresh comb_sum_grid call's bytes
+    for s0, slab in zip(range(0, 2000, 600), slabs):
+        assert np.array_equal(slab[:, 1:], comb_sum_grid(
+            coefs, frs[0].omegas, 2.5, h, 1, slab.shape[1] - 1, start=s0 + 1))
     streamed = np.concatenate([slabs[0]] + [s[:, 1:] for s in slabs[1:]],
                               axis=1)
     assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.std(whole)
@@ -232,6 +239,35 @@ def test_slabs_are_the_single_call_grid():
                                                   h, 41, 600)]
     assert short.shape == (5, 41)
     assert np.max(np.abs(short - whole[:, :41])) <= 1e-13 * np.std(whole)
+
+
+@pytest.mark.parametrize("step, start, t0", [
+    (1, 0, 0.0),
+    (3, 101, -4.0),
+    (12, 7919, 41.3),           # past the comb period of 720 points
+])
+def test_a_plan_applied_many_times_is_a_fresh_comb_sum_grid(step, start, t0):
+    # 70 rows: blocks of 1, 39 (past one transform block) and 30 rows, in
+    # two rounds and from 3 threads, each equal to one fresh comb_sum_grid
+    # call bit for bit; at() moves the plan without changing it
+    spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=96)
+    omegas = mode_table(spec)[0]
+    h = 2.0 * math.pi / (1.5 / 96 * 720)
+    coefs = coefficients([make_field(spec, (13, i)) for i in range(70)])[:, 0]
+    fresh = comb_sum_grid(coefs, omegas, t0, h, step, 300, start=start)
+    plan = CombPlan(omegas, t0, h, step, 300, start)
+    blocks = [slice(0, 1), slice(1, 40), slice(40, 70)]
+    for _ in range(2):
+        for rows in blocks:
+            assert np.array_equal(plan(coefs[rows]), fresh[rows])
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        done = list(pool.map(lambda rows: plan(coefs[rows]), blocks * 2))
+    for rows, values in zip(blocks * 2, done):
+        assert np.array_equal(values, fresh[rows])
+    moved = plan.at(start + 977)
+    assert np.array_equal(moved(coefs), comb_sum_grid(
+        coefs, omegas, t0, h, step, 300, start=start + 977))
+    assert np.array_equal(plan(coefs), fresh)
 
 
 def test_start_index_is_exact_near_the_end_of_the_comb_period():

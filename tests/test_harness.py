@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from sedsim import dynamics, harness, kinematics
-from sedsim.cli import main
+from sedsim.cli import _Progress, main
 from sedsim.config import ConfigError, dumps_config, load_config, validate_config
 from sedsim.dynamics import (IntegrationError, TrajectoryEnsemble,
                              load_ensemble)
@@ -108,7 +108,8 @@ def test_run_json_records_the_resolved_grid(sed_run, ou_run):
     assert run_meta["dt"] == ens_meta["dt"]
     assert run_meta["n_steps"] == ens_meta["n_steps"]
     assert run_meta["n_fft"] >= 2 * run_meta["n_steps"] + 1
-    assert run_meta["n_chunks"] == 1          # 120 trajectories, one chunk
+    # the chunks integrate handed over: 120 trajectories in 64 and 56
+    assert run_meta["n_chunks"] == 2
     assert run_meta["n_workers"] == 1
     ou_meta = json.loads((ou_run.run_dir / "run.json").read_text())
     ou_ens = json.loads((ou_run.run_dir / "ensemble" / "meta.json").read_text())
@@ -534,9 +535,9 @@ def run_files(run_dir):
 
 
 def test_chunks_finishing_out_of_order_keep_every_byte(tmp_path, monkeypatch):
-    # 4 chunks of 32 trajectories on 2 workers; chunk 0 waits until chunk 1
-    # has finished, and is still handed over first
-    monkeypatch.setattr(dynamics, "CHUNK", 32)
+    # 4 chunks of at most 32 trajectories on 2 workers; chunk 0 waits until
+    # chunk 1 has finished, and is still handed over first
+    monkeypatch.setattr(dynamics, "RESPONSE_CHUNK", 32)
     serial = run_experiment(mini_sed_config(), output_root=tmp_path / "serial")
 
     cfg = mini_sed_config()
@@ -575,8 +576,8 @@ def test_chunks_finishing_out_of_order_keep_every_byte(tmp_path, monkeypatch):
 def test_a_failed_chunk_leaves_a_dump_that_does_not_load(tmp_path,
                                                          monkeypatch):
     # the third of 4 chunks raises: the two before it are in the dump,
-    # whose meta.json, written last, is missing
-    monkeypatch.setattr(dynamics, "CHUNK", 32)
+    # whose meta.json, written last, is missing, and run.json counts them
+    monkeypatch.setattr(dynamics, "RESPONSE_CHUNK", 32)
     add_transient = dynamics._add_transient
     calls = []
 
@@ -594,6 +595,7 @@ def test_a_failed_chunk_leaves_a_dump_that_does_not_load(tmp_path,
     run = json.loads((run_dir / "run.json").read_text())
     assert run["failed_stage"] == "integrate"
     assert [st["name"] for st in run["stages"]] == ["time-grid"]
+    assert run["n_chunks"] == 2
     assert not (run_dir / "ensemble" / "meta.json").exists()
     assert not (run_dir / "balance.json").exists()
     positions = run_dir / "ensemble" / "positions.npy"
@@ -607,10 +609,21 @@ def test_a_failed_chunk_leaves_a_dump_that_does_not_load(tmp_path,
 
 
 def test_sed_run_holds_a_few_chunks_and_the_store(tmp_path, monkeypatch):
-    # 1,200 trajectories in chunks of 128: the run's peak is the store of
-    # the window's positions and about one chunk (positions, velocities
-    # and field values) with its transforms, far below the 3 whole arrays
-    monkeypatch.setattr(dynamics, "CHUNK", 128)
+    # 1,200 trajectories in the response path's chunks of 64: integrate's
+    # peak is the store of the window's positions and about one chunk
+    # (positions, velocities and field values) with its transforms, far
+    # below the 3 whole arrays. The estimator stages after it walk blocks
+    # of samples (the diffusion sweep held 4.8 MB above the store here),
+    # and the run stays below the store and 4 of these chunks
+    stream, peaks = harness.integrate_stream, []
+
+    def measured_stream(*args, **kwargs):
+        tracemalloc.reset_peak()
+        head = stream(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return head
+
+    monkeypatch.setattr(harness, "integrate_stream", measured_stream)
     cfg = mini_sed_config()
     cfg["ensemble"]["n_traj"] = 1200
     tracemalloc.start()
@@ -622,9 +635,10 @@ def test_sed_run_holds_a_few_chunks_and_the_store(tmp_path, monkeypatch):
     times = np.load(result.run_dir / "ensemble" / "times.npy")
     n_window = np.count_nonzero((times >= 900.0) & (times <= 1500.0))
     store = 1200 * (n_window + 4) * 8
-    chunk = 3 * 128 * times.size * 8
+    chunk = 3 * dynamics.RESPONSE_CHUNK * times.size * 8
     whole = 3 * 1200 * times.size * 8
-    assert peak < store + 2 * chunk < whole / 2
+    assert peaks[0] < store + 2 * chunk
+    assert peak < store + 4 * chunk < whole / 2
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +652,8 @@ def test_cli_run_report_plot_cycle(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg_path)]) == 1  # tolerance failures, not errors
     out, err = capsys.readouterr()
     assert "run directory:" in out
-    # one progress line per finished chunk of integrate_ensemble
+    # a line per 512 trajectories and one at the last: 120 trajectories in
+    # 2 chunks print one
     assert err == "integrate: 120/120 trajectories\n"
     run_dir = tmp_path / "mini_sed"
 
@@ -661,6 +676,21 @@ def test_cli_run_report_plot_cycle(tmp_path, monkeypatch, capsys):
 
     assert main(["plot", str(run_dir)]) == 0
     assert (run_dir / "plots" / "dsweep.gp").is_file()
+
+
+def test_cli_progress_prints_a_line_per_512_trajectories(capsys):
+    # the shipped sed run hands over 25 chunks of 64 and prints 4 lines;
+    # the step loop's chunks of 512 print one line each
+    progress = _Progress()
+    for done in [*range(64, 1600, 64), 1600]:
+        progress(done, 1600)
+    assert capsys.readouterr().err == "".join(
+        f"integrate: {done}/1600 trajectories\n"
+        for done in (512, 1024, 1536, 1600))
+    progress = _Progress()
+    for done in (512, 1024, 1068):
+        progress(done, 1068)
+    assert capsys.readouterr().err.count("\n") == 3
 
 
 def test_cli_config_errors_exit_two(tmp_path, monkeypatch, capsys):
