@@ -22,11 +22,10 @@ from .dynamics import (DeltaIC, EnergyBalanceReport, GaussianIC,
                        TrajectoryEnsemble, comb_time_grid, dump_ensemble,
                        energy_balance, free_potential, harmonic_potential,
                        integrate_ensemble, load_ensemble, quartic_potential,
-                       relaxation_curve, stationary_guess_ic,
-                       tabulated_potential)
+                       relaxation_curve, stationary_guess_ic)
 from .field import (FieldRealization, FieldSpec, autocorrelation_check,
-                    autocovariance, autocovariance_quad, dump_field_csv,
-                    eval_field, make_field, mode_table, spectral_density)
+                    autocovariance, autocovariance_quad, eval_field,
+                    make_field, mode_table, spectral_density)
 from .harness import (ComparisonReport, PipelineError, ReportRow, RunResult,
                       emit_plot_data, load_report, run_experiment)
 from .kinematics import (BinnedField, BranchReport, CoarseGrainSpec,

@@ -11,7 +11,9 @@ smooth function of time once its phases are drawn, so each trajectory is an
 ordinary (non-stochastic) ODE integrated with classical RK4; field values at
 substage times come from the mode sum on the half-step grid, one slab of
 _SLAB half steps at a time, just ahead of the steps that read it
-(field.comb_sum_slabs).
+(field.comb_sum_slabs). The step loop (_rk4) steps a chunk's rows on
+(x, v, a) stage buffers written in place, reading the field times the charge
+from time-major blocks of the slab; its arithmetic is the plain RK4's.
 
 For the harmonic potential the force is linear in x, so one RK4 step is an
 affine map s_{k+1} = M s_k + G u_k of the state s = (x, v), with u_k the
@@ -62,12 +64,11 @@ import numpy as np
 from .field import (CombPlan, FieldSpec, comb_cache_params, comb_sum_slabs,
                     make_field, mode_table)
 
-# Trajectories are integrated in fixed-size chunks regardless of worker
-# count, so results are bit-identical across schedules. CHUNK is the step
-# loop's width: its per-step numpy dispatch needs it. On sedbench's
-# quartic comb (1,024 trajectories, 6,000 steps, 3 alternating runs) the
-# step loop took 243-350 ns per trajectory-step, synthesis included, at
-# 512 wide, 359-468 at 256, and 239-252 at 1,024 for twice the slab.
+# Fixed-size chunks, whatever the worker count, keep results bit-identical
+# across schedules. CHUNK is the step loop's width, which its per-step numpy
+# dispatch needs: 1,024 trajectories of sedbench's quartic run took 170-174
+# ns per trajectory-step at 512 wide, synthesis included, 250-268 at 256 and
+# 146-155 at 1,024 for twice the slab (tools/paired_loop.py, 3 runs each).
 CHUNK = 512
 
 # The response path's width. Its rows are independent, and a chunk's
@@ -84,6 +85,10 @@ RESPONSE_CHUNK = 64
 # more per point: 512 rows of sedbench's quartic run took 0.47-0.51 s at
 # 8,192 and 0.57-0.62 s at 4,096.
 _SLAB = 8192
+
+# Half steps per time-major block of the step loop's charge-scaled field:
+# 70 kB at CHUNK rows; blocks of 64 raised sedbench quartic's peak 0.4 MB.
+_FIELD_BLOCK = 16
 
 # Rows taken together wherever whole rows of records are worked on: the
 # transient on the response path and the walk of intact_blocks, whose
@@ -110,13 +115,15 @@ class IntegrationError(ValueError):
 @dataclass(frozen=True)
 class Potential:
     """External conservative potential with force and force-gradient
-    evaluators; a constant gradient (harmonic, free) is a scalar."""
+    evaluators; a constant gradient (harmonic, free) is a scalar.
+    fused_drift(x, v, tau, out), when given, is drift bit for bit."""
 
     kind: str
     V: callable
     f: callable
     fprime: callable
     params: dict = dc_field(default_factory=dict)
+    fused_drift: callable = None
 
     @property
     def linear(self) -> bool:
@@ -132,6 +139,12 @@ class Potential:
         if k is not None and k > 0:
             return math.sqrt(k / mass)
         return None
+
+    def drift(self, x, v, tau: float, out=None):
+        """The reduced-order force f(x) + tau f'(x) v, into out if given."""
+        if self.fused_drift is not None:
+            return self.fused_drift(x, v, tau, out)
+        return np.add(self.f(x), tau * self.fprime(x) * v, out=out)
 
 
 def free_potential() -> Potential:
@@ -154,37 +167,24 @@ def harmonic_potential(omega0: float, mass: float) -> Potential:
 def quartic_potential(k4: float) -> Potential:
     """V = (1/4) k4 x^4. The powers are products of squares: an array ** 3
     or ** 4 goes through libm pow, 15x slower than a multiply, and the RK4
-    loop evaluates the force four times per step."""
+    loop evaluates the drift, in place and with one x^2, four times a step."""
+    def drift(x, v, tau, out):
+        x2 = np.square(x)
+        out = np.multiply(x, x2, out=out)
+        out *= -k4
+        x2 *= -3.0 * k4
+        x2 *= tau
+        x2 *= v
+        out += x2
+        return out
+
     return Potential(
         kind="quartic",
         V=lambda x: 0.25 * k4 * np.square(np.square(x)),
         f=lambda x: -k4 * (x * np.square(x)),
         fprime=lambda x: -3.0 * k4 * np.square(x),
         params={"k4": k4},
-    )
-
-
-def tabulated_potential(x_table, V_table) -> Potential:
-    """Cubic-spline potential; force is the exact spline derivative."""
-    # imported here: scipy.interpolate doubles the package's import time,
-    # and no shipped config tabulates its potential
-    from scipy.interpolate import CubicSpline
-
-    x_table = np.asarray(x_table, dtype=float)
-    V_table = np.asarray(V_table, dtype=float)
-    spline = CubicSpline(x_table, V_table)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    imin = int(np.argmin(V_table))
-    # local stiffness estimate for the characteristic frequency
-    k_est = float(d2(x_table[imin]))
-    return Potential(
-        kind="tabulated",
-        V=spline,
-        f=lambda x: -d1(x),
-        fprime=lambda x: -d2(x),
-        params={"stiffness": k_est if k_est > 0 else None,
-                "x_min": float(x_table[0]), "x_max": float(x_table[-1])},
+        fused_drift=drift,
     )
 
 
@@ -228,8 +228,7 @@ class ParticleSpec:
     def acceleration(self, x, v, e):
         """x'' of the reduced-order equation at position x, velocity v and
         field value e: (f(x) + tau f'(x) v + charge e) / m."""
-        pot = self.potential
-        return (pot.f(x) + self.tau * pot.fprime(x) * v + self.charge * e) / self.mass
+        return (self.potential.drift(x, v, self.tau) + self.charge * e) / self.mass
 
     def energy(self, x, v):
         """Mechanical energy m v^2 / 2 + V(x)."""
@@ -356,24 +355,61 @@ def window_columns(times: np.ndarray, window) -> slice:
     return slice(lo, max(lo, hi))
 
 
-def _step_response(step, omegas, h2: float, stride: int):
+def _rk4(particle: ParticleSpec, dt: float, n: int):
+    """(y, step): step(e0, eh, e1) advances the states y = (x, v) of n
+    trajectories one classical RK4 step in place, e the charge-scaled field
+    at the start, the midpoint and the end of the step. Stage k lives in a
+    (3, n) buffer of x_k, v_k, a_k: rows 0:2 its state, rows 1:3 its
+    derivative, so a stage update is one multiply and one add on (2, n)
+    views. Potential.drift writes a_k in place; d1 + 2 (d2 + d3) + d4 sums
+    left to right, as the plain loop's arithmetic does."""
+    drift, tau, m = particle.potential.drift, particle.tau, particle.mass
+    S, d = np.empty((4, 3, n)), np.empty((2, n))
+    y1, (d1, d2, d3, d4) = S[0, :2], S[:, 1:]
+    rows = [tuple(s) for s in S]
+    stages = list(zip((dt / 2, dt / 2, dt), S[:3, 1:], S[1:, :2], rows[1:]))
+
+    def acc(x, v, a, e):
+        drift(x, v, tau, a)
+        np.add(a, e, out=a)
+        if m != 1.0:                    # a / 1 is a, bit for bit
+            np.divide(a, m, out=a)
+
+    def step(e0, eh, e1):
+        acc(*rows[0], e0)
+        for (h, dk, yk, sk), e in zip(stages, (eh, eh, e1)):
+            np.multiply(h, dk, out=d)
+            np.add(y1, d, out=yk)
+            acc(*sk, e)
+        np.add(d2, d3, out=d)
+        np.multiply(d, 2.0, out=d)
+        np.add(d, d1, out=d)
+        np.add(d, d4, out=d)
+        np.multiply(d, dt / 6.0, out=d)
+        np.add(y1, d, out=y1)
+
+    return y1, step
+
+
+def _step_response(particle: ParticleSpec, dt: float, omegas, stride: int):
     """RK4's step map for a force linear in x, and its exact response to
     each comb mode.
 
     With s = (x, v) and u_k the field at the start, the midpoint and the
-    end of step k, one step is s_{k+1} = M s_k + G u_k; M and G are read off
-    by applying step to unit states and unit field values, so the map is
-    RK4's own. A mode e^{i omega t}, with zeta = e^{i omega h2} and
-    z = zeta^2, gives u_k = e^{i omega t_k} (1, zeta, zeta^2), so the steady
-    state it drives is s_k = e^{i omega t_k} K with
-    K = (z I - M)^{-1} G (1, zeta, zeta^2). Returns (rho, K, P): rho the
-    spectral radius max|lambda(M)|, K of shape (2, n_modes), and
-    P = M^stride, the map from one record to the next.
+    end of step k, one step is s_{k+1} = M s_k + G u_k; M and G are one step
+    of _rk4 from x = 1, from v = 1 and from a unit field at each of the
+    three times, so the map is RK4's own. A mode e^{i omega t} (zeta =
+    e^{i omega dt/2}, z = zeta^2) gives u_k = e^{i omega t_k} (1, zeta, z), so
+    the steady state it drives is s_k = e^{i omega t_k} K with
+    K = (z I - M)^{-1} G (1, zeta, z).
+    Returns (rho, K, P): rho the spectral radius max|lambda(M)|, K of shape
+    (2, n_modes), and P = M^stride, the map from one record to the next.
     """
-    M = np.column_stack([step(1.0, 0.0, 0.0, 0.0, 0.0),
-                         step(0.0, 1.0, 0.0, 0.0, 0.0)])
-    G = np.column_stack([step(0.0, 0.0, *u) for u in np.eye(3)])
-    zeta = np.exp(1j * omegas * h2)
+    y, step = _rk4(particle, dt, 5)
+    y[...] = np.eye(2, 5)
+    step(*(particle.charge * np.eye(3, 5, 2)))
+    M, G = y[:, :2], y[:, 2:]
+    zeta = np.exp(1j * omegas * (0.5 * dt))
     z = zeta * zeta
     g = G[:, :1] + G[:, 1:2] * zeta + G[:, 2:] * z
     det = (z - M[0, 0]) * (z - M[1, 1]) - M[0, 1] * M[1, 0]
@@ -474,12 +510,9 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     comb_time_grid(fspec, dt, n_steps dt), whose step and step count are
     ens.dt and ens.n_steps. A warning is recorded in meta when dt
     exceeds 2 pi / (10 omega_loc), omega_loc = sqrt(max |f'(x)| / m) over
-    the recorded positions. Potentials whose force is linear in x
-    (Potential.linear) take RK4's exact response on the record grid, whose
-    transforms every chunk and worker thread apply through one CombPlan of
-    that grid; the others step RK4 in a loop, reading the field of a chunk
-    from slabs of _SLAB half steps (comb_sum_slabs) filled just ahead of
-    the steps. Neither path holds a field table of the whole run.
+    the recorded positions. Potential.linear potentials take RK4's exact
+    response on the record grid, the others the step loop (module
+    docstring); neither path holds a field table of the whole run.
 
     A chunk is a TrajectoryEnsemble of its rows (field_values None without
     store_field) sharing the run's times and meta; a consumer copies what
@@ -520,26 +553,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     seeds[:, 0] = master_seed
     seeds[:, 1] = np.arange(n_traj)
 
-    acc = particle.acceleration
     h2 = 0.5 * dt
-    w6 = dt / 6.0
-
-    def step(x, v, e0, eh, e1):
-        """One classical RK4 step from (x, v) with the field at the start,
-        the midpoint and the end of the step."""
-        a1 = acc(x, v, e0)
-        x2 = x + h2 * v
-        v2 = v + h2 * a1
-        a2 = acc(x2, v2, eh)
-        x3 = x + h2 * v2
-        v3 = v + h2 * a2
-        a3 = acc(x3, v3, eh)
-        x4 = x + dt * v3
-        v4 = v + dt * a3
-        a4 = acc(x4, v4, e1)
-        return (x + w6 * (v + 2.0 * (v2 + v3) + v4),
-                v + w6 * (a1 + 2.0 * (a2 + a3) + a4))
-
     linear = particle.potential.linear
     omegas, _, amps = mode_table(fspec)
     rec_step = 2 * record_stride          # half steps from record to record
@@ -554,7 +568,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
                      "potential_kind": particle.potential.kind},
     }
     if linear:
-        rho, K, P = _step_response(step, omegas, h2, record_stride)
+        rho, K, P = _step_response(particle, dt, omegas, record_stride)
         if rho >= 1.0:
             warnings.append(
                 f"RK4 step map has spectral radius max|lambda(M)| = {rho:.12g}"
@@ -579,45 +593,45 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
         coefs = amps * np.exp(1j * np.array(
             [make_field(fspec, (master_seed, i, 0)).phases[0]
              for i in range(lo, hi)]))
-        x = np.empty(n)
-        v = np.empty(n)
-        for i in range(n):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence((master_seed, lo + i, 1)))
-            )
-            x[i], v[i] = ic.sample(rng)
+        start = np.array([ic.sample(np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((master_seed, i, 1)))))
+            for i in range(lo, hi)]).T
         if store_field:
             records(coefs, out=es)
 
         if linear:
             for rec, k in ((xs, K[0]), (vs, K[1])):
                 records(coefs * k, out=rec)
-            _add_transient(xs, vs, x, v, P, growth)
+            _add_transient(xs, vs, *start, P, growth)
             finite = np.isfinite(xs) & np.isfinite(vs)
             for i in np.flatnonzero(~finite.all(axis=1)):
                 # NaN from the first non-finite record on, as a row that
                 # overflows on the step loop
                 first = int(np.argmin(finite[i]))
                 xs[i, first:] = vs[i, first:] = np.nan
-                st[i] = STATUS_NONFINITE
         else:
-            xs[:, 0] = x
-            vs[:, 0] = v
-            # a slab holds an even number of half steps, so each step's
-            # three field values lie in one slab
+            y, step = _rk4(particle, dt, n)
+            y[...] = start
+            xs[:, 0], vs[:, 0] = start
+            block = np.empty((_FIELD_BLOCK + 1, n))
+            # slabs and blocks hold even numbers of half steps, so each
+            # step's three field values lie in one block
             k = 0
             for slab in comb_sum_slabs(coefs, omegas, t0, h2,
                                        2 * n_steps + 1, _SLAB):
-                for c in range(0, slab.shape[1] - 1, 2):
-                    x, v = step(x, v, slab[:, c], slab[:, c + 1], slab[:, c + 2])
-                    k += 1
-                    if k % record_stride == 0:
-                        j = k // record_stride
-                        bad = ~(np.isfinite(x) & np.isfinite(v))
-                        if bad.any():
-                            st[bad] = STATUS_NONFINITE
-                        xs[:, j] = x
-                        vs[:, j] = v
+                for c0 in range(0, slab.shape[1] - 1, _FIELD_BLOCK):
+                    c1 = min(c0 + _FIELD_BLOCK, slab.shape[1] - 1)
+                    e = list(np.multiply(particle.charge, slab[:, c0:c1 + 1].T,
+                                         out=block[:c1 - c0 + 1]))
+                    for c in range(0, c1 - c0, 2):
+                        step(e[c], e[c + 1], e[c + 2])
+                        k += 1
+                        if k % record_stride == 0:
+                            j = k // record_stride
+                            xs[:, j], vs[:, j] = y
+        # a non-finite x or v stays non-finite at every later step (and is
+        # NaN from there on, above), so the last record flags every such row
+        st[~np.isfinite((xs[:, -1], vs[:, -1])).all(axis=0)] = STATUS_NONFINITE
         return TrajectoryEnsemble(
             t0=t0, dt=dt, n_steps=n_steps, record_stride=record_stride,
             times=times, positions=xs, velocities=vs, seeds=seeds[lo:hi],

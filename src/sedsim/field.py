@@ -398,16 +398,3 @@ def autocorrelation_check(realizations, lags, t_ref: float = 0.0) -> dict:
         report["std_error"].append(se)
         report["z_score"].append((emp - ana) / se if se > 0 else 0.0)
     return report
-
-
-def dump_field_csv(fr: FieldRealization, ts, path) -> None:
-    """Write (t, E(t)) samples as CSV with header t,E1[,E2,E3]."""
-    ts = np.asarray(ts, dtype=float)
-    vals = eval_field(fr, ts)
-    ncomp = vals.shape[0]
-    header = "t," + ",".join(f"E{k + 1}" for k in range(ncomp))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for j in range(ts.size):
-            row = ",".join(repr(float(vals[k, j])) for k in range(ncomp))
-            fh.write(f"{float(ts[j])!r},{row}\n")

@@ -28,6 +28,7 @@ from sedsim.dynamics import (
     DeltaIC,
     EnergySums,
     EnsembleWriter,
+    GaussianIC,
     IntegrationError,
     ParticleSpec,
     TrajectoryEnsemble,
@@ -42,12 +43,11 @@ from sedsim.dynamics import (
     quartic_potential,
     relaxation_curve,
     stationary_guess_ic,
-    tabulated_potential,
 )
 import sedsim.dynamics
 import sedsim.field
 from sedsim.field import (FieldSpec, comb_cache_params, comb_sum_grid,
-                          eval_field, make_field)
+                          comb_sum_slabs, eval_field, make_field, mode_table)
 from sedsim.harness import _window_statistics
 from sedsim.reference import harmonic_response, harmonic_trajectory
 
@@ -399,6 +399,100 @@ def test_overflowed_rows_stay_non_finite():
         for row in finite:
             first = int(np.argmin(row))
             assert first > 0 and not row[first:].any()
+
+
+def reference_loop(particle, fspec, ic, dt, n_steps, n_traj, seed, stride):
+    """integrate_ensemble's step loop written out plainly: the acceleration
+    evaluated four times a step, x and v updated separately, charge * e at
+    every stage, the field read from one slab of the whole run.
+    Returns (positions, velocities, status)."""
+    dt, n_steps, _ = comb_time_grid(fspec, dt, n_steps * dt)
+    pot, h2 = particle.potential, 0.5 * dt
+    omegas, _, amps = mode_table(fspec)
+    coefs = amps * np.exp(1j * np.array(
+        [make_field(fspec, (seed, i, 0)).phases[0] for i in range(n_traj)]))
+    (e,) = comb_sum_slabs(coefs, omegas, 0.0, h2, 2 * n_steps + 1,
+                          2 * n_steps)
+    x, v = np.array([ic.sample(np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((seed, i, 1))))) for i in range(n_traj)]).T
+
+    def acc(x, v, e):
+        return (pot.f(x) + particle.tau * pot.fprime(x) * v
+                + particle.charge * e) / particle.mass
+
+    n_rec = n_steps // stride + 1
+    xs, vs = np.empty((n_traj, n_rec)), np.empty((n_traj, n_rec))
+    xs[:, 0], vs[:, 0] = x, v
+    status = np.zeros(n_traj, dtype=np.int8)
+    for k in range(n_steps):
+        e0, eh, e1 = e[:, 2 * k], e[:, 2 * k + 1], e[:, 2 * k + 2]
+        a1 = acc(x, v, e0)
+        x2 = x + h2 * v
+        v2 = v + h2 * a1
+        a2 = acc(x2, v2, eh)
+        x3 = x + h2 * v2
+        v3 = v + h2 * a2
+        a3 = acc(x3, v3, eh)
+        x4 = x + dt * v3
+        v4 = v + dt * a3
+        a4 = acc(x4, v4, e1)
+        x, v = (x + dt / 6.0 * (v + 2.0 * (v2 + v3) + v4),
+                v + dt / 6.0 * (a1 + 2.0 * (a2 + a3) + a4))
+        if (k + 1) % stride == 0:
+            j = (k + 1) // stride
+            xs[:, j], vs[:, j] = x, v
+            status[~(np.isfinite(x) & np.isfinite(v))] = STATUS_NONFINITE
+    return xs, vs, status
+
+
+@pytest.mark.parametrize("case", ["quartic", "free", "harmonic"])
+def test_step_loop_is_the_plain_rk4_bit_for_bit(case):
+    # the stage-buffer kernel reorders no operation of the plain loop: on
+    # the quartic at mass 2 and record stride 3, the row that starts at
+    # x = 30 overflows in its first records and is NaN from there on
+    fspec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=48)
+    ic, stride = (lambda: ListedStarts([0.3, -0.5, 30.0, 0.8, 0.0])), 3
+    if case == "quartic":
+        particle = ParticleSpec.from_tau(2.0, 0.02, quartic_potential(1.0))
+    elif case == "free":
+        particle = ParticleSpec.from_tau(1.0, 0.02, free_potential())
+        ic, stride = (lambda: GaussianIC(0.5, 0.5)), 1
+    else:
+        particle = on_the_loop(ParticleSpec.from_tau(
+            1.0, 0.02, harmonic_potential(1.3, 1.0)))
+        ic = lambda: GaussianIC(0.5, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ens = integrate_ensemble(particle, fspec, ic(), 0.0, 0.13, 200, 5, 11,
+                                 record_stride=stride)
+        xs, vs, status = reference_loop(particle, fspec, ic(), 0.13, 200, 5,
+                                        11, stride)
+    assert ens.meta["integrator"] == "rk4-loop"
+    np.testing.assert_array_equal(ens.status, status)
+    assert np.array_equal(ens.positions, xs, equal_nan=True)
+    assert np.array_equal(ens.velocities, vs, equal_nan=True)
+    if case == "quartic":
+        assert list(status) == [STATUS_OK, STATUS_OK, STATUS_NONFINITE,
+                                STATUS_OK, STATUS_OK]
+        assert np.isfinite(xs[2, :2]).all() and np.isnan(xs[2, 2:]).all()
+        assert np.isnan(vs[2, 2:]).all()
+
+
+@pytest.mark.parametrize("pot", [free_potential(),
+                                 harmonic_potential(1.3, 2.0),
+                                 quartic_potential(0.7)], ids=lambda p: p.kind)
+def test_drift_is_f_plus_tau_fprime_v_bit_for_bit(pot):
+    rng = np.random.default_rng(5)
+    x, v = (rng.standard_normal((2, 1000))
+            * 10.0 ** rng.uniform(-3.0, 3.0, (2, 1000)))
+    expected = pot.f(x) + 0.02 * pot.fprime(x) * v
+    out = np.empty_like(x)
+    assert pot.drift(x, v, 0.02, out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert pot.drift(x, v, 0.02).tobytes() == expected.tobytes()
+    particle = ParticleSpec.from_tau(2.0, 0.02, pot)
+    e = rng.standard_normal(1000)
+    assert particle.acceleration(x, v, e).tobytes() == (
+        (expected + particle.charge * e) / 2.0).tobytes()
 
 
 @pytest.mark.parametrize("n_steps,stride", [(1, 1), (2, 1), (5, 7), (14, 2),
@@ -1208,12 +1302,3 @@ def test_particle_acceleration_and_energy():
     np.testing.assert_allclose(particle.energy(x, v), v**2 + 0.75 * x**4,
                                rtol=1e-15)
 
-
-def test_tabulated_potential_reproduces_smooth_source():
-    # not-a-knot cubic spline through quadratic data is the quadratic itself
-    xt = np.linspace(-3.0, 3.0, 61)
-    pot = tabulated_potential(xt, 0.5 * xt ** 2)
-    xq = np.linspace(-2.5, 2.5, 101)
-    np.testing.assert_allclose(pot.V(xq), 0.5 * xq ** 2, atol=1e-9)
-    np.testing.assert_allclose(pot.f(xq), -xq, atol=1e-9)
-    assert pot.omega_char(1.0) == pytest.approx(1.0, rel=1e-6)

@@ -9,10 +9,9 @@ from scipy import stats
 
 from sedsim.field import (CombPlan, FieldRealization, FieldSpec,
                           autocorrelation_check, autocovariance,
-                          autocovariance_quad,
-                          comb_cache_params, comb_sum_grid, comb_sum_slabs,
-                          dump_field_csv, eval_field, make_field, mode_table,
-                          spectral_density)
+                          autocovariance_quad, comb_cache_params,
+                          comb_sum_grid, comb_sum_slabs, eval_field,
+                          make_field, mode_table, spectral_density)
 
 # band integral (2/(3 pi)) int w^3 cos(w lag) dw, frozen from a 30-digit
 # mpmath quadrature
@@ -443,21 +442,6 @@ def test_insufficient_ensemble_size():
     reals = [make_field(spec, i) for i in range(20)]
     with pytest.raises(ValueError, match="insufficient ensemble"):
         autocorrelation_check(reals, [0.0])
-
-
-def test_csv_dump_round_trip(tmp_path):
-    spec = FieldSpec(omega_cutoff=1.0, n_modes=16, components=3)
-    fr = make_field(spec, 5)
-    ts = np.linspace(0.0, 3.0, 7)
-    path = tmp_path / "field.csv"
-    dump_field_csv(fr, ts, path)
-    rows = path.read_text().strip().splitlines()
-    header, body = rows[0], rows[1:]
-    assert header.startswith("t,")
-    assert len(body) == 7
-    parsed = np.array([[float(x) for x in r.split(",")] for r in body])
-    assert parsed[:, 0] == pytest.approx(ts)
-    assert parsed[:, 1:].T == pytest.approx(eval_field(fr, ts), rel=1e-15)
 
 
 def test_spec_validation():
