@@ -38,16 +38,17 @@ max|lambda(M)|, and a warning is recorded when it is at least 1.
 integrate_stream hands each finished chunk of trajectories, in row order,
 to a list of consumers and keeps none of it: an EnsembleWriter appends the
 chunk's rows to the dump, BalanceSums and EnergySums add its blocks of
-intact rows to the energy balance and the relaxation curve, and a
-ColumnStore keeps the positions at the recorded columns the estimators
-read. Each trajectory is seeded on its own (Philox keyed by master seed
-and trajectory index; Salmon et al., SC'11), so a chunk does not depend on
-the others. A chunk is CHUNK rows on the step loop, whose per-step numpy
-dispatch needs the width, and RESPONSE_CHUNK rows on the response path,
-which computes each row on its own. integrate_ensemble is the stream whose
-chunks fill whole arrays in place; energy_balance, relaxation_curve and
-dump_ensemble take a whole ensemble as one chunk, so both routes give the
-same bytes.
+ROW_BLOCK rows, less the flagged ones, to the energy balance and the
+relaxation curve, and a ColumnStore keeps the positions at the recorded
+columns the estimators read. Each trajectory is seeded on its own (Philox
+keyed by master seed and trajectory index; Salmon et al., SC'11), so a
+chunk does not depend on the others. A chunk is CHUNK rows on the step
+loop, whose per-step numpy dispatch needs the width, and RESPONSE_CHUNK
+rows on the response path, which computes each row on its own; both are
+multiples of ROW_BLOCK, so a chunk holds whole blocks. integrate_ensemble
+is the stream whose chunks fill whole arrays in place; energy_balance,
+relaxation_curve and dump_ensemble take a whole ensemble as one chunk, so
+both routes give the same bytes.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ _FIELD_BLOCK = 16
 
 # Rows taken together wherever whole rows of records are worked on: the
 # transient on the response path and the walk of intact_blocks, whose
-# blocks the stream's reductions keep across chunk boundaries.
+# blocks are fixed by row index. Every chunk width (CHUNK, RESPONSE_CHUNK,
+# reference._ROW_BLOCK) is a multiple of ROW_BLOCK, so a stream's chunks
+# cut no block and its reductions add the whole ensemble's blocks.
 # Each temporary is ROW_BLOCK x n_rec doubles, 2.1 MB on the shipped grid.
 # On the shipped run the window reductions took about as long at 8 to 64
 # rows; at 128 the relaxation curve took 1.6x as long.
@@ -318,33 +321,32 @@ class TrajectoryEnsemble:
         ok = self.ok_mask()
         return arr[:, cols] if ok.all() else arr[np.ix_(ok, cols)]
 
-    def intact_blocks(self, names, cols=slice(None), rows: int = ROW_BLOCK,
-                      first: int | None = None):
+    def intact_blocks(self, names, cols=slice(None), rows: int = ROW_BLOCK):
         """Walk the STATUS_OK rows of the named arrays over the recorded
-        columns cols (a slice, or indices in the order given), rows rows at
-        a time in row order (the first block first rows, by default rows),
-        yielding one row-major block per name: views when cols is a slice
-        and no row is flagged, else copies. A reduction along time is local
-        to a block's rows; one over trajectories adds each block's column
-        sums in order (Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983)).
-        With no intact row the walk yields one empty block."""
+        columns cols (a slice, or indices in the order given), block by
+        block in row order: the rows [lo, lo + rows) for lo = 0, rows,
+        2 rows, ..., less the flagged ones. Yields one row-major block per
+        name: views when cols is a slice and no row of the block is flagged,
+        else copies. A block with no intact row is skipped; with no intact
+        row at all the walk yields one empty block. A reduction along time
+        is local to a block's rows; one over trajectories adds each block's
+        column sums in order (Chan, Golub & LeVeque, Am. Stat. 37, 242
+        (1983))."""
         ok = self.ok_mask()
-        whole = bool(ok.all())
-        if not whole:
-            ok = np.flatnonzero(ok)
-        n = self.n_traj if whole else ok.size
         index = not isinstance(cols, slice)
-        cuts = range(rows if first is None else first, n, rows)
-        for lo, hi in zip([0, *cuts], [*cuts, n]):
-            part = slice(lo, hi) if whole else ok[lo:hi]
-            if index and not whole:
+        parts = []
+        for lo in range(0, self.n_traj, rows):
+            keep = ok[lo:lo + rows]
+            if keep.all():
+                parts.append(slice(lo, lo + rows))
+            elif keep.any():
+                parts.append(lo + np.flatnonzero(keep))
+        for part in parts or [np.arange(0)]:
+            if index and not isinstance(part, slice):
                 part = part[:, None]
             blocks = [getattr(self, name)[part, cols] for name in names]
             # a row slice with index columns copies column-major
             yield [np.ascontiguousarray(b) for b in blocks] if index else blocks
-
-    def window_columns(self, window) -> slice:
-        return window_columns(self.times, window)
 
 
 def window_columns(times: np.ndarray, window) -> slice:
@@ -737,48 +739,27 @@ class EnergyBalanceReport:
         d["schema_version"] = DUMP_SCHEMA_VERSION
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 class _RowBlockSums:
     """A reduction over blocks of intact rows at the recorded columns
-    self.cols. take(chunk) hands add() the chunk's intact rows in the
-    blocks intact_blocks yields over the whole ensemble, ROW_BLOCK rows in
-    row order: the rows of a block that a chunk boundary cuts are held, as
-    copies, until the next chunk completes it. Taking a whole ensemble as
-    one chunk is therefore its intact_blocks walk, and a stream of chunks
-    adds the same blocks in the same order."""
+    self.cols: take(chunk) hands add() each block of the chunk's
+    intact_blocks walk. Every chunk starts at a multiple of ROW_BLOCK rows
+    (see ROW_BLOCK), so its blocks are the whole ensemble's: a stream of
+    chunks adds the same blocks in the same order as the whole ensemble
+    taken as one chunk, and nothing is kept from one take to the next. A
+    chunk with no intact row adds one empty block, whose zero column sums
+    leave every total as it was."""
 
     names = ()
 
     def __init__(self, cols):
         self.cols = cols
         self.n = 0              # intact rows added so far
-        self._held = []         # per held part of a block, one array per name
-        self._n_held = 0
 
     def take(self, chunk: TrajectoryEnsemble):
-        for block in chunk.intact_blocks(self.names, self.cols,
-                                         first=ROW_BLOCK - self._n_held):
-            if len(block[0]) == ROW_BLOCK:
-                self._add(block)
-            elif len(block[0]):
-                self._held.append([b.copy() for b in block])
-                self._n_held += len(block[0])
-                if self._n_held == ROW_BLOCK:
-                    self._flush()
-
-    def _flush(self):
-        """Add the held rows: a block completed across a chunk boundary,
-        or the last block, which no later chunk completes."""
-        if self._held:
-            self._add([np.concatenate(parts) for parts in zip(*self._held)])
-            self._held, self._n_held = [], 0
-
-    def _add(self, block):
-        self.n += len(block[0])
-        self.add(*block)
+        for block in chunk.intact_blocks(self.names, self.cols):
+            self.n += len(block[0])
+            self.add(*block)
 
 
 class BalanceSums(_RowBlockSums):
@@ -811,11 +792,9 @@ class BalanceSums(_RowBlockSums):
     def trace(self):
         """(times, absorbed, radiated): the ensemble-mean powers at each
         recorded time of the window."""
-        self._flush()
         return self.times, self.sums[0] / self.n, self.sums[1] / self.n
 
     def report(self, ens: TrajectoryEnsemble) -> "EnergyBalanceReport":
-        self._flush()
         nt = self.n
         if nt == 0:
             raise IntegrationError("no intact trajectory: every row is non-finite")
@@ -872,7 +851,6 @@ class EnergySums(_RowBlockSums):
         self.total += np.sum(self.particle.energy(x, v), axis=0)
 
     def curve(self, ens: TrajectoryEnsemble):
-        self._flush()
         if self.n < 100:
             raise IntegrationError(f"relaxation curve needs >= 100 intact "
                                    f"trajectories, has {self.n}")

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -348,6 +347,7 @@ def autocovariance(spec: FieldSpec, lag: float) -> float:
 
 def autocovariance_quad(spec: FieldSpec, lag: float) -> float:
     """Autocovariance by adaptive quadrature (independent of the closed form)."""
+    from scipy.integrate import quad     # kept out of the package import
     coef = 2.0 * spec.hbar / (3.0 * math.pi * spec.c**3)
     if lag == 0.0:
         val, _err = quad(lambda w: w**3, spec.omega_min, spec.omega_cutoff)

@@ -392,7 +392,7 @@ def _window_statistics(ens: TrajectoryEnsemble, window):
     trajectories, and its standard error from the per-trajectory means.
     Every trajectory has the window's records, so the pooled mean is the
     mean of the per-trajectory means."""
-    blocks = ens.intact_blocks(("positions",), ens.window_columns(window))
+    blocks = ens.intact_blocks(("positions",), window_columns(ens.times, window))
     per_traj_x, per_traj_x2 = np.concatenate(
         [[np.mean(x, axis=1), np.mean(x**2, axis=1)] for (x,) in blocks], axis=1)
     xbar = float(np.mean(per_traj_x))
@@ -416,6 +416,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
     window, n_traj, dump_fmt = _run_inputs(cfg)
     tcfg = cfg["time"]
     stride = _at_least_one("time.record_stride", tcfg.get("record_stride", 1))
+    n_workers = _at_least_one("ensemble.n_workers", ecf.get("n_workers", 1))
     t0 = float(tcfg.get("t0", 0.0))
     dt, n_steps, n_fft = _stage(info, "time-grid", _time_grid, fspec,
                                 float(tcfg["dt"]), float(tcfg["t_final"]) - t0)
@@ -425,7 +426,6 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
         cfg, times, dt * stride, window, 0.0, (1, 2, 3, 4, 6, 10))
     ic = _build_ic(cfg, particle, fspec.hbar)
     master_seed = int(cfg["seeds"]["master_seed"])
-    n_workers = int(ecf.get("n_workers", 1))
     info.update(dt=dt, n_steps=n_steps, n_fft=n_fft, n_chunks=0,
                 n_workers=n_workers)
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dynamics import ParticleSpec, TrajectoryEnsemble, record_times
 from .field import (FieldRealization, FieldSpec, eval_field, mode_table,
@@ -349,6 +348,7 @@ def harmonic_trajectory(fr: FieldRealization, particle: ParticleSpec, t,
 def harmonic_response_continuum(fspec: FieldSpec, mass: float, charge: float,
                                 tau: float, omega0: float) -> dict:
     """Continuum (infinite mode count) limit of the band response."""
+    from scipy.integrate import quad     # kept out of the package import
     gamma = tau * omega0**2
     coef = (charge / mass) ** 2 * 2.0 * fspec.hbar / (3.0 * math.pi * fspec.c**3)
 

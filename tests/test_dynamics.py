@@ -43,9 +43,11 @@ from sedsim.dynamics import (
     quartic_potential,
     relaxation_curve,
     stationary_guess_ic,
+    window_columns,
 )
 import sedsim.dynamics
 import sedsim.field
+import sedsim.reference
 from sedsim.field import (FieldSpec, comb_cache_params, comb_sum_grid,
                           comb_sum_slabs, eval_field, make_field, mode_table)
 from sedsim.harness import _window_statistics
@@ -805,20 +807,31 @@ def test_response_rows_do_not_depend_on_the_chunk_width(monkeypatch):
                 assert np.array_equal(getattr(ens, name), getattr(whole, name))
 
 
-@pytest.mark.parametrize("sizes", [[50, 70, 3, 277], [32, 1, 31, 336]])
-def test_stream_reductions_carry_blocks_across_chunks(sizes):
-    # flagged rows shift the blocks of 32 intact rows off the chunk
-    # boundaries; the stream's reductions hold a cut block until the next
-    # chunk completes it, so they add the whole-array walk's blocks in its
+def test_chunk_widths_are_whole_row_blocks():
+    # every producer's chunks start at a multiple of ROW_BLOCK rows, so no
+    # chunk boundary cuts a block of intact_blocks
+    for width in (CHUNK, RESPONSE_CHUNK, sedsim.reference._ROW_BLOCK):
+        assert width % ROW_BLOCK == 0, width
+
+
+@pytest.mark.parametrize("sizes", [[64, 32, 256, 48], [ROW_BLOCK] * 12 + [16]])
+def test_stream_reductions_add_the_whole_ensembles_blocks(sizes):
+    # chunks of whole blocks, with flagged rows on both sides of every
+    # boundary and one block (with 32-row chunks, one chunk) all flagged:
+    # the stream's reductions add the whole-array walk's blocks in its
     # order and agree with it bit for bit
     particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
     window = (50.0, 200.0)
     ens = noise_ensemble(400)
-    ens.status[[0, 48, 49, 51, 120, 121, 122, 399]] = STATUS_NONFINITE
-    balance = BalanceSums(particle, window, ens.times)
-    energy = EnergySums(particle, ens.times.size)
     cuts = np.cumsum([0, *sizes])
     assert cuts[-1] == ens.n_traj
+    assert all(cut % ROW_BLOCK == 0 for cut in cuts[:-1])
+    flagged = [0, 399, *range(5 * ROW_BLOCK, 6 * ROW_BLOCK)]
+    for cut in cuts[1:-1]:
+        flagged += [cut - 1, cut]
+    ens.status[flagged] = STATUS_NONFINITE
+    balance = BalanceSums(particle, window, ens.times)
+    energy = EnergySums(particle, ens.times.size)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         chunk = replace(ens, **{name: getattr(ens, name)[lo:hi] for name in (
             "positions", "velocities", "field_values", "seeds", "status")})
@@ -938,27 +951,37 @@ def test_intact_blocks_walk_the_intact_rows():
     ens = noise_ensemble(2 * ROW_BLOCK + 5, n_rec=11, dt=0.25)
     for window in ((0.5, 1.5), (0.4, 1.6), (0.0, 2.5), (1.6, 1.7), (1.5, 0.5)):
         inside = (ens.times >= window[0]) & (ens.times <= window[1])
-        cols = ens.window_columns(window)
+        cols = window_columns(ens.times, window)
         assert np.array_equal(np.arange(11)[cols], np.flatnonzero(inside))
-    cols = ens.window_columns((0.5, 1.5))
+    cols = window_columns(ens.times, (0.5, 1.5))
     assert cols == slice(2, 7)
-    for flagged in ([], [0, ROW_BLOCK, 2 * ROW_BLOCK + 4]):
+    # blocks are the rows [lo, lo + rows) less the flagged ones; a block
+    # with no intact row is skipped. Per case: the flagged rows, the block
+    # lengths at ROW_BLOCK rows, which blocks are views of the stored rows
+    # (those without a flagged row), and the block lengths at 7 rows
+    cases = (
+        ([], [ROW_BLOCK, ROW_BLOCK, 5], [True, True, True], [7] * 9 + [6]),
+        ([0, 2 * ROW_BLOCK + 4], [ROW_BLOCK - 1, ROW_BLOCK, 4],
+         [False, True, False], [6] + [7] * 8 + [5]),
+        (list(range(2 * ROW_BLOCK, 2 * ROW_BLOCK + 5)), [ROW_BLOCK, ROW_BLOCK],
+         [True, True], [7] * 9 + [1]),
+    )
+    for flagged, lengths, views, lengths_7 in cases:
+        ens.status[:] = STATUS_OK
         ens.status[flagged] = STATUS_NONFINITE
         blocks = list(ens.intact_blocks(("positions", "field_values"), cols))
-        assert [len(x) for x, _ in blocks] == [ROW_BLOCK, ROW_BLOCK,
-                                              5 - len(flagged)]
+        assert [len(x) for x, _ in blocks] == lengths
         for i, name in enumerate(("positions", "field_values")):
             walked = np.concatenate([b[i] for b in blocks])
             np.testing.assert_array_equal(walked,
                                           ens.intact(name, np.arange(2, 7)))
-        # views of the stored rows when none is flagged, else copies
         shared = [np.shares_memory(x, ens.positions) for x, _ in blocks]
-        assert shared == [not flagged] * len(blocks)
+        assert shared == views
         # index columns, in the order given, 7 rows at a time: row-major
         # copies either way
         picked = np.array([5, 2, 7, 2])
         blocks = list(ens.intact_blocks(("positions",), picked, 7))
-        assert [len(x) for (x,) in blocks] == [7] * 9 + [69 - len(flagged) - 63]
+        assert [len(x) for (x,) in blocks] == lengths_7
         assert all(x.flags.c_contiguous and not np.shares_memory(x, ens.positions)
                    for (x,) in blocks)
         np.testing.assert_array_equal(np.concatenate([x for (x,) in blocks]),
@@ -966,6 +989,8 @@ def test_intact_blocks_walk_the_intact_rows():
     ens.status[:] = STATUS_NONFINITE
     assert [x.shape for (x,) in ens.intact_blocks(("positions",), cols)] == [
         (0, 5)]
+    assert [x.shape for (x,) in ens.intact_blocks(("positions",), picked)] == [
+        (0, 4)]
 
 
 def test_step_size_guard():
@@ -1061,8 +1086,8 @@ def test_window_reductions_go_block_by_block(flagged):
 @pytest.mark.parametrize("flagged", [[], [1, 40, 299]])
 def test_window_reductions_sum_row_major_blocks(flagged):
     # each intact trajectory sums its window pairwise, as a row-major array
-    # does along a row; each time adds the rows of a ROW_BLOCK-row block in
-    # order and then the block sums in order
+    # does along a row; each time adds the intact rows of a block of
+    # ROW_BLOCK row indices in order and then the block sums in order
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.02, n_modes=64)
     particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
     ens = integrate_ensemble(particle, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
@@ -1077,10 +1102,13 @@ def test_window_reductions_sum_row_major_blocks(flagged):
     energy = particle.energy(x, v)
 
     def block_column_sums(a):
+        # a holds every row; a block is the rows [lo, lo + ROW_BLOCK)
+        # less the flagged ones
         total = np.zeros(a.shape[1])
         for lo in range(0, len(a), ROW_BLOCK):
-            part = a[lo].copy()
-            for row in a[lo + 1:lo + ROW_BLOCK]:
+            rows = a[lo:lo + ROW_BLOCK][ok[lo:lo + ROW_BLOCK]]
+            part = rows[0].copy()
+            for row in rows[1:]:
                 part += row
             total += part
         return total
@@ -1094,9 +1122,10 @@ def test_window_reductions_sum_row_major_blocks(flagged):
                                        / math.sqrt(n_ok))
     assert report.se_energy == float(np.std(np.mean(energy, axis=1), ddof=1)
                                      / math.sqrt(n_ok))
-    fit = np.polyfit(ens.times[sel], block_column_sums(energy) / n_ok, 1)
+    every = particle.energy(ens.positions[:, sel], ens.velocities[:, sel])
+    fit = np.polyfit(ens.times[sel], block_column_sums(every) / n_ok, 1)
     assert report.energy_trend == float(fit[0]) * 150.0
-    whole = particle.energy(ens.positions[ok], ens.velocities[ok])
+    whole = particle.energy(ens.positions, ens.velocities)
     assert np.array_equal(relaxation_curve(ens, particle)[1],
                           block_column_sums(whole) / n_ok)
     per_traj_x, per_traj_x2 = np.mean(x, axis=1), np.mean(x**2, axis=1)
@@ -1114,7 +1143,7 @@ def test_energy_trend_fits_the_relaxation_curve(sed_run):
         ens.status[flagged] = STATUS_NONFINITE
         window = (15.0, 45.0)
         times, curve = relaxation_curve(ens, particle)
-        cols = ens.window_columns(window)
+        cols = window_columns(ens.times, window)
         fit = np.polyfit(times[cols], curve[cols], 1)
         report = energy_balance(ens, particle, window)
         assert report.energy_trend == float(fit[0]) * (window[1] - window[0])

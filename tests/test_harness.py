@@ -403,6 +403,9 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
     ("sed", "time", "record_stride", 0, "time.record_stride must be at least 1"),
     ("sed", "time", "record_stride", -6, "time.record_stride must be at least 1"),
     ("sed", "ensemble", "n_traj", 0, "ensemble.n_traj must be at least 1"),
+    ("sed", "ensemble", "n_workers", 0, "ensemble.n_workers must be at least 1"),
+    ("sed", "ensemble", "n_workers", -2,
+     "ensemble.n_workers must be at least 1"),
     ("ou", "ensemble", "n_traj", -1, "ensemble.n_traj must be at least 1"),
     ("ou", "langevin", "n_traj_relax", 0,
      "langevin.n_traj_relax must be at least 1"),
@@ -496,7 +499,7 @@ def test_plot_reads_the_balance_trace_not_the_dump(sed_run, tmp_path,
     cfg = load_config(work / "config.json")
     ens = load_ensemble(work / "ensemble")
     particle = harness._build_particle(cfg)
-    cols = ens.window_columns(cfg["coarse_grain"]["t_window"])
+    cols = dynamics.window_columns(ens.times, cfg["coarse_grain"]["t_window"])
     absorbed, radiated = np.zeros((2, cols.stop - cols.start))
     for x, v, ef in ens.intact_blocks(
             ("positions", "velocities", "field_values"), cols):
@@ -740,12 +743,13 @@ def test_same_config_reproduces_ensemble_bytes(tmp_path):
 
 
 def test_import_leaves_scipy_signal_and_interpolate_out():
-    # the two subpackages were most of the package's import time, for one
-    # filter and one spline that no shipped config needs
+    # the three subpackages were most of the package's import time: one
+    # filter and one spline that no shipped config needs, and the quad of
+    # two reference checks, which import scipy.integrate when called
     src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, sedsim.harness; print(sorted(m for m in sys.modules"
              " if m.split('.')[:2] in (['scipy', 'signal'],"
-             " ['scipy', 'interpolate'])))")
+             " ['scipy', 'interpolate'], ['scipy', 'integrate'])))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout

@@ -491,6 +491,24 @@ def test_sample_set_memory_stays_below_a_quarter_of_one_sample_array(flagged):
     assert peak < one_array / 4, (peak, one_array)
 
 
+def test_extent_bins_skip_a_block_with_no_intact_row(monkeypatch):
+    # blocks of 8 row indices at 10 reference times; every row of the
+    # second block is flagged, so the walk skips it (an empty block has no
+    # extent) and the edges span the intact rows' central samples
+    ens = ou_ensemble(0.1, 0.1, 40, 0.01, 30, 53, x0="stationary")
+    ens.status[8:16] = STATUS_NONFINITE
+    refs = tuple(float(t) for t in ens.times[5:15])
+    monkeypatch.setattr(sedsim.kinematics, "_BLOCK_SAMPLES", 8 * len(refs))
+    samples = SampleSet(ens, CoarseGrainSpec(delta_t=0.02, x_bins=8,
+                                             reference_times=refs))
+    central = ens.intact("positions", samples.ridx)
+    lo, hi = float(central.min()), float(central.max())
+    pad = 1e-9 * max(hi - lo, 1.0)
+    assert np.array_equal(samples.edges,
+                          np.linspace(lo - pad, hi + pad, 9))
+    assert samples.density().counts.sum() == central.size
+
+
 # ---------------------------------------------------------------------------
 # density
 
