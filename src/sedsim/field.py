@@ -363,7 +363,7 @@ def autocovariance_quad(spec: FieldSpec, lag: float) -> float:
 
 
 def autocorrelation_check(realizations, lags, t_ref: float = 0.0) -> dict:
-    """Empirical vs analytic autocovariance with standardized residuals.
+    """Empirical vs closed-form autocovariance with standardized residuals.
 
     Pools the product E(t_ref) E(t_ref+lag) over realizations and components.
     The field mean is zero by construction, so no mean subtraction is applied.
@@ -391,7 +391,7 @@ def autocorrelation_check(realizations, lags, t_ref: float = 0.0) -> dict:
         prods = (base * samples[:, :, i + 1]).ravel()
         emp = float(np.mean(prods))
         se = float(np.std(prods, ddof=1) / math.sqrt(prods.size))
-        ana = autocovariance_quad(spec, float(lag))
+        ana = autocovariance(spec, float(lag))
         report["lag"].append(float(lag))
         report["empirical"].append(emp)
         report["analytic"].append(ana)

@@ -48,8 +48,8 @@ from .dynamics import (DUMP_FORMATS, STATUS_OK, BalanceSums, ColumnStore,
                        comb_time_grid, harmonic_potential, integrate_stream,
                        record_times, stationary_guess_ic, window_columns)
 from .field import FieldSpec, autocorrelation_check, make_field
-from .kinematics import (CoarseGrainSpec, SampleSet, classify_branch,
-                         diffusion_sweep)
+from .kinematics import (CoarseGrainSpec, KinematicsError, SampleSet,
+                         classify_branch, diffusion_sweep)
 from .reference import (gaussian_density, ou_stationary_variance, ou_stream,
                         ou_u_slope_equilibrium)
 from .schrodinger import GridSpec, solve_stationary, velocity_fields
@@ -274,11 +274,21 @@ def _refs_in_window(times, window, lag: float, thin_steps: int):
     return tuple(float(t) for t in refs)
 
 
-def _snap_lag(rec_dt: float, lag) -> float:
+def _snap_lag(rec_dt: float, lag, key: str) -> float:
     """Nearest positive multiple of the recorded step, as the exact float
-    product so downstream multiple-of-grid checks see a zero remainder."""
-    k = max(1, int(round(float(lag) / rec_dt)))
-    return k * rec_dt
+    product so downstream multiple-of-grid checks see a zero remainder;
+    the lag, at the config key, must be positive."""
+    if not float(lag) > 0:
+        raise ConfigError(f"{key} holds the lag {lag}; lags must be positive")
+    return max(1, int(round(float(lag) / rec_dt))) * rec_dt
+
+
+def _coarse_grain_spec(key: str, **fields) -> CoarseGrainSpec:
+    """CoarseGrainSpec(**fields); what it refuses is a config error."""
+    try:
+        return CoarseGrainSpec(**fields)
+    except KinematicsError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _padded_columns(n_rec: int, first: int, last: int, pad: int) -> slice:
@@ -346,15 +356,16 @@ def _coarse_grain_specs(cfg: dict, times, rec_dt: float, window,
     window's, padded by the largest lag. thin_time and sweep_steps
     (multiples of the recorded step) are the defaults of
     coarse_grain.thin_time and .delta_t_sweep. A window without reference
-    times for a lag is refused."""
+    times for a lag, a lag that is not positive and whatever
+    CoarseGrainSpec refuses are config errors."""
     cg = cfg["coarse_grain"]
     bins = cg["x_bins"]
     thin_steps = max(1, int(round(float(cg.get("thin_time", thin_time))
                                   / rec_dt)))
 
     def est_spec(lag):
-        return CoarseGrainSpec(
-            delta_t=lag, x_bins=int(bins["n"]),
+        return _coarse_grain_spec(
+            "coarse_grain.x_bins", delta_t=lag, x_bins=int(bins["n"]),
             x_range=(float(bins["min"]), float(bins["max"])),
             reference_times=_refs_in_window(times, window, lag, thin_steps),
             min_count=int(cg.get("min_count", 25)))
@@ -362,8 +373,9 @@ def _coarse_grain_specs(cfg: dict, times, rec_dt: float, window,
     sweep_lags = cg.get("delta_t_sweep")
     if sweep_lags is None:
         sweep_lags = [rec_dt * k for k in sweep_steps]
-    sweep_lags = list(dict.fromkeys(_snap_lag(rec_dt, x) for x in sweep_lags))
-    spec0 = est_spec(_snap_lag(rec_dt, cg["delta_t"]))
+    sweep_lags = list(dict.fromkeys(
+        _snap_lag(rec_dt, x, "coarse_grain.delta_t_sweep") for x in sweep_lags))
+    spec0 = est_spec(_snap_lag(rec_dt, cg["delta_t"], "coarse_grain.delta_t"))
     sweep_spec = est_spec(max(sweep_lags))
     cols = window_columns(times, window)
     pad = int(round(max(spec0.delta_t, sweep_spec.delta_t) / rec_dt))
@@ -623,6 +635,13 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
             f"side inside the run [{t0:g}, {times[-1]:g}]")
     lo, hi = dt * first + t0, dt * last + t0
     refs = (lo, (lo + hi) / 2.0, hi)
+    # coarser bins than the estimator grid: the classifier needs smooth
+    # second derivatives over the occupied span more than x resolution.
+    # Checked before sampling; the span comes from the relaxing sample
+    relax_spec = _coarse_grain_spec(
+        "coarse_grain.classifier_bins", delta_t=delta_t,
+        x_range=spec0.x_range, reference_times=refs,
+        x_bins=int(cg.get("classifier_bins", 16)), min_count=spec0.min_count)
     master_seed = int(cfg["seeds"]["master_seed"])
     n_relax = _at_least_one("langevin.n_traj_relax",
                             lv.get("n_traj_relax", 500_000))
@@ -661,13 +680,10 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
     mid_idx = int(round((refs[1] - relax.t0) / relax.rec_dt))
     s_star = float(np.var(relax.positions[:, mid_idx]))
     span = 3.2 * math.sqrt(s_star)
-    # coarser bins than the estimator grid: the classifier needs smooth
-    # second derivatives over the occupied span more than x resolution
-    relax_spec = replace(spec0, x_bins=int(cg.get("classifier_bins", 16)),
-                         x_range=(-span, span), reference_times=refs)
-    branch = _stage(info, "branch-classifier", classify_branch, relax, relax_spec,
-                    particle.mass, particle.potential.f,
-                    D=None, time_derivative="measured")
+    # a span the spec refuses (one relaxing trajectory) fails the stage
+    branch = _stage(info, "branch-classifier", lambda: classify_branch(
+        relax, replace(relax_spec, x_range=(-span, span)), particle.mass,
+        particle.potential.f, D=None, time_derivative="measured"))
     _write_json(run_dir / "branch.json", {
         **branch.to_dict(),
         "time_derivative": "measured",

@@ -37,6 +37,9 @@ from .dynamics import TrajectoryEnsemble
 # points of the Savitzky-Golay window in dynamics_residuals' derivatives
 SAVGOL_WINDOW = 5
 
+# lags on a diffusion plateau agree within 2 sigma or this relative gap
+_PLATEAU_REL = 0.05
+
 
 class KinematicsError(ValueError):
     """Raised for unusable coarse-graining setups (off-grid lag, empty bins)."""
@@ -47,26 +50,30 @@ class CoarseGrainSpec:
     """Binning and lag choices for the estimators.
 
     delta_t must be an integer multiple of the ensemble's recorded step.
-    reference_times selects where the central samples sit; None means every
-    valid recorded time, thinned by thin_stride. x_range of None takes the
-    sample extent. Bins are uniform; min_count marks the occupancy below
-    which a bin is ignored.
+    x_range (lo, hi) is cut into x_bins uniform bins; samples outside it
+    fall in no bin. reference_times are the recorded times where the
+    central samples sit, each with room for the lag on either side.
+    min_count marks the occupancy below which a bin is ignored.
     """
 
     delta_t: float
+    x_range: tuple
+    reference_times: tuple
     x_bins: int = 41
-    x_range: tuple | None = None
-    reference_times: tuple | None = None
-    thin_stride: int = 1
     min_count: int = 25
 
     def __post_init__(self):
         if self.delta_t <= 0:
             raise KinematicsError("delta_t must be positive")
         if self.x_bins < 5:
-            raise KinematicsError("need at least 5 position bins")
-        if self.thin_stride < 1:
-            raise KinematicsError("thin_stride must be >= 1")
+            raise KinematicsError(
+                f"need at least 5 position bins, got {self.x_bins}")
+        lo, hi = self.x_range
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise KinematicsError(
+                f"x_range ({lo}, {hi}) is not a finite, non-empty interval")
+        if len(self.reference_times) == 0:
+            raise KinematicsError("no reference times")
 
 
 @dataclass
@@ -135,7 +142,6 @@ class DiffusionEstimate:
     value: float
     std_error: float
     delta_t: float
-    subtract_mean: bool
     n_samples: int
 
 
@@ -232,38 +238,17 @@ def _lag_steps(ens: TrajectoryEnsemble, delta_t: float) -> int:
 def _reference_indices(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
                        k: int) -> np.ndarray:
     n_rec = ens.times.size
-    if spec.reference_times is None:
-        idx = np.arange(k, n_rec - k, spec.thin_stride)
-    else:
-        idx = []
-        for t in spec.reference_times:
-            j = int(round((t - ens.t0) / ens.rec_dt))
-            if j < 0 or j >= n_rec or abs(ens.times[j] - t) > 1e-9 * max(1.0, abs(t)):
-                raise KinematicsError(
-                    f"reference time {t:g} is not on the recorded grid")
-            if j - k < 0 or j + k >= n_rec:
-                raise KinematicsError(
-                    f"reference time {t:g} leaves no room for lag {k * ens.rec_dt:g}")
-            idx.append(j)
-        idx = np.asarray(idx, dtype=int)
-    if idx.size == 0:
-        raise KinematicsError("no admissible reference times for this lag")
-    return idx
-
-
-def _bin_edges(spec: CoarseGrainSpec, blocks) -> np.ndarray:
-    """Uniform edges on spec.x_range, or without one on the extent of the
-    central samples, which blocks (an iterable of arrays) is walked for."""
-    if spec.x_range is not None:
-        lo, hi = spec.x_range
-    else:
-        extent = np.array([(np.min(x), np.max(x)) for x in blocks])
-        lo, hi = float(np.min(extent[:, 0])), float(np.max(extent[:, 1]))
-        pad = 1e-9 * max(hi - lo, 1.0)
-        lo, hi = lo - pad, hi + pad
-    if not hi > lo:
-        raise KinematicsError("degenerate position range")
-    return np.linspace(lo, hi, spec.x_bins + 1)
+    idx = []
+    for t in spec.reference_times:
+        j = int(round((t - ens.t0) / ens.rec_dt))
+        if j < 0 or j >= n_rec or abs(ens.times[j] - t) > 1e-9 * max(1.0, abs(t)):
+            raise KinematicsError(
+                f"reference time {t:g} is not on the recorded grid")
+        if j - k < 0 or j + k >= n_rec:
+            raise KinematicsError(
+                f"reference time {t:g} leaves no room for lag {k * ens.rec_dt:g}")
+        idx.append(j)
+    return np.asarray(idx, dtype=int)
 
 
 def _bin_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -370,22 +355,23 @@ class SampleSet:
     """The intact rows' positions at one reference set; every estimator
     reads them.
 
-    The reference times ridx are resolved for spec.delta_t, k recorded
-    steps. The bin edges are fixed by spec.x_range or, without one, by the
-    extent of the central samples. The set holds no per-sample array: each
-    estimate walks the intact rows in blocks of about _BLOCK_SAMPLES
-    samples (TrajectoryEnsemble.intact_blocks), gathers the positions it
-    needs, bins each block's central samples and keeps only per-bin and
-    per-trajectory sums. Bin sums add every block with np.add.at into one
-    accumulator, in the flat order of the (n_ok, n_ref) sample array, so
-    they equal one np.bincount over that array bit for bit; a trajectory's
-    sum is its row's pairwise sum over a row-major block, as over the whole
-    array. v, u and va share one walk (the per-reference-time fields of the
-    measured residuals take one of their own), and it also sums the forward
-    increments whose bin means D subtracts; D then takes one more walk for
-    each trajectory's squared deviations. diffusion_sweep's lags share one
-    walk for the bin means and one for the deviations. Each binned field
-    and the density are computed once per set and shared by every caller.
+    The reference times ridx are spec.reference_times, resolved for
+    spec.delta_t, k recorded steps; the bin edges cut spec.x_range into
+    spec.x_bins. Both are fixed before the first walk. The set holds no
+    per-sample array: each estimate walks the intact rows in blocks of
+    about _BLOCK_SAMPLES samples (TrajectoryEnsemble.intact_blocks),
+    gathers the positions it needs, bins each block's central samples and
+    keeps only per-bin and per-trajectory sums. Bin sums add every block
+    with np.add.at into one accumulator, in the flat order of the (n_ok,
+    n_ref) sample array, so they equal one np.bincount over that array bit
+    for bit; a trajectory's sum is its row's pairwise sum over a row-major
+    block, as over the whole array. v, u and va share one walk (the
+    per-reference-time fields of the measured residuals take one of their
+    own), and it also sums the forward increments whose bin means D
+    subtracts; D then takes one more walk for each trajectory's squared
+    deviations. diffusion_sweep's lags share one walk for the bin means
+    and one for the deviations. Each binned field and the density are
+    computed once per set and shared by every caller.
     """
 
     def __init__(self, ens: TrajectoryEnsemble, spec: CoarseGrainSpec):
@@ -396,8 +382,7 @@ class SampleSet:
             raise KinematicsError("no intact trajectories in the ensemble")
         self.delta_t = self.k * ens.rec_dt
         self.ref_times = ens.times[self.ridx]
-        self.edges = edges = _bin_edges(
-            spec, (x[0] for x in self._blocks(())))
+        self.edges = edges = np.linspace(*spec.x_range, spec.x_bins + 1)
         self.width = float(edges[1] - edges[0])
         self.centers = 0.5 * (edges[:-1] + edges[1:])
         self._fields = {}
@@ -503,23 +488,18 @@ class SampleSet:
                 normalization="unit integral over binned range")
         return self._fields["rho"]
 
-    def diffusion(self, subtract_mean: bool = True,
-                  steps: int | None = None) -> DiffusionEstimate:
-        """D from the forward increments over steps recorded steps, by
-        default the set's own lag; see estimate_D."""
-        return self._diffusions((self.k if steps is None else steps,),
-                                subtract_mean)[0]
+    def diffusion(self) -> DiffusionEstimate:
+        """D at the set's own lag; see estimate_D."""
+        return self._diffusions((self.k,))[0]
 
-    def _diffusions(self, steps, subtract_mean: bool) -> list:
+    def _diffusions(self, steps: tuple) -> list:
         """DiffusionEstimate at each lag of steps (recorded steps), every
         lag from the same two walks: the bin means of the increments, then
         each trajectory's squared deviations from them."""
-        steps = tuple(steps)
         delta_ts = [j * self.ens.rec_dt for j in steps]
-        if subtract_mean:
-            means = _bin_means(*self._forward_sums(steps))
-            # the overflow bin's NaN mean drops its samples from D
-            means[:, -1] = np.nan
+        means = _bin_means(*self._forward_sums(steps))
+        # the overflow bin's NaN mean drops its samples from D
+        means[:, -1] = np.nan
         n_ok = int(np.count_nonzero(self.ens.ok_mask()))
         # per lag: each trajectory's mean sample (NaN without one), whether
         # it has one, and the number of samples
@@ -528,15 +508,13 @@ class SampleSet:
         n_samples = [0] * len(steps)
         lo = 0
         for x in self._blocks(steps):
-            if subtract_mean:
-                bins = _bin_index(self.edges, x[0])
+            bins = _bin_index(self.edges, x[0])
             rows = slice(lo, lo + len(x[0]))
             for j, delta_t in enumerate(delta_ts):
                 # row-major, so each row's sum over the reference times is
                 # pairwise, as over the whole (n_ok, n_ref) array
                 dx = x[j + 1] - x[0]
-                if subtract_mean:
-                    dx -= means[j][bins]
+                dx -= means[j][bins]
                 samples = np.square(dx, out=dx)
                 samples /= 2.0 * delta_t
                 finite = np.isfinite(samples)
@@ -557,8 +535,7 @@ class SampleSet:
                 value=float(np.mean(values)),
                 std_error=float(np.std(values, ddof=1)
                                 / math.sqrt(values.size)),
-                delta_t=delta_t, subtract_mean=subtract_mean,
-                n_samples=n_samples[j]))
+                delta_t=delta_t, n_samples=n_samples[j]))
         return ests
 
     def _fields_at_times(self):
@@ -589,9 +566,9 @@ class SampleSet:
             dtv = dtrho = np.zeros_like(v)
             ref_times = self.ref_times
         else:
-            if spec.reference_times is None or len(spec.reference_times) < 3:
+            if len(spec.reference_times) < 3:
                 raise KinematicsError(
-                    "measured time derivatives need >= 3 explicit reference times")
+                    "measured time derivatives need >= 3 reference times")
             steps = np.diff(np.asarray(spec.reference_times, dtype=float))
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
                 raise KinematicsError("reference times must be uniformly spaced")
@@ -676,36 +653,30 @@ def density_estimate(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> BinnedFi
     return SampleSet(ens, spec).density()
 
 
-def estimate_D(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
-               subtract_mean: bool = True) -> DiffusionEstimate:
-    """Diffusion scale from forward-increment variance.
-
-    By default the bin-conditional mean increment is removed first, so the
-    systematic drift does not inflate the estimate; the raw second moment is
-    available behind subtract_mean=False. The standard error treats
-    trajectories, not samples, as the independent unit.
+def estimate_D(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> DiffusionEstimate:
+    """Diffusion scale from the variance of the forward increments about
+    their bin-conditional mean, so the systematic drift does not inflate
+    the estimate. The standard error treats trajectories, not samples, as
+    the independent unit.
     """
-    return SampleSet(ens, spec).diffusion(subtract_mean)
+    return SampleSet(ens, spec).diffusion()
 
 
 def diffusion_sweep(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
-                    delta_ts, subtract_mean: bool = True,
-                    plateau_rtol: float = 0.05) -> DiffusionSweep:
-    """estimate_D at each lag in delta_ts, all on the reference set that
-    spec resolves for the largest lag: the lags share its central samples
-    and their bins, and each gathers only its own forward positions. With
-    spec.reference_times None, that is every valid time for the largest
-    lag, thinned; explicit reference times are used as given."""
+                    delta_ts) -> DiffusionSweep:
+    """estimate_D at each lag in delta_ts, all on spec's reference times
+    and bins at the largest lag: the lags share its central samples and
+    their bins, and each gathers only its own forward positions. The
+    reference times need room for the largest lag."""
     delta_ts = np.asarray(sorted(delta_ts), dtype=float)
     s = SampleSet(ens, replace(spec, delta_t=float(delta_ts[-1])))
-    ests = s._diffusions([_lag_steps(ens, float(dt)) for dt in delta_ts],
-                         subtract_mean)
+    ests = s._diffusions(tuple(_lag_steps(ens, float(dt)) for dt in delta_ts))
 
     def window_ok(i, j):
         for a in range(i, j + 1):
             for b in range(a + 1, j + 1):
                 tol = max(2.0 * (ests[a].std_error + ests[b].std_error),
-                          plateau_rtol * 0.5 * (ests[a].value + ests[b].value))
+                          _PLATEAU_REL * 0.5 * (ests[a].value + ests[b].value))
                 if abs(ests[a].value - ests[b].value) > tol:
                     return False
         return True

@@ -159,21 +159,17 @@ def ou_u_slope_equilibrium(theta: float, delta: float) -> float:
     return math.expm1(-theta * delta) / delta
 
 
-def ou_diffusion_estimate(theta: float, D0: float, delta: float,
-                          subtract_mean: bool = True) -> float:
+def ou_diffusion_estimate(theta: float, D0: float, delta: float) -> float:
     """Expected finite-difference diffusion estimate in equilibrium.
 
-    Raw: E[(x(t+delta) - x(t))^2] / (2 delta) = D0 (1 - exp(-theta delta)) /
-    (theta delta). With the conditional mean removed the residual variance is
-    s (1 - rho^2), giving D0 (1 - exp(-2 theta delta)) / (2 theta delta).
-    Both converge to D0 as delta -> 0.
+    With the conditional mean removed the variance of x(t+delta) - x(t) is
+    s (1 - rho^2), giving D0 (1 - exp(-2 theta delta)) / (2 theta delta),
+    which converges to D0 as delta -> 0.
     """
     if theta == 0:
         return D0
     z = theta * delta
-    if subtract_mean:
-        return D0 * -math.expm1(-2.0 * z) / (2.0 * z)
-    return D0 * -math.expm1(-z) / z
+    return D0 * -math.expm1(-2.0 * z) / (2.0 * z)
 
 
 def ou_relaxing_coefficients(theta: float, D0: float, t: float,
@@ -276,16 +272,10 @@ class HarmonicResponse:
         """Expected osmotic-estimate slope -(1 - rho(delta))/delta."""
         return -(1.0 - float(self.autocorrelation(delta))) / delta
 
-    def va_slope(self, delta: float) -> float:
-        """Expected slope of v - u; the current velocity estimate averages
-        to zero in the stationary state, so this is -u_slope."""
-        return -self.u_slope(delta)
-
-    def diffusion_estimate(self, delta: float, subtract_mean: bool = True) -> float:
+    def diffusion_estimate(self, delta: float) -> float:
+        """estimate_D's expectation, x_var (1 - rho^2) / (2 delta)."""
         rho = float(self.autocorrelation(delta))
-        if subtract_mean:
-            return self.x_var * (1.0 - rho * rho) / (2.0 * delta)
-        return self.x_var * (1.0 - rho) / delta
+        return self.x_var * (1.0 - rho * rho) / (2.0 * delta)
 
 
 def susceptibility(omega, omega0: float, gamma: float):
@@ -369,23 +359,6 @@ def harmonic_response_continuum(fspec: FieldSpec, mass: float, charge: float,
     x_var, v_var = pieces
     return {"x_var": x_var, "v_var": v_var,
             "mean_energy": 0.5 * mass * (v_var + omega0**2 * x_var)}
-
-
-def ground_state_reference(hbar: float, mass: float, omega0: float) -> dict:
-    """Moments of the oscillator ground state.
-
-    The narrow-band weak-coupling fixed point of the driven oscillator
-    matches these: var(x) = hbar/(2 m omega0), var(v) = hbar omega0/(2 m),
-    mean energy hbar omega0 / 2, Gaussian density.
-    """
-    x_var = hbar / (2.0 * mass * omega0)
-    return {
-        "x_var": x_var,
-        "v_var": hbar * omega0 / (2.0 * mass),
-        "mean_energy": 0.5 * hbar * omega0,
-        "density_sigma": math.sqrt(x_var),
-        "diffusion": hbar / (2.0 * mass),
-    }
 
 
 def gaussian_density(x, sigma: float):

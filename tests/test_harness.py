@@ -8,6 +8,8 @@ configuration runs at full size and must pass everything.
 
 import copy
 import json
+import math
+import operator
 import os
 import shutil
 import subprocess
@@ -15,6 +17,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -433,13 +436,30 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
      "t_relax_window [0.01, 0.05] needs two increasing reference times"),
     ("ou", "langevin", "t_relax_window", [0.2, 0.1],
      "t_relax_window [0.2, 0.1] needs two increasing reference times"),
+    # what CoarseGrainSpec refuses, named by its config key
+    ("sed", "coarse_grain.x_bins", "n", 3,
+     "coarse_grain.x_bins: need at least 5 position bins, got 3"),
+    ("ou", "coarse_grain.x_bins", "n", 3,
+     "coarse_grain.x_bins: need at least 5 position bins, got 3"),
+    ("ou", "coarse_grain.x_bins", "min", 3.0,
+     "coarse_grain.x_bins: x_range (3.0, 3.0) is not a finite, non-empty"),
+    ("sed", "coarse_grain.x_bins", "max", math.inf,
+     "coarse_grain.x_bins: x_range (-3.0, inf) is not a finite, non-empty"),
+    ("ou", "coarse_grain", "classifier_bins", 3,
+     "coarse_grain.classifier_bins: need at least 5 position bins, got 3"),
+    ("sed", "coarse_grain", "delta_t", 0.0,
+     "coarse_grain.delta_t holds the lag 0.0; lags must be positive"),
+    ("ou", "coarse_grain", "delta_t", -0.02,
+     "coarse_grain.delta_t holds the lag -0.02; lags must be positive"),
+    ("ou", "coarse_grain", "delta_t_sweep", [0.01, -0.01],
+     "coarse_grain.delta_t_sweep holds the lag -0.01; lags must be positive"),
 ])
 def test_bad_inputs_are_refused_before_anything_is_written(
         pipeline, block, key, value, message, tmp_path, monkeypatch, capsys):
     refuse_to_integrate(monkeypatch)
     cfg = mini_sed_config() if pipeline == "sed" else json.loads(
         OU_CONFIG.read_text())
-    cfg[block][key] = value
+    reduce(operator.getitem, block.split("."), cfg)[key] = value
     assert message in refused_run(cfg, tmp_path, monkeypatch, capsys)
 
 
@@ -753,4 +773,22 @@ def test_import_leaves_scipy_signal_and_interpolate_out():
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+
+def test_a_sed_run_leaves_scipy_integrate_out(tmp_path):
+    # the field-autocorrelation stage compares against the closed-form
+    # autocovariance; the quadrature (and its import) is the tests' oracle
+    cfg_path = tmp_path / "mini_sed.json"
+    cfg_path.write_text(json.dumps(mini_sed_config()))
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; from sedsim.harness import run_experiment;"
+             " run_experiment(sys.argv[1], output_root=sys.argv[2]);"
+             " print(sorted(m for m in sys.modules"
+             " if m.split('.')[:2] == ['scipy', 'integrate']))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(cfg_path), str(tmp_path / "out")],
+        env=env, check=True, capture_output=True, text=True,
+        timeout=120).stdout
     assert out.strip() == "[]"

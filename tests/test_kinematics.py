@@ -57,6 +57,17 @@ def synthetic_ensemble(positions: np.ndarray, dt: float,
     )
 
 
+def padded_extent(ens: TrajectoryEnsemble, refs) -> tuple:
+    """The intact rows' extent at the reference times refs, widened on
+    either side by 1e-9 of its width (at least 1e-9): the range the
+    estimators binned when given no x_range."""
+    cols = np.rint((np.asarray(refs) - ens.t0) / ens.rec_dt).astype(int)
+    x = ens.intact("positions", cols)
+    lo, hi = float(x.min()), float(x.max())
+    pad = 1e-9 * max(hi - lo, 1.0)
+    return lo - pad, hi + pad
+
+
 # ---------------------------------------------------------------------------
 # exactness on hand-built paths
 
@@ -69,7 +80,7 @@ def test_quadratic_paths_give_exact_fields():
     pos = offsets[:, None] + times[None, :] ** 2
     ens = synthetic_ensemble(pos, dt)
     spec = CoarseGrainSpec(delta_t=dt, x_bins=11, reference_times=(0.4,),
-                           min_count=1)
+                           x_range=padded_extent(ens, (0.4,)), min_count=1)
     v = estimate_v(ens, spec)
     u = estimate_u(ens, spec)
     assert v.valid.all()
@@ -87,7 +98,7 @@ def test_backward_drift_routes_agree_on_deterministic_paths():
     pos = offsets[:, None] + times[None, :] ** 2
     ens = synthetic_ensemble(pos, dt)
     spec = CoarseGrainSpec(delta_t=dt, x_bins=9, reference_times=(0.4,),
-                           min_count=1)
+                           x_range=padded_extent(ens, (0.4,)), min_count=1)
     va = estimate_va(ens, spec)
     # (x0 - xm)/dt = 2 t - dt = v - u identically here; with zero spread the
     # 2 sigma consistency band is empty, so only the values are compared
@@ -103,7 +114,7 @@ def test_ou_equilibrium_fields_bin_by_bin():
     theta, d0, lag = 1.0, 0.5, 0.05
     ens = ou_ensemble(theta, d0, 30000, lag, 40, 41, x0="stationary")
     spec = CoarseGrainSpec(delta_t=lag, x_bins=41, x_range=(-2.2, 2.2),
-                           thin_stride=4)
+                           reference_times=tuple(ens.times[1:-1:4]))
     v = estimate_v(ens, spec)
     u = estimate_u(ens, spec)
     assert v.valid.sum() >= 35
@@ -118,23 +129,21 @@ def test_ou_equilibrium_fields_bin_by_bin():
 def test_ou_diffusion_estimate_matches_closed_form():
     theta, d0, lag = 1.0, 0.5, 0.25
     ens = ou_ensemble(theta, d0, 20000, lag, 12, 46, x0="stationary")
-    spec = CoarseGrainSpec(delta_t=lag, x_bins=21)
+    refs = tuple(ens.times[1:-1])
+    spec = CoarseGrainSpec(delta_t=lag, x_bins=21, reference_times=refs,
+                           x_range=padded_extent(ens, refs))
     sub = estimate_D(ens, spec)
-    raw = estimate_D(ens, spec, subtract_mean=False)
     assert sub.value == pytest.approx(ou_diffusion_estimate(theta, d0, lag),
                                       abs=3.5 * sub.std_error)
-    assert raw.value == pytest.approx(
-        ou_diffusion_estimate(theta, d0, lag, subtract_mean=False),
-        abs=3.5 * raw.std_error)
-    # removing the conditional mean strips the drift contribution
-    assert sub.value < raw.value
-    assert sub.subtract_mean and not raw.subtract_mean
 
 
 def test_wiener_diffusion_plateau_spans_the_ladder():
     d0 = 0.3
     ens = wiener_ensemble(d0, 2000, 0.01, 200, 42)
-    spec = CoarseGrainSpec(delta_t=0.01, x_bins=21, thin_stride=2)
+    # every other recorded time with room for the largest lag, 32 steps
+    refs = tuple(ens.times[32:-32:2])
+    spec = CoarseGrainSpec(delta_t=0.01, x_bins=21, reference_times=refs,
+                           x_range=padded_extent(ens, refs))
     sweep = diffusion_sweep(ens, spec, [0.01, 0.02, 0.04, 0.08, 0.16, 0.32])
     assert sweep.plateau_found
     i, j = sweep.plateau_slice
@@ -156,8 +165,9 @@ def test_smooth_paths_have_no_diffusion_plateau():
                              0.0, 0.05, 120, 400, 45)
     # lags on the recorded grid, which is the comb-exact step below 0.05
     lags = [k * ens.rec_dt for k in (1, 2, 4, 8, 16)]
-    spec = CoarseGrainSpec(delta_t=lags[0], x_bins=21, thin_stride=3,
-                           min_count=10)
+    refs = tuple(ens.times[16:-16:3])
+    spec = CoarseGrainSpec(delta_t=lags[0], x_bins=21, reference_times=refs,
+                           x_range=padded_extent(ens, refs), min_count=10)
     sweep = diffusion_sweep(ens, spec, lags)
     values = [e.value for e in sweep.estimates]
     assert all(a < b for a, b in zip(values, values[1:]))
@@ -179,7 +189,8 @@ def test_injected_ground_state_fields_select_plus_branch():
     x0 = math.sqrt(0.5) * rng.standard_normal(50000)
     shifted = (1.0 - lag) * x0
     ens = synthetic_ensemble(np.stack([shifted, x0, shifted], axis=1), lag)
-    spec = CoarseGrainSpec(delta_t=lag, x_bins=41, reference_times=(lag,))
+    spec = CoarseGrainSpec(delta_t=lag, x_bins=41, reference_times=(lag,),
+                           x_range=padded_extent(ens, (lag,)))
     force = lambda x: -x
     plus = dynamics_residuals(ens, spec, 1.0, force, +1, D=0.5)
     minus = dynamics_residuals(ens, spec, 1.0, force, -1, D=0.5)
@@ -197,7 +208,7 @@ def test_equilibrium_ou_closes_under_minus_branch():
     theta, d0, lag = 1.0, 0.5, 0.05
     ens = ou_ensemble(theta, d0, 40000, lag, 40, 44, x0="stationary")
     spec = CoarseGrainSpec(delta_t=lag, x_bins=31, x_range=(-2.1, 2.1),
-                           thin_stride=4)
+                           reference_times=tuple(ens.times[1:-1:4]))
     force = lambda x: theta ** 2 * x
     minus = dynamics_residuals(ens, spec, 1.0, force, -1)
     plus = dynamics_residuals(ens, spec, 1.0, force, +1)
@@ -213,8 +224,9 @@ def test_relaxing_ensemble_selects_minus_branch():
     # cancellation, so the branch signs separate; time derivatives must be
     # measured, not assumed away
     ens = ou_ensemble(0.1, 0.1, 500000, 0.01, 26, 43, x0=0.0)
-    spec = CoarseGrainSpec(delta_t=0.01, x_bins=16,
-                           reference_times=(0.15, 0.18, 0.21, 0.24))
+    refs = (0.15, 0.18, 0.21, 0.24)
+    spec = CoarseGrainSpec(delta_t=0.01, x_bins=16, reference_times=refs,
+                           x_range=padded_extent(ens, refs))
     report = classify_branch(ens, spec, 1.0, lambda x: -x, D=0.1,
                              time_derivative="measured")
     assert report.selected_lam == -1
@@ -227,11 +239,12 @@ def test_measured_time_derivative_needs_uniform_references():
     with pytest.raises(KinematicsError, match=">= 3"):
         dynamics_residuals(
             ens, CoarseGrainSpec(delta_t=0.01, x_bins=8, min_count=5,
-                                 reference_times=(0.2,)),
+                                 x_range=(-1.0, 1.0), reference_times=(0.2,)),
             1.0, lambda x: -x, -1, time_derivative="measured")
     with pytest.raises(KinematicsError, match="uniformly spaced"):
         dynamics_residuals(
             ens, CoarseGrainSpec(delta_t=0.01, x_bins=8, min_count=5,
+                                 x_range=(-1.0, 1.0),
                                  reference_times=(0.1, 0.15, 0.22)),
             1.0, lambda x: -x, -1, time_derivative="measured")
 
@@ -267,7 +280,12 @@ def test_shared_samples_match_the_standalone_estimators_bitwise(
     # through the intact-row selection.
     ens = ou_ensemble(0.1, 0.1, 20000, 0.01, 26, 45, x0=x0)
     ens.status[::97] = STATUS_NONFINITE
-    spec = CoarseGrainSpec(delta_t=0.01, x_bins=16, reference_times=refs)
+    # refs None: every recorded time with room for the lag, and for the
+    # sweep's largest lag every other one
+    sweep_refs = refs or tuple(ens.times[4:23:2])
+    refs = refs or tuple(ens.times[1:-1])
+    spec = CoarseGrainSpec(delta_t=0.01, x_bins=16, reference_times=refs,
+                           x_range=padded_extent(ens, refs))
     va = estimate_va(ens, spec)
     np.testing.assert_array_equal(
         va.v_minus_u.values,
@@ -290,11 +308,12 @@ def test_shared_samples_match_the_standalone_estimators_bitwise(
                                    time_derivative=time_derivative)
         assert_bitwise(branch.reports[lam], alone)
 
-    # the sweep's lags share the largest lag's reference set; with explicit
-    # reference times each lag equals estimate_D on the same times
+    # the sweep's lags share the largest lag's reference set; each lag
+    # equals estimate_D on the same times
     lags = (0.01, 0.02, 0.04)
     sweep_spec = dataclasses.replace(
-        spec, reference_times=refs or tuple(ens.times[4:23:2]))
+        spec, reference_times=sweep_refs,
+        x_range=padded_extent(ens, sweep_refs))
     sweep = diffusion_sweep(ens, sweep_spec, lags)
     assert_bitwise(sweep.estimates,
                    [estimate_D(ens, dataclasses.replace(sweep_spec, delta_t=lag))
@@ -307,27 +326,18 @@ def whole_array_estimates(ens, spec, lag_steps):
     gathered at once, each binned sum one np.bincount over the gathered
     samples in row-major order, each trajectory's D sum one row of a
     row-major array. Returns the fields, the density, the per-time fields
-    and D per lag in lag_steps, with and without the mean removed, all on
-    the reference set spec resolves."""
+    and D per lag in lag_steps, all on spec's reference set."""
     ok = ens.ok_mask()
     k = int(round(spec.delta_t / ens.rec_dt))
-    if spec.reference_times is None:
-        ridx = np.arange(k, ens.times.size - k, spec.thin_stride)
-    else:
-        ridx = np.array([int(round((t - ens.t0) / ens.rec_dt))
-                         for t in spec.reference_times])
+    ridx = np.array([int(round((t - ens.t0) / ens.rec_dt))
+                     for t in spec.reference_times])
 
     def gather(steps):
         return np.ascontiguousarray(ens.positions[ok][:, ridx + steps])
 
     x0, xp, xm = gather(0), gather(k), gather(-k)
     n = spec.x_bins
-    if spec.x_range is None:
-        lo, hi = float(x0.min()), float(x0.max())
-        pad = 1e-9 * max(hi - lo, 1.0)
-        lo, hi = lo - pad, hi + pad
-    else:
-        lo, hi = spec.x_range
+    lo, hi = spec.x_range
     edges = np.linspace(lo, hi, n + 1)
     width = float(edges[1] - edges[0])
     idx = np.searchsorted(edges, x0, side="right") - 1
@@ -367,21 +377,19 @@ def whole_array_estimates(ens, spec, lag_steps):
 
     diffusion = {}
     for steps in lag_steps:
-        for subtract_mean in (True, False):
-            dx = gather(steps) - x0
-            if subtract_mean:
-                mean = binned(idx.ravel(), dx.ravel())[1]
-                mean[n] = np.nan
-                dx = dx - mean[idx]
-            samples = dx**2 / (2.0 * steps * ens.rec_dt)
-            finite = np.isfinite(samples)
-            n_per = finite.sum(axis=1)
-            sums = np.where(finite, samples, 0.0).sum(axis=1)
-            per_traj = sums[n_per > 0] / n_per[n_per > 0]
-            diffusion[steps, subtract_mean] = (
-                float(np.mean(per_traj)),
-                float(np.std(per_traj, ddof=1) / math.sqrt(per_traj.size)),
-                int(finite.sum()))
+        dx = gather(steps) - x0
+        mean = binned(idx.ravel(), dx.ravel())[1]
+        mean[n] = np.nan
+        dx = dx - mean[idx]
+        samples = dx**2 / (2.0 * steps * ens.rec_dt)
+        finite = np.isfinite(samples)
+        n_per = finite.sum(axis=1)
+        sums = np.where(finite, samples, 0.0).sum(axis=1)
+        per_traj = sums[n_per > 0] / n_per[n_per > 0]
+        diffusion[steps] = (
+            float(np.mean(per_traj)),
+            float(np.std(per_traj, ddof=1) / math.sqrt(per_traj.size)),
+            int(finite.sum()))
     return fields, density, per_time, diffusion
 
 
@@ -393,14 +401,22 @@ def whole_array_estimates(ens, spec, lag_steps):
 ])
 def test_sample_set_equals_the_whole_array_formulas_bitwise(
         x0, refs, x_range, flagged, monkeypatch):
-    # reference times None give 290 and more samples per trajectory, past
-    # the 128 of numpy's pairwise-sum blocks; the narrow ranges leave
-    # samples in the overflow bin, whose NaN mean drops them from D
+    # reference times None, every recorded time with room for the lag, give
+    # 290 and more samples per trajectory, past the 128 of numpy's
+    # pairwise-sum blocks; x_range None is the central samples' padded
+    # extent. The narrow ranges leave samples in the overflow bin, whose
+    # NaN mean drops them from D
     ens = ou_ensemble(0.1, 0.1, 2000, 0.01, 300, 49, x0=x0)
     if flagged:
         ens.status[::97] = STATUS_NONFINITE
-    spec = CoarseGrainSpec(delta_t=0.02, x_bins=16, x_range=x_range,
-                           reference_times=refs)
+
+    def spec_at(lag_steps):
+        times = refs or tuple(ens.times[lag_steps:-lag_steps])
+        return CoarseGrainSpec(delta_t=0.01 * lag_steps, x_bins=16,
+                               x_range=x_range or padded_extent(ens, times),
+                               reference_times=times)
+
+    spec = spec_at(2)
     samples = SampleSet(ens, spec)
     fields, density, per_time, diffusion = whole_array_estimates(
         ens, spec, (2,))
@@ -410,21 +426,17 @@ def test_sample_set_equals_the_whole_array_formulas_bitwise(
                        fields[kind], kind)
     rho = samples.density()
     assert_bitwise((rho.values, rho.std_error), density, "rho")
-    for subtract_mean in (True, False):
-        d = samples.diffusion(subtract_mean)
-        assert_bitwise((d.value, d.std_error, d.n_samples),
-                       diffusion[2, subtract_mean], f"D {subtract_mean}")
+    d = samples.diffusion()
+    assert_bitwise((d.value, d.std_error, d.n_samples), diffusion[2], "D")
 
     # the sweep's lags on the reference set of the largest lag
     steps = (1, 2, 5)
-    sweep_spec = dataclasses.replace(spec, delta_t=0.05)
+    sweep_spec = spec_at(5)
     diffusion = whole_array_estimates(ens, sweep_spec, steps)[3]
-    for subtract_mean in (True, False):
-        sweep = diffusion_sweep(ens, sweep_spec, [0.01 * j for j in steps],
-                                subtract_mean)
-        assert_bitwise([(e.value, e.std_error, e.n_samples)
-                        for e in sweep.estimates],
-                       [diffusion[j, subtract_mean] for j in steps])
+    sweep = diffusion_sweep(ens, sweep_spec, [0.01 * j for j in steps])
+    assert_bitwise([(e.value, e.std_error, e.n_samples)
+                    for e in sweep.estimates],
+                   [diffusion[j] for j in steps])
 
     if refs is not None:
         # the measured residuals read the per-time fields and D; fed the
@@ -433,7 +445,7 @@ def test_sample_set_equals_the_whole_array_formulas_bitwise(
         got = samples.classify_branch(1.0, force, time_derivative="measured")
         want_set = SampleSet(ens, spec)
         monkeypatch.setattr(want_set, "_fields_at_times", lambda: per_time)
-        D = whole_array_estimates(ens, spec, (2,))[3][2, True][0]
+        D = whole_array_estimates(ens, spec, (2,))[3][2][0]
         assert_bitwise(got, want_set.classify_branch(
             1.0, force, D=D, time_derivative="measured"))
 
@@ -469,7 +481,8 @@ def test_sample_set_memory_stays_below_a_quarter_of_one_sample_array(flagged):
     if flagged:
         ens.status[::97] = STATUS_NONFINITE
     refs = tuple(float(t) for t in ens.times[4:257])
-    spec = CoarseGrainSpec(delta_t=0.02, x_bins=16, reference_times=refs)
+    spec = CoarseGrainSpec(delta_t=0.02, x_bins=16, reference_times=refs,
+                           x_range=padded_extent(ens, refs))
     one_array = np.count_nonzero(ens.ok_mask()) * len(refs) * 8
     assert one_array > 8e6
     force = lambda x: -0.1 * x
@@ -481,7 +494,7 @@ def test_sample_set_memory_stays_below_a_quarter_of_one_sample_array(flagged):
             samples.field(kind)
         samples.va()
         samples.density()
-        samples.diffusion(subtract_mean=False)
+        samples.diffusion()
         for mode in ("omitted", "measured"):
             samples.classify_branch(1.0, force, time_derivative=mode)
         diffusion_sweep(ens, spec, (0.01, 0.02, 0.04))
@@ -491,30 +504,14 @@ def test_sample_set_memory_stays_below_a_quarter_of_one_sample_array(flagged):
     assert peak < one_array / 4, (peak, one_array)
 
 
-def test_extent_bins_skip_a_block_with_no_intact_row(monkeypatch):
-    # blocks of 8 row indices at 10 reference times; every row of the
-    # second block is flagged, so the walk skips it (an empty block has no
-    # extent) and the edges span the intact rows' central samples
-    ens = ou_ensemble(0.1, 0.1, 40, 0.01, 30, 53, x0="stationary")
-    ens.status[8:16] = STATUS_NONFINITE
-    refs = tuple(float(t) for t in ens.times[5:15])
-    monkeypatch.setattr(sedsim.kinematics, "_BLOCK_SAMPLES", 8 * len(refs))
-    samples = SampleSet(ens, CoarseGrainSpec(delta_t=0.02, x_bins=8,
-                                             reference_times=refs))
-    central = ens.intact("positions", samples.ridx)
-    lo, hi = float(central.min()), float(central.max())
-    pad = 1e-9 * max(hi - lo, 1.0)
-    assert np.array_equal(samples.edges,
-                          np.linspace(lo - pad, hi + pad, 9))
-    assert samples.density().counts.sum() == central.size
-
-
 # ---------------------------------------------------------------------------
 # density
 
 def test_density_estimate_integrates_to_one():
     ens = ou_ensemble(1.0, 0.5, 20000, 0.1, 10, 47, x0="stationary")
-    spec = CoarseGrainSpec(delta_t=0.1, x_bins=25)
+    refs = tuple(ens.times[1:-1])
+    spec = CoarseGrainSpec(delta_t=0.1, x_bins=25, reference_times=refs,
+                           x_range=padded_extent(ens, refs))
     rho = density_estimate(ens, spec)
     assert float(np.sum(rho.values) * rho.bin_width) == pytest.approx(1.0,
                                                                       abs=1e-12)
@@ -542,7 +539,6 @@ def test_samples_outside_the_bins_are_counted_nowhere():
     inside = estimate_D(ens, spec)
     assert inside.n_samples == 6
     assert inside.value == pytest.approx(np.mean(d[:6] ** 2) / 0.2, rel=1e-12)
-    assert estimate_D(ens, spec, subtract_mean=False).n_samples == 8
 
 
 # ---------------------------------------------------------------------------
@@ -551,26 +547,47 @@ def test_samples_outside_the_bins_are_counted_nowhere():
 def test_lag_must_sit_on_the_recorded_grid():
     ens = synthetic_ensemble(np.zeros((10, 6)), 0.02)
     with pytest.raises(KinematicsError, match="integer multiple"):
-        estimate_v(ens, CoarseGrainSpec(delta_t=0.03, x_bins=5, min_count=1))
+        estimate_v(ens, CoarseGrainSpec(delta_t=0.03, x_bins=5, min_count=1,
+                                        x_range=(-1.0, 1.0),
+                                        reference_times=(0.04,)))
 
 
 def test_reference_time_checks():
     ens = synthetic_ensemble(np.random.default_rng(0).normal(size=(50, 8)), 0.1)
     with pytest.raises(KinematicsError, match="not on the recorded grid"):
         estimate_v(ens, CoarseGrainSpec(delta_t=0.1, x_bins=5, min_count=1,
+                                        x_range=(-1.0, 1.0),
                                         reference_times=(0.33,)))
     with pytest.raises(KinematicsError, match="no room"):
         estimate_v(ens, CoarseGrainSpec(delta_t=0.2, x_bins=5, min_count=1,
+                                        x_range=(-1.0, 1.0),
                                         reference_times=(0.1,)))
 
 
 def test_spec_validation():
+    ok = {"x_range": (-1.0, 1.0), "reference_times": (0.1,)}
     with pytest.raises(KinematicsError, match="positive"):
-        CoarseGrainSpec(delta_t=0.0)
+        CoarseGrainSpec(delta_t=0.0, **ok)
     with pytest.raises(KinematicsError, match="bins"):
-        CoarseGrainSpec(delta_t=0.1, x_bins=4)
-    with pytest.raises(KinematicsError, match="thin_stride"):
-        CoarseGrainSpec(delta_t=0.1, thin_stride=0)
+        CoarseGrainSpec(delta_t=0.1, x_bins=4, **ok)
+    # the bins and the reference times are the caller's to give
+    with pytest.raises(TypeError):
+        CoarseGrainSpec(delta_t=0.1)
+
+
+@pytest.mark.parametrize("x_range, refs, message", [
+    ((1.0, 1.0), (0.1,), "x_range"),
+    ((1.0, -1.0), (0.1,), "x_range"),
+    ((-1.0, math.nan), (0.1,), "x_range"),
+    ((-math.inf, 1.0), (0.1,), "x_range"),
+    ((-1.0, math.inf), (0.1,), "x_range"),
+    ((-1e308, 1e308), (0.1,), "x_range"),
+    ((-1.0, 1.0), (), "no reference times"),
+])
+def test_spec_refuses_an_empty_range_or_reference_set(x_range, refs, message):
+    # refused when the spec is made, before any ensemble is read
+    with pytest.raises(KinematicsError, match=message):
+        CoarseGrainSpec(delta_t=0.1, x_range=x_range, reference_times=refs)
 
 
 def test_min_count_masks_thin_bins():
@@ -578,7 +595,7 @@ def test_min_count_masks_thin_bins():
     pos = np.cumsum(rng.normal(scale=0.05, size=(60, 5)), axis=1)
     ens = synthetic_ensemble(pos, 0.1)
     spec = CoarseGrainSpec(delta_t=0.1, x_bins=41, x_range=(-10.0, 10.0),
-                           min_count=25)
+                           reference_times=tuple(ens.times[1:-1]), min_count=25)
     v = estimate_v(ens, spec)
     assert not v.valid.all()
     assert np.isnan(v.values[v.counts == 0]).all()
@@ -590,14 +607,18 @@ def test_residuals_need_a_contiguous_run_of_bins():
     rng = np.random.default_rng(4)
     pos = 0.01 * rng.normal(size=(100, 5))
     ens = synthetic_ensemble(pos, 0.1)
-    spec = CoarseGrainSpec(delta_t=0.1, x_bins=41, x_range=(-10.0, 10.0))
+    spec = CoarseGrainSpec(delta_t=0.1, x_bins=41, x_range=(-10.0, 10.0),
+                           reference_times=tuple(ens.times[1:-1]))
     with pytest.raises(KinematicsError, match="contiguous"):
         dynamics_residuals(ens, spec, 1.0, lambda x: -x, -1, D=0.5)
 
 
 def test_branch_argument_is_checked():
     ens = synthetic_ensemble(np.random.default_rng(5).normal(size=(40, 5)), 0.1)
-    spec = CoarseGrainSpec(delta_t=0.1, x_bins=5, min_count=1)
+    refs = tuple(ens.times[1:-1])
+    spec = CoarseGrainSpec(delta_t=0.1, x_bins=5, min_count=1,
+                           reference_times=refs,
+                           x_range=padded_extent(ens, refs))
     with pytest.raises(KinematicsError, match="lam"):
         dynamics_residuals(ens, spec, 1.0, lambda x: -x, 2, D=0.5)
     with pytest.raises(KinematicsError, match="time_derivative"):
@@ -610,7 +631,9 @@ def test_branch_argument_is_checked():
 
 def test_binned_field_csv_round_trip(tmp_path):
     ens = ou_ensemble(1.0, 0.5, 2000, 0.05, 10, 48, x0="stationary")
-    spec = CoarseGrainSpec(delta_t=0.05, x_bins=15)
+    refs = tuple(ens.times[1:-1])
+    spec = CoarseGrainSpec(delta_t=0.05, x_bins=15, reference_times=refs,
+                           x_range=padded_extent(ens, refs))
     u = estimate_u(ens, spec)
     path = u.to_csv(tmp_path / "u.csv")
     lines = path.read_text().splitlines()
