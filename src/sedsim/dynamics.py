@@ -28,12 +28,13 @@ z_n = zeta_n^2, plus the transient P^j (s_0 - s_p(0)), P = M^record_stride,
 at record j. The steady x and v and the stored field are mode sums on the
 record grid only, through one field.CombPlan built per run and shared by
 every chunk and worker thread, so this response path builds no field table
-and takes no step. It and the step loop used for every other
-potential compute the same RK4 trajectory and differ by rounding only: at
-most 3.2e-12 sigma_x over the shipped run, 1.2e-11 at tau = 1e-5. Both
-paths store the field from comb_sum_grid. ens.meta["integrator"] names the
-path that ran; on the response path ens.meta["rk4_spectral_radius"] holds
-max|lambda(M)|, and a warning is recorded when it is at least 1.
+and takes no step. It and the step loop used for every other potential
+compute the same RK4 trajectory and differ by rounding only: at most
+3.2e-12 sigma_x over the shipped run, 1.2e-11 at tau = 1e-5. Both paths
+store the field from the record-grid CombPlan. ens.meta["integrator"]
+names the path that ran; on the response path
+ens.meta["rk4_spectral_radius"] holds max|lambda(M)|, and a warning is
+recorded when it is at least 1.
 
 integrate_stream hands each finished chunk of trajectories, in row order,
 to a list of consumers and keeps none of it: an EnsembleWriter appends the
@@ -313,27 +314,17 @@ class TrajectoryEnsemble:
     def ok_mask(self) -> np.ndarray:
         return self.status == STATUS_OK
 
-    def intact(self, name: str, cols) -> np.ndarray:
-        """STATUS_OK rows of positions, velocities or field_values at the
-        recorded columns cols (mask or indices), copying only the
-        selection. Whole rows go through intact_blocks."""
-        arr = getattr(self, name)
-        ok = self.ok_mask()
-        return arr[:, cols] if ok.all() else arr[np.ix_(ok, cols)]
-
     def intact_blocks(self, names, cols=slice(None), rows: int = ROW_BLOCK):
         """Walk the STATUS_OK rows of the named arrays over the recorded
-        columns cols (a slice, or indices in the order given), block by
-        block in row order: the rows [lo, lo + rows) for lo = 0, rows,
-        2 rows, ..., less the flagged ones. Yields one row-major block per
-        name: views when cols is a slice and no row of the block is flagged,
-        else copies. A block with no intact row is skipped; with no intact
-        row at all the walk yields one empty block. A reduction along time
-        is local to a block's rows; one over trajectories adds each block's
-        column sums in order (Chan, Golub & LeVeque, Am. Stat. 37, 242
-        (1983))."""
+        columns cols (a slice), block by block in row order: the rows
+        [lo, lo + rows) for lo = 0, rows, 2 rows, ..., less the flagged
+        ones. Yields one row-major block per name: views when no row of the
+        block is flagged, else copies. A block with no intact row is
+        skipped; with no intact row at all the walk yields one empty block.
+        A reduction along time is local to a block's rows; one over
+        trajectories adds each block's column sums in order (Chan, Golub &
+        LeVeque, Am. Stat. 37, 242 (1983))."""
         ok = self.ok_mask()
-        index = not isinstance(cols, slice)
         parts = []
         for lo in range(0, self.n_traj, rows):
             keep = ok[lo:lo + rows]
@@ -342,11 +333,7 @@ class TrajectoryEnsemble:
             elif keep.any():
                 parts.append(lo + np.flatnonzero(keep))
         for part in parts or [np.arange(0)]:
-            if index and not isinstance(part, slice):
-                part = part[:, None]
-            blocks = [getattr(self, name)[part, cols] for name in names]
-            # a row slice with index columns copies column-major
-            yield [np.ascontiguousarray(b) for b in blocks] if index else blocks
+            yield [getattr(self, name)[part, cols] for name in names]
 
 
 def window_columns(times: np.ndarray, window) -> slice:
@@ -458,8 +445,8 @@ def _add_transient(x, v, x0, v0, P, growth: float):
 def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
     """(dt, n_steps, n_fft): the step, at most dt, and the step count of a
     run of length span whose 2 n_steps + 1 half-step field points lie on
-    the uniform comb's FFT-exact grid of period n_fft half steps
-    (comb_sum_grid). A resolved grid resolves to itself.
+    the uniform comb's FFT-exact grid of period n_fft half steps, the
+    grid a CombPlan of n_fft sums on. A resolved grid resolves to itself.
     Refuses a non-positive span or dt and a run that does not end inside
     the comb period, where the field repeats. Inside it, each widening
     grows n_fft strictly, and any n_fft >= 3 period / (period - span) holds
@@ -536,7 +523,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             f"step-size violation: dt={dt:g} exceeds 2 pi/(10 omega_cutoff)"
             f"={dt_max:g}"
         )
-    dt, n_steps, _ = comb_time_grid(fspec, dt, n_steps * dt)
+    dt, n_steps, n_fft = comb_time_grid(fspec, dt, n_steps * dt)
 
     warnings = []
     omega_char = particle.potential.omega_char(particle.mass) or fspec.omega_cutoff
@@ -555,7 +542,6 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     seeds[:, 0] = master_seed
     seeds[:, 1] = np.arange(n_traj)
 
-    h2 = 0.5 * dt
     linear = particle.potential.linear
     omegas, _, amps = mode_table(fspec)
     rec_step = 2 * record_stride          # half steps from record to record
@@ -580,7 +566,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
         meta["rk4_spectral_radius"] = rho
     whole = out(n_rec) if out is not None else None
     # the record grid's transform setup, shared by every chunk and thread
-    records = CombPlan(omegas, t0, h2, rec_step, n_rec)
+    records = CombPlan(fspec, n_fft, t0, rec_step, n_rec)
 
     def chunk(span) -> TrajectoryEnsemble:
         """Integrate trajectories [lo, hi) into the chunk's records."""
@@ -619,7 +605,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             # slabs and blocks hold even numbers of half steps, so each
             # step's three field values lie in one block
             k = 0
-            for slab in comb_sum_slabs(coefs, omegas, t0, h2,
+            for slab in comb_sum_slabs(coefs, fspec, n_fft, t0,
                                        2 * n_steps + 1, _SLAB):
                 for c0 in range(0, slab.shape[1] - 1, _FIELD_BLOCK):
                     c1 = min(c0 + _FIELD_BLOCK, slab.shape[1] - 1)

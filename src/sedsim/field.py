@@ -14,17 +14,17 @@ S(omega) cos(omega lag) as n_modes grows; per-mode energy is hbar*omega/2.
 On a uniform comb omega_n = omega_0 + n dOmega sampled at step h with
 dOmega h = 2 pi/N, the grid values are the real part of a length-N inverse
 DFT of the n_modes mode coefficients times the carrier exp(i omega_0 t).
-comb_sum_grid evaluates that sum on any stretch of every step-th point of
-the grid as a Bluestein chirp-z convolution whose length follows the modes
-and the points, not N: the integrator's record grid is such a subgrid, and
-its step loop takes the half-step grid one slab at a time. A CombPlan holds
-the convolution's setup for one grid, so a caller that sums many rows on
-one grid, in many calls or threads, builds it once.
+A CombPlan, built from the FieldSpec and N, evaluates that sum on any
+stretch of every step-th point of the grid as a Bluestein chirp-z
+convolution whose length follows the modes and the points, not N: the
+integrator's record grid is such a subgrid, and its step loop takes the
+half-step grid one slab at a time (comb_sum_slabs). A plan holds the
+convolution's setup for one grid, so a caller that sums many rows on one
+grid, in many calls or threads, builds it once.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -37,7 +37,7 @@ TWO_PI = 2.0 * math.pi
 # bound the (n_modes x block) workspace.
 _EVAL_BLOCK = 4096
 
-# Rows of one comb_sum_grid transform; its workspace is _SUM_BLOCK x the
+# Rows of one CombPlan transform; its workspace is _SUM_BLOCK x the
 # convolution length complex values, 4.6 MB on the shipped record grid.
 _SUM_BLOCK = 32
 
@@ -87,8 +87,7 @@ def mode_table(spec: FieldSpec):
     are sqrt(2 S(omega_n) dOmega).
     """
     n = spec.n_modes
-    # Single shared spacing float keeps the comb arithmetic exact enough
-    # for comb_sum_grid to reconstruct it.
+    # CombPlan computes dOmega and omega_0 by the same expressions
     dw = (spec.omega_cutoff - spec.omega_min) / n
     omegas = spec.omega_min + dw * (np.arange(n) + 0.5)
     dws = np.full(n, dw)
@@ -145,20 +144,9 @@ def eval_field(fr: FieldRealization, t) -> np.ndarray:
     return out
 
 
-def _comb_spacing(omegas: np.ndarray) -> float | None:
-    """Common spacing of an arithmetic frequency comb, or None."""
-    if omegas.size < 2:
-        return None
-    dw = float(omegas[-1] - omegas[0]) / (omegas.size - 1)
-    if dw <= 0 or not np.all(np.abs(np.diff(omegas) - dw) <= 1e-9 * dw):
-        return None
-    return dw
-
-
 def comb_cache_params(spec: FieldSpec, h_target: float, min_points: int = 1):
-    """Grid step h <= h_target such that the uniform comb is FFT-exact.
-
-    comb_sum_grid needs dOmega * h = 2 pi / N for integer N.
+    """Grid step h <= h_target such that the uniform comb is FFT-exact:
+    dOmega h = 2 pi / N for an integer N, the comb length CombPlan takes.
     Returns (h, N) with N a fast FFT length covering min_points samples.
     """
     dw = (spec.omega_cutoff - spec.omega_min) / spec.n_modes
@@ -167,59 +155,56 @@ def comb_cache_params(spec: FieldSpec, h_target: float, min_points: int = 1):
     return TWO_PI / (dw * n_fft), n_fft
 
 
-def _comb_fft_length(omegas: np.ndarray, h: float):
-    """(dOmega, N) with dOmega h N = 2 pi for an integer N, or (None, 0)
-    when omegas is not an arithmetic comb FFT-exact at step h."""
-    dw = _comb_spacing(omegas)
-    if dw is not None:
-        n_real = TWO_PI / (dw * h)
-        if abs(n_real - round(n_real)) < 1e-6:
-            return dw, int(round(n_real))
-    return None, 0
-
-
 class CombPlan:
-    """comb_sum_grid's setup for one grid t_j = t0 + (start + j step) h,
-    j = 0..n_points-1, of the FFT-exact comb omegas: the chirp, the
-    transformed chirp kernel and the phases before and after the
-    convolution. plan(coefs, out) is comb_sum_grid(coefs, omegas, t0, h,
-    step, n_points, out, start), bit for bit, on any rows in any number of
-    calls; the plan is read only, so threads share it. plan.at(start) is
-    the plan of the same grid from another start, sharing the chirp and the
-    kernel."""
+    """Re sum_n coefs[..., n] exp(i omega_n t_j) on t_j = t0 + (start + j
+    step) h, j = 0..n_points-1, for complex coefficient rows over the modes
+    of spec: the comb omega_n = omega_0 + n dOmega of mode_table, at the
+    step h = 2 pi/(dOmega n_fft) of comb_cache_params, both computed as
+    there, so the grid is the comb's own.
 
-    def __init__(self, omegas, t0: float, h: float, step: int,
+    start and step are integers, step positive, so the grid is every
+    step-th point from point start of the comb's grid t0 + k h. Then
+    n dOmega t_j - n dOmega t0 is 2 pi n start/N + pi step 2 n j/N, N =
+    n_fft, and with 2 n j = n^2 + j^2 - (j - n)^2 each row is one Bluestein
+    chirp-z convolution (IEEE Trans. Audio Electroacoust. 18, 451 (1970))
+    of length next_fast_len(n_modes + n_points - 1). The phases
+    2 pi (n start mod N)/N and the chirp phases pi (step k^2 mod 2N)/N are
+    reduced in integers, so they stay exact however far the grid runs from
+    t0, and the carrier is exp(i omega_0 (t0 + h (start + step j))). The
+    plan holds the chirp, the transformed chirp kernel and the phases
+    before and after the convolution. plan(coefs, out) returns shape
+    coefs.shape[:-1] + (n_points,), written into out when given; out may be
+    a strided view, such as a column range of a larger array, as long as it
+    reshapes to (rows, n_points) without a copy. Rows go through the
+    transforms _SUM_BLOCK at a time, and a row's values do not depend on
+    the rows it shares a call with, nor on the calls before: the plan is
+    read only, so one plan serves any rows in any number of calls and
+    threads.
+    """
+
+    def __init__(self, spec: FieldSpec, n_fft: int, t0: float, step: int,
                  n_points: int, start: int = 0):
-        m = omegas.size
-        dw, n_fft = _comb_fft_length(omegas, h)
-        if n_fft < 1 or step < 1:
-            raise ValueError(f"step {step} x {h:g} over {m} modes is not a "
-                             "grid of the FFT-exact comb")
+        if step < 1:
+            raise ValueError(f"step {step} is not a positive step of the "
+                             "comb's grid")
+        m = spec.n_modes
+        dw = (spec.omega_cutoff - spec.omega_min) / m
+        omega0, h = spec.omega_min + dw * 0.5, TWO_PI / (dw * n_fft)
         self.m, self.n_points = m, n_points
-        self._grid = (float(omegas[0]), dw, n_fft, t0, h, step)
         n_conv = next_fast_len(m + n_points - 1)
         k = np.arange(max(m, n_points))
-        self._chirp = np.exp(1j * (math.pi / n_fft)
-                             * (step * (k * k % (2 * n_fft)) % (2 * n_fft)))
+        chirp = np.exp(1j * (math.pi / n_fft)
+                       * (step * (k * k % (2 * n_fft)) % (2 * n_fft)))
         # conj(chirp) at lags j - n from -(m - 1) to n_points - 1, wrapped
         kernel = np.zeros(n_conv, dtype=complex)
-        kernel[:n_points] = self._chirp[:n_points].conj()
-        kernel[n_conv - m + 1:] = self._chirp[m - 1:0:-1].conj()
+        kernel[:n_points] = chirp[:n_points].conj()
+        kernel[n_conv - m + 1:] = chirp[m - 1:0:-1].conj()
         self._kernel = np.fft.fft(kernel, norm="forward")
-        self._shift(start)
-
-    def _shift(self, start: int):
-        omega0, dw, n_fft, t0, h, step = self._grid
-        n = np.arange(self.m)
-        self._pre = self._chirp[:self.m] * np.exp(
+        n = np.arange(m)
+        self._pre = chirp[:m] * np.exp(
             1j * (n * dw * t0 + (TWO_PI / n_fft) * (n * (start % n_fft) % n_fft)))
-        self._post = self._chirp[:self.n_points] * np.exp(
-            1j * omega0 * (t0 + h * (start + step * np.arange(self.n_points))))
-
-    def at(self, start: int) -> "CombPlan":
-        plan = copy.copy(self)
-        plan._shift(start)
-        return plan
+        self._post = chirp[:n_points] * np.exp(
+            1j * omega0 * (t0 + h * (start + step * np.arange(n_points))))
 
     def __call__(self, coefs, out=None) -> np.ndarray:
         coefs = np.asarray(coefs)
@@ -252,56 +237,27 @@ class CombPlan:
         return out
 
 
-def comb_sum_grid(coefs, omegas, t0: float, h: float, step: int,
-                  n_points: int, out=None, start: int = 0) -> np.ndarray:
-    """Re sum_n coefs[..., n] exp(i omega_n t_j) on t_j = t0 + (start + j
-    step) h, j = 0..n_points-1, for complex coefficient rows over the modes
-    omegas.
-
-    The modes must form an arithmetic comb with dOmega h N = 2 pi for an
-    integer N, else ValueError; start and step are integers, step positive,
-    so the grid is every step-th point from point start of the comb's grid
-    t0 + k h. Then n dOmega t_j - n dOmega t0 is 2 pi n start/N + pi step
-    2 n j/N, and with 2 n j = n^2 + j^2 - (j - n)^2 each row is one Bluestein
-    chirp-z convolution (IEEE Trans. Audio Electroacoust. 18, 451 (1970)) of
-    length next_fast_len(n_modes + n_points - 1). The phases
-    2 pi (n start mod N)/N and the chirp phases pi (step k^2 mod 2N)/N are
-    reduced in integers, so they stay exact however far the grid runs from
-    t0, and the carrier is exp(i omega_0 (t0 + h (start + step j))). Rows go
-    through the transforms _SUM_BLOCK at a time, and a row's values do not
-    depend on the rows it shares a call with. Returns shape coefs.shape[:-1]
-    + (n_points,), written into out when given; out may be a strided view,
-    such as a column range of a larger array, as long as it reshapes to
-    (rows, n_points) without a copy. A caller that sums the same grid many
-    times builds its CombPlan once.
-    """
-    return CombPlan(omegas, t0, h, step, n_points, start)(coefs, out)
-
-
-def comb_sum_slabs(coefs, omegas, t0: float, h: float, n_points: int,
-                   width: int):
-    """comb_sum_grid on the grid t0 + j h, j = 0..n_points-1, in slabs of
+def comb_sum_slabs(coefs, spec: FieldSpec, n_fft: int, t0: float,
+                   n_points: int, width: int):
+    """CombPlan's sum on the grid t0 + j h, j = 0..n_points-1, in slabs of
     width + 1 columns, so that no array of n_points columns exists.
 
     Yields views shaped coefs.shape[:-1] + (w + 1,), w <= width, whose
     columns are the points s0..s0 + w, s0 = 0, width, 2 width, ...: each
     slab starts with the last column of the one before, computed once, so
     a value read across a seam is the same value. The points past the
-    first come from comb_sum_grid's integer start index, the full-width
-    slabs through one CombPlan moved to each start. All slabs share one
-    buffer; consume a slab before taking the next.
+    first come from a plan at the integer start s0 + 1, one per slab. All
+    slabs share one buffer; consume a slab before taking the next.
     """
     coefs = np.asarray(coefs)
     width = max(1, min(width, n_points - 1))
     slab = np.empty(coefs.shape[:-1] + (width + 1,))
-    comb_sum_grid(coefs, omegas, t0, h, 1, 1, out=slab[..., width:])
-    plan = CombPlan(omegas, t0, h, 1, width)
+    CombPlan(spec, n_fft, t0, 1, 1)(coefs, out=slab[..., width:])
     for s0 in range(0, n_points - 1, width):
         w = min(width, n_points - 1 - s0)
         slab[..., 0] = slab[..., width]
-        plan = (plan.at(s0 + 1) if w == width
-                else CombPlan(omegas, t0, h, 1, w, start=s0 + 1))
-        plan(coefs, out=slab[..., 1:w + 1])
+        CombPlan(spec, n_fft, t0, 1, w, start=s0 + 1)(
+            coefs, out=slab[..., 1:w + 1])
         yield slab[..., :w + 1]
 
 

@@ -33,6 +33,7 @@ import json
 import math
 import resource
 import shutil
+import sys
 import time as _time
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
@@ -224,15 +225,26 @@ def _at_least_one(name: str, value) -> int:
     return int(value)
 
 
+def _numbers(key: str, values, n: int | None = None) -> list:
+    """The config list values at key as floats; refused unless it holds n
+    (else one or more) finite ints or floats, never booleans."""
+    if not (isinstance(values, list)
+            and (len(values) == n if n else len(values) > 0)
+            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                    for x in values)):
+        raise ConfigError(f"{key} {values} is not a list of "
+                          f"{n or 'one or more'} finite numbers")
+    return [float(x) for x in values]
+
+
 def _run_inputs(cfg: dict):
     """(window, n_traj, dump format) of either pipeline, refused unless
     coarse_grain.t_window is two increasing times inside [time.t0,
     time.t_final], ensemble.n_traj is at least 1 and outputs.ensemble_dump
     is "none" or one of DUMP_FORMATS ("binary")."""
     t0, t_final = float(cfg["time"].get("t0", 0.0)), float(cfg["time"]["t_final"])
-    window = cfg["coarse_grain"]["t_window"]
-    if not (len(window) == 2 and all(type(t) in (int, float) for t in window)
-            and t0 <= window[0] < window[1] <= t_final):
+    window = _numbers("coarse_grain.t_window", cfg["coarse_grain"]["t_window"], 2)
+    if not t0 <= window[0] < window[1] <= t_final:
         raise ConfigError(f"coarse_grain.t_window {window} is not two increasing"
                           f" times inside the run [{t0:g}, {t_final:g}]")
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
@@ -240,7 +252,7 @@ def _run_inputs(cfg: dict):
         raise ConfigError(f"outputs.ensemble_dump {dump_fmt!r} is not 'none' "
                           f"or one of {DUMP_FORMATS}")
     n_traj = _at_least_one("ensemble.n_traj", cfg["ensemble"]["n_traj"])
-    return (float(window[0]), float(window[1])), n_traj, dump_fmt
+    return tuple(window), n_traj, dump_fmt
 
 
 def _window_holds_a_record(window, times) -> None:
@@ -284,10 +296,12 @@ def _snap_lag(rec_dt: float, lag, key: str) -> float:
 
 
 def _coarse_grain_spec(key: str, **fields) -> CoarseGrainSpec:
-    """CoarseGrainSpec(**fields); what it refuses is a config error."""
+    """CoarseGrainSpec(**fields); what it refuses is a config error naming
+    coarse_grain.min_count for the occupancy threshold, else key."""
     try:
         return CoarseGrainSpec(**fields)
     except KinematicsError as exc:
+        key = "coarse_grain.min_count" if exc.field == "min_count" else key
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -355,13 +369,17 @@ def _coarse_grain_specs(cfg: dict, times, rec_dt: float, window,
     times (step rec_dt), and the recorded columns the specs read: the
     window's, padded by the largest lag. thin_time and sweep_steps
     (multiples of the recorded step) are the defaults of
-    coarse_grain.thin_time and .delta_t_sweep. A window without reference
-    times for a lag, a lag that is not positive and whatever
-    CoarseGrainSpec refuses are config errors."""
+    coarse_grain.thin_time and .delta_t_sweep. A thin_time that is not a
+    finite positive number, a sweep that is not a list of finite numbers,
+    a window without reference times for a lag, a lag that is not positive
+    and whatever CoarseGrainSpec refuses are config errors."""
     cg = cfg["coarse_grain"]
     bins = cg["x_bins"]
-    thin_steps = max(1, int(round(float(cg.get("thin_time", thin_time))
-                                  / rec_dt)))
+    thin_time = cg.get("thin_time", thin_time)
+    if not 0 < thin_time <= sys.float_info.max:
+        raise ConfigError(f"coarse_grain.thin_time {thin_time} is not a "
+                          "finite positive number")
+    thin_steps = max(1, int(round(thin_time / rec_dt)))
 
     def est_spec(lag):
         return _coarse_grain_spec(
@@ -371,8 +389,8 @@ def _coarse_grain_specs(cfg: dict, times, rec_dt: float, window,
             min_count=int(cg.get("min_count", 25)))
 
     sweep_lags = cg.get("delta_t_sweep")
-    if sweep_lags is None:
-        sweep_lags = [rec_dt * k for k in sweep_steps]
+    sweep_lags = ([rec_dt * k for k in sweep_steps] if sweep_lags is None
+                  else _numbers("coarse_grain.delta_t_sweep", sweep_lags))
     sweep_lags = list(dict.fromkeys(
         _snap_lag(rec_dt, x, "coarse_grain.delta_t_sweep") for x in sweep_lags))
     spec0 = est_spec(_snap_lag(rec_dt, cg["delta_t"], "coarse_grain.delta_t"))
@@ -435,7 +453,7 @@ def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
     times = record_times(t0, dt, n_steps, stride)
     _window_holds_a_record(window, times)
     spec0, sweep_spec, sweep_lags, store_cols = _coarse_grain_specs(
-        cfg, times, dt * stride, window, 0.0, (1, 2, 3, 4, 6, 10))
+        cfg, times, dt * stride, window, dt * stride, (1, 2, 3, 4, 6, 10))
     ic = _build_ic(cfg, particle, fspec.hbar)
     master_seed = int(cfg["seeds"]["master_seed"])
     info.update(dt=dt, n_steps=n_steps, n_fft=n_fft, n_chunks=0,
@@ -624,9 +642,9 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
     # measured across three reference times
     t_star = 2.0 / friction
     rw = lv.get("t_relax_window")
-    if rw is None:
-        rw = [t_star - 2.0 * delta_t, t_star + 2.0 * delta_t]
-    first, last = (int(round((float(t) - t0) / dt)) for t in rw)
+    rw = ([t_star - 2.0 * delta_t, t_star + 2.0 * delta_t] if rw is None
+          else _numbers("langevin.t_relax_window", rw, 2))
+    first, last = (int(round((t - t0) / dt)) for t in rw)
     k = int(round(delta_t / dt))
     if not k <= first < last <= n_steps - k:
         raise ConfigError(
@@ -671,7 +689,8 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
     samples = _stage(info, "gather-samples", SampleSet, eq, spec0)
     v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
     # the variance row reads the first reference time's central samples
-    x_ref2 = np.square(eq.intact("positions", samples.ridx[:1])[:, 0])
+    x_ref2 = np.square(np.concatenate([x[:, 0]
+                                       for (x,) in samples._blocks(())]))
     del samples
     sweep = _stage(info, "diffusion-sweep", diffusion_sweep, eq, sweep_spec,
                    sweep_lags)

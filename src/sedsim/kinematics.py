@@ -42,7 +42,12 @@ _PLATEAU_REL = 0.05
 
 
 class KinematicsError(ValueError):
-    """Raised for unusable coarse-graining setups (off-grid lag, empty bins)."""
+    """Raised for unusable coarse-graining setups (off-grid lag, empty
+    bins); field names the CoarseGrainSpec field that a spec refuses."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,7 @@ class CoarseGrainSpec:
     x_range (lo, hi) is cut into x_bins uniform bins; samples outside it
     fall in no bin. reference_times are the recorded times where the
     central samples sit, each with room for the lag on either side.
-    min_count marks the occupancy below which a bin is ignored.
+    min_count >= 1 marks the occupancy below which a bin is ignored.
     """
 
     delta_t: float
@@ -64,16 +69,21 @@ class CoarseGrainSpec:
 
     def __post_init__(self):
         if self.delta_t <= 0:
-            raise KinematicsError("delta_t must be positive")
+            raise KinematicsError("delta_t must be positive", "delta_t")
         if self.x_bins < 5:
             raise KinematicsError(
-                f"need at least 5 position bins, got {self.x_bins}")
+                f"need at least 5 position bins, got {self.x_bins}", "x_bins")
         lo, hi = self.x_range
         if not (lo < hi and math.isfinite(hi - lo)):
             raise KinematicsError(
-                f"x_range ({lo}, {hi}) is not a finite, non-empty interval")
+                f"x_range ({lo}, {hi}) is not a finite, non-empty interval",
+                "x_range")
         if len(self.reference_times) == 0:
-            raise KinematicsError("no reference times")
+            raise KinematicsError("no reference times", "reference_times")
+        if self.min_count < 1:
+            raise KinematicsError(
+                f"min_count must be at least 1, got {self.min_count}",
+                "min_count")
 
 
 @dataclass
@@ -389,14 +399,16 @@ class SampleSet:
 
     def _blocks(self, offsets):
         """Walk the intact rows in row order, about _BLOCK_SAMPLES samples
-        at a time: per block, a list of the positions at the reference
-        indices and at each of offsets recorded steps from them, each a
-        row-major (rows, n_ref) copy."""
-        cols = [self.ridx + s for s in (0, *offsets)]
+        at a time, over the columns from the first to the last one read:
+        per block, a list of the positions at the reference indices and at
+        each of offsets recorded steps from them, each a row-major (rows,
+        n_ref) copy (x[:, idx] alone comes out column-major)."""
+        steps = (0, *offsets)
+        lo = self.ridx.min() + min(steps)
+        span = slice(lo, self.ridx.max() + max(steps) + 1)
         rows = max(1, _BLOCK_SAMPLES // self.ridx.size)
-        walks = [self.ens.intact_blocks(("positions",), c, rows) for c in cols]
-        for blocks in zip(*walks):
-            yield [x for (x,) in blocks]
+        for (x,) in self.ens.intact_blocks(("positions",), span, rows):
+            yield [np.ascontiguousarray(x[:, self.ridx + s - lo]) for s in steps]
 
     def _cell_sums(self, per_time: bool):
         """(counts, sums, sq): the central samples' counts and, per kind of

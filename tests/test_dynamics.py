@@ -48,7 +48,7 @@ from sedsim.dynamics import (
 import sedsim.dynamics
 import sedsim.field
 import sedsim.reference
-from sedsim.field import (FieldSpec, comb_cache_params, comb_sum_grid,
+from sedsim.field import (CombPlan, FieldSpec, comb_cache_params,
                           comb_sum_slabs, eval_field, make_field, mode_table)
 from sedsim.harness import _window_statistics
 from sedsim.reference import harmonic_response, harmonic_trajectory
@@ -274,11 +274,10 @@ def held_beyond_output(particle, n_steps):
     """tracemalloc peak of integrate_ensemble on 64 trajectories of a
     64-mode comb at the shipped step, less its output arrays; the bound
     that peak keeps without a field table of the run; and the size of that
-    table. The bound is a (64, n_points + 1) field array, comb_sum_grid's
+    table. The bound is a (64, n_points + 1) field array, a CombPlan's
     work array three times (the transforms copy it) and four copies of the
-    chunk's mode coefficients, n_points the longest grid one comb_sum_grid
-    call fills: a slab on the step loop, the record grid on the response
-    path."""
+    chunk's mode coefficients, n_points the longest grid one plan fills: a
+    slab on the step loop, the record grid on the response path."""
     fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
     _, _, ic, dt, stride = shipped_run_parameters()
     tracemalloc.start()
@@ -408,12 +407,12 @@ def reference_loop(particle, fspec, ic, dt, n_steps, n_traj, seed, stride):
     evaluated four times a step, x and v updated separately, charge * e at
     every stage, the field read from one slab of the whole run.
     Returns (positions, velocities, status)."""
-    dt, n_steps, _ = comb_time_grid(fspec, dt, n_steps * dt)
+    dt, n_steps, n_fft = comb_time_grid(fspec, dt, n_steps * dt)
     pot, h2 = particle.potential, 0.5 * dt
-    omegas, _, amps = mode_table(fspec)
+    amps = mode_table(fspec)[2]
     coefs = amps * np.exp(1j * np.array(
         [make_field(fspec, (seed, i, 0)).phases[0] for i in range(n_traj)]))
-    (e,) = comb_sum_slabs(coefs, omegas, 0.0, h2, 2 * n_steps + 1,
+    (e,) = comb_sum_slabs(coefs, fspec, n_fft, 0.0, 2 * n_steps + 1,
                           2 * n_steps)
     x, v = np.array([ic.sample(np.random.Generator(np.random.Philox(
         np.random.SeedSequence((seed, i, 1))))) for i in range(n_traj)]).T
@@ -876,21 +875,20 @@ def test_progress_is_called_once_per_chunk(n_workers, capsys):
 
 def test_field_values_are_the_single_call_grid():
     # 7 trajectories, fewer than a transform block; both paths store the
-    # record-grid mode sum of one comb_sum_grid call per trajectory, which
-    # is every 6th point of the half-step grid up to rounding
+    # record-grid mode sum of one CombPlan call per trajectory, which is
+    # every 6th point of the half-step grid up to rounding
     fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
-    h, _ = comb_cache_params(fspec, h_target=0.1, min_points=401)
+    h, n_fft = comb_cache_params(fspec, h_target=0.1, min_points=401)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
     for p in (particle, on_the_loop(particle)):
         ens = integrate_ensemble(p, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
                                  7.5, 2.0 * h, 200, 7, 31, record_stride=3)
         for i in range(7):
             fr = make_field(fspec, (31, i, 0))
-            single = comb_sum_grid(fr.amps * np.exp(1j * fr.phases[0]),
-                                   fr.omegas, 7.5, h, 6, 67)
+            coefs = fr.amps * np.exp(1j * fr.phases[0])
+            single = CombPlan(fspec, n_fft, 7.5, 6, 67)(coefs)
             assert np.array_equal(ens.field_values[i], single)
-            grid = comb_sum_grid(fr.amps * np.exp(1j * fr.phases[0]),
-                                 fr.omegas, 7.5, h, 1, 401)
+            grid = CombPlan(fspec, n_fft, 7.5, 1, 401)(coefs)
             assert np.max(np.abs(single - grid[::6])) <= 1e-13 * np.std(grid)
 
 
@@ -933,18 +931,16 @@ def test_stable_run_reports_ok_status():
     assert np.all(ens.ok_mask())
 
 
-def test_intact_selects_rows_and_columns():
+def test_intact_blocks_select_rows_and_columns():
     ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
                              0.0, 0.1, 10, 4, 1)
-    sel = ens.times >= 0.5
-    np.testing.assert_array_equal(ens.intact("velocities", sel),
-                                  ens.velocities[:, sel])
+    cols = window_columns(ens.times, (0.5, ens.times[-1]))
+    (v,) = ens.intact_blocks(("velocities",), cols)
+    np.testing.assert_array_equal(v[0], ens.velocities[:, ens.times >= 0.5])
     ens.status[1] = STATUS_NONFINITE
     ok = ens.ok_mask()
-    np.testing.assert_array_equal(ens.intact("field_values", sel),
-                                  ens.field_values[ok][:, sel])
-    np.testing.assert_array_equal(ens.intact("positions", [0, 3]),
-                                  ens.positions[ok][:, [0, 3]])
+    (e,) = ens.intact_blocks(("field_values",), cols)
+    np.testing.assert_array_equal(e[0], ens.field_values[ok][:, cols])
 
 
 def test_intact_blocks_walk_the_intact_rows():
@@ -969,28 +965,22 @@ def test_intact_blocks_walk_the_intact_rows():
     for flagged, lengths, views, lengths_7 in cases:
         ens.status[:] = STATUS_OK
         ens.status[flagged] = STATUS_NONFINITE
+        ok = ens.ok_mask()
         blocks = list(ens.intact_blocks(("positions", "field_values"), cols))
         assert [len(x) for x, _ in blocks] == lengths
         for i, name in enumerate(("positions", "field_values")):
             walked = np.concatenate([b[i] for b in blocks])
-            np.testing.assert_array_equal(walked,
-                                          ens.intact(name, np.arange(2, 7)))
+            np.testing.assert_array_equal(walked, getattr(ens, name)[ok, 2:7])
         shared = [np.shares_memory(x, ens.positions) for x, _ in blocks]
         assert shared == views
-        # index columns, in the order given, 7 rows at a time: row-major
-        # copies either way
-        picked = np.array([5, 2, 7, 2])
-        blocks = list(ens.intact_blocks(("positions",), picked, 7))
+        # 7 rows at a time
+        blocks = list(ens.intact_blocks(("positions",), cols, 7))
         assert [len(x) for (x,) in blocks] == lengths_7
-        assert all(x.flags.c_contiguous and not np.shares_memory(x, ens.positions)
-                   for (x,) in blocks)
         np.testing.assert_array_equal(np.concatenate([x for (x,) in blocks]),
-                                      ens.intact("positions", picked))
+                                      ens.positions[ok, 2:7])
     ens.status[:] = STATUS_NONFINITE
     assert [x.shape for (x,) in ens.intact_blocks(("positions",), cols)] == [
         (0, 5)]
-    assert [x.shape for (x,) in ens.intact_blocks(("positions",), picked)] == [
-        (0, 4)]
 
 
 def test_step_size_guard():

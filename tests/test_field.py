@@ -10,8 +10,8 @@ from scipy import stats
 from sedsim.field import (CombPlan, FieldRealization, FieldSpec,
                           autocorrelation_check, autocovariance,
                           autocovariance_quad, comb_cache_params,
-                          comb_sum_grid, comb_sum_slabs, eval_field,
-                          make_field, mode_table, spectral_density)
+                          comb_sum_slabs, eval_field, make_field, mode_table,
+                          spectral_density)
 
 # band integral (2/(3 pi)) int w^3 cos(w lag) dw, frozen from a 30-digit
 # mpmath quadrature
@@ -121,7 +121,7 @@ def test_cached_grid_matches_direct_evaluation():
     h, n_fft = comb_cache_params(spec, h_target=0.1, min_points=4001)
     assert h <= 0.1 and n_fft >= 4001
     fr = make_field(spec, 7)
-    vals = comb_sum_grid(coefficients([fr])[0], fr.omegas, 0.0, h, 1, 4001)
+    vals = CombPlan(spec, n_fft, 0.0, 1, 4001)(coefficients([fr])[0])
     direct = eval_field(make_field(spec, 7), h * np.arange(4001))
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(vals - direct)) / scale < 1e-12
@@ -129,9 +129,9 @@ def test_cached_grid_matches_direct_evaluation():
 
 def test_cached_grid_nonzero_origin():
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=128)
-    h, _ = comb_cache_params(spec, h_target=0.05, min_points=512)
+    h, n_fft = comb_cache_params(spec, h_target=0.05, min_points=512)
     fr = make_field(spec, 9)
-    vals = comb_sum_grid(coefficients([fr])[0], fr.omegas, 123.456, h, 1, 512)
+    vals = CombPlan(spec, n_fft, 123.456, 1, 512)(coefficients([fr])[0])
     direct = eval_field(make_field(spec, 9), 123.456 + h * np.arange(512))
     assert np.max(np.abs(vals - direct)) / np.max(np.abs(direct)) < 1e-12
 
@@ -153,18 +153,18 @@ def _unbatched_comb_grid(fr, t0, h, n_points):
 
 
 @pytest.mark.parametrize("components", [1, 3])
-def test_batched_comb_sum_grid_is_the_single_call_bitwise(components):
+def test_batched_comb_plan_is_the_single_call_bitwise(components):
     # 7 realizations: 7 x components rows, not a multiple of a transform
     # block when components is 3
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=128,
                      components=components)
-    h, _ = comb_cache_params(spec, h_target=0.05, min_points=700)
+    h, n_fft = comb_cache_params(spec, h_target=0.05, min_points=700)
     frs = [make_field(spec, (5, i)) for i in range(7)]
-    batch = comb_sum_grid(coefficients(frs), frs[0].omegas, 41.3, h, 1, 700)
+    batch = CombPlan(spec, n_fft, 41.3, 1, 700)(coefficients(frs))
     assert batch.shape == (7, components, 700)
     for i, fr in enumerate(frs):
-        single = comb_sum_grid(coefficients([make_field(spec, (5, i))])[0],
-                               fr.omegas, 41.3, h, 1, 700)
+        single = CombPlan(spec, n_fft, 41.3, 1, 700)(
+            coefficients([make_field(spec, (5, i))])[0])
         assert np.array_equal(batch[i], single)
         # the same sum in another operation order (chirp-z vs one FFT)
         ref = _unbatched_comb_grid(fr, 41.3, h, 700)
@@ -186,11 +186,10 @@ def test_four_step_grid_is_the_mode_sum(n_modes, n_fft, n_points, t0,
                      components=components)
     h = 2.0 * math.pi / (1.5 / n_modes * n_fft)
     frs = [make_field(spec, (8, i)) for i in range(rows)]
-    batch = comb_sum_grid(coefficients(frs), frs[0].omegas, t0, h, 1,
-                          n_points)
+    batch = CombPlan(spec, n_fft, t0, 1, n_points)(coefficients(frs))
     for i, fr in enumerate(frs):
-        single = comb_sum_grid(coefficients([make_field(spec, (8, i))])[0],
-                               fr.omegas, t0, h, 1, n_points)
+        single = CombPlan(spec, n_fft, t0, 1, n_points)(
+            coefficients([make_field(spec, (8, i))])[0])
         assert np.array_equal(batch[i], single)
         direct = eval_field(fr, t0 + h * np.arange(n_points))
         assert np.max(np.abs(single - direct)) <= 1e-13 * fr.amps.sum()
@@ -203,11 +202,10 @@ def test_four_step_grid_on_the_shipped_comb():
     h, n_fft = comb_cache_params(spec, h_target=0.1)
     assert n_fft == 161051
     frs = [make_field(spec, (7, i, 0)) for i in range(3)]
-    batch = comb_sum_grid(coefficients(frs), frs[0].omegas, 0.0, h, 1, 100127)
+    batch = CombPlan(spec, n_fft, 0.0, 1, 100127)(coefficients(frs))
     for i, fr in enumerate(frs):
-        assert np.array_equal(batch[i], comb_sum_grid(
-            coefficients([make_field(spec, (7, i, 0))])[0], fr.omegas, 0.0,
-            h, 1, 100127))
+        assert np.array_equal(batch[i], CombPlan(spec, n_fft, 0.0, 1, 100127)(
+            coefficients([make_field(spec, (7, i, 0))])[0]))
         ref = _unbatched_comb_grid(fr, 0.0, h, 100127)
         assert np.max(np.abs(batch[i] - ref)) <= 1e-14 * fr.amps.sum()
 
@@ -216,26 +214,26 @@ def test_slabs_are_the_single_call_grid():
     # sedbench's quartic comb; 2,001 half steps in slabs of 600 are four
     # slabs, the last of 200, each starting with the one before's last point
     spec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=768)
-    h, _ = comb_cache_params(spec, h_target=0.065)
+    h, n_fft = comb_cache_params(spec, h_target=0.065)
     frs = [make_field(spec, (11, i, 0)) for i in range(5)]
     coefs = coefficients(frs)[:, 0]
-    whole = comb_sum_grid(coefs, frs[0].omegas, 2.5, h, 1, 2001)
-    slabs = [s.copy() for s in comb_sum_slabs(coefs, frs[0].omegas, 2.5, h,
-                                              2001, 600)]
+    whole = CombPlan(spec, n_fft, 2.5, 1, 2001)(coefs)
+    slabs = [s.copy() for s in comb_sum_slabs(coefs, spec, n_fft, 2.5, 2001,
+                                              600)]
     assert [s.shape for s in slabs] == [(5, 601)] * 3 + [(5, 201)]
     for a, b in zip(slabs, slabs[1:]):
         assert np.array_equal(a[:, -1], b[:, 0])
-    # the full-width slabs share one plan moved to each start; every slab,
-    # the short last one too, holds a fresh comb_sum_grid call's bytes
+    # every slab, the short last one too, holds the bytes of a plan from
+    # the slab's second point
     for s0, slab in zip(range(0, 2000, 600), slabs):
-        assert np.array_equal(slab[:, 1:], comb_sum_grid(
-            coefs, frs[0].omegas, 2.5, h, 1, slab.shape[1] - 1, start=s0 + 1))
+        assert np.array_equal(slab[:, 1:], CombPlan(
+            spec, n_fft, 2.5, 1, slab.shape[1] - 1, start=s0 + 1)(coefs))
     streamed = np.concatenate([slabs[0]] + [s[:, 1:] for s in slabs[1:]],
                               axis=1)
     assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.std(whole)
     # a run shorter than one slab is one slab of all its points
-    (short,) = [s.copy() for s in comb_sum_slabs(coefs, frs[0].omegas, 2.5,
-                                                  h, 41, 600)]
+    (short,) = [s.copy() for s in comb_sum_slabs(coefs, spec, n_fft, 2.5,
+                                                  41, 600)]
     assert short.shape == (5, 41)
     assert np.max(np.abs(short - whole[:, :41])) <= 1e-13 * np.std(whole)
 
@@ -245,16 +243,14 @@ def test_slabs_are_the_single_call_grid():
     (3, 101, -4.0),
     (12, 7919, 41.3),           # past the comb period of 720 points
 ])
-def test_a_plan_applied_many_times_is_a_fresh_comb_sum_grid(step, start, t0):
+def test_a_plan_applied_many_times_is_a_fresh_plan(step, start, t0):
     # 70 rows: blocks of 1, 39 (past one transform block) and 30 rows, in
-    # two rounds and from 3 threads, each equal to one fresh comb_sum_grid
-    # call bit for bit; at() moves the plan without changing it
+    # two rounds and from 3 threads, each equal to one fresh plan's call
+    # on all rows bit for bit
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=96)
-    omegas = mode_table(spec)[0]
-    h = 2.0 * math.pi / (1.5 / 96 * 720)
     coefs = coefficients([make_field(spec, (13, i)) for i in range(70)])[:, 0]
-    fresh = comb_sum_grid(coefs, omegas, t0, h, step, 300, start=start)
-    plan = CombPlan(omegas, t0, h, step, 300, start)
+    fresh = CombPlan(spec, 720, t0, step, 300, start)(coefs)
+    plan = CombPlan(spec, 720, t0, step, 300, start)
     blocks = [slice(0, 1), slice(1, 40), slice(40, 70)]
     for _ in range(2):
         for rows in blocks:
@@ -263,9 +259,6 @@ def test_a_plan_applied_many_times_is_a_fresh_comb_sum_grid(step, start, t0):
         done = list(pool.map(lambda rows: plan(coefs[rows]), blocks * 2))
     for rows, values in zip(blocks * 2, done):
         assert np.array_equal(values, fresh[rows])
-    moved = plan.at(start + 977)
-    assert np.array_equal(moved(coefs), comb_sum_grid(
-        coefs, omegas, t0, h, step, 300, start=start + 977))
     assert np.array_equal(plan(coefs), fresh)
 
 
@@ -281,22 +274,23 @@ def test_start_index_is_exact_near_the_end_of_the_comb_period():
     j = np.arange(-40, 40)
     for seed in range(3):
         fr = make_field(spec, seed)
-        values = comb_sum_grid(coefficients([fr])[0, 0], fr.omegas, 3.25, h,
-                               1, j.size, start=n_fft + j[0])
+        values = CombPlan(spec, n_fft, 3.25, 1, j.size, start=n_fft + j[0])(
+            coefficients([fr])[0, 0])
         reference = -eval_field(fr, 3.25 + h * j)[0]
         sigma = math.sqrt(np.sum(fr.amps**2) / 2.0)
         assert np.max(np.abs(values - reference)) <= 1e-14 * sigma
 
 
-def test_comb_sum_grid_with_a_start_is_the_tail_of_the_grid():
+def test_comb_plan_with_a_start_is_the_tail_of_the_grid():
     # start and step together: every 3rd point from point 101
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=96)
-    omegas, _, amps = mode_table(spec)
-    h = 2.0 * math.pi / (1.5 / 96 * 720)
+    amps = mode_table(spec)[2]
     coefs = coefficients([make_field(spec, (9, i)) for i in range(2)])[:, 0]
-    tail = comb_sum_grid(coefs, omegas, -4.0, h, 3, 200, start=101)
-    grid = comb_sum_grid(coefs, omegas, -4.0, h, 1, 701)
+    tail = CombPlan(spec, 720, -4.0, 3, 200, start=101)(coefs)
+    grid = CombPlan(spec, 720, -4.0, 1, 701)(coefs)
     assert np.max(np.abs(tail - grid[:, 101::3])) <= 1e-13 * amps.sum()
+
+
 @pytest.mark.parametrize("n_fft, step, n_points, t0", [
     (720, 2, 50, 0.0),          # record stride 1, fewer points than modes
     (720, 6, 300, -37.25),      # stride 3, gcd(6, 720) = 6
@@ -304,14 +298,15 @@ def test_comb_sum_grid_with_a_start_is_the_tail_of_the_grid():
     (11**3, 6, 700, 3.0),       # gcd(6, 1331) = 1, past the comb period
     (720, 3, 200, 5.5),         # an odd step: chirp phases mod 2N
 ])
-def test_comb_sum_grid_is_the_mode_sum(n_fft, step, n_points, t0):
+def test_comb_plan_is_the_mode_sum(n_fft, step, n_points, t0):
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=96)
     omegas, _, _ = mode_table(spec)
     h = 2.0 * math.pi / (1.5 / 96 * n_fft)
     rng = np.random.default_rng(n_fft + step)
     coefs = rng.standard_normal((3, 96)) + 1j * rng.standard_normal((3, 96))
     out = np.empty((3, n_points))
-    assert comb_sum_grid(coefs, omegas, t0, h, step, n_points, out=out) is out
+    plan = CombPlan(spec, n_fft, t0, step, n_points)
+    assert plan(coefs, out=out) is out
     t = t0 + h * (step * np.arange(n_points))
     for c, values in zip(coefs, out):
         fr = FieldRealization(spec=spec, omegas=omegas, amps=np.abs(c),
@@ -319,41 +314,35 @@ def test_comb_sum_grid_is_the_mode_sum(n_fft, step, n_points, t0):
         assert (np.max(np.abs(values - eval_field(fr, t)[0]))
                 <= 1e-13 * np.abs(c).sum())
         # a row's values do not depend on the rows it shares a call with
-        assert np.array_equal(comb_sum_grid(c, omegas, t0, h, step, n_points),
-                              values)
+        assert np.array_equal(plan(c), values)
 
 
-def test_comb_sum_grid_on_the_shipped_record_grid():
+def test_comb_plan_on_the_shipped_record_grid():
     # configs/sed_harmonic_ground.json records every 6 steps, 12 half steps
     spec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=512)
-    h, _ = comb_cache_params(spec, h_target=0.1)
+    _, n_fft = comb_cache_params(spec, h_target=0.1)
     frs = [make_field(spec, (7, i, 0)) for i in range(3)]
     coefs = np.array([fr.amps * np.exp(1j * fr.phases[0]) for fr in frs])
-    records = comb_sum_grid(coefs, frs[0].omegas, 0.0, h, 12, 8344)
-    table = comb_sum_grid(coefs, frs[0].omegas, 0.0, h, 1, 100127)[:, ::12]
+    records = CombPlan(spec, n_fft, 0.0, 12, 8344)(coefs)
+    table = CombPlan(spec, n_fft, 0.0, 1, 100127)(coefs)[:, ::12]
     assert np.max(np.abs(records - table)) <= 1e-13 * np.std(table)
 
 
-def test_comb_sum_grid_refuses_grids_off_the_comb():
+def test_comb_plan_refuses_grids_off_the_comb():
     spec = FieldSpec(omega_cutoff=2.0, omega_min=0.5, n_modes=64)
-    omegas, _, amps = mode_table(spec)
-    h, _ = comb_cache_params(spec, h_target=0.05)
+    amps = mode_table(spec)[2]
+    _, n_fft = comb_cache_params(spec, h_target=0.05)
+    with pytest.raises(ValueError, match="not a positive step"):
+        CombPlan(spec, n_fft, 0.0, 0, 10)
+    plan = CombPlan(spec, n_fft, 0.0, 2, 10)
     with pytest.raises(ValueError, match="FFT-exact"):
-        comb_sum_grid(amps, omegas, 0.0, 0.05, 2, 10)
-    with pytest.raises(ValueError, match="FFT-exact"):
-        comb_sum_grid(amps, omegas, 0.0, h, 0, 10)
-    with pytest.raises(ValueError, match="FFT-exact"):
-        comb_sum_grid(amps[:-1], omegas, 0.0, h, 2, 10)
-    # a comb whose spacing grows from mode to mode is not arithmetic
-    warped = omegas + 1e-4 * np.arange(omegas.size) ** 2
-    with pytest.raises(ValueError, match="FFT-exact"):
-        comb_sum_grid(amps, warped, 0.0, h, 2, 10)
+        plan(amps[:-1])
     # out of another shape, or one that would be written through a copy
     with pytest.raises(ValueError, match="shape"):
-        comb_sum_grid(amps, omegas, 0.0, h, 2, 10, out=np.empty((1, 10)))
+        plan(amps, out=np.empty((1, 10)))
     with pytest.raises(ValueError, match="without a copy"):
-        comb_sum_grid(np.stack([[amps] * 2] * 3), omegas, 0.0, h, 2, 10,
-                      out=np.empty((2, 3, 10)).transpose(1, 0, 2))
+        plan(np.stack([[amps] * 2] * 3),
+             out=np.empty((2, 3, 10)).transpose(1, 0, 2))
 
 
 def test_comb_anti_periodicity():

@@ -26,8 +26,7 @@ import pytest
 from sedsim import dynamics, harness, kinematics
 from sedsim.cli import _Progress, main
 from sedsim.config import ConfigError, dumps_config, load_config, validate_config
-from sedsim.dynamics import (IntegrationError, TrajectoryEnsemble,
-                             load_ensemble)
+from sedsim.dynamics import IntegrationError, load_ensemble
 from sedsim.harness import (
     ComparisonReport,
     PipelineError,
@@ -266,11 +265,11 @@ def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
     # deviations. sed: fields 1, the classifier's D 1, the sweep 2; ou:
     # fields 1, the sweep 2, the relaxing classifier's fields at three
     # times 1 and its D 1. Each binned mean (v, u, va) is finished once per
-    # set, and the ou variance row gathers the first reference column once.
-    counts = {"walk": 0, "gather": 0, "binned_mean": 0}
+    # set, and the ou variance row reads the first reference column in one
+    # more walk of the equilibrium set.
+    counts = {"walk": 0, "binned_mean": 0}
     walk = kinematics.SampleSet._blocks
     binned_mean = kinematics._binned_mean
-    intact = TrajectoryEnsemble.intact
 
     def counting_walk(samples, offsets):
         counts["walk"] += 1         # when the walk starts
@@ -280,23 +279,18 @@ def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
         counts["binned_mean"] += 1
         return binned_mean(*args)
 
-    def counting_intact(ens, name, cols):
-        counts["gather"] += name == "positions"
-        return intact(ens, name, cols)
-
     monkeypatch.setattr(kinematics.SampleSet, "_blocks", counting_walk)
     monkeypatch.setattr(kinematics, "_binned_mean", counting_binned_mean)
-    monkeypatch.setattr(TrajectoryEnsemble, "intact", counting_intact)
     run_experiment(mini_sed_config(), output_root=tmp_path / "sed")
-    assert counts == {"walk": 1 + 1 + 2, "gather": 0, "binned_mean": 3}
+    assert counts == {"walk": 1 + 1 + 2, "binned_mean": 3}
 
-    counts.update(walk=0, gather=0, binned_mean=0)
+    counts.update(walk=0, binned_mean=0)
     ou = json.loads(OU_CONFIG.read_text())
     ou["ensemble"]["n_traj"] = 20_000
     ou["langevin"]["n_traj_relax"] = 50_000
     ou["outputs"]["ensemble_dump"] = "none"
     run_experiment(ou, output_root=tmp_path / "ou")
-    assert counts == {"walk": 1 + 2 + (1 + 1), "gather": 1, "binned_mean": 3}
+    assert counts == {"walk": 1 + 1 + 2 + (1 + 1), "binned_mean": 3}
 
 
 def test_existing_run_directory_is_refused(tmp_path):
@@ -453,6 +447,36 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
      "coarse_grain.delta_t holds the lag -0.02; lags must be positive"),
     ("ou", "coarse_grain", "delta_t_sweep", [0.01, -0.01],
      "coarse_grain.delta_t_sweep holds the lag -0.01; lags must be positive"),
+    # list entries that are not finite numbers
+    ("ou", "coarse_grain", "delta_t_sweep", [0.01, "x"],
+     "coarse_grain.delta_t_sweep [0.01, 'x'] is not a list of one or more "
+     "finite numbers"),
+    ("ou", "coarse_grain", "delta_t_sweep", [0.01, math.inf],
+     "coarse_grain.delta_t_sweep [0.01, inf] is not a list"),
+    ("ou", "coarse_grain", "delta_t_sweep", [0.01, True],
+     "coarse_grain.delta_t_sweep [0.01, True] is not a list"),
+    ("sed", "coarse_grain", "delta_t_sweep", [],
+     "coarse_grain.delta_t_sweep [] is not a list"),
+    ("sed", "coarse_grain", "t_window", [900.0, math.nan],
+     "coarse_grain.t_window [900.0, nan] is not a list of 2 finite numbers"),
+    ("ou", "langevin", "t_relax_window", ["x", 0.3],
+     "langevin.t_relax_window ['x', 0.3] is not a list of 2 finite numbers"),
+    ("ou", "langevin", "t_relax_window", [0.1, 0.2, 0.3],
+     "langevin.t_relax_window [0.1, 0.2, 0.3] is not a list of 2 finite"),
+    ("ou", "langevin", "t_relax_window", [0.1, math.inf],
+     "langevin.t_relax_window [0.1, inf] is not a list of 2 finite"),
+    # a thinning step that is not a finite positive time, an occupancy
+    # threshold below one sample
+    ("ou", "coarse_grain", "thin_time", -1.0,
+     "coarse_grain.thin_time -1.0 is not a finite positive number"),
+    ("sed", "coarse_grain", "thin_time", 0.0,
+     "coarse_grain.thin_time 0.0 is not a finite positive number"),
+    ("ou", "coarse_grain", "thin_time", math.inf,
+     "coarse_grain.thin_time inf is not a finite positive number"),
+    ("ou", "coarse_grain", "min_count", -5,
+     "coarse_grain.min_count: min_count must be at least 1, got -5"),
+    ("sed", "coarse_grain", "min_count", 0,
+     "coarse_grain.min_count: min_count must be at least 1, got 0"),
 ])
 def test_bad_inputs_are_refused_before_anything_is_written(
         pipeline, block, key, value, message, tmp_path, monkeypatch, capsys):

@@ -62,7 +62,7 @@ def padded_extent(ens: TrajectoryEnsemble, refs) -> tuple:
     either side by 1e-9 of its width (at least 1e-9): the range the
     estimators binned when given no x_range."""
     cols = np.rint((np.asarray(refs) - ens.t0) / ens.rec_dt).astype(int)
-    x = ens.intact("positions", cols)
+    x = np.concatenate([x[:, cols] for (x,) in ens.intact_blocks(("positions",))])
     lo, hi = float(x.min()), float(x.max())
     pad = 1e-9 * max(hi - lo, 1.0)
     return lo - pad, hi + pad
@@ -575,19 +575,22 @@ def test_spec_validation():
         CoarseGrainSpec(delta_t=0.1)
 
 
-@pytest.mark.parametrize("x_range, refs, message", [
-    ((1.0, 1.0), (0.1,), "x_range"),
-    ((1.0, -1.0), (0.1,), "x_range"),
-    ((-1.0, math.nan), (0.1,), "x_range"),
-    ((-math.inf, 1.0), (0.1,), "x_range"),
-    ((-1.0, math.inf), (0.1,), "x_range"),
-    ((-1e308, 1e308), (0.1,), "x_range"),
-    ((-1.0, 1.0), (), "no reference times"),
+@pytest.mark.parametrize("x_range, refs, message, min_count", [
+    ((1.0, 1.0), (0.1,), "x_range", 25),
+    ((1.0, -1.0), (0.1,), "x_range", 25),
+    ((-1.0, math.nan), (0.1,), "x_range", 25),
+    ((-math.inf, 1.0), (0.1,), "x_range", 25),
+    ((-1.0, math.inf), (0.1,), "x_range", 25),
+    ((-1e308, 1e308), (0.1,), "x_range", 25),
+    ((-1.0, 1.0), (), "no reference times", 25),
+    ((-1.0, 1.0), (0.1,), "min_count must be at least 1, got 0", 0),
 ])
-def test_spec_refuses_an_empty_range_or_reference_set(x_range, refs, message):
+def test_spec_refuses_an_empty_range_or_reference_set(x_range, refs, message,
+                                                      min_count):
     # refused when the spec is made, before any ensemble is read
     with pytest.raises(KinematicsError, match=message):
-        CoarseGrainSpec(delta_t=0.1, x_range=x_range, reference_times=refs)
+        CoarseGrainSpec(delta_t=0.1, x_range=x_range, reference_times=refs,
+                        min_count=min_count)
 
 
 def test_min_count_masks_thin_bins():

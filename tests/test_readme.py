@@ -10,7 +10,7 @@ def test_library_quick_start_runs(monkeypatch):
     def direct_sum(*args, **kwargs):
         raise AssertionError("the quick start left the FFT path")
 
-    # the integrator sums the comb by FFTs (comb_sum_grid), never directly
+    # the integrator sums the comb by FFTs (field.CombPlan), never directly
     monkeypatch.setattr("sedsim.field.eval_field", direct_sum)
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
     assert len(blocks) == 1

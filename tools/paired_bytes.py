@@ -11,9 +11,11 @@ ships with. Then runs sedbench's sed-quartic execution
 classify_branch) at master_seed QUARTIC_SEED the same way, each tree with
 its own sedbench. Lists, per config and for that execution, the artifacts
 whose bytes differ or that only one tree wrote, and the exit statuses.
-run.json, which holds wall times, is left out. Exits 1 on any difference,
-including a differing exit status, and 0 when every artifact matches. Run
-directories go to a temporary directory, deleted after each comparison.
+run.json, which holds wall times, is left out. Last, prints the source
+size of each tree as `wc -l src/sedsim/*.py` counts it: the newlines of
+each file and their total. Exits 1 on any difference, including a
+differing exit status, and 0 when every artifact matches. Run directories
+go to a temporary directory, deleted after each comparison.
 """
 
 import filecmp
@@ -85,6 +87,19 @@ def compare(label: str, results) -> int:
     return len(differ) + (status_a != status_b)
 
 
+def print_line_counts(trees) -> None:
+    """Print wc -l src/sedsim/*.py of each tree, file by file."""
+    counts = [{p.name: p.read_bytes().count(b"\n")
+               for p in sorted((tree / "src" / "sedsim").glob("*.py"))}
+              for tree in trees]
+    print("wc -l src/sedsim/*.py:")
+    for name in sorted(set(counts[0]) | set(counts[1])):
+        print(f"  {name:<16} " + "  ".join(f"{c.get(name, 0):>6}"
+                                           for c in counts))
+    print(f"  {'total':<16} " + "  ".join(f"{sum(c.values()):>6}"
+                                         for c in counts))
+
+
 def main(argv) -> int:
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -100,6 +115,7 @@ def main(argv) -> int:
         n_differ += compare("sed-quartic execution", [
             run_quartic(tree, Path(tmp) / name / "quartic")
             for tree, name in zip(trees, ("a", "b"))])
+    print_line_counts(trees)
     return 1 if n_differ else 0
 
 
