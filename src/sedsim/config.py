@@ -2,13 +2,19 @@
 
 A config is a nested JSON object. Unknown keys are errors, not warnings:
 a silently ignored typo in a physics parameter is the costliest failure mode
-this tool has. Error messages carry the source line of the offending key
-whenever it can be located in the original text.
+this tool has. Each key's rule is in `_SCHEMA`, beside its type: `null`,
+booleans where a number belongs, NaN and infinities are refused for every
+key, and a number or list outside its rule is refused with the rule in
+words. Error messages carry the source line of the offending key whenever
+it can be located in the original text. Rules that join several keys (the
+window inside the run, the lags' room in it) belong to the pipeline's plan
+(`harness`), which also refuses before anything is written.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 
@@ -18,96 +24,100 @@ class ConfigError(ValueError):
 
 CONFIG_SCHEMA_VERSION = 1
 
-# Block name -> {key: (type(s), required)}. Nested blocks hold a nested dict.
+# Block name -> {key: (type(s), required[, rule])}; nested blocks hold a
+# nested dict. A rule speaks JSON Schema's vocabulary (draft 2020-12):
+# minimum and exclusiveMinimum bound every number of the leaf, a list's
+# items included; enum lists the allowed values; minItems and maxItems
+# bound a list's length. A list leaf holds finite ints or floats.
 _NUM = (int, float)
+_POSITIVE = {"exclusiveMinimum": 0}
+_NONNEGATIVE = {"minimum": 0}
+_COUNT = {"minimum": 1}
+_PAIR = {"minItems": 2, "maxItems": 2}
 
 _SCHEMA = {
     "schema_version": (int, True),
     "experiment": (str, True),
     "seeds": {
-        "master_seed": (int, True),
+        "master_seed": (int, True, _NONNEGATIVE),
     },
     "field": {
-        "hbar": (_NUM, False),
-        "c": (_NUM, False),
-        "omega_cutoff": (_NUM, True),
-        "omega_min": (_NUM, False),
-        "n_modes": (int, True),
+        "hbar": (_NUM, False, _POSITIVE),
+        "c": (_NUM, False, _POSITIVE),
+        "omega_cutoff": (_NUM, True, _POSITIVE),
+        "omega_min": (_NUM, False, _NONNEGATIVE),
+        "n_modes": (int, True, _COUNT),
     },
     "particle": {
-        "mass": (_NUM, True),
+        "mass": (_NUM, True, _POSITIVE),
         "charge": (_NUM, False),
-        "tau": (_NUM, False),
+        "tau": (_NUM, False, _NONNEGATIVE),
         "potential": {
             "kind": (str, True),
-            "omega0": (_NUM, False),
+            "omega0": (_NUM, False, _POSITIVE),
             "k4": (_NUM, False),
         },
     },
     "time": {
         "t0": (_NUM, False),
-        "dt": (_NUM, True),
+        "dt": (_NUM, True, _POSITIVE),
         "t_final": (_NUM, True),
-        "record_stride": (int, False),
+        "record_stride": (int, False, _COUNT),
     },
     "ensemble": {
-        "n_traj": (int, True),
-        "n_workers": (int, False),
+        "n_traj": (int, True, _COUNT),
+        "n_workers": (int, False, _COUNT),
         "store_field": (bool, False),
         "initial_conditions": {
-            "sampler": (str, True),
+            "sampler": (str, True,
+                        {"enum": ("delta", "gaussian", "stationary-guess")}),
             "x0": (_NUM, False),
             "v0": (_NUM, False),
-            "x_std": (_NUM, False),
-            "v_std": (_NUM, False),
+            "x_std": (_NUM, False, _NONNEGATIVE),
+            "v_std": (_NUM, False, _NONNEGATIVE),
         },
     },
     "langevin": {
-        "friction": (_NUM, True),
-        "D0": (_NUM, True),
+        "friction": (_NUM, True, _POSITIVE),
+        "D0": (_NUM, True, _POSITIVE),
         "x_start": (_NUM, False),
-        "n_traj_relax": (int, False),
-        "t_relax_window": (list, False),
+        "n_traj_relax": (int, False, _COUNT),
+        "t_relax_window": (list, False, _PAIR),
     },
     "coarse_grain": {
-        "delta_t": (_NUM, True),
+        "delta_t": (_NUM, True, _POSITIVE),
         "x_bins": {
             "min": (_NUM, True),
             "max": (_NUM, True),
-            "n": (int, True),
+            "n": (int, True, {"minimum": 5}),
         },
-        "t_window": (list, True),
-        "min_count": (int, False),
-        "delta_t_sweep": (list, False),
-        "thin_time": (_NUM, False),
-        "classifier_bins": (int, False),
+        "t_window": (list, True, _PAIR),
+        "min_count": (int, False, _COUNT),
+        "delta_t_sweep": (list, False, {"minItems": 1, **_POSITIVE}),
+        "thin_time": (_NUM, False, _POSITIVE),
+        "classifier_bins": (int, False, {"minimum": 5}),
     },
     "grid": {
         "x_min": (_NUM, True),
         "x_max": (_NUM, True),
-        "n_points": (int, True),
+        "n_points": (int, True, {"minimum": 16}),
     },
     "outputs": {
         "directory": (str, True),
-        "ensemble_dump": (str, False),
+        # "none" or one of dynamics.DUMP_FORMATS
+        "ensemble_dump": (str, False, {"enum": ("binary", "none")}),
     },
     "tolerances": {
-        "mean_energy": (_NUM, False),
-        "position_variance": (_NUM, False),
-        "pooled_D": (_NUM, False),
-        "energy_balance": (_NUM, False),
-        "classifier_margin": (_NUM, False),
-        "flow_velocity_pulls": (_NUM, False),
-        "osmotic_velocity_pulls": (_NUM, False),
-        "diffusion_pulls": (_NUM, False),
-        "variance_pulls": (_NUM, False),
-        "va_consistent_fraction": (_NUM, False),
-        "autocorr_z": (_NUM, False),
+        key: (_NUM, False, _NONNEGATIVE)
+        for key in ("mean_energy", "position_variance", "pooled_D",
+                    "energy_balance", "classifier_margin",
+                    "flow_velocity_pulls", "osmotic_velocity_pulls",
+                    "diffusion_pulls", "variance_pulls",
+                    "va_consistent_fraction", "autocorr_z")
     },
 }
 
-# Top-level blocks each pipeline requires beyond the always-required keys.
-_ALWAYS = ("schema_version", "experiment", "seeds", "outputs")
+# Top-level blocks each pipeline requires beyond those the schema requires.
 PIPELINE_BLOCKS = {
     "sed_harmonic_ground": ("field", "particle", "time", "ensemble",
                             "coarse_grain", "tolerances"),
@@ -127,35 +137,70 @@ def _find_line(text: str | None, key: str) -> str:
     return ""
 
 
+# what a value lacks of its leaf's type, in words
+_TYPE_WORDS = {int: "an integer", _NUM: "a finite number", str: "a string",
+               bool: "a boolean", list: "a list of finite numbers"}
+
+
+def _numbers(value) -> list:
+    return value if isinstance(value, list) else [value]
+
+
+# rule keyword -> (test of (value, bound), what a value that fails lacks)
+_RULES = {
+    "minimum": (lambda v, b: all(x >= b for x in _numbers(v)), "at least {}"),
+    "exclusiveMinimum": (lambda v, b: all(x > b for x in _numbers(v)),
+                         "greater than {}"),
+    "enum": (lambda v, b: v in b, "{}"),
+    "minItems": (lambda v, b: len(v) >= b, "a list of {} or more numbers"),
+    "maxItems": (lambda v, b: len(v) <= b, "a list of {} or fewer numbers"),
+}
+
+
+def _typed(value, types) -> bool:
+    """value has the leaf type types: a boolean only where types is bool, a
+    float only when finite, a list only of such ints and floats."""
+    if types is list:
+        return isinstance(value, list) and all(_typed(x, _NUM) for x in value)
+    return (isinstance(value, types)
+            and isinstance(value, bool) == (types is bool)
+            and not (isinstance(value, float) and not math.isfinite(value)))
+
+
+def _breach(value, types, rule: dict) -> str | None:
+    """What value lacks of the leaf type types and of rule, in words; None
+    when it has both."""
+    if not _typed(value, types):
+        return _TYPE_WORDS[types]
+    for keyword, bound in rule.items():
+        test, words = _RULES[keyword]
+        if not test(value, bound):
+            if keyword == "enum":
+                return words.format(" or ".join(map(json.dumps, bound)))
+            if types is list and keyword in ("minimum", "exclusiveMinimum"):
+                words = "a list of numbers " + words
+            return words.format(bound)
+    return None
+
+
 def _check_block(block: dict, schema: dict, path: str, text: str | None,
                  source: str) -> None:
     for key, value in block.items():
+        where = f"{source}{_find_line(text, key)}"
         if key not in schema:
             raise ConfigError(
-                f"{source}{_find_line(text, key)}: unknown key "
-                f"{key!r} in {path or 'top level'}"
-            )
-        rule = schema[key]
-        if isinstance(rule, dict):
+                f"{where}: unknown key {key!r} in {path or 'top level'}")
+        leaf = schema[key]
+        if isinstance(leaf, dict):
             if not isinstance(value, dict):
-                raise ConfigError(
-                    f"{source}{_find_line(text, key)}: {path}{key} "
-                    f"must be an object"
-                )
-            _check_block(value, rule, f"{path}{key}.", text, source)
-        else:
-            types, _required = rule
-            if isinstance(value, bool) and types is not bool:
-                raise ConfigError(
-                    f"{source}{_find_line(text, key)}: {path}{key} "
-                    f"has wrong type (boolean)"
-                )
-            if value is not None and not isinstance(value, types):
-                tname = getattr(types, "__name__", "number")
-                raise ConfigError(
-                    f"{source}{_find_line(text, key)}: {path}{key} "
-                    f"must be of type {tname}"
-                )
+                raise ConfigError(f"{where}: {path}{key} must be an object")
+            _check_block(value, leaf, f"{path}{key}.", text, source)
+            continue
+        breach = _breach(value, leaf[0], leaf[2] if len(leaf) > 2 else {})
+        if breach:
+            raise ConfigError(
+                f"{where}: {path}{key} must be {breach}, not "
+                f"{json.dumps(value, default=repr)}")
     for key, rule in schema.items():
         required = rule[1] if isinstance(rule, tuple) else False
         if required and key not in block:

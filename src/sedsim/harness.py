@@ -1,12 +1,15 @@
 """Experiment orchestration: registered pipelines, artifacts, comparison reports.
 
-A run takes a validated config, executes one of the registered pipelines,
-persists every stage's outputs under a run directory, and produces a
+A run takes a validated config and plans one of the registered pipelines:
+the plan builds every object the run derives from the config (specs, time
+grid, lags, windows, reference grid) and refuses what joins several keys
+badly. Each key's own rule is in config._SCHEMA. Only then does the run
+create its directory, persist every stage's outputs there, and produce a
 ComparisonReport: one row per observable with a simulation-side value, a
 reference-side value, both provenances, and a pass/fail against a tolerance
 read from the config. The report's exit code is the process exit code:
 0 all rows pass, 1 any tolerance failure, 2 config/IO errors (raised as
-ConfigError before any output is written).
+ConfigError by validation or the plan, before any output is written).
 
 Registered pipelines:
 
@@ -32,8 +35,6 @@ from __future__ import annotations
 import json
 import math
 import resource
-import shutil
-import sys
 import time as _time
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
@@ -43,14 +44,14 @@ import numpy as np
 from ._version import __version__
 from .config import (ConfigError, config_hash, dumps_config, load_config,
                      validate_config)
-from .dynamics import (DUMP_FORMATS, STATUS_OK, BalanceSums, ColumnStore,
-                       EnergySums, EnsembleWriter, IntegrationError,
-                       ParticleSpec, TrajectoryEnsemble, DeltaIC, GaussianIC,
-                       comb_time_grid, harmonic_potential, integrate_stream,
-                       record_times, stationary_guess_ic, window_columns)
+from .dynamics import (STATUS_OK, BalanceSums, ColumnStore, EnergySums,
+                       EnsembleWriter, ParticleSpec, TrajectoryEnsemble,
+                       DeltaIC, GaussianIC, comb_time_grid, harmonic_potential,
+                       integrate_stream, record_times, stationary_guess_ic,
+                       window_columns)
 from .field import FieldSpec, autocorrelation_check, make_field
-from .kinematics import (CoarseGrainSpec, KinematicsError, SampleSet,
-                         classify_branch, diffusion_sweep)
+from .kinematics import (CoarseGrainSpec, SampleSet, classify_branch,
+                         diffusion_sweep)
 from .reference import (gaussian_density, ou_stationary_variance, ou_stream,
                         ou_u_slope_equilibrium)
 from .schrodinger import GridSpec, solve_stationary, velocity_fields
@@ -167,25 +168,34 @@ def _make_row(observable, kind, sed, ref, tol, err=math.nan,
 
 
 # ---------------------------------------------------------------------------
-# config -> domain objects
+# config -> domain objects. Each config key's own rule is in config._SCHEMA;
+# what joins several keys is refused here, while a pipeline plans its run.
 
 def _tol(cfg: dict, key: str, default: float) -> float:
     return float(cfg.get("tolerances", {}).get(key, default))
 
 
+def _built(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs); a ValueError it raises is a config error
+    naming the config block or key `key`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _build_field_spec(cfg: dict) -> FieldSpec:
     f = cfg["field"]
-    return FieldSpec(
-        hbar=float(f.get("hbar", 1.0)), c=float(f.get("c", 1.0)),
-        omega_cutoff=float(f["omega_cutoff"]),
-        omega_min=float(f.get("omega_min", 0.0)),
-        n_modes=int(f["n_modes"]),
-    )
+    return _built(
+        "field", FieldSpec, hbar=float(f.get("hbar", 1.0)),
+        c=float(f.get("c", 1.0)), omega_cutoff=float(f["omega_cutoff"]),
+        omega_min=float(f.get("omega_min", 0.0)), n_modes=int(f["n_modes"]))
 
 
 def _build_particle(cfg: dict, c: float = 1.0) -> ParticleSpec:
     """The particle in a harmonic trap, whose closed forms both pipelines
-    compare against; any other potential is refused."""
+    compare against; any other potential is refused. Without tau or
+    charge it is uncharged."""
     p = cfg["particle"]
     mass = float(p["mass"])
     pot = p["potential"]
@@ -193,82 +203,41 @@ def _build_particle(cfg: dict, c: float = 1.0) -> ParticleSpec:
         raise ConfigError('both pipelines need particle.potential.kind '
                           '"harmonic" with omega0')
     potential = harmonic_potential(float(pot["omega0"]), mass)
-    has_tau, has_charge = "tau" in p, "charge" in p
-    if has_tau and has_charge:
+    if "tau" in p and "charge" in p:
         raise ConfigError("particle: give tau or charge, not both")
-    if has_tau:
-        return ParticleSpec.from_tau(mass, float(p["tau"]), potential, c=c)
-    if has_charge:
-        return ParticleSpec.from_charge(mass, float(p["charge"]), potential, c=c)
-    return ParticleSpec(mass=mass, charge=0.0, tau=0.0, potential=potential, c=c)
+    if "tau" in p:
+        return _built("particle", ParticleSpec.from_tau, mass,
+                      float(p["tau"]), potential, c=c)
+    return _built("particle", ParticleSpec.from_charge, mass,
+                  float(p.get("charge", 0.0)), potential, c=c)
 
 
 def _build_ic(cfg: dict, particle: ParticleSpec, hbar: float):
     ic = cfg["ensemble"]["initial_conditions"]
-    sampler = ic["sampler"]
-    if sampler == "delta":
+    if ic["sampler"] == "delta":
         return DeltaIC(float(ic.get("x0", 0.0)), float(ic.get("v0", 0.0)))
-    if sampler == "gaussian":
+    if ic["sampler"] == "gaussian":
         return GaussianIC(x_std=float(ic.get("x_std", 0.0)),
                           v_std=float(ic.get("v_std", 0.0)),
                           x_mean=float(ic.get("x0", 0.0)),
                           v_mean=float(ic.get("v0", 0.0)))
-    if sampler == "stationary-guess":
-        return stationary_guess_ic(hbar, particle.mass,
-                                   particle.potential.params["omega0"])
-    raise ConfigError(f"unknown initial-condition sampler {sampler!r}")
+    return stationary_guess_ic(hbar, particle.mass,
+                               particle.potential.params["omega0"])
 
 
-def _at_least_one(name: str, value) -> int:
-    if value < 1:
-        raise ConfigError(f"{name} must be at least 1, got {value}")
-    return int(value)
-
-
-def _numbers(key: str, values, n: int | None = None) -> list:
-    """The config list values at key as floats; refused unless it holds n
-    (else one or more) finite ints or floats, never booleans."""
-    if not (isinstance(values, list)
-            and (len(values) == n if n else len(values) > 0)
-            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
-                    for x in values)):
-        raise ConfigError(f"{key} {values} is not a list of "
-                          f"{n or 'one or more'} finite numbers")
-    return [float(x) for x in values]
-
-
-def _run_inputs(cfg: dict):
-    """(window, n_traj, dump format) of either pipeline, refused unless
-    coarse_grain.t_window is two increasing times inside [time.t0,
-    time.t_final], ensemble.n_traj is at least 1 and outputs.ensemble_dump
-    is "none" or one of DUMP_FORMATS ("binary")."""
-    t0, t_final = float(cfg["time"].get("t0", 0.0)), float(cfg["time"]["t_final"])
-    window = _numbers("coarse_grain.t_window", cfg["coarse_grain"]["t_window"], 2)
-    if not t0 <= window[0] < window[1] <= t_final:
-        raise ConfigError(f"coarse_grain.t_window {window} is not two increasing"
-                          f" times inside the run [{t0:g}, {t_final:g}]")
-    dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
-    if dump_fmt not in DUMP_FORMATS + ("none",):
-        raise ConfigError(f"outputs.ensemble_dump {dump_fmt!r} is not 'none' "
-                          f"or one of {DUMP_FORMATS}")
-    n_traj = _at_least_one("ensemble.n_traj", cfg["ensemble"]["n_traj"])
-    return tuple(window), n_traj, dump_fmt
-
-
-def _window_holds_a_record(window, times) -> None:
-    """Refuse a coarse_grain.t_window that holds none of the recorded times."""
-    if not np.any((times >= window[0]) & (times <= window[1])):
+def _window(cfg: dict, times) -> tuple:
+    """coarse_grain.t_window, refused unless it is two increasing times
+    inside the run [time.t0, time.t_final] that hold a recorded time."""
+    t0, t_final = cfg["time"].get("t0", 0.0), cfg["time"]["t_final"]
+    window = tuple(float(t) for t in cfg["coarse_grain"]["t_window"])
+    cols = window_columns(times, window)
+    if not (t0 <= window[0] < window[1] <= t_final and cols.stop > cols.start):
         raise ConfigError(
-            f"coarse_grain.t_window {list(window)} holds none of the "
-            f"{times.size} recorded times on [{times[0]:g}, {times[-1]:g}]")
-
-
-def _time_grid(fspec: FieldSpec, dt: float, span: float):
-    """comb_time_grid; what it refuses is a config error."""
-    try:
-        return comb_time_grid(fspec, dt, span)
-    except IntegrationError as exc:
-        raise ConfigError(f"time block: {exc}") from exc
+            f"coarse_grain.t_window must be two increasing times inside the "
+            f"run [{t0:g}, {t_final:g}] holding one of its {times.size} "
+            f"recorded times on [{times[0]:g}, {times[-1]:g}], not "
+            f"{list(window)}")
+    return window
 
 
 def _refs_in_window(times, window, lag: float, thin_steps: int):
@@ -286,23 +255,10 @@ def _refs_in_window(times, window, lag: float, thin_steps: int):
     return tuple(float(t) for t in refs)
 
 
-def _snap_lag(rec_dt: float, lag, key: str) -> float:
+def _snap_lag(rec_dt: float, lag) -> float:
     """Nearest positive multiple of the recorded step, as the exact float
-    product so downstream multiple-of-grid checks see a zero remainder;
-    the lag, at the config key, must be positive."""
-    if not float(lag) > 0:
-        raise ConfigError(f"{key} holds the lag {lag}; lags must be positive")
+    product so downstream multiple-of-grid checks see a zero remainder."""
     return max(1, int(round(float(lag) / rec_dt))) * rec_dt
-
-
-def _coarse_grain_spec(key: str, **fields) -> CoarseGrainSpec:
-    """CoarseGrainSpec(**fields); what it refuses is a config error naming
-    coarse_grain.min_count for the occupancy threshold, else key."""
-    try:
-        return CoarseGrainSpec(**fields)
-    except KinematicsError as exc:
-        key = "coarse_grain.min_count" if exc.field == "min_count" else key
-        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _padded_columns(n_rec: int, first: int, last: int, pad: int) -> slice:
@@ -326,9 +282,10 @@ def _stage(info: dict, name: str, fn, *args, **kwargs):
     """Run one pipeline stage. Appends its wall time, its CPU time, the
     process's peak RSS after it and its RSS then (which shows what a stage
     freed) to info["stages"], which run.json carries.
-    A stage that raises (other than a ConfigError) sets info["failed_stage"]
-    and becomes a PipelineError naming the stage and, once integration has
-    flagged trajectories, their count."""
+    A stage that raises (other than a ConfigError, which only the plan
+    raises) sets info["failed_stage"] and becomes a PipelineError naming
+    the stage and, once integration has flagged trajectories, their
+    count."""
     wall0, cpu0 = _time.perf_counter(), _time.process_time()
     try:
         result = fn(*args, **kwargs)
@@ -369,31 +326,24 @@ def _coarse_grain_specs(cfg: dict, times, rec_dt: float, window,
     times (step rec_dt), and the recorded columns the specs read: the
     window's, padded by the largest lag. thin_time and sweep_steps
     (multiples of the recorded step) are the defaults of
-    coarse_grain.thin_time and .delta_t_sweep. A thin_time that is not a
-    finite positive number, a sweep that is not a list of finite numbers,
-    a window without reference times for a lag, a lag that is not positive
-    and whatever CoarseGrainSpec refuses are config errors."""
+    coarse_grain.thin_time and .delta_t_sweep. A window without reference
+    times for a lag and an x_bins range that CoarseGrainSpec refuses are
+    config errors."""
     cg = cfg["coarse_grain"]
     bins = cg["x_bins"]
-    thin_time = cg.get("thin_time", thin_time)
-    if not 0 < thin_time <= sys.float_info.max:
-        raise ConfigError(f"coarse_grain.thin_time {thin_time} is not a "
-                          "finite positive number")
-    thin_steps = max(1, int(round(thin_time / rec_dt)))
+    thin_steps = max(1, int(round(cg.get("thin_time", thin_time) / rec_dt)))
 
     def est_spec(lag):
-        return _coarse_grain_spec(
-            "coarse_grain.x_bins", delta_t=lag, x_bins=int(bins["n"]),
+        return _built(
+            "coarse_grain.x_bins", CoarseGrainSpec, delta_t=lag,
+            x_bins=int(bins["n"]),
             x_range=(float(bins["min"]), float(bins["max"])),
             reference_times=_refs_in_window(times, window, lag, thin_steps),
             min_count=int(cg.get("min_count", 25)))
 
-    sweep_lags = cg.get("delta_t_sweep")
-    sweep_lags = ([rec_dt * k for k in sweep_steps] if sweep_lags is None
-                  else _numbers("coarse_grain.delta_t_sweep", sweep_lags))
-    sweep_lags = list(dict.fromkeys(
-        _snap_lag(rec_dt, x, "coarse_grain.delta_t_sweep") for x in sweep_lags))
-    spec0 = est_spec(_snap_lag(rec_dt, cg["delta_t"], "coarse_grain.delta_t"))
+    sweep_lags = cg.get("delta_t_sweep", [rec_dt * k for k in sweep_steps])
+    sweep_lags = list(dict.fromkeys(_snap_lag(rec_dt, x) for x in sweep_lags))
+    spec0 = est_spec(_snap_lag(rec_dt, cg["delta_t"]))
     sweep_spec = est_spec(max(sweep_lags))
     cols = window_columns(times, window)
     pad = int(round(max(spec0.delta_t, sweep_spec.delta_t) / rec_dt))
@@ -434,216 +384,217 @@ def _window_statistics(ens: TrajectoryEnsemble, window):
 # ---------------------------------------------------------------------------
 # sed_harmonic_ground pipeline
 
-def _pipeline_sed_harmonic_ground(cfg: dict, run_dir: Path, info: dict,
-                                  progress=None) -> ComparisonReport:
+def _plan_sed_harmonic_ground(cfg: dict, info: dict):
+    """The sed run of cfg, planned: refused, or returned as run(run_dir,
+    progress) with every object it derives from cfg built."""
     fspec = _build_field_spec(cfg)
     particle = _build_particle(cfg, c=fspec.c)
     omega0 = particle.potential.params["omega0"]
-    ecf = cfg["ensemble"]
+    tcfg, ecf = cfg["time"], cfg["ensemble"]
     if not ecf.get("store_field", True):
         raise ConfigError("sed_harmonic_ground needs ensemble.store_field = "
                           "true: the energy balance reads the stored field")
-    window, n_traj, dump_fmt = _run_inputs(cfg)
-    tcfg = cfg["time"]
-    stride = _at_least_one("time.record_stride", tcfg.get("record_stride", 1))
-    n_workers = _at_least_one("ensemble.n_workers", ecf.get("n_workers", 1))
-    t0 = float(tcfg.get("t0", 0.0))
-    dt, n_steps, n_fft = _stage(info, "time-grid", _time_grid, fspec,
+    stride, t0 = tcfg.get("record_stride", 1), float(tcfg.get("t0", 0.0))
+    dt, n_steps, n_fft = _built("time", comb_time_grid, fspec,
                                 float(tcfg["dt"]), float(tcfg["t_final"]) - t0)
     times = record_times(t0, dt, n_steps, stride)
-    _window_holds_a_record(window, times)
+    window = _window(cfg, times)
     spec0, sweep_spec, sweep_lags, store_cols = _coarse_grain_specs(
         cfg, times, dt * stride, window, dt * stride, (1, 2, 3, 4, 6, 10))
     ic = _build_ic(cfg, particle, fspec.hbar)
+    # the quantum reference's grid, by default +/- 8 ground-state widths
+    d_ref = fspec.hbar / (2.0 * particle.mass)
+    sigma0 = math.sqrt(fspec.hbar / (2.0 * particle.mass * omega0))
+    g = cfg.get("grid", {"x_min": -8.0 * sigma0, "x_max": 8.0 * sigma0,
+                         "n_points": 1001})
+    grid = _built("grid", GridSpec, float(g["x_min"]), float(g["x_max"]),
+                  int(g["n_points"]))
+    n_traj, n_workers = ecf["n_traj"], ecf.get("n_workers", 1)
+    dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     master_seed = int(cfg["seeds"]["master_seed"])
     info.update(dt=dt, n_steps=n_steps, n_fft=n_fft, n_chunks=0,
                 n_workers=n_workers)
 
-    def handed_over(done, total):
-        # integrate_stream calls this once per chunk it has handed over
-        info["n_chunks"] += 1
-        if progress is not None:
-            progress(done, total)
+    def run(run_dir: Path, progress) -> ComparisonReport:
+        def handed_over(done, total):
+            # integrate_stream calls this once per chunk it has handed over
+            info["n_chunks"] += 1
+            if progress is not None:
+                progress(done, total)
 
-    # each chunk goes to the dump, the energy balance, the relaxation curve
-    # and the store of the positions the estimators read, and is dropped
-    balance_sums = BalanceSums(particle, window, times)
-    energy_sums = EnergySums(particle, times.size)
-    store = ColumnStore(n_traj, store_cols)
-    consumers = [balance_sums, energy_sums, store]
-    if dump_fmt != "none":
-        writer = EnsembleWriter(run_dir / "ensemble", n_traj, times.size,
-                                ("positions", "velocities", "field_values"))
-        consumers.append(writer)
-    head = _stage(info, "integrate", integrate_stream,
-                  particle, fspec, ic, t0, dt, n_steps,
-                  n_traj, master_seed, consumers, record_stride=stride,
-                  n_workers=n_workers, progress=handed_over)
-    info.update(n_traj=n_traj, non_finite_trajectories=int(
-        np.count_nonzero(head.status != STATUS_OK)))
+        # each chunk goes to the dump, the energy balance, the relaxation
+        # curve and the store of the positions the estimators read, and is
+        # dropped
+        balance_sums = BalanceSums(particle, window, times)
+        energy_sums = EnergySums(particle, times.size)
+        store = ColumnStore(n_traj, store_cols)
+        consumers = [balance_sums, energy_sums, store]
+        if dump_fmt != "none":
+            writer = EnsembleWriter(run_dir / "ensemble", n_traj, times.size,
+                                    ("positions", "velocities", "field_values"))
+            consumers.append(writer)
+        head = _stage(info, "integrate", integrate_stream,
+                      particle, fspec, ic, t0, dt, n_steps,
+                      n_traj, master_seed, consumers, record_stride=stride,
+                      n_workers=n_workers, progress=handed_over)
+        info.update(n_traj=n_traj, non_finite_trajectories=int(
+            np.count_nonzero(head.status != STATUS_OK)))
 
-    if dump_fmt != "none":
-        _stage(info, "dump", writer.close, head)
+        if dump_fmt != "none":
+            _stage(info, "dump", writer.close, head)
 
-    balance = _stage(info, "energy-balance", balance_sums.report, head)
-    _write_json(run_dir / "balance.json", balance.to_dict())
-    _write_xy_csv(run_dir / "balance_trace.csv", "t,absorbed,radiated",
-                  balance_sums.trace())
+        balance = _stage(info, "energy-balance", balance_sums.report, head)
+        _write_json(run_dir / "balance.json", balance.to_dict())
+        _write_xy_csv(run_dir / "balance_trace.csv", "t,absorbed,radiated",
+                      balance_sums.trace())
 
-    rtimes, rcurve = _stage(info, "relaxation", energy_sums.curve, head)
-    _write_xy_csv(run_dir / "relaxation.csv", "t,mean_energy", (rtimes, rcurve))
+        rtimes, rcurve = _stage(info, "relaxation", energy_sums.curve, head)
+        _write_xy_csv(run_dir / "relaxation.csv", "t,mean_energy", (rtimes, rcurve))
 
-    # coarse-grained estimators on the stationary window: the fields and the
-    # classifier share one sample set, dropped before the sweep builds its own
-    ens = store.ensemble(head)
-    samples = _stage(info, "gather-samples", SampleSet, ens, spec0)
-    rho_field = _field_stages(info, samples, run_dir)[3]
-    branch = _stage(info, "branch-classifier", samples.classify_branch,
-                    particle.mass, particle.potential.f,
-                    D=None, time_derivative="omitted")
-    del samples
-    _write_json(run_dir / "branch.json", {
-        **branch.to_dict(),
-        "time_derivative": "omitted",
-        "warnings": branch.reports[+1].warnings,
-    })
-    sweep = _stage(info, "diffusion-sweep", diffusion_sweep, ens, sweep_spec,
-                   sweep_lags)
-    _write_json(run_dir / "dsweep.json", sweep.to_dict())
+        # coarse-grained estimators on the stationary window: the fields and
+        # the classifier share one sample set, dropped before the sweep
+        # builds its own
+        ens = store.ensemble(head)
+        samples = _stage(info, "gather-samples", SampleSet, ens, spec0)
+        rho_field = _field_stages(info, samples, run_dir)[3]
+        branch = _stage(info, "branch-classifier", samples.classify_branch,
+                        particle.mass, particle.potential.f,
+                        D=None, time_derivative="omitted")
+        del samples
+        _write_json(run_dir / "branch.json", {
+            **branch.to_dict(),
+            "time_derivative": "omitted",
+            "warnings": branch.reports[+1].warnings,
+        })
+        sweep = _stage(info, "diffusion-sweep", diffusion_sweep, ens, sweep_spec,
+                       sweep_lags)
+        _write_json(run_dir / "dsweep.json", sweep.to_dict())
 
-    # field-synthesis cross-check: fresh realizations, never the driving ones
-    n_ac = 200
-    ac_reals = [make_field(fspec, (master_seed, i, 2)) for i in range(n_ac)]
-    ac_lags = [0.0, 0.5 * math.pi / fspec.omega_cutoff,
-               2.0 * math.pi / fspec.omega_cutoff]
-    ac = _stage(info, "field-autocorrelation", autocorrelation_check, ac_reals, ac_lags)
-    _write_json(run_dir / "field_autocorr.json", ac)
+        # field-synthesis cross-check: fresh realizations, never the
+        # driving ones
+        n_ac = 200
+        ac_reals = [make_field(fspec, (master_seed, i, 2)) for i in range(n_ac)]
+        ac_lags = [0.0, 0.5 * math.pi / fspec.omega_cutoff,
+                   2.0 * math.pi / fspec.omega_cutoff]
+        ac = _stage(info, "field-autocorrelation", autocorrelation_check,
+                    ac_reals, ac_lags)
+        _write_json(run_dir / "field_autocorr.json", ac)
 
-    # quantum reference: eigensolve of the wave equation on a grid
-    d_ref = fspec.hbar / (2.0 * particle.mass)
-    sigma0 = math.sqrt(fspec.hbar / (2.0 * particle.mass * omega0))
-    gcfg = cfg.get("grid")
-    if gcfg is None:
-        grid = GridSpec(-8.0 * sigma0, 8.0 * sigma0, 1001)
-    else:
-        grid = GridSpec(float(gcfg["x_min"]), float(gcfg["x_max"]),
-                        int(gcfg["n_points"]))
-    energies, states = _stage(
-        info, "reference-eigensolve", solve_stationary, grid,
-        particle.potential.V, particle.mass, d_ref, 1)
-    psi0 = states[0]
-    e0 = float(energies[0])
-    x_var_ref = psi0.position_var()
-    rho_ref = np.interp(rho_field.x_centers, grid.x, psi0.density(),
-                        left=0.0, right=0.0)
-    v_ref, u_ref, msk = velocity_fields(psi0)
-    u_ref_bins = np.interp(rho_field.x_centers, grid.x[msk], u_ref[msk])
-    _write_xy_csv(run_dir / "density_qm.csv", "x,rho_qm",
-                  (rho_field.x_centers, rho_ref))
-    _write_xy_csv(run_dir / "velocity_qm.csv", "x,v_qm,u_qm",
-                  (rho_field.x_centers, np.zeros_like(u_ref_bins), u_ref_bins))
+        # quantum reference: eigensolve of the wave equation on the grid
+        energies, states = _stage(
+            info, "reference-eigensolve", solve_stationary, grid,
+            particle.potential.V, particle.mass, d_ref, 1)
+        psi0 = states[0]
+        e0 = float(energies[0])
+        x_var_ref = psi0.position_var()
+        rho_ref = np.interp(rho_field.x_centers, grid.x, psi0.density(),
+                            left=0.0, right=0.0)
+        v_ref, u_ref, msk = velocity_fields(psi0)
+        u_ref_bins = np.interp(rho_field.x_centers, grid.x[msk], u_ref[msk])
+        _write_xy_csv(run_dir / "density_qm.csv", "x,rho_qm",
+                      (rho_field.x_centers, rho_ref))
+        _write_xy_csv(run_dir / "velocity_qm.csv", "x,v_qm,u_qm",
+                      (rho_field.x_centers, np.zeros_like(u_ref_bins), u_ref_bins))
 
-    x_var_sed, x_var_se = _stage(info, "window-statistics",
-                                 _window_statistics, ens, window)
+        x_var_sed, x_var_se = _stage(info, "window-statistics",
+                                     _window_statistics, ens, window)
 
-    if sweep.plateau_found:
-        d_sed = sweep.value
-        d_err = min(e.std_error for e in sweep.estimates)
-        d_note = "plateau value"
-    else:
-        best = int(np.argmax([e.value for e in sweep.estimates]))
-        d_sed = sweep.estimates[best].value
-        d_err = sweep.estimates[best].std_error
-        d_note = (f"{sweep.flag}; quoting the sweep maximum at "
-                  f"delta_t={sweep.estimates[best].delta_t:g}")
+        if sweep.plateau_found:
+            d_sed = sweep.value
+            d_err = min(e.std_error for e in sweep.estimates)
+            d_note = "plateau value"
+        else:
+            best = int(np.argmax([e.value for e in sweep.estimates]))
+            d_sed = sweep.estimates[best].value
+            d_err = sweep.estimates[best].std_error
+            d_note = (f"{sweep.flag}; quoting the sweep maximum at "
+                      f"delta_t={sweep.estimates[best].delta_t:g}")
 
-    imbalance = (abs(balance.mean_absorbed_power - balance.mean_radiated_power)
-                 / balance.mean_radiated_power)
-    max_z = max(abs(float(z)) for z in ac["z_score"])
+        imbalance = (abs(balance.mean_absorbed_power - balance.mean_radiated_power)
+                     / balance.mean_radiated_power)
+        max_z = max(abs(float(z)) for z in ac["z_score"])
 
-    relax_scale = 1.0 / max(particle.tau * omega0**2, 1e-300)
-    notes = []
-    if float(tcfg["t_final"]) - t0 < 5.0 * relax_scale:
-        notes.append("run shorter than 5 energy relaxation times")
-    if not balance.stationary:
-        notes.append("window not stationary by energy-trend test")
-    notes.extend(balance.warnings)
-    notes.extend(ens.meta.get("warnings", []))
+        relax_scale = 1.0 / max(particle.tau * omega0**2, 1e-300)
+        notes = []
+        if float(tcfg["t_final"]) - t0 < 5.0 * relax_scale:
+            notes.append("run shorter than 5 energy relaxation times")
+        if not balance.stationary:
+            notes.append("window not stationary by energy-trend test")
+        notes.extend(balance.warnings)
+        notes.extend(ens.meta.get("warnings", []))
 
-    ens_prov = f"trajectory ensemble, window {list(window)} (ensemble/, balance.json)"
-    eig_prov = "wave-equation eigensolve on grid (density_qm.csv)"
-    report = ComparisonReport(pipeline="sed_harmonic_ground",
-                              config_hash=config_hash(cfg),
-                              code_version=__version__)
-    report.rows = [
-        _make_row("mean_energy", "rtol", balance.mean_energy, e0,
-                  _tol(cfg, "mean_energy", 0.05), err=balance.se_energy,
-                  sed_prov=ens_prov, ref_prov=eig_prov,
-                  note="; ".join(notes)),
-        _make_row("position_variance", "rtol", x_var_sed, x_var_ref,
-                  _tol(cfg, "position_variance", 0.05), err=x_var_se,
-                  sed_prov=ens_prov, ref_prov=eig_prov),
-        _make_row("pooled_D", "rtol", d_sed, d_ref,
-                  _tol(cfg, "pooled_D", 0.10), err=d_err,
-                  sed_prov="diffusion sweep over recorded lags (dsweep.json)",
-                  ref_prov="hbar / (2 m) from config constants",
-                  note=d_note),
-        _make_row("energy_balance", "max-abs", imbalance, 0.0,
-                  _tol(cfg, "energy_balance", 0.10),
-                  sed_prov="absorbed vs radiated power on window (balance.json)",
-                  ref_prov="stationarity condition: means compensate exactly"),
-        _make_row("branch_selected", "exact", branch.selected_lam, +1,
-                  0.0,
-                  sed_prov="residual classifier on window fields (branch.json)",
-                  ref_prov="wave-equation branch sign"),
-        _make_row("branch_margin", "min-ratio", branch.ratio,
-                  math.nan, _tol(cfg, "classifier_margin", 5.0),
-                  sed_prov="rejected/accepted residual ratio (branch.json)",
-                  ref_prov="discrimination margin required by config"),
-        _make_row("field_autocorr_max_z", "max-abs", max_z, 0.0,
-                  _tol(cfg, "autocorr_z", 3.0),
-                  sed_prov=f"{n_ac} fresh field realizations (field_autocorr.json)",
-                  ref_prov="band-limited spectral integral, closed form"),
-        _make_row("non_finite_trajectories", "exact",
-                  info["non_finite_trajectories"], 0, 0.0,
-                  sed_prov="status flags of the integrated trajectories "
-                           "(ensemble/)",
-                  ref_prov="every trajectory stays finite"),
-    ]
-    return report
+        ens_prov = (f"trajectory ensemble, window {list(window)} "
+                    "(ensemble/, balance.json)")
+        eig_prov = "wave-equation eigensolve on grid (density_qm.csv)"
+        report = ComparisonReport(pipeline="sed_harmonic_ground",
+                                  config_hash=config_hash(cfg),
+                                  code_version=__version__)
+        report.rows = [
+            _make_row("mean_energy", "rtol", balance.mean_energy, e0,
+                      _tol(cfg, "mean_energy", 0.05), err=balance.se_energy,
+                      sed_prov=ens_prov, ref_prov=eig_prov,
+                      note="; ".join(notes)),
+            _make_row("position_variance", "rtol", x_var_sed, x_var_ref,
+                      _tol(cfg, "position_variance", 0.05), err=x_var_se,
+                      sed_prov=ens_prov, ref_prov=eig_prov),
+            _make_row("pooled_D", "rtol", d_sed, d_ref,
+                      _tol(cfg, "pooled_D", 0.10), err=d_err,
+                      sed_prov="diffusion sweep over recorded lags (dsweep.json)",
+                      ref_prov="hbar / (2 m) from config constants",
+                      note=d_note),
+            _make_row("energy_balance", "max-abs", imbalance, 0.0,
+                      _tol(cfg, "energy_balance", 0.10),
+                      sed_prov="absorbed vs radiated power on window (balance.json)",
+                      ref_prov="stationarity condition: means compensate exactly"),
+            _make_row("branch_selected", "exact", branch.selected_lam, +1,
+                      0.0,
+                      sed_prov="residual classifier on window fields (branch.json)",
+                      ref_prov="wave-equation branch sign"),
+            _make_row("branch_margin", "min-ratio", branch.ratio,
+                      math.nan, _tol(cfg, "classifier_margin", 5.0),
+                      sed_prov="rejected/accepted residual ratio (branch.json)",
+                      ref_prov="discrimination margin required by config"),
+            _make_row("field_autocorr_max_z", "max-abs", max_z, 0.0,
+                      _tol(cfg, "autocorr_z", 3.0),
+                      sed_prov=f"{n_ac} fresh field realizations (field_autocorr.json)",
+                      ref_prov="band-limited spectral integral, closed form"),
+            _make_row("non_finite_trajectories", "exact",
+                      info["non_finite_trajectories"], 0, 0.0,
+                      sed_prov="status flags of the integrated trajectories "
+                               "(ensemble/)",
+                      ref_prov="every trajectory stays finite"),
+        ]
+        return report
+
+    return run
 
 
 # ---------------------------------------------------------------------------
 # ou_calibration pipeline
 
-def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
-                             progress=None) -> ComparisonReport:
+def _plan_ou_calibration(cfg: dict, info: dict):
+    """The ou run of cfg, planned: refused, or returned as run(run_dir,
+    progress) with every object it derives from cfg built."""
     particle = _build_particle(cfg)
-    window, n_traj, dump_fmt = _run_inputs(cfg)
     stiffness = particle.potential.params["stiffness"]
-    lv = cfg["langevin"]
-    friction = float(lv["friction"])
-    d0 = float(lv["D0"])
-    if friction <= 0 or d0 <= 0:
-        raise ConfigError("langevin.friction and langevin.D0 must be positive")
+    lv, tcfg, cg = cfg["langevin"], cfg["time"], cfg["coarse_grain"]
+    friction, d0 = float(lv["friction"]), float(lv["D0"])
     theta = stiffness / (particle.mass * friction)
-    tcfg = cfg["time"]
-    t0 = float(tcfg.get("t0", 0.0))
-    dt = float(tcfg["dt"])
+    t0, dt = float(tcfg.get("t0", 0.0)), float(tcfg["dt"])
     n_steps = int(round((float(tcfg["t_final"]) - t0) / dt))
-    info.update(dt=dt, n_steps=n_steps)
+    if n_steps < 1:
+        raise ConfigError(f"time.t_final {tcfg['t_final']} leaves no step of "
+                          f"dt {dt:g} after time.t0 {t0:g}")
     times = record_times(t0, dt, n_steps)
-    _window_holds_a_record(window, times)
-    cg = cfg["coarse_grain"]
+    window = _window(cfg, times)
     spec0, sweep_spec, sweep_lags, eq_cols = _coarse_grain_specs(
         cfg, times, dt, window, 1e30, (1, 2, 4, 10))
     delta_t = spec0.delta_t
     # branch classification on the early relaxing window, time derivatives
     # measured across three reference times
     t_star = 2.0 / friction
-    rw = lv.get("t_relax_window")
-    rw = ([t_star - 2.0 * delta_t, t_star + 2.0 * delta_t] if rw is None
-          else _numbers("langevin.t_relax_window", rw, 2))
+    rw = lv.get("t_relax_window",
+                [t_star - 2.0 * delta_t, t_star + 2.0 * delta_t])
     first, last = (int(round((t - t0) / dt)) for t in rw)
     k = int(round(delta_t / dt))
     if not k <= first < last <= n_steps - k:
@@ -655,135 +606,143 @@ def _pipeline_ou_calibration(cfg: dict, run_dir: Path, info: dict,
     refs = (lo, (lo + hi) / 2.0, hi)
     # coarser bins than the estimator grid: the classifier needs smooth
     # second derivatives over the occupied span more than x resolution.
-    # Checked before sampling; the span comes from the relaxing sample
-    relax_spec = _coarse_grain_spec(
-        "coarse_grain.classifier_bins", delta_t=delta_t,
-        x_range=spec0.x_range, reference_times=refs,
+    # The span comes from the relaxing sample
+    relax_spec = CoarseGrainSpec(
+        delta_t=delta_t, x_range=spec0.x_range, reference_times=refs,
         x_bins=int(cg.get("classifier_bins", 16)), min_count=spec0.min_count)
+    relax_cols = _padded_columns(times.size, first, last, k)
+    n_traj = cfg["ensemble"]["n_traj"]
+    n_relax = lv.get("n_traj_relax", 500_000)
+    x_start = float(lv.get("x_start", 0.0))
+    dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     master_seed = int(cfg["seeds"]["master_seed"])
-    n_relax = _at_least_one("langevin.n_traj_relax",
-                            lv.get("n_traj_relax", 500_000))
+    info.update(dt=dt, n_steps=n_steps)
 
-    def sample(stage, dump_stage, dump_dir, n, seed, x0, cols):
-        """Sample n trajectories; each block goes to the dump and to the
-        store of the columns cols, which the estimators (equilibrium) or
-        the classifier (relaxing) read, and is dropped."""
-        store = ColumnStore(n, cols)
-        consumers = [store]
-        if dump_fmt != "none":
-            writer = EnsembleWriter(run_dir / dump_dir, n, times.size,
-                                    ("positions",))
-            consumers.append(writer)
-        head = _stage(info, stage, ou_stream, theta, d0, n, dt, n_steps,
-                      seed, consumers, x0=x0, t0=t0)
-        if dump_fmt != "none":
-            _stage(info, dump_stage, writer.close, head)
-        return store.ensemble(head)
+    def run(run_dir: Path, progress) -> ComparisonReport:
+        def sample(stage, dump_stage, dump_dir, n, seed, x0, cols):
+            """Sample n trajectories; each block goes to the dump and to the
+            store of the columns cols, which the estimators (equilibrium) or
+            the classifier (relaxing) read, and is dropped."""
+            store = ColumnStore(n, cols)
+            consumers = [store]
+            if dump_fmt != "none":
+                writer = EnsembleWriter(run_dir / dump_dir, n, times.size,
+                                        ("positions",))
+                consumers.append(writer)
+            head = _stage(info, stage, ou_stream, theta, d0, n, dt, n_steps,
+                          seed, consumers, x0=x0, t0=t0)
+            if dump_fmt != "none":
+                _stage(info, dump_stage, writer.close, head)
+            return store.ensemble(head)
 
-    eq = sample("sample-equilibrium", "dump", "ensemble", n_traj,
-                (master_seed, 0), "stationary", eq_cols)
-    relax = sample("sample-relaxing", "dump-relaxing", "ensemble_relaxing",
-                   n_relax, (master_seed, 1), float(lv.get("x_start", 0.0)),
-                   _padded_columns(times.size, first, last, k))
+        eq = sample("sample-equilibrium", "dump", "ensemble", n_traj,
+                    (master_seed, 0), "stationary", eq_cols)
+        relax = sample("sample-relaxing", "dump-relaxing", "ensemble_relaxing",
+                       n_relax, (master_seed, 1), x_start, relax_cols)
 
-    samples = _stage(info, "gather-samples", SampleSet, eq, spec0)
-    v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
-    # the variance row reads the first reference time's central samples
-    x_ref2 = np.square(np.concatenate([x[:, 0]
-                                       for (x,) in samples._blocks(())]))
-    del samples
-    sweep = _stage(info, "diffusion-sweep", diffusion_sweep, eq, sweep_spec,
-                   sweep_lags)
-    _write_json(run_dir / "dsweep.json", sweep.to_dict())
+        samples = _stage(info, "gather-samples", SampleSet, eq, spec0)
+        v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
+        # the variance row reads the first reference time's central samples
+        x_ref2 = np.square(np.concatenate([x[:, 0]
+                                           for (x,) in samples._blocks(())]))
+        del samples
+        sweep = _stage(info, "diffusion-sweep", diffusion_sweep, eq, sweep_spec,
+                       sweep_lags)
+        _write_json(run_dir / "dsweep.json", sweep.to_dict())
 
-    mid_idx = int(round((refs[1] - relax.t0) / relax.rec_dt))
-    s_star = float(np.var(relax.positions[:, mid_idx]))
-    span = 3.2 * math.sqrt(s_star)
-    # a span the spec refuses (one relaxing trajectory) fails the stage
-    branch = _stage(info, "branch-classifier", lambda: classify_branch(
-        relax, replace(relax_spec, x_range=(-span, span)), particle.mass,
-        particle.potential.f, D=None, time_derivative="measured"))
-    _write_json(run_dir / "branch.json", {
-        **branch.to_dict(),
-        "time_derivative": "measured",
-        "reference_times": list(refs),
-        "relaxing_variance_at_mid": s_star,
-        "warnings": branch.reports[+1].warnings,
-    })
+        mid_idx = int(round((refs[1] - relax.t0) / relax.rec_dt))
+        s_star = float(np.var(relax.positions[:, mid_idx]))
+        span = 3.2 * math.sqrt(s_star)
+        # a span the spec refuses (one relaxing trajectory) fails the stage
+        branch = _stage(info, "branch-classifier", lambda: classify_branch(
+            relax, replace(relax_spec, x_range=(-span, span)), particle.mass,
+            particle.potential.f, D=None, time_derivative="measured"))
+        _write_json(run_dir / "branch.json", {
+            **branch.to_dict(),
+            "time_derivative": "measured",
+            "reference_times": list(refs),
+            "relaxing_variance_at_mid": s_star,
+            "warnings": branch.reports[+1].warnings,
+        })
 
-    # closed-form references
-    sigma2 = ou_stationary_variance(theta, d0)
-    u_slope_ref = -d0 / sigma2          # u(x) = -D0 x / sigma^2 = -theta x
-    u_slope_finite = ou_u_slope_equilibrium(theta, delta_t)
-    centers = u_field.x_centers
-    _write_xy_csv(run_dir / "density_qm.csv", "x,rho_qm",
-                  (centers, gaussian_density(centers, math.sqrt(sigma2))))
-    _write_xy_csv(run_dir / "velocity_qm.csv", "x,v_qm,u_qm",
-                  (centers, np.zeros_like(centers), u_slope_ref * centers))
+        # closed-form references
+        sigma2 = ou_stationary_variance(theta, d0)
+        u_slope_ref = -d0 / sigma2          # u(x) = -D0 x / sigma^2 = -theta x
+        u_slope_finite = ou_u_slope_equilibrium(theta, delta_t)
+        centers = u_field.x_centers
+        _write_xy_csv(run_dir / "density_qm.csv", "x,rho_qm",
+                      (centers, gaussian_density(centers, math.sqrt(sigma2))))
+        _write_xy_csv(run_dir / "velocity_qm.csv", "x,v_qm,u_qm",
+                      (centers, np.zeros_like(centers), u_slope_ref * centers))
 
-    vv, uu = v_field.valid, u_field.valid
-    pulls_v = np.abs(v_field.values[vv]) / v_field.std_error[vv]
-    pulls_u = (np.abs(u_field.values[uu] - u_slope_ref * u_field.x_centers[uu])
-               / u_field.std_error[uu])
-    pulls_d = [abs(e.value - d0) / e.std_error for e in sweep.estimates]
+        vv, uu = v_field.valid, u_field.valid
+        pulls_v = np.abs(v_field.values[vv]) / v_field.std_error[vv]
+        pulls_u = (np.abs(u_field.values[uu] - u_slope_ref * u_field.x_centers[uu])
+                   / u_field.std_error[uu])
+        pulls_d = [abs(e.value - d0) / e.std_error for e in sweep.estimates]
 
-    var_sed = float(np.mean(x_ref2))
-    var_se = float(np.std(x_ref2, ddof=1) / math.sqrt(x_ref2.size))
+        var_sed = float(np.mean(x_ref2))
+        var_se = float(np.std(x_ref2, ddof=1) / math.sqrt(x_ref2.size))
 
-    eq_prov = "equilibrium-start exact sampler (ensemble/)"
-    relax_prov = "cold-start exact sampler, relaxing window (ensemble_relaxing/)"
-    report = ComparisonReport(pipeline="ou_calibration",
-                              config_hash=config_hash(cfg),
-                              code_version=__version__)
-    report.rows = [
-        _make_row("position_variance", "pulls", var_sed, sigma2,
-                  _tol(cfg, "variance_pulls", 3.0), err=var_se,
-                  sed_prov=eq_prov, ref_prov="closed form D0/theta"),
-        _make_row("flow_velocity_max_pull", "max-abs", float(np.max(pulls_v)),
-                  0.0, _tol(cfg, "flow_velocity_pulls", 3.0),
-                  sed_prov=f"binned v estimator, {int(vv.sum())} valid bins "
-                           "(fields/v.csv)",
-                  ref_prov="stationary state: v = 0 exactly"),
-        _make_row("osmotic_velocity_max_pull", "max-abs", float(np.max(pulls_u)),
-                  0.0, _tol(cfg, "osmotic_velocity_pulls", 3.0),
-                  sed_prov=f"binned u estimator, {int(uu.sum())} valid bins "
-                           "(fields/u.csv)",
-                  ref_prov="closed form u = -D0 x / sigma^2",
-                  note=f"finite-lag expectation slope {u_slope_finite!r}"),
-        _make_row("diffusion_sweep_max_pull", "max-abs", float(max(pulls_d)),
-                  0.0, _tol(cfg, "diffusion_pulls", 3.0),
-                  sed_prov=f"subtracted increment variance at "
-                           f"{len(pulls_d)} lags (dsweep.json)",
-                  ref_prov="closed form D0 at every lag"),
-        _make_row("diffusion_plateau_found", "exact",
-                  int(sweep.plateau_found), 1, 0.0,
-                  sed_prov="plateau search over the lag ladder (dsweep.json)",
-                  ref_prov="scale separation expected for an exact OU",
-                  note=sweep.flag or ""),
-        _make_row("va_consistent_fraction", "min-ratio",
-                  va_est.consistent_fraction, math.nan,
-                  _tol(cfg, "va_consistent_fraction", 0.9),
-                  sed_prov="backward-difference route vs v-u route "
-                           "(fields/va_direct.csv, fields/va_combo.csv)",
-                  ref_prov="identity v_a = v - u, bin by bin within 2 SE"),
-        _make_row("branch_selected", "exact", branch.selected_lam, -1, 0.0,
-                  sed_prov=relax_prov + " (branch.json)",
-                  ref_prov="classical diffusion branch sign"),
-        _make_row("branch_margin", "min-ratio", branch.ratio, math.nan,
-                  _tol(cfg, "classifier_margin", 5.0),
-                  sed_prov="rejected/accepted residual ratio (branch.json)",
-                  ref_prov="discrimination margin required by config"),
-    ]
-    return report
+        eq_prov = "equilibrium-start exact sampler (ensemble/)"
+        relax_prov = "cold-start exact sampler, relaxing window (ensemble_relaxing/)"
+        report = ComparisonReport(pipeline="ou_calibration",
+                                  config_hash=config_hash(cfg),
+                                  code_version=__version__)
+        report.rows = [
+            _make_row("position_variance", "pulls", var_sed, sigma2,
+                      _tol(cfg, "variance_pulls", 3.0), err=var_se,
+                      sed_prov=eq_prov, ref_prov="closed form D0/theta"),
+            _make_row("flow_velocity_max_pull", "max-abs", float(np.max(pulls_v)),
+                      0.0, _tol(cfg, "flow_velocity_pulls", 3.0),
+                      sed_prov=f"binned v estimator, {int(vv.sum())} valid bins "
+                               "(fields/v.csv)",
+                      ref_prov="stationary state: v = 0 exactly"),
+            _make_row("osmotic_velocity_max_pull", "max-abs", float(np.max(pulls_u)),
+                      0.0, _tol(cfg, "osmotic_velocity_pulls", 3.0),
+                      sed_prov=f"binned u estimator, {int(uu.sum())} valid bins "
+                               "(fields/u.csv)",
+                      ref_prov="closed form u = -D0 x / sigma^2",
+                      note=f"finite-lag expectation slope {u_slope_finite!r}"),
+            _make_row("diffusion_sweep_max_pull", "max-abs", float(max(pulls_d)),
+                      0.0, _tol(cfg, "diffusion_pulls", 3.0),
+                      sed_prov=f"subtracted increment variance at "
+                               f"{len(pulls_d)} lags (dsweep.json)",
+                      ref_prov="closed form D0 at every lag"),
+            _make_row("diffusion_plateau_found", "exact",
+                      int(sweep.plateau_found), 1, 0.0,
+                      sed_prov="plateau search over the lag ladder (dsweep.json)",
+                      ref_prov="scale separation expected for an exact OU",
+                      note=sweep.flag or ""),
+            _make_row("va_consistent_fraction", "min-ratio",
+                      va_est.consistent_fraction, math.nan,
+                      _tol(cfg, "va_consistent_fraction", 0.9),
+                      sed_prov="backward-difference route vs v-u route "
+                               "(fields/va_direct.csv, fields/va_combo.csv)",
+                      ref_prov="identity v_a = v - u, bin by bin within 2 SE"),
+            _make_row("branch_selected", "exact", branch.selected_lam, -1, 0.0,
+                      sed_prov=relax_prov + " (branch.json)",
+                      ref_prov="classical diffusion branch sign"),
+            _make_row("branch_margin", "min-ratio", branch.ratio, math.nan,
+                      _tol(cfg, "classifier_margin", 5.0),
+                      sed_prov="rejected/accepted residual ratio (branch.json)",
+                      ref_prov="discrimination margin required by config"),
+        ]
+        return report
+
+    return run
 
 
-# pipeline(cfg, run_dir, info, progress) -> ComparisonReport; it records the
-# time grid it resolved and, through _stage, the stage ledger into the dict
-# `info`, which run.json carries, and hands progress to integrate_stream
-# (the exact OU sampler has no chunks to report).
+# plan(cfg, info) -> run: a pipeline's plan builds every object its run
+# derives from the config, refuses (ConfigError) what the schema cannot see,
+# records the time grid it resolved into the dict `info`, which run.json
+# carries, and returns run(run_dir, progress) -> ComparisonReport, which
+# runs the stages, records their ledger into `info` through _stage and
+# hands progress to integrate_stream (the exact OU sampler has no chunks
+# to report).
 PIPELINES = {
-    "sed_harmonic_ground": _pipeline_sed_harmonic_ground,
-    "ou_calibration": _pipeline_ou_calibration,
+    "sed_harmonic_ground": _plan_sed_harmonic_ground,
+    "ou_calibration": _plan_ou_calibration,
 }
 
 
@@ -800,50 +759,41 @@ class RunResult:
 def run_experiment(config, output_root=None, progress=None) -> RunResult:
     """Execute a registered pipeline from a config dict or file path.
 
-    The run directory (outputs.directory, resolved under output_root or the
-    current directory) receives a verbatim copy of the config, every stage
-    artifact, report.json/report.txt, and run.json, which adds the exit
-    code, the wall time, the time grid the pipeline resolved (dt,
-    n_steps; for SED also n_fft and n_workers, and n_chunks, the chunks
-    integrate_stream handed over) and the stage ledger
+    The config is validated and the pipeline planned (the ledger's first
+    stage, "plan") before the run directory exists, so a config that
+    either refuses (ConfigError) leaves nothing behind. The run directory
+    (outputs.directory, resolved under output_root or the current
+    directory, and refused if it is not empty) then receives a verbatim
+    copy of the config, every stage artifact, report.json/report.txt, and
+    run.json, which adds the exit code, the wall time, the time grid the
+    plan resolved (dt, n_steps; for SED also n_fft and n_workers, and
+    n_chunks, the chunks integrate_stream handed over) and the stage ledger
     "stages": per stage its name, wall_s, cpu_s, and the process's
     peak_rss_mb and rss_mb (None without /proc/self/statm) when it ended.
-    Nothing is left behind, not even the parent directories it created, if
-    validation fails or the pipeline refuses the config (ConfigError). A
-    run that fails later keeps its partial artifacts, writes no report,
-    and its run.json names the failed_stage and the error beside the
-    ledger of the stages before it; the error is raised again. A dump cut
-    off that way has no meta.json, which load_ensemble refuses. progress is
-    integrate_stream's per-chunk callback; by default nothing is printed.
-    Exit code 0 means every report row passed.
+    A run that fails after that keeps its partial artifacts, writes no
+    report, and its run.json names the failed_stage and the error beside
+    the ledger of the stages before it; the error is raised again. A dump
+    cut off that way has no meta.json, which load_ensemble refuses.
+    progress is integrate_stream's per-chunk callback; by default nothing
+    is printed. Exit code 0 means every report row passed.
     """
     if isinstance(config, (str, Path)):
         cfg = load_config(config)
     else:
         cfg = validate_config(config)
     pipeline = cfg["experiment"]
+    start = _time.monotonic()
+    info = {}
+    run = _stage(info, "plan", PIPELINES[pipeline], cfg, info)
 
     root = Path(output_root) if output_root else Path.cwd()
     run_dir = root / cfg["outputs"]["directory"]
     if run_dir.exists() and any(run_dir.iterdir()):
         raise ConfigError(f"output directory {run_dir} exists and is not empty")
-    # the directories mkdir creates, deepest first
-    created = [d for d in (run_dir, *run_dir.parents) if not d.exists()]
     run_dir.mkdir(parents=True, exist_ok=True)
-
     (run_dir / "config.json").write_text(dumps_config(cfg))
-    start = _time.monotonic()
-    info = {}
     try:
-        report = PIPELINES[pipeline](cfg, run_dir, info, progress)
-    except ConfigError:
-        # refused before any stage output: leave the directories as found
-        shutil.rmtree(run_dir)
-        for d in created[1:]:
-            d.rmdir()
-        if not created:
-            run_dir.mkdir()
-        raise
+        report = run(run_dir, progress)
     except Exception as exc:
         # the partial artifacts stay; run.json says the run failed, where,
         # and what the stages before it cost

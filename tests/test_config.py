@@ -1,11 +1,15 @@
 """Config schema validation: strict keys, types, and line-anchored errors."""
 
 import json
+import math
+import re
+from functools import reduce
 
 import pytest
 
-from sedsim.config import (ConfigError, config_hash, dumps_config,
-                           load_config, save_config, validate_config)
+from sedsim.config import (_NUM, _SCHEMA, ConfigError, config_hash,
+                           dumps_config, load_config, save_config,
+                           validate_config)
 
 
 def minimal_ou_config():
@@ -128,3 +132,43 @@ def test_hash_sensitive_to_values():
     other = json.loads(dumps_config(cfg))
     other["seeds"]["master_seed"] = 6
     assert config_hash(cfg) != config_hash(other)
+
+
+def full_config():
+    """A valid config that holds every block of the schema."""
+    cfg = minimal_ou_config()
+    cfg["field"] = {"omega_cutoff": 1.1, "n_modes": 8}
+    cfg["grid"] = {"x_min": -6.0, "x_max": 6.0, "n_points": 101}
+    return cfg
+
+
+def schema_leaves(schema=_SCHEMA, path=()):
+    """(path, type) of every key of the schema that holds a value."""
+    for key, leaf in schema.items():
+        if isinstance(leaf, dict):
+            yield from schema_leaves(leaf, path + (key,))
+        else:
+            yield path + (key,), leaf[0]
+
+
+@pytest.mark.parametrize("path,value", [
+    pytest.param(path, value, id=f"{'.'.join(path)}={value}")
+    for path, types in schema_leaves()
+    for value in [None] + ([math.nan, math.inf, True]
+                           if types in (int, _NUM) else [])])
+def test_every_key_refuses_null_and_what_is_no_finite_number(path, value):
+    # generated from the schema: a key added to it is covered here
+    cfg = full_config()
+    block = reduce(lambda b, key: b.setdefault(key, {}), path[:-1], cfg)
+    block[path[-1]] = value
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{'.'.join(path)} must be ")):
+        validate_config(cfg)
+
+
+def test_a_quartic_potential_still_validates():
+    # the harness refuses every potential but the harmonic; the schema
+    # does not, so library workloads can load a quartic config
+    cfg = full_config()
+    cfg["particle"]["potential"] = {"kind": "quartic", "k4": 1.0}
+    validate_config(cfg)

@@ -213,7 +213,7 @@ def test_failed_stage_names_the_non_finite_count(tmp_path, monkeypatch, capsys):
     assert run["error"] == str(err.value)
     assert run["error"].startswith(f"stage {run['failed_stage']!r} failed: ")
     names = [st["name"] for st in run["stages"]]
-    assert names[:2] == ["time-grid", "integrate"]
+    assert names[:2] == ["plan", "integrate"]
     assert run["failed_stage"] == "energy-balance" not in names
     assert (run["non_finite_trajectories"], run["n_traj"]) == (120, 120)
     assert not (run_dir / "report.json").exists()
@@ -239,7 +239,7 @@ def test_failed_stage_without_flagged_trajectories(tmp_path, monkeypatch):
     run = json.loads((tmp_path / "mini_sed" / "run.json").read_text())
     assert run["failed_stage"] == "energy-balance"
     assert run["non_finite_trajectories"] == 0
-    assert [st["name"] for st in run["stages"]] == ["time-grid", "integrate",
+    assert [st["name"] for st in run["stages"]] == ["plan", "integrate",
                                                    "dump"]
 
 
@@ -368,13 +368,15 @@ def refuse_to_integrate(monkeypatch):
 
 
 def refused_run(cfg, tmp_path, monkeypatch, capsys) -> str:
-    """Run cfg through the command line; assert exit code 2 and no
-    directory left behind; return stderr."""
+    """Run cfg through the command line; assert exit code 2 within a
+    second and no directory left behind; return stderr."""
     cfg_path = tmp_path / "refused.json"
     cfg_path.write_text(json.dumps(cfg))
     root = tmp_path / "out"
     monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(root))
+    start = time.perf_counter()
     assert main(["run", str(cfg_path)]) == 2
+    assert time.perf_counter() - start < 1.0
     assert not root.exists()
     return capsys.readouterr().err
 
@@ -417,9 +419,11 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
     # inside the run but between two records (sed about 1.2 apart on the
     # resolved comb grid, ou 0.2 and 0.21): refused once the grid is known
     ("sed", "coarse_grain", "t_window", [150.1, 150.5],
-     "[150.1, 150.5] holds none of the 1254 recorded times on [0, 1499.59]"),
+     "coarse_grain.t_window must be two increasing times inside the run "
+     "[0, 1500] holding one of its 1254 recorded times on [0, 1499.59], "
+     "not [150.1, 150.5]"),
     ("ou", "coarse_grain", "t_window", [0.201, 0.205],
-     "[0.201, 0.205] holds none of the 41 recorded times on [0, 0.4]"),
+     "holding one of its 41 recorded times on [0, 0.4], not [0.201, 0.205]"),
     # records, but none with room for the lags: sed one record at the
     # run's end, ou the last two records
     ("sed", "coarse_grain", "t_window", [1499.0, 1500.0],
@@ -430,53 +434,95 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
      "t_relax_window [0.01, 0.05] needs two increasing reference times"),
     ("ou", "langevin", "t_relax_window", [0.2, 0.1],
      "t_relax_window [0.2, 0.1] needs two increasing reference times"),
-    # what CoarseGrainSpec refuses, named by its config key
+    # bin counts below the estimators' 5, and what CoarseGrainSpec refuses,
+    # named by its config key
     ("sed", "coarse_grain.x_bins", "n", 3,
-     "coarse_grain.x_bins: need at least 5 position bins, got 3"),
+     "coarse_grain.x_bins.n must be at least 5, not 3"),
     ("ou", "coarse_grain.x_bins", "n", 3,
-     "coarse_grain.x_bins: need at least 5 position bins, got 3"),
+     "coarse_grain.x_bins.n must be at least 5, not 3"),
     ("ou", "coarse_grain.x_bins", "min", 3.0,
      "coarse_grain.x_bins: x_range (3.0, 3.0) is not a finite, non-empty"),
     ("sed", "coarse_grain.x_bins", "max", math.inf,
-     "coarse_grain.x_bins: x_range (-3.0, inf) is not a finite, non-empty"),
+     "coarse_grain.x_bins.max must be a finite number, not Infinity"),
     ("ou", "coarse_grain", "classifier_bins", 3,
-     "coarse_grain.classifier_bins: need at least 5 position bins, got 3"),
+     "coarse_grain.classifier_bins must be at least 5, not 3"),
     ("sed", "coarse_grain", "delta_t", 0.0,
-     "coarse_grain.delta_t holds the lag 0.0; lags must be positive"),
+     "coarse_grain.delta_t must be greater than 0, not 0.0"),
     ("ou", "coarse_grain", "delta_t", -0.02,
-     "coarse_grain.delta_t holds the lag -0.02; lags must be positive"),
+     "coarse_grain.delta_t must be greater than 0, not -0.02"),
     ("ou", "coarse_grain", "delta_t_sweep", [0.01, -0.01],
-     "coarse_grain.delta_t_sweep holds the lag -0.01; lags must be positive"),
+     "coarse_grain.delta_t_sweep must be a list of numbers greater than 0, "
+     "not [0.01, -0.01]"),
     # list entries that are not finite numbers
     ("ou", "coarse_grain", "delta_t_sweep", [0.01, "x"],
-     "coarse_grain.delta_t_sweep [0.01, 'x'] is not a list of one or more "
-     "finite numbers"),
+     'coarse_grain.delta_t_sweep must be a list of finite numbers, '
+     'not [0.01, "x"]'),
     ("ou", "coarse_grain", "delta_t_sweep", [0.01, math.inf],
-     "coarse_grain.delta_t_sweep [0.01, inf] is not a list"),
+     "coarse_grain.delta_t_sweep must be a list of finite numbers, "
+     "not [0.01, Infinity]"),
     ("ou", "coarse_grain", "delta_t_sweep", [0.01, True],
-     "coarse_grain.delta_t_sweep [0.01, True] is not a list"),
+     "coarse_grain.delta_t_sweep must be a list of finite numbers, "
+     "not [0.01, true]"),
     ("sed", "coarse_grain", "delta_t_sweep", [],
-     "coarse_grain.delta_t_sweep [] is not a list"),
+     "coarse_grain.delta_t_sweep must be a list of 1 or more numbers, not []"),
     ("sed", "coarse_grain", "t_window", [900.0, math.nan],
-     "coarse_grain.t_window [900.0, nan] is not a list of 2 finite numbers"),
+     "coarse_grain.t_window must be a list of finite numbers, "
+     "not [900.0, NaN]"),
     ("ou", "langevin", "t_relax_window", ["x", 0.3],
-     "langevin.t_relax_window ['x', 0.3] is not a list of 2 finite numbers"),
+     'langevin.t_relax_window must be a list of finite numbers, '
+     'not ["x", 0.3]'),
     ("ou", "langevin", "t_relax_window", [0.1, 0.2, 0.3],
-     "langevin.t_relax_window [0.1, 0.2, 0.3] is not a list of 2 finite"),
+     "langevin.t_relax_window must be a list of 2 or fewer numbers, "
+     "not [0.1, 0.2, 0.3]"),
     ("ou", "langevin", "t_relax_window", [0.1, math.inf],
-     "langevin.t_relax_window [0.1, inf] is not a list of 2 finite"),
+     "langevin.t_relax_window must be a list of finite numbers, "
+     "not [0.1, Infinity]"),
     # a thinning step that is not a finite positive time, an occupancy
     # threshold below one sample
     ("ou", "coarse_grain", "thin_time", -1.0,
-     "coarse_grain.thin_time -1.0 is not a finite positive number"),
+     "coarse_grain.thin_time must be greater than 0, not -1.0"),
     ("sed", "coarse_grain", "thin_time", 0.0,
-     "coarse_grain.thin_time 0.0 is not a finite positive number"),
+     "coarse_grain.thin_time must be greater than 0, not 0.0"),
     ("ou", "coarse_grain", "thin_time", math.inf,
-     "coarse_grain.thin_time inf is not a finite positive number"),
+     "coarse_grain.thin_time must be a finite number, not Infinity"),
     ("ou", "coarse_grain", "min_count", -5,
-     "coarse_grain.min_count: min_count must be at least 1, got -5"),
+     "coarse_grain.min_count must be at least 1, not -5"),
     ("sed", "coarse_grain", "min_count", 0,
-     "coarse_grain.min_count: min_count must be at least 1, got 0"),
+     "coarse_grain.min_count must be at least 1, not 0"),
+    # null is no value of any key
+    *[(pipeline, block, key, None, f"{block}.{key} must be {kind}, not null")
+      for pipeline in ("sed", "ou")
+      for block, key, kind in (
+          ("coarse_grain", "min_count", "an integer"),
+          ("coarse_grain", "delta_t", "a finite number"),
+          ("time", "dt", "a finite number"),
+          ("ensemble", "n_traj", "an integer"))],
+    ("sed", "field", "n_modes", None, "field.n_modes must be an integer, not null"),
+    # values outside a key's range, and NaN
+    ("sed", "particle", "mass", -1.0,
+     "particle.mass must be greater than 0, not -1.0"),
+    ("ou", "particle", "mass", -1, "particle.mass must be greater than 0, not -1"),
+    ("sed", "field", "hbar", -1.0, "field.hbar must be greater than 0, not -1.0"),
+    ("sed", "particle", "tau", -0.001,
+     "particle.tau must be at least 0, not -0.001"),
+    ("ou", "particle", "tau", -0.001,
+     "particle.tau must be at least 0, not -0.001"),
+    ("ou", "langevin", "x_start", math.nan,
+     "langevin.x_start must be a finite number, not NaN"),
+    ("sed", "tolerances", "pooled_D", math.nan,
+     "tolerances.pooled_D must be a finite number, not NaN"),
+    ("ou", "tolerances", "variance_pulls", math.nan,
+     "tolerances.variance_pulls must be a finite number, not NaN"),
+    ("ou", "time", "dt", -0.01, "time.dt must be greater than 0, not -0.01"),
+    # what the library's specs refuse across keys, named by the block
+    ("sed", "field", "omega_min", 1.2,
+     "field: need 0 <= omega_min < omega_cutoff"),
+    ("sed", "grid", "x_max", -7.0, "grid: x_max must exceed x_min"),
+    ("sed", "grid", "n_points", 3, "grid.n_points must be at least 16, not 3"),
+    ("sed", "time", "t_final", -1.0,
+     "time: need a positive run length and dt"),
+    ("ou", "time", "t_final", -1.0,
+     "time.t_final -1.0 leaves no step of dt 0.01 after time.t0 0"),
 ])
 def test_bad_inputs_are_refused_before_anything_is_written(
         pipeline, block, key, value, message, tmp_path, monkeypatch, capsys):
@@ -641,7 +687,7 @@ def test_a_failed_chunk_leaves_a_dump_that_does_not_load(tmp_path,
     run_dir = tmp_path / "mini_sed"
     run = json.loads((run_dir / "run.json").read_text())
     assert run["failed_stage"] == "integrate"
-    assert [st["name"] for st in run["stages"]] == ["time-grid"]
+    assert [st["name"] for st in run["stages"]] == ["plan"]
     assert run["n_chunks"] == 2
     assert not (run_dir / "ensemble" / "meta.json").exists()
     assert not (run_dir / "balance.json").exists()

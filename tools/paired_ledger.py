@@ -5,8 +5,10 @@
 Runs the config N times (default 5) in each tree, alternating which tree
 goes first, each run in a fresh process with PYTHONPATH=TREE/src and
 OpenBLAS, OpenMP and MKL at one thread. Prints, per tree, the median over
-its runs of each stage's wall_s, peak_rss_mb and rss_mb from run.json, of
-wall_seconds, and of the process's maxrss (MiB) and minor page faults.
+its runs of each stage's wall_s, peak_rss_mb and rss_mb from run.json, and
+the median, min and max of wall_seconds, of the process's wall time from
+spawn to exit (process_wall_s, which adds the imports and the writes that
+wall_seconds does not time), and of its maxrss (MiB) and minor page faults.
 Run directories go to a temporary directory, deleted after each run.
 """
 
@@ -16,6 +18,7 @@ import shutil
 import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -23,23 +26,27 @@ THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 
 
 def run_once(config: Path, tree: Path) -> dict:
-    """run.json of one run, with the process's maxrss and minor faults."""
+    """run.json of one run, with the process's wall time from spawn to
+    exit, maxrss and minor faults."""
     out = Path(tempfile.mkdtemp(prefix="paired_ledger_"))
     try:
         env = {**os.environ, **THREADS, "PYTHONPATH": str(tree / "src"),
                "SEDSIM_OUTPUT_ROOT": str(out)}
         quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0)
                  for fd in (1, 2)]
+        start = time.perf_counter()
         pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "sedsim.cli",
                                               "run", str(config)],
                              env, file_actions=quiet)
         _, status, usage = os.wait4(pid, 0)
+        process_wall_s = time.perf_counter() - start
         run_dir = out / json.loads(config.read_text())["outputs"]["directory"]
         run = json.loads((run_dir / "run.json").read_text())
         if "failed_stage" in run:
             raise RuntimeError(f"{tree}: stage {run['failed_stage']} failed: "
                                f"{run['error']}")
-        run.update(maxrss_mib=usage.ru_maxrss / 1024, minflt=usage.ru_minflt,
+        run.update(process_wall_s=process_wall_s,
+                   maxrss_mib=usage.ru_maxrss / 1024, minflt=usage.ru_minflt,
                    exit_status=os.waitstatus_to_exitcode(status))
         return run
     finally:
@@ -62,7 +69,8 @@ def main(argv):
             med = [statistics.median(st[key] for st in stages)
                    for key in ("wall_s", "peak_rss_mb", "rss_mb")]
             print(f"  {name:<24}{med[0]:>9.3f}{med[1]:>13.1f}{med[2]:>9.1f}")
-        for key in ("wall_seconds", "maxrss_mib", "minflt", "n_chunks"):
+        for key in ("wall_seconds", "process_wall_s", "maxrss_mib", "minflt",
+                    "n_chunks"):
             values = [r[key] for r in rs if key in r]
             if values:
                 print(f"  {key:<24}median {statistics.median(values):.4g}"
