@@ -39,14 +39,15 @@ recorded when it is at least 1.
 integrate_stream hands each finished chunk of trajectories, in row order,
 to a list of consumers and keeps none of it: an EnsembleWriter appends the
 chunk's rows to the dump, BalanceSums and EnergySums add its blocks of
-ROW_BLOCK rows, less the flagged ones, to the energy balance and the
-relaxation curve, and a ColumnStore keeps the positions at the recorded
-columns the estimators read. Each trajectory is seeded on its own (Philox
-keyed by master seed and trajectory index; Salmon et al., SC'11), so a
-chunk does not depend on the others. A chunk is CHUNK rows on the step
-loop, whose per-step numpy dispatch needs the width, and RESPONSE_CHUNK
-rows on the response path, which computes each row on its own; both are
-multiples of ROW_BLOCK, so a chunk holds whole blocks. integrate_ensemble
+ROW_BLOCK rows, less the flagged ones, to the energy balance, the window's
+position variance and the relaxation curve, and the estimators' sample
+sets (kinematics.SampleSet) add its samples to their bin and trajectory
+sums. Each trajectory is seeded on its own (Philox keyed by master seed
+and trajectory index; Salmon et al., SC'11), so a chunk does not depend
+on the others. A chunk is CHUNK rows on the step loop, whose per-step
+numpy dispatch needs the width, and RESPONSE_CHUNK rows on the response
+path, which computes each row on its own; both are multiples of
+ROW_BLOCK, so a chunk holds whole blocks. integrate_ensemble
 is the stream whose chunks fill whole arrays in place; energy_balance,
 relaxation_curve and dump_ensemble take a whole ensemble as one chunk, so
 both routes give the same bytes.
@@ -750,10 +751,11 @@ class _RowBlockSums:
 
 class BalanceSums(_RowBlockSums):
     """energy_balance's sums over the window's columns: per intact row the
-    window means of the absorbed power, the radiated power and the energy;
-    per time their sums over the rows. report(ens) finishes them for the
-    ensemble ens (its meta and, streamed, without its arrays); trace() is
-    the mean absorbed and radiated power at each window time."""
+    window means of the absorbed power, the radiated power, the energy, x
+    and x^2; per time the first three summed over the rows. report(ens)
+    finishes them for the ensemble ens (its meta and, streamed, without its
+    arrays); trace() is the mean absorbed and radiated power at each window
+    time, position_variance() the window's position variance."""
 
     names = ("positions", "velocities", "field_values")
 
@@ -771,7 +773,7 @@ class BalanceSums(_RowBlockSums):
         powers = (p.charge * efield * v,
                   p.mass * p.tau * p.acceleration(x, v, efield)**2,
                   p.energy(x, v))
-        self.per_traj.append([np.mean(q, axis=1) for q in powers])
+        self.per_traj.append([np.mean(q, axis=1) for q in (*powers, x, x**2)])
         for total, q in zip(self.sums, powers):
             total += np.sum(q, axis=0)
 
@@ -779,6 +781,16 @@ class BalanceSums(_RowBlockSums):
         """(times, absorbed, radiated): the ensemble-mean powers at each
         recorded time of the window."""
         return self.times, self.sums[0] / self.n, self.sums[1] / self.n
+
+    def position_variance(self):
+        """(variance, standard error): the position variance over the
+        window's records, pooled over the intact rows, and its standard
+        error from the per-row means of x^2. Every row has the window's
+        records, so the pooled mean is the mean of the per-row means."""
+        x, x2 = np.concatenate(self.per_traj, axis=1)[3:]
+        xbar = float(np.mean(x))
+        return (float(np.mean(x2)) - xbar**2,
+                float(np.std(x2, ddof=1) / math.sqrt(x2.size)))
 
     def report(self, ens: TrajectoryEnsemble) -> "EnergyBalanceReport":
         nt = self.n
@@ -791,7 +803,7 @@ class BalanceSums(_RowBlockSums):
             warnings.append("window shorter than 10 periods of the systematic motion")
 
         absorbed_traj, radiated_traj, energy_traj = np.concatenate(
-            self.per_traj, axis=1)
+            self.per_traj, axis=1)[:3]
         e_of_t = self.sums[2] / nt
 
         absorbed = float(np.mean(absorbed_traj))
@@ -923,9 +935,10 @@ class ColumnStore:
     """Every row's positions at the recorded columns cols (a slice), taken
     chunk by chunk in row order. ensemble(ens) is them as a
     TrajectoryEnsemble on that stretch of ens's record grid, starting at
-    its first time, with ens's seeds, status and meta: what the
-    estimators and the window statistics read, without the rest of the
-    run."""
+    its first time, with ens's seeds, status and meta: what a reader that
+    can start only after the last chunk reads (the OU pipeline's relaxing
+    classifier, whose bins come from the sample's variance), without the
+    rest of the run."""
 
     def __init__(self, n_traj: int, cols: slice):
         self.cols = cols

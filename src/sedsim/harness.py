@@ -45,13 +45,11 @@ from ._version import __version__
 from .config import (ConfigError, config_hash, dumps_config, load_config,
                      validate_config)
 from .dynamics import (STATUS_OK, BalanceSums, ColumnStore, EnergySums,
-                       EnsembleWriter, ParticleSpec, TrajectoryEnsemble,
-                       DeltaIC, GaussianIC, comb_time_grid, harmonic_potential,
-                       integrate_stream, record_times, stationary_guess_ic,
-                       window_columns)
+                       EnsembleWriter, ParticleSpec, DeltaIC, GaussianIC,
+                       comb_time_grid, harmonic_potential, integrate_stream,
+                       record_times, stationary_guess_ic, window_columns)
 from .field import FieldSpec, autocorrelation_check, make_field
-from .kinematics import (CoarseGrainSpec, SampleSet, classify_branch,
-                         diffusion_sweep)
+from .kinematics import CoarseGrainSpec, SampleSet, classify_branch
 from .reference import (gaussian_density, ou_stationary_variance, ou_stream,
                         ou_u_slope_equilibrium)
 from .schrodinger import GridSpec, solve_stationary, velocity_fields
@@ -176,11 +174,12 @@ def _tol(cfg: dict, key: str, default: float) -> float:
 
 
 def _built(key: str, build, *args, **kwargs):
-    """build(*args, **kwargs); a ValueError it raises is a config error
+    """build(*args, **kwargs); a ValueError it raises, or an OverflowError
+    of a value too large or small for its arithmetic, is a config error
     naming the config block or key `key`."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -195,21 +194,24 @@ def _build_field_spec(cfg: dict) -> FieldSpec:
 def _build_particle(cfg: dict, c: float = 1.0) -> ParticleSpec:
     """The particle in a harmonic trap, whose closed forms both pipelines
     compare against; any other potential is refused. Without tau or
-    charge it is uncharged."""
+    charge it is uncharged. c is field.c, 1 without a field."""
     p = cfg["particle"]
-    mass = float(p["mass"])
     pot = p["potential"]
     if pot["kind"] != "harmonic" or "omega0" not in pot:
         raise ConfigError('both pipelines need particle.potential.kind '
                           '"harmonic" with omega0')
-    potential = harmonic_potential(float(pot["omega0"]), mass)
     if "tau" in p and "charge" in p:
         raise ConfigError("particle: give tau or charge, not both")
-    if "tau" in p:
-        return _built("particle", ParticleSpec.from_tau, mass,
-                      float(p["tau"]), potential, c=c)
-    return _built("particle", ParticleSpec.from_charge, mass,
-                  float(p.get("charge", 0.0)), potential, c=c)
+
+    def build(mass, omega0):
+        potential = harmonic_potential(omega0, mass)
+        if "tau" in p:
+            return ParticleSpec.from_tau(mass, float(p["tau"]), potential, c=c)
+        return ParticleSpec.from_charge(mass, float(p.get("charge", 0.0)),
+                                        potential, c=c)
+
+    return _built("particle" if c == 1.0 else "particle and field.c",
+                  build, float(p["mass"]), float(pot["omega0"]))
 
 
 def _build_ic(cfg: dict, particle: ParticleSpec, hbar: float):
@@ -259,12 +261,6 @@ def _snap_lag(rec_dt: float, lag) -> float:
     """Nearest positive multiple of the recorded step, as the exact float
     product so downstream multiple-of-grid checks see a zero remainder."""
     return max(1, int(round(float(lag) / rec_dt))) * rec_dt
-
-
-def _padded_columns(n_rec: int, first: int, last: int, pad: int) -> slice:
-    """Recorded columns first..last, widened by pad on either side inside
-    the run."""
-    return slice(max(0, first - pad), min(n_rec, last + pad + 1))
 
 
 def _rss_mb():
@@ -323,8 +319,7 @@ def _coarse_grain_specs(cfg: dict, times, rec_dt: float, window,
                         thin_time: float, sweep_steps):
     """The spec at coarse_grain.delta_t, the spec at the largest sweep lag
     and the sweep lags, on the window's reference times of the record grid
-    times (step rec_dt), and the recorded columns the specs read: the
-    window's, padded by the largest lag. thin_time and sweep_steps
+    times (step rec_dt). thin_time and sweep_steps
     (multiples of the recorded step) are the defaults of
     coarse_grain.thin_time and .delta_t_sweep. A window without reference
     times for a lag and an x_bins range that CoarseGrainSpec refuses are
@@ -343,12 +338,8 @@ def _coarse_grain_specs(cfg: dict, times, rec_dt: float, window,
 
     sweep_lags = cg.get("delta_t_sweep", [rec_dt * k for k in sweep_steps])
     sweep_lags = list(dict.fromkeys(_snap_lag(rec_dt, x) for x in sweep_lags))
-    spec0 = est_spec(_snap_lag(rec_dt, cg["delta_t"]))
-    sweep_spec = est_spec(max(sweep_lags))
-    cols = window_columns(times, window)
-    pad = int(round(max(spec0.delta_t, sweep_spec.delta_t) / rec_dt))
-    return (spec0, sweep_spec, sweep_lags,
-            _padded_columns(times.size, cols.start, cols.stop - 1, pad))
+    return (est_spec(_snap_lag(rec_dt, cg["delta_t"])),
+            est_spec(max(sweep_lags)), sweep_lags)
 
 
 def _field_stages(info: dict, samples: SampleSet, run_dir: Path):
@@ -365,20 +356,6 @@ def _field_stages(info: dict, samples: SampleSet, run_dir: Path):
     va_est.v_minus_u.to_csv(fields_dir / "va_combo.csv")
     rho_field.to_csv(fields_dir / "rho.csv")
     return v_field, u_field, va_est, rho_field
-
-
-def _window_statistics(ens: TrajectoryEnsemble, window):
-    """Position variance over the window's records, pooled over the intact
-    trajectories, and its standard error from the per-trajectory means.
-    Every trajectory has the window's records, so the pooled mean is the
-    mean of the per-trajectory means."""
-    blocks = ens.intact_blocks(("positions",), window_columns(ens.times, window))
-    per_traj_x, per_traj_x2 = np.concatenate(
-        [[np.mean(x, axis=1), np.mean(x**2, axis=1)] for (x,) in blocks], axis=1)
-    xbar = float(np.mean(per_traj_x))
-    x_var_sed = float(np.mean(per_traj_x2)) - xbar**2
-    x_var_se = float(np.std(per_traj_x2, ddof=1) / math.sqrt(per_traj_x2.shape[0]))
-    return x_var_sed, x_var_se
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +376,9 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
                                 float(tcfg["dt"]), float(tcfg["t_final"]) - t0)
     times = record_times(t0, dt, n_steps, stride)
     window = _window(cfg, times)
-    spec0, sweep_spec, sweep_lags, store_cols = _coarse_grain_specs(
-        cfg, times, dt * stride, window, dt * stride, (1, 2, 3, 4, 6, 10))
+    rec_dt = dt * stride
+    spec0, sweep_spec, sweep_lags = _coarse_grain_specs(
+        cfg, times, rec_dt, window, rec_dt, (1, 2, 3, 4, 6, 10))
     ic = _build_ic(cfg, particle, fspec.hbar)
     # the quantum reference's grid, by default +/- 8 ground-state widths
     d_ref = fspec.hbar / (2.0 * particle.mass)
@@ -422,13 +400,16 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
             if progress is not None:
                 progress(done, total)
 
-        # each chunk goes to the dump, the energy balance, the relaxation
-        # curve and the store of the positions the estimators read, and is
-        # dropped
+        # each chunk goes to the dump, the energy balance (with the window
+        # statistics), the relaxation curve and the estimators' two sample
+        # sets on the stationary window, one for the fields and the
+        # classifier, one for the sweep, and is dropped
         balance_sums = BalanceSums(particle, window, times)
         energy_sums = EnergySums(particle, times.size)
-        store = ColumnStore(n_traj, store_cols)
-        consumers = [balance_sums, energy_sums, store]
+        samples = SampleSet(times, rec_dt, spec0)
+        sweep_set = SampleSet(times, rec_dt, sweep_spec, lags=sweep_lags,
+                              pooled=False)
+        consumers = [balance_sums, energy_sums, samples, sweep_set]
         if dump_fmt != "none":
             writer = EnsembleWriter(run_dir / "ensemble", n_traj, times.size,
                                     ("positions", "velocities", "field_values"))
@@ -451,23 +432,17 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
         rtimes, rcurve = _stage(info, "relaxation", energy_sums.curve, head)
         _write_xy_csv(run_dir / "relaxation.csv", "t,mean_energy", (rtimes, rcurve))
 
-        # coarse-grained estimators on the stationary window: the fields and
-        # the classifier share one sample set, dropped before the sweep
-        # builds its own
-        ens = store.ensemble(head)
-        samples = _stage(info, "gather-samples", SampleSet, ens, spec0)
+        # coarse-grained estimators on the stationary window
         rho_field = _field_stages(info, samples, run_dir)[3]
         branch = _stage(info, "branch-classifier", samples.classify_branch,
                         particle.mass, particle.potential.f,
                         D=None, time_derivative="omitted")
-        del samples
         _write_json(run_dir / "branch.json", {
             **branch.to_dict(),
             "time_derivative": "omitted",
             "warnings": branch.reports[+1].warnings,
         })
-        sweep = _stage(info, "diffusion-sweep", diffusion_sweep, ens, sweep_spec,
-                       sweep_lags)
+        sweep = _stage(info, "diffusion-sweep", sweep_set.sweep)
         _write_json(run_dir / "dsweep.json", sweep.to_dict())
 
         # field-synthesis cross-check: fresh realizations, never the
@@ -496,8 +471,7 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
         _write_xy_csv(run_dir / "velocity_qm.csv", "x,v_qm,u_qm",
                       (rho_field.x_centers, np.zeros_like(u_ref_bins), u_ref_bins))
 
-        x_var_sed, x_var_se = _stage(info, "window-statistics",
-                                     _window_statistics, ens, window)
+        x_var_sed, x_var_se = balance_sums.position_variance()
 
         if sweep.plateau_found:
             d_sed = sweep.value
@@ -521,7 +495,7 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
         if not balance.stationary:
             notes.append("window not stationary by energy-trend test")
         notes.extend(balance.warnings)
-        notes.extend(ens.meta.get("warnings", []))
+        notes.extend(head.meta.get("warnings", []))
 
         ens_prov = (f"trajectory ensemble, window {list(window)} "
                     "(ensemble/, balance.json)")
@@ -587,7 +561,7 @@ def _plan_ou_calibration(cfg: dict, info: dict):
                           f"dt {dt:g} after time.t0 {t0:g}")
     times = record_times(t0, dt, n_steps)
     window = _window(cfg, times)
-    spec0, sweep_spec, sweep_lags, eq_cols = _coarse_grain_specs(
+    spec0, sweep_spec, sweep_lags = _coarse_grain_specs(
         cfg, times, dt, window, 1e30, (1, 2, 4, 10))
     delta_t = spec0.delta_t
     # branch classification on the early relaxing window, time derivatives
@@ -610,7 +584,7 @@ def _plan_ou_calibration(cfg: dict, info: dict):
     relax_spec = CoarseGrainSpec(
         delta_t=delta_t, x_range=spec0.x_range, reference_times=refs,
         x_bins=int(cg.get("classifier_bins", 16)), min_count=spec0.min_count)
-    relax_cols = _padded_columns(times.size, first, last, k)
+    relax_cols = slice(first - k, last + k + 1)
     n_traj = cfg["ensemble"]["n_traj"]
     n_relax = lv.get("n_traj_relax", 500_000)
     x_start = float(lv.get("x_start", 0.0))
@@ -619,35 +593,38 @@ def _plan_ou_calibration(cfg: dict, info: dict):
     info.update(dt=dt, n_steps=n_steps)
 
     def run(run_dir: Path, progress) -> ComparisonReport:
-        def sample(stage, dump_stage, dump_dir, n, seed, x0, cols):
-            """Sample n trajectories; each block goes to the dump and to the
-            store of the columns cols, which the estimators (equilibrium) or
-            the classifier (relaxing) read, and is dropped."""
-            store = ColumnStore(n, cols)
-            consumers = [store]
+        def sample(stage, dump_stage, dump_dir, n, seed, x0, consumers):
+            """Sample n trajectories; each block goes to the consumers and
+            the dump, and is dropped."""
             if dump_fmt != "none":
                 writer = EnsembleWriter(run_dir / dump_dir, n, times.size,
                                         ("positions",))
-                consumers.append(writer)
+                consumers = [*consumers, writer]
             head = _stage(info, stage, ou_stream, theta, d0, n, dt, n_steps,
                           seed, consumers, x0=x0, t0=t0)
             if dump_fmt != "none":
                 _stage(info, dump_stage, writer.close, head)
-            return store.ensemble(head)
+            return head
 
+        # the equilibrium sample goes to the estimators' two sample sets and
+        # to the store of the first reference time's column, which the
+        # variance row reads; the relaxing one to the store of the columns
+        # the classifier reads, whose bins come from the sample's variance
+        samples = SampleSet(times, dt, spec0)
+        sweep_set = SampleSet(times, dt, sweep_spec, lags=sweep_lags,
+                              pooled=False)
+        col = int(samples.ridx[0])
+        first = ColumnStore(n_traj, slice(col, col + 1))
         eq = sample("sample-equilibrium", "dump", "ensemble", n_traj,
-                    (master_seed, 0), "stationary", eq_cols)
-        relax = sample("sample-relaxing", "dump-relaxing", "ensemble_relaxing",
-                       n_relax, (master_seed, 1), x_start, relax_cols)
+                    (master_seed, 0), "stationary", [samples, sweep_set, first])
+        relax_store = ColumnStore(n_relax, relax_cols)
+        relax = relax_store.ensemble(sample(
+            "sample-relaxing", "dump-relaxing", "ensemble_relaxing", n_relax,
+            (master_seed, 1), x_start, [relax_store]))
 
-        samples = _stage(info, "gather-samples", SampleSet, eq, spec0)
         v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
-        # the variance row reads the first reference time's central samples
-        x_ref2 = np.square(np.concatenate([x[:, 0]
-                                           for (x,) in samples._blocks(())]))
-        del samples
-        sweep = _stage(info, "diffusion-sweep", diffusion_sweep, eq, sweep_spec,
-                       sweep_lags)
+        x_ref2 = np.square(first.positions[eq.ok_mask(), 0])
+        sweep = _stage(info, "diffusion-sweep", sweep_set.sweep)
         _write_json(run_dir / "dsweep.json", sweep.to_dict())
 
         mid_idx = int(round((refs[1] - relax.t0) / relax.rec_dt))

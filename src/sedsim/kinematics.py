@@ -14,13 +14,18 @@ step, not the integration step. Estimates are reported per bin with counts
 and standard errors; downstream residual checks weight by counts and never
 use bins below the minimum occupancy.
 
-Every estimate on one reference set reads a SampleSet, which walks the
-intact trajectories in row blocks and keeps only per-bin and
-per-trajectory sums, never a (trajectories x reference times) array. Each
-block's sums are added to the previous blocks' in order (Chan, Golub &
-LeVeque, Am. Stat. 37, 242 (1983)), in the order one np.bincount over the
-whole sample array would take, so the walk leaves every output bit as the
-whole-array formulas give it.
+Every estimate on one reference set reads a SampleSet, a consumer of a
+stream of trajectory chunks (dynamics.integrate_stream,
+reference.ou_stream): it walks each chunk's intact rows once, in row
+blocks, and keeps per-bin sums and, per trajectory and lag, no more
+numbers than bins, never a (trajectories x reference times) array, so
+the pipelines keep no positions for it. Each block's bin sums are added
+to the previous blocks' in order (Chan, Golub & LeVeque, Am. Stat. 37,
+242 (1983)), in the order one np.bincount over the whole sample array
+would take, so v, u, va and the density keep every bit the whole-array
+formulas give them. D, whose bin means are known only after the last
+chunk, is finished from each trajectory's own sums in the same pass. The
+library estimators take a whole ensemble as one chunk.
 """
 
 from __future__ import annotations
@@ -234,8 +239,7 @@ class BranchReport:
 # ---------------------------------------------------------------------------
 # reference sets and binning
 
-def _lag_steps(ens: TrajectoryEnsemble, delta_t: float) -> int:
-    rec_dt = ens.rec_dt
+def _lag_steps(rec_dt: float, delta_t: float) -> int:
     k = int(round(delta_t / rec_dt))
     if k < 1 or abs(k * rec_dt - delta_t) > 1e-9 * max(1.0, delta_t):
         raise KinematicsError(
@@ -245,18 +249,18 @@ def _lag_steps(ens: TrajectoryEnsemble, delta_t: float) -> int:
     return k
 
 
-def _reference_indices(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
-                       k: int) -> np.ndarray:
-    n_rec = ens.times.size
+def _reference_indices(times: np.ndarray, rec_dt: float,
+                       spec: CoarseGrainSpec, k: int) -> np.ndarray:
+    n_rec = times.size
     idx = []
     for t in spec.reference_times:
-        j = int(round((t - ens.t0) / ens.rec_dt))
-        if j < 0 or j >= n_rec or abs(ens.times[j] - t) > 1e-9 * max(1.0, abs(t)):
+        j = int(round((t - times[0]) / rec_dt))
+        if j < 0 or j >= n_rec or abs(times[j] - t) > 1e-9 * max(1.0, abs(t)):
             raise KinematicsError(
                 f"reference time {t:g} is not on the recorded grid")
         if j - k < 0 or j + k >= n_rec:
             raise KinematicsError(
-                f"reference time {t:g} leaves no room for lag {k * ens.rec_dt:g}")
+                f"reference time {t:g} leaves no room for lag {k * rec_dt:g}")
         idx.append(j)
     return np.asarray(idx, dtype=int)
 
@@ -362,100 +366,140 @@ def _increments(x: np.ndarray, delta_t: float) -> tuple:
 
 
 class SampleSet:
-    """The intact rows' positions at one reference set; every estimator
-    reads them.
+    """The sums every estimator reads at one reference set, added up from
+    a stream of chunks by take(chunk).
 
-    The reference times ridx are spec.reference_times, resolved for
-    spec.delta_t, k recorded steps; the bin edges cut spec.x_range into
-    spec.x_bins. Both are fixed before the first walk. The set holds no
-    per-sample array: each estimate walks the intact rows in blocks of
-    about _BLOCK_SAMPLES samples (TrajectoryEnsemble.intact_blocks),
-    gathers the positions it needs, bins each block's central samples and
-    keeps only per-bin and per-trajectory sums. Bin sums add every block
-    with np.add.at into one accumulator, in the flat order of the (n_ok,
-    n_ref) sample array, so they equal one np.bincount over that array bit
-    for bit; a trajectory's sum is its row's pairwise sum over a row-major
-    block, as over the whole array. v, u and va share one walk (the
-    per-reference-time fields of the measured residuals take one of their
-    own), and it also sums the forward increments whose bin means D
-    subtracts; D then takes one more walk for each trajectory's squared
-    deviations. diffusion_sweep's lags share one walk for the bin means
-    and one for the deviations. Each binned field and the density are
-    computed once per set and shared by every caller.
+    On the record grid times (step rec_dt), the reference times ridx are
+    spec.reference_times, with room for spec.delta_t (k recorded steps)
+    and for each lag of lags (times; by default spec.delta_t), the lags D
+    is estimated at. The bin edges cut spec.x_range into spec.x_bins. All
+    are fixed before the first chunk. take walks the chunk's intact rows in
+    blocks of about _BLOCK_SAMPLES samples
+    (TrajectoryEnsemble.intact_blocks), gathers the positions it reads,
+    bins each block's central samples and adds:
+    - with pooled per bin, and with per_time per reference time and bin
+      (what the measured residuals read): the central samples' counts
+      and the sums and sums of squares of the v, u and va increments;
+    - per lag, the forward increments' sums per bin, whose means D
+      subtracts;
+    - per intact row, what D needs of it once those means are known.
+      With fewer bins (the overflow bin counted) than reference times,
+      the counts N_b of its samples per bin and per lag Q = sum dx^2 over
+      those in the bins and A_b = sum dx per bin, since the row's sum of
+      (dx - m_b)^2 is Q - 2 sum_b m_b A_b + sum_b m_b^2 N_b; else its
+      samples' bins and increments. So a row keeps the fewer of its bins
+      and its samples.
+    Bin sums add every block with np.add.at into one accumulator, in the
+    flat order of the (n_ok, n_ref) sample array; chunks come in row
+    order, so the sums equal one np.bincount over that array bit for bit.
+    The estimates read the set once every chunk is taken; each binned
+    field, the density and D are computed once per set and shared by
+    every caller.
     """
 
-    def __init__(self, ens: TrajectoryEnsemble, spec: CoarseGrainSpec):
-        self.ens, self.spec = ens, spec
-        self.k = _lag_steps(ens, spec.delta_t)
-        self.ridx = _reference_indices(ens, spec, self.k)
-        if not ens.ok_mask().any():
-            raise KinematicsError("no intact trajectories in the ensemble")
-        self.delta_t = self.k * ens.rec_dt
-        self.ref_times = ens.times[self.ridx]
+    def __init__(self, times: np.ndarray, rec_dt: float,
+                 spec: CoarseGrainSpec, lags=None, pooled: bool = True,
+                 per_time: bool = False):
+        self.spec, self.rec_dt = spec, rec_dt
+        self.k = _lag_steps(rec_dt, spec.delta_t)
+        self.lags = sorted(lags) if lags is not None else [spec.delta_t]
+        self.steps = tuple(_lag_steps(rec_dt, float(t)) for t in self.lags)
+        self.ridx = _reference_indices(times, rec_dt, spec,
+                                       max(self.k, *self.steps))
+        self.delta_t = self.k * rec_dt
+        self.ref_times = times[self.ridx]
         self.edges = edges = np.linspace(*spec.x_range, spec.x_bins + 1)
         self.width = float(edges[1] - edges[0])
         self.centers = 0.5 * (edges[:-1] + edges[1:])
+        nb, n_ref = spec.x_bins + 1, self.ridx.size
+        # (counts, sums, sq) per bin (key False) and per time and bin (True)
+        self._cells = {
+            per: (np.zeros(cells, dtype=np.intp),
+                  *np.zeros((2, len(_KINDS), cells)))
+            for per, cells, wanted in ((False, nb, pooled),
+                                       (True, n_ref * nb, per_time))
+            if wanted}
+        self._counts = np.zeros(nb, dtype=np.intp)
+        self._forward = np.zeros((len(self.steps), nb))
+        self._by_bin = nb < n_ref
+        self._rows = []         # per block, what D keeps of its rows
         self._fields = {}
 
-    def _blocks(self, offsets):
-        """Walk the intact rows in row order, about _BLOCK_SAMPLES samples
-        at a time, over the columns from the first to the last one read:
-        per block, a list of the positions at the reference indices and at
-        each of offsets recorded steps from them, each a row-major (rows,
-        n_ref) copy (x[:, idx] alone comes out column-major)."""
-        steps = (0, *offsets)
-        lo = self.ridx.min() + min(steps)
-        span = slice(lo, self.ridx.max() + max(steps) + 1)
-        rows = max(1, _BLOCK_SAMPLES // self.ridx.size)
-        for (x,) in self.ens.intact_blocks(("positions",), span, rows):
-            yield [np.ascontiguousarray(x[:, self.ridx + s - lo]) for s in steps]
+    @classmethod
+    def of(cls, ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
+           **kwargs) -> "SampleSet":
+        """The set of spec on ens's record grid, with ens taken as its one
+        chunk; kwargs as for the constructor."""
+        samples = cls(ens.times, ens.rec_dt, spec, **kwargs)
+        samples.take(ens)
+        return samples
 
-    def _cell_sums(self, per_time: bool):
-        """(counts, sums, sq): the central samples' counts and, per kind of
-        _KINDS, the sums and sums of squares of its increments, on every
-        bin with the overflow bin last, pooled over the reference times or
-        per reference time. counts has shape (cells,), sums and sq
-        (3, cells), with cells = (n_ref if per_time else 1) (x_bins + 1).
-        The walk also leaves _forward_sums at the set's own lag."""
-        key = ("cells", per_time)
-        if key not in self._fields:
-            n = self.spec.x_bins + 1
-            n_ref = self.ridx.size
-            cells = n * n_ref if per_time else n
-            first = n * np.arange(n_ref) if per_time else 0
-            counts = np.zeros(cells, dtype=np.intp)
-            sums, sq = np.zeros((2, len(_KINDS), cells))
-            forward = np.zeros((1, n))
-            for x in self._blocks((self.k, -self.k)):
-                bins = _bin_index(self.edges, x[0])
-                cell = (bins + first).ravel()
-                counts += np.bincount(cell, minlength=cells)
-                for i, inc in enumerate(_increments(x, self.delta_t)):
+    def _blocks(self, chunk: TrajectoryEnsemble):
+        """Walk chunk's intact rows in row order, about _BLOCK_SAMPLES
+        samples at a time, over the columns from the first to the last one
+        read: per block, the positions at the reference indices plus each
+        offset read (0 the central samples) by offset, each a row-major
+        (rows, n_ref) copy (x[:, idx] alone comes out column-major)."""
+        offsets = {0, *self.steps, *((self.k, -self.k) if self._cells else ())}
+        lo = self.ridx.min() + min(offsets)
+        span = slice(lo, self.ridx.max() + max(offsets) + 1)
+        rows = max(1, _BLOCK_SAMPLES // self.ridx.size)
+        for (x,) in chunk.intact_blocks(("positions",), span, rows):
+            yield {s: np.ascontiguousarray(x[:, self.ridx + s - lo])
+                   for s in offsets}
+
+    def take(self, chunk: TrajectoryEnsemble):
+        """Add the sums of chunk's intact rows, chunks in row order."""
+        n = self.spec.x_bins + 1
+        for x in self._blocks(chunk):
+            x0 = x[0]
+            bins = _bin_index(self.edges, x0)
+            flat = bins.ravel()
+            self._counts += np.bincount(flat, minlength=n)
+            if self._cells:
+                incs = _increments((x0, x[self.k], x[-self.k]), self.delta_t)
+            for per_time, (counts, sums, sq) in self._cells.items():
+                cell = ((bins + n * np.arange(self.ridx.size)).ravel()
+                        if per_time else flat)
+                counts += np.bincount(cell, minlength=counts.size)
+                for i, inc in enumerate(incs):
                     np.add.at(sums[i], cell, inc.ravel())
                     np.add.at(sq[i], cell, (inc**2).ravel())
-                np.add.at(forward[0], bins.ravel(), (x[1] - x[0]).ravel())
-            self._fields[key] = counts, sums, sq
-            self._fields[("forward", (self.k,))] = (
-                counts.reshape(-1, n).sum(axis=0), forward)
-        return self._fields[key]
+            dx = np.array([x[s] - x0 for s in self.steps])
+            for total, d in zip(self._forward, dx):
+                np.add.at(total, flat, d.ravel())
+            self._rows.append(self._row_sums(bins, dx))
 
-    def _forward_sums(self, steps: tuple):
-        """(counts, sums): the central samples' counts and, per lag of
-        steps (recorded steps), the sums of the forward increments, on
-        every bin with the overflow bin last; the first pass of
-        _diffusions."""
-        key = ("forward", steps)
-        if key not in self._fields:
-            n = self.spec.x_bins + 1
-            counts = np.zeros(n, dtype=np.intp)
-            sums = np.zeros((len(steps), n))
-            for x in self._blocks(steps):
-                bins = _bin_index(self.edges, x[0]).ravel()
-                counts += np.bincount(bins, minlength=n)
-                for j in range(len(steps)):
-                    np.add.at(sums[j], bins, (x[j + 1] - x[0]).ravel())
-            self._fields[key] = counts, sums
-        return self._fields[key]
+    def _row_sums(self, bins, dx):
+        """What D keeps of a block's rows, from the bins of its central
+        samples and its increments dx at each lag (lags, rows, n_ref):
+        with fewer bins than reference times (N, A, Q), N (rows, bins) and
+        A (lags, rows, bins) on every bin with the overflow bin last and Q
+        (lags, rows); else (bins, dx)."""
+        if not self._by_bin:
+            return bins.astype(np.min_scalar_type(self.spec.x_bins)), dx
+        rows, n = len(bins), self.spec.x_bins + 1
+        cell = (bins + n * np.arange(rows)[:, None]).ravel()
+        N = np.bincount(cell, minlength=rows * n).astype(np.int32)
+        A = np.array([np.bincount(cell, d.ravel(), rows * n) for d in dx])
+        dx[:, bins == n - 1] = 0.0
+        Q = np.square(dx, out=dx).sum(axis=2)
+        return N.reshape(rows, n), A.reshape(len(dx), rows, n), Q
+
+    def _check_rows(self):
+        if not self._counts.any():
+            raise KinematicsError("no intact trajectories in the ensemble")
+
+    def _cell_sums(self, per_time: bool):
+        """(counts, sums, sq) of the cells per bin, with the overflow bin
+        last, or per reference time and bin; see take. counts has shape
+        (cells,), sums and sq (3, cells)."""
+        if per_time not in self._cells:
+            raise KinematicsError(
+                f"the sample set was built without its "
+                f"{'per-time' if per_time else 'pooled'} cells")
+        self._check_rows()
+        return self._cells[per_time]
 
     def _binned_field(self, kind, counts, values, se, **meta) -> BinnedField:
         return BinnedField(
@@ -502,53 +546,94 @@ class SampleSet:
 
     def diffusion(self) -> DiffusionEstimate:
         """D at the set's own lag; see estimate_D."""
-        return self._diffusions((self.k,))[0]
+        return self._diffusions()[self.steps.index(self.k)]
 
-    def _diffusions(self, steps: tuple) -> list:
-        """DiffusionEstimate at each lag of steps (recorded steps), every
-        lag from the same two walks: the bin means of the increments, then
-        each trajectory's squared deviations from them."""
-        delta_ts = [j * self.ens.rec_dt for j in steps]
-        means = _bin_means(*self._forward_sums(steps))
-        # the overflow bin's NaN mean drops its samples from D
-        means[:, -1] = np.nan
-        n_ok = int(np.count_nonzero(self.ens.ok_mask()))
-        # per lag: each trajectory's mean sample (NaN without one), whether
-        # it has one, and the number of samples
-        per_traj = np.empty((len(steps), n_ok))
-        has = np.empty((len(steps), n_ok), dtype=bool)
-        n_samples = [0] * len(steps)
-        lo = 0
-        for x in self._blocks(steps):
-            bins = _bin_index(self.edges, x[0])
-            rows = slice(lo, lo + len(x[0]))
+    def _diffusions(self) -> list:
+        """DiffusionEstimate at each of the set's lags: per trajectory the
+        mean of (dx - m_b)^2 / (2 delta_t) over its samples in the bins,
+        m_b the bin means of the forward increments dx, and the mean and
+        standard error of those over the trajectories. The rows' sums are
+        dropped once read: the set takes no chunk after its estimates."""
+        if "D" not in self._fields:
+            self._check_rows()
+            means = _bin_means(self._counts, self._forward)
+            # the overflow bin's NaN mean drops its samples from D
+            means[:, -1] = np.nan
+            delta_ts = [j * self.rec_dt for j in self.steps]
+            per_lag = [[] for _ in delta_ts]
+            n_samples = [0] * len(delta_ts)
+            for sums in self._rows:
+                for j, delta_t in enumerate(delta_ts):
+                    value, n = self._finish(sums, j, means[j], delta_t)
+                    per_lag[j].append(value[n > 0])
+                    n_samples[j] += int(n.sum())
+            self._rows = None
+            ests = []
             for j, delta_t in enumerate(delta_ts):
-                # row-major, so each row's sum over the reference times is
-                # pairwise, as over the whole (n_ok, n_ref) array
-                dx = x[j + 1] - x[0]
-                dx -= means[j][bins]
-                samples = np.square(dx, out=dx)
-                samples /= 2.0 * delta_t
-                finite = np.isfinite(samples)
-                np.copyto(samples, 0.0, where=~finite)
-                n = np.count_nonzero(finite, axis=1)
-                with np.errstate(invalid="ignore"):
-                    per_traj[j, rows] = samples.sum(axis=1) / n
-                has[j, rows] = n > 0
-                n_samples[j] += int(n.sum())
-            lo = rows.stop
-        ests = []
-        for j, delta_t in enumerate(delta_ts):
-            values = per_traj[j][has[j]]
-            if values.size < 2:
-                raise KinematicsError(
-                    "too few trajectories for a diffusion estimate")
-            ests.append(DiffusionEstimate(
-                value=float(np.mean(values)),
-                std_error=float(np.std(values, ddof=1)
-                                / math.sqrt(values.size)),
-                delta_t=delta_t, n_samples=n_samples[j]))
-        return ests
+                values = np.concatenate(per_lag[j])
+                per_lag[j] = None
+                if values.size < 2:
+                    raise KinematicsError(
+                        "too few trajectories for a diffusion estimate")
+                ests.append(DiffusionEstimate(
+                    value=float(np.mean(values)),
+                    std_error=float(np.std(values, ddof=1)
+                                    / math.sqrt(values.size)),
+                    delta_t=delta_t, n_samples=n_samples[j]))
+            self._fields["D"] = ests
+        return self._fields["D"]
+
+    def _finish(self, sums, j: int, m: np.ndarray, delta_t: float):
+        """(value, n) per row of one block's _row_sums at lag j, m the bin
+        means: n the row's samples in the bins, value the mean of their
+        (dx - m_b)^2 / (2 delta_t) (NaN without one)."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if self._by_bin:
+                N, A, Q = sums
+                m = np.nan_to_num(m)        # bins without a sample of D
+                n = N[:, :-1].sum(axis=1)
+                return (Q[j] - 2.0 * (A[j] * m).sum(axis=1)
+                        + (N * m**2).sum(axis=1)) / (2.0 * delta_t * n), n
+            bins, dx = sums
+            samples = np.square(dx[j] - m[bins])
+            samples /= 2.0 * delta_t
+            finite = np.isfinite(samples)
+            np.copyto(samples, 0.0, where=~finite)
+            n = np.count_nonzero(finite, axis=1)
+            return samples.sum(axis=1) / n, n
+
+    def sweep(self) -> DiffusionSweep:
+        """D at each of the set's lags and their plateau; see
+        diffusion_sweep."""
+        ests = self._diffusions()
+
+        def window_ok(i, j):
+            for a in range(i, j + 1):
+                for b in range(a + 1, j + 1):
+                    tol = max(2.0 * (ests[a].std_error + ests[b].std_error),
+                              _PLATEAU_REL * 0.5 * (ests[a].value + ests[b].value))
+                    if abs(ests[a].value - ests[b].value) > tol:
+                        return False
+            return True
+
+        delta_ts = np.asarray(self.lags, dtype=float)
+        best = None
+        n = len(ests)
+        for i in range(n):
+            for j in range(i + 2, n):
+                if window_ok(i, j) and (best is None or j - i > best[1] - best[0]):
+                    best = (i, j)
+        if best is None:
+            return DiffusionSweep(delta_ts=delta_ts, estimates=ests,
+                                  plateau_found=False, plateau_slice=None,
+                                  value=None, flag="no clean scale separation")
+        i, j = best
+        wts = np.array([1.0 / max(e.std_error, 1e-300) ** 2 for e in ests[i:j + 1]])
+        vals = np.array([e.value for e in ests[i:j + 1]])
+        return DiffusionSweep(delta_ts=delta_ts, estimates=ests, plateau_found=True,
+                              plateau_slice=(i, j),
+                              value=float(np.sum(wts * vals) / np.sum(wts)),
+                              flag=None)
 
     def _fields_at_times(self):
         """Per-reference-time binned v, u, rho and counts, each (n_ref, x_bins)."""
@@ -597,7 +682,6 @@ class SampleSet:
             dtrho = ((rho_t[2:, run] - rho_t[:-2, run]) / (2 * ht)).mean(axis=0)
             ref_times = self.ref_times[1:-1]
 
-        # after the fields, so that D's bin means come with their walk
         if D is None:
             D = self.diffusion().value
         sl_c = centers[run]
@@ -644,25 +728,26 @@ class SampleSet:
 
 
 # ---------------------------------------------------------------------------
-# estimators on one ensemble and spec, each over its own sample set
+# estimators on one ensemble and spec, each over its own sample set with
+# the ensemble as its one chunk
 
 def estimate_v(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> BinnedField:
     """Current velocity v(x) from the symmetric difference."""
-    return SampleSet(ens, spec).field("v")
+    return SampleSet.of(ens, spec).field("v")
 
 
 def estimate_u(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> BinnedField:
     """Osmotic velocity u(x) from the second symmetric difference."""
-    return SampleSet(ens, spec).field("u")
+    return SampleSet.of(ens, spec).field("u")
 
 
 def estimate_va(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> VaEstimate:
-    return SampleSet(ens, spec).va()
+    return SampleSet.of(ens, spec).va()
 
 
 def density_estimate(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> BinnedField:
     """Normalized position density on the coarse-graining bins."""
-    return SampleSet(ens, spec).density()
+    return SampleSet.of(ens, spec).density()
 
 
 def estimate_D(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> DiffusionEstimate:
@@ -671,7 +756,7 @@ def estimate_D(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> DiffusionEstim
     the estimate. The standard error treats trajectories, not samples, as
     the independent unit.
     """
-    return SampleSet(ens, spec).diffusion()
+    return SampleSet.of(ens, spec, pooled=False).diffusion()
 
 
 def diffusion_sweep(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
@@ -680,36 +765,17 @@ def diffusion_sweep(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     and bins at the largest lag: the lags share its central samples and
     their bins, and each gathers only its own forward positions. The
     reference times need room for the largest lag."""
-    delta_ts = np.asarray(sorted(delta_ts), dtype=float)
-    s = SampleSet(ens, replace(spec, delta_t=float(delta_ts[-1])))
-    ests = s._diffusions(tuple(_lag_steps(ens, float(dt)) for dt in delta_ts))
+    delta_ts = sorted(delta_ts)
+    return SampleSet.of(ens, replace(spec, delta_t=float(delta_ts[-1])),
+                        lags=delta_ts, pooled=False).sweep()
 
-    def window_ok(i, j):
-        for a in range(i, j + 1):
-            for b in range(a + 1, j + 1):
-                tol = max(2.0 * (ests[a].std_error + ests[b].std_error),
-                          _PLATEAU_REL * 0.5 * (ests[a].value + ests[b].value))
-                if abs(ests[a].value - ests[b].value) > tol:
-                    return False
-        return True
 
-    best = None
-    n = len(ests)
-    for i in range(n):
-        for j in range(i + 2, n):
-            if window_ok(i, j) and (best is None or j - i > best[1] - best[0]):
-                best = (i, j)
-    if best is None:
-        return DiffusionSweep(delta_ts=delta_ts, estimates=ests,
-                              plateau_found=False, plateau_slice=None,
-                              value=None, flag="no clean scale separation")
-    i, j = best
-    wts = np.array([1.0 / max(e.std_error, 1e-300) ** 2 for e in ests[i:j + 1]])
-    vals = np.array([e.value for e in ests[i:j + 1]])
-    return DiffusionSweep(delta_ts=delta_ts, estimates=ests, plateau_found=True,
-                          plateau_slice=(i, j),
-                          value=float(np.sum(wts * vals) / np.sum(wts)),
-                          flag=None)
+def _residual_set(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
+                  time_derivative: str) -> SampleSet:
+    """The set the residuals read: pooled cells with the time derivatives
+    omitted, per-time cells with them measured."""
+    measured = time_derivative == "measured"
+    return SampleSet.of(ens, spec, pooled=not measured, per_time=measured)
 
 
 def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
@@ -723,8 +789,8 @@ def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     """
     if lam not in (-1, 1):
         raise KinematicsError("lam must be +1 or -1")
-    return SampleSet(ens, spec).residuals(mass, force, (lam,), D,
-                                          time_derivative)[lam]
+    return _residual_set(ens, spec, time_derivative).residuals(
+        mass, force, (lam,), D, time_derivative)[lam]
 
 
 def classify_branch(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
@@ -735,4 +801,5 @@ def classify_branch(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     ratio is (worse residual)/(better residual); a ratio near 1 means the
     data cannot distinguish the branches at this lag and ensemble size.
     """
-    return SampleSet(ens, spec).classify_branch(mass, force, D, time_derivative)
+    return _residual_set(ens, spec, time_derivative).classify_branch(
+        mass, force, D, time_derivative)

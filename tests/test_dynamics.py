@@ -50,7 +50,6 @@ import sedsim.field
 import sedsim.reference
 from sedsim.field import (CombPlan, FieldSpec, comb_cache_params,
                           comb_sum_slabs, eval_field, make_field, mode_table)
-from sedsim.harness import _window_statistics
 from sedsim.reference import harmonic_response, harmonic_trajectory
 
 SED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sed_harmonic_ground.json"
@@ -841,6 +840,7 @@ def test_stream_reductions_add_the_whole_ensembles_blocks(sizes):
     whole.take(ens)
     for a, b in zip(balance.trace(), whole.trace()):
         assert np.array_equal(a, b)
+    assert balance.position_variance() == whole.position_variance()
     times, curve = relaxation_curve(ens, particle)
     assert np.array_equal(energy.curve(ens)[1], curve)
 
@@ -1057,10 +1057,10 @@ def test_window_reductions_go_block_by_block(flagged):
     for n_traj in (400, 1600):
         ens = noise_ensemble(n_traj)
         ens.status[flagged] = STATUS_NONFINITE
-        # each reduction with the number of records its blocks span
+        # each reduction with the number of records its blocks span; the
+        # balance's sums include the window statistics'
         walks = ((energy_balance, (ens, particle, window), 1501),
-                 (relaxation_curve, (ens, particle), ens.times.size),
-                 (_window_statistics, (ens, window), 1501))
+                 (relaxation_curve, (ens, particle), ens.times.size))
         tracemalloc.start()
         try:
             for fn, args, width in walks:
@@ -1119,7 +1119,9 @@ def test_window_reductions_sum_row_major_blocks(flagged):
     assert np.array_equal(relaxation_curve(ens, particle)[1],
                           block_column_sums(whole) / n_ok)
     per_traj_x, per_traj_x2 = np.mean(x, axis=1), np.mean(x**2, axis=1)
-    assert _window_statistics(ens, (50.0, 200.0)) == (
+    sums = BalanceSums(particle, (50.0, 200.0), ens.times)
+    sums.take(ens)
+    assert sums.position_variance() == (
         float(np.mean(per_traj_x2) - np.mean(per_traj_x)**2),
         float(np.std(per_traj_x2, ddof=1) / math.sqrt(n_ok)))
 

@@ -119,11 +119,15 @@ def test_run_json_records_the_resolved_grid(sed_run, ou_run):
 
 
 def test_run_json_records_the_stage_ledger(sed_run, ou_run):
-    for run, names in ((sed_run, {"integrate", "window-statistics"}),
-                       (ou_run, {"sample-relaxing"})):
+    # the sample sets and the window statistics take their sums inside
+    # integrate and sample-equilibrium, so no stage gathers samples
+    for run, names in ((sed_run, {"integrate", "diffusion-sweep"}),
+                       (ou_run, {"sample-relaxing", "diffusion-sweep"})):
         run_meta = json.loads((run.run_dir / "run.json").read_text())
         stages = run_meta["stages"]
         assert names <= {s["name"] for s in stages}
+        assert not {"gather-samples", "window-statistics"} & {
+            s["name"] for s in stages}
         assert all(set(s) == {"name", "wall_s", "cpu_s", "peak_rss_mb", "rss_mb"}
                    for s in stages)
         assert all(s["wall_s"] >= 0 and s["cpu_s"] >= 0 for s in stages)
@@ -255,42 +259,51 @@ def test_calibration_run_passes_everything(ou_run):
 
 
 def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
-    # sed: one sample set at the lag (fields and classifier), one for the
-    # sweep; ou: those two plus the relaxing classifier's. A sample set
-    # holds no positions; each walk gathers them block by block. v, u and
-    # va share one walk (the measured residuals' per-time fields take one
-    # of their own), which also leaves the bin means of D at the set's
-    # lag; D then takes one more walk for the squared deviations. The
-    # sweep's lags share one walk for the bin means and one for the
-    # deviations. sed: fields 1, the classifier's D 1, the sweep 2; ou:
-    # fields 1, the sweep 2, the relaxing classifier's fields at three
-    # times 1 and its D 1. Each binned mean (v, u, va) is finished once per
-    # set, and the ou variance row reads the first reference column in one
-    # more walk of the equilibrium set.
-    counts = {"walk": 0, "binned_mean": 0}
+    # every sample set walks each chunk once, as the stream hands it over,
+    # and its estimates walk nothing: v, u, va and D at every lag come from
+    # the sums of that walk. sed: two sets, one at the lag (fields and
+    # classifier) and one for the sweep, over 2 chunks of integrate. ou:
+    # the equilibrium sample's two sets over its 10 blocks of 2,048 rows,
+    # and the relaxing classifier's set, made from its store once the
+    # sample's variance sets its bins, over that one chunk after the
+    # stream. Each binned mean (v, u, va) is finished once per set.
+    counts = {"walk": 0, "binned_mean": 0, "after_stream": 0}
+    streaming = []
     walk = kinematics.SampleSet._blocks
     binned_mean = kinematics._binned_mean
 
-    def counting_walk(samples, offsets):
+    def counting_walk(samples, chunk):
         counts["walk"] += 1         # when the walk starts
-        yield from walk(samples, offsets)
+        counts["after_stream"] += not streaming
+        yield from walk(samples, chunk)
 
     def counting_binned_mean(*args):
         counts["binned_mean"] += 1
         return binned_mean(*args)
 
+    def marked(stream):
+        def marked_stream(*args, **kwargs):
+            streaming.append(stream)
+            try:
+                return stream(*args, **kwargs)
+            finally:
+                streaming.pop()
+        return marked_stream
+
     monkeypatch.setattr(kinematics.SampleSet, "_blocks", counting_walk)
     monkeypatch.setattr(kinematics, "_binned_mean", counting_binned_mean)
+    for name in ("integrate_stream", "ou_stream"):
+        monkeypatch.setattr(harness, name, marked(getattr(harness, name)))
     run_experiment(mini_sed_config(), output_root=tmp_path / "sed")
-    assert counts == {"walk": 1 + 1 + 2, "binned_mean": 3}
+    assert counts == {"walk": 2 * 2, "binned_mean": 3, "after_stream": 0}
 
-    counts.update(walk=0, binned_mean=0)
+    counts.update(walk=0, binned_mean=0, after_stream=0)
     ou = json.loads(OU_CONFIG.read_text())
     ou["ensemble"]["n_traj"] = 20_000
     ou["langevin"]["n_traj_relax"] = 50_000
     ou["outputs"]["ensemble_dump"] = "none"
     run_experiment(ou, output_root=tmp_path / "ou")
-    assert counts == {"walk": 1 + 1 + 2 + (1 + 1), "binned_mean": 3}
+    assert counts == {"walk": 2 * 10 + 1, "binned_mean": 3, "after_stream": 1}
 
 
 def test_existing_run_directory_is_refused(tmp_path):
@@ -523,6 +536,11 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
      "time: need a positive run length and dt"),
     ("ou", "time", "t_final", -1.0,
      "time.t_final -1.0 leaves no step of dt 0.01 after time.t0 0"),
+    # values whose arithmetic overflows, named by the keys they join
+    ("sed", "field", "c", 1e200,
+     "particle and field.c: (34, 'Numerical result out of range')"),
+    ("sed", "time", "dt", 1e-300,
+     "time: Python int too large to convert to C ssize_t"),
 ])
 def test_bad_inputs_are_refused_before_anything_is_written(
         pipeline, block, key, value, message, tmp_path, monkeypatch, capsys):
@@ -701,37 +719,72 @@ def test_a_failed_chunk_leaves_a_dump_that_does_not_load(tmp_path,
         load_ensemble(run_dir / "ensemble")
 
 
-def test_sed_run_holds_a_few_chunks_and_the_store(tmp_path, monkeypatch):
-    # 1,200 trajectories in the response path's chunks of 64: integrate's
-    # peak is the store of the window's positions and about one chunk
-    # (positions, velocities and field values) with its transforms, far
-    # below the 3 whole arrays. The estimator stages after it walk blocks
-    # of samples (the diffusion sweep held 4.8 MB above the store here),
-    # and the run stays below the store and 4 of these chunks
-    stream, peaks = harness.integrate_stream, []
+def test_sed_run_holds_a_few_chunks_and_the_sample_sums(tmp_path,
+                                                        monkeypatch):
+    # the response path's chunks of 64: integrate's peak is about one chunk
+    # (positions, velocities and field values) with its transforms, plus
+    # what the two sample sets keep for D: per lag (4 here) and trajectory
+    # at most 12 bytes a bin, and their per-bin sums. The stages after it
+    # finish those sums, and the run stays below them and 4 chunks, far
+    # below the 3 whole arrays. 4,800 trajectories, 3,600 more than 1,200,
+    # raise the peak by at most their sums and one chunk: nothing else the
+    # run holds grows with n_traj
+    stream, peaks = harness.integrate_stream, {}
 
     def measured_stream(*args, **kwargs):
         tracemalloc.reset_peak()
         head = stream(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1])
+        peaks[head.n_traj] = [tracemalloc.get_traced_memory()[1]]
         return head
 
     monkeypatch.setattr(harness, "integrate_stream", measured_stream)
     cfg = mini_sed_config()
-    cfg["ensemble"]["n_traj"] = 1200
-    tracemalloc.start()
-    try:
-        result = run_experiment(cfg, output_root=tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    times = np.load(result.run_dir / "ensemble" / "times.npy")
-    n_window = np.count_nonzero((times >= 900.0) & (times <= 1500.0))
-    store = 1200 * (n_window + 4) * 8
-    chunk = 3 * dynamics.RESPONSE_CHUNK * times.size * 8
-    whole = 3 * 1200 * times.size * 8
-    assert peaks[0] < store + 2 * chunk
-    assert peak < store + 4 * chunk < whole / 2
+    for n_traj in (1200, 4800):
+        cfg["ensemble"]["n_traj"] = n_traj
+        tracemalloc.start()
+        try:
+            result = run_experiment(cfg, output_root=tmp_path / str(n_traj))
+            peaks[n_traj].append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    n_rec = np.load(result.run_dir / "ensemble" / "times.npy").size
+    cg = cfg["coarse_grain"]
+    lags, bins = 1 + len(cg["delta_t_sweep"]), cg["x_bins"]["n"] + 1
+    per_bin = 2 * (1 + 2 * 3 + lags) * bins * 8
+    chunk = 3 * dynamics.RESPONSE_CHUNK * n_rec * 8
+    for n_traj, (integrate, peak) in peaks.items():
+        sums = lags * n_traj * bins * 12 + per_bin
+        assert integrate < sums + 2 * chunk
+        assert peak < sums + 4 * chunk < 3 * n_traj * n_rec * 8 / 2
+    assert peaks[4800][1] - peaks[1200][1] < lags * 3600 * bins * 12 + chunk
+
+
+def test_sed_run_keeps_no_positions_for_the_estimators(tmp_path,
+                                                       monkeypatch):
+    # no column store, and no sample set walks anything once integrate
+    # has handed over the last chunk
+    def no_store(*args, **kwargs):
+        raise AssertionError("the sed run built a ColumnStore")
+
+    stream, walk, late = harness.integrate_stream, kinematics.SampleSet._blocks, []
+
+    def finished_stream(*args, **kwargs):
+        head = stream(*args, **kwargs)
+        late.append(0)
+        return head
+
+    def counting_walk(samples, chunk):
+        if late:
+            late.append(1)
+        yield from walk(samples, chunk)
+
+    monkeypatch.setattr(harness, "ColumnStore", no_store)
+    monkeypatch.setattr(dynamics, "ColumnStore", no_store)
+    monkeypatch.setattr(harness, "integrate_stream", finished_stream)
+    monkeypatch.setattr(kinematics.SampleSet, "_blocks", counting_walk)
+    result = run_experiment(mini_sed_config(), output_root=tmp_path)
+    assert (result.run_dir / "dsweep.json").is_file()
+    assert late == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,19 @@ ships with. Then runs sedbench's sed-quartic execution
 (workloads.Quartic().execute, the library route through estimate_v ...
 classify_branch) at master_seed QUARTIC_SEED the same way, each tree with
 its own sedbench. Lists, per config and for that execution, the artifacts
-whose bytes differ or that only one tree wrote, and the exit statuses.
-run.json, which holds wall times, is left out. Last, prints the source
-size of each tree as `wc -l src/sedsim/*.py` counts it: the newlines of
-each file and their total. Exits 1 on any difference, including a
+whose bytes differ or that only one tree wrote, and the exit statuses;
+for a differing JSON artifact of the same structure in both trees, whose
+strings, booleans and nulls agree, the largest relative deviation among
+its numbers. run.json, which holds wall times, is left out. Last, prints
+the source size of each tree as `wc -l src/sedsim/*.py` counts it: the
+newlines of each file and their total. Exits 1 on any difference, including a
 differing exit status, and 0 when every artifact matches. Run directories
 go to a temporary directory, deleted after each comparison.
 """
 
 import filecmp
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -55,6 +58,34 @@ def same(a: Path, b: Path) -> bool:
     return a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)
 
 
+def json_deviation(a: Path, b: Path):
+    """The largest relative deviation |x - y| / max(|x|, |y|) between the
+    numbers of the JSON files a and b (NaN against NaN counts as equal), or
+    None unless both exist and are JSON of the same structure whose other
+    values agree."""
+    try:
+        docs = [json.loads(p.read_text()) for p in (a, b)]
+    except (OSError, ValueError):       # ValueError: UnicodeDecodeError too
+        return None
+    devs = []
+
+    def walk(x, y):
+        if isinstance(x, dict) and isinstance(y, dict):
+            return x.keys() == y.keys() and all(walk(x[k], y[k]) for k in x)
+        if isinstance(x, list) and isinstance(y, list):
+            return len(x) == len(y) and all(map(walk, x, y))
+        numbers = [isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (x, y)]
+        if not all(numbers):
+            return not any(numbers) and x == y
+        both_nan = all(isinstance(v, float) and math.isnan(v) for v in (x, y))
+        devs.append(0.0 if x == y or both_nan
+                    else abs(x - y) / max(abs(x), abs(y)))
+        return True
+
+    return max(devs, default=0.0) if walk(*docs) else None
+
+
 def run_quartic(tree: Path, root: Path):
     """(exit status, run directory) of the sed-quartic execution."""
     env = {**os.environ, **THREADS, "PYTHONPATH": str(tree / "src")}
@@ -81,7 +112,10 @@ def compare(label: str, results) -> int:
     print(f"{label}: {len(names)} artifacts, {len(differ)} differ; exit "
           f"statuses {status_a} and {status_b}")
     for rel in differ:
-        print(f"  differs: {rel}")
+        dev = (json_deviation(dir_a / rel, dir_b / rel)
+               if rel.suffix == ".json" else None)
+        moved = "" if dev is None else f", numbers by at most {dev:.2g} relative"
+        print(f"  differs: {rel}{moved}")
     for run_dir in (dir_a, dir_b):
         shutil.rmtree(run_dir, ignore_errors=True)
     return len(differ) + (status_a != status_b)
