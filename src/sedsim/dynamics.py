@@ -41,8 +41,8 @@ to a list of consumers and keeps none of it: an EnsembleWriter appends the
 chunk's rows to the dump, BalanceSums and EnergySums add its blocks of
 ROW_BLOCK rows, less the flagged ones, to the energy balance, the window's
 position variance and the relaxation curve, and the estimators' sample
-sets (kinematics.SampleSet) add its samples to their bin and trajectory
-sums. Each trajectory is seeded on its own (Philox keyed by master seed
+sets (kinematics.SampleSet) add its samples to their bin sums and to
+D's. Each trajectory is seeded on its own (Philox keyed by master seed
 and trajectory index; Salmon et al., SC'11), so a chunk does not depend
 on the others. A chunk is CHUNK rows on the step loop, whose per-step
 numpy dispatch needs the width, and RESPONSE_CHUNK rows on the response

@@ -408,7 +408,7 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
         energy_sums = EnergySums(particle, times.size)
         samples = SampleSet(times, rec_dt, spec0)
         sweep_set = SampleSet(times, rec_dt, sweep_spec, lags=sweep_lags,
-                              pooled=False)
+                              cells=None)
         consumers = [balance_sums, energy_sums, samples, sweep_set]
         if dump_fmt != "none":
             writer = EnsembleWriter(run_dir / "ensemble", n_traj, times.size,
@@ -612,18 +612,19 @@ def _plan_ou_calibration(cfg: dict, info: dict):
         # the classifier reads, whose bins come from the sample's variance
         samples = SampleSet(times, dt, spec0)
         sweep_set = SampleSet(times, dt, sweep_spec, lags=sweep_lags,
-                              pooled=False)
+                              cells=None)
         col = int(samples.ridx[0])
-        first = ColumnStore(n_traj, slice(col, col + 1))
+        ref_column = ColumnStore(n_traj, slice(col, col + 1))
         eq = sample("sample-equilibrium", "dump", "ensemble", n_traj,
-                    (master_seed, 0), "stationary", [samples, sweep_set, first])
+                    (master_seed, 0), "stationary",
+                    [samples, sweep_set, ref_column])
         relax_store = ColumnStore(n_relax, relax_cols)
         relax = relax_store.ensemble(sample(
             "sample-relaxing", "dump-relaxing", "ensemble_relaxing", n_relax,
             (master_seed, 1), x_start, [relax_store]))
 
         v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
-        x_ref2 = np.square(first.positions[eq.ok_mask(), 0])
+        x_ref2 = np.square(ref_column.positions[eq.ok_mask(), 0])
         sweep = _stage(info, "diffusion-sweep", sweep_set.sweep)
         _write_json(run_dir / "dsweep.json", sweep.to_dict())
 

@@ -17,15 +17,16 @@ use bins below the minimum occupancy.
 Every estimate on one reference set reads a SampleSet, a consumer of a
 stream of trajectory chunks (dynamics.integrate_stream,
 reference.ou_stream): it walks each chunk's intact rows once, in row
-blocks, and keeps per-bin sums and, per trajectory and lag, no more
-numbers than bins, never a (trajectories x reference times) array, so
-the pipelines keep no positions for it. Each block's bin sums are added
-to the previous blocks' in order (Chan, Golub & LeVeque, Am. Stat. 37,
-242 (1983)), in the order one np.bincount over the whole sample array
-would take, so v, u, va and the density keep every bit the whole-array
-formulas give them. D, whose bin means are known only after the last
-chunk, is finished from each trajectory's own sums in the same pass. The
-library estimators take a whole ensemble as one chunk.
+blocks, and keeps sums whose size does not grow with the number of
+trajectories, never a (trajectories x reference times) array, so the
+pipelines keep no positions for it. Each block's bin sums are added to
+the previous blocks' in order, in the order one np.bincount over the
+whole sample array would take, so v, u, va and the density keep every
+bit the whole-array formulas give them. D, whose bin means are known
+only after the last chunk, is linear in a few sums per trajectory; their
+mean and scatter over the trajectories are merged block by block (Chan,
+Golub & LeVeque, Am. Stat. 37, 242 (1983)) in the same pass. The library
+estimators take a whole ensemble as one chunk.
 """
 
 from __future__ import annotations
@@ -377,18 +378,27 @@ class SampleSet:
     blocks of about _BLOCK_SAMPLES samples
     (TrajectoryEnsemble.intact_blocks), gathers the positions it reads,
     bins each block's central samples and adds:
-    - with pooled per bin, and with per_time per reference time and bin
-      (what the measured residuals read): the central samples' counts
-      and the sums and sums of squares of the v, u and va increments;
-    - per lag, the forward increments' sums per bin, whose means D
+    - with cells "pooled" per bin, with cells "per_time" per reference
+      time and bin (what the measured residuals read), and with None not
+      at all: the central samples' counts and the sums and sums of
+      squares of the v, u and va increments;
+    - per lag, the forward increments' sums per bin, whose means m_b D
       subtracts;
-    - per intact row, what D needs of it once those means are known.
-      With fewer bins (the overflow bin counted) than reference times,
-      the counts N_b of its samples per bin and per lag Q = sum dx^2 over
-      those in the bins and A_b = sum dx per bin, since the row's sum of
-      (dx - m_b)^2 is Q - 2 sum_b m_b A_b + sum_b m_b^2 N_b; else its
-      samples' bins and increments. So a row keeps the fewer of its bins
-      and its samples.
+    - per lag, what D needs of the rows once the m_b are known. With
+      more reference times than bins (the overflow bin counted): with
+      dx' = dx - p_b, p_b pilot means (the first rows' bin means), a
+      row's sum of (dx - m_b)^2 over its n samples in the bins is
+      Q - 2 sum_b e_b A_b + sum_b e_b^2 N_b, e_b = m_b - p_b, with
+      Q = sum dx'^2, A_b = sum dx' and N_b the count in bin b, so its D
+      is linear in y = (Q, A_b, N_b) / n. The set keeps the rows' count,
+      mean y and scatter of y about that mean, each block's merged into
+      the blocks' before (Chan, Golub & LeVeque): (lags, 2 x_bins + 1,
+      2 x_bins + 1) numbers, whatever the number of rows. The pilot keeps
+      e_b small, so the expansion does not cancel where the drift over a
+      lag is large against the increments' spread. A row with no more
+      samples than bins keeps its samples' bins and increments instead,
+      whose scatter would cost a dense (2 x_bins + 1)^2 product per row;
+      their D keeps the bits of the per-sample formula.
     Bin sums add every block with np.add.at into one accumulator, in the
     flat order of the (n_ok, n_ref) sample array; chunks come in row
     order, so the sums equal one np.bincount over that array bit for bit.
@@ -398,9 +408,12 @@ class SampleSet:
     """
 
     def __init__(self, times: np.ndarray, rec_dt: float,
-                 spec: CoarseGrainSpec, lags=None, pooled: bool = True,
-                 per_time: bool = False):
-        self.spec, self.rec_dt = spec, rec_dt
+                 spec: CoarseGrainSpec, lags=None,
+                 cells: str | None = "pooled"):
+        if cells not in (None, "pooled", "per_time"):
+            raise KinematicsError(
+                f"cells must be None, 'pooled' or 'per_time', not {cells!r}")
+        self.spec, self.rec_dt, self.cells = spec, rec_dt, cells
         self.k = _lag_steps(rec_dt, spec.delta_t)
         self.lags = sorted(lags) if lags is not None else [spec.delta_t]
         self.steps = tuple(_lag_steps(rec_dt, float(t)) for t in self.lags)
@@ -411,18 +424,25 @@ class SampleSet:
         self.edges = edges = np.linspace(*spec.x_range, spec.x_bins + 1)
         self.width = float(edges[1] - edges[0])
         self.centers = 0.5 * (edges[:-1] + edges[1:])
-        nb, n_ref = spec.x_bins + 1, self.ridx.size
-        # (counts, sums, sq) per bin (key False) and per time and bin (True)
-        self._cells = {
-            per: (np.zeros(cells, dtype=np.intp),
-                  *np.zeros((2, len(_KINDS), cells)))
-            for per, cells, wanted in ((False, nb, pooled),
-                                       (True, n_ref * nb, per_time))
-            if wanted}
+        nb = spec.x_bins + 1
+        n_cells = nb * (self.ridx.size if cells == "per_time" else 1)
+        # (counts, sums, sq) per cell, sums and sq (3, cells)
+        self._cells = None if cells is None else (
+            np.zeros(n_cells, dtype=np.intp),
+            *np.zeros((2, len(_KINDS), n_cells)))
         self._counts = np.zeros(nb, dtype=np.intp)
         self._forward = np.zeros((len(self.steps), nb))
-        self._by_bin = nb < n_ref
-        self._rows = []         # per block, what D keeps of its rows
+        # D's rows: with more reference times than bins, how many, and per
+        # lag their mean y and scatter about it, and the pilot means y's
+        # increments are taken about (0 on the overflow bin); else, per
+        # block, the samples' bins and increments
+        self._by_bin = nb < self.ridx.size
+        self._samples = []
+        dims = 2 * spec.x_bins + 1
+        self._n_rows = 0
+        self._pilot = np.zeros((len(self.steps), nb))
+        self._y_mean = np.zeros((len(self.steps), dims))
+        self._y_scatter = np.zeros((len(self.steps), dims, dims))
         self._fields = {}
 
     @classmethod
@@ -440,7 +460,7 @@ class SampleSet:
         read: per block, the positions at the reference indices plus each
         offset read (0 the central samples) by offset, each a row-major
         (rows, n_ref) copy (x[:, idx] alone comes out column-major)."""
-        offsets = {0, *self.steps, *((self.k, -self.k) if self._cells else ())}
+        offsets = {0, *self.steps, *((self.k, -self.k) if self.cells else ())}
         lo = self.ridx.min() + min(offsets)
         span = slice(lo, self.ridx.max() + max(offsets) + 1)
         rows = max(1, _BLOCK_SAMPLES // self.ridx.size)
@@ -456,50 +476,76 @@ class SampleSet:
             bins = _bin_index(self.edges, x0)
             flat = bins.ravel()
             self._counts += np.bincount(flat, minlength=n)
-            if self._cells:
-                incs = _increments((x0, x[self.k], x[-self.k]), self.delta_t)
-            for per_time, (counts, sums, sq) in self._cells.items():
+            if self.cells:
+                counts, sums, sq = self._cells
                 cell = ((bins + n * np.arange(self.ridx.size)).ravel()
-                        if per_time else flat)
+                        if self.cells == "per_time" else flat)
                 counts += np.bincount(cell, minlength=counts.size)
+                incs = _increments((x0, x[self.k], x[-self.k]), self.delta_t)
                 for i, inc in enumerate(incs):
                     np.add.at(sums[i], cell, inc.ravel())
                     np.add.at(sq[i], cell, (inc**2).ravel())
             dx = np.array([x[s] - x0 for s in self.steps])
             for total, d in zip(self._forward, dx):
                 np.add.at(total, flat, d.ravel())
-            self._rows.append(self._row_sums(bins, dx))
+            if self._by_bin:
+                self._merge_rows(bins, dx)
+            else:
+                self._samples.append(
+                    (bins.astype(np.min_scalar_type(n)), dx))
 
-    def _row_sums(self, bins, dx):
-        """What D keeps of a block's rows, from the bins of its central
-        samples and its increments dx at each lag (lags, rows, n_ref):
-        with fewer bins than reference times (N, A, Q), N (rows, bins) and
-        A (lags, rows, bins) on every bin with the overflow bin last and Q
-        (lags, rows); else (bins, dx)."""
-        if not self._by_bin:
-            return bins.astype(np.min_scalar_type(self.spec.x_bins)), dx
-        rows, n = len(bins), self.spec.x_bins + 1
-        cell = (bins + n * np.arange(rows)[:, None]).ravel()
-        N = np.bincount(cell, minlength=rows * n).astype(np.int32)
-        A = np.array([np.bincount(cell, d.ravel(), rows * n) for d in dx])
-        dx[:, bins == n - 1] = 0.0
+    def _merge_rows(self, bins, dx):
+        """Merge y = (Q, A_b, N_b) / n of a block's rows with samples in the
+        bins, from the bins of its central samples and its increments dx
+        at each lag (lags, rows, n_ref), into the set's count, mean and
+        scatter of y (see the class docstring)."""
+        rows, nb = len(bins), self.spec.x_bins
+        cell = (bins + (nb + 1) * np.arange(rows)[:, None]).ravel()
+        N = np.bincount(cell, minlength=rows * (nb + 1)).reshape(rows, nb + 1)
+        n = N[:, :nb].sum(axis=1)
+        keep = n > 0
+        if not keep.any():
+            return
+        if self._n_rows == 0:
+            # the pilot means: the blocks' so far, 0 on bins without one
+            self._pilot[:, :nb] = np.nan_to_num(_bin_means(
+                self._counts[:nb], self._forward[:, :nb]))
+        dx -= self._pilot[:, bins]
+        A = np.array([np.bincount(cell, d.ravel(), rows * (nb + 1))
+                      for d in dx]).reshape(len(dx), rows, nb + 1)
+        dx[:, bins == nb] = 0.0
         Q = np.square(dx, out=dx).sum(axis=2)
-        return N.reshape(rows, n), A.reshape(len(dx), rows, n), Q
+        # (lags, dims, rows), row-major: the mean over the rows is a
+        # pairwise sum
+        y = np.empty((len(dx), 2 * nb + 1, np.count_nonzero(keep)))
+        y[:, 0] = Q[:, keep]
+        y[:, 1:nb + 1] = A[:, keep, :nb].transpose(0, 2, 1)
+        y[:, nb + 1:] = N[keep, :nb].T
+        y /= n[keep]
+        m, total = y.shape[2], self._n_rows + y.shape[2]
+        mean = y.mean(axis=2)
+        y -= mean[:, :, None]
+        d = mean - self._y_mean
+        self._y_mean += d * (m / total)
+        self._y_scatter += np.matmul(y, y.transpose(0, 2, 1))
+        self._y_scatter += d[:, :, None] * d[:, None, :] * (
+            self._n_rows * m / total)
+        self._n_rows = total
 
     def _check_rows(self):
         if not self._counts.any():
             raise KinematicsError("no intact trajectories in the ensemble")
 
-    def _cell_sums(self, per_time: bool):
-        """(counts, sums, sq) of the cells per bin, with the overflow bin
-        last, or per reference time and bin; see take. counts has shape
-        (cells,), sums and sq (3, cells)."""
-        if per_time not in self._cells:
+    def _cell_sums(self, cells: str):
+        """(counts, sums, sq) of the cells per bin ("pooled"), with the
+        overflow bin last, or per reference time and bin ("per_time"); see
+        take. counts has shape (cells,), sums and sq (3, cells)."""
+        if self.cells != cells:
             raise KinematicsError(
-                f"the sample set was built without its "
-                f"{'per-time' if per_time else 'pooled'} cells")
+                f"the sample set was built with cells {self.cells!r}, "
+                f"not {cells!r}")
         self._check_rows()
-        return self._cells[per_time]
+        return self._cells
 
     def _binned_field(self, kind, counts, values, se, **meta) -> BinnedField:
         return BinnedField(
@@ -511,7 +557,7 @@ class SampleSet:
     def field(self, kind: str) -> BinnedField:
         """Bin-conditional mean of the v, u or va increments."""
         if kind not in self._fields:
-            counts, sums, sq = self._cell_sums(False)
+            counts, sums, sq = self._cell_sums("pooled")
             i, n = _KINDS.index(kind), self.spec.x_bins
             mean, se = _binned_mean(counts[:n], sums[i, :n], sq[i, :n])
             self._fields[kind] = self._binned_field(kind, counts[:n], mean, se)
@@ -534,7 +580,7 @@ class SampleSet:
     def density(self) -> BinnedField:
         """Normalized position density on the coarse-graining bins."""
         if "rho" not in self._fields:
-            counts = self._cell_sums(False)[0][:self.spec.x_bins]
+            counts = self._cell_sums("pooled")[0][:self.spec.x_bins]
             n = float(counts.sum())
             p = counts / n
             rho = p / self.width
@@ -552,55 +598,65 @@ class SampleSet:
         """DiffusionEstimate at each of the set's lags: per trajectory the
         mean of (dx - m_b)^2 / (2 delta_t) over its samples in the bins,
         m_b the bin means of the forward increments dx, and the mean and
-        standard error of those over the trajectories. The rows' sums are
-        dropped once read: the set takes no chunk after its estimates."""
+        standard error of those over the trajectories."""
         if "D" not in self._fields:
             self._check_rows()
-            means = _bin_means(self._counts, self._forward)
-            # the overflow bin's NaN mean drops its samples from D
-            means[:, -1] = np.nan
-            delta_ts = [j * self.rec_dt for j in self.steps]
-            per_lag = [[] for _ in delta_ts]
-            n_samples = [0] * len(delta_ts)
-            for sums in self._rows:
-                for j, delta_t in enumerate(delta_ts):
-                    value, n = self._finish(sums, j, means[j], delta_t)
-                    per_lag[j].append(value[n > 0])
-                    n_samples[j] += int(n.sum())
-            self._rows = None
-            ests = []
-            for j, delta_t in enumerate(delta_ts):
-                values = np.concatenate(per_lag[j])
-                per_lag[j] = None
-                if values.size < 2:
-                    raise KinematicsError(
-                        "too few trajectories for a diffusion estimate")
-                ests.append(DiffusionEstimate(
-                    value=float(np.mean(values)),
-                    std_error=float(np.std(values, ddof=1)
-                                    / math.sqrt(values.size)),
-                    delta_t=delta_t, n_samples=n_samples[j]))
-            self._fields["D"] = ests
+            nb = self.spec.x_bins
+            m = _bin_means(self._counts[:nb], self._forward[:, :nb])
+            delta_ts = [step * self.rec_dt for step in self.steps]
+            finish = self._from_moments if self._by_bin else self._from_samples
+            self._fields["D"] = [
+                DiffusionEstimate(value=value, std_error=se, delta_t=delta_t,
+                                  n_samples=int(self._counts[:nb].sum()))
+                for (value, se), delta_t in zip(finish(m, delta_ts), delta_ts)]
         return self._fields["D"]
 
-    def _finish(self, sums, j: int, m: np.ndarray, delta_t: float):
-        """(value, n) per row of one block's _row_sums at lag j, m the bin
-        means: n the row's samples in the bins, value the mean of their
-        (dx - m_b)^2 / (2 delta_t) (NaN without one)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if self._by_bin:
-                N, A, Q = sums
-                m = np.nan_to_num(m)        # bins without a sample of D
-                n = N[:, :-1].sum(axis=1)
-                return (Q[j] - 2.0 * (A[j] * m).sum(axis=1)
-                        + (N * m**2).sum(axis=1)) / (2.0 * delta_t * n), n
-            bins, dx = sums
-            samples = np.square(dx[j] - m[bins])
-            samples /= 2.0 * delta_t
-            finite = np.isfinite(samples)
-            np.copyto(samples, 0.0, where=~finite)
-            n = np.count_nonzero(finite, axis=1)
-            return samples.sum(axis=1) / n, n
+    @staticmethod
+    def _enough(n_rows: int):
+        if n_rows < 2:
+            raise KinematicsError(
+                "too few trajectories for a diffusion estimate")
+
+    def _from_moments(self, m: np.ndarray, delta_ts: list) -> list:
+        """(value, std_error) per lag, m the bin means per lag, from the
+        rows' mean and scatter of y (see the class docstring)."""
+        self._enough(self._n_rows)
+        # bins without a sample have N_b = A_b = 0 in every row
+        e = np.nan_to_num(m) - self._pilot[:, :-1]
+        out = []
+        for j, delta_t in enumerate(delta_ts):
+            w = np.concatenate(([1.0], -2.0 * e[j], e[j]**2)) / (2.0 * delta_t)
+            var = max(w @ self._y_scatter[j] @ w, 0.0) / (self._n_rows - 1)
+            out.append((float(self._y_mean[j] @ w),
+                        math.sqrt(var / self._n_rows)))
+        return out
+
+    def _from_samples(self, m: np.ndarray, delta_ts: list) -> list:
+        """(value, std_error) per lag, m the bin means per lag, from the
+        kept samples row by row. Each block's samples are dropped once
+        read: the set takes no chunk after its estimates."""
+        # the overflow bin's NaN mean drops its samples
+        m = np.column_stack((m, np.full(len(m), np.nan)))
+        per_lag = [[] for _ in delta_ts]
+        blocks, self._samples = self._samples, None
+        for i, (bins, dx) in enumerate(blocks):
+            blocks[i] = None
+            for j, delta_t in enumerate(delta_ts):
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    samples = np.square(dx[j] - m[j, bins])
+                    samples /= 2.0 * delta_t
+                    finite = np.isfinite(samples)
+                    np.copyto(samples, 0.0, where=~finite)
+                    n = np.count_nonzero(finite, axis=1)
+                    per_lag[j].append((samples.sum(axis=1) / n)[n > 0])
+        out = []
+        for j in range(len(delta_ts)):
+            values = np.concatenate(per_lag[j])
+            per_lag[j] = None
+            self._enough(values.size)
+            out.append((float(np.mean(values)),
+                        float(np.std(values, ddof=1) / math.sqrt(values.size))))
+        return out
 
     def sweep(self) -> DiffusionSweep:
         """D at each of the set's lags and their plateau; see
@@ -637,7 +693,7 @@ class SampleSet:
 
     def _fields_at_times(self):
         """Per-reference-time binned v, u, rho and counts, each (n_ref, x_bins)."""
-        counts, sums, _ = self._cell_sums(True)
+        counts, sums, _ = self._cell_sums("per_time")
         n_ref, n = self.ridx.size, self.spec.x_bins
         counts = counts.reshape(n_ref, -1)[:, :n]
         v, u = (_bin_means(counts, s.reshape(n_ref, -1)[:, :n])
@@ -756,7 +812,7 @@ def estimate_D(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> DiffusionEstim
     the estimate. The standard error treats trajectories, not samples, as
     the independent unit.
     """
-    return SampleSet.of(ens, spec, pooled=False).diffusion()
+    return SampleSet.of(ens, spec, cells=None).diffusion()
 
 
 def diffusion_sweep(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
@@ -767,15 +823,7 @@ def diffusion_sweep(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     reference times need room for the largest lag."""
     delta_ts = sorted(delta_ts)
     return SampleSet.of(ens, replace(spec, delta_t=float(delta_ts[-1])),
-                        lags=delta_ts, pooled=False).sweep()
-
-
-def _residual_set(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
-                  time_derivative: str) -> SampleSet:
-    """The set the residuals read: pooled cells with the time derivatives
-    omitted, per-time cells with them measured."""
-    measured = time_derivative == "measured"
-    return SampleSet.of(ens, spec, pooled=not measured, per_time=measured)
+                        lags=delta_ts, cells=None).sweep()
 
 
 def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
@@ -789,7 +837,8 @@ def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     """
     if lam not in (-1, 1):
         raise KinematicsError("lam must be +1 or -1")
-    return _residual_set(ens, spec, time_derivative).residuals(
+    cells = "per_time" if time_derivative == "measured" else "pooled"
+    return SampleSet.of(ens, spec, cells=cells).residuals(
         mass, force, (lam,), D, time_derivative)[lam]
 
 
@@ -801,5 +850,6 @@ def classify_branch(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
     ratio is (worse residual)/(better residual); a ratio near 1 means the
     data cannot distinguish the branches at this lag and ensemble size.
     """
-    return _residual_set(ens, spec, time_derivative).classify_branch(
+    cells = "per_time" if time_derivative == "measured" else "pooled"
+    return SampleSet.of(ens, spec, cells=cells).classify_branch(
         mass, force, D, time_derivative)

@@ -723,12 +723,12 @@ def test_sed_run_holds_a_few_chunks_and_the_sample_sums(tmp_path,
                                                         monkeypatch):
     # the response path's chunks of 64: integrate's peak is about one chunk
     # (positions, velocities and field values) with its transforms, plus
-    # what the two sample sets keep for D: per lag (4 here) and trajectory
-    # at most 12 bytes a bin, and their per-bin sums. The stages after it
-    # finish those sums, and the run stays below them and 4 chunks, far
-    # below the 3 whole arrays. 4,800 trajectories, 3,600 more than 1,200,
-    # raise the peak by at most their sums and one chunk: nothing else the
-    # run holds grows with n_traj
+    # the two sample sets' sums: per bin, and for D per lag (4 here) the
+    # rows' mean and scatter of (2 bins + 1) numbers, whatever n_traj. The
+    # stages after it finish those sums, and the run stays below them and
+    # 4 chunks, far below the 3 whole arrays. 4,800 trajectories, 3,600
+    # more than 1,200, raise the peak by less than one chunk: the sample
+    # sets keep nothing per trajectory
     stream, peaks = harness.integrate_stream, {}
 
     def measured_stream(*args, **kwargs):
@@ -749,14 +749,14 @@ def test_sed_run_holds_a_few_chunks_and_the_sample_sums(tmp_path,
             tracemalloc.stop()
     n_rec = np.load(result.run_dir / "ensemble" / "times.npy").size
     cg = cfg["coarse_grain"]
-    lags, bins = 1 + len(cg["delta_t_sweep"]), cg["x_bins"]["n"] + 1
-    per_bin = 2 * (1 + 2 * 3 + lags) * bins * 8
+    lags, bins = 1 + len(cg["delta_t_sweep"]), cg["x_bins"]["n"]
+    sums = (lags * (2 * bins + 1) ** 2 * 8
+            + 2 * (1 + 2 * 3 + lags) * (bins + 1) * 8)
     chunk = 3 * dynamics.RESPONSE_CHUNK * n_rec * 8
     for n_traj, (integrate, peak) in peaks.items():
-        sums = lags * n_traj * bins * 12 + per_bin
         assert integrate < sums + 2 * chunk
         assert peak < sums + 4 * chunk < 3 * n_traj * n_rec * 8 / 2
-    assert peaks[4800][1] - peaks[1200][1] < lags * 3600 * bins * 12 + chunk
+    assert peaks[4800][1] - peaks[1200][1] < chunk
 
 
 def test_sed_run_keeps_no_positions_for_the_estimators(tmp_path,

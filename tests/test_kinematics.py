@@ -291,13 +291,15 @@ def test_shared_samples_match_the_standalone_estimators_bitwise(
         va.v_minus_u.values,
         estimate_v(ens, spec).values - estimate_u(ens, spec).values)
 
-    samples = SampleSet.of(ens, spec, per_time=time_derivative == "measured")
+    samples = SampleSet.of(ens, spec)
     assert_bitwise(samples.field("v"), estimate_v(ens, spec))
     assert_bitwise(samples.field("u"), estimate_u(ens, spec))
     assert_bitwise(samples.va(), va)
     assert_bitwise(samples.density(), density_estimate(ens, spec))
 
     force = lambda x: -0.1 * x
+    if time_derivative == "measured":
+        samples = SampleSet.of(ens, spec, cells="per_time")
     branch = samples.classify_branch(1.0, force, time_derivative=time_derivative)
     assert_bitwise(branch, classify_branch(ens, spec, 1.0, force,
                                            time_derivative=time_derivative))
@@ -397,9 +399,9 @@ def assert_diffusions(got, want, spec):
     """DiffusionEstimates got against the whole-array formulas' (value,
     std_error, n_samples) per lag, on spec's reference set: the same
     samples, and bit for bit where the set keeps each trajectory's samples
-    (no fewer bins than reference times). With per-bin sums, whose
-    expansion Q - 2 sum m_b A_b + sum m_b^2 N_b rounds otherwise than the
-    sum of (dx - m_b)^2, within 1e-14 relative."""
+    (no fewer bins than reference times). From the rows' mean and scatter
+    of (Q, A_b, N_b) / n, which round otherwise than the sum of
+    (dx - m_b)^2, within 1e-14 relative."""
     rtol = 1e-14 if spec.x_bins + 1 < len(spec.reference_times) else 0.0
     for est, (value, se, n_samples) in zip(got, want, strict=True):
         assert est.n_samples == n_samples
@@ -431,7 +433,7 @@ def test_sample_set_equals_the_whole_array_formulas_bitwise(
                                reference_times=times)
 
     spec = spec_at(2)
-    samples = SampleSet.of(ens, spec, per_time=refs is not None)
+    samples = SampleSet.of(ens, spec)
     fields, density, per_time, diffusion = whole_array_estimates(
         ens, spec, (2,))
     for kind in ("v", "u", "va"):
@@ -451,45 +453,53 @@ def test_sample_set_equals_the_whole_array_formulas_bitwise(
                       sweep_spec)
 
     if refs is not None:
-        # the measured residuals read the per-time fields and D; fed the
-        # whole-array ones, they give the same reports
+        # the measured residuals read the per-time fields; fed the
+        # whole-array ones and the same D, they give the same reports
         force = lambda x: -0.1 * x
-        got = samples.classify_branch(1.0, force, time_derivative="measured")
-        want_set = SampleSet.of(ens, spec, per_time=True)
+        got = SampleSet.of(ens, spec, cells="per_time").classify_branch(
+            1.0, force, time_derivative="measured")
+        want_set = SampleSet.of(ens, spec, cells="per_time")
         monkeypatch.setattr(want_set, "_fields_at_times", lambda: per_time)
-        D = whole_array_estimates(ens, spec, (2,))[3][2][0]
         assert_bitwise(got, want_set.classify_branch(
-            1.0, force, D=D, time_derivative="measured"))
+            1.0, force, D=got.D_used, time_derivative="measured"))
 
 
-@pytest.mark.parametrize("refs", [None, (0.6, 0.9, 1.2, 1.5)])
-def test_a_set_taking_chunks_equals_one_taking_the_whole_ensemble(refs):
+@pytest.mark.parametrize("refs, cells", [
+    (None, "pooled"),
+    ((0.6, 0.9, 1.2, 1.5), "per_time"),
+])
+def test_a_set_taking_chunks_equals_one_taking_the_whole_ensemble(refs,
+                                                                  cells):
     # chunks of uneven widths in row order, flagged rows on both sides of
-    # boundaries and one chunk all flagged: every estimate of the set fed
-    # chunk by chunk equals the one fed the whole ensemble, bit for bit,
-    # whether D keeps per-bin sums (refs None, 290 reference times) or
-    # the samples themselves (4 reference times, 17 bins)
+    # boundaries and one chunk all flagged: every bin sum of the set fed
+    # chunk by chunk equals the one fed the whole ensemble, so each
+    # estimate at a given D does, bit for bit, at 290 reference times or
+    # at 4. So does D where the rows keep their samples (4 times, 17
+    # bins); at 290 times, where the rows' mean and scatter merge at the
+    # blocks a chunk boundary cuts, within 1e-14 relative
     ens = ou_ensemble(0.1, 0.1, 2000, 0.01, 300, 49, x0=0.0)
     cuts = [0, 7, 300, 333, 1000, 1100, 2000]
     ens.status[[6, 7, 299, 300, *range(1000, 1100)]] = STATUS_NONFINITE
     spec = CoarseGrainSpec(delta_t=0.02, x_bins=16, x_range=(-0.5, 0.5),
                            reference_times=refs or tuple(ens.times[5:-5]))
-    sums = dict(lags=(0.01, 0.02, 0.05), per_time=True)
+    sums = dict(lags=(0.01, 0.02, 0.05), cells=cells)
     whole = SampleSet.of(ens, spec, **sums)
     streamed = SampleSet(ens.times, ens.rec_dt, spec, **sums)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         streamed.take(dataclasses.replace(ens, **{
             name: getattr(ens, name)[lo:hi]
             for name in ("positions", "seeds", "status")}))
-    force = lambda x: -0.1 * x
-    for mode in ("omitted", "measured"):
-        assert_bitwise(streamed.classify_branch(1.0, force,
-                                                time_derivative=mode),
-                       whole.classify_branch(1.0, force,
-                                             time_derivative=mode))
-    assert_bitwise(streamed.va(), whole.va())
-    assert_bitwise(streamed.density(), whole.density())
-    assert_bitwise(streamed.sweep(), whole.sweep())
+    assert_diffusions(streamed.sweep().estimates,
+                      [(e.value, e.std_error, e.n_samples)
+                       for e in whole.sweep().estimates], spec)
+    D, force = whole.diffusion().value, lambda x: -0.1 * x
+    mode = "omitted" if cells == "pooled" else "measured"
+    assert_bitwise(
+        streamed.classify_branch(1.0, force, D=D, time_derivative=mode),
+        whole.classify_branch(1.0, force, D=D, time_derivative=mode))
+    if cells == "pooled":
+        assert_bitwise(streamed.va(), whole.va())
+        assert_bitwise(streamed.density(), whole.density())
 
 
 def test_bin_index_is_searchsorted_exactly():
@@ -515,40 +525,37 @@ def test_bin_index_is_searchsorted_exactly():
 
 
 @pytest.mark.parametrize("flagged", [False, True])
-def test_sample_set_memory_is_its_sums_and_one_block(flagged):
+def test_sample_set_memory_stays_below_a_quarter_of_one_sample_array(flagged):
     # 16,000 trajectories at 253 reference times: one (n_ok, n_ref) float
-    # array is 32 MB. Every estimate, both residual modes and the sweep
-    # hold per-bin sums, per trajectory at most 12 bytes a bin and lag of
-    # D (4 lags in all: the set's own and the sweep's 3), and one block's
-    # temporaries; the trajectories' sums are below half that array
+    # array is 32 MB. Every estimate, both residual modes (two sets, one
+    # per kind of cells, held together) and the sweep hold per-bin sums,
+    # D's mean and scatter per lag, and one block's temporaries
     ens = ou_ensemble(0.1, 0.1, 16000, 0.01, 260, 51, x0="stationary")
     if flagged:
         ens.status[::97] = STATUS_NONFINITE
     refs = tuple(float(t) for t in ens.times[4:257])
     spec = CoarseGrainSpec(delta_t=0.02, x_bins=16, reference_times=refs,
                            x_range=padded_extent(ens, refs))
-    n_ok = np.count_nonzero(ens.ok_mask())
-    one_array = n_ok * len(refs) * 8
-    sums = 4 * n_ok * (spec.x_bins + 1) * 12
-    assert one_array > 8e6 and sums < one_array / 2
+    one_array = np.count_nonzero(ens.ok_mask()) * len(refs) * 8
+    assert one_array > 8e6
     force = lambda x: -0.1 * x
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        samples = SampleSet.of(ens, spec, per_time=True)
+        samples = SampleSet.of(ens, spec)
         for kind in ("v", "u", "va"):
             samples.field(kind)
         samples.va()
         samples.density()
         samples.diffusion()
-        for mode in ("omitted", "measured"):
-            samples.classify_branch(1.0, force, time_derivative=mode)
+        samples.classify_branch(1.0, force, time_derivative="omitted")
+        per_time = SampleSet.of(ens, spec, cells="per_time")
+        per_time.classify_branch(1.0, force, time_derivative="measured")
         diffusion_sweep(ens, spec, (0.01, 0.02, 0.04))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    block = 16 * sedsim.kinematics._BLOCK_SAMPLES * 8
-    assert peak < sums + block, (peak, sums, block)
+    assert peak < one_array / 4, (peak, one_array)
 
 
 # ---------------------------------------------------------------------------
