@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .field import (CombPlan, FieldSpec, comb_cache_params, comb_sum_slabs,
-                    make_field, mode_table)
+                    field_phases, mode_table)
 
 # Fixed-size chunks, whatever the worker count, keep results bit-identical
 # across schedules. CHUNK is the step loop's width, which its per-step numpy
@@ -289,7 +289,8 @@ class TrajectoryEnsemble:
     that develops non-finite state keeps NaN records from that point on and
     carries STATUS_NONFINITE, never silently. A streamed ensemble
     (integrate_stream, reference.ou_stream) comes back without its arrays:
-    positions, velocities and field_values are None.
+    positions, velocities and field_values are None. A ColumnStore's
+    ensemble has no seeds.
     """
 
     t0: float
@@ -299,7 +300,7 @@ class TrajectoryEnsemble:
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray | None
-    seeds: np.ndarray          # (n_traj, 2): rows (master_seed, trajectory index)
+    seeds: np.ndarray | None   # (n_traj, 2): rows (master_seed, trajectory index)
     status: np.ndarray         # (n_traj,) int8
     field_values: np.ndarray | None = None
     meta: dict = dc_field(default_factory=dict)
@@ -580,7 +581,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             xs, vs, es = (None if a is None else a[lo:hi] for a in whole)
         st = status[lo:hi]
         coefs = amps * np.exp(1j * np.array(
-            [make_field(fspec, (master_seed, i, 0)).phases[0]
+            [field_phases(fspec, (master_seed, i, 0))[0]
              for i in range(lo, hi)]))
         start = np.array([ic.sample(np.random.Generator(np.random.Philox(
             np.random.SeedSequence((master_seed, i, 1)))))
@@ -932,17 +933,19 @@ class EnsembleWriter:
 
 
 class ColumnStore:
-    """Every row's positions at the recorded columns cols (a slice), taken
-    chunk by chunk in row order. ensemble(ens) is them as a
+    """Every row's positions at the recorded columns cols (a slice, maybe
+    stepped), taken chunk by chunk in row order. ensemble(ens) is them as a
     TrajectoryEnsemble on that stretch of ens's record grid, starting at
-    its first time, with ens's seeds, status and meta: what a reader that
-    can start only after the last chunk reads (the OU pipeline's relaxing
-    classifier, whose bins come from the sample's variance), without the
-    rest of the run."""
+    its first time, its record_stride ens's times the slice's step, its
+    times ens's own at those columns, with ens's status and meta but no
+    seeds: what a reader that can start only after the last chunk reads
+    (the OU pipeline's relaxing classifier, whose bins come from the
+    sample's variance), without the rest of the run."""
 
     def __init__(self, n_traj: int, cols: slice):
         self.cols = cols
-        self.positions = np.empty((n_traj, cols.stop - cols.start))
+        self.positions = np.empty(
+            (n_traj, len(range(cols.start, cols.stop, cols.step or 1))))
         self._rows = 0
 
     def take(self, chunk: TrajectoryEnsemble):
@@ -952,12 +955,11 @@ class ColumnStore:
 
     def ensemble(self, ens: TrajectoryEnsemble) -> TrajectoryEnsemble:
         times = ens.times[self.cols]
+        stride = ens.record_stride * (self.cols.step or 1)
         return TrajectoryEnsemble(
-            t0=float(times[0]), dt=ens.dt,
-            n_steps=(times.size - 1) * ens.record_stride,
-            record_stride=ens.record_stride, times=times,
-            positions=self.positions, velocities=None, seeds=ens.seeds,
-            status=ens.status, meta=ens.meta)
+            t0=float(times[0]), dt=ens.dt, n_steps=(times.size - 1) * stride,
+            record_stride=stride, times=times, positions=self.positions,
+            velocities=None, seeds=None, status=ens.status, meta=ens.meta)
 
 
 def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Path:

@@ -25,11 +25,13 @@ grid, in many calls or threads, builds it once.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,17 +112,22 @@ class FieldRealization:
     phases: np.ndarray  # shape (components, n_modes)
 
 
-def make_field(spec: FieldSpec, seed) -> FieldRealization:
-    """Draw a field realization from a counter-based generator.
-
-    seed may be a nonnegative integer or a tuple of them; phases for all
-    (component, mode) pairs come from a single fixed-shape draw, so the
-    mapping (seed, k, n) -> phase does not depend on evaluation order.
-    """
-    omegas, _dws, amps = mode_table(spec)
+def field_phases(spec: FieldSpec, seed) -> np.ndarray:
+    """The (components, n_modes) phases of the realization seeded by seed,
+    a nonnegative integer or a tuple of them, from a counter-based
+    generator. All (component, mode) pairs come from one fixed-shape draw,
+    so the mapping (seed, k, n) -> phase does not depend on evaluation
+    order."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    phases = rng.uniform(0.0, TWO_PI, size=(spec.components, spec.n_modes))
-    return FieldRealization(spec=spec, omegas=omegas, amps=amps, phases=phases)
+    return rng.uniform(0.0, TWO_PI, size=(spec.components, spec.n_modes))
+
+
+def make_field(spec: FieldSpec, seed) -> FieldRealization:
+    """Draw a field realization: the phases of field_phases(spec, seed) on
+    the modes of mode_table(spec)."""
+    omegas, _dws, amps = mode_table(spec)
+    return FieldRealization(spec=spec, omegas=omegas, amps=amps,
+                            phases=field_phases(spec, seed))
 
 
 def eval_field(fr: FieldRealization, t) -> np.ndarray:
@@ -144,6 +151,32 @@ def eval_field(fr: FieldRealization, t) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _smooth_numbers(bound: int) -> list:
+    """The integers 1..bound with no prime factor above 11, in order; a
+    read-only list per power of two fast_length asks for, 64 at most."""
+    found = [1]
+    for p in (2, 3, 5, 7, 11):
+        for m in found[:]:
+            m *= p
+            while m <= bound:
+                found.append(m)
+                m *= p
+    return sorted(found)
+
+
+def fast_length(target: int) -> int:
+    """The smallest FFT length at or above target (a positive integer)
+    with no prime factor above 11: scipy.fft.next_fast_len(target), found
+    in a table of the smooth integers up to the power of two above
+    target. A target past the largest array index is refused, as there."""
+    if target > sys.maxsize:
+        raise OverflowError(f"an FFT length of {target.bit_length()} bits "
+                            f"is past the largest array index")
+    smooth = _smooth_numbers(1 << target.bit_length())
+    return smooth[bisect.bisect_left(smooth, target)]
+
+
 def comb_cache_params(spec: FieldSpec, h_target: float, min_points: int = 1):
     """Grid step h <= h_target such that the uniform comb is FFT-exact:
     dOmega h = 2 pi / N for an integer N, the comb length CombPlan takes.
@@ -151,7 +184,7 @@ def comb_cache_params(spec: FieldSpec, h_target: float, min_points: int = 1):
     """
     dw = (spec.omega_cutoff - spec.omega_min) / spec.n_modes
     n0 = TWO_PI / (dw * h_target)
-    n_fft = next_fast_len(max(int(math.ceil(n0 - 1e-9)), int(min_points)))
+    n_fft = fast_length(max(int(math.ceil(n0 - 1e-9)), int(min_points)))
     return TWO_PI / (dw * n_fft), n_fft
 
 
@@ -167,7 +200,7 @@ class CombPlan:
     n dOmega t_j - n dOmega t0 is 2 pi n start/N + pi step 2 n j/N, N =
     n_fft, and with 2 n j = n^2 + j^2 - (j - n)^2 each row is one Bluestein
     chirp-z convolution (IEEE Trans. Audio Electroacoust. 18, 451 (1970))
-    of length next_fast_len(n_modes + n_points - 1). The phases
+    of length fast_length(n_modes + n_points - 1). The phases
     2 pi (n start mod N)/N and the chirp phases pi (step k^2 mod 2N)/N are
     reduced in integers, so they stay exact however far the grid runs from
     t0, and the carrier is exp(i omega_0 (t0 + h (start + step j))). The
@@ -191,7 +224,7 @@ class CombPlan:
         dw = (spec.omega_cutoff - spec.omega_min) / m
         omega0, h = spec.omega_min + dw * 0.5, TWO_PI / (dw * n_fft)
         self.m, self.n_points = m, n_points
-        n_conv = next_fast_len(m + n_points - 1)
+        n_conv = fast_length(m + n_points - 1)
         k = np.arange(max(m, n_points))
         chirp = np.exp(1j * (math.pi / n_fft)
                        * (step * (k * k % (2 * n_fft)) % (2 * n_fft)))

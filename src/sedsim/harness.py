@@ -584,7 +584,13 @@ def _plan_ou_calibration(cfg: dict, info: dict):
     relax_spec = CoarseGrainSpec(
         delta_t=delta_t, x_range=spec0.x_range, reference_times=refs,
         x_bins=int(cg.get("classifier_bins", 16)), min_count=spec0.min_count)
-    relax_cols = slice(first - k, last + k + 1)
+    # the store keeps the columns the classifier reads, first, mid and last
+    # each +- k, every g-th from first - k; g = 1 where mid is off the grid
+    # (the classifier refuses it) or g dt steps would round k dt apart
+    g = math.gcd(k, (last - first) // 2) if (last - first) % 2 == 0 else 1
+    if k // g * (dt * g) != k * dt:
+        g = 1
+    relax_cols = slice(first - k, last + k + 1, g)
     n_traj = cfg["ensemble"]["n_traj"]
     n_relax = lv.get("n_traj_relax", 500_000)
     x_start = float(lv.get("x_start", 0.0))

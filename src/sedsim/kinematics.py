@@ -421,6 +421,8 @@ class SampleSet:
                                        max(self.k, *self.steps))
         self.delta_t = self.k * rec_dt
         self.ref_times = times[self.ridx]
+        # the recorded columns read: ridx plus each of these offsets
+        self.offsets = {0, *self.steps, *((self.k, -self.k) if cells else ())}
         self.edges = edges = np.linspace(*spec.x_range, spec.x_bins + 1)
         self.width = float(edges[1] - edges[0])
         self.centers = 0.5 * (edges[:-1] + edges[1:])
@@ -460,13 +462,12 @@ class SampleSet:
         read: per block, the positions at the reference indices plus each
         offset read (0 the central samples) by offset, each a row-major
         (rows, n_ref) copy (x[:, idx] alone comes out column-major)."""
-        offsets = {0, *self.steps, *((self.k, -self.k) if self.cells else ())}
-        lo = self.ridx.min() + min(offsets)
-        span = slice(lo, self.ridx.max() + max(offsets) + 1)
+        lo = self.ridx.min() + min(self.offsets)
+        span = slice(lo, self.ridx.max() + max(self.offsets) + 1)
         rows = max(1, _BLOCK_SAMPLES // self.ridx.size)
         for (x,) in chunk.intact_blocks(("positions",), span, rows):
             yield {s: np.ascontiguousarray(x[:, self.ridx + s - lo])
-                   for s in offsets}
+                   for s in self.offsets}
 
     def take(self, chunk: TrajectoryEnsemble):
         """Add the sums of chunk's intact rows, chunks in row order."""

@@ -50,9 +50,11 @@ def ou_stream(theta: float, D0: float, n_traj: int, dt: float,
     "stationary" (equilibrium draw, theta > 0 only).
 
     One Philox stream supplies the stationary starts of all rows, then each
-    trajectory's increments row by row. A block is a TrajectoryEnsemble of
-    its rows in one reused buffer, so a consumer copies what it keeps; the
-    memory is one block of positions and noise besides the consumers'.
+    trajectory's increments row by row; a float x0 goes straight into each
+    block's first column. A block is a TrajectoryEnsemble of its rows in one
+    reused buffer, so a consumer copies what it keeps; the memory is one
+    block of positions and noise besides the consumers' and the per-row
+    seeds, status and stationary starts.
     out, when given, is a whole (n_traj, n_steps + 1) array whose rows the
     blocks fill in place instead. Returns the ensemble without its
     positions: times, seeds, status and meta.
@@ -73,14 +75,13 @@ def ou_stream(theta: float, D0: float, n_traj: int, dt: float,
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rows = range(0, n_traj, _ROW_BLOCK)
-    starts = np.empty(n_traj) if out is None else out[:, 0]
+    starts = None
     if x0 == "stationary":
+        starts = np.empty(n_traj) if out is None else out[:, 0]
         scale = math.sqrt(D0 / theta)
         for lo in rows:
             starts[lo:lo + _ROW_BLOCK] = scale * rng.standard_normal(
                 min(_ROW_BLOCK, n_traj - lo))
-    else:
-        starts[:] = float(x0)
     if theta > 0:
         rho = math.exp(-theta * dt)
         step_std = math.sqrt(D0 / theta * (1.0 - rho * rho))
@@ -94,7 +95,7 @@ def ou_stream(theta: float, D0: float, n_traj: int, dt: float,
         hi = min(lo + _ROW_BLOCK, n_traj)
         xb = block[:hi - lo] if out is None else out[lo:hi]
         nb = noise[:hi - lo]
-        xb[:, 0] = starts[lo:hi]
+        xb[:, 0] = float(x0) if starts is None else starts[lo:hi]
         rng.standard_normal(out=nb)
         for j in range(n_steps):
             xb[:, j + 1] = rho * xb[:, j] + step_std * nb[:, j]

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
-from scipy.linalg import solve_banded
 
 BOUNDARIES = ("dirichlet", "periodic")
 
@@ -128,6 +126,7 @@ def solve_stationary(grid: GridSpec, V, mass: float, diffusion: float,
     """
     if n_states < 1 or n_states > grid.n_points:
         raise GridError("n_states out of range")
+    from scipy.linalg import eigh_tridiagonal   # kept out of the package import
     vpot = _potential_values(grid, V)
     diag, off = _hamiltonian_bands(grid, V, mass, diffusion)
     if grid.boundary == "dirichlet":
@@ -177,6 +176,7 @@ def evolve(state: WaveFunctionState, V, dt: float,
 
     (I + i dt H / (2 hbar_eff)) psi_new = (I - i dt H / (2 hbar_eff)) psi.
     """
+    from scipy.linalg import lu_factor, lu_solve, solve_banded
     grid = state.grid
     diag, off = _hamiltonian_bands(grid, V, state.mass, state.diffusion)
     beta = 1j * dt / (2.0 * state.hbar_eff)

@@ -746,8 +746,9 @@ class Chunks:
 def test_stream_hands_over_the_chunks_in_row_order(loop):
     # the chunks, handed over in row order also with 3 workers, are the
     # rows of integrate_ensemble's arrays; the stream returns the ensemble
-    # without them, and a ColumnStore keeps the columns it was given. Each
-    # path has its own chunk width
+    # without them, and a ColumnStore keeps the columns it was given, also
+    # every third of them, on a grid of their times. Each path has its own
+    # chunk width
     width = CHUNK if loop else RESPONSE_CHUNK
     n_traj = 2 * width + 44
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
@@ -758,8 +759,9 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
     whole = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9)
     for n_workers in (1, 3):
         chunks, store = Chunks(), ColumnStore(n_traj, slice(4, 9))
+        stepped = ColumnStore(n_traj, slice(2, 13, 3))
         head = integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
-                                [chunks, store], n_workers=n_workers)
+                                [chunks, store, stepped], n_workers=n_workers)
         assert [c.n_traj for c in chunks.chunks] == [width, width, 44]
         for name in ("positions", "velocities", "field_values", "seeds",
                      "status"):
@@ -774,6 +776,14 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
         assert np.array_equal(part.positions, whole.positions[:, 4:9])
         assert np.array_equal(part.times, whole.times[4:9])
         assert (part.t0, part.rec_dt) == (whole.times[4], whole.rec_dt)
+        assert part.seeds is None and part.status is head.status
+        part = stepped.ensemble(head)
+        assert np.array_equal(part.positions, whole.positions[:, [2, 5, 8, 11]])
+        assert np.array_equal(part.times, whole.times[[2, 5, 8, 11]])
+        assert part.t0 == whole.times[2] and part.seeds is None
+        assert part.record_stride == 3 * whole.record_stride
+        assert part.rec_dt == 3 * whole.rec_dt
+        assert part.n_steps == 9 * whole.record_stride
 
 
 def test_response_rows_do_not_depend_on_the_chunk_width(monkeypatch):

@@ -10,7 +10,8 @@ from scipy import stats
 from sedsim.field import (CombPlan, FieldRealization, FieldSpec,
                           autocorrelation_check, autocovariance,
                           autocovariance_quad, comb_cache_params,
-                          comb_sum_slabs, eval_field, make_field, mode_table,
+                          comb_sum_slabs, eval_field, fast_length,
+                          field_phases, make_field, mode_table,
                           spectral_density)
 
 # band integral (2/(3 pi)) int w^3 cos(w lag) dw, frozen from a 30-digit
@@ -100,6 +101,22 @@ def test_same_seed_bit_identical():
     assert np.array_equal(eval_field(a, ts), eval_field(b, ts))
     c = make_field(spec, 12)
     assert not np.array_equal(a.phases, c.phases)
+
+
+def test_fast_length_is_scipy_next_fast_len():
+    # the comb length and the convolution length, found without scipy
+    from scipy.fft import next_fast_len
+    targets = range(1, 200_001)
+    assert [fast_length(n) for n in targets] == [next_fast_len(n)
+                                                  for n in targets]
+
+
+def test_a_realization_carries_the_phases_of_its_seed():
+    spec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64,
+                     components=3)
+    for seed in (5, (7, 11, 0)):
+        assert np.array_equal(make_field(spec, seed).phases,
+                              field_phases(spec, seed))
 
 
 def test_tuple_seeds_give_distinct_streams():

@@ -61,6 +61,15 @@ def mini_sed_config() -> dict:
     return cfg
 
 
+def mini_ou_config(n_relax: int = 50_000) -> dict:
+    """The committed calibration config, shrunk, with no dump."""
+    cfg = json.loads(OU_CONFIG.read_text())
+    cfg["ensemble"]["n_traj"] = 20_000
+    cfg["langevin"]["n_traj_relax"] = n_relax
+    cfg["outputs"]["ensemble_dump"] = "none"
+    return cfg
+
+
 @pytest.fixture(scope="module")
 def sed_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("sed")
@@ -298,11 +307,7 @@ def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
     assert counts == {"walk": 2 * 2, "binned_mean": 3, "after_stream": 0}
 
     counts.update(walk=0, binned_mean=0, after_stream=0)
-    ou = json.loads(OU_CONFIG.read_text())
-    ou["ensemble"]["n_traj"] = 20_000
-    ou["langevin"]["n_traj_relax"] = 50_000
-    ou["outputs"]["ensemble_dump"] = "none"
-    run_experiment(ou, output_root=tmp_path / "ou")
+    run_experiment(mini_ou_config(), output_root=tmp_path / "ou")
     assert counts == {"walk": 2 * 10 + 1, "binned_mean": 3, "after_stream": 1}
 
 
@@ -540,7 +545,7 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
     ("sed", "field", "c", 1e200,
      "particle and field.c: (34, 'Numerical result out of range')"),
     ("sed", "time", "dt", 1e-300,
-     "time: Python int too large to convert to C ssize_t"),
+     "time: an FFT length of 1010 bits is past the largest array index"),
 ])
 def test_bad_inputs_are_refused_before_anything_is_written(
         pipeline, block, key, value, message, tmp_path, monkeypatch, capsys):
@@ -655,19 +660,19 @@ def test_chunks_finishing_out_of_order_keep_every_byte(tmp_path, monkeypatch):
     cfg["ensemble"]["n_workers"] = 2
     seed = cfg["seeds"]["master_seed"]
     chunk_1_done = threading.Event()
-    make_field, add_transient = dynamics.make_field, dynamics._add_transient
+    field_phases, add_transient = dynamics.field_phases, dynamics._add_transient
     waited = []
 
     def late_chunk_0(fspec, key):
         if key == (seed, 0, 0):
             waited.append(chunk_1_done.wait(timeout=60))
-        return make_field(fspec, key)
+        return field_phases(fspec, key)
 
     def signalling_transient(*args):
         add_transient(*args)
         chunk_1_done.set()
 
-    monkeypatch.setattr(dynamics, "make_field", late_chunk_0)
+    monkeypatch.setattr(dynamics, "field_phases", late_chunk_0)
     monkeypatch.setattr(dynamics, "_add_transient", signalling_transient)
     threaded = run_experiment(cfg, output_root=tmp_path / "threaded")
     assert waited == [True]
@@ -787,6 +792,74 @@ def test_sed_run_keeps_no_positions_for_the_estimators(tmp_path,
     assert late == [0]
 
 
+@pytest.mark.parametrize("window, lag, start, step, n_cols, n_read", [
+    (None, None, 14, 2, 7, 7),
+    ([0.16, 0.22], None, 14, 1, 11, 9),
+    ([0.15, 0.25], 0.15, 0, 1, 41, 9),
+])
+def test_relaxing_store_keeps_the_columns_the_classifier_reads(
+        tmp_path, monkeypatch, window, lag, start, step, n_cols, n_read):
+    # the classifier reads its three reference columns, each +- the lag.
+    # On the shipped window (16, 20 and 24, lag 2 steps) the store keeps
+    # every second column from 14 to 26, each of which the relaxing
+    # classifier's set reads. On a window of 6 steps (16, 19 and 22) a step
+    # of 2 would put the middle column off its grid; at a lag of 15 steps
+    # on 15, 20 and 25, 3 steps of 5 dt round apart from 15 dt. So those
+    # stores keep every column from the first to the last, some unread.
+    # Each way a store of every such column gives the same branch.json bit
+    # for bit
+    cfg = mini_ou_config()
+    if window is not None:
+        cfg["langevin"]["t_relax_window"] = window
+    if lag is not None:
+        cfg["coarse_grain"]["delta_t"] = lag
+    stores, sets = [], []
+    store_class, of = harness.ColumnStore, kinematics.SampleSet.of
+
+    def recorded_store(n_traj, cols):
+        stores.append(store_class(n_traj, cols))
+        return stores[-1]
+
+    def recorded_of(ens, spec, **kwargs):
+        sets.append(of(ens, spec, **kwargs))
+        return sets[-1]
+
+    monkeypatch.setattr(harness, "ColumnStore", recorded_store)
+    monkeypatch.setattr(kinematics.SampleSet, "of", staticmethod(recorded_of))
+    result = run_experiment(cfg, output_root=tmp_path / "stepped")
+    store, (samples,) = stores[-1], sets
+    assert (store.cols.start, store.cols.step) == (start, step)
+    assert store.positions.shape == (50_000, n_cols)
+    read = {int(r) + s for r in samples.ridx for s in samples.offsets}
+    assert read <= set(range(n_cols)) and {0, n_cols - 1} <= read
+    assert len(read) == n_read
+
+    monkeypatch.setattr(harness, "ColumnStore", lambda n_traj, cols: (
+        store_class(n_traj, slice(cols.start, cols.stop))))
+    every = run_experiment(cfg, output_root=tmp_path / "every")
+    assert ((result.run_dir / "branch.json").read_bytes()
+            == (every.run_dir / "branch.json").read_bytes())
+
+
+def test_ou_run_holds_the_classifier_columns_per_relaxing_trajectory(
+        tmp_path):
+    # per relaxing trajectory the run keeps the 7 stored columns (56 B),
+    # its status (1 B) and the classifier's per-sample D state (3 x 9 B),
+    # and no array of seeds or starts past the sampling: the traced peak
+    # grows by at most 90 B per added relaxing trajectory (149 B with all
+    # 13 columns, the seeds and the starts)
+    peaks = {}
+    for n_relax in (50_000, 200_000):
+        tracemalloc.start()
+        try:
+            run_experiment(mini_ou_config(n_relax),
+                           output_root=tmp_path / str(n_relax))
+            peaks[n_relax] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[200_000] - peaks[50_000]) / 150_000 <= 90
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -899,19 +972,33 @@ def test_import_leaves_scipy_signal_and_interpolate_out():
     assert out.strip() == "[]"
 
 
-def test_a_sed_run_leaves_scipy_integrate_out(tmp_path):
-    # the field-autocorrelation stage compares against the closed-form
-    # autocovariance; the quadrature (and its import) is the tests' oracle
-    cfg_path = tmp_path / "mini_sed.json"
-    cfg_path.write_text(json.dumps(mini_sed_config()))
+def modules_after_a_run(cfg: dict, tmp_path, which: str) -> str:
+    """The sorted names m of sys.modules for which the expression which
+    holds, after cfg's run in a fresh process."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
     src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys; from sedsim.harness import run_experiment;"
              " run_experiment(sys.argv[1], output_root=sys.argv[2]);"
-             " print(sorted(m for m in sys.modules"
-             " if m.split('.')[:2] == ['scipy', 'integrate']))")
+             f" print(sorted(m for m in sys.modules if {which}))")
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe, str(cfg_path), str(tmp_path / "out")],
         env=env, check=True, capture_output=True, text=True,
-        timeout=120).stdout
-    assert out.strip() == "[]"
+        timeout=120).stdout.strip()
+
+
+def test_a_sed_run_leaves_scipy_integrate_out(tmp_path):
+    # the field-autocorrelation stage compares against the closed-form
+    # autocovariance; the quadrature (and its import) is the tests' oracle.
+    # The comb's lengths come from an integer search, not scipy.fft; only
+    # the reference eigensolve imports scipy.linalg
+    assert modules_after_a_run(
+        mini_sed_config(), tmp_path,
+        "m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'fft'],"
+        " ['scipy', 'special'])") == "[]"
+
+
+def test_an_ou_run_loads_no_scipy(tmp_path):
+    assert modules_after_a_run(mini_ou_config(), tmp_path,
+                               "m.split('.')[0] == 'scipy'") == "[]"
