@@ -104,7 +104,7 @@ _SCHEMA = {
     },
     "outputs": {
         "directory": (str, True),
-        # "none" or one of dynamics.DUMP_FORMATS
+        # "none" or "binary", the one format dynamics.dump_ensemble writes
         "ensemble_dump": (str, False, {"enum": ("binary", "none")}),
     },
     "tolerances": {

@@ -59,7 +59,7 @@ import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,6 @@ ROW_BLOCK = 32
 _TRANSIENT_BLOCK = 64
 
 DUMP_SCHEMA_VERSION = 1
-DUMP_FORMATS = ("binary",)
 
 
 class IntegrationError(ValueError):
@@ -121,14 +120,15 @@ class IntegrationError(ValueError):
 class Potential:
     """External conservative potential with force and force-gradient
     evaluators; a constant gradient (harmonic, free) is a scalar.
-    fused_drift(x, v, tau, out), when given, is drift bit for bit."""
+    drift(x, v, tau, out=None) is the reduced-order force
+    f(x) + tau f'(x) v, into out if given."""
 
     kind: str
     V: callable
     f: callable
     fprime: callable
+    drift: callable
     params: dict = dc_field(default_factory=dict)
-    fused_drift: callable = None
 
     @property
     def linear(self) -> bool:
@@ -145,26 +145,24 @@ class Potential:
             return math.sqrt(k / mass)
         return None
 
-    def drift(self, x, v, tau: float, out=None):
-        """The reduced-order force f(x) + tau f'(x) v, into out if given."""
-        if self.fused_drift is not None:
-            return self.fused_drift(x, v, tau, out)
-        return np.add(self.f(x), tau * self.fprime(x) * v, out=out)
-
 
 def free_potential() -> Potential:
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return Potential(kind="free", V=zero, f=zero, fprime=lambda x: 0.0)
+    return Potential(kind="free", V=zero, f=zero, fprime=lambda x: 0.0,
+                     drift=lambda x, v, tau, out=None: np.add(
+                         zero(x), tau * 0.0 * v, out=out))
 
 
 def harmonic_potential(omega0: float, mass: float) -> Potential:
     """V = (1/2) m omega0^2 x^2."""
     k = mass * omega0**2
+    f = lambda x: -k * np.asarray(x, dtype=float)
     return Potential(
         kind="harmonic",
         V=lambda x: 0.5 * k * np.square(x),
-        f=lambda x: -k * np.asarray(x, dtype=float),
+        f=f,
         fprime=lambda x: -k,
+        drift=lambda x, v, tau, out=None: np.add(f(x), tau * -k * v, out=out),
         params={"omega0": omega0, "stiffness": k},
     )
 
@@ -173,7 +171,7 @@ def quartic_potential(k4: float) -> Potential:
     """V = (1/4) k4 x^4. The powers are products of squares: an array ** 3
     or ** 4 goes through libm pow, 15x slower than a multiply, and the RK4
     loop evaluates the drift, in place and with one x^2, four times a step."""
-    def drift(x, v, tau, out):
+    def drift(x, v, tau, out=None):
         x2 = np.square(x)
         out = np.multiply(x, x2, out=out)
         out *= -k4
@@ -188,8 +186,8 @@ def quartic_potential(k4: float) -> Potential:
         V=lambda x: 0.25 * k4 * np.square(np.square(x)),
         f=lambda x: -k4 * (x * np.square(x)),
         fprime=lambda x: -3.0 * k4 * np.square(x),
+        drift=drift,
         params={"k4": k4},
-        fused_drift=drift,
     )
 
 
@@ -289,8 +287,9 @@ class TrajectoryEnsemble:
     that develops non-finite state keeps NaN records from that point on and
     carries STATUS_NONFINITE, never silently. A streamed ensemble
     (integrate_stream, reference.ou_stream) comes back without its arrays:
-    positions, velocities and field_values are None. A ColumnStore's
-    ensemble has no seeds.
+    positions, velocities and field_values are None. No ensemble holds
+    seeds: trajectory i's is the rule (meta["master_seed"], i), which
+    EnsembleWriter writes out as seeds.npy.
     """
 
     t0: float
@@ -300,7 +299,6 @@ class TrajectoryEnsemble:
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray | None
-    seeds: np.ndarray | None   # (n_traj, 2): rows (master_seed, trajectory index)
     status: np.ndarray         # (n_traj,) int8
     field_values: np.ndarray | None = None
     meta: dict = dc_field(default_factory=dict)
@@ -505,17 +503,17 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     response on the record grid, the others the step loop (module
     docstring); neither path holds a field table of the whole run.
 
-    A chunk is a TrajectoryEnsemble of its rows (field_values None without
-    store_field) sharing the run's times and meta; a consumer copies what
-    it keeps. With n_workers > 1 up to n_workers chunks are in flight, and
-    one that finishes early waits until the chunks before it are handed
-    over. Without out each chunk's arrays are its own and are dropped once
+    A chunk is the returned ensemble with its rows' arrays (field_values
+    None without store_field) and status; a consumer copies what it keeps.
+    With n_workers > 1 up to n_workers chunks are in flight, and one that
+    finishes early waits until the chunks before it are handed over.
+    Without out each chunk's arrays are its own and are dropped once
     handed over; out(n_rec), when given, returns whole (n_traj, n_rec)
     arrays (positions, velocities, field_values or None) whose rows the
     chunks fill in place. progress, when given, is called as
     progress(done, n_traj) after each chunk is handed over, done counting
     the trajectories so far. Returns the ensemble without its arrays: its
-    times, seeds, status and meta, warnings included.
+    times, status and meta, warnings included.
     """
     if n_traj < 1:
         raise IntegrationError("n_traj must be at least 1")
@@ -538,11 +536,6 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
         raise IntegrationError("integrator is one-dimensional; need components=1")
 
     n_rec = n_steps // record_stride + 1
-    times = record_times(t0, dt, n_steps, record_stride)
-    status = np.zeros(n_traj, dtype=np.int8)
-    seeds = np.empty((n_traj, 2), dtype=np.int64)
-    seeds[:, 0] = master_seed
-    seeds[:, 1] = np.arange(n_traj)
 
     linear = particle.potential.linear
     omegas, _, amps = mode_table(fspec)
@@ -566,6 +559,10 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
                 f" not decay, and above 1 they grow until they overflow")
         growth = record_stride * math.log(max(rho, 1.0))
         meta["rk4_spectral_radius"] = rho
+    head = TrajectoryEnsemble(
+        t0=t0, dt=dt, n_steps=n_steps, record_stride=record_stride,
+        times=record_times(t0, dt, n_steps, record_stride), positions=None,
+        velocities=None, status=np.zeros(n_traj, dtype=np.int8), meta=meta)
     whole = out(n_rec) if out is not None else None
     # the record grid's transform setup, shared by every chunk and thread
     records = CombPlan(fspec, n_fft, t0, rec_step, n_rec)
@@ -579,7 +576,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             es = np.empty((n, n_rec)) if store_field else None
         else:
             xs, vs, es = (None if a is None else a[lo:hi] for a in whole)
-        st = status[lo:hi]
+        st = head.status[lo:hi]
         coefs = amps * np.exp(1j * np.array(
             [field_phases(fspec, (master_seed, i, 0))[0]
              for i in range(lo, hi)]))
@@ -622,10 +619,8 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
         # a non-finite x or v stays non-finite at every later step (and is
         # NaN from there on, above), so the last record flags every such row
         st[~np.isfinite((xs[:, -1], vs[:, -1])).all(axis=0)] = STATUS_NONFINITE
-        return TrajectoryEnsemble(
-            t0=t0, dt=dt, n_steps=n_steps, record_stride=record_stride,
-            times=times, positions=xs, velocities=vs, seeds=seeds[lo:hi],
-            status=st, field_values=es, meta=meta)
+        return replace(head, positions=xs, velocities=vs, field_values=es,
+                       status=st)
 
     # the dt bound above knows only the field band; a stiff potential can
     # move faster than the field where the trajectories actually went
@@ -666,10 +661,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             f"sqrt(max|f'(x)|/m) = {omega_loc:.4g} over the recorded "
             f"positions; RK4 may not follow the motion"
         )
-    return TrajectoryEnsemble(
-        t0=t0, dt=dt, n_steps=n_steps, record_stride=record_stride,
-        times=times, positions=None, velocities=None, seeds=seeds,
-        status=status, meta=meta)
+    return head
 
 
 def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
@@ -892,11 +884,12 @@ class EnsembleWriter:
     plus meta.json, with deterministic bytes, suitable for bit-identity
     comparison. The constructor writes the header of each named array's
     file, shape (n_traj, n_rec); take(chunk) appends the chunk's rows, so
-    chunks must come in row order; close(ens) writes times, seeds and
-    status and then meta.json. Every file holds np.save's bytes, and a dump
-    cut off before close has no meta.json, which load_ensemble refuses.
-    The rows go to the files unmapped: mapped pages would count in the
-    process's resident set."""
+    chunks must come in row order; close(ens) writes times, status and
+    seeds, whose row i is trajectory i's seed (k, i), k ens.meta's
+    master_seed or its first entry, and then meta.json. Every file holds
+    np.save's bytes, and a dump cut off before close has no meta.json,
+    which load_ensemble refuses. The rows go to the files unmapped: mapped
+    pages would count in the process's resident set."""
 
     def __init__(self, directory, n_traj: int, n_rec: int, names):
         self.directory = Path(directory)
@@ -915,8 +908,12 @@ class EnsembleWriter:
                 getattr(chunk, name).tofile(fh)
 
     def close(self, ens: TrajectoryEnsemble) -> Path:
+        key = ens.meta["master_seed"]
+        key = key if isinstance(key, int) else (key[0] if key else 0)
+        seeds = np.empty((ens.n_traj, 2), dtype=np.int64)
+        seeds[:, 0], seeds[:, 1] = key, np.arange(ens.n_traj)
         np.save(self.directory / "times.npy", ens.times)
-        np.save(self.directory / "seeds.npy", ens.seeds)
+        np.save(self.directory / "seeds.npy", seeds)
         np.save(self.directory / "status.npy", ens.status)
         meta = {
             "schema_version": DUMP_SCHEMA_VERSION,
@@ -937,8 +934,8 @@ class ColumnStore:
     stepped), taken chunk by chunk in row order. ensemble(ens) is them as a
     TrajectoryEnsemble on that stretch of ens's record grid, starting at
     its first time, its record_stride ens's times the slice's step, its
-    times ens's own at those columns, with ens's status and meta but no
-    seeds: what a reader that can start only after the last chunk reads
+    times ens's own at those columns, with ens's status and meta: what a
+    reader that can start only after the last chunk reads
     (the OU pipeline's relaxing classifier, whose bins come from the
     sample's variance), without the rest of the run."""
 
@@ -959,14 +956,14 @@ class ColumnStore:
         return TrajectoryEnsemble(
             t0=float(times[0]), dt=ens.dt, n_steps=(times.size - 1) * stride,
             record_stride=stride, times=times, positions=self.positions,
-            velocities=None, seeds=None, status=ens.status, meta=ens.meta)
+            velocities=None, status=ens.status, meta=ens.meta)
 
 
 def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Path:
     """Persist an ensemble as a binary dump (EnsembleWriter, with the whole
     ensemble as its one chunk). Any format but "binary" is refused before
     the directory is created."""
-    if fmt not in DUMP_FORMATS:
+    if fmt != "binary":
         raise ValueError(f"unknown dump format {fmt!r}")
     names = [name for name in ("positions", "velocities", "field_values")
              if getattr(ens, name) is not None]
@@ -992,7 +989,6 @@ def load_ensemble(directory) -> TrajectoryEnsemble:
         positions=np.load(directory / "positions.npy"),
         velocities=(np.load(directory / "velocities.npy")
                     if meta["has_velocities"] else None),
-        seeds=np.load(directory / "seeds.npy"),
         status=np.load(directory / "status.npy"),
         field_values=(np.load(directory / "field_values.npy")
                       if meta["has_field_values"] else None),

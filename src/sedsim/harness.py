@@ -393,7 +393,7 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
     info.update(dt=dt, n_steps=n_steps, n_fft=n_fft, n_chunks=0,
                 n_workers=n_workers)
 
-    def run(run_dir: Path, progress) -> ComparisonReport:
+    def run(run_dir: Path, progress) -> list:
         def handed_over(done, total):
             # integrate_stream calls this once per chunk it has handed over
             info["n_chunks"] += 1
@@ -500,10 +500,7 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
         ens_prov = (f"trajectory ensemble, window {list(window)} "
                     "(ensemble/, balance.json)")
         eig_prov = "wave-equation eigensolve on grid (density_qm.csv)"
-        report = ComparisonReport(pipeline="sed_harmonic_ground",
-                                  config_hash=config_hash(cfg),
-                                  code_version=__version__)
-        report.rows = [
+        return [
             _make_row("mean_energy", "rtol", balance.mean_energy, e0,
                       _tol(cfg, "mean_energy", 0.05), err=balance.se_energy,
                       sed_prov=ens_prov, ref_prov=eig_prov,
@@ -538,7 +535,6 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
                                "(ensemble/)",
                       ref_prov="every trajectory stays finite"),
         ]
-        return report
 
     return run
 
@@ -598,7 +594,7 @@ def _plan_ou_calibration(cfg: dict, info: dict):
     master_seed = int(cfg["seeds"]["master_seed"])
     info.update(dt=dt, n_steps=n_steps)
 
-    def run(run_dir: Path, progress) -> ComparisonReport:
+    def run(run_dir: Path, progress) -> list:
         def sample(stage, dump_stage, dump_dir, n, seed, x0, consumers):
             """Sample n trajectories; each block goes to the consumers and
             the dump, and is dropped."""
@@ -670,10 +666,7 @@ def _plan_ou_calibration(cfg: dict, info: dict):
 
         eq_prov = "equilibrium-start exact sampler (ensemble/)"
         relax_prov = "cold-start exact sampler, relaxing window (ensemble_relaxing/)"
-        report = ComparisonReport(pipeline="ou_calibration",
-                                  config_hash=config_hash(cfg),
-                                  code_version=__version__)
-        report.rows = [
+        return [
             _make_row("position_variance", "pulls", var_sed, sigma2,
                       _tol(cfg, "variance_pulls", 3.0), err=var_se,
                       sed_prov=eq_prov, ref_prov="closed form D0/theta"),
@@ -712,7 +705,6 @@ def _plan_ou_calibration(cfg: dict, info: dict):
                       sed_prov="rejected/accepted residual ratio (branch.json)",
                       ref_prov="discrimination margin required by config"),
         ]
-        return report
 
     return run
 
@@ -720,10 +712,10 @@ def _plan_ou_calibration(cfg: dict, info: dict):
 # plan(cfg, info) -> run: a pipeline's plan builds every object its run
 # derives from the config, refuses (ConfigError) what the schema cannot see,
 # records the time grid it resolved into the dict `info`, which run.json
-# carries, and returns run(run_dir, progress) -> ComparisonReport, which
-# runs the stages, records their ledger into `info` through _stage and
-# hands progress to integrate_stream (the exact OU sampler has no chunks
-# to report).
+# carries, and returns run(run_dir, progress) -> rows, which runs the
+# stages, records their ledger into `info` through _stage, hands progress
+# to integrate_stream (the exact OU sampler has no chunks to report) and
+# returns the report's rows; run_experiment makes them the report.
 PIPELINES = {
     "sed_harmonic_ground": _plan_sed_harmonic_ground,
     "ou_calibration": _plan_ou_calibration,
@@ -777,7 +769,7 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(dumps_config(cfg))
     try:
-        report = run(run_dir, progress)
+        rows = run(run_dir, progress)
     except Exception as exc:
         # the partial artifacts stay; run.json says the run failed, where,
         # and what the stages before it cost
@@ -793,6 +785,8 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
         raise
     elapsed = _time.monotonic() - start
 
+    report = ComparisonReport(pipeline=pipeline, config_hash=config_hash(cfg),
+                              code_version=__version__, rows=rows)
     _write_json(run_dir / "report.json", report.to_dict())
     (run_dir / "report.txt").write_text(report.to_text())
     _write_json(run_dir / "run.json", {

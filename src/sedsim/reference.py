@@ -51,27 +51,26 @@ def ou_stream(theta: float, D0: float, n_traj: int, dt: float,
 
     One Philox stream supplies the stationary starts of all rows, then each
     trajectory's increments row by row; a float x0 goes straight into each
-    block's first column. A block is a TrajectoryEnsemble of its rows in one
-    reused buffer, so a consumer copies what it keeps; the memory is one
-    block of positions and noise besides the consumers' and the per-row
-    seeds, status and stationary starts.
+    block's first column. A block is the returned ensemble with its rows'
+    positions, in one reused buffer, and status, so a consumer copies what
+    it keeps; the memory is one block of positions and noise besides the
+    consumers' and the per-row status and stationary starts.
     out, when given, is a whole (n_traj, n_steps + 1) array whose rows the
     blocks fill in place instead. Returns the ensemble without its
-    positions: times, seeds, status and meta.
+    positions: times, status and meta.
     """
     if theta < 0 or D0 < 0:
         raise ValueError("theta and D0 must be nonnegative")
     if x0 == "stationary" and theta <= 0:
         raise ValueError("stationary start requires theta > 0")
-    seed_key = seed if isinstance(seed, int) else (seed[0] if len(seed) else 0)
-    seeds = np.empty((n_traj, 2), dtype=np.int64)
-    seeds[:, 0] = int(seed_key)
-    seeds[:, 1] = np.arange(n_traj)
-    times = record_times(t0, dt, n_steps)
-    status = np.zeros(n_traj, dtype=np.int8)
-    meta = {"process": "ou", "theta": theta, "D0": D0,
-            "x0": x0 if isinstance(x0, str) else float(x0),
-            "master_seed": list(seed) if isinstance(seed, tuple) else int(seed)}
+    head = TrajectoryEnsemble(
+        t0=t0, dt=dt, n_steps=n_steps, record_stride=1,
+        times=record_times(t0, dt, n_steps), positions=None, velocities=None,
+        status=np.zeros(n_traj, dtype=np.int8),
+        meta={"process": "ou", "theta": theta, "D0": D0,
+              "x0": x0 if isinstance(x0, str) else float(x0),
+              "master_seed": (list(seed) if isinstance(seed, tuple)
+                              else int(seed))})
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rows = range(0, n_traj, _ROW_BLOCK)
@@ -99,16 +98,10 @@ def ou_stream(theta: float, D0: float, n_traj: int, dt: float,
         rng.standard_normal(out=nb)
         for j in range(n_steps):
             xb[:, j + 1] = rho * xb[:, j] + step_std * nb[:, j]
-        piece = TrajectoryEnsemble(
-            t0=t0, dt=dt, n_steps=n_steps, record_stride=1, times=times,
-            positions=xb, velocities=None, seeds=seeds[lo:hi],
-            status=status[lo:hi], meta=meta)
+        piece = replace(head, positions=xb, status=head.status[lo:hi])
         for consumer in consumers:
             consumer.take(piece)
-    return TrajectoryEnsemble(
-        t0=t0, dt=dt, n_steps=n_steps, record_stride=1, times=times,
-        positions=None, velocities=None, seeds=seeds, status=status,
-        meta=meta)
+    return head
 
 
 def ou_ensemble(theta: float, D0: float, n_traj: int, dt: float,

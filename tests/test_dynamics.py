@@ -50,7 +50,8 @@ import sedsim.field
 import sedsim.reference
 from sedsim.field import (CombPlan, FieldSpec, comb_cache_params,
                           comb_sum_slabs, eval_field, make_field, mode_table)
-from sedsim.reference import harmonic_response, harmonic_trajectory
+from sedsim.reference import (harmonic_response, harmonic_trajectory,
+                              ou_stream)
 
 SED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sed_harmonic_ground.json"
 
@@ -739,7 +740,7 @@ class Chunks:
             chunk, positions=chunk.positions.copy(),
             velocities=chunk.velocities.copy(),
             field_values=chunk.field_values.copy(),
-            seeds=chunk.seeds.copy(), status=chunk.status.copy()))
+            status=chunk.status.copy()))
 
 
 @pytest.mark.parametrize("loop", [False, True])
@@ -763,8 +764,7 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
         head = integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
                                 [chunks, store, stepped], n_workers=n_workers)
         assert [c.n_traj for c in chunks.chunks] == [width, width, 44]
-        for name in ("positions", "velocities", "field_values", "seeds",
-                     "status"):
+        for name in ("positions", "velocities", "field_values", "status"):
             assert np.array_equal(
                 np.concatenate([getattr(c, name) for c in chunks.chunks]),
                 getattr(whole, name))
@@ -776,11 +776,11 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
         assert np.array_equal(part.positions, whole.positions[:, 4:9])
         assert np.array_equal(part.times, whole.times[4:9])
         assert (part.t0, part.rec_dt) == (whole.times[4], whole.rec_dt)
-        assert part.seeds is None and part.status is head.status
+        assert part.status is head.status
         part = stepped.ensemble(head)
         assert np.array_equal(part.positions, whole.positions[:, [2, 5, 8, 11]])
         assert np.array_equal(part.times, whole.times[[2, 5, 8, 11]])
-        assert part.t0 == whole.times[2] and part.seeds is None
+        assert part.t0 == whole.times[2]
         assert part.record_stride == 3 * whole.record_stride
         assert part.rec_dt == 3 * whole.rec_dt
         assert part.n_steps == 9 * whole.record_stride
@@ -842,7 +842,7 @@ def test_stream_reductions_add_the_whole_ensembles_blocks(sizes):
     energy = EnergySums(particle, ens.times.size)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         chunk = replace(ens, **{name: getattr(ens, name)[lo:hi] for name in (
-            "positions", "velocities", "field_values", "seeds", "status")})
+            "positions", "velocities", "field_values", "status")})
         balance.take(chunk)
         energy.take(chunk)
     assert balance.report(ens) == energy_balance(ens, particle, window)
@@ -1051,7 +1051,6 @@ def noise_ensemble(n_traj: int, n_rec: int = 2001, dt: float = 0.1):
         times=dt * np.arange(n_rec),
         positions=rng.standard_normal((n_traj, n_rec)),
         velocities=rng.standard_normal((n_traj, n_rec)),
-        seeds=np.zeros((n_traj, 2), dtype=np.int64),
         status=np.zeros(n_traj, dtype=np.int8),
         field_values=rng.standard_normal((n_traj, n_rec)))
 
@@ -1187,6 +1186,12 @@ def test_energy_balance_empty_window():
 # ---------------------------------------------------------------------------
 # persistence
 
+def seed_rows(key: int, n_traj: int) -> np.ndarray:
+    """The seeds.npy rows of n_traj trajectories under the seed key key:
+    row i is (key, i)."""
+    return np.array([(key, i) for i in range(n_traj)], dtype=np.int64)
+
+
 def test_binary_dump_round_trips(tmp_path):
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
@@ -1198,7 +1203,8 @@ def test_binary_dump_round_trips(tmp_path):
     assert np.array_equal(back.positions, ens.positions)
     assert np.array_equal(back.velocities, ens.velocities)
     assert np.array_equal(back.field_values, ens.field_values)
-    assert np.array_equal(back.seeds, ens.seeds)
+    assert np.array_equal(np.load(tmp_path / "dump" / "seeds.npy"),
+                          seed_rows(11, 4))
     assert np.array_equal(back.status, ens.status)
     assert back.record_stride == 3
     assert back.meta["master_seed"] == 11
@@ -1231,8 +1237,10 @@ def test_streamed_dump_holds_np_save_bytes(tmp_path):
     assert not (tmp_path / "stream" / "meta.json").exists()
     writer.close(head)
     dump_ensemble(ens, tmp_path / "whole")
-    for name in (*names, "times", "seeds", "status"):
-        np.save(tmp_path / f"{name}.npy", getattr(ens, name))
+    arrays = {name: getattr(ens, name) for name in (*names, "times", "status")}
+    arrays["seeds"] = seed_rows(9, n_traj)
+    for name, array in arrays.items():
+        np.save(tmp_path / f"{name}.npy", array)
         saved = (tmp_path / f"{name}.npy").read_bytes()
         assert (tmp_path / "stream" / f"{name}.npy").read_bytes() == saved
         assert (tmp_path / "whole" / f"{name}.npy").read_bytes() == saved
@@ -1242,6 +1250,31 @@ def test_streamed_dump_holds_np_save_bytes(tmp_path):
     (tmp_path / "whole" / "meta.json").unlink()
     with pytest.raises(IntegrationError, match="cut off"):
         load_ensemble(tmp_path / "whole")
+
+
+@pytest.mark.parametrize("producer", ["integrate_stream", "ou_stream"])
+def test_writer_builds_the_seed_rows_from_the_master_seed(producer, tmp_path):
+    # no ensemble carries seeds: the writer writes np.save of the rows
+    # (key, i), key the int master seed of integrate_stream or the first
+    # entry of ou_stream's tuple master seed
+    n_traj = RESPONSE_CHUNK + 3
+    writer = EnsembleWriter(tmp_path / "dump", n_traj, 0, ())
+    if producer == "integrate_stream":
+        fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+        particle = ParticleSpec.from_tau(1.0, 1e-3,
+                                         harmonic_potential(1.0, 1.0))
+        key = 13
+        head = integrate_stream(particle, fspec, DeltaIC(0.3, 0.0), 0.0, 0.2,
+                                20, n_traj, key, [writer])
+    else:
+        key = 6
+        head = ou_stream(0.8, 0.3, n_traj, 0.05, 6, (key, 1), [writer],
+                         x0="stationary")
+    assert not hasattr(head, "seeds")
+    writer.close(head)
+    np.save(tmp_path / "seeds.npy", seed_rows(key, n_traj))
+    assert ((tmp_path / "dump" / "seeds.npy").read_bytes()
+            == (tmp_path / "seeds.npy").read_bytes())
 
 
 def test_dump_schema_version_guard(tmp_path):

@@ -135,8 +135,7 @@ def test_row_blocks_reproduce_the_whole_array_draw(theta, n_traj, n_steps, x0):
     assert np.array_equal(ens.positions,
                           whole_array_oracle(theta, *args, x0=x0))
     assert ens.positions.shape == (n_traj, n_steps + 1)
-    assert ens.seeds.shape == (n_traj, 2) and ens.status.shape == (n_traj,)
-    assert np.array_equal(ens.seeds[:, 1], np.arange(n_traj))
+    assert ens.status.shape == (n_traj,)
 
 
 def test_sampler_memory_is_the_output_plus_one_block():
@@ -153,9 +152,27 @@ def test_sampler_memory_is_the_output_plus_one_block():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output = sum(a.nbytes for a in (ens.positions, ens.seeds,
-                                        ens.status, ens.times))
+        output = sum(a.nbytes for a in (ens.positions, ens.status,
+                                        ens.times))
         assert peak - output < bound
+
+
+@pytest.mark.parametrize("x0, per_row", [(0.7, 2.0), ("stationary", 10.0)])
+def test_a_stream_without_consumers_holds_status_and_starts_per_row(x0,
+                                                                   per_row):
+    # the stream holds per row its status (1 B) and, for the stationary
+    # start, the starts (8 B); no seed rows, which the dump writer builds
+    # from the master seed
+    def peak(n_traj):
+        tracemalloc.start()
+        try:
+            reference.ou_stream(0.8, 0.3, n_traj, 0.05, 40, 7, x0=x0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(BLOCK)                       # one-time allocations out of the way
+    assert peak(400_000) - peak(100_000) <= per_row * 300_000
 
 
 # ---------------------------------------------------------------------------
