@@ -63,7 +63,7 @@ _PROGRESS_EVERY = 512
 
 
 class _Progress:
-    """integrate_stream's per-chunk callback for one run: a line each time
+    """run_experiment's per-chunk progress for one run: a line each time
     the finished trajectories reach or pass a multiple of _PROGRESS_EVERY,
     and one when the last is done."""
 

@@ -5,16 +5,19 @@ a silently ignored typo in a physics parameter is the costliest failure mode
 this tool has. Each key's rule is in `_SCHEMA`, beside its type: `null`,
 booleans where a number belongs, NaN and infinities are refused for every
 key, and a number or list outside its rule is refused with the rule in
-words. Error messages carry the source line of the offending key whenever
-it can be located in the original text. Rules that join several keys (the
-window inside the run, the lags' room in it) belong to the pipeline's plan
-(`harness`), which also refuses before anything is written.
+words. Once the experiment is known, a key its pipeline never reads is
+refused (PIPELINE_KEYS). Error messages carry the source line of the
+offending key whenever it can be located in the original text. Rules that
+join several keys (the window inside the run, the lags' room in it) belong
+to the pipeline's plan (`harness`), which also refuses before anything is
+written.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import reduce
 from pathlib import Path
 
 
@@ -34,6 +37,12 @@ _POSITIVE = {"exclusiveMinimum": 0}
 _NONNEGATIVE = {"minimum": 0}
 _COUNT = {"minimum": 1}
 _PAIR = {"minItems": 2, "maxItems": 2}
+# the tolerances only one pipeline reads; both read classifier_margin
+_SED_TOLERANCES = ("mean_energy", "position_variance", "pooled_D",
+                   "energy_balance", "autocorr_z")
+_OU_TOLERANCES = ("variance_pulls", "flow_velocity_pulls",
+                  "osmotic_velocity_pulls", "diffusion_pulls",
+                  "va_consistent_fraction")
 
 _SCHEMA = {
     "schema_version": (int, True),
@@ -67,7 +76,8 @@ _SCHEMA = {
     "ensemble": {
         "n_traj": (int, True, _COUNT),
         "n_workers": (int, False, _COUNT),
-        "store_field": (bool, False),
+        # the sed energy balance reads the stored field
+        "store_field": (bool, False, {"enum": (True,)}),
         "initial_conditions": {
             "sampler": (str, True,
                         {"enum": ("delta", "gaussian", "stationary-guess")}),
@@ -107,22 +117,25 @@ _SCHEMA = {
         # "none" or "binary", the one format dynamics.dump_ensemble writes
         "ensemble_dump": (str, False, {"enum": ("binary", "none")}),
     },
-    "tolerances": {
-        key: (_NUM, False, _NONNEGATIVE)
-        for key in ("mean_energy", "position_variance", "pooled_D",
-                    "energy_balance", "classifier_margin",
-                    "flow_velocity_pulls", "osmotic_velocity_pulls",
-                    "diffusion_pulls", "variance_pulls",
-                    "va_consistent_fraction", "autocorr_z")
-    },
+    "tolerances": {key: (_NUM, False, _NONNEGATIVE) for key in (
+        "classifier_margin", *_SED_TOLERANCES, *_OU_TOLERANCES)},
 }
 
-# Top-level blocks each pipeline requires beyond those the schema requires.
-PIPELINE_BLOCKS = {
-    "sed_harmonic_ground": ("field", "particle", "time", "ensemble",
-                            "coarse_grain", "tolerances"),
-    "ou_calibration": ("particle", "langevin", "time", "ensemble",
-                       "coarse_grain", "tolerances"),
+# Pipeline -> (the top-level blocks it requires beyond those the schema
+# requires, the dotted keys and blocks it never reads). The latter are
+# refused, so that a key meant for the other pipeline is not ignored.
+PIPELINE_KEYS = {
+    "sed_harmonic_ground": (
+        ("field", "particle", "time", "ensemble", "coarse_grain",
+         "tolerances"),
+        ("langevin", "coarse_grain.classifier_bins",
+         *(f"tolerances.{k}" for k in _OU_TOLERANCES))),
+    "ou_calibration": (
+        ("particle", "langevin", "time", "ensemble", "coarse_grain",
+         "tolerances"),
+        ("field", "grid", "time.record_stride", "ensemble.n_workers",
+         "ensemble.store_field",
+         *(f"tolerances.{k}" for k in _SED_TOLERANCES))),
 }
 
 
@@ -230,18 +243,24 @@ def validate_config(cfg: dict, text: str | None = None,
             f"(this build reads {CONFIG_SCHEMA_VERSION})"
         )
     pipeline = cfg["experiment"]
-    if pipeline not in PIPELINE_BLOCKS:
-        known = ", ".join(sorted(PIPELINE_BLOCKS))
+    if pipeline not in PIPELINE_KEYS:
+        known = ", ".join(sorted(PIPELINE_KEYS))
         raise ConfigError(
             f"{source}{_find_line(text, 'experiment')}: unknown experiment "
             f"{pipeline!r}; registered pipelines: {known}"
         )
-    for blk in PIPELINE_BLOCKS[pipeline]:
+    required, unread = PIPELINE_KEYS[pipeline]
+    for blk in required:
         if blk not in cfg:
             raise ConfigError(
                 f"{source}: missing required block {blk!r} for "
                 f"experiment {pipeline!r}"
             )
+    for dotted in unread:
+        *blocks, key = dotted.split(".")
+        if key in reduce(lambda blk, name: blk.get(name, {}), blocks, cfg):
+            raise ConfigError(f"{source}{_find_line(text, key)}: {dotted} is "
+                              f"not read by experiment {pipeline!r}")
     return cfg
 
 
@@ -259,9 +278,12 @@ def load_config(path: str | Path) -> dict:
     return validate_config(cfg, text=text, source=str(path))
 
 
-def dumps_config(cfg: dict) -> str:
-    """Canonical serialization: sorted keys, full float round-trip precision."""
-    return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+def dumps_config(obj) -> str:
+    """Canonical serialization of every JSON artifact, configs included:
+    sorted keys, full float round-trip precision, numpy scalars and arrays
+    as their Python values."""
+    return json.dumps(obj, indent=2, sort_keys=True,
+                      default=lambda o: o.tolist()) + "\n"
 
 
 def save_config(cfg: dict, path: str | Path) -> None:

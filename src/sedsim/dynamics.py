@@ -64,6 +64,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import dumps_config
 from .field import (CombPlan, FieldSpec, comb_cache_params, comb_sum_slabs,
                     field_phases, mode_table)
 
@@ -485,7 +486,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
                      t0: float, dt: float, n_steps: int, n_traj: int,
                      master_seed: int, consumers=(), record_stride: int = 1,
                      n_workers: int = 1, store_field: bool = True,
-                     progress=None, out=None) -> TrajectoryEnsemble:
+                     out=None) -> TrajectoryEnsemble:
     """Integrate n_traj independent trajectories of the reduced-order
     equation, a chunk at a time, and hand each finished chunk to every
     consumer in turn as consumer.take(chunk), in row order. A chunk is
@@ -510,9 +511,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     Without out each chunk's arrays are its own and are dropped once
     handed over; out(n_rec), when given, returns whole (n_traj, n_rec)
     arrays (positions, velocities, field_values or None) whose rows the
-    chunks fill in place. progress, when given, is called as
-    progress(done, n_traj) after each chunk is handed over, done counting
-    the trajectories so far. Returns the ensemble without its arrays: its
+    chunks fill in place. Returns the ensemble without its arrays: its
     times, status and meta, warnings included.
     """
     if n_traj < 1:
@@ -625,18 +624,14 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     # the dt bound above knows only the field band; a stiff potential can
     # move faster than the field where the trajectories actually went
     fp_max = 0.0
-    n_done = 0
 
     def hand_over(piece: TrajectoryEnsemble):
-        nonlocal fp_max, n_done
+        nonlocal fp_max
         for consumer in consumers:
             consumer.take(piece)
         fp_max = max(fp_max, *(
             float(np.max(np.abs(particle.potential.fprime(x)), initial=0.0))
             for (x,) in piece.intact_blocks(("positions",))))
-        n_done += piece.n_traj
-        if progress is not None:
-            progress(n_done, n_traj)
 
     width = RESPONSE_CHUNK if linear else CHUNK
     spans = [(lo, min(lo + width, n_traj)) for lo in range(0, n_traj, width)]
@@ -667,13 +662,12 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
 def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
                        t0: float, dt: float, n_steps: int, n_traj: int,
                        master_seed: int, record_stride: int = 1,
-                       n_workers: int = 1, store_field: bool = True,
-                       progress=None) -> TrajectoryEnsemble:
+                       n_workers: int = 1,
+                       store_field: bool = True) -> TrajectoryEnsemble:
     """Integrate n_traj trajectories into whole (n_traj, n_rec) arrays of
     positions, velocities and, with store_field, field values: the
     integrate_stream whose chunks fill the rows of those arrays in place.
-    See integrate_stream for the grid, the seeding, the warnings and
-    progress."""
+    See integrate_stream for the grid, the seeding and the warnings."""
     whole = []
 
     def allocate(n_rec):
@@ -684,7 +678,7 @@ def integrate_ensemble(particle: ParticleSpec, fspec: FieldSpec, ic,
     ens = integrate_stream(particle, fspec, ic, t0, dt, n_steps, n_traj,
                            master_seed, record_stride=record_stride,
                            n_workers=n_workers, store_field=store_field,
-                           progress=progress, out=allocate)
+                           out=allocate)
     ens.positions, ens.velocities, ens.field_values = whole
     return ens
 
@@ -883,22 +877,25 @@ class EnsembleWriter:
     """A binary dump written as its rows arrive: a directory of .npy files
     plus meta.json, with deterministic bytes, suitable for bit-identity
     comparison. The constructor writes the header of each named array's
-    file, shape (n_traj, n_rec); take(chunk) appends the chunk's rows, so
-    chunks must come in row order; close(ens) writes times, status and
-    seeds, whose row i is trajectory i's seed (k, i), k ens.meta's
-    master_seed or its first entry, and then meta.json. Every file holds
-    np.save's bytes, and a dump cut off before close has no meta.json,
-    which load_ensemble refuses. The rows go to the files unmapped: mapped
-    pages would count in the process's resident set."""
+    file, shape (n_traj, n_rec), and of seeds, int64 (n_traj, 2);
+    take(chunk) appends the chunk's rows, so chunks must come in row order,
+    and its seed rows: row i is trajectory i's seed (k, i), k the chunk
+    meta's master_seed or its first entry. close(ens) writes times and
+    status, and then meta.json. Every file holds np.save's bytes, and a
+    dump cut off before close has no meta.json, which load_ensemble
+    refuses. The rows go to the files unmapped: mapped pages would count
+    in the process's resident set."""
 
     def __init__(self, directory, n_traj: int, n_rec: int, names):
         self.directory = Path(directory)
         self.names = tuple(names)
+        self.rows = 0
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / "meta.json").unlink(missing_ok=True)
-        header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-                  "fortran_order": False, "shape": (n_traj, n_rec)}
-        for name in self.names:
+        files = [(name, float, n_rec) for name in self.names]
+        for name, dtype, width in files + [("seeds", np.int64, 2)]:
+            header = {"descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+                      "fortran_order": False, "shape": (n_traj, width)}
             with open(self.directory / f"{name}.npy", "wb") as fh:
                 np.lib.format.write_array_header_1_0(fh, header)
 
@@ -906,14 +903,16 @@ class EnsembleWriter:
         for name in self.names:
             with open(self.directory / f"{name}.npy", "ab") as fh:
                 getattr(chunk, name).tofile(fh)
+        key = chunk.meta["master_seed"]
+        key = key if isinstance(key, int) else (key[0] if key else 0)
+        lo, self.rows = self.rows, self.rows + chunk.n_traj
+        seeds = np.empty((chunk.n_traj, 2), dtype=np.int64)
+        seeds[:, 0], seeds[:, 1] = key, np.arange(lo, self.rows)
+        with open(self.directory / "seeds.npy", "ab") as fh:
+            seeds.tofile(fh)
 
     def close(self, ens: TrajectoryEnsemble) -> Path:
-        key = ens.meta["master_seed"]
-        key = key if isinstance(key, int) else (key[0] if key else 0)
-        seeds = np.empty((ens.n_traj, 2), dtype=np.int64)
-        seeds[:, 0], seeds[:, 1] = key, np.arange(ens.n_traj)
         np.save(self.directory / "times.npy", ens.times)
-        np.save(self.directory / "seeds.npy", seeds)
         np.save(self.directory / "status.npy", ens.status)
         meta = {
             "schema_version": DUMP_SCHEMA_VERSION,
@@ -922,10 +921,9 @@ class EnsembleWriter:
             "record_stride": ens.record_stride, "n_traj": ens.n_traj,
             "has_field_values": "field_values" in self.names,
             "has_velocities": "velocities" in self.names,
-            "meta": _jsonable(ens.meta),
+            "meta": ens.meta,
         }
-        (self.directory / "meta.json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        (self.directory / "meta.json").write_text(dumps_config(meta))
         return self.directory
 
 
@@ -995,16 +993,3 @@ def load_ensemble(directory) -> TrajectoryEnsemble:
         meta=meta.get("meta", {}),
     )
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj

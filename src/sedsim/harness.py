@@ -303,8 +303,19 @@ def _stage(info: dict, name: str, fn, *args, **kwargs):
     return result
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+class _ChunkCount:
+    """A stream consumer: counts its chunks in info["n_chunks"] and calls
+    progress(done, total), if given, with the trajectories so far."""
+
+    def __init__(self, info: dict, total: int, progress):
+        self.info, self.total, self.progress = info, total, progress
+        self.done = 0
+
+    def take(self, chunk):
+        self.info["n_chunks"] += 1
+        self.done += chunk.n_traj
+        if self.progress is not None:
+            self.progress(self.done, self.total)
 
 
 def _write_xy_csv(path: Path, header: str, columns) -> None:
@@ -368,9 +379,6 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
     particle = _build_particle(cfg, c=fspec.c)
     omega0 = particle.potential.params["omega0"]
     tcfg, ecf = cfg["time"], cfg["ensemble"]
-    if not ecf.get("store_field", True):
-        raise ConfigError("sed_harmonic_ground needs ensemble.store_field = "
-                          "true: the energy balance reads the stored field")
     stride, t0 = tcfg.get("record_stride", 1), float(tcfg.get("t0", 0.0))
     dt, n_steps, n_fft = _built("time", comb_time_grid, fspec,
                                 float(tcfg["dt"]), float(tcfg["t_final"]) - t0)
@@ -394,16 +402,10 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
                 n_workers=n_workers)
 
     def run(run_dir: Path, progress) -> list:
-        def handed_over(done, total):
-            # integrate_stream calls this once per chunk it has handed over
-            info["n_chunks"] += 1
-            if progress is not None:
-                progress(done, total)
-
         # each chunk goes to the dump, the energy balance (with the window
         # statistics), the relaxation curve and the estimators' two sample
         # sets on the stationary window, one for the fields and the
-        # classifier, one for the sweep, and is dropped
+        # classifier, one for the sweep, is counted, and is dropped
         balance_sums = BalanceSums(particle, window, times)
         energy_sums = EnergySums(particle, times.size)
         samples = SampleSet(times, rec_dt, spec0)
@@ -414,10 +416,11 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
             writer = EnsembleWriter(run_dir / "ensemble", n_traj, times.size,
                                     ("positions", "velocities", "field_values"))
             consumers.append(writer)
+        consumers.append(_ChunkCount(info, n_traj, progress))
         head = _stage(info, "integrate", integrate_stream,
                       particle, fspec, ic, t0, dt, n_steps,
                       n_traj, master_seed, consumers, record_stride=stride,
-                      n_workers=n_workers, progress=handed_over)
+                      n_workers=n_workers)
         info.update(n_traj=n_traj, non_finite_trajectories=int(
             np.count_nonzero(head.status != STATUS_OK)))
 
@@ -425,7 +428,7 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
             _stage(info, "dump", writer.close, head)
 
         balance = _stage(info, "energy-balance", balance_sums.report, head)
-        _write_json(run_dir / "balance.json", balance.to_dict())
+        (run_dir / "balance.json").write_text(dumps_config(balance.to_dict()))
         _write_xy_csv(run_dir / "balance_trace.csv", "t,absorbed,radiated",
                       balance_sums.trace())
 
@@ -437,13 +440,13 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
         branch = _stage(info, "branch-classifier", samples.classify_branch,
                         particle.mass, particle.potential.f,
                         D=None, time_derivative="omitted")
-        _write_json(run_dir / "branch.json", {
+        (run_dir / "branch.json").write_text(dumps_config({
             **branch.to_dict(),
             "time_derivative": "omitted",
             "warnings": branch.reports[+1].warnings,
-        })
+        }))
         sweep = _stage(info, "diffusion-sweep", sweep_set.sweep)
-        _write_json(run_dir / "dsweep.json", sweep.to_dict())
+        (run_dir / "dsweep.json").write_text(dumps_config(sweep.to_dict()))
 
         # field-synthesis cross-check: fresh realizations, never the
         # driving ones
@@ -453,7 +456,7 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
                    2.0 * math.pi / fspec.omega_cutoff]
         ac = _stage(info, "field-autocorrelation", autocorrelation_check,
                     ac_reals, ac_lags)
-        _write_json(run_dir / "field_autocorr.json", ac)
+        (run_dir / "field_autocorr.json").write_text(dumps_config(ac))
 
         # quantum reference: eigensolve of the wave equation on the grid
         energies, states = _stage(
@@ -628,7 +631,7 @@ def _plan_ou_calibration(cfg: dict, info: dict):
         v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
         x_ref2 = np.square(ref_column.positions[eq.ok_mask(), 0])
         sweep = _stage(info, "diffusion-sweep", sweep_set.sweep)
-        _write_json(run_dir / "dsweep.json", sweep.to_dict())
+        (run_dir / "dsweep.json").write_text(dumps_config(sweep.to_dict()))
 
         mid_idx = int(round((refs[1] - relax.t0) / relax.rec_dt))
         s_star = float(np.var(relax.positions[:, mid_idx]))
@@ -637,13 +640,13 @@ def _plan_ou_calibration(cfg: dict, info: dict):
         branch = _stage(info, "branch-classifier", lambda: classify_branch(
             relax, replace(relax_spec, x_range=(-span, span)), particle.mass,
             particle.potential.f, D=None, time_derivative="measured"))
-        _write_json(run_dir / "branch.json", {
+        (run_dir / "branch.json").write_text(dumps_config({
             **branch.to_dict(),
             "time_derivative": "measured",
             "reference_times": list(refs),
             "relaxing_variance_at_mid": s_star,
             "warnings": branch.reports[+1].warnings,
-        })
+        }))
 
         # closed-form references
         sigma2 = ou_stationary_variance(theta, d0)
@@ -713,9 +716,10 @@ def _plan_ou_calibration(cfg: dict, info: dict):
 # derives from the config, refuses (ConfigError) what the schema cannot see,
 # records the time grid it resolved into the dict `info`, which run.json
 # carries, and returns run(run_dir, progress) -> rows, which runs the
-# stages, records their ledger into `info` through _stage, hands progress
-# to integrate_stream (the exact OU sampler has no chunks to report) and
-# returns the report's rows; run_experiment makes them the report.
+# stages, records their ledger into `info` through _stage, reports progress
+# through a _ChunkCount among integrate_stream's consumers (the exact OU
+# sampler has no chunks to report) and returns the report's rows;
+# run_experiment makes them the report.
 PIPELINES = {
     "sed_harmonic_ground": _plan_sed_harmonic_ground,
     "ou_calibration": _plan_ou_calibration,
@@ -741,17 +745,17 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
     (outputs.directory, resolved under output_root or the current
     directory, and refused if it is not empty) then receives a verbatim
     copy of the config, every stage artifact, report.json/report.txt, and
-    run.json, which adds the exit code, the wall time, the time grid the
-    plan resolved (dt, n_steps; for SED also n_fft and n_workers, and
-    n_chunks, the chunks integrate_stream handed over) and the stage ledger
-    "stages": per stage its name, wall_s, cpu_s, and the process's
-    peak_rss_mb and rss_mb (None without /proc/self/statm) when it ended.
-    A run that fails after that keeps its partial artifacts, writes no
-    report, and its run.json names the failed_stage and the error beside
-    the ledger of the stages before it; the error is raised again. A dump
-    cut off that way has no meta.json, which load_ensemble refuses.
-    progress is integrate_stream's per-chunk callback; by default nothing
-    is printed. Exit code 0 means every report row passed.
+    last run.json, written once however the run ends: the wall time, the
+    time grid the plan resolved (dt, n_steps; for SED also n_fft and
+    n_workers, and n_chunks, the chunks integrate_stream handed over) and
+    the stage ledger "stages": per stage its name, wall_s, cpu_s, and the
+    process's peak_rss_mb and rss_mb (None without /proc/self/statm) when
+    it ended, with the exit code, or with the failed_stage and the error
+    of a run that fails; such a run keeps its partial artifacts, writes
+    no report and raises the error again. A dump cut off that way has no
+    meta.json, which load_ensemble refuses. progress(done, n_traj), when
+    given, is called after each chunk the SED stream hands over; by
+    default nothing is printed. Exit code 0 means every report row passed.
     """
     if isinstance(config, (str, Path)):
         cfg = load_config(config)
@@ -768,35 +772,22 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
         raise ConfigError(f"output directory {run_dir} exists and is not empty")
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(dumps_config(cfg))
+    record = {"pipeline": pipeline, "config_hash": config_hash(cfg),
+              "code_version": __version__}
     try:
-        rows = run(run_dir, progress)
-    except Exception as exc:
+        report = ComparisonReport(**record, rows=run(run_dir, progress))
+        (run_dir / "report.json").write_text(dumps_config(report.to_dict()))
+        (run_dir / "report.txt").write_text(report.to_text())
+        info["exit_code"] = report.exit_code
+    except BaseException as exc:
         # the partial artifacts stay; run.json says the run failed, where,
         # and what the stages before it cost
-        _write_json(run_dir / "run.json", {
-            "pipeline": pipeline,
-            "config_hash": config_hash(cfg),
-            "code_version": __version__,
-            "failed_stage": info.pop("failed_stage", None),
-            "error": str(exc),
-            "wall_seconds": _time.monotonic() - start,
-            **info,
-        })
+        info.setdefault("failed_stage", None)
+        info["error"] = str(exc)
         raise
-    elapsed = _time.monotonic() - start
-
-    report = ComparisonReport(pipeline=pipeline, config_hash=config_hash(cfg),
-                              code_version=__version__, rows=rows)
-    _write_json(run_dir / "report.json", report.to_dict())
-    (run_dir / "report.txt").write_text(report.to_text())
-    _write_json(run_dir / "run.json", {
-        "pipeline": pipeline,
-        "config_hash": report.config_hash,
-        "code_version": __version__,
-        "exit_code": report.exit_code,
-        "wall_seconds": elapsed,
-        **info,
-    })
+    finally:
+        (run_dir / "run.json").write_text(dumps_config(
+            {**record, "wall_seconds": _time.monotonic() - start, **info}))
     return RunResult(run_dir=run_dir, report=report,
                      exit_code=report.exit_code)
 

@@ -31,13 +31,13 @@ estimators take a whole ensemble as one chunk.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import dumps_config
 from .dynamics import TrajectoryEnsemble
 
 # points of the Savitzky-Golay window in dynamics_residuals' derivatives
@@ -127,11 +127,10 @@ class BinnedField:
             "kind": self.kind,
             "delta_t": self.delta_t,
             "min_count": self.min_count,
-            "reference_times": np.asarray(self.reference_times).tolist(),
+            "reference_times": self.reference_times,
             "meta": self.meta,
         }
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        path.with_suffix(path.suffix + ".json").write_text(dumps_config(meta))
         return path
 
 

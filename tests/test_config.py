@@ -135,7 +135,9 @@ def test_hash_sensitive_to_values():
 
 
 def full_config():
-    """A valid config that holds every block of the schema."""
+    """An OU config that also holds the sed pipeline's blocks, so that it
+    holds every block of the schema: each key's own rule is checked before
+    the keys the pipeline never reads are refused."""
     cfg = minimal_ou_config()
     cfg["field"] = {"omega_cutoff": 1.1, "n_modes": 8}
     cfg["grid"] = {"x_min": -6.0, "x_max": 6.0, "n_points": 101}
@@ -168,7 +170,9 @@ def test_every_key_refuses_null_and_what_is_no_finite_number(path, value):
 
 def test_a_quartic_potential_still_validates():
     # the harness refuses every potential but the harmonic; the schema
-    # does not, so library workloads can load a quartic config
+    # does not, so library workloads can load a quartic sed config
     cfg = full_config()
+    cfg["experiment"] = "sed_harmonic_ground"
+    del cfg["langevin"]
     cfg["particle"]["potential"] = {"kind": "quartic", "k4": 1.0}
     validate_config(cfg)

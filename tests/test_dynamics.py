@@ -7,7 +7,6 @@ against the discrete linear-response prediction frozen below.
 
 import json
 import math
-import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -48,6 +47,7 @@ from sedsim.dynamics import (
 import sedsim.dynamics
 import sedsim.field
 import sedsim.reference
+from sedsim.config import dumps_config
 from sedsim.field import (CombPlan, FieldSpec, comb_cache_params,
                           comb_sum_slabs, eval_field, make_field, mode_table)
 from sedsim.reference import (harmonic_response, harmonic_trajectory,
@@ -855,34 +855,6 @@ def test_stream_reductions_add_the_whole_ensembles_blocks(sizes):
     assert np.array_equal(energy.curve(ens)[1], curve)
 
 
-@pytest.mark.parametrize("n_workers", [1, 4])
-def test_progress_is_called_once_per_chunk(n_workers, capsys):
-    # 8 chunks, 7 full ones and one of 8 trajectories; 4 threads on a
-    # shortened switch interval would expose a lost update of the count
-    n_traj = 7 * CHUNK + 8
-    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
-    particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
-    calls = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ens = integrate_ensemble(
-            particle, fspec, DeltaIC(0.5, 0.0), 0.0, 0.2, 10, n_traj, 9,
-            n_workers=n_workers,
-            progress=lambda done, total: calls.append((done, total)))
-    finally:
-        sys.setswitchinterval(interval)
-    done = [d for d, _ in calls]
-    assert [total for _, total in calls] == [n_traj] * 8
-    # calls never overlap, so the count rises by one chunk per call
-    assert done[-1] == n_traj
-    assert {b - a for a, b in zip([0] + done[:-1], done)} <= {CHUNK, 8}
-    quiet = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0), 0.0, 0.2,
-                               10, n_traj, 9, n_workers=n_workers)
-    assert np.array_equal(ens.positions, quiet.positions)
-    assert capsys.readouterr() == ("", "")
-
-
 def test_field_values_are_the_single_call_grid():
     # 7 trajectories, fewer than a transform block; both paths store the
     # record-grid mode sum of one CombPlan call per trajectory, which is
@@ -1275,6 +1247,54 @@ def test_writer_builds_the_seed_rows_from_the_master_seed(producer, tmp_path):
     np.save(tmp_path / "seeds.npy", seed_rows(key, n_traj))
     assert ((tmp_path / "dump" / "seeds.npy").read_bytes()
             == (tmp_path / "seeds.npy").read_bytes())
+
+
+def test_dump_meta_is_dumps_config_of_its_python_values(tmp_path):
+    # numpy scalars, a tuple and an array in the ensemble's meta are
+    # written as the Python values they hold
+    ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
+                             0.0, 0.1, 5, 2, 1)
+    python = {"count": 7, "scale": float(np.float32(0.1)), "pair": [1, 2.5],
+              "grid": [[0.5, 1.0], [1.5, 2.0]]}
+    ens.meta.update(count=np.int64(7), scale=np.float32(0.1), pair=(1, 2.5),
+                    grid=np.array([[0.5, 1.0], [1.5, 2.0]]))
+    dump_ensemble(ens, tmp_path / "d")
+    expected = dumps_config({
+        "schema_version": 1, "format": "binary", "t0": ens.t0, "dt": ens.dt,
+        "n_steps": ens.n_steps, "record_stride": 1, "n_traj": 2,
+        "has_field_values": True, "has_velocities": True,
+        "meta": {**ens.meta, **python}})
+    assert (tmp_path / "d" / "meta.json").read_text() == expected
+
+
+def test_writer_peak_does_not_grow_with_the_rows(tmp_path):
+    # the seed rows go to seeds.npy chunk by chunk, like every other array
+    # of the dump: 200,000 rows peak within 1 MB of 50,000 (the 16 B of
+    # each seed row and the 8 B of its index, built at once, would add
+    # 3.6 MB)
+    peaks = []
+    for n_traj in (50_000, 200_000):
+        status = np.zeros(n_traj, dtype=np.int8)
+        head = TrajectoryEnsemble(
+            t0=0.0, dt=1.0, n_steps=1, record_stride=1, times=np.arange(2.0),
+            positions=None, velocities=None, status=status,
+            meta={"master_seed": 3})
+        rows = np.ones((2048, 2))
+        tracemalloc.start()
+        try:
+            writer = EnsembleWriter(tmp_path / str(n_traj), n_traj, 2,
+                                    ("positions",))
+            for lo in range(0, n_traj, 2048):
+                hi = min(lo + 2048, n_traj)
+                writer.take(replace(head, positions=rows[:hi - lo],
+                                    status=status[lo:hi]))
+            writer.close(head)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6
+    seeds = np.load(tmp_path / "200000" / "seeds.npy")
+    assert np.array_equal(seeds, seed_rows(3, 200_000))
 
 
 def test_dump_schema_version_guard(tmp_path):

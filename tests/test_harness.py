@@ -127,6 +127,25 @@ def test_run_json_records_the_resolved_grid(sed_run, ou_run):
     assert (ou_meta["dt"], ou_meta["n_steps"]) == (ou_ens["dt"], ou_ens["n_steps"])
 
 
+@pytest.mark.parametrize("n_workers", [1, 4])
+def test_progress_counts_the_chunks_of_a_sed_run(n_workers, tmp_path,
+                                                 capsys):
+    # the sed stream's last consumer counts its chunks, 120 trajectories in
+    # 64 and 56, and reports the trajectories so far after each; run.json's
+    # n_chunks counts the same calls. Without progress nothing is printed
+    cfg = mini_sed_config()
+    cfg["ensemble"]["n_workers"] = n_workers
+    calls = []
+    result = run_experiment(
+        cfg, output_root=tmp_path / "progress",
+        progress=lambda done, total: calls.append((done, total)))
+    assert calls == [(64, 120), (120, 120)]
+    run = json.loads((result.run_dir / "run.json").read_text())
+    assert run["n_chunks"] == len(calls)
+    run_experiment(cfg, output_root=tmp_path / "quiet")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_run_json_records_the_stage_ledger(sed_run, ou_run):
     # the sample sets and the window statistics take their sums inside
     # integrate and sample-equilibrium, so no stage gathers samples
@@ -546,14 +565,54 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
      "particle and field.c: (34, 'Numerical result out of range')"),
     ("sed", "time", "dt", 1e-300,
      "time: an FFT length of 1010 bits is past the largest array index"),
+    # keys and blocks the pipeline never reads ("" is the top level)
+    *[("ou", block, key, value,
+       f"{block}{'.' if block else ''}{key} is not read by experiment "
+       f"'ou_calibration'")
+      for block, key, value in (
+          ("", "field", {"omega_cutoff": 1.1, "n_modes": 8}),
+          ("", "grid", {"x_min": -6.0, "x_max": 6.0, "n_points": 101}),
+          ("time", "record_stride", 7),
+          ("ensemble", "n_workers", 2),
+          ("ensemble", "store_field", True),
+          ("tolerances", "pooled_D", 0.1),
+          ("tolerances", "autocorr_z", 3.0))],
+    *[("sed", block, key, value,
+       f"{block}{'.' if block else ''}{key} is not read by experiment "
+       f"'sed_harmonic_ground'")
+      for block, key, value in (
+          ("", "langevin", {"friction": 10.0, "D0": 0.1}),
+          ("coarse_grain", "classifier_bins", 16),
+          ("tolerances", "variance_pulls", 3.0),
+          ("tolerances", "va_consistent_fraction", 0.9))],
 ])
 def test_bad_inputs_are_refused_before_anything_is_written(
         pipeline, block, key, value, message, tmp_path, monkeypatch, capsys):
     refuse_to_integrate(monkeypatch)
     cfg = mini_sed_config() if pipeline == "sed" else json.loads(
         OU_CONFIG.read_text())
-    reduce(operator.getitem, block.split("."), cfg)[key] = value
+    reduce(operator.getitem, filter(None, block.split(".")), cfg)[key] = value
     assert message in refused_run(cfg, tmp_path, monkeypatch, capsys)
+
+
+def test_unread_keys_are_refused_with_their_line(tmp_path, monkeypatch,
+                                                 capsys):
+    # the OU run reads neither key, so the config is refused; the message
+    # names the first and its line in the file
+    refuse_to_integrate(monkeypatch)
+    cfg = json.loads(OU_CONFIG.read_text())
+    cfg["time"]["record_stride"] = 7
+    cfg["ensemble"]["n_workers"] = 2
+    text = json.dumps(cfg, indent=2)
+    line = next(i for i, s in enumerate(text.splitlines(), 1)
+                if '"record_stride"' in s)
+    cfg_path = tmp_path / "unread.json"
+    cfg_path.write_text(text)
+    monkeypatch.setenv("SEDSIM_OUTPUT_ROOT", str(tmp_path / "out"))
+    assert main(["run", str(cfg_path)]) == 2
+    assert (f"unread.json:{line}: time.record_stride is not read by "
+            f"experiment 'ou_calibration'") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_store_field_false_is_refused_before_integrating(
