@@ -10,7 +10,7 @@ m x'' ~ f on the small term), exact to O(tau^2). The synthesized field is a
 smooth function of time once its phases are drawn, so each trajectory is an
 ordinary (non-stochastic) ODE integrated with classical RK4; field values at
 substage times come from the mode sum on the half-step grid, one slab of
-_SLAB half steps at a time, just ahead of the steps that read it
+_slab_width half steps at a time, just ahead of the steps that read it
 (field.comb_sum_slabs). The step loop (_rk4) steps a chunk's rows on
 (x, v, a) stage buffers written in place, reading the field times the charge
 from time-major blocks of the slab; its arithmetic is the plain RK4's.
@@ -44,13 +44,11 @@ position variance and the relaxation curve, and the estimators' sample
 sets (kinematics.SampleSet) add its samples to their bin sums and to
 D's. Each trajectory is seeded on its own (Philox keyed by master seed
 and trajectory index; Salmon et al., SC'11), so a chunk does not depend
-on the others. A chunk is CHUNK rows on the step loop, whose per-step
-numpy dispatch needs the width, and RESPONSE_CHUNK rows on the response
-path, which computes each row on its own; both are multiples of
-ROW_BLOCK, so a chunk holds whole blocks. integrate_ensemble
-is the stream whose chunks fill whole arrays in place; energy_balance,
-relaxation_curve and dump_ensemble take a whole ensemble as one chunk, so
-both routes give the same bytes.
+on the others. A chunk is CHUNK rows on the step loop and RESPONSE_CHUNK
+on the response path, both multiples of ROW_BLOCK, so a chunk holds whole
+blocks. integrate_ensemble is the stream whose chunks fill whole arrays
+in place; energy_balance, relaxation_curve and dump_ensemble take a whole
+ensemble as one chunk, so both routes give the same bytes.
 """
 
 from __future__ import annotations
@@ -66,13 +64,13 @@ import numpy as np
 
 from .config import dumps_config
 from .field import (CombPlan, FieldSpec, comb_cache_params, comb_sum_slabs,
-                    field_phases, mode_table)
+                    fast_length, field_phases, mode_table)
 
 # Fixed-size chunks, whatever the worker count, keep results bit-identical
 # across schedules. CHUNK is the step loop's width, which its per-step numpy
 # dispatch needs: 1,024 trajectories of sedbench's quartic run took 170-174
 # ns per trajectory-step at 512 wide, synthesis included, 250-268 at 256 and
-# 146-155 at 1,024 for twice the slab (tools/paired_loop.py, 3 runs each).
+# 146-155 at 1,024 (tools/paired_loop.py, 3 runs each, 8,192-point slabs).
 CHUNK = 512
 
 # The response path's width. Its rows are independent, and a chunk's
@@ -82,13 +80,6 @@ CHUNK = 512
 # 167 and 236 MiB at 32, 64, 128 and 512 rows, with 149k, 86k, 56k and 44k
 # minor page faults; at 32 rows integrate took 2.48 s against 2.23 s.
 RESPONSE_CHUNK = 64
-
-# Half steps per field slab of the step loop; a chunk's slab is
-# CHUNK x (_SLAB + 1) doubles, 33.6 MB. Each slab is one Bluestein
-# convolution of length n_modes + _SLAB per row, so shorter slabs cost
-# more per point: 512 rows of sedbench's quartic run took 0.47-0.51 s at
-# 8,192 and 0.57-0.62 s at 4,096.
-_SLAB = 8192
 
 # Half steps per time-major block of the step loop's charge-scaled field:
 # 70 kB at CHUNK rows; blocks of 64 raised sedbench quartic's peak 0.4 MB.
@@ -475,6 +466,15 @@ def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
                 f"below dt/2 = {dt / 2.0:g}")
 
 
+def _slab_width(n_modes: int) -> int:
+    """Half steps per field slab of the step loop, CHUNK x (width + 1)
+    doubles a chunk: the widest even slab whose convolution fits the power
+    of two at or above 4 n_modes, 3,328 (13.6 MB) at 768 modes. Slabs of
+    512 rows of sedbench's quartic run took 0.64-0.66 s of synthesis at
+    1,280 half steps, 0.49-0.51 s at 3,328 and 0.50-0.51 s at 8,192."""
+    return (fast_length(4 * n_modes, (2,)) - n_modes + 1) // 2 * 2
+
+
 def record_times(t0: float, dt: float, n_steps: int,
                  record_stride: int = 1) -> np.ndarray:
     """The times an n_steps run from t0 at step dt records: every
@@ -536,7 +536,9 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
 
     n_rec = n_steps // record_stride + 1
 
-    linear = particle.potential.linear
+    linear, width = particle.potential.linear, _slab_width(fspec.n_modes)
+    if not linear and width % 2:
+        raise IntegrationError(f"odd field slab of {width} half steps")
     omegas, _, amps = mode_table(fspec)
     rec_step = 2 * record_stride          # half steps from record to record
     meta = {
@@ -604,7 +606,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             # step's three field values lie in one block
             k = 0
             for slab in comb_sum_slabs(coefs, fspec, n_fft, t0,
-                                       2 * n_steps + 1, _SLAB):
+                                       2 * n_steps + 1, width):
                 for c0 in range(0, slab.shape[1] - 1, _FIELD_BLOCK):
                     c1 = min(c0 + _FIELD_BLOCK, slab.shape[1] - 1)
                     e = list(np.multiply(particle.charge, slab[:, c0:c1 + 1].T,
@@ -633,8 +635,8 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             float(np.max(np.abs(particle.potential.fprime(x)), initial=0.0))
             for (x,) in piece.intact_blocks(("positions",))))
 
-    width = RESPONSE_CHUNK if linear else CHUNK
-    spans = [(lo, min(lo + width, n_traj)) for lo in range(0, n_traj, width)]
+    rows = RESPONSE_CHUNK if linear else CHUNK
+    spans = [(lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
     if n_workers <= 1:
         for span in spans:
             hand_over(chunk(span))
@@ -789,16 +791,13 @@ class BalanceSums(_RowBlockSums):
         if (t_end - t_start) < 10.0 * (2.0 * math.pi / omega_char):
             warnings.append("window shorter than 10 periods of the systematic motion")
 
-        absorbed_traj, radiated_traj, energy_traj = np.concatenate(
-            self.per_traj, axis=1)[:3]
+        # per row: the absorbed power, the radiated power, the energy
+        per_traj = np.concatenate(self.per_traj, axis=1)[:3]
         e_of_t = self.sums[2] / nt
 
-        absorbed = float(np.mean(absorbed_traj))
-        radiated = float(np.mean(radiated_traj))
-        energy = float(np.mean(energy_traj))
-        se_a = float(np.std(absorbed_traj, ddof=1) / math.sqrt(nt)) if nt > 1 else 0.0
-        se_r = float(np.std(radiated_traj, ddof=1) / math.sqrt(nt)) if nt > 1 else 0.0
-        se_e = float(np.std(energy_traj, ddof=1) / math.sqrt(nt)) if nt > 1 else 0.0
+        absorbed, radiated, energy = (float(np.mean(q)) for q in per_traj)
+        se_a, se_r, se_e = (float(np.std(q, ddof=1) / math.sqrt(nt))
+                            if nt > 1 else 0.0 for q in per_traj)
 
         # net energy drift across the window, from a linear fit of the
         # ensemble-mean energy

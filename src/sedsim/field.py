@@ -152,11 +152,11 @@ def eval_field(fr: FieldRealization, t) -> np.ndarray:
 
 
 @functools.cache
-def _smooth_numbers(bound: int) -> list:
-    """The integers 1..bound with no prime factor above 11, in order; a
-    read-only list per power of two fast_length asks for, 64 at most."""
+def _smooth_numbers(bound: int, primes: tuple) -> list:
+    """The integers 1..bound with no prime factor outside primes, in order;
+    a read-only list per power of two and prime set fast_length asks for."""
     found = [1]
-    for p in (2, 3, 5, 7, 11):
+    for p in primes:
         for m in found[:]:
             m *= p
             while m <= bound:
@@ -165,16 +165,22 @@ def _smooth_numbers(bound: int) -> list:
     return sorted(found)
 
 
-def fast_length(target: int) -> int:
-    """The smallest FFT length at or above target (a positive integer)
-    with no prime factor above 11: scipy.fft.next_fast_len(target), found
-    in a table of the smooth integers up to the power of two above
-    target. A target past the largest array index is refused, as there."""
+def fast_length(target: int, primes: tuple = (2, 3, 5, 7, 11)) -> int:
+    """The smallest length at or above target (a positive integer) with no
+    prime factor outside primes, from a table of the smooth integers up to
+    the power of two above target; by default scipy.fft.next_fast_len's.
+    A target past the largest array index is refused, as there."""
     if target > sys.maxsize:
         raise OverflowError(f"an FFT length of {target.bit_length()} bits "
                             f"is past the largest array index")
-    smooth = _smooth_numbers(1 << target.bit_length())
+    smooth = _smooth_numbers(1 << target.bit_length(), primes)
     return smooth[bisect.bisect_left(smooth, target)]
+
+
+def conv_length(n_modes: int, n_points: int) -> int:
+    """CombPlan's convolution length, 7-smooth: numpy's FFT is faster there
+    than at the 11-smooth lengths that only the comb length n_fft needs."""
+    return fast_length(n_modes + n_points - 1, (2, 3, 5, 7))
 
 
 def comb_cache_params(spec: FieldSpec, h_target: float, min_points: int = 1):
@@ -200,7 +206,7 @@ class CombPlan:
     n dOmega t_j - n dOmega t0 is 2 pi n start/N + pi step 2 n j/N, N =
     n_fft, and with 2 n j = n^2 + j^2 - (j - n)^2 each row is one Bluestein
     chirp-z convolution (IEEE Trans. Audio Electroacoust. 18, 451 (1970))
-    of length fast_length(n_modes + n_points - 1). The phases
+    of length conv_length(n_modes, n_points). The phases
     2 pi (n start mod N)/N and the chirp phases pi (step k^2 mod 2N)/N are
     reduced in integers, so they stay exact however far the grid runs from
     t0, and the carrier is exp(i omega_0 (t0 + h (start + step j))). The
@@ -224,7 +230,7 @@ class CombPlan:
         dw = (spec.omega_cutoff - spec.omega_min) / m
         omega0, h = spec.omega_min + dw * 0.5, TWO_PI / (dw * n_fft)
         self.m, self.n_points = m, n_points
-        n_conv = fast_length(m + n_points - 1)
+        n_conv = conv_length(m, n_points)
         k = np.arange(max(m, n_points))
         chirp = np.exp(1j * (math.pi / n_fft)
                        * (step * (k * k % (2 * n_fft)) % (2 * n_fft)))
@@ -368,22 +374,14 @@ def autocorrelation_check(realizations, lags, t_ref: float = 0.0) -> dict:
     ts = np.concatenate(([t_ref], t_ref + lags))
     samples = np.stack([eval_field(fr, ts) for fr in realizations])
     base = samples[:, :, 0]  # (n_real, components)
-    report = {
-        "lag": [],
-        "empirical": [],
-        "analytic": [],
-        "std_error": [],
-        "z_score": [],
-        "n_realizations": len(realizations),
-    }
+    names = ("lag", "empirical", "analytic", "std_error", "z_score")
+    report = {name: [] for name in names}
     for i, lag in enumerate(lags):
         prods = (base * samples[:, :, i + 1]).ravel()
         emp = float(np.mean(prods))
         se = float(np.std(prods, ddof=1) / math.sqrt(prods.size))
         ana = autocovariance(spec, float(lag))
-        report["lag"].append(float(lag))
-        report["empirical"].append(emp)
-        report["analytic"].append(ana)
-        report["std_error"].append(se)
-        report["z_score"].append((emp - ana) / se if se > 0 else 0.0)
-    return report
+        z = (emp - ana) / se if se > 0 else 0.0
+        for name, value in zip(names, (float(lag), emp, ana, se, z)):
+            report[name].append(value)
+    return {**report, "n_realizations": len(realizations)}

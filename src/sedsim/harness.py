@@ -48,7 +48,7 @@ from .dynamics import (STATUS_OK, BalanceSums, ColumnStore, EnergySums,
                        EnsembleWriter, ParticleSpec, DeltaIC, GaussianIC,
                        comb_time_grid, harmonic_potential, integrate_stream,
                        record_times, stationary_guess_ic, window_columns)
-from .field import FieldSpec, autocorrelation_check, make_field
+from .field import FieldSpec, autocorrelation_check, conv_length, make_field
 from .kinematics import CoarseGrainSpec, SampleSet, classify_branch
 from .reference import (gaussian_density, ou_stationary_variance, ou_stream,
                         ou_u_slope_equilibrium)
@@ -398,8 +398,8 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
     n_traj, n_workers = ecf["n_traj"], ecf.get("n_workers", 1)
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     master_seed = int(cfg["seeds"]["master_seed"])
-    info.update(dt=dt, n_steps=n_steps, n_fft=n_fft, n_chunks=0,
-                n_workers=n_workers)
+    info.update(dt=dt, n_steps=n_steps, n_fft=n_fft, n_workers=n_workers,
+                n_conv=conv_length(fspec.n_modes, times.size), n_chunks=0)
 
     def run(run_dir: Path, progress) -> list:
         # each chunk goes to the dump, the energy balance (with the window
@@ -699,7 +699,9 @@ def _plan_ou_calibration(cfg: dict, info: dict):
                       _tol(cfg, "va_consistent_fraction", 0.9),
                       sed_prov="backward-difference route vs v-u route "
                                "(fields/va_direct.csv, fields/va_combo.csv)",
-                      ref_prov="identity v_a = v - u, bin by bin within 2 SE"),
+                      ref_prov="identity v_a = v - u, bin by bin within 2 SE;"
+                               " it holds per sample, so the row checks the"
+                               " estimators' arithmetic, not the physics"),
             _make_row("branch_selected", "exact", branch.selected_lam, -1, 0.0,
                       sed_prov=relax_prov + " (branch.json)",
                       ref_prov="classical diffusion branch sign"),
@@ -746,16 +748,17 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
     directory, and refused if it is not empty) then receives a verbatim
     copy of the config, every stage artifact, report.json/report.txt, and
     last run.json, written once however the run ends: the wall time, the
-    time grid the plan resolved (dt, n_steps; for SED also n_fft and
-    n_workers, and n_chunks, the chunks integrate_stream handed over) and
-    the stage ledger "stages": per stage its name, wall_s, cpu_s, and the
-    process's peak_rss_mb and rss_mb (None without /proc/self/statm) when
-    it ended, with the exit code, or with the failed_stage and the error
-    of a run that fails; such a run keeps its partial artifacts, writes
-    no report and raises the error again. A dump cut off that way has no
-    meta.json, which load_ensemble refuses. progress(done, n_traj), when
-    given, is called after each chunk the SED stream hands over; by
-    default nothing is printed. Exit code 0 means every report row passed.
+    time grid the plan resolved (dt, n_steps; for SED also n_fft, n_conv
+    the record grid's convolution length, n_workers, and n_chunks, the
+    chunks integrate_stream handed over) and the stage ledger "stages":
+    per stage its name, wall_s, cpu_s, and the process's peak_rss_mb and
+    rss_mb (None without /proc/self/statm) when it ended, with the exit
+    code, or with the failed_stage and the error of a run that fails; such
+    a run keeps its partial artifacts, writes no report and raises the
+    error again. A dump cut off that way has no meta.json, which
+    load_ensemble refuses. progress(done, n_traj), when given, is called
+    after each chunk the SED stream hands over; by default nothing is
+    printed. Exit code 0 means every report row passed.
     """
     if isinstance(config, (str, Path)):
         cfg = load_config(config)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 from scipy.integrate import solve_ivp
 
 from sedsim.dynamics import (
@@ -49,7 +48,8 @@ import sedsim.field
 import sedsim.reference
 from sedsim.config import dumps_config
 from sedsim.field import (CombPlan, FieldSpec, comb_cache_params,
-                          comb_sum_slabs, eval_field, make_field, mode_table)
+                          comb_sum_slabs, conv_length, eval_field, make_field,
+                          mode_table)
 from sedsim.reference import (harmonic_response, harmonic_trajectory,
                               ou_stream)
 
@@ -289,9 +289,9 @@ def held_beyond_output(particle, n_steps):
         tracemalloc.stop()
     output = ens.positions.nbytes + ens.velocities.nbytes + ens.field_values.nbytes
     n_points = (ens.times.size if ens.meta["integrator"] == "rk4-response"
-                else min(sedsim.dynamics._SLAB, 2 * n_steps))
-    work = (sedsim.field._SUM_BLOCK * 16
-            * next_fast_len(fspec.n_modes + n_points - 1))
+                else min(sedsim.dynamics._slab_width(fspec.n_modes),
+                         2 * n_steps))
+    work = sedsim.field._SUM_BLOCK * 16 * conv_length(fspec.n_modes, n_points)
     bound = 64 * (n_points + 1) * 8 + 3 * work + 4 * 64 * fspec.n_modes * 16
     return peak - output, bound, 64 * (2 * n_steps + 1) * 8
 
@@ -306,14 +306,58 @@ def test_response_path_builds_no_field_table():
     assert max(short, held) <= bound < table / 2
 
 
-def test_step_loop_builds_no_field_table(monkeypatch):
-    # slabs of 256 half steps, 16 of them in the longer run: measured
-    # 0.79 and 0.78 MB against a bound of 0.89 MB and a 2.05 MB table
-    monkeypatch.setattr(sedsim.dynamics, "_SLAB", 256)
+def test_step_loop_builds_no_field_table():
+    # 64 modes give slabs of 192 half steps, 21 of them in the longer run:
+    # measured 0.67 and 0.68 MB against a bound of 0.75 MB and a 2.05 MB
+    # table
     _, particle, _, _, _ = shipped_run_parameters()
     short, _, _ = held_beyond_output(on_the_loop(particle), 500)
     held, bound, table = held_beyond_output(on_the_loop(particle), 2000)
     assert max(short, held) <= bound < table / 2
+
+
+@pytest.mark.parametrize("n_modes", [64, 512, 768, 4096])
+def test_slab_width_fills_a_power_of_two_convolution(n_modes):
+    # even, so a step's three half steps lie in one slab, and the widest
+    # such slab whose convolution is the power of two at or above 4 n_modes
+    width = sedsim.dynamics._slab_width(n_modes)
+    power = 1 << (4 * n_modes - 1).bit_length()
+    assert width >= 2 and width % 2 == 0
+    assert conv_length(n_modes, width) == power
+    assert conv_length(n_modes, width + 2) > power
+
+
+def test_an_odd_slab_is_refused_before_any_step(monkeypatch):
+    # an odd slab would split a step's three half steps between two slabs;
+    # the response path reads no slab and runs
+    monkeypatch.setattr(sedsim.dynamics, "_slab_width", lambda n_modes: 25)
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    args = (fspec, DeltaIC(0.5, 0.0), 0.0, 0.2, 20, 3, 9)
+    with pytest.raises(IntegrationError, match="odd field slab of 25 half"):
+        integrate_ensemble(on_the_loop(particle), *args)
+    assert integrate_ensemble(particle, *args).meta["integrator"] == (
+        "rk4-response")
+
+
+def test_rule_slabs_are_the_mode_sum_across_seams():
+    # sedbench's quartic comb in slabs of the rule's 3,328 half steps: two
+    # whole slabs and a short last one of 344, streamed as the step loop
+    # reads them, are eval_field's direct sum to the tolerance of
+    # test_field.test_cached_grid_matches_direct_evaluation
+    spec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=768)
+    h, n_fft = comb_cache_params(spec, h_target=0.065)
+    width = sedsim.dynamics._slab_width(768)
+    assert width == 3328
+    n_points = 2 * width + 345
+    fr = make_field(spec, (11, 0, 0))
+    slabs = [s.copy() for s in comb_sum_slabs(
+        fr.amps * np.exp(1j * fr.phases), spec, n_fft, 2.5, n_points, width)]
+    assert [s.shape[1] for s in slabs] == [width + 1, width + 1, 345]
+    streamed = np.concatenate([slabs[0]] + [s[:, 1:] for s in slabs[1:]],
+                              axis=1)
+    direct = eval_field(fr, 2.5 + h * np.arange(n_points))
+    assert np.max(np.abs(streamed - direct)) / np.max(np.abs(direct)) < 1e-12
 
 
 def rk4_radius(omega0: float, tau: float, dt: float) -> float:
@@ -405,15 +449,17 @@ def test_overflowed_rows_stay_non_finite():
 def reference_loop(particle, fspec, ic, dt, n_steps, n_traj, seed, stride):
     """integrate_ensemble's step loop written out plainly: the acceleration
     evaluated four times a step, x and v updated separately, charge * e at
-    every stage, the field read from one slab of the whole run.
-    Returns (positions, velocities, status)."""
+    every stage, the field read from one array of the whole run joined from
+    the integrator's slabs. Returns (positions, velocities, status)."""
     dt, n_steps, n_fft = comb_time_grid(fspec, dt, n_steps * dt)
     pot, h2 = particle.potential, 0.5 * dt
     amps = mode_table(fspec)[2]
     coefs = amps * np.exp(1j * np.array(
         [make_field(fspec, (seed, i, 0)).phases[0] for i in range(n_traj)]))
-    (e,) = comb_sum_slabs(coefs, fspec, n_fft, 0.0, 2 * n_steps + 1,
-                          2 * n_steps)
+    slabs = [s.copy() for s in comb_sum_slabs(
+        coefs, fspec, n_fft, 0.0, 2 * n_steps + 1,
+        sedsim.dynamics._slab_width(fspec.n_modes))]
+    e = np.concatenate([slabs[0]] + [s[:, 1:] for s in slabs[1:]], axis=1)
     x, v = np.array([ic.sample(np.random.Generator(np.random.Philox(
         np.random.SeedSequence((seed, i, 1))))) for i in range(n_traj)]).T
 
@@ -448,7 +494,8 @@ def reference_loop(particle, fspec, ic, dt, n_steps, n_traj, seed, stride):
 
 @pytest.mark.parametrize("case", ["quartic", "free", "harmonic"])
 def test_step_loop_is_the_plain_rk4_bit_for_bit(case):
-    # the stage-buffer kernel reorders no operation of the plain loop: on
+    # the stage-buffer kernel reorders no operation of the plain loop, also
+    # across the seam of the run's two slabs (208 and 198 half steps): on
     # the quartic at mass 2 and record stride 3, the row that starts at
     # x = 30 overflows in its first records and is NaN from there on
     fspec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=48)
@@ -727,6 +774,28 @@ def test_worker_count_does_not_change_bits_on_the_loop():
     assert np.array_equal(serial.positions, threaded.positions)
     assert np.array_equal(serial.velocities, threaded.velocities)
     assert np.array_equal(serial.field_values, threaded.field_values)
+
+
+def test_worker_count_does_not_change_bits_across_slabs(tmp_path):
+    # criterion 9 on the step loop's slabs: 64 modes give slabs of 192 half
+    # steps, and the run's 602 are three of them and a short last one of
+    # 26; two chunks, the last short. The dumps at 1 and 2 workers hold the
+    # same bytes
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
+    dt, n_steps, _ = comb_time_grid(fspec, 0.2, 60.0)
+    assert (2 * n_steps, sedsim.dynamics._slab_width(64)) == (602, 192)
+    dumps = []
+    for n_workers in (1, 2):
+        ens = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0), 0.0, dt,
+                                 n_steps, CHUNK + 20, 9, record_stride=3,
+                                 n_workers=n_workers)
+        assert ens.meta["integrator"] == "rk4-loop" and ens.ok_mask().all()
+        dumps.append(dump_ensemble(ens, tmp_path / str(n_workers)))
+    names = sorted(p.name for p in dumps[0].iterdir())
+    assert names == sorted(p.name for p in dumps[1].iterdir())
+    for name in names:
+        assert (dumps[0] / name).read_bytes() == (dumps[1] / name).read_bytes()
 
 
 class Chunks:

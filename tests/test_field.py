@@ -10,7 +10,8 @@ from scipy import stats
 from sedsim.field import (CombPlan, FieldRealization, FieldSpec,
                           autocorrelation_check, autocovariance,
                           autocovariance_quad, comb_cache_params,
-                          comb_sum_slabs, eval_field, fast_length,
+                          comb_sum_slabs, conv_length, eval_field,
+                          fast_length,
                           field_phases, make_field, mode_table,
                           spectral_density)
 
@@ -109,6 +110,29 @@ def test_fast_length_is_scipy_next_fast_len():
     targets = range(1, 200_001)
     assert [fast_length(n) for n in targets] == [next_fast_len(n)
                                                   for n in targets]
+
+
+def test_convolution_lengths_are_the_smallest_7_smooth():
+    # CombPlan's convolution length is the smallest 7-smooth length at or
+    # above its target, checked by trial division; the shipped record grid
+    # (512 modes, 8,344 records) takes 8,960 where next_fast_len gives
+    # 8,910 = 2 3^4 5 11. The comb length n_fft stays 11-smooth
+    from scipy.fft import next_fast_len
+
+    def smooth(n):
+        for p in (2, 3, 5, 7):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    lengths = [conv_length(1, target) for target in range(1, 20_001)]
+    for target, n in enumerate(lengths, start=1):
+        assert n >= target and smooth(n)
+        assert not any(smooth(k) for k in range(target, n))
+    assert conv_length(512, 8344) == 8960 != next_fast_len(8855) == 8910
+    spec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=512)
+    _, n_fft = comb_cache_params(spec, h_target=0.1)
+    assert n_fft == next_fast_len(n_fft) == 161051
 
 
 def test_a_realization_carries_the_phases_of_its_seed():

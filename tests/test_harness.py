@@ -27,6 +27,7 @@ from sedsim import dynamics, harness, kinematics
 from sedsim.cli import _Progress, main
 from sedsim.config import ConfigError, dumps_config, load_config, validate_config
 from sedsim.dynamics import IntegrationError, load_ensemble
+from sedsim.field import conv_length
 from sedsim.harness import (
     ComparisonReport,
     PipelineError,
@@ -119,12 +120,25 @@ def test_run_json_records_the_resolved_grid(sed_run, ou_run):
     assert run_meta["dt"] == ens_meta["dt"]
     assert run_meta["n_steps"] == ens_meta["n_steps"]
     assert run_meta["n_fft"] >= 2 * run_meta["n_steps"] + 1
+    # the record grid's convolution length, which the dump's meta leaves out
+    n_rec = run_meta["n_steps"] // ens_meta["record_stride"] + 1
+    assert run_meta["n_conv"] == conv_length(ens_meta["meta"]["field_spec"][
+        "n_modes"], n_rec)
+    assert "n_conv" not in json.dumps(ens_meta)
     # the chunks integrate handed over: 120 trajectories in 64 and 56
     assert run_meta["n_chunks"] == 2
     assert run_meta["n_workers"] == 1
     ou_meta = json.loads((ou_run.run_dir / "run.json").read_text())
     ou_ens = json.loads((ou_run.run_dir / "ensemble" / "meta.json").read_text())
     assert (ou_meta["dt"], ou_meta["n_steps"]) == (ou_ens["dt"], ou_ens["n_steps"])
+
+
+def test_shipped_sed_plan_resolves_its_transform_lengths():
+    # the plan alone, nothing integrated: the 11-smooth comb length and the
+    # 7-smooth convolution length of 512 modes on 8,344 records
+    info = {}
+    harness.PIPELINES["sed_harmonic_ground"](load_config(SED_CONFIG), info)
+    assert (info["n_fft"], info["n_conv"]) == (161051, 8960)
 
 
 @pytest.mark.parametrize("n_workers", [1, 4])
