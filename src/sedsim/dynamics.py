@@ -280,8 +280,8 @@ class TrajectoryEnsemble:
     carries STATUS_NONFINITE, never silently. A streamed ensemble
     (integrate_stream, reference.ou_stream) comes back without its arrays:
     positions, velocities and field_values are None. No ensemble holds
-    seeds: trajectory i's is the rule (meta["master_seed"], i), which
-    EnsembleWriter writes out as seeds.npy.
+    seeds: meta["master_seed"] and the producer's rule (integrate_stream,
+    reference.ou_stream) draw every row.
     """
 
     t0: float
@@ -493,9 +493,10 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     RESPONSE_CHUNK trajectories on the response path and CHUNK on the
     step loop; the last one may be shorter.
 
-    Each trajectory is driven by its own field realization seeded from
-    (master_seed, trajectory index); results are bit-identical across runs
-    and across n_workers. dt must resolve the fastest synthesized mode:
+    Trajectory i draws its field phases from the Philox stream keyed
+    (master_seed, i, 0) and its start from the one keyed
+    (master_seed, i, 1); results are bit-identical across runs and across
+    n_workers. dt must resolve the fastest synthesized mode:
     dt <= 2 pi / (10 omega_cutoff); the run goes on the grid
     comb_time_grid(fspec, dt, n_steps dt), whose step and step count are
     ens.dt and ens.n_steps. A warning is recorded in meta when dt
@@ -876,25 +877,23 @@ class EnsembleWriter:
     """A binary dump written as its rows arrive: a directory of .npy files
     plus meta.json, with deterministic bytes, suitable for bit-identity
     comparison. The constructor writes the header of each named array's
-    file, shape (n_traj, n_rec), and of seeds, int64 (n_traj, 2);
-    take(chunk) appends the chunk's rows, so chunks must come in row order,
-    and its seed rows: row i is trajectory i's seed (k, i), k the chunk
-    meta's master_seed or its first entry. close(ens) writes times and
+    float64 file, shape (n_traj, n_rec); take(chunk) appends the chunk's
+    rows, so chunks must come in row order. close(ens) writes times and
     status, and then meta.json. Every file holds np.save's bytes, and a
     dump cut off before close has no meta.json, which load_ensemble
-    refuses. The rows go to the files unmapped: mapped pages would count
-    in the process's resident set."""
+    refuses. The dump holds no seeds: meta.json records the master seed,
+    and the rule that draws each row from it is the producer's
+    (integrate_stream, reference.ou_stream). The rows go to the files
+    unmapped: mapped pages would count in the process's resident set."""
 
     def __init__(self, directory, n_traj: int, n_rec: int, names):
         self.directory = Path(directory)
         self.names = tuple(names)
-        self.rows = 0
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / "meta.json").unlink(missing_ok=True)
-        files = [(name, float, n_rec) for name in self.names]
-        for name, dtype, width in files + [("seeds", np.int64, 2)]:
-            header = {"descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-                      "fortran_order": False, "shape": (n_traj, width)}
+        header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                  "fortran_order": False, "shape": (n_traj, n_rec)}
+        for name in self.names:
             with open(self.directory / f"{name}.npy", "wb") as fh:
                 np.lib.format.write_array_header_1_0(fh, header)
 
@@ -902,13 +901,6 @@ class EnsembleWriter:
         for name in self.names:
             with open(self.directory / f"{name}.npy", "ab") as fh:
                 getattr(chunk, name).tofile(fh)
-        key = chunk.meta["master_seed"]
-        key = key if isinstance(key, int) else (key[0] if key else 0)
-        lo, self.rows = self.rows, self.rows + chunk.n_traj
-        seeds = np.empty((chunk.n_traj, 2), dtype=np.int64)
-        seeds[:, 0], seeds[:, 1] = key, np.arange(lo, self.rows)
-        with open(self.directory / "seeds.npy", "ab") as fh:
-            seeds.tofile(fh)
 
     def close(self, ens: TrajectoryEnsemble) -> Path:
         np.save(self.directory / "times.npy", ens.times)

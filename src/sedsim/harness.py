@@ -829,10 +829,8 @@ def stage_ledger_text(run_dir) -> str:
 def _read_csv_columns(path: Path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {name: np.array([float(r[i]) for r in rows])
-            for i, name in enumerate(header)}
-    return cols
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return dict(zip(header, table.T))
 
 
 _GP_TEMPLATE = """set terminal pngcairo size 900,600
@@ -848,9 +846,11 @@ def _write_figure(plot_dir: Path, name: str, title: str, xlabel: str,
                   ylabel: str, header: str, columns, plots: str,
                   extra: str = "") -> list:
     dat = plot_dir / f"{name}.dat"
-    _write_xy_csv(dat, header, columns)
-    # gnuplot reads whitespace-separated columns; rewrite commas
-    dat.write_text(dat.read_text().replace(",", " "))
+    # gnuplot reads whitespace-separated columns
+    with open(dat, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
     gp = plot_dir / f"{name}.gp"
     gp.write_text(_GP_TEMPLATE.format(name=name, title=title, xlabel=xlabel,
                                       ylabel=ylabel, plots=plots, extra=extra))
@@ -886,7 +886,7 @@ def emit_plot_data(run_dir) -> list:
     rho_qm = _read_csv_columns(need("density_qm.csv"))
     figures.append((
         "density_overlay", "Stationary density: ensemble vs reference",
-        "x", "rho", "x,rho_sed,rho_sed_err,rho_qm",
+        "x", "rho", "x rho_sed rho_sed_err rho_qm",
         (rho["x"], rho["value"], rho["std_error"], rho_qm["rho_qm"]),
         'u 1:2:3 w yerrorbars t "ensemble", "density_overlay.dat" u 1:4 w l t "reference"',
         'set style data points\n'))
@@ -896,7 +896,7 @@ def emit_plot_data(run_dir) -> list:
     vqm = _read_csv_columns(need("velocity_qm.csv"))
     figures.append((
         "velocity_overlay", "Drift fields: ensemble vs reference",
-        "x", "velocity", "x,v_sed,v_err,u_sed,u_err,v_qm,u_qm",
+        "x", "velocity", "x v_sed v_err u_sed u_err v_qm u_qm",
         (v["x"], v["value"], v["std_error"], u["value"], u["std_error"],
          vqm["v_qm"], vqm["u_qm"]),
         'u 1:2:3 w yerrorbars t "v", "velocity_overlay.dat" u 1:4:5 w yerrorbars t "u", '
@@ -907,7 +907,7 @@ def emit_plot_data(run_dir) -> list:
     order = np.argsort(np.asarray(dsweep["delta_ts"]))
     figures.append((
         "dsweep", "Diffusion estimate vs lag", "delta_t", "D",
-        "delta_t,D,D_err",
+        "delta_t D D_err",
         (np.asarray(dsweep["delta_ts"])[order],
          np.asarray(dsweep["values"])[order],
          np.asarray(dsweep["std_errors"])[order]),
@@ -918,13 +918,13 @@ def emit_plot_data(run_dir) -> list:
         relax = _read_csv_columns(need("relaxation.csv"))
         figures.append((
             "relaxation", "Ensemble mean energy", "t", "E",
-            "t,mean_energy", (relax["t"], relax["mean_energy"]),
+            "t mean_energy", (relax["t"], relax["mean_energy"]),
             'u 1:2 w l t "mean energy"'))
 
         trace = _read_csv_columns(need("balance_trace.csv"))
         figures.append((
             "balance_trace", "Energy balance across the window",
-            "t", "power", "t,absorbed,radiated",
+            "t", "power", "t absorbed radiated",
             (trace["t"], trace["absorbed"], trace["radiated"]),
             'u 1:2 w l t "absorbed", "balance_trace.dat" u 1:3 w l t "radiated"'))
 

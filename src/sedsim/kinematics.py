@@ -377,10 +377,11 @@ class SampleSet:
     blocks of about _BLOCK_SAMPLES samples
     (TrajectoryEnsemble.intact_blocks), gathers the positions it reads,
     bins each block's central samples and adds:
-    - with cells "pooled" per bin, with cells "per_time" per reference
-      time and bin (what the measured residuals read), and with None not
-      at all: the central samples' counts and the sums and sums of
-      squares of the v, u and va increments;
+    - the central samples' counts per cell: per bin, or with cells
+      "per_time" per reference time and bin (what the measured residuals
+      read); the per-bin counts are their sum over reference times;
+    - per cell, unless cells is None, the sums and sums of squares of the
+      v, u and va increments;
     - per lag, the forward increments' sums per bin, whose means m_b D
       subtracts;
     - per lag, what D needs of the rows once the m_b are known. With
@@ -426,12 +427,11 @@ class SampleSet:
         self.width = float(edges[1] - edges[0])
         self.centers = 0.5 * (edges[:-1] + edges[1:])
         nb = spec.x_bins + 1
-        n_cells = nb * (self.ridx.size if cells == "per_time" else 1)
-        # (counts, sums, sq) per cell, sums and sq (3, cells)
-        self._cells = None if cells is None else (
-            np.zeros(n_cells, dtype=np.intp),
-            *np.zeros((2, len(_KINDS), n_cells)))
-        self._counts = np.zeros(nb, dtype=np.intp)
+        self._counts = np.zeros(
+            nb * (self.ridx.size if cells == "per_time" else 1), dtype=np.intp)
+        # (sums, sq) per cell, each (3, cells)
+        self._cells = None if cells is None else np.zeros(
+            (2, len(_KINDS), self._counts.size))
         self._forward = np.zeros((len(self.steps), nb))
         # D's rows: with more reference times than bins, how many, and per
         # lag their mean y and scatter about it, and the pilot means y's
@@ -475,12 +475,11 @@ class SampleSet:
             x0 = x[0]
             bins = _bin_index(self.edges, x0)
             flat = bins.ravel()
-            self._counts += np.bincount(flat, minlength=n)
+            cell = ((bins + n * np.arange(self.ridx.size)).ravel()
+                    if self.cells == "per_time" else flat)
+            self._counts += np.bincount(cell, minlength=self._counts.size)
             if self.cells:
-                counts, sums, sq = self._cells
-                cell = ((bins + n * np.arange(self.ridx.size)).ravel()
-                        if self.cells == "per_time" else flat)
-                counts += np.bincount(cell, minlength=counts.size)
+                sums, sq = self._cells
                 incs = _increments((x0, x[self.k], x[-self.k]), self.delta_t)
                 for i, inc in enumerate(incs):
                     np.add.at(sums[i], cell, inc.ravel())
@@ -509,7 +508,7 @@ class SampleSet:
         if self._n_rows == 0:
             # the pilot means: the blocks' so far, 0 on bins without one
             self._pilot[:, :nb] = np.nan_to_num(_bin_means(
-                self._counts[:nb], self._forward[:, :nb]))
+                self._bin_counts()[:nb], self._forward[:, :nb]))
         dx -= self._pilot[:, bins]
         A = np.array([np.bincount(cell, d.ravel(), rows * (nb + 1))
                       for d in dx]).reshape(len(dx), rows, nb + 1)
@@ -532,6 +531,10 @@ class SampleSet:
             self._n_rows * m / total)
         self._n_rows = total
 
+    def _bin_counts(self) -> np.ndarray:
+        """The central samples' counts per bin, the overflow bin last."""
+        return self._counts.reshape(-1, self.spec.x_bins + 1).sum(axis=0)
+
     def _check_rows(self):
         if not self._counts.any():
             raise KinematicsError("no intact trajectories in the ensemble")
@@ -545,7 +548,7 @@ class SampleSet:
                 f"the sample set was built with cells {self.cells!r}, "
                 f"not {cells!r}")
         self._check_rows()
-        return self._cells
+        return (self._counts, *self._cells)
 
     def _binned_field(self, kind, counts, values, se, **meta) -> BinnedField:
         return BinnedField(
@@ -602,12 +605,13 @@ class SampleSet:
         if "D" not in self._fields:
             self._check_rows()
             nb = self.spec.x_bins
-            m = _bin_means(self._counts[:nb], self._forward[:, :nb])
+            counts = self._bin_counts()[:nb]
+            m = _bin_means(counts, self._forward[:, :nb])
             delta_ts = [step * self.rec_dt for step in self.steps]
             finish = self._from_moments if self._by_bin else self._from_samples
             self._fields["D"] = [
                 DiffusionEstimate(value=value, std_error=se, delta_t=delta_t,
-                                  n_samples=int(self._counts[:nb].sum()))
+                                  n_samples=int(counts.sum()))
                 for (value, se), delta_t in zip(finish(m, delta_ts), delta_ts)]
         return self._fields["D"]
 

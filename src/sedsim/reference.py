@@ -49,12 +49,13 @@ def ou_stream(theta: float, D0: float, n_traj: int, dt: float,
     2 D0 dt. x0 may be a float (all trajectories start there) or
     "stationary" (equilibrium draw, theta > 0 only).
 
-    One Philox stream supplies the stationary starts of all rows, then each
-    trajectory's increments row by row; a float x0 goes straight into each
-    block's first column. A block is the returned ensemble with its rows'
-    positions, in one reused buffer, and status, so a consumer copies what
-    it keeps; the memory is one block of positions and noise besides the
-    consumers' and the per-row status and stationary starts.
+    Every row comes, in row order, from one Philox stream keyed by seed,
+    which meta["master_seed"], and so a dump's meta.json, records: the
+    stationary starts of all rows, then each row's increments; a float x0
+    goes straight into each block's first column. A block is the returned
+    ensemble with its rows' positions, in one reused buffer, and status, so
+    a consumer copies what it keeps; the memory is one block of positions
+    and noise besides the consumers' and the per-row status and starts.
     out, when given, is a whole (n_traj, n_steps + 1) array whose rows the
     blocks fill in place instead. Returns the ensemble without its
     positions: times, status and meta.

@@ -50,8 +50,7 @@ from sedsim.config import dumps_config
 from sedsim.field import (CombPlan, FieldSpec, comb_cache_params,
                           comb_sum_slabs, conv_length, eval_field, make_field,
                           mode_table)
-from sedsim.reference import (harmonic_response, harmonic_trajectory,
-                              ou_stream)
+from sedsim.reference import harmonic_response, harmonic_trajectory
 
 SED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sed_harmonic_ground.json"
 
@@ -1227,12 +1226,6 @@ def test_energy_balance_empty_window():
 # ---------------------------------------------------------------------------
 # persistence
 
-def seed_rows(key: int, n_traj: int) -> np.ndarray:
-    """The seeds.npy rows of n_traj trajectories under the seed key key:
-    row i is (key, i)."""
-    return np.array([(key, i) for i in range(n_traj)], dtype=np.int64)
-
-
 def test_binary_dump_round_trips(tmp_path):
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
@@ -1244,8 +1237,6 @@ def test_binary_dump_round_trips(tmp_path):
     assert np.array_equal(back.positions, ens.positions)
     assert np.array_equal(back.velocities, ens.velocities)
     assert np.array_equal(back.field_values, ens.field_values)
-    assert np.array_equal(np.load(tmp_path / "dump" / "seeds.npy"),
-                          seed_rows(11, 4))
     assert np.array_equal(back.status, ens.status)
     assert back.record_stride == 3
     assert back.meta["master_seed"] == 11
@@ -1263,8 +1254,9 @@ def test_only_binary_dumps_are_written(tmp_path):
 
 def test_streamed_dump_holds_np_save_bytes(tmp_path):
     # three chunks, the last one short; the streamed files, the whole-array
-    # dump and np.save of the whole arrays agree byte for byte, and the
-    # stream writes meta.json only when it is closed
+    # dump and np.save of the whole arrays agree byte for byte, the dump
+    # holds those files and meta.json only, and the stream writes meta.json
+    # only when it is closed
     n_traj = 2 * RESPONSE_CHUNK + 44
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
@@ -1279,7 +1271,6 @@ def test_streamed_dump_holds_np_save_bytes(tmp_path):
     writer.close(head)
     dump_ensemble(ens, tmp_path / "whole")
     arrays = {name: getattr(ens, name) for name in (*names, "times", "status")}
-    arrays["seeds"] = seed_rows(9, n_traj)
     for name, array in arrays.items():
         np.save(tmp_path / f"{name}.npy", array)
         saved = (tmp_path / f"{name}.npy").read_bytes()
@@ -1287,35 +1278,13 @@ def test_streamed_dump_holds_np_save_bytes(tmp_path):
         assert (tmp_path / "whole" / f"{name}.npy").read_bytes() == saved
     assert ((tmp_path / "stream" / "meta.json").read_bytes()
             == (tmp_path / "whole" / "meta.json").read_bytes())
+    for dump in ("stream", "whole"):
+        assert (sorted(p.name for p in (tmp_path / dump).iterdir())
+                == sorted([f"{name}.npy" for name in arrays] + ["meta.json"]))
     # a dump without its meta.json does not load
     (tmp_path / "whole" / "meta.json").unlink()
     with pytest.raises(IntegrationError, match="cut off"):
         load_ensemble(tmp_path / "whole")
-
-
-@pytest.mark.parametrize("producer", ["integrate_stream", "ou_stream"])
-def test_writer_builds_the_seed_rows_from_the_master_seed(producer, tmp_path):
-    # no ensemble carries seeds: the writer writes np.save of the rows
-    # (key, i), key the int master seed of integrate_stream or the first
-    # entry of ou_stream's tuple master seed
-    n_traj = RESPONSE_CHUNK + 3
-    writer = EnsembleWriter(tmp_path / "dump", n_traj, 0, ())
-    if producer == "integrate_stream":
-        fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
-        particle = ParticleSpec.from_tau(1.0, 1e-3,
-                                         harmonic_potential(1.0, 1.0))
-        key = 13
-        head = integrate_stream(particle, fspec, DeltaIC(0.3, 0.0), 0.0, 0.2,
-                                20, n_traj, key, [writer])
-    else:
-        key = 6
-        head = ou_stream(0.8, 0.3, n_traj, 0.05, 6, (key, 1), [writer],
-                         x0="stationary")
-    assert not hasattr(head, "seeds")
-    writer.close(head)
-    np.save(tmp_path / "seeds.npy", seed_rows(key, n_traj))
-    assert ((tmp_path / "dump" / "seeds.npy").read_bytes()
-            == (tmp_path / "seeds.npy").read_bytes())
 
 
 def test_dump_meta_is_dumps_config_of_its_python_values(tmp_path):
@@ -1337,17 +1306,16 @@ def test_dump_meta_is_dumps_config_of_its_python_values(tmp_path):
 
 
 def test_writer_peak_does_not_grow_with_the_rows(tmp_path):
-    # the seed rows go to seeds.npy chunk by chunk, like every other array
-    # of the dump: 200,000 rows peak within 1 MB of 50,000 (the 16 B of
-    # each seed row and the 8 B of its index, built at once, would add
-    # 3.6 MB)
+    # the writer keeps nothing of the rows it appends: 200,000 rows peak
+    # within 1 MB of 50,000 (an index of the rows, built at once, would add
+    # 1.2 MB)
     peaks = []
     for n_traj in (50_000, 200_000):
         status = np.zeros(n_traj, dtype=np.int8)
         head = TrajectoryEnsemble(
             t0=0.0, dt=1.0, n_steps=1, record_stride=1, times=np.arange(2.0),
             positions=None, velocities=None, status=status,
-            meta={"master_seed": 3})
+            meta={})
         rows = np.ones((2048, 2))
         tracemalloc.start()
         try:
@@ -1362,8 +1330,8 @@ def test_writer_peak_does_not_grow_with_the_rows(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 1e6
-    seeds = np.load(tmp_path / "200000" / "seeds.npy")
-    assert np.array_equal(seeds, seed_rows(3, 200_000))
+    assert np.array_equal(np.load(tmp_path / "200000" / "positions.npy"),
+                          np.ones((200_000, 2)))
 
 
 def test_dump_schema_version_guard(tmp_path):

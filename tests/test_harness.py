@@ -97,6 +97,22 @@ def test_run_directory_layout(sed_run):
                 "fields/v.csv", "fields/u.csv", "fields/rho.csv",
                 "fields/va_direct.csv", "fields/va_combo.csv"):
         assert (d / rel).is_file(), rel
+    assert sorted(p.name for p in (d / "ensemble").iterdir()) == [
+        "field_values.npy", "meta.json", "positions.npy", "status.npy",
+        "times.npy", "velocities.npy"]
+
+
+def test_ou_dumps_record_their_stream_keys_and_hold_no_seeds(ou_run):
+    # each dump's rows come, in row order, from one stream, whose key its
+    # meta.json records; the dump holds its named arrays, times, status and
+    # meta.json, and nothing else (no seeds.npy)
+    seed = json.loads(OU_CONFIG.read_text())["seeds"]["master_seed"]
+    for name, stream in (("ensemble", 0), ("ensemble_relaxing", 1)):
+        d = ou_run.run_dir / name
+        meta = json.loads((d / "meta.json").read_text())
+        assert meta["meta"]["master_seed"] == [seed, stream]
+        assert sorted(p.name for p in d.iterdir()) == [
+            "meta.json", "positions.npy", "status.npy", "times.npy"]
 
 
 def test_config_copy_is_verbatim(sed_run):

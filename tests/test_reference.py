@@ -161,8 +161,8 @@ def test_sampler_memory_is_the_output_plus_one_block():
 def test_a_stream_without_consumers_holds_status_and_starts_per_row(x0,
                                                                    per_row):
     # the stream holds per row its status (1 B) and, for the stationary
-    # start, the starts (8 B); no seed rows, which the dump writer builds
-    # from the master seed
+    # start, the starts (8 B); no seed rows, since every row comes from
+    # the one stream its seed keys
     def peak(n_traj):
         tracemalloc.start()
         try:
