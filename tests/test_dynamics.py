@@ -1287,6 +1287,33 @@ def test_streamed_dump_holds_np_save_bytes(tmp_path):
         load_ensemble(tmp_path / "whole")
 
 
+def test_a_streamed_dump_rebuilds_from_its_recorded_master_seed(tmp_path):
+    # the dump holds no seeds: the master seed its meta.json records and
+    # integrate_stream's rule rebuild each row, in every chunk, of a run
+    # made across two chunks; row i starts at the draw keyed
+    # (master_seed, i, 1) and stores the field of (master_seed, i, 0)
+    n_traj = RESPONSE_CHUNK + 3
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    ic = stationary_guess_ic(1.0, 1.0, 1.0)
+    _, n_steps, _ = comb_time_grid(fspec, 0.2, 20 * 0.2)
+    writer = EnsembleWriter(tmp_path / "dump", n_traj, n_steps + 1,
+                            ("positions", "velocities", "field_values"))
+    writer.close(integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj,
+                                  13, [writer]))
+    back = load_ensemble(tmp_path / "dump")
+    seed = back.meta["master_seed"]
+    assert seed == 13
+    for i in (0, RESPONSE_CHUNK - 1, RESPONSE_CHUNK, n_traj - 1):
+        x0, v0 = ic.sample(np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((seed, i, 1)))))
+        assert back.positions[i, 0] == x0
+        assert back.velocities[i, 0] == v0
+        direct = eval_field(make_field(fspec, (seed, i, 0)), back.times)[0]
+        assert (np.max(np.abs(back.field_values[i] - direct))
+                < 1e-12 * np.max(np.abs(direct)))
+
+
 def test_dump_meta_is_dumps_config_of_its_python_values(tmp_path):
     # numpy scalars, a tuple and an array in the ensemble's meta are
     # written as the Python values they hold
