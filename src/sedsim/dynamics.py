@@ -11,9 +11,9 @@ smooth function of time once its phases are drawn, so each trajectory is an
 ordinary (non-stochastic) ODE integrated with classical RK4; field values at
 substage times come from the mode sum on the half-step grid, one slab of
 _slab_width half steps at a time, just ahead of the steps that read it
-(field.comb_sum_slabs). The step loop (_rk4) steps a chunk's rows on
-(x, v, a) stage buffers written in place, reading the field times the charge
-from time-major blocks of the slab; its arithmetic is the plain RK4's.
+(field.comb_sum_slabs), time-major and scaled by the charge in place. The
+step loop (_rk4) steps a chunk's rows on (x, v, a) stage buffers written
+in place, one slab row per half step; its arithmetic is the plain RK4's.
 
 For the harmonic potential the force is linear in x, so one RK4 step is an
 affine map s_{k+1} = M s_k + G u_k of the state s = (x, v), with u_k the
@@ -68,9 +68,9 @@ from .field import (CombPlan, FieldSpec, comb_cache_params, comb_sum_slabs,
 
 # Fixed-size chunks, whatever the worker count, keep results bit-identical
 # across schedules. CHUNK is the step loop's width, which its per-step numpy
-# dispatch needs: 1,024 trajectories of sedbench's quartic run took 170-174
-# ns per trajectory-step at 512 wide, synthesis included, 250-268 at 256 and
-# 146-155 at 1,024 (tools/paired_loop.py, 3 runs each, 8,192-point slabs).
+# dispatch needs: 1,024 trajectories of sedbench's quartic run took 140-203
+# ns per trajectory-step at 512 wide, synthesis included, 188-213 at 256 and
+# 122-143 at 1,024 (tools/paired_loop.py, 3 runs each, 3,328-point slabs).
 CHUNK = 512
 
 # The response path's width. Its rows are independent, and a chunk's
@@ -80,10 +80,6 @@ CHUNK = 512
 # 167 and 236 MiB at 32, 64, 128 and 512 rows, with 149k, 86k, 56k and 44k
 # minor page faults; at 32 rows integrate took 2.48 s against 2.23 s.
 RESPONSE_CHUNK = 64
-
-# Half steps per time-major block of the step loop's charge-scaled field:
-# 70 kB at CHUNK rows; blocks of 64 raised sedbench quartic's peak 0.4 MB.
-_FIELD_BLOCK = 16
 
 # Rows taken together wherever whole rows of records are worked on: the
 # transient on the response path and the walk of intact_blocks, whose
@@ -602,22 +598,19 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             y, step = _rk4(particle, dt, n)
             y[...] = start
             xs[:, 0], vs[:, 0] = start
-            block = np.empty((_FIELD_BLOCK + 1, n))
-            # slabs and blocks hold even numbers of half steps, so each
-            # step's three field values lie in one block
-            k = 0
+            # a step's three field values lie in one (even) slab; a later
+            # slab's row 0, the one before's last row, is already scaled
+            k, fresh = 0, 0
             for slab in comb_sum_slabs(coefs, fspec, n_fft, t0,
                                        2 * n_steps + 1, width):
-                for c0 in range(0, slab.shape[1] - 1, _FIELD_BLOCK):
-                    c1 = min(c0 + _FIELD_BLOCK, slab.shape[1] - 1)
-                    e = list(np.multiply(particle.charge, slab[:, c0:c1 + 1].T,
-                                         out=block[:c1 - c0 + 1]))
-                    for c in range(0, c1 - c0, 2):
-                        step(e[c], e[c + 1], e[c + 2])
-                        k += 1
-                        if k % record_stride == 0:
-                            j = k // record_stride
-                            xs[:, j], vs[:, j] = y
+                np.multiply(particle.charge, slab[fresh:], out=slab[fresh:])
+                fresh = 1
+                for c in range(0, len(slab) - 1, 2):
+                    step(slab[c], slab[c + 1], slab[c + 2])
+                    k += 1
+                    if k % record_stride == 0:
+                        j = k // record_stride
+                        xs[:, j], vs[:, j] = y
         # a non-finite x or v stays non-finite at every later step (and is
         # NaN from there on, above), so the last record flags every such row
         st[~np.isfinite((xs[:, -1], vs[:, -1])).all(axis=0)] = STATUS_NONFINITE

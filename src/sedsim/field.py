@@ -81,6 +81,12 @@ def spectral_density(spec: FieldSpec, omega):
     return np.where(inside, coef * omega**3, 0.0)
 
 
+def _comb(spec: FieldSpec):
+    """(dOmega, omega_0), the spacing and first mode of mode_table's comb."""
+    dw = (spec.omega_cutoff - spec.omega_min) / spec.n_modes
+    return dw, spec.omega_min + dw * 0.5
+
+
 def mode_table(spec: FieldSpec):
     """Frequencies, cell widths and amplitudes of the discrete modes.
 
@@ -88,11 +94,9 @@ def mode_table(spec: FieldSpec):
     frequencies sit at the cell midpoints, a uniform comb, and amplitudes
     are sqrt(2 S(omega_n) dOmega).
     """
-    n = spec.n_modes
-    # CombPlan computes dOmega and omega_0 by the same expressions
-    dw = (spec.omega_cutoff - spec.omega_min) / n
-    omegas = spec.omega_min + dw * (np.arange(n) + 0.5)
-    dws = np.full(n, dw)
+    dw, _ = _comb(spec)
+    omegas = spec.omega_min + dw * (np.arange(spec.n_modes) + 0.5)
+    dws = np.full(spec.n_modes, dw)
     amps = np.sqrt(2.0 * spectral_density(spec, omegas) * dws)
     return omegas, dws, amps
 
@@ -188,7 +192,7 @@ def comb_cache_params(spec: FieldSpec, h_target: float, min_points: int = 1):
     dOmega h = 2 pi / N for an integer N, the comb length CombPlan takes.
     Returns (h, N) with N a fast FFT length covering min_points samples.
     """
-    dw = (spec.omega_cutoff - spec.omega_min) / spec.n_modes
+    dw, _ = _comb(spec)
     n0 = TWO_PI / (dw * h_target)
     n_fft = fast_length(max(int(math.ceil(n0 - 1e-9)), int(min_points)))
     return TWO_PI / (dw * n_fft), n_fft
@@ -198,8 +202,8 @@ class CombPlan:
     """Re sum_n coefs[..., n] exp(i omega_n t_j) on t_j = t0 + (start + j
     step) h, j = 0..n_points-1, for complex coefficient rows over the modes
     of spec: the comb omega_n = omega_0 + n dOmega of mode_table, at the
-    step h = 2 pi/(dOmega n_fft) of comb_cache_params, both computed as
-    there, so the grid is the comb's own.
+    step h = 2 pi/(dOmega n_fft) of comb_cache_params, so the grid is the
+    comb's own.
 
     start and step are integers, step positive, so the grid is every
     step-th point from point start of the comb's grid t0 + k h. Then
@@ -226,9 +230,8 @@ class CombPlan:
         if step < 1:
             raise ValueError(f"step {step} is not a positive step of the "
                              "comb's grid")
-        m = spec.n_modes
-        dw = (spec.omega_cutoff - spec.omega_min) / m
-        omega0, h = spec.omega_min + dw * 0.5, TWO_PI / (dw * n_fft)
+        m, (dw, omega0) = spec.n_modes, _comb(spec)
+        h = TWO_PI / (dw * n_fft)
         self.m, self.n_points = m, n_points
         n_conv = conv_length(m, n_points)
         k = np.arange(max(m, n_points))
@@ -279,25 +282,27 @@ class CombPlan:
 def comb_sum_slabs(coefs, spec: FieldSpec, n_fft: int, t0: float,
                    n_points: int, width: int):
     """CombPlan's sum on the grid t0 + j h, j = 0..n_points-1, in slabs of
-    width + 1 columns, so that no array of n_points columns exists.
+    width + 1 points, so that no array of n_points points exists.
 
-    Yields views shaped coefs.shape[:-1] + (w + 1,), w <= width, whose
-    columns are the points s0..s0 + w, s0 = 0, width, 2 width, ...: each
-    slab starts with the last column of the one before, computed once, so
-    a value read across a seam is the same value. The points past the
-    first come from a plan at the integer start s0 + 1, one per slab. All
-    slabs share one buffer; consume a slab before taking the next.
+    Yields time-major views shaped (w + 1,) + coefs.shape[:-1], w <= width,
+    whose rows are the points s0..s0 + w, s0 = 0, width, 2 width, ...: each
+    slab starts with the last row of the one before as the consumer left
+    it, so a value read across a seam is the same value, computed once.
+    The points past the first come from a plan at the integer start s0 + 1,
+    one per slab. All slabs share one buffer; consume a slab before taking
+    the next.
     """
     coefs = np.asarray(coefs)
     width = max(1, min(width, n_points - 1))
-    slab = np.empty(coefs.shape[:-1] + (width + 1,))
-    CombPlan(spec, n_fft, t0, 1, 1)(coefs, out=slab[..., width:])
+    slab = np.empty((width + 1,) + coefs.shape[:-1])
+    cols = np.moveaxis(slab, 0, -1)     # the plans' view: time last
+    CombPlan(spec, n_fft, t0, 1, 1)(coefs, out=cols[..., width:])
     for s0 in range(0, n_points - 1, width):
         w = min(width, n_points - 1 - s0)
-        slab[..., 0] = slab[..., width]
+        slab[0] = slab[width]
         CombPlan(spec, n_fft, t0, 1, w, start=s0 + 1)(
-            coefs, out=slab[..., 1:w + 1])
-        yield slab[..., :w + 1]
+            coefs, out=cols[..., 1:w + 1])
+        yield slab[:w + 1]
 
 
 def _band_integral_series(w: float, b: float) -> float:

@@ -352,9 +352,8 @@ def test_rule_slabs_are_the_mode_sum_across_seams():
     fr = make_field(spec, (11, 0, 0))
     slabs = [s.copy() for s in comb_sum_slabs(
         fr.amps * np.exp(1j * fr.phases), spec, n_fft, 2.5, n_points, width)]
-    assert [s.shape[1] for s in slabs] == [width + 1, width + 1, 345]
-    streamed = np.concatenate([slabs[0]] + [s[:, 1:] for s in slabs[1:]],
-                              axis=1)
+    assert [len(s) for s in slabs] == [width + 1, width + 1, 345]
+    streamed = np.concatenate([slabs[0]] + [s[1:] for s in slabs[1:]]).T
     direct = eval_field(fr, 2.5 + h * np.arange(n_points))
     assert np.max(np.abs(streamed - direct)) / np.max(np.abs(direct)) < 1e-12
 
@@ -458,7 +457,7 @@ def reference_loop(particle, fspec, ic, dt, n_steps, n_traj, seed, stride):
     slabs = [s.copy() for s in comb_sum_slabs(
         coefs, fspec, n_fft, 0.0, 2 * n_steps + 1,
         sedsim.dynamics._slab_width(fspec.n_modes))]
-    e = np.concatenate([slabs[0]] + [s[:, 1:] for s in slabs[1:]], axis=1)
+    e = np.concatenate([slabs[0]] + [s[1:] for s in slabs[1:]]).T
     x, v = np.array([ic.sample(np.random.Generator(np.random.Philox(
         np.random.SeedSequence((seed, i, 1))))) for i in range(n_traj)]).T
 

@@ -261,22 +261,21 @@ def test_slabs_are_the_single_call_grid():
     whole = CombPlan(spec, n_fft, 2.5, 1, 2001)(coefs)
     slabs = [s.copy() for s in comb_sum_slabs(coefs, spec, n_fft, 2.5, 2001,
                                               600)]
-    assert [s.shape for s in slabs] == [(5, 601)] * 3 + [(5, 201)]
+    assert [s.shape for s in slabs] == [(601, 5)] * 3 + [(201, 5)]
     for a, b in zip(slabs, slabs[1:]):
-        assert np.array_equal(a[:, -1], b[:, 0])
+        assert np.array_equal(a[-1], b[0])
     # every slab, the short last one too, holds the bytes of a plan from
     # the slab's second point
     for s0, slab in zip(range(0, 2000, 600), slabs):
-        assert np.array_equal(slab[:, 1:], CombPlan(
-            spec, n_fft, 2.5, 1, slab.shape[1] - 1, start=s0 + 1)(coefs))
-    streamed = np.concatenate([slabs[0]] + [s[:, 1:] for s in slabs[1:]],
-                              axis=1)
+        assert np.array_equal(slab[1:].T, CombPlan(
+            spec, n_fft, 2.5, 1, len(slab) - 1, start=s0 + 1)(coefs))
+    streamed = np.concatenate([slabs[0]] + [s[1:] for s in slabs[1:]]).T
     assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.std(whole)
     # a run shorter than one slab is one slab of all its points
     (short,) = [s.copy() for s in comb_sum_slabs(coefs, spec, n_fft, 2.5,
                                                   41, 600)]
-    assert short.shape == (5, 41)
-    assert np.max(np.abs(short - whole[:, :41])) <= 1e-13 * np.std(whole)
+    assert short.shape == (41, 5)
+    assert np.max(np.abs(short.T - whole[:, :41])) <= 1e-13 * np.std(whole)
 
 
 @pytest.mark.parametrize("step, start, t0", [

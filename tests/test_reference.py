@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from sedsim import reference
-from sedsim.dynamics import ParticleSpec, harmonic_potential, quartic_potential
+from sedsim.dynamics import (ParticleSpec, comb_time_grid, harmonic_potential,
+                             quartic_potential)
 from sedsim.field import FieldSpec, eval_field, make_field
 from sedsim.reference import (
     gaussian_density,
@@ -298,6 +299,35 @@ def test_response_autocorrelation_and_smooth_lag_limits():
     assert all(a > b for a, b in zip(d_vals, d_vals[1:]))
     assert all(a > b for a, b in zip(u_vals, u_vals[1:]))
     assert resp.diffusion_estimate(0.01) < 0.05 * resp.x_var
+
+
+def test_shipped_band_closed_forms_fall_short_of_criteria_1_and_3():
+    # the shipped sed run's field and particle: the finite-lag closed forms
+    # that its measured D sweep, u slope and driven margin follow. No lag
+    # in [0.05, 30] brings D to criterion 1's lower edge 0.45 or u's slope
+    # to the wave equation's -1, and at the classifier's lag (two records
+    # of the resolved grid, 2.397) the margin bound is under criterion 3's 5
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=512)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    resp = harmonic_response(fspec, particle.mass, particle.charge,
+                             particle.tau, omega0=1.0)
+    lags = np.arange(0.05, 30.0, 0.01)
+    d_pred = np.array([resp.diffusion_estimate(lag) for lag in lags])
+    u_slope = np.array([resp.u_slope(lag) for lag in lags])
+    assert d_pred.max() == pytest.approx(0.1805, abs=5e-5)
+    assert d_pred.max() < 0.45
+    assert lags[d_pred.argmax()] == pytest.approx(1.17, abs=0.01)
+    assert u_slope.min() == pytest.approx(-0.7246, abs=5e-5)
+    assert u_slope.min() > -1.0
+    assert lags[u_slope.argmin()] == pytest.approx(2.33, abs=0.01)
+    dt, _, _ = comb_time_grid(fspec, 0.2, 1e4)
+    lag = 2 * 6 * dt
+    assert lag == pytest.approx(2.397, abs=5e-4)
+    rho_lag = float(resp.autocorrelation(lag))
+    assert rho_lag == pytest.approx(-0.7354, abs=5e-5)
+    bound = (1.0 + rho_lag**2) / (1.0 - rho_lag**2)
+    assert bound == pytest.approx(3.3555, abs=5e-5)
+    assert bound < 5.0
 
 
 def test_harmonic_trajectory_solves_the_driven_equation():

@@ -9,6 +9,9 @@ its runs of each stage's wall_s, peak_rss_mb and rss_mb from run.json, and
 the median, min and max of wall_seconds, of the process's wall time from
 spawn to exit (process_wall_s, which adds the imports and the writes that
 wall_seconds does not time), and of its maxrss (MiB) and minor page faults.
+Last, for each of those whole-run metrics, each tree's interquartile range
+as a percentage of its median and in how many alternating pairs (run k of
+each tree) TREE_B read lower than TREE_A, ties counting for neither.
 Run directories go to a temporary directory, deleted after each run.
 """
 
@@ -21,8 +24,11 @@ import tempfile
 import time
 from pathlib import Path
 
+from paired_loop import pair_lines
+
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
+SUMMARY = ("wall_seconds", "process_wall_s", "maxrss_mib", "minflt", "n_chunks")
 
 
 def run_once(config: Path, tree: Path) -> dict:
@@ -56,11 +62,11 @@ def run_once(config: Path, tree: Path) -> dict:
 def main(argv):
     config, *trees = (Path(a).resolve() for a in argv[1:4])
     n = int(argv[4]) if len(argv) > 4 else 5
-    runs = {tree: [] for tree in trees}
+    runs = [(tree, []) for tree in trees]     # by position: a tree may repeat
     for k in range(n):
-        for tree in (trees if k % 2 == 0 else trees[::-1]):
-            runs[tree].append(run_once(config, tree))
-    for tree, rs in runs.items():
+        for tree, rs in (runs if k % 2 == 0 else runs[::-1]):
+            rs.append(run_once(config, tree))
+    for tree, rs in runs:
         print(f"{tree}: {n} runs, exit statuses {sorted({r['exit_status'] for r in rs})}")
         print(f"  {'stage':<24}{'wall_s':>9}{'peak_rss_mb':>13}{'rss_mb':>9}")
         for name in [st["name"] for st in rs[0]["stages"]]:
@@ -69,12 +75,12 @@ def main(argv):
             med = [statistics.median(st[key] for st in stages)
                    for key in ("wall_s", "peak_rss_mb", "rss_mb")]
             print(f"  {name:<24}{med[0]:>9.3f}{med[1]:>13.1f}{med[2]:>9.1f}")
-        for key in ("wall_seconds", "process_wall_s", "maxrss_mib", "minflt",
-                    "n_chunks"):
+        for key in SUMMARY:
             values = [r[key] for r in rs if key in r]
             if values:
                 print(f"  {key:<24}median {statistics.median(values):.4g}"
                       f"  (min {min(values):.4g}, max {max(values):.4g})")
+    print("\n".join(pair_lines(runs, SUMMARY)))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,10 @@ count and --chunk the step loop's width (dynamics.CHUNK) in both trees.
 Prints, per tree, the median, min and max over its runs of the ns per
 trajectory-step of the integrate_ensemble call (field synthesis included)
 and of the process's maxrss (MiB), and whether the two trees' positions,
-velocities, field values and status hashed the same.
+velocities, field values and status hashed the same. Last, for each of
+the two metrics, each tree's interquartile range as a percentage of its
+median and in how many alternating pairs (run k of each tree) TREE_B read
+lower than TREE_A, ties counting for neither.
 """
 
 import argparse
@@ -60,6 +63,30 @@ def run_once(tree: Path, n_traj: int, chunk: int) -> dict:
     return json.loads(run.stdout)
 
 
+def pair_lines(runs: list, keys) -> list:
+    """For each key the runs of both trees hold, a line with each tree's
+    interquartile range as a percentage of its median (linear quartiles,
+    as numpy's percentile) and the pairs, run k of each tree, in which the
+    second tree read lower and in which the two tied. runs holds (tree,
+    runs) for the first tree and then the second."""
+    (a, ra), (b, rb) = runs
+    lines = [f"second tree {b} against first tree {a}:"]
+    for key in keys:
+        pairs = [(x[key], y[key]) for x, y in zip(ra, rb) if key in x and key in y]
+        if len(pairs) < 2:              # no quartiles of one run
+            continue
+        iqr = []
+        for values in zip(*pairs):
+            q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            iqr.append(f"{100 * (q3 - q1) / q2:.1f} %")
+        lower = sum(y < x for x, y in pairs)
+        tied = sum(y == x for x, y in pairs)
+        lines.append(f"  {key:<16}iqr/median {iqr[0]} first, {iqr[1]} second;"
+                     f" second lower in {lower}, tied in {tied} of "
+                     f"{len(pairs)} pairs")
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs=2, type=Path)
@@ -68,19 +95,20 @@ def main():
     ap.add_argument("--chunk", type=int, default=0)
     args = ap.parse_args()
     trees = [t.resolve() for t in args.trees]
-    runs = {tree: [] for tree in trees}
+    runs = [(tree, []) for tree in trees]     # by position: a tree may repeat
     for k in range(args.n):
-        for tree in (trees if k % 2 == 0 else trees[::-1]):
-            runs[tree].append(run_once(tree, args.traj, args.chunk))
-    for tree, rs in runs.items():
+        for tree, rs in (runs if k % 2 == 0 else runs[::-1]):
+            rs.append(run_once(tree, args.traj, args.chunk))
+    for tree, rs in runs:
         print(f"{tree}: {args.n} runs, {args.traj} trajectories, "
               f"chunk {args.chunk or 'default'}")
         for key in ("ns", "maxrss_mib"):
             values = [r[key] for r in rs]
             print(f"  {key:<12}median {statistics.median(values):.4g}"
                   f"  (min {min(values):.4g}, max {max(values):.4g})")
-    hashes = {r["sha256"] for rs in runs.values() for r in rs}
+    hashes = {r["sha256"] for _, rs in runs for r in rs}
     print(f"outputs identical across trees and runs: {len(hashes) == 1}")
+    print("\n".join(pair_lines(runs, ("ns", "maxrss_mib"))))
 
 
 if __name__ == "__main__":
