@@ -14,6 +14,8 @@ _slab_width half steps at a time, just ahead of the steps that read it
 (field.comb_sum_slabs), time-major and scaled by the charge in place. The
 step loop (_rk4) steps a chunk's rows on (x, v, a) stage buffers written
 in place, one slab row per half step; its arithmetic is the plain RK4's.
+A chunk's record-grid field is written after its last slab is stepped and
+the slab buffer released, so the two are never resident together.
 
 For the harmonic potential the force is linear in x, so one RK4 step is an
 affine map s_{k+1} = M s_k + G u_k of the state s = (x, v), with u_k the
@@ -499,7 +501,10 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     exceeds 2 pi / (10 omega_loc), omega_loc = sqrt(max |f'(x)| / m) over
     the recorded positions. Potential.linear potentials take RK4's exact
     response on the record grid, the others the step loop (module
-    docstring); neither path holds a field table of the whole run.
+    docstring); neither path holds a field table of the whole run. The
+    step loop writes a chunk's record-grid field (and, without out,
+    allocates it) after its last slab is stepped and the slab buffer
+    released; the response path writes it first.
 
     A chunk is the returned ensemble with its rows' arrays (field_values
     None without store_field) and status; a consumer copies what it keeps.
@@ -570,8 +575,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
         lo, hi = span
         n = hi - lo
         if whole is None:
-            xs, vs = np.empty((n, n_rec)), np.empty((n, n_rec))
-            es = np.empty((n, n_rec)) if store_field else None
+            xs, vs, es = np.empty((n, n_rec)), np.empty((n, n_rec)), None
         else:
             xs, vs, es = (None if a is None else a[lo:hi] for a in whole)
         st = head.status[lo:hi]
@@ -581,10 +585,10 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
         start = np.array([ic.sample(np.random.Generator(np.random.Philox(
             np.random.SeedSequence((master_seed, i, 1)))))
             for i in range(lo, hi)]).T
-        if store_field:
-            records(coefs, out=es)
 
         if linear:
+            if store_field:
+                es = records(coefs, out=es)
             for rec, k in ((xs, K[0]), (vs, K[1])):
                 records(coefs * k, out=rec)
             _add_transient(xs, vs, *start, P, growth)
@@ -611,6 +615,11 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
                     if k % record_stride == 0:
                         j = k // record_stride
                         xs[:, j], vs[:, j] = y
+            # the slab buffer goes before the record field's pages are
+            # first touched, so the two are never resident together
+            del slab
+            if store_field:
+                es = records(coefs, out=es)
         # a non-finite x or v stays non-finite at every later step (and is
         # NaN from there on, above), so the last record flags every such row
         st[~np.isfinite((xs[:, -1], vs[:, -1])).all(axis=0)] = STATUS_NONFINITE

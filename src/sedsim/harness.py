@@ -276,13 +276,15 @@ def _rss_mb():
 
 def _stage(info: dict, name: str, fn, *args, **kwargs):
     """Run one pipeline stage. Appends its wall time, its CPU time, the
-    process's peak RSS after it and its RSS then (which shows what a stage
+    process's peak RSS after it, the minor page faults taken during it
+    (pages first touched) and its RSS then (which shows what a stage
     freed) to info["stages"], which run.json carries.
     A stage that raises (other than a ConfigError, which only the plan
     raises) sets info["failed_stage"] and becomes a PipelineError naming
     the stage and, once integration has flagged trajectories, their
     count."""
     wall0, cpu0 = _time.perf_counter(), _time.process_time()
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         result = fn(*args, **kwargs)
     except ConfigError:
@@ -293,11 +295,13 @@ def _stage(info: dict, name: str, fn, *args, **kwargs):
         note = (f" ({bad} of {info['n_traj']} trajectories non-finite)"
                 if bad else "")
         raise PipelineError(f"stage {name!r} failed: {exc}{note}") from exc
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     info.setdefault("stages", []).append({
         "name": name,
         "wall_s": _time.perf_counter() - wall0,
         "cpu_s": _time.process_time() - cpu0,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": usage.ru_maxrss / 1024,
+        "minor_faults": usage.ru_minflt - faults0,
         "rss_mb": _rss_mb(),
     })
     return result
@@ -751,7 +755,8 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
     time grid the plan resolved (dt, n_steps; for SED also n_fft, n_conv
     the record grid's convolution length, n_workers, and n_chunks, the
     chunks integrate_stream handed over) and the stage ledger "stages":
-    per stage its name, wall_s, cpu_s, and the process's peak_rss_mb and
+    per stage its name, wall_s, cpu_s, the process's peak_rss_mb when it
+    ended, minor_faults (the minor page faults taken during the stage) and
     rss_mb (None without /proc/self/statm) when it ended, with the exit
     code, or with the failed_stage and the error of a run that fails; such
     a run keeps its partial artifacts, writes no report and raises the

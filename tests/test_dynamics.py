@@ -8,6 +8,7 @@ against the discrete linear-response prediction frozen below.
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -794,6 +795,39 @@ def test_worker_count_does_not_change_bits_across_slabs(tmp_path):
     assert names == sorted(p.name for p in dumps[1].iterdir())
     for name in names:
         assert (dumps[0] / name).read_bytes() == (dumps[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("route", ["out", "stream"])
+def test_step_loop_writes_the_record_field_after_its_slabs_are_freed(
+        monkeypatch, route):
+    # the record-grid field is written after a chunk's last slab is stepped
+    # and its buffer released, so the two are never resident together: when
+    # the record plan writes, the base buffer of every slab of the chunk is
+    # dead. Two chunks of three 192-half-step slabs and a short one, into
+    # integrate_ensemble's arrays and into a stream's own chunks
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
+    dt, n_steps, _ = comb_time_grid(fspec, 0.2, 60.0)
+    slabs, writes = [], []
+
+    def tracked(*args):
+        for slab in comb_sum_slabs(*args):
+            slabs.append(weakref.ref(slab.base))
+            yield slab
+
+    class RecordPlan(CombPlan):
+        def __call__(self, coefs, out=None):
+            writes.append([ref() is None for ref in slabs])
+            slabs.clear()
+            return super().__call__(coefs, out)
+
+    monkeypatch.setattr(sedsim.dynamics, "comb_sum_slabs", tracked)
+    monkeypatch.setattr(sedsim.dynamics, "CombPlan", RecordPlan)
+    integrate = integrate_ensemble if route == "out" else integrate_stream
+    ens = integrate(particle, fspec, DeltaIC(0.5, 0.0), 0.0, dt, n_steps,
+                    CHUNK + 20, 9, record_stride=3)
+    assert ens.meta["integrator"] == "rk4-loop"
+    assert writes == [[True] * 4] * 2
 
 
 class Chunks:

@@ -186,7 +186,9 @@ def test_run_json_records_the_stage_ledger(sed_run, ou_run):
         assert names <= {s["name"] for s in stages}
         assert not {"gather-samples", "window-statistics"} & {
             s["name"] for s in stages}
-        assert all(set(s) == {"name", "wall_s", "cpu_s", "peak_rss_mb", "rss_mb"}
+        assert all(set(s) == {"name", "wall_s", "cpu_s", "peak_rss_mb",
+                              "minor_faults", "rss_mb"} for s in stages)
+        assert all(isinstance(s["minor_faults"], int) and s["minor_faults"] >= 0
                    for s in stages)
         assert all(s["wall_s"] >= 0 and s["cpu_s"] >= 0 for s in stages)
         assert sum(s["wall_s"] for s in stages) <= run_meta["wall_seconds"]

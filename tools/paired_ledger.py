@@ -5,7 +5,9 @@
 Runs the config N times (default 5) in each tree, alternating which tree
 goes first, each run in a fresh process with PYTHONPATH=TREE/src and
 OpenBLAS, OpenMP and MKL at one thread. Prints, per tree, the median over
-its runs of each stage's wall_s, peak_rss_mb and rss_mb from run.json, and
+its runs of each stage's wall_s, peak_rss_mb, rss_mb and minor_faults from
+run.json ("-" where a tree's run.json has no minor_faults), the stage where
+the median peak_rss_mb first reaches its maximum, and
 the median, min and max of wall_seconds, of the process's wall time from
 spawn to exit (process_wall_s, which adds the imports and the writes that
 wall_seconds does not time), and of its maxrss (MiB) and minor page faults.
@@ -68,13 +70,22 @@ def main(argv):
             rs.append(run_once(config, tree))
     for tree, rs in runs:
         print(f"{tree}: {n} runs, exit statuses {sorted({r['exit_status'] for r in rs})}")
-        print(f"  {'stage':<24}{'wall_s':>9}{'peak_rss_mb':>13}{'rss_mb':>9}")
+        print(f"  {'stage':<24}{'wall_s':>9}{'peak_rss_mb':>13}{'rss_mb':>9}"
+              f"{'minor_faults':>14}")
+        peaks = {}
         for name in [st["name"] for st in rs[0]["stages"]]:
             stages = [next(st for st in r["stages"] if st["name"] == name)
                       for r in rs]
             med = [statistics.median(st[key] for st in stages)
                    for key in ("wall_s", "peak_rss_mb", "rss_mb")]
-            print(f"  {name:<24}{med[0]:>9.3f}{med[1]:>13.1f}{med[2]:>9.1f}")
+            faults = [st.get("minor_faults") for st in stages]
+            faults = "-" if None in faults else f"{statistics.median(faults):.0f}"
+            print(f"  {name:<24}{med[0]:>9.3f}{med[1]:>13.1f}{med[2]:>9.1f}"
+                  f"{faults:>14}")
+            peaks[name] = med[1]
+        top = max(peaks, key=peaks.get)      # the first stage at the maximum
+        print(f"  median peak_rss_mb first reaches its maximum "
+              f"{peaks[top]:.1f} in {top}")
         for key in SUMMARY:
             values = [r[key] for r in rs if key in r]
             if values:
