@@ -14,7 +14,7 @@ Layers, bottom up:
 """
 
 from ._version import __version__
-from .config import ConfigError, load_config, save_config, validate_config
+from .config import ConfigError, load_config, validate_config
 from .constants import (ConstantsError, PhysicalConstants, load_constants,
                         transition_time, transition_time_from)
 from .dynamics import (DeltaIC, EnergyBalanceReport, GaussianIC,
@@ -31,8 +31,8 @@ from .harness import (ComparisonReport, PipelineError, ReportRow, RunResult,
 from .kinematics import (BinnedField, BranchReport, CoarseGrainSpec,
                          DiffusionEstimate, DiffusionSweep, KinematicsError,
                          ResidualReport, SampleSet, VaEstimate, classify_branch,
-                         density_estimate, diffusion_sweep, dynamics_residuals,
-                         estimate_D, estimate_u, estimate_v, estimate_va)
+                         density_estimate, diffusion_sweep, estimate_u,
+                         estimate_v, estimate_va)
 from .schrodinger import (GridError, GridSpec, WaveFunctionState,
                           energy_expectation, evolve, gaussian_packet,
                           navier_stokes_residual, plane_wave,

@@ -286,10 +286,6 @@ def dumps_config(obj) -> str:
                       default=lambda o: o.tolist()) + "\n"
 
 
-def save_config(cfg: dict, path: str | Path) -> None:
-    Path(path).write_text(dumps_config(cfg))
-
-
 def config_hash(cfg: dict) -> str:
     import hashlib
 

@@ -14,8 +14,8 @@ _slab_width half steps at a time, just ahead of the steps that read it
 (field.comb_sum_slabs), time-major and scaled by the charge in place. The
 step loop (_rk4) steps a chunk's rows on (x, v, a) stage buffers written
 in place, one slab row per half step; its arithmetic is the plain RK4's.
-A chunk's record-grid field is written after its last slab is stepped and
-the slab buffer released, so the two are never resident together.
+A chunk's record-grid field is written after its x and v, on the step loop
+once the slab buffer is released, so the two are never resident together.
 
 For the harmonic potential the force is linear in x, so one RK4 step is an
 affine map s_{k+1} = M s_k + G u_k of the state s = (x, v), with u_k the
@@ -437,14 +437,22 @@ def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
     run of length span whose 2 n_steps + 1 half-step field points lie on
     the uniform comb's FFT-exact grid of period n_fft half steps, the
     grid a CombPlan of n_fft sums on. A resolved grid resolves to itself.
-    Refuses a non-positive span or dt and a run that does not end inside
-    the comb period, where the field repeats. Inside it, each widening
-    grows n_fft strictly, and any n_fft >= 3 period / (period - span) holds
-    the run, so the widening ends; but a span just short of the period
-    would shrink the step without limit, so a widening that takes the step
-    below dt/2 is refused before anything is integrated."""
+    Refuses a non-positive span or dt, a dt that does not resolve the
+    fastest synthesized mode (dt > 2 pi / (10 omega_cutoff)) and a run
+    that does not end inside the comb period, where the field repeats.
+    Inside it, each widening grows n_fft strictly, and any
+    n_fft >= 3 period / (period - span) holds the run, so the widening
+    ends; but a span just short of the period would shrink the step
+    without limit, so a widening that takes the step below dt/2 is refused
+    before anything is integrated."""
     if span <= 0 or dt <= 0:
         raise IntegrationError("need a positive run length and dt")
+    dt_max = 2.0 * math.pi / (10.0 * fspec.omega_cutoff)
+    if dt > dt_max * (1 + 1e-12):
+        raise IntegrationError(
+            f"step-size violation: dt={dt:g} exceeds 2 pi/(10 omega_cutoff)"
+            f"={dt_max:g}"
+        )
     h, n_fft = comb_cache_params(fspec, h_target=dt / 2.0)
     period = h * n_fft       # 2 pi n_modes/(omega_cutoff - omega_min)
     if span >= period:
@@ -494,17 +502,15 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     Trajectory i draws its field phases from the Philox stream keyed
     (master_seed, i, 0) and its start from the one keyed
     (master_seed, i, 1); results are bit-identical across runs and across
-    n_workers. dt must resolve the fastest synthesized mode:
-    dt <= 2 pi / (10 omega_cutoff); the run goes on the grid
-    comb_time_grid(fspec, dt, n_steps dt), whose step and step count are
-    ens.dt and ens.n_steps. A warning is recorded in meta when dt
-    exceeds 2 pi / (10 omega_loc), omega_loc = sqrt(max |f'(x)| / m) over
-    the recorded positions. Potential.linear potentials take RK4's exact
+    n_workers. The run goes on the grid comb_time_grid(fspec, dt,
+    n_steps dt), which refuses a dt that does not resolve the fastest
+    synthesized mode; its step and step count are ens.dt and ens.n_steps.
+    A warning is recorded in meta when dt exceeds 2 pi / (10 omega_loc),
+    omega_loc = sqrt(max |f'(x)| / m) over the recorded positions. Potential.linear potentials take RK4's exact
     response on the record grid, the others the step loop (module
-    docstring); neither path holds a field table of the whole run. The
-    step loop writes a chunk's record-grid field (and, without out,
-    allocates it) after its last slab is stepped and the slab buffer
-    released; the response path writes it first.
+    docstring); neither path holds a field table of the whole run. A
+    chunk's record-grid field is written (and, without out, allocated)
+    after its x and v, on the step loop once the slab buffer is released.
 
     A chunk is the returned ensemble with its rows' arrays (field_values
     None without store_field) and status; a consumer copies what it keeps.
@@ -518,12 +524,6 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     """
     if n_traj < 1:
         raise IntegrationError("n_traj must be at least 1")
-    dt_max = 2.0 * math.pi / (10.0 * fspec.omega_cutoff)
-    if dt > dt_max * (1 + 1e-12):
-        raise IntegrationError(
-            f"step-size violation: dt={dt:g} exceeds 2 pi/(10 omega_cutoff)"
-            f"={dt_max:g}"
-        )
     dt, n_steps, n_fft = comb_time_grid(fspec, dt, n_steps * dt)
 
     warnings = []
@@ -539,8 +539,6 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     n_rec = n_steps // record_stride + 1
 
     linear, width = particle.potential.linear, _slab_width(fspec.n_modes)
-    if not linear and width % 2:
-        raise IntegrationError(f"odd field slab of {width} half steps")
     omegas, _, amps = mode_table(fspec)
     rec_step = 2 * record_stride          # half steps from record to record
     meta = {
@@ -587,8 +585,6 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             for i in range(lo, hi)]).T
 
         if linear:
-            if store_field:
-                es = records(coefs, out=es)
             for rec, k in ((xs, K[0]), (vs, K[1])):
                 records(coefs * k, out=rec)
             _add_transient(xs, vs, *start, P, growth)
@@ -618,16 +614,16 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             # the slab buffer goes before the record field's pages are
             # first touched, so the two are never resident together
             del slab
-            if store_field:
-                es = records(coefs, out=es)
+        if store_field:
+            es = records(coefs, out=es)
         # a non-finite x or v stays non-finite at every later step (and is
         # NaN from there on, above), so the last record flags every such row
         st[~np.isfinite((xs[:, -1], vs[:, -1])).all(axis=0)] = STATUS_NONFINITE
         return replace(head, positions=xs, velocities=vs, field_values=es,
                        status=st)
 
-    # the dt bound above knows only the field band; a stiff potential can
-    # move faster than the field where the trajectories actually went
+    # comb_time_grid's dt bound knows only the field band; a stiff
+    # potential can move faster than the field where the trajectories went
     fp_max = 0.0
 
     def hand_over(piece: TrajectoryEnsemble):
@@ -837,10 +833,15 @@ class EnergySums(_RowBlockSums):
     def add(self, x, v):
         self.total += np.sum(self.particle.energy(x, v), axis=0)
 
-    def curve(self, ens: TrajectoryEnsemble):
-        if self.n < 100:
+    @staticmethod
+    def enough_rows(n: int):
+        """Refuse n intact trajectories, too few for a meaningful mean."""
+        if n < 100:
             raise IntegrationError(f"relaxation curve needs >= 100 intact "
-                                   f"trajectories, has {self.n}")
+                                   f"trajectories, has {n}")
+
+    def curve(self, ens: TrajectoryEnsemble):
+        self.enough_rows(self.n)
         return ens.times.copy(), self.total / self.n
 
 

@@ -134,12 +134,8 @@ class ComparisonReport:
         return head + "\n".join(lines) + "\n"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "-"
-        return f"{x:.6g}"
-    return str(x)
+def _fmt(x: float) -> str:
+    return "-" if math.isnan(x) else f"{x:.6g}"
 
 
 def _make_row(observable, kind, sed, ref, tol, err=math.nan,
@@ -400,6 +396,7 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
     grid = _built("grid", GridSpec, float(g["x_min"]), float(g["x_max"]),
                   int(g["n_points"]))
     n_traj, n_workers = ecf["n_traj"], ecf.get("n_workers", 1)
+    _built("ensemble.n_traj", EnergySums.enough_rows, n_traj)
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     master_seed = int(cfg["seeds"]["master_seed"])
     info.update(dt=dt, n_steps=n_steps, n_fft=n_fft, n_workers=n_workers,
@@ -596,6 +593,10 @@ def _plan_ou_calibration(cfg: dict, info: dict):
     relax_cols = slice(first - k, last + k + 1, g)
     n_traj = cfg["ensemble"]["n_traj"]
     n_relax = lv.get("n_traj_relax", 500_000)
+    # the sweep estimates D on the equilibrium sample, the classifier on
+    # the relaxing one
+    _built("ensemble.n_traj", SampleSet.enough_rows, n_traj)
+    _built("langevin.n_traj_relax", SampleSet.enough_rows, n_relax)
     x_start = float(lv.get("x_start", 0.0))
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     master_seed = int(cfg["seeds"]["master_seed"])
@@ -640,7 +641,6 @@ def _plan_ou_calibration(cfg: dict, info: dict):
         mid_idx = int(round((refs[1] - relax.t0) / relax.rec_dt))
         s_star = float(np.var(relax.positions[:, mid_idx]))
         span = 3.2 * math.sqrt(s_star)
-        # a span the spec refuses (one relaxing trajectory) fails the stage
         branch = _stage(info, "branch-classifier", lambda: classify_branch(
             relax, replace(relax_spec, x_range=(-span, span)), particle.mass,
             particle.potential.f, D=None, time_derivative="measured"))

@@ -40,7 +40,7 @@ import numpy as np
 from .config import dumps_config
 from .dynamics import TrajectoryEnsemble
 
-# points of the Savitzky-Golay window in dynamics_residuals' derivatives
+# points of the Savitzky-Golay window in the branch residuals' derivatives
 SAVGOL_WINDOW = 5
 
 # lags on a diffusion plateau agree within 2 sigma or this relative gap
@@ -594,7 +594,7 @@ class SampleSet:
         return self._fields["rho"]
 
     def diffusion(self) -> DiffusionEstimate:
-        """D at the set's own lag; see estimate_D."""
+        """D at the set's own lag; see _diffusions."""
         return self._diffusions()[self.steps.index(self.k)]
 
     def _diffusions(self) -> list:
@@ -616,15 +616,17 @@ class SampleSet:
         return self._fields["D"]
 
     @staticmethod
-    def _enough(n_rows: int):
+    def enough_rows(n_rows: int):
+        """Refuse n_rows intact trajectories, too few for D's standard
+        error."""
         if n_rows < 2:
-            raise KinematicsError(
-                "too few trajectories for a diffusion estimate")
+            raise KinematicsError(f"a diffusion estimate needs >= 2 "
+                                  f"trajectories, has {n_rows}")
 
     def _from_moments(self, m: np.ndarray, delta_ts: list) -> list:
         """(value, std_error) per lag, m the bin means per lag, from the
         rows' mean and scatter of y (see the class docstring)."""
-        self._enough(self._n_rows)
+        self.enough_rows(self._n_rows)
         # bins without a sample have N_b = A_b = 0 in every row
         e = np.nan_to_num(m) - self._pilot[:, :-1]
         out = []
@@ -657,7 +659,7 @@ class SampleSet:
         for j in range(len(delta_ts)):
             values = np.concatenate(per_lag[j])
             per_lag[j] = None
-            self._enough(values.size)
+            self.enough_rows(values.size)
             out.append((float(np.mean(values)),
                         float(np.std(values, ddof=1) / math.sqrt(values.size))))
         return out
@@ -705,10 +707,10 @@ class SampleSet:
         rho = counts / counts.sum(axis=1, keepdims=True) / self.width
         return v, u, rho, counts
 
-    def residuals(self, mass: float, force, lams, D: float | None = None,
-                  time_derivative: str = "omitted") -> dict:
-        """ResidualReport per branch sign in lams; only the momentum
-        residual depends on the sign. See dynamics_residuals."""
+    def classify_branch(self, mass: float, force, D: float | None = None,
+                        time_derivative: str = "omitted") -> BranchReport:
+        """See classify_branch. The ResidualReport of each branch sign
+        differs only in the momentum residual."""
         if time_derivative not in ("omitted", "measured"):
             raise KinematicsError("time_derivative must be 'omitted' or 'measured'")
         spec, width, centers = self.spec, self.width, self.centers
@@ -763,7 +765,7 @@ class SampleSet:
         rel_c = float(np.sqrt(np.sum(w * continuity**2))) / rho_scale
 
         reports = {}
-        for lam in lams:
+        for lam in (+1, -1):
             momentum = mass * (conv - lam * osm) - fx
             rel_m = float(np.sqrt(np.sum(w * momentum**2))) / scale
             reports[lam] = ResidualReport(
@@ -773,12 +775,6 @@ class SampleSet:
                 relative_momentum=rel_m, relative_continuity=rel_c, scale=scale,
                 D_used=float(D), reference_times=ref_times,
                 warnings=list(warnings))
-        return reports
-
-    def classify_branch(self, mass: float, force, D: float | None = None,
-                        time_derivative: str = "omitted") -> BranchReport:
-        """See classify_branch."""
-        reports = self.residuals(mass, force, (+1, -1), D, time_derivative)
         r_plus, r_minus = (reports[lam].relative_momentum for lam in (+1, -1))
         selected = +1 if r_plus <= r_minus else -1
         worse = max(r_plus, r_minus)
@@ -810,49 +806,27 @@ def density_estimate(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> BinnedFi
     return SampleSet.of(ens, spec).density()
 
 
-def estimate_D(ens: TrajectoryEnsemble, spec: CoarseGrainSpec) -> DiffusionEstimate:
-    """Diffusion scale from the variance of the forward increments about
-    their bin-conditional mean, so the systematic drift does not inflate
-    the estimate. The standard error treats trajectories, not samples, as
-    the independent unit.
-    """
-    return SampleSet.of(ens, spec, cells=None).diffusion()
-
-
 def diffusion_sweep(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
                     delta_ts) -> DiffusionSweep:
-    """estimate_D at each lag in delta_ts, all on spec's reference times
-    and bins at the largest lag: the lags share its central samples and
-    their bins, and each gathers only its own forward positions. The
-    reference times need room for the largest lag."""
+    """D (SampleSet.diffusion) at each lag in delta_ts, all on spec's
+    reference times and bins at the largest lag: the lags share its
+    central samples and their bins, and each gathers only its own forward
+    positions. The reference times need room for the largest lag."""
     delta_ts = sorted(delta_ts)
     return SampleSet.of(ens, replace(spec, delta_t=float(delta_ts[-1])),
                         lags=delta_ts, cells=None).sweep()
 
 
-def dynamics_residuals(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
-                       mass: float, force, lam: int,
-                       D: float | None = None,
-                       time_derivative: str = "omitted") -> ResidualReport:
-    """Residuals of the momentum and continuity balances for one branch sign.
-
-    force is a callable f(x). D defaults to the subtracted diffusion
-    estimate from the same ensemble and lag.
-    """
-    if lam not in (-1, 1):
-        raise KinematicsError("lam must be +1 or -1")
-    cells = "per_time" if time_derivative == "measured" else "pooled"
-    return SampleSet.of(ens, spec, cells=cells).residuals(
-        mass, force, (lam,), D, time_derivative)[lam]
-
-
 def classify_branch(ens: TrajectoryEnsemble, spec: CoarseGrainSpec,
                     mass: float, force, D: float | None = None,
                     time_derivative: str = "omitted") -> BranchReport:
-    """Select the branch sign with the smaller momentum residual.
+    """Select the branch sign with the smaller momentum residual of the
+    coarse-grained balance laws (ResidualReport).
 
-    ratio is (worse residual)/(better residual); a ratio near 1 means the
-    data cannot distinguish the branches at this lag and ensemble size.
+    force is a callable f(x). D defaults to the subtracted diffusion
+    estimate from the same ensemble and lag. ratio is (worse
+    residual)/(better residual); a ratio near 1 means the data cannot
+    distinguish the branches at this lag and ensemble size.
     """
     cells = "per_time" if time_derivative == "measured" else "pooled"
     return SampleSet.of(ens, spec, cells=cells).classify_branch(

@@ -268,7 +268,7 @@ class HarmonicResponse:
         return -(1.0 - float(self.autocorrelation(delta))) / delta
 
     def diffusion_estimate(self, delta: float) -> float:
-        """estimate_D's expectation, x_var (1 - rho^2) / (2 delta)."""
+        """SampleSet.diffusion's expectation, x_var (1 - rho^2) / (2 delta)."""
         rho = float(self.autocorrelation(delta))
         return self.x_var * (1.0 - rho * rho) / (2.0 * delta)
 

@@ -8,8 +8,7 @@ from functools import reduce
 import pytest
 
 from sedsim.config import (_NUM, _SCHEMA, ConfigError, config_hash,
-                           dumps_config, load_config, save_config,
-                           validate_config)
+                           dumps_config, load_config, validate_config)
 
 
 def minimal_ou_config():
@@ -34,7 +33,7 @@ def minimal_ou_config():
 def test_round_trip(tmp_path):
     cfg = minimal_ou_config()
     p = tmp_path / "c.json"
-    save_config(cfg, p)
+    p.write_text(dumps_config(cfg))
     assert load_config(p) == cfg
 
 

@@ -327,19 +327,6 @@ def test_slab_width_fills_a_power_of_two_convolution(n_modes):
     assert conv_length(n_modes, width + 2) > power
 
 
-def test_an_odd_slab_is_refused_before_any_step(monkeypatch):
-    # an odd slab would split a step's three half steps between two slabs;
-    # the response path reads no slab and runs
-    monkeypatch.setattr(sedsim.dynamics, "_slab_width", lambda n_modes: 25)
-    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
-    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
-    args = (fspec, DeltaIC(0.5, 0.0), 0.0, 0.2, 20, 3, 9)
-    with pytest.raises(IntegrationError, match="odd field slab of 25 half"):
-        integrate_ensemble(on_the_loop(particle), *args)
-    assert integrate_ensemble(particle, *args).meta["integrator"] == (
-        "rk4-response")
-
-
 def test_rule_slabs_are_the_mode_sum_across_seams():
     # sedbench's quartic comb in slabs of the rule's 3,328 half steps: two
     # whole slabs and a short last one of 344, streamed as the step loop

@@ -477,6 +477,14 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
     ("ou", "ensemble", "n_traj", -1, "ensemble.n_traj must be at least 1"),
     ("ou", "langevin", "n_traj_relax", 0,
      "langevin.n_traj_relax must be at least 1"),
+    # ensemble sizes the run is certain to reject: the sed relaxation curve
+    # needs 100 intact trajectories, each OU diffusion estimate 2
+    ("sed", "ensemble", "n_traj", 64, "ensemble.n_traj: relaxation curve "
+     "needs >= 100 intact trajectories, has 64"),
+    ("ou", "ensemble", "n_traj", 1, "ensemble.n_traj: a diffusion estimate "
+     "needs >= 2 trajectories, has 1"),
+    ("ou", "langevin", "n_traj_relax", 1, "langevin.n_traj_relax: a "
+     "diffusion estimate needs >= 2 trajectories, has 1"),
     ("sed", "coarse_grain", "t_window", [1500.0, 900.0], "t_window"),
     ("sed", "coarse_grain", "t_window", [900.0, 900.0], "t_window"),
     ("sed", "coarse_grain", "t_window", [900.0], "t_window"),
@@ -590,6 +598,10 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
     ("sed", "grid", "n_points", 3, "grid.n_points must be at least 16, not 3"),
     ("sed", "time", "t_final", -1.0,
      "time: need a positive run length and dt"),
+    # a step the field cannot resolve, quoted as configured, not as the
+    # comb grid would snap it
+    ("sed", "time", "dt", 1.0, "time: step-size violation: dt=1 exceeds "
+     "2 pi/(10 omega_cutoff)=0.571199"),
     ("ou", "time", "t_final", -1.0,
      "time.t_final -1.0 leaves no step of dt 0.01 after time.t0 0"),
     # values whose arithmetic overflows, named by the keys they join

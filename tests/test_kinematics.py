@@ -31,8 +31,6 @@ from sedsim.kinematics import (
     classify_branch,
     density_estimate,
     diffusion_sweep,
-    dynamics_residuals,
-    estimate_D,
     estimate_u,
     estimate_v,
     estimate_va,
@@ -149,7 +147,7 @@ def test_ou_diffusion_estimate_matches_closed_form():
     refs = tuple(ens.times[1:-1])
     spec = CoarseGrainSpec(delta_t=lag, x_bins=21, reference_times=refs,
                            x_range=padded_extent(ens, refs))
-    sub = estimate_D(ens, spec)
+    sub = SampleSet.of(ens, spec, cells=None).diffusion()
     assert sub.value == pytest.approx(ou_diffusion_estimate(theta, d0, lag),
                                       abs=3.5 * sub.std_error)
 
@@ -209,12 +207,11 @@ def test_injected_ground_state_fields_select_plus_branch():
     spec = CoarseGrainSpec(delta_t=lag, x_bins=41, reference_times=(lag,),
                            x_range=padded_extent(ens, (lag,)))
     force = lambda x: -x
-    plus = dynamics_residuals(ens, spec, 1.0, force, +1, D=0.5)
-    minus = dynamics_residuals(ens, spec, 1.0, force, -1, D=0.5)
+    report = classify_branch(ens, spec, 1.0, force, D=0.5)
+    plus, minus = report.reports[+1], report.reports[-1]
     assert plus.relative_momentum < 0.01
     assert minus.relative_momentum > 0.3
     assert plus.relative_continuity == 0.0  # v vanishes identically
-    report = classify_branch(ens, spec, 1.0, force, D=0.5)
     assert report.selected_lam == +1
     assert report.ratio > 20.0
 
@@ -227,8 +224,8 @@ def test_equilibrium_ou_closes_under_minus_branch():
     spec = CoarseGrainSpec(delta_t=lag, x_bins=31, x_range=(-2.1, 2.1),
                            reference_times=tuple(ens.times[1:-1:4]))
     force = lambda x: theta ** 2 * x
-    minus = dynamics_residuals(ens, spec, 1.0, force, -1)
-    plus = dynamics_residuals(ens, spec, 1.0, force, +1)
+    reports = classify_branch(ens, spec, 1.0, force).reports
+    minus, plus = reports[-1], reports[+1]
     assert minus.relative_momentum < 0.15
     assert plus.relative_momentum > 3.0 * minus.relative_momentum
     assert minus.D_used == pytest.approx(ou_diffusion_estimate(theta, d0, lag),
@@ -254,16 +251,16 @@ def test_relaxing_ensemble_selects_minus_branch():
 def test_measured_time_derivative_needs_uniform_references():
     ens = ou_ensemble(0.1, 0.1, 2000, 0.01, 26, 43, x0=0.0)
     with pytest.raises(KinematicsError, match=">= 3"):
-        dynamics_residuals(
+        classify_branch(
             ens, CoarseGrainSpec(delta_t=0.01, x_bins=8, min_count=5,
                                  x_range=(-1.0, 1.0), reference_times=(0.2,)),
-            1.0, lambda x: -x, -1, time_derivative="measured")
+            1.0, lambda x: -x, time_derivative="measured")
     with pytest.raises(KinematicsError, match="uniformly spaced"):
-        dynamics_residuals(
+        classify_branch(
             ens, CoarseGrainSpec(delta_t=0.01, x_bins=8, min_count=5,
                                  x_range=(-1.0, 1.0),
                                  reference_times=(0.1, 0.15, 0.22)),
-            1.0, lambda x: -x, -1, time_derivative="measured")
+            1.0, lambda x: -x, time_derivative="measured")
 
 
 def assert_bitwise(got, want, name=""):
@@ -320,22 +317,18 @@ def test_shared_samples_match_the_standalone_estimators_bitwise(
     branch = samples.classify_branch(1.0, force, time_derivative=time_derivative)
     assert_bitwise(branch, classify_branch(ens, spec, 1.0, force,
                                            time_derivative=time_derivative))
-    D = estimate_D(ens, spec).value
-    assert branch.D_used == D
-    for lam in (+1, -1):
-        alone = dynamics_residuals(ens, spec, 1.0, force, lam, D=D,
-                                   time_derivative=time_derivative)
-        assert_bitwise(branch.reports[lam], alone)
+    assert branch.D_used == SampleSet.of(ens, spec, cells=None).diffusion().value
 
     # the sweep's lags share the largest lag's reference set; each lag
-    # equals estimate_D on the same times
+    # equals the one-lag D on the same times
     lags = (0.01, 0.02, 0.04)
     sweep_spec = dataclasses.replace(
         spec, reference_times=sweep_refs,
         x_range=padded_extent(ens, sweep_refs))
     sweep = diffusion_sweep(ens, sweep_spec, lags)
     assert_bitwise(sweep.estimates,
-                   [estimate_D(ens, dataclasses.replace(sweep_spec, delta_t=lag))
+                   [SampleSet.of(ens, dataclasses.replace(sweep_spec, delta_t=lag),
+                                 cells=None).diffusion()
                     for lag in lags])
 
 
@@ -607,7 +600,7 @@ def test_samples_outside_the_bins_are_counted_nowhere():
     rho = density_estimate(ens, spec)
     assert float(np.sum(rho.values) * rho.bin_width) == pytest.approx(1.0)
     # the in-bin means are zero, so D is the inside samples' d^2 / (2 dt)
-    inside = estimate_D(ens, spec)
+    inside = SampleSet.of(ens, spec, cells=None).diffusion()
     assert inside.n_samples == 6
     assert inside.value == pytest.approx(np.mean(d[:6] ** 2) / 0.2, rel=1e-12)
 
@@ -684,20 +677,18 @@ def test_residuals_need_a_contiguous_run_of_bins():
     spec = CoarseGrainSpec(delta_t=0.1, x_bins=41, x_range=(-10.0, 10.0),
                            reference_times=tuple(ens.times[1:-1]))
     with pytest.raises(KinematicsError, match="contiguous"):
-        dynamics_residuals(ens, spec, 1.0, lambda x: -x, -1, D=0.5)
+        classify_branch(ens, spec, 1.0, lambda x: -x, D=0.5)
 
 
-def test_branch_argument_is_checked():
+def test_time_derivative_argument_is_checked():
     ens = synthetic_ensemble(np.random.default_rng(5).normal(size=(40, 5)), 0.1)
     refs = tuple(ens.times[1:-1])
     spec = CoarseGrainSpec(delta_t=0.1, x_bins=5, min_count=1,
                            reference_times=refs,
                            x_range=padded_extent(ens, refs))
-    with pytest.raises(KinematicsError, match="lam"):
-        dynamics_residuals(ens, spec, 1.0, lambda x: -x, 2, D=0.5)
     with pytest.raises(KinematicsError, match="time_derivative"):
-        dynamics_residuals(ens, spec, 1.0, lambda x: -x, -1, D=0.5,
-                           time_derivative="extrapolated")
+        classify_branch(ens, spec, 1.0, lambda x: -x, D=0.5,
+                        time_derivative="extrapolated")
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +715,7 @@ def test_binned_field_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("deriv", [1, 2])
 def test_closed_form_savgol_is_scipy_savgol_to_a_few_ulp(deriv):
-    # dynamics_residuals' derivatives: the window-5, order-2 stencils and
+    # the branch residuals' derivatives: the window-5, order-2 stencils and
     # the edge quadratics against scipy's least-squares fit, on runs from
     # the shortest the residuals accept (5 bins) up; measured at most 7.1
     # (deriv 1) and 3.6 (deriv 2) ulp of max|y| / width^deriv, largest at
