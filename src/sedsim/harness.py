@@ -49,7 +49,8 @@ from .dynamics import (STATUS_OK, BalanceSums, ColumnStore, EnergySums,
                        comb_time_grid, harmonic_potential, integrate_stream,
                        record_times, stationary_guess_ic, window_columns)
 from .field import FieldSpec, autocorrelation_check, conv_length, make_field
-from .kinematics import CoarseGrainSpec, SampleSet, classify_branch
+from .kinematics import (CoarseGrainSpec, KinematicsError, SampleSet,
+                         classify_branch)
 from .reference import (gaussian_density, ou_stationary_variance, ou_stream,
                         ou_u_slope_equilibrium)
 from .schrodinger import GridSpec, solve_stationary, velocity_fields
@@ -597,6 +598,9 @@ def _plan_ou_calibration(cfg: dict, info: dict):
     # the relaxing one
     _built("ensemble.n_traj", SampleSet.enough_rows, n_traj)
     _built("langevin.n_traj_relax", SampleSet.enough_rows, n_relax)
+    _built(f"langevin.n_traj_relax {n_relax} against coarse_grain.min_count "
+           f"{relax_spec.min_count}", SampleSet.enough_rows_per_time, n_relax,
+           relax_spec.min_count)
     x_start = float(lv.get("x_start", 0.0))
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     master_seed = int(cfg["seeds"]["master_seed"])
@@ -616,11 +620,12 @@ def _plan_ou_calibration(cfg: dict, info: dict):
                 _stage(info, dump_stage, writer.close, head)
             return head
 
-        # the equilibrium sample goes to the estimators' two sample sets and
-        # to the store of the first reference time's column, which the
-        # variance row reads; the relaxing one to the store of the columns
-        # the classifier reads, whose bins come from the sample's variance
-        samples = SampleSet(times, dt, spec0)
+        # the equilibrium sample goes to the estimators' two sample sets
+        # (the fields' without D, which no row reads) and to the store of
+        # the first reference time's column, which the variance row reads;
+        # the relaxing one to the store of the columns the classifier
+        # reads, whose bins come from the sample's variance
+        samples = SampleSet(times, dt, spec0, lags=())
         sweep_set = SampleSet(times, dt, sweep_spec, lags=sweep_lags,
                               cells=None)
         col = int(samples.ridx[0])
@@ -652,6 +657,10 @@ def _plan_ou_calibration(cfg: dict, info: dict):
             "warnings": branch.reports[+1].warnings,
         }))
 
+        return _stage(info, "report-rows", rows, run_dir, v_field, u_field,
+                      va_est, sweep, branch, x_ref2)
+
+    def rows(run_dir, v_field, u_field, va_est, sweep, branch, x_ref2):
         # closed-form references
         sigma2 = ou_stationary_variance(theta, d0)
         u_slope_ref = -d0 / sigma2          # u(x) = -D0 x / sigma^2 = -theta x
@@ -663,6 +672,10 @@ def _plan_ou_calibration(cfg: dict, info: dict):
                       (centers, np.zeros_like(centers), u_slope_ref * centers))
 
         vv, uu = v_field.valid, u_field.valid
+        if not vv.any():
+            raise KinematicsError(
+                f"no valid bin for v and u: every bin holds fewer than "
+                f"min_count {spec0.min_count} samples")
         pulls_v = np.abs(v_field.values[vv]) / v_field.std_error[vv]
         pulls_u = (np.abs(u_field.values[uu] - u_slope_ref * u_field.x_centers[uu])
                    / u_field.std_error[uu])

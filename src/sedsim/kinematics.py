@@ -372,9 +372,10 @@ class SampleSet:
     On the record grid times (step rec_dt), the reference times ridx are
     spec.reference_times, with room for spec.delta_t (k recorded steps)
     and for each lag of lags (times; by default spec.delta_t), the lags D
-    is estimated at. The bin edges cut spec.x_range into spec.x_bins. All
-    are fixed before the first chunk. take walks the chunk's intact rows in
-    blocks of about _BLOCK_SAMPLES samples
+    is estimated at; a set with no lags (lags=()) keeps nothing for D,
+    and diffusion() refuses it. The bin edges cut spec.x_range into
+    spec.x_bins. All are fixed before the first chunk. take walks the
+    chunk's intact rows in blocks of about _BLOCK_SAMPLES samples
     (TrajectoryEnsemble.intact_blocks), gathers the positions it reads,
     bins each block's central samples and adds:
     - the central samples' counts per cell: per bin, or with cells
@@ -385,7 +386,6 @@ class SampleSet:
     - per lag, the forward increments' sums per bin, whose means m_b D
       subtracts;
     - per lag, what D needs of the rows once the m_b are known. With
-      more reference times than bins (the overflow bin counted): with
       dx' = dx - p_b, p_b pilot means (the first rows' bin means), a
       row's sum of (dx - m_b)^2 over its n samples in the bins is
       Q - 2 sum_b e_b A_b + sum_b e_b^2 N_b, e_b = m_b - p_b, with
@@ -395,10 +395,11 @@ class SampleSet:
       the blocks' before (Chan, Golub & LeVeque): (lags, 2 x_bins + 1,
       2 x_bins + 1) numbers, whatever the number of rows. The pilot keeps
       e_b small, so the expansion does not cancel where the drift over a
-      lag is large against the increments' spread. A row with no more
-      samples than bins keeps its samples' bins and increments instead,
-      whose scatter would cost a dense (2 x_bins + 1)^2 product per row;
-      their D keeps the bits of the per-sample formula.
+      lag is large against the increments' spread. A block whose rows
+      hold more samples than bins (the overflow bin counted) forms its
+      scatter from each row's y, a dense (2 x_bins + 1)^2 product per
+      row; one whose rows hold at most as many, from the rows' samples
+      and their pairs, binned (_pair_moments).
     Bin sums add every block with np.add.at into one accumulator, in the
     flat order of the (n_ok, n_ref) sample array; chunks come in row
     order, so the sums equal one np.bincount over that array bit for bit.
@@ -418,7 +419,7 @@ class SampleSet:
         self.lags = sorted(lags) if lags is not None else [spec.delta_t]
         self.steps = tuple(_lag_steps(rec_dt, float(t)) for t in self.lags)
         self.ridx = _reference_indices(times, rec_dt, spec,
-                                       max(self.k, *self.steps))
+                                       max((self.k, *self.steps)))
         self.delta_t = self.k * rec_dt
         self.ref_times = times[self.ridx]
         # the recorded columns read: ridx plus each of these offsets
@@ -433,12 +434,14 @@ class SampleSet:
         self._cells = None if cells is None else np.zeros(
             (2, len(_KINDS), self._counts.size))
         self._forward = np.zeros((len(self.steps), nb))
-        # D's rows: with more reference times than bins, how many, and per
-        # lag their mean y and scatter about it, and the pilot means y's
-        # increments are taken about (0 on the overflow bin); else, per
-        # block, the samples' bins and increments
-        self._by_bin = nb < self.ridx.size
-        self._samples = []
+        # D's rows: how many, and per lag their mean y and scatter about
+        # it, and the pilot means y's increments are taken about (0 on the
+        # overflow bin); each block's scatter from its rows' y where they
+        # hold more samples than bins, else from their samples and the
+        # pairs (first, second) of their reference times
+        self._dense = nb < self.ridx.size
+        self._pairs = None if self._dense else np.triu_indices(
+            self.ridx.size, 1)
         dims = 2 * spec.x_bins + 1
         self._n_rows = 0
         self._pilot = np.zeros((len(self.steps), nb))
@@ -484,52 +487,152 @@ class SampleSet:
                 for i, inc in enumerate(incs):
                     np.add.at(sums[i], cell, inc.ravel())
                     np.add.at(sq[i], cell, (inc**2).ravel())
-            dx = np.array([x[s] - x0 for s in self.steps])
-            for total, d in zip(self._forward, dx):
-                np.add.at(total, flat, d.ravel())
-            if self._by_bin:
+            if self.steps:
+                dx = np.array([x[s] - x0 for s in self.steps])
+                for total, d in zip(self._forward, dx):
+                    np.add.at(total, flat, d.ravel())
                 self._merge_rows(bins, dx)
-            else:
-                self._samples.append(
-                    (bins.astype(np.min_scalar_type(n)), dx))
 
     def _merge_rows(self, bins, dx):
         """Merge y = (Q, A_b, N_b) / n of a block's rows with samples in the
         bins, from the bins of its central samples and its increments dx
         at each lag (lags, rows, n_ref), into the set's count, mean and
         scatter of y (see the class docstring)."""
+        moments = self._dense_moments if self._dense else self._pair_moments
+        m, mean, scatter = moments(bins, dx)
+        if m == 0:
+            return
+        total = self._n_rows + m
+        d = mean - self._y_mean
+        self._y_mean += d * (m / total)
+        self._y_scatter += scatter
+        self._y_scatter += d[:, :, None] * d[:, None, :] * (
+            self._n_rows * m / total)
+        self._n_rows = total
+
+    def _subtract_pilot(self, bins, dx):
+        """dx about the pilot means, in place; the first call fixes the
+        pilot means: the bin means of the blocks taken so far, 0 on bins
+        without one and on the overflow bin."""
+        if self._n_rows == 0:
+            nb = self.spec.x_bins
+            self._pilot[:, :nb] = np.nan_to_num(_bin_means(
+                self._bin_counts()[:nb], self._forward[:, :nb]))
+        dx -= np.take(self._pilot, bins, axis=1)
+
+    def _dense_moments(self, bins, dx):
+        """The number of a block's rows with samples in the bins, the mean
+        of their y and the scatter about it, per lag, from each row's y:
+        rows with more samples than bins."""
         rows, nb = len(bins), self.spec.x_bins
         cell = (bins + (nb + 1) * np.arange(rows)[:, None]).ravel()
         N = np.bincount(cell, minlength=rows * (nb + 1)).reshape(rows, nb + 1)
         n = N[:, :nb].sum(axis=1)
         keep = n > 0
-        if not keep.any():
-            return
-        if self._n_rows == 0:
-            # the pilot means: the blocks' so far, 0 on bins without one
-            self._pilot[:, :nb] = np.nan_to_num(_bin_means(
-                self._bin_counts()[:nb], self._forward[:, :nb]))
-        dx -= self._pilot[:, bins]
+        m = np.count_nonzero(keep)
+        if m == 0:
+            return 0, None, None
+        self._subtract_pilot(bins, dx)
+        dx[:, bins == nb] = 0.0
         A = np.array([np.bincount(cell, d.ravel(), rows * (nb + 1))
                       for d in dx]).reshape(len(dx), rows, nb + 1)
-        dx[:, bins == nb] = 0.0
         Q = np.square(dx, out=dx).sum(axis=2)
         # (lags, dims, rows), row-major: the mean over the rows is a
         # pairwise sum
-        y = np.empty((len(dx), 2 * nb + 1, np.count_nonzero(keep)))
+        y = np.empty((len(dx), 2 * nb + 1, m))
         y[:, 0] = Q[:, keep]
         y[:, 1:nb + 1] = A[:, keep, :nb].transpose(0, 2, 1)
         y[:, nb + 1:] = N[keep, :nb].T
         y /= n[keep]
-        m, total = y.shape[2], self._n_rows + y.shape[2]
         mean = y.mean(axis=2)
         y -= mean[:, :, None]
-        d = mean - self._y_mean
-        self._y_mean += d * (m / total)
-        self._y_scatter += np.matmul(y, y.transpose(0, 2, 1))
-        self._y_scatter += d[:, :, None] * d[:, None, :] * (
-            self._n_rows * m / total)
-        self._n_rows = total
+        return m, mean, np.matmul(y, y.transpose(0, 2, 1))
+
+    def _pair_moments(self, bins, dx):
+        """As _dense_moments, for rows with at most as many samples as
+        bins, from the samples: a row's y y^T is the sum over its pairs of
+        samples (s, s') of z_s z_s'^T / n^2, z_s = (q_s, dx_s e_b, e_b) at
+        the bin b of s (q summed into Q). The (A, N) block takes the
+        diagonal pairs and the unordered ones s < s', summed into
+        (x_bins + 1)^2 cells U, as diag + U + U^T: two samples in one bin
+        count twice. Each sum is one np.bincount over every lag by bin, or
+        pair of bins, and by the row's n, whose powers of 1/n then weigh
+        it. The samples are taken time-major, so each pair's columns are
+        contiguous."""
+        nb = self.spec.x_bins
+        c, lags, size = nb + 1, len(dx), bins.shape[1]
+        bins = np.ascontiguousarray(bins.T)
+        inside = bins < nb
+        n = np.sum(inside, axis=0)
+        m = np.count_nonzero(n)
+        if m == 0:
+            return 0, None, None
+        d = np.ascontiguousarray(dx.transpose(0, 2, 1))
+        self._subtract_pilot(bins, d)
+        # the overflow bin's sums are dropped, so only Q leaves its samples
+        # out
+        q = np.sum(np.square(d), axis=1, where=inside)
+        # 1/n and 1/n^2 for n = 0 .. size, 0 at n = 0
+        inv = np.zeros((size + 1, 2))
+        inv[1:, 0] = 1.0 / np.arange(1, size + 1)
+        inv[:, 1] = np.square(inv[:, 0])
+        # a sample's cell is its bin and its row's n, a pair's its bins
+        # (b_s, b_s') and n; lag l's cells come after lag l - 1's
+        lag = np.arange(lags)[:, None] * (size + 1)
+        cells = bins * (size + 1)
+        cells += n
+        at_cells = (cells.ravel() + c * lag).ravel()
+
+        def by_cell(weights, over=inv):
+            # per lag and bin, each n's sum of weights, weighed by over(n)
+            return (np.bincount(at_cells, weights.ravel(), lags * c * (
+                size + 1)).reshape(lags, c, size + 1) @ over)[:, :nb]
+
+        counts = (np.bincount(cells.ravel(), minlength=c * (size + 1))
+                  .reshape(c, size + 1) @ inv)[:nb]
+        A = by_cell(d)
+        per_row = q * inv[n, 0]
+        mean = np.empty((lags, 2 * nb + 1))
+        mean[:, 0] = np.sum(per_row, axis=1)
+        mean[:, 1:nb + 1] = A[..., 0]
+        mean[:, nb + 1:] = counts[:, 0]
+        mean /= m
+        scatter = np.empty((lags, 2 * nb + 1, 2 * nb + 1))
+        scatter[:, 0, 0] = np.sum(np.square(per_row), axis=1)
+        scatter[:, 0, 1:nb + 1] = by_cell(d * q[:, None], inv[:, 1])
+        scatter[:, 0, nb + 1:] = by_cell(
+            np.broadcast_to(q[:, None], d.shape), inv[:, 1])
+        scatter[:, 1:, 0] = scatter[:, 0, 1:]
+        # U, blocks (A, N) x (A, N), per pair s < s' at its bins (b_s, b_s')
+        U = np.zeros((lags, 2, c, 2, c))
+        first, second = self._pairs
+        if first.size:
+            pairs = bins[first] * c
+            pairs += bins[second]
+            pairs *= size + 1
+            pairs += n
+            at_pairs = (pairs.ravel() + c * c * lag).ravel()
+            d_first, d_second = d[:, first], d[:, second]
+            for (i, j), weights in (((0, 0), d_first * d_second),
+                                    ((0, 1), d_first), ((1, 0), d_second)):
+                U[:, i, :, j] = (np.bincount(
+                    at_pairs, weights.ravel(), lags * c * c * (size + 1))
+                    .reshape(lags, c, c, size + 1) @ inv[:, 1])
+            U[:, 1, :, 1] = np.bincount(
+                pairs.ravel(), minlength=c * c * (size + 1)).reshape(
+                    c, c, size + 1) @ inv[:, 1]
+        U = U.reshape(lags, 2 * c, 2 * c)
+        U += U.transpose(0, 2, 1)
+        U = U.reshape(lags, 2, c, 2, c)[:, :, :nb, :, :nb].reshape(
+            lags, 2 * nb, 2 * nb)
+        diag = np.arange(nb)
+        U[:, diag, diag] += by_cell(np.square(d), inv[:, 1])
+        U[:, diag, nb + diag] += A[..., 1]
+        U[:, nb + diag, diag] += A[..., 1]
+        U[:, nb + diag, nb + diag] += counts[:, 1]
+        scatter[:, 1:, 1:] = U
+        scatter -= m * mean[:, :, None] * mean[:, None, :]
+        return m, mean, scatter
 
     def _bin_counts(self) -> np.ndarray:
         """The central samples' counts per bin, the overflow bin last."""
@@ -595,6 +698,10 @@ class SampleSet:
 
     def diffusion(self) -> DiffusionEstimate:
         """D at the set's own lag; see _diffusions."""
+        if self.k not in self.steps:
+            raise KinematicsError(
+                f"the sample set keeps no D at its lag {self.delta_t:g}: it "
+                f"was built with lags {self.lags}")
         return self._diffusions()[self.steps.index(self.k)]
 
     def _diffusions(self) -> list:
@@ -608,11 +715,11 @@ class SampleSet:
             counts = self._bin_counts()[:nb]
             m = _bin_means(counts, self._forward[:, :nb])
             delta_ts = [step * self.rec_dt for step in self.steps]
-            finish = self._from_moments if self._by_bin else self._from_samples
             self._fields["D"] = [
                 DiffusionEstimate(value=value, std_error=se, delta_t=delta_t,
                                   n_samples=int(counts.sum()))
-                for (value, se), delta_t in zip(finish(m, delta_ts), delta_ts)]
+                for (value, se), delta_t in zip(
+                    self._from_moments(m, delta_ts), delta_ts)]
         return self._fields["D"]
 
     @staticmethod
@@ -622,6 +729,18 @@ class SampleSet:
         if n_rows < 2:
             raise KinematicsError(f"a diffusion estimate needs >= 2 "
                                   f"trajectories, has {n_rows}")
+
+    @staticmethod
+    def enough_rows_per_time(n_rows: int, min_count: int):
+        """Refuse n_rows trajectories, too few for any bin to hold
+        min_count samples at one reference time, as the measured time
+        derivatives of classify_branch need: a trajectory gives one sample
+        per reference time."""
+        if n_rows < min_count:
+            raise KinematicsError(
+                f"measured time derivatives need min_count {min_count} "
+                f"samples in a bin at each reference time, and {n_rows} "
+                f"trajectories give at most {n_rows}")
 
     def _from_moments(self, m: np.ndarray, delta_ts: list) -> list:
         """(value, std_error) per lag, m the bin means per lag, from the
@@ -635,33 +754,6 @@ class SampleSet:
             var = max(w @ self._y_scatter[j] @ w, 0.0) / (self._n_rows - 1)
             out.append((float(self._y_mean[j] @ w),
                         math.sqrt(var / self._n_rows)))
-        return out
-
-    def _from_samples(self, m: np.ndarray, delta_ts: list) -> list:
-        """(value, std_error) per lag, m the bin means per lag, from the
-        kept samples row by row. Each block's samples are dropped once
-        read: the set takes no chunk after its estimates."""
-        # the overflow bin's NaN mean drops its samples
-        m = np.column_stack((m, np.full(len(m), np.nan)))
-        per_lag = [[] for _ in delta_ts]
-        blocks, self._samples = self._samples, None
-        for i, (bins, dx) in enumerate(blocks):
-            blocks[i] = None
-            for j, delta_t in enumerate(delta_ts):
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    samples = np.square(dx[j] - m[j, bins])
-                    samples /= 2.0 * delta_t
-                    finite = np.isfinite(samples)
-                    np.copyto(samples, 0.0, where=~finite)
-                    n = np.count_nonzero(finite, axis=1)
-                    per_lag[j].append((samples.sum(axis=1) / n)[n > 0])
-        out = []
-        for j in range(len(delta_ts)):
-            values = np.concatenate(per_lag[j])
-            per_lag[j] = None
-            self.enough_rows(values.size)
-            out.append((float(np.mean(values)),
-                        float(np.std(values, ddof=1) / math.sqrt(values.size))))
         return out
 
     def sweep(self) -> DiffusionSweep:
@@ -735,6 +827,8 @@ class SampleSet:
             warnings.append("time derivatives measured by differencing binned "
                             "fields across reference times (experimental)")
             v_t, u_t, rho_t, cnt_t = self._fields_at_times()
+            self.enough_rows_per_time(
+                int(self._counts.sum()) // self.ridx.size, spec.min_count)
             mid = slice(1, v_t.shape[0] - 1)
             valid = (cnt_t >= spec.min_count).all(axis=0) & np.isfinite(v_t).all(axis=0)
             run = _largest_valid_run(valid)

@@ -96,9 +96,13 @@ def ou_stream(theta: float, D0: float, n_traj: int, dt: float,
         xb = block[:hi - lo] if out is None else out[lo:hi]
         nb = noise[:hi - lo]
         xb[:, 0] = float(x0) if starts is None else starts[lo:hi]
+        # the noise scaled once, in place: each step is then two in-place
+        # ops on strided columns, with the bits of rho x + step_std n
         rng.standard_normal(out=nb)
+        nb *= step_std
         for j in range(n_steps):
-            xb[:, j + 1] = rho * xb[:, j] + step_std * nb[:, j]
+            np.multiply(xb[:, j], rho, out=xb[:, j + 1])
+            xb[:, j + 1] += nb[:, j]
         piece = replace(head, positions=xb, status=head.status[lo:hi])
         for consumer in consumers:
             consumer.take(piece)

@@ -307,6 +307,46 @@ def test_failed_stage_without_flagged_trajectories(tmp_path, monkeypatch):
                                                    "dump"]
 
 
+def test_degraded_configs_are_refused_or_fail_in_a_named_stage(tmp_path):
+    # every outcome of a config that passes the schema is a refusal before
+    # the directory exists, a complete report, or a PipelineError naming
+    # its stage in run.json; never a bare traceback
+    cases = [
+        ("sed", "ensemble", "n_traj", 2),
+        ("sed", "coarse_grain", "min_count", 10**6),
+        ("sed", "coarse_grain.x_bins", "n", 1),
+        ("ou", "ensemble", "n_traj", 10),
+        ("ou", "langevin", "n_traj_relax", 10),
+        ("ou", "coarse_grain", "min_count", 30_000),
+        ("ou", "coarse_grain", "min_count", 10**6),
+        ("ou", "coarse_grain.x_bins", "n", 1),
+    ]
+    outcomes = []
+    for i, (pipeline, block, key, value) in enumerate(cases):
+        cfg = mini_sed_config() if pipeline == "sed" else mini_ou_config()
+        cfg["outputs"]["ensemble_dump"] = "none"
+        reduce(operator.getitem, block.split("."), cfg)[key] = value
+        root = tmp_path / str(i)
+        run_dir = root / cfg["outputs"]["directory"]
+        try:
+            result = run_experiment(cfg, output_root=root)
+        except ConfigError:
+            assert not root.exists()
+            outcomes.append("refused")
+            continue
+        except PipelineError as exc:
+            run = json.loads((run_dir / "run.json").read_text())
+            assert str(exc).startswith(f"stage {run['failed_stage']!r} failed")
+            assert not (run_dir / "report.json").exists()
+            outcomes.append(run["failed_stage"])
+            continue
+        assert (result.run_dir / "report.json").is_file()
+        outcomes.append("report")
+    assert outcomes == ["refused", "branch-classifier", "refused",
+                        "report-rows", "refused", "branch-classifier",
+                        "refused", "refused"]
+
+
 def test_calibration_run_passes_everything(ou_run):
     assert ou_run.exit_code == 0
     report = load_report(ou_run.run_dir)
@@ -485,6 +525,12 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
      "needs >= 2 trajectories, has 1"),
     ("ou", "langevin", "n_traj_relax", 1, "langevin.n_traj_relax: a "
      "diffusion estimate needs >= 2 trajectories, has 1"),
+    # the measured time derivatives need min_count samples in a bin at
+    # each reference time, and a time holds at most n_traj_relax
+    ("ou", "langevin", "n_traj_relax", 10, "langevin.n_traj_relax 10 against "
+     "coarse_grain.min_count 25: measured time derivatives need min_count 25 "
+     "samples in a bin at each reference time, and 10 trajectories give at "
+     "most 10"),
     ("sed", "coarse_grain", "t_window", [1500.0, 900.0], "t_window"),
     ("sed", "coarse_grain", "t_window", [900.0, 900.0], "t_window"),
     ("sed", "coarse_grain", "t_window", [900.0], "t_window"),

@@ -405,18 +405,15 @@ def whole_array_estimates(ens, spec, lag_steps):
     return fields, density, per_time, diffusion
 
 
-def assert_diffusions(got, want, spec):
+def assert_diffusions(got, want):
     """DiffusionEstimates got against the whole-array formulas' (value,
-    std_error, n_samples) per lag, on spec's reference set: the same
-    samples, and bit for bit where the set keeps each trajectory's samples
-    (no fewer bins than reference times). From the rows' mean and scatter
-    of (Q, A_b, N_b) / n, which round otherwise than the sum of
-    (dx - m_b)^2, within 1e-14 relative."""
-    rtol = 1e-14 if spec.x_bins + 1 < len(spec.reference_times) else 0.0
+    std_error, n_samples) per lag: the same samples, and from the rows'
+    mean and scatter of (Q, A_b, N_b) / n, which round otherwise than the
+    sum of (dx - m_b)^2, within 1e-14 relative."""
     for est, (value, se, n_samples) in zip(got, want, strict=True):
         assert est.n_samples == n_samples
         np.testing.assert_allclose([est.value, est.std_error], [value, se],
-                                   rtol=rtol, atol=0.0)
+                                   rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("x0, refs, x_range, flagged", [
@@ -452,15 +449,14 @@ def test_sample_set_equals_the_whole_array_formulas_bitwise(
                        fields[kind], kind)
     rho = samples.density()
     assert_bitwise((rho.values, rho.std_error), density, "rho")
-    assert_diffusions([samples.diffusion()], [diffusion[2]], spec)
+    assert_diffusions([samples.diffusion()], [diffusion[2]])
 
     # the sweep's lags on the reference set of the largest lag
     steps = (1, 2, 5)
     sweep_spec = spec_at(5)
     diffusion = whole_array_estimates(ens, sweep_spec, steps)[3]
     sweep = diffusion_sweep(ens, sweep_spec, [0.01 * j for j in steps])
-    assert_diffusions(sweep.estimates, [diffusion[j] for j in steps],
-                      sweep_spec)
+    assert_diffusions(sweep.estimates, [diffusion[j] for j in steps])
 
     if refs is not None:
         # the measured residuals read the per-time fields; fed the
@@ -484,9 +480,9 @@ def test_a_set_taking_chunks_equals_one_taking_the_whole_ensemble(refs,
     # boundaries and one chunk all flagged: every bin sum of the set fed
     # chunk by chunk equals the one fed the whole ensemble, so each
     # estimate at a given D does, bit for bit, at 290 reference times or
-    # at 4. So does D where the rows keep their samples (4 times, 17
-    # bins); at 290 times, where the rows' mean and scatter merge at the
-    # blocks a chunk boundary cuts, within 1e-14 relative
+    # at 4. D, whose rows' mean and scatter merge at the blocks a chunk
+    # boundary cuts, agrees within 1e-14 relative: from each row's sums at
+    # 290 times, from the samples and their pairs at 4 (17 bins)
     ens = ou_ensemble(0.1, 0.1, 2000, 0.01, 300, 49, x0=0.0)
     cuts = [0, 7, 300, 333, 1000, 1100, 2000]
     ens.status[[6, 7, 299, 300, *range(1000, 1100)]] = STATUS_NONFINITE
@@ -501,7 +497,7 @@ def test_a_set_taking_chunks_equals_one_taking_the_whole_ensemble(refs,
             for name in ("positions", "status")}))
     assert_diffusions(streamed.sweep().estimates,
                       [(e.value, e.std_error, e.n_samples)
-                       for e in whole.sweep().estimates], spec)
+                       for e in whole.sweep().estimates])
     D, force = whole.diffusion().value, lambda x: -0.1 * x
     mode = "omitted" if cells == "pooled" else "measured"
     assert_bitwise(
@@ -510,6 +506,77 @@ def test_a_set_taking_chunks_equals_one_taking_the_whole_ensemble(refs,
     if cells == "pooled":
         assert_bitwise(streamed.va(), whole.va())
         assert_bitwise(streamed.density(), whole.density())
+
+
+@pytest.mark.parametrize("n_ref", [2, 3, 4])
+def test_rows_with_every_sample_in_one_bin(n_ref):
+    # each row sits at one position c_i at every reference time (every
+    # other record), so its n_ref samples share a bin, and moves by its own
+    # increments in between; every 7th row is constant in time. Two samples
+    # in one bin enter D's scatter twice: D and its SE equal the per-row
+    # formula, for the whole ensemble and fed in uneven chunks
+    rng = np.random.default_rng(52)
+    n_traj = 3000
+    c = rng.uniform(-1.0, 1.0, n_traj)
+    pos = np.repeat(c[:, None], 2 * n_ref + 1, axis=1)
+    pos[:, 2::2] += 0.1 * c[:, None] + rng.normal(scale=0.05,
+                                                  size=(n_traj, n_ref))
+    pos[::7] = c[::7, None]
+    ens = synthetic_ensemble(pos, 0.1)
+    spec = CoarseGrainSpec(delta_t=0.1, x_bins=8, x_range=(-1.0, 1.0),
+                           reference_times=tuple(ens.times[1::2]))
+    assert spec.x_bins + 1 >= n_ref
+    want = whole_array_estimates(ens, spec, (1,))[3][1]
+    assert want[1] > 0
+    whole = SampleSet.of(ens, spec, cells=None)
+    streamed = SampleSet(ens.times, ens.rec_dt, spec, cells=None)
+    for lo, hi in ((0, 5), (5, 1200), (1200, n_traj)):
+        streamed.take(dataclasses.replace(ens, positions=pos[lo:hi],
+                                          status=ens.status[lo:hi]))
+    for samples in (whole, streamed):
+        assert_diffusions([samples.diffusion()], [want])
+
+
+def test_a_set_keeps_the_same_state_whatever_the_rows_taken():
+    # 3 reference times, 16 bins: what the set holds after take does not
+    # grow with the rows it took, 2,000 or 20,000. The first set taken
+    # warms numpy's own caches, whose few 100-byte entries still vary; a
+    # set that kept 9 bytes per sample would grow by 486 kB
+    ens = ou_ensemble(0.1, 0.1, 20000, 0.01, 40, 53, x0=0.0)
+    spec = CoarseGrainSpec(delta_t=0.02, x_bins=16, x_range=(-1.2, 1.2),
+                           reference_times=(0.16, 0.2, 0.24))
+    retained = []
+    for rows in (2000, 2000, 20000):
+        part = dataclasses.replace(ens, positions=ens.positions[:rows],
+                                   status=ens.status[:rows])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            samples = SampleSet(ens.times, ens.rec_dt, spec, cells="per_time")
+            samples.take(part)
+            retained.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        assert samples.diffusion().n_samples == 3 * rows
+        del samples
+    assert abs(retained[2] - retained[1]) < 1024, retained
+
+
+def test_a_set_without_lags_keeps_no_diffusion_state():
+    # its fields keep every bit of the default set's; D is refused by name
+    ens = ou_ensemble(0.1, 0.1, 2000, 0.01, 40, 54, x0="stationary")
+    spec = CoarseGrainSpec(delta_t=0.02, x_bins=16, x_range=(-2.0, 2.0),
+                           reference_times=(0.2,))
+    bare = SampleSet.of(ens, spec, lags=())
+    assert bare.steps == () and bare._y_scatter.size == 0
+    full = SampleSet.of(ens, spec)
+    for kind in ("v", "u", "va"):
+        assert_bitwise(bare.field(kind), full.field(kind), kind)
+    assert_bitwise(bare.density(), full.density())
+    with pytest.raises(KinematicsError,
+                       match="keeps no D at its lag 0.02: it was built "
+                             "with lags"):
+        bare.diffusion()
 
 
 def test_bin_index_is_searchsorted_exactly():
