@@ -21,8 +21,9 @@ from .dynamics import (DeltaIC, EnergyBalanceReport, GaussianIC,
                        IntegrationError, ParticleSpec, Potential,
                        TrajectoryEnsemble, comb_time_grid, dump_ensemble,
                        energy_balance, free_potential, harmonic_potential,
-                       integrate_ensemble, load_ensemble, quartic_potential,
-                       relaxation_curve, stationary_guess_ic)
+                       integrate_ensemble, load_blocks, load_ensemble,
+                       quartic_potential, relaxation_curve,
+                       stationary_guess_ic)
 from .field import (FieldRealization, FieldSpec, autocorrelation_check,
                     autocovariance, autocovariance_quad, eval_field,
                     make_field, mode_table, spectral_density)

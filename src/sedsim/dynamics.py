@@ -883,11 +883,12 @@ class EnsembleWriter:
     float64 file, shape (n_traj, n_rec); take(chunk) appends the chunk's
     rows, so chunks must come in row order. close(ens) writes times and
     status, and then meta.json. Every file holds np.save's bytes, and a
-    dump cut off before close has no meta.json, which load_ensemble
-    refuses. The dump holds no seeds: meta.json records the master seed,
-    and the rule that draws each row from it is the producer's
-    (integrate_stream, reference.ou_stream). The rows go to the files
-    unmapped: mapped pages would count in the process's resident set."""
+    dump cut off before close has no meta.json, which load_ensemble and
+    load_blocks refuse. The dump holds no seeds: meta.json records the
+    master seed, and the rule that draws each row from it is the
+    producer's (integrate_stream, reference.ou_stream). The rows go to the
+    files unmapped: mapped pages would count in the process's resident
+    set."""
 
     def __init__(self, directory, n_traj: int, n_rec: int, names):
         self.directory = Path(directory)
@@ -923,13 +924,11 @@ class EnsembleWriter:
 
 class ColumnStore:
     """Every row's positions at the recorded columns cols (a slice, maybe
-    stepped), taken chunk by chunk in row order. ensemble(ens) is them as a
-    TrajectoryEnsemble on that stretch of ens's record grid, starting at
-    its first time, its record_stride ens's times the slice's step, its
-    times ens's own at those columns, with ens's status and meta: what a
-    reader that can start only after the last chunk reads
-    (the OU pipeline's relaxing classifier, whose bins come from the
-    sample's variance), without the rest of the run."""
+    stepped), taken chunk by chunk in row order, as an (n_traj, columns)
+    array: what a reader that can start only after the last chunk reads,
+    without the rest of the run (the OU pipeline's equilibrium variance
+    and the relaxing sample's variance at the classifier's middle time,
+    one column each)."""
 
     def __init__(self, n_traj: int, cols: slice):
         self.cols = cols
@@ -941,14 +940,6 @@ class ColumnStore:
         hi = self._rows + chunk.n_traj
         self.positions[self._rows:hi] = chunk.positions[:, self.cols]
         self._rows = hi
-
-    def ensemble(self, ens: TrajectoryEnsemble) -> TrajectoryEnsemble:
-        times = ens.times[self.cols]
-        stride = ens.record_stride * (self.cols.step or 1)
-        return TrajectoryEnsemble(
-            t0=float(times[0]), dt=ens.dt, n_steps=(times.size - 1) * stride,
-            record_stride=stride, times=times, positions=self.positions,
-            velocities=None, status=ens.status, meta=ens.meta)
 
 
 def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Path:
@@ -964,8 +955,9 @@ def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Pa
     return writer.close(ens)
 
 
-def load_ensemble(directory) -> TrajectoryEnsemble:
-    directory = Path(directory)
+def _dump_meta(directory: Path) -> dict:
+    """A dump's meta.json; a dump without one was cut off, and one of
+    another schema_version is not read."""
     if not (directory / "meta.json").is_file():
         raise IntegrationError(f"no meta.json under {directory}: the dump is "
                                f"missing or was cut off before it was complete")
@@ -974,6 +966,12 @@ def load_ensemble(directory) -> TrajectoryEnsemble:
         raise IntegrationError(
             f"unsupported ensemble schema_version {meta['schema_version']}"
         )
+    return meta
+
+
+def load_ensemble(directory) -> TrajectoryEnsemble:
+    directory = Path(directory)
+    meta = _dump_meta(directory)
     times = np.load(directory / "times.npy")
     return TrajectoryEnsemble(
         t0=meta["t0"], dt=meta["dt"], n_steps=meta["n_steps"],
@@ -987,3 +985,47 @@ def load_ensemble(directory) -> TrajectoryEnsemble:
         meta=meta.get("meta", {}),
     )
 
+
+def load_blocks(directory, cols: slice, rows: int):
+    """A dump's positions read back rows at a time, in row order: yields
+    one TrajectoryEnsemble per block of rows rows (the last maybe fewer),
+    its positions the block's at the recorded columns cols (a slice, maybe
+    stepped) and its status the block's, on that stretch of the dump's
+    record grid: starting at its first time, record_stride the dump's
+    times the slice's step, times the dump's at those columns. Each block
+    is read with readinto into one buffer of rows whole rows, reused, so
+    a block's positions are a view that the next block overwrites: a
+    consumer copies what it keeps. Nothing is mapped: mapped pages would
+    count in the process's resident set. A dump without meta.json (cut
+    off) and a positions.npy that is not C-order float64 of meta.json's
+    n_traj rows and the record grid's columns are refused."""
+    directory = Path(directory)
+    meta = _dump_meta(directory)
+    times = np.load(directory / "times.npy")
+    status = np.load(directory / "status.npy")
+    n_traj, n_rec = meta["n_traj"], times.size
+    part = times[cols]
+    stride = meta["record_stride"] * (cols.step or 1)
+    path = directory / "positions.npy"
+    buf = np.empty((min(rows, n_traj), n_rec))
+    with open(path, "rb") as fh:
+        try:
+            header = (np.lib.format.read_array_header_1_0(fh)
+                      if np.lib.format.read_magic(fh) == (1, 0) else None)
+        except ValueError:
+            header = None
+        if header != ((n_traj, n_rec), False, np.dtype(float)):
+            raise IntegrationError(
+                f"{path} is not a C-order float64 array of shape "
+                f"({n_traj}, {n_rec}), meta.json's n_traj by the recorded "
+                f"times")
+        for lo in range(0, n_traj, rows):
+            block = buf[:min(rows, n_traj - lo)]
+            if fh.readinto(block) != block.nbytes:
+                raise IntegrationError(
+                    f"{path} ends before row {lo + len(block)}")
+            yield TrajectoryEnsemble(
+                t0=float(part[0]), dt=meta["dt"],
+                n_steps=(part.size - 1) * stride, record_stride=stride,
+                times=part, positions=block[:, cols], velocities=None,
+                status=status[lo:lo + len(block)], meta=meta.get("meta", {}))

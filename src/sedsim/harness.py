@@ -32,9 +32,11 @@ ou_calibration
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import resource
+import tempfile
 import time as _time
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
@@ -47,10 +49,10 @@ from .config import (ConfigError, config_hash, dumps_config, load_config,
 from .dynamics import (STATUS_OK, BalanceSums, ColumnStore, EnergySums,
                        EnsembleWriter, ParticleSpec, DeltaIC, GaussianIC,
                        comb_time_grid, harmonic_potential, integrate_stream,
-                       record_times, stationary_guess_ic, window_columns)
+                       load_blocks, record_times, stationary_guess_ic,
+                       window_columns)
 from .field import FieldSpec, autocorrelation_check, conv_length, make_field
-from .kinematics import (CoarseGrainSpec, KinematicsError, SampleSet,
-                         classify_branch)
+from .kinematics import CoarseGrainSpec, KinematicsError, SampleSet
 from .reference import (gaussian_density, ou_stationary_variance, ou_stream,
                         ou_u_slope_equilibrium)
 from .schrodinger import GridSpec, solve_stationary, velocity_fields
@@ -400,6 +402,7 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
     _built("ensemble.n_traj", EnergySums.enough_rows, n_traj)
     dump_fmt = cfg["outputs"].get("ensemble_dump", "binary")
     master_seed = int(cfg["seeds"]["master_seed"])
+    n_ac = 200      # field realizations the autocorrelation check draws
     info.update(dt=dt, n_steps=n_steps, n_fft=n_fft, n_workers=n_workers,
                 n_conv=conv_length(fspec.n_modes, times.size), n_chunks=0)
 
@@ -452,7 +455,6 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
 
         # field-synthesis cross-check: fresh realizations, never the
         # driving ones
-        n_ac = 200
         ac_reals = [make_field(fspec, (master_seed, i, 2)) for i in range(n_ac)]
         ac_lags = [0.0, 0.5 * math.pi / fspec.omega_cutoff,
                    2.0 * math.pi / fspec.omega_cutoff]
@@ -464,6 +466,12 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
         energies, states = _stage(
             info, "reference-eigensolve", solve_stationary, grid,
             particle.potential.V, particle.mass, d_ref, 1)
+        return _stage(info, "report-rows", rows, run_dir, head, balance,
+                      balance_sums, rho_field, branch, sweep, ac, energies,
+                      states)
+
+    def rows(run_dir, head, balance, balance_sums, rho_field, branch, sweep,
+             ac, energies, states):
         psi0 = states[0]
         e0 = float(energies[0])
         x_var_ref = psi0.position_var()
@@ -549,7 +557,10 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
 
 def _plan_ou_calibration(cfg: dict, info: dict):
     """The ou run of cfg, planned: refused, or returned as run(run_dir,
-    progress) with every object it derives from cfg built."""
+    progress) with every object it derives from cfg built. The run keeps
+    one column per relaxing trajectory: the branch classifier reads its
+    columns back from the relaxing dump, which is temporary with
+    outputs.ensemble_dump "none"."""
     particle = _build_particle(cfg)
     stiffness = particle.potential.params["stiffness"]
     lv, tcfg, cg = cfg["langevin"], cfg["time"], cfg["coarse_grain"]
@@ -581,17 +592,21 @@ def _plan_ou_calibration(cfg: dict, info: dict):
     refs = (lo, (lo + hi) / 2.0, hi)
     # coarser bins than the estimator grid: the classifier needs smooth
     # second derivatives over the occupied span more than x resolution.
-    # The span comes from the relaxing sample
+    # The span comes from the relaxing sample's variance at the middle
+    # reference time
     relax_spec = CoarseGrainSpec(
         delta_t=delta_t, x_range=spec0.x_range, reference_times=refs,
         x_bins=int(cg.get("classifier_bins", 16)), min_count=spec0.min_count)
-    # the store keeps the columns the classifier reads, first, mid and last
-    # each +- k, every g-th from first - k; g = 1 where mid is off the grid
-    # (the classifier refuses it) or g dt steps would round k dt apart
+    # the classifier reads the columns first, mid and last each +- k back
+    # from the relaxing dump, every g-th from first - k; g = 1 where mid is
+    # off the grid (the classifier refuses it) or g dt steps would round
+    # k dt apart. mid_col is the middle reference time's column there
     g = math.gcd(k, (last - first) // 2) if (last - first) % 2 == 0 else 1
     if k // g * (dt * g) != k * dt:
         g = 1
     relax_cols = slice(first - k, last + k + 1, g)
+    mid_col = first - k + g * int(round(
+        (refs[1] - float(times[first - k])) / (dt * g)))
     n_traj = cfg["ensemble"]["n_traj"]
     n_relax = lv.get("n_traj_relax", 500_000)
     # the sweep estimates D on the equilibrium sample, the classifier on
@@ -608,47 +623,50 @@ def _plan_ou_calibration(cfg: dict, info: dict):
 
     def run(run_dir: Path, progress) -> list:
         def sample(stage, dump_stage, dump_dir, n, seed, x0, consumers):
-            """Sample n trajectories; each block goes to the consumers and
-            the dump, and is dropped."""
-            if dump_fmt != "none":
-                writer = EnsembleWriter(run_dir / dump_dir, n, times.size,
-                                        ("positions",))
+            """Sample n trajectories; each block goes to the consumers and,
+            unless dump_dir is None, to the dump there, and is dropped."""
+            if dump_dir is not None:
+                writer = EnsembleWriter(dump_dir, n, times.size, ("positions",))
                 consumers = [*consumers, writer]
             head = _stage(info, stage, ou_stream, theta, d0, n, dt, n_steps,
                           seed, consumers, x0=x0, t0=t0)
-            if dump_fmt != "none":
+            if dump_dir is not None:
                 _stage(info, dump_stage, writer.close, head)
             return head
 
         # the equilibrium sample goes to the estimators' two sample sets
         # (the fields' without D, which no row reads) and to the store of
         # the first reference time's column, which the variance row reads;
-        # the relaxing one to the store of the columns the classifier
-        # reads, whose bins come from the sample's variance
+        # the relaxing one to its dump, a temporary one with ensemble_dump
+        # "none", and to the store of the middle reference time's
+        # column, whose variance fixes the classifier's bins. The
+        # classifier then reads its columns back from that dump
         samples = SampleSet(times, dt, spec0, lags=())
         sweep_set = SampleSet(times, dt, sweep_spec, lags=sweep_lags,
                               cells=None)
         col = int(samples.ridx[0])
         ref_column = ColumnStore(n_traj, slice(col, col + 1))
-        eq = sample("sample-equilibrium", "dump", "ensemble", n_traj,
-                    (master_seed, 0), "stationary",
+        eq = sample("sample-equilibrium", "dump",
+                    None if dump_fmt == "none" else run_dir / "ensemble",
+                    n_traj, (master_seed, 0), "stationary",
                     [samples, sweep_set, ref_column])
-        relax_store = ColumnStore(n_relax, relax_cols)
-        relax = relax_store.ensemble(sample(
-            "sample-relaxing", "dump-relaxing", "ensemble_relaxing", n_relax,
-            (master_seed, 1), x_start, [relax_store]))
+        with (tempfile.TemporaryDirectory(dir=run_dir) if dump_fmt == "none"
+              else contextlib.nullcontext(run_dir / "ensemble_relaxing")
+              ) as relax_dir:
+            mid_column = ColumnStore(n_relax, slice(mid_col, mid_col + 1))
+            sample("sample-relaxing", "dump-relaxing", relax_dir, n_relax,
+                   (master_seed, 1), x_start, [mid_column])
+            s_star = float(np.var(mid_column.positions[:, 0]))
+            del mid_column
 
-        v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
-        x_ref2 = np.square(ref_column.positions[eq.ok_mask(), 0])
-        sweep = _stage(info, "diffusion-sweep", sweep_set.sweep)
-        (run_dir / "dsweep.json").write_text(dumps_config(sweep.to_dict()))
+            v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
+            x_ref2 = np.square(ref_column.positions[eq.ok_mask(), 0])
+            sweep = _stage(info, "diffusion-sweep", sweep_set.sweep)
+            (run_dir / "dsweep.json").write_text(dumps_config(sweep.to_dict()))
 
-        mid_idx = int(round((refs[1] - relax.t0) / relax.rec_dt))
-        s_star = float(np.var(relax.positions[:, mid_idx]))
-        span = 3.2 * math.sqrt(s_star)
-        branch = _stage(info, "branch-classifier", lambda: classify_branch(
-            relax, replace(relax_spec, x_range=(-span, span)), particle.mass,
-            particle.potential.f, D=None, time_derivative="measured"))
+            span = 3.2 * math.sqrt(s_star)
+            branch = _stage(info, "branch-classifier", classify, relax_dir,
+                            replace(relax_spec, x_range=(-span, span)))
         (run_dir / "branch.json").write_text(dumps_config({
             **branch.to_dict(),
             "time_derivative": "measured",
@@ -659,6 +677,18 @@ def _plan_ou_calibration(cfg: dict, info: dict):
 
         return _stage(info, "report-rows", rows, run_dir, v_field, u_field,
                       va_est, sweep, branch, x_ref2)
+
+    def classify(relax_dir, spec):
+        """The measured-derivative branch classifier on the relaxing dump's
+        columns relax_cols, read back in blocks of the sample set's
+        block_rows, so its sums are those of the whole columns bit for
+        bit."""
+        relax_set = SampleSet(times[relax_cols], dt * g, spec,
+                              cells="per_time")
+        for chunk in load_blocks(relax_dir, relax_cols, relax_set.block_rows):
+            relax_set.take(chunk)
+        return relax_set.classify_branch(particle.mass, particle.potential.f,
+                                         D=None, time_derivative="measured")
 
     def rows(run_dir, v_field, u_field, va_est, sweep, branch, x_ref2):
         # closed-form references
@@ -774,9 +804,9 @@ def run_experiment(config, output_root=None, progress=None) -> RunResult:
     code, or with the failed_stage and the error of a run that fails; such
     a run keeps its partial artifacts, writes no report and raises the
     error again. A dump cut off that way has no meta.json, which
-    load_ensemble refuses. progress(done, n_traj), when given, is called
-    after each chunk the SED stream hands over; by default nothing is
-    printed. Exit code 0 means every report row passed.
+    load_ensemble and load_blocks refuse. progress(done, n_traj), when
+    given, is called after each chunk the SED stream hands over; by
+    default nothing is printed. Exit code 0 means every report row passed.
     """
     if isinstance(config, (str, Path)):
         cfg = load_config(config)

@@ -375,9 +375,9 @@ class SampleSet:
     is estimated at; a set with no lags (lags=()) keeps nothing for D,
     and diffusion() refuses it. The bin edges cut spec.x_range into
     spec.x_bins. All are fixed before the first chunk. take walks the
-    chunk's intact rows in blocks of about _BLOCK_SAMPLES samples
-    (TrajectoryEnsemble.intact_blocks), gathers the positions it reads,
-    bins each block's central samples and adds:
+    chunk's intact rows in blocks of block_rows rows, about _BLOCK_SAMPLES
+    samples (TrajectoryEnsemble.intact_blocks), gathers the positions it
+    reads, bins each block's central samples and adds:
     - the central samples' counts per cell: per bin, or with cells
       "per_time" per reference time and bin (what the measured residuals
       read); the per-bin counts are their sum over reference times;
@@ -458,6 +458,14 @@ class SampleSet:
         samples.take(ens)
         return samples
 
+    @property
+    def block_rows(self) -> int:
+        """The rows of a block of take's walk, about _BLOCK_SAMPLES samples:
+        chunks of a multiple of this many rows (the last maybe fewer) cut
+        the rows where the whole array's walk does, so they give its sums
+        bit for bit."""
+        return max(1, _BLOCK_SAMPLES // self.ridx.size)
+
     def _blocks(self, chunk: TrajectoryEnsemble):
         """Walk chunk's intact rows in row order, about _BLOCK_SAMPLES
         samples at a time, over the columns from the first to the last one
@@ -466,8 +474,7 @@ class SampleSet:
         (rows, n_ref) copy (x[:, idx] alone comes out column-major)."""
         lo = self.ridx.min() + min(self.offsets)
         span = slice(lo, self.ridx.max() + max(self.offsets) + 1)
-        rows = max(1, _BLOCK_SAMPLES // self.ridx.size)
-        for (x,) in chunk.intact_blocks(("positions",), span, rows):
+        for (x,) in chunk.intact_blocks(("positions",), span, self.block_rows):
             yield {s: np.ascontiguousarray(x[:, self.ridx + s - lo])
                    for s in self.offsets}
 

@@ -38,6 +38,7 @@ from sedsim.dynamics import (
     harmonic_potential,
     integrate_ensemble,
     integrate_stream,
+    load_blocks,
     load_ensemble,
     quartic_potential,
     relaxation_curve,
@@ -836,8 +837,7 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
     # the chunks, handed over in row order also with 3 workers, are the
     # rows of integrate_ensemble's arrays; the stream returns the ensemble
     # without them, and a ColumnStore keeps the columns it was given, also
-    # every third of them, on a grid of their times. Each path has its own
-    # chunk width
+    # every third of them. Each path has its own chunk width
     width = CHUNK if loop else RESPONSE_CHUNK
     n_traj = 2 * width + 44
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
@@ -860,18 +860,9 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
         assert np.array_equal(head.status, whole.status)
         assert np.array_equal(head.times, whole.times)
         assert head.meta == whole.meta and head.dt == whole.dt
-        part = store.ensemble(head)
-        assert np.array_equal(part.positions, whole.positions[:, 4:9])
-        assert np.array_equal(part.times, whole.times[4:9])
-        assert (part.t0, part.rec_dt) == (whole.times[4], whole.rec_dt)
-        assert part.status is head.status
-        part = stepped.ensemble(head)
-        assert np.array_equal(part.positions, whole.positions[:, [2, 5, 8, 11]])
-        assert np.array_equal(part.times, whole.times[[2, 5, 8, 11]])
-        assert part.t0 == whole.times[2]
-        assert part.record_stride == 3 * whole.record_stride
-        assert part.rec_dt == 3 * whole.rec_dt
-        assert part.n_steps == 9 * whole.record_stride
+        assert np.array_equal(store.positions, whole.positions[:, 4:9])
+        assert np.array_equal(stepped.positions,
+                              whole.positions[:, [2, 5, 8, 11]])
 
 
 def test_response_rows_do_not_depend_on_the_chunk_width(monkeypatch):
@@ -1379,6 +1370,72 @@ def test_writer_peak_does_not_grow_with_the_rows(tmp_path):
     assert peaks[1] - peaks[0] < 1e6
     assert np.array_equal(np.load(tmp_path / "200000" / "positions.npy"),
                           np.ones((200_000, 2)))
+
+
+def test_dump_blocks_are_the_whole_arrays_columns(tmp_path):
+    # a dump of integrate_ensemble (record stride 2, one row flagged), read
+    # back 7 rows at a time over a slice of columns and over every third
+    # of them: 3 blocks, the last short, whose positions and status are
+    # the whole arrays' rows and columns, each on the grid of its columns'
+    # times, from their first time and with the slice's step
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    ens = integrate_ensemble(particle, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
+                             0.0, 0.2, 30, 17, 9, record_stride=2)
+    ens.status[10] = STATUS_NONFINITE
+    dump_ensemble(ens, tmp_path / "d")
+    for cols, step in ((slice(4, 9), 1), (slice(2, 13, 3), 3)):
+        blocks = [replace(b, positions=b.positions.copy())
+                  for b in load_blocks(tmp_path / "d", cols, 7)]
+        assert [b.n_traj for b in blocks] == [7, 7, 3]
+        assert np.array_equal(
+            np.concatenate([b.positions for b in blocks]), ens.positions[:, cols])
+        assert np.array_equal(np.concatenate([b.status for b in blocks]),
+                              ens.status)
+        for b in blocks:
+            assert np.array_equal(b.times, ens.times[cols])
+            assert b.t0 == ens.times[cols.start]
+            assert b.dt == ens.dt
+            assert b.record_stride == step * ens.record_stride
+            assert b.rec_dt == step * ens.rec_dt
+            assert b.n_steps == (b.times.size - 1) * b.record_stride
+            assert b.velocities is None
+            assert b.meta == ens.meta
+
+
+def test_dump_blocks_refuse_a_dump_without_meta(tmp_path):
+    ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
+                             0.0, 0.1, 5, 3, 1)
+    dump_ensemble(ens, tmp_path / "d")
+    (tmp_path / "d" / "meta.json").unlink()
+    with pytest.raises(IntegrationError, match="cut off") as err:
+        next(load_blocks(tmp_path / "d", slice(0, 6), 2))
+    assert str(tmp_path / "d") in str(err.value)
+
+
+@pytest.mark.parametrize("array", [
+    np.zeros((3, 6), dtype=np.float32),
+    np.asfortranarray(np.zeros((3, 6))),
+    np.zeros((4, 6)),
+    np.zeros((3, 5)),
+    np.zeros(18),
+])
+def test_dump_blocks_refuse_positions_of_another_layout(tmp_path, array):
+    # positions.npy must be C-order float64 of meta.json's n_traj rows by
+    # the recorded times; a file cut short is refused at its first missing
+    # row
+    ens = integrate_ensemble(harmonic_particle(), ZERO_FIELD, DeltaIC(1.0, 0.0),
+                             0.0, 0.1, 5, 3, 1)
+    dump_ensemble(ens, tmp_path / "d")
+    path = tmp_path / "d" / "positions.npy"
+    saved = path.read_bytes()
+    np.save(path, array)
+    with pytest.raises(IntegrationError, match="C-order float64") as err:
+        next(load_blocks(tmp_path / "d", slice(0, 6), 2))
+    assert str(path) in str(err.value)
+    path.write_bytes(saved[:-8])
+    with pytest.raises(IntegrationError, match="ends before row 3"):
+        list(load_blocks(tmp_path / "d", slice(0, 6), 2))
 
 
 def test_dump_schema_version_guard(tmp_path):

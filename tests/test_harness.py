@@ -307,6 +307,25 @@ def test_failed_stage_without_flagged_trajectories(tmp_path, monkeypatch):
                                                    "dump"]
 
 
+def test_sed_report_rows_fail_in_their_stage(tmp_path, monkeypatch):
+    # the sed rows are built in the report-rows stage: an input of a row
+    # that raises there names the stage, after every artifact the rows
+    # read, and writes no report
+    def broken(*args, **kwargs):
+        raise ValueError("no variance today")
+
+    monkeypatch.setattr(harness.BalanceSums, "position_variance", broken)
+    with pytest.raises(PipelineError) as err:
+        run_experiment(mini_sed_config(), output_root=tmp_path)
+    assert str(err.value) == "stage 'report-rows' failed: no variance today"
+    run_dir = tmp_path / "mini_sed"
+    run = json.loads((run_dir / "run.json").read_text())
+    assert run["failed_stage"] == "report-rows"
+    assert [st["name"] for st in run["stages"]][-1] == "reference-eigensolve"
+    assert (run_dir / "branch.json").is_file()
+    assert not (run_dir / "report.json").exists()
+
+
 def test_degraded_configs_are_refused_or_fail_in_a_named_stage(tmp_path):
     # every outcome of a config that passes the schema is a refusal before
     # the directory exists, a complete report, or a PipelineError naming
@@ -364,9 +383,10 @@ def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
     # the sums of that walk. sed: two sets, one at the lag (fields and
     # classifier) and one for the sweep, over 2 chunks of integrate. ou:
     # the equilibrium sample's two sets over its 10 blocks of 2,048 rows,
-    # and the relaxing classifier's set, made from its store once the
-    # sample's variance sets its bins, over that one chunk after the
-    # stream. Each binned mean (v, u, va) is finished once per set.
+    # and the relaxing classifier's set, made once the sample's variance
+    # sets its bins, over the 5 blocks of its block_rows (10,922) rows that
+    # it reads back from the relaxing dump after the stream. Each binned
+    # mean (v, u, va) is finished once per set.
     counts = {"walk": 0, "binned_mean": 0, "after_stream": 0}
     streaming = []
     walk = kinematics.SampleSet._blocks
@@ -399,7 +419,7 @@ def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
 
     counts.update(walk=0, binned_mean=0, after_stream=0)
     run_experiment(mini_ou_config(), output_root=tmp_path / "ou")
-    assert counts == {"walk": 2 * 10 + 1, "binned_mean": 3, "after_stream": 1}
+    assert counts == {"walk": 2 * 10 + 5, "binned_mean": 3, "after_stream": 5}
 
 
 def test_existing_run_directory_is_refused(tmp_path):
@@ -915,10 +935,10 @@ def test_sed_run_holds_a_few_chunks_and_the_sample_sums(tmp_path,
 
 def test_sed_run_keeps_no_positions_for_the_estimators(tmp_path,
                                                        monkeypatch):
-    # no column store, and no sample set walks anything once integrate
-    # has handed over the last chunk
+    # no column store, no dump read back, and no sample set walks
+    # anything once integrate has handed over the last chunk
     def no_store(*args, **kwargs):
-        raise AssertionError("the sed run built a ColumnStore")
+        raise AssertionError("the sed run built a ColumnStore or read a dump")
 
     stream, walk, late = harness.integrate_stream, kinematics.SampleSet._blocks, []
 
@@ -934,6 +954,7 @@ def test_sed_run_keeps_no_positions_for_the_estimators(tmp_path,
 
     monkeypatch.setattr(harness, "ColumnStore", no_store)
     monkeypatch.setattr(dynamics, "ColumnStore", no_store)
+    monkeypatch.setattr(harness, "load_blocks", no_store)
     monkeypatch.setattr(harness, "integrate_stream", finished_stream)
     monkeypatch.setattr(kinematics.SampleSet, "_blocks", counting_walk)
     result = run_experiment(mini_sed_config(), output_root=tmp_path)
@@ -946,57 +967,69 @@ def test_sed_run_keeps_no_positions_for_the_estimators(tmp_path,
     ([0.16, 0.22], None, 14, 1, 11, 9),
     ([0.15, 0.25], 0.15, 0, 1, 41, 9),
 ])
-def test_relaxing_store_keeps_the_columns_the_classifier_reads(
+def test_relaxing_dump_gives_the_columns_the_classifier_reads(
         tmp_path, monkeypatch, window, lag, start, step, n_cols, n_read):
-    # the classifier reads its three reference columns, each +- the lag.
-    # On the shipped window (16, 20 and 24, lag 2 steps) the store keeps
-    # every second column from 14 to 26, each of which the relaxing
-    # classifier's set reads. On a window of 6 steps (16, 19 and 22) a step
-    # of 2 would put the middle column off its grid; at a lag of 15 steps
-    # on 15, 20 and 25, 3 steps of 5 dt round apart from 15 dt. So those
-    # stores keep every column from the first to the last, some unread.
-    # Each way a store of every such column gives the same branch.json bit
-    # for bit
+    # the classifier reads its three reference columns, each +- the lag,
+    # back from the relaxing dump in blocks of its set's block_rows. On the
+    # shipped window (16, 20 and 24, lag 2 steps) it reads every second
+    # column from 14 to 26, each of which its set reads. On a window of 6
+    # steps (16, 19 and 22) a step of 2 would put the middle column off its
+    # grid; at a lag of 15 steps on 15, 20 and 25, 3 steps of 5 dt round
+    # apart from 15 dt. So those read every column from the first to the
+    # last, some unused. Each way the classifier on every column of the
+    # whole dump, loaded at once, gives branch.json's numbers bit for bit
     cfg = mini_ou_config()
+    cfg["outputs"]["ensemble_dump"] = "binary"
     if window is not None:
         cfg["langevin"]["t_relax_window"] = window
     if lag is not None:
         cfg["coarse_grain"]["delta_t"] = lag
-    stores, sets = [], []
-    store_class, of = harness.ColumnStore, kinematics.SampleSet.of
+    reads, sets = [], []
+    load, classify = harness.load_blocks, kinematics.SampleSet.classify_branch
 
-    def recorded_store(n_traj, cols):
-        stores.append(store_class(n_traj, cols))
-        return stores[-1]
+    def recorded_load(directory, cols, rows):
+        reads.append((cols, rows))
+        return load(directory, cols, rows)
 
-    def recorded_of(ens, spec, **kwargs):
-        sets.append(of(ens, spec, **kwargs))
-        return sets[-1]
+    def recorded_classify(samples, *args, **kwargs):
+        sets.append(samples)
+        return classify(samples, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "ColumnStore", recorded_store)
-    monkeypatch.setattr(kinematics.SampleSet, "of", staticmethod(recorded_of))
-    result = run_experiment(cfg, output_root=tmp_path / "stepped")
-    store, (samples,) = stores[-1], sets
-    assert (store.cols.start, store.cols.step) == (start, step)
-    assert store.positions.shape == (50_000, n_cols)
+    monkeypatch.setattr(harness, "load_blocks", recorded_load)
+    monkeypatch.setattr(kinematics.SampleSet, "classify_branch",
+                        recorded_classify)
+    result = run_experiment(cfg, output_root=tmp_path)
+    ((cols, rows),), (samples,) = reads, sets
+    assert (cols.start, cols.step) == (start, step)
+    assert len(range(cols.start, cols.stop, cols.step)) == n_cols
+    assert rows == samples.block_rows == 10_922
     read = {int(r) + s for r in samples.ridx for s in samples.offsets}
     assert read <= set(range(n_cols)) and {0, n_cols - 1} <= read
     assert len(read) == n_read
 
-    monkeypatch.setattr(harness, "ColumnStore", lambda n_traj, cols: (
-        store_class(n_traj, slice(cols.start, cols.stop))))
-    every = run_experiment(cfg, output_root=tmp_path / "every")
-    assert ((result.run_dir / "branch.json").read_bytes()
-            == (every.run_dir / "branch.json").read_bytes())
+    # the bins span 3.2 sd of the middle reference column's positions
+    relaxing = load_ensemble(result.run_dir / "ensemble_relaxing")
+    written = json.loads((result.run_dir / "branch.json").read_text())
+    s_star = written["relaxing_variance_at_mid"]
+    mid = cols.start + cols.step * int(samples.ridx[1])
+    assert s_star == float(np.var(relaxing.positions[:, mid]))
+    span = 3.2 * math.sqrt(s_star)
+    assert samples.spec.x_range == (-span, span)
+    assert samples.spec.x_bins == 16        # classifier_bins' default
+    particle = harness._build_particle(cfg)
+    whole = kinematics.classify_branch(
+        relaxing, samples.spec, particle.mass, particle.potential.f,
+        time_derivative="measured")
+    assert json.loads(dumps_config(whole.to_dict())).items() <= written.items()
 
 
 def test_ou_run_holds_the_classifier_columns_per_relaxing_trajectory(
         tmp_path):
-    # per relaxing trajectory the run keeps the 7 stored columns (56 B),
-    # its status (1 B) and the classifier's per-sample D state (3 x 9 B),
-    # and no array of seeds or starts past the sampling: the traced peak
-    # grows by at most 90 B per added relaxing trajectory (149 B with all
-    # 13 columns, the seeds and the starts)
+    # per relaxing trajectory the run keeps one column, the middle
+    # reference time's (8 B), whose variance takes one more, and a status
+    # byte while it samples and while the classifier reads: the traced
+    # peak grows by at most 16 B per added relaxing trajectory (90 B with
+    # the classifier's 7 columns kept)
     peaks = {}
     for n_relax in (50_000, 200_000):
         tracemalloc.start()
@@ -1006,7 +1039,44 @@ def test_ou_run_holds_the_classifier_columns_per_relaxing_trajectory(
             peaks[n_relax] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert (peaks[200_000] - peaks[50_000]) / 150_000 <= 90
+    assert (peaks[200_000] - peaks[50_000]) / 150_000 <= 16
+
+
+def test_ou_run_without_a_dump_reads_a_temporary_one(tmp_path, monkeypatch):
+    # ensemble_dump "none" sends the relaxing sample to a temporary dump
+    # under the run directory, removed when the classifier ends: the
+    # classifier and the report read the same numbers as from the kept
+    # dump, and only fields/ is left as a directory, also when the
+    # classifier raises
+    outputs = {}
+    for dump in ("binary", "none"):
+        cfg = mini_ou_config()
+        cfg["outputs"]["ensemble_dump"] = dump
+        outputs[dump] = run_experiment(cfg, output_root=tmp_path / dump).run_dir
+    binary, none = outputs["binary"], outputs["none"]
+    assert ((binary / "branch.json").read_bytes()
+            == (none / "branch.json").read_bytes())
+    reports = [json.loads((d / "report.json").read_text())
+               for d in (binary, none)]
+    assert reports[0]["config_hash"] != reports[1]["config_hash"]
+    for report in reports:
+        del report["config_hash"]
+    assert dumps_config(reports[0]) == dumps_config(reports[1])
+    assert sorted(p.name for p in binary.iterdir() if p.is_dir()) == [
+        "ensemble", "ensemble_relaxing", "fields"]
+    assert [p.name for p in none.iterdir() if p.is_dir()] == ["fields"]
+
+    def broken(*args, **kwargs):
+        raise ValueError("no classifier today")
+
+    monkeypatch.setattr(kinematics.SampleSet, "classify_branch", broken)
+    with pytest.raises(PipelineError) as err:
+        run_experiment(mini_ou_config(), output_root=tmp_path / "broken")
+    run_dir = tmp_path / "broken" / "runs" / "ou_probe"
+    run = json.loads((run_dir / "run.json").read_text())
+    assert run["failed_stage"] == "branch-classifier"
+    assert str(err.value) == "stage 'branch-classifier' failed: no classifier today"
+    assert [p.name for p in run_dir.iterdir() if p.is_dir()] == ["fields"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ For every config under TREE_A/configs, runs `sedsim run` on that config
 and then `sedsim plot` on its run directory, once in each tree: each in a
 fresh process with PYTHONPATH=TREE/src and OpenBLAS, OpenMP and MKL at one
 thread. Each tree runs its own copy of the config, at the master_seed it
-ships with. Then runs sedbench's sed-quartic execution
+ships with. Then runs configs/ou_calibration.json with
+outputs.ensemble_dump "none" the same way, whose relaxing dump is
+temporary, and counts as a difference any directory its run directory
+holds but fields/ and plots/. Then runs sedbench's sed-quartic execution
 (workloads.Quartic().execute, the library route through estimate_v ...
 classify_branch) at master_seed QUARTIC_SEED the same way, each tree with
 its own sedbench. Lists, per config and for that execution, the artifacts
@@ -86,6 +89,27 @@ def json_deviation(a: Path, b: Path):
     return max(devs, default=0.0) if walk(*docs) else None
 
 
+def run_without_dump(tree: Path, root: Path):
+    """(exit statuses, run directory) of the tree's ou_calibration.json
+    with outputs.ensemble_dump "none", its copy written under root."""
+    cfg = json.loads((tree / "configs" / "ou_calibration.json").read_text())
+    cfg["outputs"]["ensemble_dump"] = "none"
+    root.mkdir(parents=True)
+    config = root / "ou_calibration_none.json"
+    config.write_text(json.dumps(cfg))
+    return run(tree, config, root)
+
+
+def leftover_directories(run_dir: Path) -> int:
+    """Print and count the directories under run_dir but fields/ and
+    plots/."""
+    extra = sorted(p.name for p in run_dir.glob("*")
+                   if p.is_dir() and p.name not in ("fields", "plots"))
+    if extra:
+        print(f"  leftover directories in {run_dir.name}: {extra}")
+    return len(extra)
+
+
 def run_quartic(tree: Path, root: Path):
     """(exit status, run directory) of the sed-quartic execution."""
     env = {**os.environ, **THREADS, "PYTHONPATH": str(tree / "src")}
@@ -146,6 +170,11 @@ def main(argv) -> int:
             n_differ += compare(f"{config.name} (run, plot)", [
                 run(tree, tree / "configs" / config.name, root)
                 for tree, root in zip(trees, roots)])
+        results = [run_without_dump(tree, Path(tmp) / name / "ou_none")
+                   for tree, name in zip(trees, ("a", "b"))]
+        n_differ += sum(leftover_directories(d) for _, d in results)
+        n_differ += compare("ou_calibration.json, ensemble_dump none "
+                            "(run, plot)", results)
         n_differ += compare("sed-quartic execution", [
             run_quartic(tree, Path(tmp) / name / "quartic")
             for tree, name in zip(trees, ("a", "b"))])
