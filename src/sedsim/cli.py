@@ -12,8 +12,8 @@ Exit codes: 0 all tolerances pass, 1 tolerance failure or pipeline failure,
 which outputs.directory is created. `run` writes a progress line to stderr
 each time the finished trajectories reach or pass a multiple of 512, and
 when the last one is done: on the step loop, whose chunks are 512 wide,
-one line per chunk; on the response path, whose chunks are 64 wide, one
-line per 8 chunks.
+one line per chunk; on the response path, whose chunks are 32 wide, one
+line per 16 chunks.
 """
 
 from __future__ import annotations

@@ -46,11 +46,12 @@ position variance and the relaxation curve, and the estimators' sample
 sets (kinematics.SampleSet) add its samples to their bin sums and to
 D's. Each trajectory is seeded on its own (Philox keyed by master seed
 and trajectory index; Salmon et al., SC'11), so a chunk does not depend
-on the others. A chunk is CHUNK rows on the step loop and RESPONSE_CHUNK
-on the response path, both multiples of ROW_BLOCK, so a chunk holds whole
-blocks. integrate_ensemble is the stream whose chunks fill whole arrays
-in place; energy_balance, relaxation_curve and dump_ensemble take a whole
-ensemble as one chunk, so both routes give the same bytes.
+on the others. A chunk is CHUNK rows on the step loop and RESPONSE_CHUNK,
+one ROW_BLOCK, on the response path, so a chunk holds whole blocks, and a
+response-path chunk exactly one. integrate_ensemble is the stream whose
+chunks fill whole arrays in place; energy_balance, relaxation_curve and
+dump_ensemble take a whole ensemble as one chunk, so both routes give the
+same bytes.
 """
 
 from __future__ import annotations
@@ -75,23 +76,30 @@ from .field import (CombPlan, FieldSpec, comb_cache_params, comb_sum_slabs,
 # 122-143 at 1,024 (tools/paired_loop.py, 3 runs each, 3,328-point slabs).
 CHUNK = 512
 
-# The response path's width. Its rows are independent, and a chunk's
-# positions, velocities and field are 3 x RESPONSE_CHUNK x n_rec doubles,
-# 12.8 MB on the shipped record grid (102.5 MB at 512 rows). On the shipped
-# sed run (runs alternating with 64 rows) the process peaked at 148, 155,
-# 167 and 236 MiB at 32, 64, 128 and 512 rows, with 149k, 86k, 56k and 44k
-# minor page faults; at 32 rows integrate took 2.48 s against 2.23 s.
-RESPONSE_CHUNK = 64
-
 # Rows taken together wherever whole rows of records are worked on: the
 # transient on the response path and the walk of intact_blocks, whose
 # blocks are fixed by row index. Every chunk width (CHUNK, RESPONSE_CHUNK,
 # reference._ROW_BLOCK) is a multiple of ROW_BLOCK, so a stream's chunks
-# cut no block and its reductions add the whole ensemble's blocks.
+# cut no block and the reductions over intact_blocks add the whole
+# ensemble's blocks. (A SampleSet walks blocks of its own block_rows, 39
+# rows on the shipped sed run, of which no chunk width is a multiple; its
+# walk restarts at each chunk, so its D sums round with the chunk width.)
 # Each temporary is ROW_BLOCK x n_rec doubles, 2.1 MB on the shipped grid.
 # On the shipped run the window reductions took about as long at 8 to 64
 # rows; at 128 the relaxation curve took 1.6x as long.
 ROW_BLOCK = 32
+
+# The response path's width: one row block, which is also one CombPlan
+# transform block (field._SUM_BLOCK), so each consumer takes one block of
+# records at a time. A chunk's positions, velocities and field are
+# 3 x RESPONSE_CHUNK x n_rec doubles, 6.4 MB on the shipped record grid
+# (12.8 MB at 64 rows). Against 64 rows, on a 2-core x86_64 host: the
+# shipped sed run's integrate peaked at 52.3 MiB against 59.3 and took
+# 120k minor faults against 80k (tools/paired_ledger.py, 3 runs each);
+# sedbench's sed-ground peak_rss_mb fell from 108.7 to 101.3 MB and its
+# wall_s rose 3.5 % (medians of 12 alternating pairs, together with the
+# numpy eigensolve of schrodinger.solve_stationary).
+RESPONSE_CHUNK = ROW_BLOCK
 
 # Records per block of the transient on the response path; see _add_transient.
 _TRANSIENT_BLOCK = 64

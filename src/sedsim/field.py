@@ -245,7 +245,10 @@ class CombPlan:
         n = np.arange(m)
         self._pre = chirp[:m] * np.exp(
             1j * (n * dw * t0 + (TWO_PI / n_fft) * (n * (start % n_fft) % n_fft)))
-        self._post = chirp[:n_points] * np.exp(
+        # zero past n_points, so the product runs in place on whole rows of
+        # the work block: on the row-strided head alone numpy made a copy
+        self._post = np.zeros(n_conv, dtype=complex)
+        self._post[:n_points] = chirp[:n_points] * np.exp(
             1j * omega0 * (t0 + h * (start + step * np.arange(n_points))))
 
     def __call__(self, coefs, out=None) -> np.ndarray:
@@ -273,9 +276,8 @@ class CombPlan:
             np.fft.fft(w, axis=-1, out=w)
             w *= self._kernel
             np.fft.ifft(w, axis=-1, norm="forward", out=w)
-            head = w[:, :n_points]
-            head *= self._post
-            values[lo:lo + len(block)] = head.real
+            w *= self._post
+            values[lo:lo + len(block)] = w[:, :n_points].real
         return out
 
 

@@ -276,8 +276,9 @@ def held_beyond_output(particle, n_steps):
     64-mode comb at the shipped step, less its output arrays; the bound
     that peak keeps without a field table of the run; and the size of that
     table. The bound is a (64, n_points + 1) field array, a CombPlan's
-    work array three times (the transforms copy it) and four copies of the
-    chunk's mode coefficients, n_points the longest grid one plan fills: a
+    work array three times (a margin over the work array and the buffers
+    of numpy's in-place products) and four copies of the chunk's mode
+    coefficients, n_points the longest grid one plan fills: a
     slab on the step loop, the record grid on the response path."""
     fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
     _, _, ic, dt, stride = shipped_run_parameters()
@@ -299,8 +300,8 @@ def held_beyond_output(particle, n_steps):
 
 def test_response_path_builds_no_field_table():
     # the longer run's bound holds at both run lengths, and the longer
-    # run's half-step table would not fit under it: measured 0.54 and
-    # 0.95 MB against a bound of 1.73 MB and a 4.10 MB table
+    # run's half-step table would not fit under it: measured 0.37 and
+    # 0.82 MB against a bound of 1.73 MB and a 4.10 MB table
     _, particle, _, _, _ = shipped_run_parameters()
     short, _, _ = held_beyond_output(particle, 1000)
     held, bound, table = held_beyond_output(particle, 4000)
@@ -309,7 +310,7 @@ def test_response_path_builds_no_field_table():
 
 def test_step_loop_builds_no_field_table():
     # 64 modes give slabs of 192 half steps, 21 of them in the longer run:
-    # measured 0.67 and 0.68 MB against a bound of 0.75 MB and a 2.05 MB
+    # measured 0.47 and 0.48 MB against a bound of 0.75 MB and a 2.05 MB
     # table
     _, particle, _, _, _ = shipped_run_parameters()
     short, _, _ = held_beyond_output(on_the_loop(particle), 500)
@@ -736,7 +737,7 @@ def test_trajectory_seeding_is_independent_of_ensemble_size_on_the_loop():
 
 def test_worker_count_does_not_change_bits():
     # three scheduling chunks, the last one short, so threads actually split
-    n_traj = 2 * RESPONSE_CHUNK + 44
+    n_traj = 2 * RESPONSE_CHUNK + 20
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     ic = stationary_guess_ic(1.0, 1.0, 1.0)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
@@ -839,7 +840,7 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
     # without them, and a ColumnStore keeps the columns it was given, also
     # every third of them. Each path has its own chunk width
     width = CHUNK if loop else RESPONSE_CHUNK
-    n_traj = 2 * width + 44
+    n_traj = 2 * width + 20
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
     if loop:
@@ -851,7 +852,7 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
         stepped = ColumnStore(n_traj, slice(2, 13, 3))
         head = integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
                                 [chunks, store, stepped], n_workers=n_workers)
-        assert [c.n_traj for c in chunks.chunks] == [width, width, 44]
+        assert [c.n_traj for c in chunks.chunks] == [width, width, 20]
         for name in ("positions", "velocities", "field_values", "status"):
             assert np.array_equal(
                 np.concatenate([getattr(c, name) for c in chunks.chunks]),
@@ -899,6 +900,36 @@ def test_chunk_widths_are_whole_row_blocks():
     # chunk boundary cuts a block of intact_blocks
     for width in (CHUNK, RESPONSE_CHUNK, sedsim.reference._ROW_BLOCK):
         assert width % ROW_BLOCK == 0, width
+
+
+def test_a_response_chunk_is_one_row_block():
+    # the response path hands its consumers ROW_BLOCK rows at a time (the
+    # last chunk fewer), so a chunk's intact_blocks walk yields one block,
+    # views of the chunk's own rows: a consumer works on one block of
+    # records at a time, on 1 worker and on 3
+    n_traj = 3 * ROW_BLOCK + 5
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    ic = stationary_guess_ic(1.0, 1.0, 1.0)
+    names = ("positions", "velocities", "field_values")
+
+    class Walks:
+        def __init__(self):
+            self.seen = []
+
+        def take(self, chunk):
+            blocks = list(chunk.intact_blocks(names))
+            self.seen.append((chunk.n_traj, len(blocks), all(
+                np.shares_memory(b, getattr(chunk, name))
+                and b.shape[0] == chunk.n_traj
+                for b, name in zip(blocks[0], names))))
+
+    for n_workers in (1, 3):
+        walks = Walks()
+        head = integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
+                                [walks], n_workers=n_workers)
+        assert head.meta["integrator"] == "rk4-response"
+        assert walks.seen == [(ROW_BLOCK, 1, True)] * 3 + [(5, 1, True)]
 
 
 @pytest.mark.parametrize("sizes", [[64, 32, 256, 48], [ROW_BLOCK] * 12 + [16]])
@@ -1268,7 +1299,7 @@ def test_streamed_dump_holds_np_save_bytes(tmp_path):
     # dump and np.save of the whole arrays agree byte for byte, the dump
     # holds those files and meta.json only, and the stream writes meta.json
     # only when it is closed
-    n_traj = 2 * RESPONSE_CHUNK + 44
+    n_traj = 2 * RESPONSE_CHUNK + 20
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
     ic = stationary_guess_ic(1.0, 1.0, 1.0)

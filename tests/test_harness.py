@@ -27,7 +27,7 @@ from sedsim import dynamics, harness, kinematics
 from sedsim.cli import _Progress, main
 from sedsim.config import ConfigError, dumps_config, load_config, validate_config
 from sedsim.dynamics import IntegrationError, load_ensemble
-from sedsim.field import conv_length
+from sedsim.field import _SUM_BLOCK, conv_length
 from sedsim.harness import (
     ComparisonReport,
     PipelineError,
@@ -141,8 +141,8 @@ def test_run_json_records_the_resolved_grid(sed_run, ou_run):
     assert run_meta["n_conv"] == conv_length(ens_meta["meta"]["field_spec"][
         "n_modes"], n_rec)
     assert "n_conv" not in json.dumps(ens_meta)
-    # the chunks integrate handed over: 120 trajectories in 64 and 56
-    assert run_meta["n_chunks"] == 2
+    # the chunks integrate handed over: 120 trajectories in 3 of 32 and 24
+    assert run_meta["n_chunks"] == 4
     assert run_meta["n_workers"] == 1
     ou_meta = json.loads((ou_run.run_dir / "run.json").read_text())
     ou_ens = json.loads((ou_run.run_dir / "ensemble" / "meta.json").read_text())
@@ -161,15 +161,16 @@ def test_shipped_sed_plan_resolves_its_transform_lengths():
 def test_progress_counts_the_chunks_of_a_sed_run(n_workers, tmp_path,
                                                  capsys):
     # the sed stream's last consumer counts its chunks, 120 trajectories in
-    # 64 and 56, and reports the trajectories so far after each; run.json's
-    # n_chunks counts the same calls. Without progress nothing is printed
+    # 3 of 32 and 24, and reports the trajectories so far after each;
+    # run.json's n_chunks counts the same calls. Without progress nothing is
+    # printed
     cfg = mini_sed_config()
     cfg["ensemble"]["n_workers"] = n_workers
     calls = []
     result = run_experiment(
         cfg, output_root=tmp_path / "progress",
         progress=lambda done, total: calls.append((done, total)))
-    assert calls == [(64, 120), (120, 120)]
+    assert calls == [(32, 120), (64, 120), (96, 120), (120, 120)]
     run = json.loads((result.run_dir / "run.json").read_text())
     assert run["n_chunks"] == len(calls)
     run_experiment(cfg, output_root=tmp_path / "quiet")
@@ -381,7 +382,7 @@ def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
     # every sample set walks each chunk once, as the stream hands it over,
     # and its estimates walk nothing: v, u, va and D at every lag come from
     # the sums of that walk. sed: two sets, one at the lag (fields and
-    # classifier) and one for the sweep, over 2 chunks of integrate. ou:
+    # classifier) and one for the sweep, over 4 chunks of integrate. ou:
     # the equilibrium sample's two sets over its 10 blocks of 2,048 rows,
     # and the relaxing classifier's set, made once the sample's variance
     # sets its bins, over the 5 blocks of its block_rows (10,922) rows that
@@ -415,7 +416,7 @@ def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
     for name in ("integrate_stream", "ou_stream"):
         monkeypatch.setattr(harness, name, marked(getattr(harness, name)))
     run_experiment(mini_sed_config(), output_root=tmp_path / "sed")
-    assert counts == {"walk": 2 * 2, "binned_mean": 3, "after_stream": 0}
+    assert counts == {"walk": 2 * 4, "binned_mean": 3, "after_stream": 0}
 
     counts.update(walk=0, binned_mean=0, after_stream=0)
     run_experiment(mini_ou_config(), output_root=tmp_path / "ou")
@@ -895,14 +896,18 @@ def test_a_failed_chunk_leaves_a_dump_that_does_not_load(tmp_path,
 
 def test_sed_run_holds_a_few_chunks_and_the_sample_sums(tmp_path,
                                                         monkeypatch):
-    # the response path's chunks of 64: integrate's peak is about one chunk
-    # (positions, velocities and field values) with its transforms, plus
-    # the two sample sets' sums: per bin, and for D per lag (4 here) the
-    # rows' mean and scatter of (2 bins + 1) numbers, whatever n_traj. The
-    # stages after it finish those sums, and the run stays below them and
-    # 4 chunks, far below the 3 whole arrays. 4,800 trajectories, 3,600
-    # more than 1,200, raise the peak by less than one chunk: the sample
-    # sets keep nothing per trajectory
+    # the response path's chunks are one row block (32 rows): integrate
+    # holds one chunk (positions, velocities and field values), one
+    # transform's work block (_SUM_BLOCK x n_conv complex) and the two
+    # sample sets' sums: per bin, and for D per lag (4 here) the rows'
+    # mean and scatter of (2 bins + 1) numbers, whatever n_traj. The bound
+    # allows that chunk and work block twice, for what sits beside them: the
+    # transient's and the consumers' block temporaries, the coefficient
+    # rows, the plan and the energy balance's per-row means (about 55 B a
+    # row). The stages after integrate finish the sums and stay below it,
+    # far below the 3 whole arrays. 4,800 trajectories, 3,600 more than
+    # 1,200, raise the peak by less than one chunk: the sample sets keep
+    # nothing per trajectory
     stream, peaks = harness.integrate_stream, {}
 
     def measured_stream(*args, **kwargs):
@@ -922,14 +927,19 @@ def test_sed_run_holds_a_few_chunks_and_the_sample_sums(tmp_path,
         finally:
             tracemalloc.stop()
     n_rec = np.load(result.run_dir / "ensemble" / "times.npy").size
+    n_conv = json.loads((result.run_dir / "run.json").read_text())["n_conv"]
     cg = cfg["coarse_grain"]
     lags, bins = 1 + len(cg["delta_t_sweep"]), cg["x_bins"]["n"]
     sums = (lags * (2 * bins + 1) ** 2 * 8
             + 2 * (1 + 2 * 3 + lags) * (bins + 1) * 8)
     chunk = 3 * dynamics.RESPONSE_CHUNK * n_rec * 8
+    work = _SUM_BLOCK * n_conv * 16
+    bound = sums + 2 * (chunk + work)
+    # no looser than the bound at 64-row chunks, two of them and the sums
+    assert bound <= sums + 2 * 3 * 64 * n_rec * 8
     for n_traj, (integrate, peak) in peaks.items():
-        assert integrate < sums + 2 * chunk
-        assert peak < sums + 4 * chunk < 3 * n_traj * n_rec * 8 / 2
+        assert integrate < bound
+        assert peak < bound < 3 * n_traj * n_rec * 8 / 2
     assert peaks[4800][1] - peaks[1200][1] < chunk
 
 
@@ -1024,22 +1034,39 @@ def test_relaxing_dump_gives_the_columns_the_classifier_reads(
 
 
 def test_ou_run_holds_the_classifier_columns_per_relaxing_trajectory(
-        tmp_path):
+        tmp_path, monkeypatch):
     # per relaxing trajectory the run keeps one column, the middle
     # reference time's (8 B), whose variance takes one more, and a status
     # byte while it samples and while the classifier reads: the traced
-    # peak grows by at most 16 B per added relaxing trajectory (90 B with
-    # the classifier's 7 columns kept)
-    peaks = {}
+    # peak of each stage from sample-relaxing to branch-classifier, reset
+    # when the stage starts, grows by at most 16 B per added relaxing
+    # trajectory (90 B with the classifier's 7 columns kept). Measured: 9 B
+    # in sample-relaxing and dump-relaxing, 1 B in branch-classifier. The
+    # peak of the whole run, the classifier's fixed read buffer, would see
+    # only that last byte
+    stage, peaks = harness._stage, {}
+
+    def measured_stage(info, name, *args, **kwargs):
+        tracemalloc.reset_peak()
+        result = stage(info, name, *args, **kwargs)
+        peaks.setdefault(name, []).append(tracemalloc.get_traced_memory()[1])
+        return result
+
+    monkeypatch.setattr(harness, "_stage", measured_stage)
     for n_relax in (50_000, 200_000):
         tracemalloc.start()
         try:
             run_experiment(mini_ou_config(n_relax),
                            output_root=tmp_path / str(n_relax))
-            peaks[n_relax] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert (peaks[200_000] - peaks[50_000]) / 150_000 <= 16
+    names = list(peaks)
+    window = names[names.index("sample-relaxing"):
+                   names.index("branch-classifier") + 1]
+    assert "dump-relaxing" in window
+    for name in window:
+        small, large = peaks[name]
+        assert (large - small) / 150_000 <= 16, name
 
 
 def test_ou_run_without_a_dump_reads_a_temporary_one(tmp_path, monkeypatch):
@@ -1091,7 +1118,7 @@ def test_cli_run_report_plot_cycle(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "run directory:" in out
     # a line per 512 trajectories and one at the last: 120 trajectories in
-    # 2 chunks print one
+    # 4 chunks print one
     assert err == "integrate: 120/120 trajectories\n"
     run_dir = tmp_path / "mini_sed"
 
@@ -1117,10 +1144,10 @@ def test_cli_run_report_plot_cycle(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_progress_prints_a_line_per_512_trajectories(capsys):
-    # the shipped sed run hands over 25 chunks of 64 and prints 4 lines;
+    # the shipped sed run hands over 50 chunks of 32 and prints 4 lines;
     # the step loop's chunks of 512 print one line each
     progress = _Progress()
-    for done in [*range(64, 1600, 64), 1600]:
+    for done in [*range(32, 1600, 32), 1600]:
         progress(done, 1600)
     assert capsys.readouterr().err == "".join(
         f"integrate: {done}/1600 trajectories\n"
@@ -1207,15 +1234,14 @@ def modules_after_a_run(cfg: dict, tmp_path, which: str) -> str:
         timeout=120).stdout.strip()
 
 
-def test_a_sed_run_leaves_scipy_integrate_out(tmp_path):
+def test_a_sed_run_loads_no_scipy(tmp_path):
     # the field-autocorrelation stage compares against the closed-form
     # autocovariance; the quadrature (and its import) is the tests' oracle.
-    # The comb's lengths come from an integer search, not scipy.fft; only
-    # the reference eigensolve imports scipy.linalg
-    assert modules_after_a_run(
-        mini_sed_config(), tmp_path,
-        "m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'fft'],"
-        " ['scipy', 'special'])") == "[]"
+    # The comb's lengths come from an integer search, not scipy.fft, and
+    # the reference eigensolve is numpy's Sturm bisection and inverse
+    # iteration, not scipy.linalg
+    assert modules_after_a_run(mini_sed_config(), tmp_path,
+                               "m.split('.')[0] == 'scipy'") == "[]"
 
 
 def test_an_ou_run_loads_no_scipy(tmp_path):

@@ -6,11 +6,14 @@ Runs the config N times (default 5) in each tree, alternating which tree
 goes first, each run in a fresh process with PYTHONPATH=TREE/src and
 OpenBLAS, OpenMP and MKL at one thread. Prints, per tree, the median over
 its runs of each stage's wall_s, peak_rss_mb, rss_mb and minor_faults from
-run.json ("-" where a tree's run.json has no minor_faults), the stage where
-the median peak_rss_mb first reaches its maximum, and
-the median, min and max of wall_seconds, of the process's wall time from
-spawn to exit (process_wall_s, which adds the imports and the writes that
-wall_seconds does not time), and of its maxrss (MiB) and minor page faults.
+run.json ("-" where a tree's run.json has no minor_faults), the stage whose
+median peak rise is largest, with that rise: its median peak_rss_mb less
+the median rss_mb of the stage before it, the RSS it started from. Only a
+stage that raised the median peak_rss_mb counts, since the high-water mark
+hides the rise of one that did not. Then the median, min and max of
+wall_seconds, of the process's wall time from spawn to exit
+(process_wall_s, which adds the imports and the writes that wall_seconds
+does not time), and of its maxrss (MiB) and minor page faults.
 Last, for each of those whole-run metrics, each tree's interquartile range
 as a percentage of its median and in how many alternating pairs (run k of
 each tree) TREE_B read lower than TREE_A, ties counting for neither.
@@ -72,7 +75,7 @@ def main(argv):
         print(f"{tree}: {n} runs, exit statuses {sorted({r['exit_status'] for r in rs})}")
         print(f"  {'stage':<24}{'wall_s':>9}{'peak_rss_mb':>13}{'rss_mb':>9}"
               f"{'minor_faults':>14}")
-        peaks = {}
+        rises, rss_before, peak_before = {}, None, 0.0
         for name in [st["name"] for st in rs[0]["stages"]]:
             stages = [next(st for st in r["stages"] if st["name"] == name)
                       for r in rs]
@@ -82,10 +85,12 @@ def main(argv):
             faults = "-" if None in faults else f"{statistics.median(faults):.0f}"
             print(f"  {name:<24}{med[0]:>9.3f}{med[1]:>13.1f}{med[2]:>9.1f}"
                   f"{faults:>14}")
-            peaks[name] = med[1]
-        top = max(peaks, key=peaks.get)      # the first stage at the maximum
-        print(f"  median peak_rss_mb first reaches its maximum "
-              f"{peaks[top]:.1f} in {top}")
+            if rss_before is not None and med[1] > peak_before:
+                rises[name] = med[1] - rss_before
+            rss_before, peak_before = med[2], med[1]
+        top = max(rises, key=rises.get, default=None)
+        if top is not None:
+            print(f"  largest median peak rise: {rises[top]:.1f} MiB in {top}")
         for key in SUMMARY:
             values = [r[key] for r in rs if key in r]
             if values:
