@@ -931,22 +931,20 @@ class EnsembleWriter:
 
 
 class ColumnStore:
-    """Every row's positions at the recorded columns cols (a slice, maybe
-    stepped), taken chunk by chunk in row order, as an (n_traj, columns)
-    array: what a reader that can start only after the last chunk reads,
-    without the rest of the run (the OU pipeline's equilibrium variance
-    and the relaxing sample's variance at the classifier's middle time,
-    one column each)."""
+    """Every row's position at the recorded column col, taken chunk by
+    chunk in row order, as an (n_traj,) array values: what a reader that
+    can start only after the last chunk reads, without the rest of the run
+    (the OU pipeline's equilibrium variance and the relaxing sample's
+    variance at the classifier's middle time)."""
 
-    def __init__(self, n_traj: int, cols: slice):
-        self.cols = cols
-        self.positions = np.empty(
-            (n_traj, len(range(cols.start, cols.stop, cols.step or 1))))
+    def __init__(self, n_traj: int, col: int):
+        self.col = col
+        self.values = np.empty(n_traj)
         self._rows = 0
 
     def take(self, chunk: TrajectoryEnsemble):
         hi = self._rows + chunk.n_traj
-        self.positions[self._rows:hi] = chunk.positions[:, self.cols]
+        self.values[self._rows:hi] = chunk.positions[:, self.col]
         self._rows = hi
 
 
@@ -963,9 +961,10 @@ def dump_ensemble(ens: TrajectoryEnsemble, directory, fmt: str = "binary") -> Pa
     return writer.close(ens)
 
 
-def _dump_meta(directory: Path) -> dict:
-    """A dump's meta.json; a dump without one was cut off, and one of
-    another schema_version is not read."""
+def _dump_head(directory: Path):
+    """A dump's meta.json and its record grid, status and meta as an
+    ensemble without arrays; a dump without meta.json was cut off, and one
+    of another schema_version is not read."""
     if not (directory / "meta.json").is_file():
         raise IntegrationError(f"no meta.json under {directory}: the dump is "
                                f"missing or was cut off before it was complete")
@@ -974,46 +973,39 @@ def _dump_meta(directory: Path) -> dict:
         raise IntegrationError(
             f"unsupported ensemble schema_version {meta['schema_version']}"
         )
-    return meta
+    return meta, TrajectoryEnsemble(
+        t0=meta["t0"], dt=meta["dt"], n_steps=meta["n_steps"],
+        record_stride=meta["record_stride"],
+        times=np.load(directory / "times.npy"), positions=None,
+        velocities=None, status=np.load(directory / "status.npy"),
+        meta=meta.get("meta", {}))
 
 
 def load_ensemble(directory) -> TrajectoryEnsemble:
     directory = Path(directory)
-    meta = _dump_meta(directory)
-    times = np.load(directory / "times.npy")
-    return TrajectoryEnsemble(
-        t0=meta["t0"], dt=meta["dt"], n_steps=meta["n_steps"],
-        record_stride=meta["record_stride"], times=times,
-        positions=np.load(directory / "positions.npy"),
+    meta, head = _dump_head(directory)
+    return replace(
+        head, positions=np.load(directory / "positions.npy"),
         velocities=(np.load(directory / "velocities.npy")
                     if meta["has_velocities"] else None),
-        status=np.load(directory / "status.npy"),
         field_values=(np.load(directory / "field_values.npy")
-                      if meta["has_field_values"] else None),
-        meta=meta.get("meta", {}),
-    )
+                      if meta["has_field_values"] else None))
 
 
-def load_blocks(directory, cols: slice, rows: int):
+def load_blocks(directory, rows: int):
     """A dump's positions read back rows at a time, in row order: yields
     one TrajectoryEnsemble per block of rows rows (the last maybe fewer),
-    its positions the block's at the recorded columns cols (a slice, maybe
-    stepped) and its status the block's, on that stretch of the dump's
-    record grid: starting at its first time, record_stride the dump's
-    times the slice's step, times the dump's at those columns. Each block
-    is read with readinto into one buffer of rows whole rows, reused, so
-    a block's positions are a view that the next block overwrites: a
-    consumer copies what it keeps. Nothing is mapped: mapped pages would
-    count in the process's resident set. A dump without meta.json (cut
-    off) and a positions.npy that is not C-order float64 of meta.json's
-    n_traj rows and the record grid's columns are refused."""
+    its positions the block's whole rows and its status the block's, on
+    the dump's record grid (t0, dt, n_steps, record_stride and times the
+    dump's). Each block is read with readinto into one buffer of rows
+    whole rows, reused, so a block's positions are a view that the next
+    block overwrites: a consumer copies what it keeps. Nothing is mapped:
+    mapped pages would count in the process's resident set. A dump without
+    meta.json (cut off) and a positions.npy that is not C-order float64 of
+    meta.json's n_traj rows and the record grid's columns are refused."""
     directory = Path(directory)
-    meta = _dump_meta(directory)
-    times = np.load(directory / "times.npy")
-    status = np.load(directory / "status.npy")
-    n_traj, n_rec = meta["n_traj"], times.size
-    part = times[cols]
-    stride = meta["record_stride"] * (cols.step or 1)
+    meta, head = _dump_head(directory)
+    n_traj, n_rec = meta["n_traj"], head.times.size
     path = directory / "positions.npy"
     buf = np.empty((min(rows, n_traj), n_rec))
     with open(path, "rb") as fh:
@@ -1032,8 +1024,5 @@ def load_blocks(directory, cols: slice, rows: int):
             if fh.readinto(block) != block.nbytes:
                 raise IntegrationError(
                     f"{path} ends before row {lo + len(block)}")
-            yield TrajectoryEnsemble(
-                t0=float(part[0]), dt=meta["dt"],
-                n_steps=(part.size - 1) * stride, record_stride=stride,
-                times=part, positions=block[:, cols], velocities=None,
-                status=status[lo:lo + len(block)], meta=meta.get("meta", {}))
+            yield replace(head, positions=block,
+                          status=head.status[lo:lo + len(block)])

@@ -558,9 +558,9 @@ def _plan_sed_harmonic_ground(cfg: dict, info: dict):
 def _plan_ou_calibration(cfg: dict, info: dict):
     """The ou run of cfg, planned: refused, or returned as run(run_dir,
     progress) with every object it derives from cfg built. The run keeps
-    one column per relaxing trajectory: the branch classifier reads its
-    columns back from the relaxing dump, which is temporary with
-    outputs.ensemble_dump "none"."""
+    one column per relaxing trajectory: the branch classifier reads the
+    relaxing dump back in whole rows, on the run's record grid; the dump
+    is temporary with outputs.ensemble_dump "none"."""
     particle = _build_particle(cfg)
     stiffness = particle.potential.params["stiffness"]
     lv, tcfg, cg = cfg["langevin"], cfg["time"], cfg["coarse_grain"]
@@ -590,6 +590,12 @@ def _plan_ou_calibration(cfg: dict, info: dict):
             f"side inside the run [{t0:g}, {times[-1]:g}]")
     lo, hi = dt * first + t0, dt * last + t0
     refs = (lo, (lo + hi) / 2.0, hi)
+    if (last - first) % 2:
+        raise ConfigError(
+            f"langevin.t_relax_window {list(rw)} puts its middle reference "
+            f"time {refs[1]:g} off the recorded grid of step {dt:g}: its "
+            f"ends must lie an even number of steps apart")
+    mid_col = (first + last) // 2
     # coarser bins than the estimator grid: the classifier needs smooth
     # second derivatives over the occupied span more than x resolution.
     # The span comes from the relaxing sample's variance at the middle
@@ -597,16 +603,6 @@ def _plan_ou_calibration(cfg: dict, info: dict):
     relax_spec = CoarseGrainSpec(
         delta_t=delta_t, x_range=spec0.x_range, reference_times=refs,
         x_bins=int(cg.get("classifier_bins", 16)), min_count=spec0.min_count)
-    # the classifier reads the columns first, mid and last each +- k back
-    # from the relaxing dump, every g-th from first - k; g = 1 where mid is
-    # off the grid (the classifier refuses it) or g dt steps would round
-    # k dt apart. mid_col is the middle reference time's column there
-    g = math.gcd(k, (last - first) // 2) if (last - first) % 2 == 0 else 1
-    if k // g * (dt * g) != k * dt:
-        g = 1
-    relax_cols = slice(first - k, last + k + 1, g)
-    mid_col = first - k + g * int(round(
-        (refs[1] - float(times[first - k])) / (dt * g)))
     n_traj = cfg["ensemble"]["n_traj"]
     n_relax = lv.get("n_traj_relax", 500_000)
     # the sweep estimates D on the equilibrium sample, the classifier on
@@ -640,12 +636,12 @@ def _plan_ou_calibration(cfg: dict, info: dict):
         # the relaxing one to its dump, a temporary one with ensemble_dump
         # "none", and to the store of the middle reference time's
         # column, whose variance fixes the classifier's bins. The
-        # classifier then reads its columns back from that dump
+        # classifier then reads that dump back in whole rows
         samples = SampleSet(times, dt, spec0, lags=())
         sweep_set = SampleSet(times, dt, sweep_spec, lags=sweep_lags,
                               cells=None)
         col = int(samples.ridx[0])
-        ref_column = ColumnStore(n_traj, slice(col, col + 1))
+        ref_column = ColumnStore(n_traj, col)
         eq = sample("sample-equilibrium", "dump",
                     None if dump_fmt == "none" else run_dir / "ensemble",
                     n_traj, (master_seed, 0), "stationary",
@@ -653,14 +649,14 @@ def _plan_ou_calibration(cfg: dict, info: dict):
         with (tempfile.TemporaryDirectory(dir=run_dir) if dump_fmt == "none"
               else contextlib.nullcontext(run_dir / "ensemble_relaxing")
               ) as relax_dir:
-            mid_column = ColumnStore(n_relax, slice(mid_col, mid_col + 1))
+            mid_column = ColumnStore(n_relax, mid_col)
             sample("sample-relaxing", "dump-relaxing", relax_dir, n_relax,
                    (master_seed, 1), x_start, [mid_column])
-            s_star = float(np.var(mid_column.positions[:, 0]))
+            s_star = float(np.var(mid_column.values))
             del mid_column
 
             v_field, u_field, va_est, _ = _field_stages(info, samples, run_dir)
-            x_ref2 = np.square(ref_column.positions[eq.ok_mask(), 0])
+            x_ref2 = np.square(ref_column.values[eq.ok_mask()])
             sweep = _stage(info, "diffusion-sweep", sweep_set.sweep)
             (run_dir / "dsweep.json").write_text(dumps_config(sweep.to_dict()))
 
@@ -679,13 +675,11 @@ def _plan_ou_calibration(cfg: dict, info: dict):
                       va_est, sweep, branch, x_ref2)
 
     def classify(relax_dir, spec):
-        """The measured-derivative branch classifier on the relaxing dump's
-        columns relax_cols, read back in blocks of the sample set's
-        block_rows, so its sums are those of the whole columns bit for
-        bit."""
-        relax_set = SampleSet(times[relax_cols], dt * g, spec,
-                              cells="per_time")
-        for chunk in load_blocks(relax_dir, relax_cols, relax_set.block_rows):
+        """The measured-derivative branch classifier on the relaxing dump,
+        read back in blocks of the sample set's block_rows whole rows, so
+        its sums are those of the whole dump bit for bit."""
+        relax_set = SampleSet(times, dt, spec, cells="per_time")
+        for chunk in load_blocks(relax_dir, relax_set.block_rows):
             relax_set.take(chunk)
         return relax_set.classify_branch(particle.mass, particle.potential.f,
                                          D=None, time_derivative="measured")

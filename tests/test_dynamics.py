@@ -837,8 +837,8 @@ class Chunks:
 def test_stream_hands_over_the_chunks_in_row_order(loop):
     # the chunks, handed over in row order also with 3 workers, are the
     # rows of integrate_ensemble's arrays; the stream returns the ensemble
-    # without them, and a ColumnStore keeps the columns it was given, also
-    # every third of them. Each path has its own chunk width
+    # without them, and a ColumnStore keeps the column it was given. Each
+    # path has its own chunk width
     width = CHUNK if loop else RESPONSE_CHUNK
     n_traj = 2 * width + 20
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
@@ -848,10 +848,9 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
     ic = stationary_guess_ic(1.0, 1.0, 1.0)
     whole = integrate_ensemble(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9)
     for n_workers in (1, 3):
-        chunks, store = Chunks(), ColumnStore(n_traj, slice(4, 9))
-        stepped = ColumnStore(n_traj, slice(2, 13, 3))
+        chunks, store = Chunks(), ColumnStore(n_traj, 5)
         head = integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
-                                [chunks, store, stepped], n_workers=n_workers)
+                                [chunks, store], n_workers=n_workers)
         assert [c.n_traj for c in chunks.chunks] == [width, width, 20]
         for name in ("positions", "velocities", "field_values", "status"):
             assert np.array_equal(
@@ -861,9 +860,8 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
         assert np.array_equal(head.status, whole.status)
         assert np.array_equal(head.times, whole.times)
         assert head.meta == whole.meta and head.dt == whole.dt
-        assert np.array_equal(store.positions, whole.positions[:, 4:9])
-        assert np.array_equal(stepped.positions,
-                              whole.positions[:, [2, 5, 8, 11]])
+        assert store.values.shape == (n_traj,)
+        assert np.array_equal(store.values, whole.positions[:, 5])
 
 
 def test_response_rows_do_not_depend_on_the_chunk_width(monkeypatch):
@@ -1403,35 +1401,33 @@ def test_writer_peak_does_not_grow_with_the_rows(tmp_path):
                           np.ones((200_000, 2)))
 
 
-def test_dump_blocks_are_the_whole_arrays_columns(tmp_path):
+def test_dump_blocks_are_the_whole_arrays_rows(tmp_path):
     # a dump of integrate_ensemble (record stride 2, one row flagged), read
-    # back 7 rows at a time over a slice of columns and over every third
-    # of them: 3 blocks, the last short, whose positions and status are
-    # the whole arrays' rows and columns, each on the grid of its columns'
-    # times, from their first time and with the slice's step
+    # back 7 rows at a time: 3 blocks, the last short, whose positions and
+    # status, concatenated, are load_ensemble's, each block on the dump's
+    # own record grid
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
     ens = integrate_ensemble(particle, fspec, stationary_guess_ic(1.0, 1.0, 1.0),
                              0.0, 0.2, 30, 17, 9, record_stride=2)
     ens.status[10] = STATUS_NONFINITE
     dump_ensemble(ens, tmp_path / "d")
-    for cols, step in ((slice(4, 9), 1), (slice(2, 13, 3), 3)):
-        blocks = [replace(b, positions=b.positions.copy())
-                  for b in load_blocks(tmp_path / "d", cols, 7)]
-        assert [b.n_traj for b in blocks] == [7, 7, 3]
-        assert np.array_equal(
-            np.concatenate([b.positions for b in blocks]), ens.positions[:, cols])
-        assert np.array_equal(np.concatenate([b.status for b in blocks]),
-                              ens.status)
-        for b in blocks:
-            assert np.array_equal(b.times, ens.times[cols])
-            assert b.t0 == ens.times[cols.start]
-            assert b.dt == ens.dt
-            assert b.record_stride == step * ens.record_stride
-            assert b.rec_dt == step * ens.rec_dt
-            assert b.n_steps == (b.times.size - 1) * b.record_stride
-            assert b.velocities is None
-            assert b.meta == ens.meta
+    whole = load_ensemble(tmp_path / "d")
+    blocks = [replace(b, positions=b.positions.copy())
+              for b in load_blocks(tmp_path / "d", 7)]
+    assert [b.n_traj for b in blocks] == [7, 7, 3]
+    assert np.array_equal(np.concatenate([b.positions for b in blocks]),
+                          whole.positions)
+    assert np.array_equal(np.concatenate([b.status for b in blocks]),
+                          whole.status)
+    assert whole.status[10] == STATUS_NONFINITE
+    for b in blocks:
+        assert np.array_equal(b.times, whole.times)
+        assert (b.t0, b.dt, b.n_steps, b.record_stride) == (
+            whole.t0, whole.dt, whole.n_steps, whole.record_stride)
+        assert b.record_stride == 2
+        assert b.velocities is b.field_values is None
+        assert b.meta == whole.meta
 
 
 def test_dump_blocks_refuse_a_dump_without_meta(tmp_path):
@@ -1440,7 +1436,7 @@ def test_dump_blocks_refuse_a_dump_without_meta(tmp_path):
     dump_ensemble(ens, tmp_path / "d")
     (tmp_path / "d" / "meta.json").unlink()
     with pytest.raises(IntegrationError, match="cut off") as err:
-        next(load_blocks(tmp_path / "d", slice(0, 6), 2))
+        next(load_blocks(tmp_path / "d", 2))
     assert str(tmp_path / "d") in str(err.value)
 
 
@@ -1462,11 +1458,11 @@ def test_dump_blocks_refuse_positions_of_another_layout(tmp_path, array):
     saved = path.read_bytes()
     np.save(path, array)
     with pytest.raises(IntegrationError, match="C-order float64") as err:
-        next(load_blocks(tmp_path / "d", slice(0, 6), 2))
+        next(load_blocks(tmp_path / "d", 2))
     assert str(path) in str(err.value)
     path.write_bytes(saved[:-8])
     with pytest.raises(IntegrationError, match="ends before row 3"):
-        list(load_blocks(tmp_path / "d", slice(0, 6), 2))
+        list(load_blocks(tmp_path / "d", 2))
 
 
 def test_dump_schema_version_guard(tmp_path):

@@ -578,6 +578,10 @@ def test_both_pipelines_refuse_every_potential_but_the_harmonic(
      "t_relax_window [0.01, 0.05] needs two increasing reference times"),
     ("ou", "langevin", "t_relax_window", [0.2, 0.1],
      "t_relax_window [0.2, 0.1] needs two increasing reference times"),
+    # ends 7 steps apart: the middle reference time falls between records
+    ("ou", "langevin", "t_relax_window", [0.16, 0.23],
+     "langevin.t_relax_window [0.16, 0.23] puts its middle reference time "
+     "0.195 off the recorded grid of step 0.01"),
     # bin counts below the estimators' 5, and what CoarseGrainSpec refuses,
     # named by its config key
     ("sed", "coarse_grain.x_bins", "n", 3,
@@ -972,22 +976,20 @@ def test_sed_run_keeps_no_positions_for_the_estimators(tmp_path,
     assert late == [0]
 
 
-@pytest.mark.parametrize("window, lag, start, step, n_cols, n_read", [
-    (None, None, 14, 2, 7, 7),
-    ([0.16, 0.22], None, 14, 1, 11, 9),
-    ([0.15, 0.25], 0.15, 0, 1, 41, 9),
+@pytest.mark.parametrize("window, lag, refs, n_read", [
+    (None, None, (16, 20, 24), 7),
+    ([0.16, 0.22], None, (16, 19, 22), 9),
+    ([0.15, 0.25], 0.15, (15, 20, 25), 9),
 ])
 def test_relaxing_dump_gives_the_columns_the_classifier_reads(
-        tmp_path, monkeypatch, window, lag, start, step, n_cols, n_read):
-    # the classifier reads its three reference columns, each +- the lag,
-    # back from the relaxing dump in blocks of its set's block_rows. On the
-    # shipped window (16, 20 and 24, lag 2 steps) it reads every second
-    # column from 14 to 26, each of which its set reads. On a window of 6
-    # steps (16, 19 and 22) a step of 2 would put the middle column off its
-    # grid; at a lag of 15 steps on 15, 20 and 25, 3 steps of 5 dt round
-    # apart from 15 dt. So those read every column from the first to the
-    # last, some unused. Each way the classifier on every column of the
-    # whole dump, loaded at once, gives branch.json's numbers bit for bit
+        tmp_path, monkeypatch, window, lag, refs, n_read):
+    # the classifier reads the relaxing dump back in whole rows, in blocks
+    # of its set's block_rows, and its set gathers its three reference
+    # columns, each +- the lag, on the run's own record grid: on the
+    # shipped window 16, 20 and 24 at a lag of 2 steps, on a window of 6
+    # steps 16, 19 and 22, and at a lag of 15 steps 15, 20 and 25. Each
+    # way the classifier on the whole dump, loaded at once, gives
+    # branch.json's numbers bit for bit
     cfg = mini_ou_config()
     cfg["outputs"]["ensemble_dump"] = "binary"
     if window is not None:
@@ -997,9 +999,9 @@ def test_relaxing_dump_gives_the_columns_the_classifier_reads(
     reads, sets = [], []
     load, classify = harness.load_blocks, kinematics.SampleSet.classify_branch
 
-    def recorded_load(directory, cols, rows):
-        reads.append((cols, rows))
-        return load(directory, cols, rows)
+    def recorded_load(directory, rows):
+        reads.append(rows)
+        return load(directory, rows)
 
     def recorded_classify(samples, *args, **kwargs):
         sets.append(samples)
@@ -1009,20 +1011,17 @@ def test_relaxing_dump_gives_the_columns_the_classifier_reads(
     monkeypatch.setattr(kinematics.SampleSet, "classify_branch",
                         recorded_classify)
     result = run_experiment(cfg, output_root=tmp_path)
-    ((cols, rows),), (samples,) = reads, sets
-    assert (cols.start, cols.step) == (start, step)
-    assert len(range(cols.start, cols.stop, cols.step)) == n_cols
+    (rows,), (samples,) = reads, sets
     assert rows == samples.block_rows == 10_922
+    assert tuple(samples.ridx) == refs
     read = {int(r) + s for r in samples.ridx for s in samples.offsets}
-    assert read <= set(range(n_cols)) and {0, n_cols - 1} <= read
     assert len(read) == n_read
 
     # the bins span 3.2 sd of the middle reference column's positions
     relaxing = load_ensemble(result.run_dir / "ensemble_relaxing")
     written = json.loads((result.run_dir / "branch.json").read_text())
     s_star = written["relaxing_variance_at_mid"]
-    mid = cols.start + cols.step * int(samples.ridx[1])
-    assert s_star == float(np.var(relaxing.positions[:, mid]))
+    assert s_star == float(np.var(relaxing.positions[:, refs[1]]))
     span = 3.2 * math.sqrt(s_star)
     assert samples.spec.x_range == (-span, span)
     assert samples.spec.x_bins == 16        # classifier_bins' default
@@ -1040,10 +1039,10 @@ def test_ou_run_holds_the_classifier_columns_per_relaxing_trajectory(
     # byte while it samples and while the classifier reads: the traced
     # peak of each stage from sample-relaxing to branch-classifier, reset
     # when the stage starts, grows by at most 16 B per added relaxing
-    # trajectory (90 B with the classifier's 7 columns kept). Measured: 9 B
-    # in sample-relaxing and dump-relaxing, 1 B in branch-classifier. The
-    # peak of the whole run, the classifier's fixed read buffer, would see
-    # only that last byte
+    # trajectory. Measured: 9.0 B in sample-relaxing and dump-relaxing,
+    # 1.1 B in branch-classifier, whose buffer of whole rows and block
+    # temporaries do not grow with the rows. The peak of the whole run,
+    # the classifier's fixed read buffer, would see only that last byte
     stage, peaks = harness._stage, {}
 
     def measured_stage(info, name, *args, **kwargs):

@@ -16,9 +16,11 @@ its own sedbench. Lists, per config and for that execution, the artifacts
 whose bytes differ or that only one tree wrote, and the exit statuses;
 for a differing JSON artifact of the same structure in both trees, whose
 strings, booleans and nulls agree, the largest relative deviation among
-its numbers. run.json, which holds wall times, is left out. Last, prints
-the source size of each tree as `wc -l src/sedsim/*.py` counts it: the
-newlines of each file and their total. Exits 1 on any difference, including a
+its numbers and, one line each, every number that moved: its key path,
+its value in each tree and its relative deviation. run.json, which holds
+wall times, is left out. Last, prints the source size of each tree as
+`wc -l src/sedsim/*.py` counts it: the newlines of each file and their
+total. Exits 1 on any difference, including a
 differing exit status, and 0 when every artifact matches. Run directories
 go to a temporary directory, deleted after each comparison.
 """
@@ -61,32 +63,35 @@ def same(a: Path, b: Path) -> bool:
     return a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)
 
 
-def json_deviation(a: Path, b: Path):
-    """The largest relative deviation |x - y| / max(|x|, |y|) between the
-    numbers of the JSON files a and b (NaN against NaN counts as equal), or
-    None unless both exist and are JSON of the same structure whose other
-    values agree."""
+def json_moves(a: Path, b: Path):
+    """The numbers that differ between the JSON files a and b, as (key
+    path, value in a, value in b, relative deviation |x - y| / max(|x|,
+    |y|)) in document order (NaN against NaN counts as equal), or None
+    unless both exist and are JSON of the same structure whose other values
+    agree."""
     try:
         docs = [json.loads(p.read_text()) for p in (a, b)]
     except (OSError, ValueError):       # ValueError: UnicodeDecodeError too
         return None
-    devs = []
+    moves = []
 
-    def walk(x, y):
+    def walk(x, y, path):
         if isinstance(x, dict) and isinstance(y, dict):
-            return x.keys() == y.keys() and all(walk(x[k], y[k]) for k in x)
+            return x.keys() == y.keys() and all(
+                walk(x[k], y[k], f"{path}.{k}" if path else k) for k in x)
         if isinstance(x, list) and isinstance(y, list):
-            return len(x) == len(y) and all(map(walk, x, y))
+            return len(x) == len(y) and all(
+                walk(u, v, f"{path}[{i}]") for i, (u, v) in enumerate(zip(x, y)))
         numbers = [isinstance(v, (int, float)) and not isinstance(v, bool)
                    for v in (x, y)]
         if not all(numbers):
             return not any(numbers) and x == y
         both_nan = all(isinstance(v, float) and math.isnan(v) for v in (x, y))
-        devs.append(0.0 if x == y or both_nan
-                    else abs(x - y) / max(abs(x), abs(y)))
+        if not (x == y or both_nan):
+            moves.append((path, x, y, abs(x - y) / max(abs(x), abs(y))))
         return True
 
-    return max(devs, default=0.0) if walk(*docs) else None
+    return moves if walk(*docs, "") else None
 
 
 def run_without_dump(tree: Path, root: Path):
@@ -136,10 +141,14 @@ def compare(label: str, results) -> int:
     print(f"{label}: {len(names)} artifacts, {len(differ)} differ; exit "
           f"statuses {status_a} and {status_b}")
     for rel in differ:
-        dev = (json_deviation(dir_a / rel, dir_b / rel)
-               if rel.suffix == ".json" else None)
-        moved = "" if dev is None else f", numbers by at most {dev:.2g} relative"
-        print(f"  differs: {rel}{moved}")
+        moves = (json_moves(dir_a / rel, dir_b / rel)
+                 if rel.suffix == ".json" else None)
+        dev = "" if moves is None else (
+            f", numbers by at most "
+            f"{max((m[3] for m in moves), default=0.0):.2g} relative")
+        print(f"  differs: {rel}{dev}")
+        for path, x, y, d in moves or ():
+            print(f"    moved: {path}: {x!r} -> {y!r} ({d:.2g} relative)")
     for run_dir in (dir_a, dir_b):
         shutil.rmtree(run_dir, ignore_errors=True)
     return len(differ) + (status_a != status_b)
