@@ -10,12 +10,15 @@ m x'' ~ f on the small term), exact to O(tau^2). The synthesized field is a
 smooth function of time once its phases are drawn, so each trajectory is an
 ordinary (non-stochastic) ODE integrated with classical RK4; field values at
 substage times come from the mode sum on the half-step grid, one slab of
-_slab_width half steps at a time, just ahead of the steps that read it
-(field.comb_sum_slabs), time-major and scaled by the charge in place. The
+_slab_width half steps at a time (field.comb_sum_slabs), time-major and
+scaled by the charge in place. A helper thread synthesizes the next slab
+into a second buffer while the steps read the current one, so synthesis,
+whose FFTs release the interpreter lock, runs beside the stepping. The
 step loop (_rk4) steps a chunk's rows on (x, v, a) stage buffers written
 in place, one slab row per half step; its arithmetic is the plain RK4's.
 A chunk's record-grid field is written after its x and v, on the step loop
-once the slab buffer is released, so the two are never resident together.
+once the slab buffers are released, so the two are never resident
+together.
 
 For the harmonic potential the force is linear in x, so one RK4 step is an
 affine map s_{k+1} = M s_k + G u_k of the state s = (x, v), with u_k the
@@ -60,6 +63,7 @@ import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
@@ -118,8 +122,10 @@ class IntegrationError(ValueError):
 class Potential:
     """External conservative potential with force and force-gradient
     evaluators; a constant gradient (harmonic, free) is a scalar.
-    drift(x, v, tau, out=None) is the reduced-order force
-    f(x) + tau f'(x) v, into out if given."""
+    drift(x, v, tau, out=None, work=None) is the reduced-order force
+    f(x) + tau f'(x) v, into out if given; work, an array shaped as x,
+    holds its intermediate, so that a drift given both allocates
+    nothing."""
 
     kind: str
     V: callable
@@ -146,21 +152,31 @@ class Potential:
 
 def free_potential() -> Potential:
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+
+    def drift(x, v, tau, out=None, work=None):
+        # 0 + tau 0 v: the zero that a non-finite v makes NaN
+        work = np.multiply(tau * 0.0, v, work)
+        return np.add(work, 0.0, out)
+
     return Potential(kind="free", V=zero, f=zero, fprime=lambda x: 0.0,
-                     drift=lambda x, v, tau, out=None: np.add(
-                         zero(x), tau * 0.0 * v, out=out))
+                     drift=drift)
 
 
 def harmonic_potential(omega0: float, mass: float) -> Potential:
     """V = (1/2) m omega0^2 x^2."""
     k = mass * omega0**2
-    f = lambda x: -k * np.asarray(x, dtype=float)
+
+    def drift(x, v, tau, out=None, work=None):
+        out = np.multiply(-k, x, out)
+        work = np.multiply(tau * -k, v, work)
+        return np.add(out, work, out)
+
     return Potential(
         kind="harmonic",
         V=lambda x: 0.5 * k * np.square(x),
-        f=f,
+        f=lambda x: -k * np.asarray(x, dtype=float),
         fprime=lambda x: -k,
-        drift=lambda x, v, tau, out=None: np.add(f(x), tau * -k * v, out=out),
+        drift=drift,
         params={"omega0": omega0, "stiffness": k},
     )
 
@@ -169,9 +185,9 @@ def quartic_potential(k4: float) -> Potential:
     """V = (1/4) k4 x^4. The powers are products of squares: an array ** 3
     or ** 4 goes through libm pow, 15x slower than a multiply, and the RK4
     loop evaluates the drift, in place and with one x^2, four times a step."""
-    def drift(x, v, tau, out=None):
-        x2 = np.square(x)
-        out = np.multiply(x, x2, out=out)
+    def drift(x, v, tau, out=None, work=None):
+        x2 = np.square(x, work)
+        out = np.multiply(x, x2, out)
         out *= -k4
         x2 *= -3.0 * k4
         x2 *= tau
@@ -348,32 +364,47 @@ def _rk4(particle: ParticleSpec, dt: float, n: int):
     at the start, the midpoint and the end of the step. Stage k lives in a
     (3, n) buffer of x_k, v_k, a_k: rows 0:2 its state, rows 1:3 its
     derivative, so a stage update is one multiply and one add on (2, n)
-    views. Potential.drift writes a_k in place; d1 + 2 (d2 + d3) + d4 sums
-    left to right, as the plain loop's arithmetic does."""
+    views. Potential.drift writes a_k in place, its intermediate in one
+    work row; d1 + 2 (d2 + d3) + d4 sums left to right, as the plain
+    loop's arithmetic does. The stages are written out, with every out
+    argument positional: the step is numpy dispatch, some 45 calls on rows
+    of n for the quartic."""
     drift, tau, m = particle.potential.drift, particle.tau, particle.mass
-    S, d = np.empty((4, 3, n)), np.empty((2, n))
-    y1, (d1, d2, d3, d4) = S[0, :2], S[:, 1:]
-    rows = [tuple(s) for s in S]
-    stages = list(zip((dt / 2, dt / 2, dt), S[:3, 1:], S[1:, :2], rows[1:]))
-
-    def acc(x, v, a, e):
-        drift(x, v, tau, a)
-        np.add(a, e, out=a)
-        if m != 1.0:                    # a / 1 is a, bit for bit
-            np.divide(a, m, out=a)
+    h = dt / 2
+    S, d, work = np.empty((4, 3, n)), np.empty((2, n)), np.empty(n)
+    (x1, v1, a1), (x2, v2, a2), (x3, v3, a3), (x4, v4, a4) = S
+    (y1, y2, y3, y4), (d1, d2, d3, d4) = S[:, :2], S[:, 1:]
+    scaled = m != 1.0                   # a / 1 is a, bit for bit
 
     def step(e0, eh, e1):
-        acc(*rows[0], e0)
-        for (h, dk, yk, sk), e in zip(stages, (eh, eh, e1)):
-            np.multiply(h, dk, out=d)
-            np.add(y1, d, out=yk)
-            acc(*sk, e)
-        np.add(d2, d3, out=d)
-        np.multiply(d, 2.0, out=d)
-        np.add(d, d1, out=d)
-        np.add(d, d4, out=d)
-        np.multiply(d, dt / 6.0, out=d)
-        np.add(y1, d, out=y1)
+        drift(x1, v1, tau, a1, work)
+        np.add(a1, e0, a1)
+        if scaled:
+            np.divide(a1, m, a1)
+        np.multiply(h, d1, d)
+        np.add(y1, d, y2)
+        drift(x2, v2, tau, a2, work)
+        np.add(a2, eh, a2)
+        if scaled:
+            np.divide(a2, m, a2)
+        np.multiply(h, d2, d)
+        np.add(y1, d, y3)
+        drift(x3, v3, tau, a3, work)
+        np.add(a3, eh, a3)
+        if scaled:
+            np.divide(a3, m, a3)
+        np.multiply(dt, d3, d)
+        np.add(y1, d, y4)
+        drift(x4, v4, tau, a4, work)
+        np.add(a4, e1, a4)
+        if scaled:
+            np.divide(a4, m, a4)
+        np.add(d2, d3, d)
+        np.multiply(d, 2.0, d)
+        np.add(d, d1, d)
+        np.add(d, d4, d)
+        np.multiply(d, dt / 6.0, d)
+        np.add(y1, d, y1)
 
     return y1, step
 
@@ -431,12 +462,16 @@ def _add_transient(x, v, x0, v0, P, growth: float):
     for b in range(n_blocks):
         d[0, :, b], d[1, :, b] = dx, dv
         dx, dv = Q[0, 0] * dx + Q[0, 1] * dv, Q[1, 0] * dx + Q[1, 1] * dv
+    # d0 W0 + d1 W1 of a row block, in two buffers made once
+    h0, h1 = np.empty((2, min(ROW_BLOCK, x.shape[0]), n_blocks, block))
     for lo in range(0, x.shape[0], ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         for i, rec in enumerate((x[rows], v[rows])):
-            h = (d[0, rows, :, None] * W[:, i, 0]
-                 + d[1, rows, :, None] * W[:, i, 1])
-            rec += h.reshape(len(rec), -1)[:, :n_rec]
+            t0, t1 = h0[:len(rec)], h1[:len(rec)]
+            np.multiply(d[0, rows, :, None], W[:, i, 0], t0)
+            np.multiply(d[1, rows, :, None], W[:, i, 1], t1)
+            np.add(t0, t1, t0)
+            rec += t0.reshape(len(rec), -1)[:, :n_rec]
     x[:, 0], v[:, 0] = x0, v0
 
 
@@ -481,12 +516,16 @@ def comb_time_grid(fspec: FieldSpec, dt: float, span: float):
 
 
 def _slab_width(n_modes: int) -> int:
-    """Half steps per field slab of the step loop, CHUNK x (width + 1)
-    doubles a chunk: the widest even slab whose convolution fits the power
-    of two at or above 4 n_modes, 3,328 (13.6 MB) at 768 modes. Slabs of
-    512 rows of sedbench's quartic run took 0.64-0.66 s of synthesis at
-    1,280 half steps, 0.49-0.51 s at 3,328 and 0.50-0.51 s at 8,192."""
-    return (fast_length(4 * n_modes, (2,)) - n_modes + 1) // 2 * 2
+    """Half steps per field slab of the step loop, the widest even width
+    whose double fits a convolution of the power of two at or above
+    4 n_modes: 1,664 at 768 modes, where the convolution is 2,450 points.
+    comb_sum_slabs keeps two slabs, so a chunk holds CHUNK x 2 (width + 1)
+    doubles of field, 13.6 MB at 768 modes: what one slab of the double
+    width held. The narrower slab costs more synthesis, about 12 %, but on
+    the helper thread, off the steps' path. Slabs of 512 rows of
+    sedbench's quartic run took 0.64-0.66 s of synthesis at 1,280 half
+    steps, 0.49-0.51 s at 3,328 and 0.50-0.51 s at 8,192."""
+    return (fast_length(4 * n_modes, (2,)) - n_modes + 1) // 4 * 2
 
 
 def record_times(t0: float, dt: float, n_steps: int,
@@ -518,7 +557,7 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
     response on the record grid, the others the step loop (module
     docstring); neither path holds a field table of the whole run. A
     chunk's record-grid field is written (and, without out, allocated)
-    after its x and v, on the step loop once the slab buffer is released.
+    after its x and v, on the step loop once the slab buffers are released.
 
     A chunk is the returned ensemble with its rows' arrays (field_values
     None without store_field) and status; a consumer copies what it keeps.
@@ -607,21 +646,24 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
             y[...] = start
             xs[:, 0], vs[:, 0] = start
             # a step's three field values lie in one (even) slab; a later
-            # slab's row 0, the one before's last row, is already scaled
+            # slab's row 0, the one before's last row, is already scaled.
+            # Closing the stream ends its helper thread, also when a step
+            # raises
             k, fresh = 0, 0
-            for slab in comb_sum_slabs(coefs, fspec, n_fft, t0,
-                                       2 * n_steps + 1, width):
-                np.multiply(particle.charge, slab[fresh:], out=slab[fresh:])
-                fresh = 1
-                for c in range(0, len(slab) - 1, 2):
-                    step(slab[c], slab[c + 1], slab[c + 2])
-                    k += 1
-                    if k % record_stride == 0:
-                        j = k // record_stride
-                        xs[:, j], vs[:, j] = y
-            # the slab buffer goes before the record field's pages are
+            with closing(comb_sum_slabs(coefs, fspec, n_fft, t0,
+                                        2 * n_steps + 1, width)) as slabs:
+                for slab in slabs:
+                    np.multiply(particle.charge, slab[fresh:], slab[fresh:])
+                    fresh = 1
+                    for c in range(0, len(slab) - 1, 2):
+                        step(slab[c], slab[c + 1], slab[c + 2])
+                        k += 1
+                        if k % record_stride == 0:
+                            j = k // record_stride
+                            xs[:, j], vs[:, j] = y
+            # the slab buffers go before the record field's pages are
             # first touched, so the two are never resident together
-            del slab
+            del slab, slabs
         if store_field:
             es = records(coefs, out=es)
         # a non-finite x or v stays non-finite at every later step (and is

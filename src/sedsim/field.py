@@ -18,7 +18,8 @@ A CombPlan, built from the FieldSpec and N, evaluates that sum on any
 stretch of every step-th point of the grid as a Bluestein chirp-z
 convolution whose length follows the modes and the points, not N: the
 integrator's record grid is such a subgrid, and its step loop takes the
-half-step grid one slab at a time (comb_sum_slabs). A plan holds the
+half-step grid one slab at a time, each synthesized on a helper thread
+while the slab before it is read (comb_sum_slabs). A plan holds the
 convolution's setup for one grid, so a caller that sums many rows on one
 grid, in many calls or threads, builds it once.
 """
@@ -29,6 +30,7 @@ import bisect
 import functools
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,20 +293,37 @@ def comb_sum_slabs(coefs, spec: FieldSpec, n_fft: int, t0: float,
     slab starts with the last row of the one before as the consumer left
     it, so a value read across a seam is the same value, computed once.
     The points past the first come from a plan at the integer start s0 + 1,
-    one per slab. All slabs share one buffer; consume a slab before taking
-    the next.
+    one per slab. Slabs alternate between two buffers: while the consumer
+    reads one, a helper thread fills the next slab's points past the first
+    into the other, so a slab is valid only until the next is taken. The
+    seam row is copied into the next buffer before the fill that reuses
+    the slab before it is submitted. An exception in the helper reaches
+    the caller as it was raised; closing the generator waits for the fill
+    in flight, so the helper thread ends with the stream.
     """
+    if n_points < 2:
+        return                  # no point past the first: no slab
     coefs = np.asarray(coefs)
     width = max(1, min(width, n_points - 1))
-    slab = np.empty((width + 1,) + coefs.shape[:-1])
-    cols = np.moveaxis(slab, 0, -1)     # the plans' view: time last
-    CombPlan(spec, n_fft, t0, 1, 1)(coefs, out=cols[..., width:])
-    for s0 in range(0, n_points - 1, width):
+    # allocated here, not in the helper, so they stay in this thread's arena
+    slab, other = (np.empty((width + 1,) + coefs.shape[:-1]) for _ in range(2))
+
+    def fill(buffer, s0):
         w = min(width, n_points - 1 - s0)
-        slab[0] = slab[width]
         CombPlan(spec, n_fft, t0, 1, w, start=s0 + 1)(
-            coefs, out=cols[..., 1:w + 1])
-        yield slab[:w + 1]
+            coefs, out=np.moveaxis(buffer, 0, -1)[..., 1:w + 1])
+        return buffer[:w + 1]
+
+    CombPlan(spec, n_fft, t0, 1, 1)(coefs, out=np.moveaxis(slab[:1], 0, -1))
+    with ThreadPoolExecutor(1, thread_name_prefix="comb_sum_slabs") as helper:
+        pending = helper.submit(fill, slab, 0)
+        for s0 in range(0, n_points - 1, width):
+            current = pending.result()
+            if s0 + width < n_points - 1:
+                pending = helper.submit(fill, other, s0 + width)
+            yield current
+            other[0] = current[-1]
+            slab, other = other, slab
 
 
 def _band_integral_series(w: float, b: float) -> float:

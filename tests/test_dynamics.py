@@ -7,6 +7,7 @@ against the discrete linear-response prediction frozen below.
 
 import json
 import math
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -309,9 +310,9 @@ def test_response_path_builds_no_field_table():
 
 
 def test_step_loop_builds_no_field_table():
-    # 64 modes give slabs of 192 half steps, 21 of them in the longer run:
-    # measured 0.47 and 0.48 MB against a bound of 0.75 MB and a 2.05 MB
-    # table
+    # 64 modes give slabs of 96 half steps, 42 of them in the longer run,
+    # two buffers of them held at a time: measured 0.41 and 0.44 MB against
+    # a bound of 0.56 MB and a 2.05 MB table
     _, particle, _, _, _ = shipped_run_parameters()
     short, _, _ = held_beyond_output(on_the_loop(particle), 500)
     held, bound, table = held_beyond_output(on_the_loop(particle), 2000)
@@ -321,23 +322,25 @@ def test_step_loop_builds_no_field_table():
 @pytest.mark.parametrize("n_modes", [64, 512, 768, 4096])
 def test_slab_width_fills_a_power_of_two_convolution(n_modes):
     # even, so a step's three half steps lie in one slab, and the widest
-    # such slab whose convolution is the power of two at or above 4 n_modes
+    # such slab whose double's convolution is the power of two at or above
+    # 4 n_modes: the two slabs comb_sum_slabs keeps hold no more than one
+    # slab of that double width plus one row
     width = sedsim.dynamics._slab_width(n_modes)
     power = 1 << (4 * n_modes - 1).bit_length()
     assert width >= 2 and width % 2 == 0
-    assert conv_length(n_modes, width) == power
-    assert conv_length(n_modes, width + 2) > power
+    assert conv_length(n_modes, 2 * width) == power
+    assert conv_length(n_modes, 2 * (width + 2)) > power
 
 
 def test_rule_slabs_are_the_mode_sum_across_seams():
-    # sedbench's quartic comb in slabs of the rule's 3,328 half steps: two
+    # sedbench's quartic comb in slabs of the rule's 1,664 half steps: two
     # whole slabs and a short last one of 344, streamed as the step loop
     # reads them, are eval_field's direct sum to the tolerance of
     # test_field.test_cached_grid_matches_direct_evaluation
     spec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=768)
     h, n_fft = comb_cache_params(spec, h_target=0.065)
     width = sedsim.dynamics._slab_width(768)
-    assert width == 3328
+    assert width == 1664
     n_points = 2 * width + 345
     fr = make_field(spec, (11, 0, 0))
     slabs = [s.copy() for s in comb_sum_slabs(
@@ -483,9 +486,10 @@ def reference_loop(particle, fspec, ic, dt, n_steps, n_traj, seed, stride):
 @pytest.mark.parametrize("case", ["quartic", "free", "harmonic"])
 def test_step_loop_is_the_plain_rk4_bit_for_bit(case):
     # the stage-buffer kernel reorders no operation of the plain loop, also
-    # across the seam of the run's two slabs (208 and 198 half steps): on
-    # the quartic at mass 2 and record stride 3, the row that starts at
-    # x = 30 overflows in its first records and is NaN from there on
+    # across the seams of the run's four slabs (three of 104 half steps and
+    # one of 94): on the quartic at mass 2 and record stride 3, the row
+    # that starts at x = 30 overflows in its first records and is NaN from
+    # there on
     fspec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=48)
     ic, stride = (lambda: ListedStarts([0.3, -0.5, 30.0, 0.8, 0.0])), 3
     if case == "quartic":
@@ -765,14 +769,14 @@ def test_worker_count_does_not_change_bits_on_the_loop():
 
 
 def test_worker_count_does_not_change_bits_across_slabs(tmp_path):
-    # criterion 9 on the step loop's slabs: 64 modes give slabs of 192 half
-    # steps, and the run's 602 are three of them and a short last one of
-    # 26; two chunks, the last short. The dumps at 1 and 2 workers hold the
+    # criterion 9 on the step loop's slabs: 64 modes give slabs of 96 half
+    # steps, and the run's 602 are six of them and a short last one of 26;
+    # two chunks, the last short. The dumps at 1 and 2 workers hold the
     # same bytes
     fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
     particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
     dt, n_steps, _ = comb_time_grid(fspec, 0.2, 60.0)
-    assert (2 * n_steps, sedsim.dynamics._slab_width(64)) == (602, 192)
+    assert (2 * n_steps, sedsim.dynamics._slab_width(64)) == (602, 96)
     dumps = []
     for n_workers in (1, 2):
         ens = integrate_ensemble(particle, fspec, DeltaIC(0.5, 0.0), 0.0, dt,
@@ -786,14 +790,46 @@ def test_worker_count_does_not_change_bits_across_slabs(tmp_path):
         assert (dumps[0] / name).read_bytes() == (dumps[1] / name).read_bytes()
 
 
+class DriftFailure(ArithmeticError):
+    """Raised by a drift partway through a run."""
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_step_loop_leaves_no_helper_thread(n_workers):
+    # each chunk's slab stream runs a helper thread; after a run, and after
+    # a run whose drift raises in its fourth slab of 96 half steps while the
+    # next slab's fill is under way, the thread count is where it started,
+    # and the drift's exception reaches the caller as raised
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
+    dt, n_steps, _ = comb_time_grid(fspec, 0.2, 60.0)
+    args = (fspec, DeltaIC(0.5, 0.0), 0.0, dt, n_steps, CHUNK + 20, 9)
+    before = threading.active_count()
+    ens = integrate_ensemble(particle, *args, n_workers=n_workers)
+    assert ens.meta["integrator"] == "rk4-loop" and ens.ok_mask().all()
+    assert threading.active_count() == before
+    quartic, calls = particle.potential, []
+
+    def drift(*a):
+        calls.append(None)
+        if len(calls) == 4 * 150:
+            raise DriftFailure("drift failed at step 150")
+        return quartic.drift(*a)
+
+    failing = replace(particle, potential=replace(quartic, drift=drift))
+    with pytest.raises(DriftFailure, match="step 150"):
+        integrate_ensemble(failing, *args, n_workers=n_workers)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("route", ["out", "stream"])
 def test_step_loop_writes_the_record_field_after_its_slabs_are_freed(
         monkeypatch, route):
     # the record-grid field is written after a chunk's last slab is stepped
-    # and its buffer released, so the two are never resident together: when
-    # the record plan writes, the base buffer of every slab of the chunk is
-    # dead. Two chunks of three 192-half-step slabs and a short one, into
-    # integrate_ensemble's arrays and into a stream's own chunks
+    # and its buffers released, so the two are never resident together:
+    # when the record plan writes, the base buffer of every slab of the
+    # chunk is dead. Two chunks of six 96-half-step slabs and a short one,
+    # into integrate_ensemble's arrays and into a stream's own chunks
     fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
     particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
     dt, n_steps, _ = comb_time_grid(fspec, 0.2, 60.0)
@@ -816,7 +852,7 @@ def test_step_loop_writes_the_record_field_after_its_slabs_are_freed(
     ens = integrate(particle, fspec, DeltaIC(0.5, 0.0), 0.0, dt, n_steps,
                     CHUNK + 20, 9, record_stride=3)
     assert ens.meta["integrator"] == "rk4-loop"
-    assert writes == [[True] * 4] * 2
+    assert writes == [[True] * 7] * 2
 
 
 class Chunks:

@@ -1,12 +1,15 @@
 """Spectral synthesis: exactness, statistics, and the analytic covariance."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import sedsim.field
 from sedsim.field import (CombPlan, FieldRealization, FieldSpec,
                           autocorrelation_check, autocovariance,
                           autocovariance_quad, comb_cache_params,
@@ -251,31 +254,103 @@ def test_four_step_grid_on_the_shipped_comb():
         assert np.max(np.abs(batch[i] - ref)) <= 1e-14 * fr.amps.sum()
 
 
-def test_slabs_are_the_single_call_grid():
+class EagerExecutor:
+    """A ThreadPoolExecutor stand-in that runs each submitted call at once,
+    in the caller's thread: the schedule on which a fill submitted before
+    the seam row is copied out of the buffer it reuses overwrites that row
+    every time."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("schedule", ["helper", "eager"])
+def test_slabs_are_the_single_call_grid(monkeypatch, schedule):
     # sedbench's quartic comb; 2,001 half steps in slabs of 600 are four
     # slabs, the last of 200, each starting with the one before's last point
+    # as the consumer left it. The consumer scales each slab's new rows in
+    # place, as the step loop does by the charge, and sleeps before it takes
+    # the next, long enough for the helper to fill that one: a fill into
+    # the slab being read, or one submitted before the seam is copied out
+    # of the buffer it reuses, changes the bytes checked here
+    if schedule == "eager":
+        monkeypatch.setattr(sedsim.field, "ThreadPoolExecutor", EagerExecutor)
     spec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=768)
     h, n_fft = comb_cache_params(spec, h_target=0.065)
     frs = [make_field(spec, (11, i, 0)) for i in range(5)]
     coefs = coefficients(frs)[:, 0]
     whole = CombPlan(spec, n_fft, 2.5, 1, 2001)(coefs)
-    slabs = [s.copy() for s in comb_sum_slabs(coefs, spec, n_fft, 2.5, 2001,
-                                              600)]
-    assert [s.shape for s in slabs] == [(601, 5)] * 3 + [(201, 5)]
-    for a, b in zip(slabs, slabs[1:]):
+    taken, left = [], []
+    for slab in comb_sum_slabs(coefs, spec, n_fft, 2.5, 2001, 600):
+        taken.append(slab.copy())
+        np.multiply(slab[1 if left else 0:], 3.0, out=slab[1 if left else 0:])
+        time.sleep(0.02)
+        left.append(slab.copy())
+    assert [s.shape for s in taken] == [(601, 5)] * 3 + [(201, 5)]
+    # what the consumer wrote is still there after the sleep
+    assert np.array_equal(left[0], 3.0 * taken[0])
+    for a, b in zip(taken[1:], left[1:]):
+        assert np.array_equal(b[0], a[0]) and np.array_equal(b[1:], 3.0 * a[1:])
+    for a, b in zip(left, taken[1:]):
         assert np.array_equal(a[-1], b[0])
     # every slab, the short last one too, holds the bytes of a plan from
     # the slab's second point
-    for s0, slab in zip(range(0, 2000, 600), slabs):
+    for s0, slab in zip(range(0, 2000, 600), taken):
         assert np.array_equal(slab[1:].T, CombPlan(
             spec, n_fft, 2.5, 1, len(slab) - 1, start=s0 + 1)(coefs))
-    streamed = np.concatenate([slabs[0]] + [s[1:] for s in slabs[1:]]).T
+    streamed = np.concatenate([taken[0]] + [s[1:] for s in taken[1:]]).T
     assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.std(whole)
     # a run shorter than one slab is one slab of all its points
     (short,) = [s.copy() for s in comb_sum_slabs(coefs, spec, n_fft, 2.5,
                                                   41, 600)]
     assert short.shape == (41, 5)
     assert np.max(np.abs(short.T - whole[:, :41])) <= 1e-13 * np.std(whole)
+
+
+class SlabFailure(RuntimeError):
+    """Raised by FailingPlan."""
+
+
+class FailingPlan(CombPlan):
+    """A CombPlan that refuses grids starting past point 1,000."""
+
+    def __init__(self, spec, n_fft, t0, step, n_points, start=0):
+        if start > 1000:
+            raise SlabFailure(start)
+        super().__init__(spec, n_fft, t0, step, n_points, start)
+
+
+def test_a_slab_stream_ends_its_helper_thread(monkeypatch):
+    # closed after its first slab, while the second slab's fill may still
+    # be running, and failed in its third slab's fill, whose exception
+    # reaches the consumer as raised: both times the thread count returns
+    # to where it started
+    spec = FieldSpec(omega_cutoff=1.6, omega_min=0.1, n_modes=768)
+    _, n_fft = comb_cache_params(spec, h_target=0.065)
+    coefs = coefficients([make_field(spec, (11, i, 0)) for i in range(5)])[:, 0]
+    before = threading.active_count()
+    slabs = comb_sum_slabs(coefs, spec, n_fft, 2.5, 2001, 600)
+    assert next(slabs).shape == (601, 5)
+    slabs.close()
+    assert threading.active_count() == before
+    monkeypatch.setattr(sedsim.field, "CombPlan", FailingPlan)
+    taken = []
+    with pytest.raises(SlabFailure, match="1201"):
+        for slab in comb_sum_slabs(coefs, spec, n_fft, 2.5, 2001, 600):
+            taken.append(len(slab))
+    assert taken == [601, 601]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("step, start, t0", [

@@ -18,6 +18,8 @@ Last, for each of those whole-run metrics, each tree's interquartile range
 as a percentage of its median and in how many alternating pairs (run k of
 each tree) TREE_B read lower than TREE_A, ties counting for neither.
 Run directories go to a temporary directory, deleted after each run.
+Trees at paths of different lengths are refused (exit status 2), since
+maxrss depends on that length.
 """
 
 import json
@@ -29,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from paired_loop import pair_lines
+from paired_loop import pair_lines, path_length_mismatch
 
 THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
@@ -66,6 +68,10 @@ def run_once(config: Path, tree: Path) -> dict:
 
 def main(argv):
     config, *trees = (Path(a).resolve() for a in argv[1:4])
+    mismatch = path_length_mismatch(trees)
+    if mismatch:
+        print(f"error: {mismatch}", file=sys.stderr)
+        return 2
     n = int(argv[4]) if len(argv) > 4 else 5
     runs = [(tree, []) for tree in trees]     # by position: a tree may repeat
     for k in range(n):
@@ -100,4 +106,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    sys.exit(main(sys.argv))

@@ -11,7 +11,9 @@ count and --chunk the step loop's width (dynamics.CHUNK) in both trees.
 Prints, per tree, the median, min and max over its runs of the ns per
 trajectory-step of the integrate_ensemble call (field synthesis included)
 and of the process's maxrss (MiB), and whether the two trees' positions,
-velocities, field values and status hashed the same. Last, for each of
+velocities, field values and status hashed the same. maxrss is read
+before the hash. Trees at paths of different lengths are refused (exit
+status 2), since maxrss depends on that length. Last, for each of
 the two metrics, each tree's interquartile range as a percentage of its
 median and in how many alternating pairs (run k of each tree) TREE_B read
 lower than TREE_A, ties counting for neither.
@@ -44,10 +46,10 @@ ens = dynamics.integrate_ensemble(
     particle, fspec, dynamics.DeltaIC(ic["x0"], ic["v0"]), 0.0, dt, n_steps,
     n_traj, 1, record_stride=t["record_stride"])
 elapsed = time.perf_counter() - start
+maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 digest = hashlib.sha256()
 for a in (ens.positions, ens.velocities, ens.field_values, ens.status):
-    digest.update(a.tobytes())
-maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    digest.update(a)            # contiguous: hashed in place, no copy
 print(json.dumps({"ns": 1e9 * elapsed / (n_traj * n_steps),
                   "maxrss_mib": maxrss / 1024, "sha256": digest.hexdigest()}))
 """
@@ -61,6 +63,18 @@ def run_once(tree: Path, n_traj: int, chunk: int) -> dict:
         raise RuntimeError(f"{tree}: exit status {run.returncode}\n"
                            f"{run.stderr}")
     return json.loads(run.stdout)
+
+
+def path_length_mismatch(trees) -> str | None:
+    """Why two trees cannot be compared, or None: a process's maxrss
+    depends on the length of its tree's path, so trees at paths of
+    different lengths read different maxrss for the same code."""
+    lengths = [len(str(tree)) for tree in trees]
+    if lengths[0] == lengths[1]:
+        return None
+    return (f"the tree paths {trees[0]} and {trees[1]} are {lengths[0]} and "
+            f"{lengths[1]} characters long; maxrss depends on that length, "
+            f"so put both trees at paths of one length")
 
 
 def pair_lines(runs: list, keys) -> list:
@@ -95,6 +109,9 @@ def main():
     ap.add_argument("--chunk", type=int, default=0)
     args = ap.parse_args()
     trees = [t.resolve() for t in args.trees]
+    mismatch = path_length_mismatch(trees)
+    if mismatch:
+        ap.error(mismatch)
     runs = [(tree, []) for tree in trees]     # by position: a tree may repeat
     for k in range(args.n):
         for tree, rs in (runs if k % 2 == 0 else runs[::-1]):
