@@ -50,11 +50,14 @@ sets (kinematics.SampleSet) add its samples to their bin sums and to
 D's. Each trajectory is seeded on its own (Philox keyed by master seed
 and trajectory index; Salmon et al., SC'11), so a chunk does not depend
 on the others. A chunk is CHUNK rows on the step loop and RESPONSE_CHUNK,
-one ROW_BLOCK, on the response path, so a chunk holds whole blocks, and a
-response-path chunk exactly one. integrate_ensemble is the stream whose
-chunks fill whole arrays in place; energy_balance, relaxation_curve and
-dump_ensemble take a whole ensemble as one chunk, so both routes give the
-same bytes.
+one ROW_BLOCK of 16 rows, on the response path, so a chunk holds whole
+blocks, and a response-path chunk exactly one: 100 chunks on the shipped
+run. On the response path a helper thread computes the next chunk while
+the consumers take the current one, so its transforms, which release the
+interpreter lock, run beside the consumers. integrate_ensemble is the
+stream whose chunks fill whole arrays in place; energy_balance,
+relaxation_curve and dump_ensemble take a whole ensemble as one chunk, so
+both routes give the same bytes.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from contextvars import copy_context
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
@@ -88,21 +92,22 @@ CHUNK = 512
 # ensemble's blocks. (A SampleSet walks blocks of its own block_rows, 39
 # rows on the shipped sed run, of which no chunk width is a multiple; its
 # walk restarts at each chunk, so its D sums round with the chunk width.)
-# Each temporary is ROW_BLOCK x n_rec doubles, 2.1 MB on the shipped grid.
+# Each temporary is ROW_BLOCK x n_rec doubles, 1.1 MB on the shipped grid.
 # On the shipped run the window reductions took about as long at 8 to 64
 # rows; at 128 the relaxation curve took 1.6x as long.
-ROW_BLOCK = 32
+ROW_BLOCK = 16
 
-# The response path's width: one row block, which is also one CombPlan
-# transform block (field._SUM_BLOCK), so each consumer takes one block of
-# records at a time. A chunk's positions, velocities and field are
-# 3 x RESPONSE_CHUNK x n_rec doubles, 6.4 MB on the shipped record grid
-# (12.8 MB at 64 rows). Against 64 rows, on a 2-core x86_64 host: the
-# shipped sed run's integrate peaked at 52.3 MiB against 59.3 and took
-# 120k minor faults against 80k (tools/paired_ledger.py, 3 runs each);
-# sedbench's sed-ground peak_rss_mb fell from 108.7 to 101.3 MB and its
-# wall_s rose 3.5 % (medians of 12 alternating pairs, together with the
-# numpy eigensolve of schrodinger.solve_stationary).
+# The response path's width: one row block, so each consumer takes one
+# block of records at a time, and one CombPlan work block of 16 rows (half
+# of field._SUM_BLOCK). A chunk's positions, velocities and field are
+# 3 x RESPONSE_CHUNK x n_rec doubles, 3.2 MB on the shipped record grid.
+# The stream computes the next chunk on a helper thread while the
+# consumers take this one, so two chunks are resident: what one 32-row
+# chunk held. On a 2-core x86_64 host, against serial 32-row chunks,
+# sedbench's sed-ground wall_s fell from 0.756 to 0.529 s and its
+# peak_rss_mb rose from 101.19 to 101.68 MB (medians of 10 alternating
+# pairs). The shipped sed run's maxrss read 52.5-53.4 MiB against 52.4;
+# the same helper on 32-row chunks read 62.4 MiB (3 to 6 runs each).
 RESPONSE_CHUNK = ROW_BLOCK
 
 # Records per block of the transient on the response path; see _add_transient.
@@ -561,8 +566,14 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
 
     A chunk is the returned ensemble with its rows' arrays (field_values
     None without store_field) and status; a consumer copies what it keeps.
-    With n_workers > 1 up to n_workers chunks are in flight, and one that
-    finishes early waits until the chunks before it are handed over.
+    Chunks are computed on max(1, n_workers) pool threads while the
+    calling thread hands over the oldest finished one, so max(1,
+    n_workers) + 1 chunks are in flight: two at one worker on the response
+    path, where one helper thread computes the next chunk. A chunk that
+    finishes early waits until the chunks before it are handed over. The
+    step loop at one worker computes its one chunk in flight on the
+    calling thread. No pool thread outlives the call, also when a chunk or
+    a consumer raises; the exception reaches the caller as it was raised.
     Without out each chunk's arrays are its own and are dropped once
     handed over; out(n_rec), when given, returns whole (n_traj, n_rec)
     arrays (positions, velocities, field_values or None) whose rows the
@@ -686,16 +697,22 @@ def integrate_stream(particle: ParticleSpec, fspec: FieldSpec, ic,
 
     rows = RESPONSE_CHUNK if linear else CHUNK
     spans = [(lo, min(lo + rows, n_traj)) for lo in range(0, n_traj, rows)]
-    if n_workers <= 1:
+    if n_workers <= 1 and not linear:
+        # the step loop's slab helper already runs beside its steps, and
+        # from a pool thread its slabs would land in another malloc arena
         for span in spans:
             hand_over(chunk(span))
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        # the next chunk is submitted before the oldest is handed over, so
+        # the consumers take that one while the pool computes; each chunk
+        # computes in a copy of the caller's context, under its np.errstate
+        computing = max(1, n_workers)
+        with ThreadPoolExecutor(max_workers=computing) as pool:
             pending = deque()
             for span in spans:
-                if len(pending) == n_workers:
+                pending.append(pool.submit(copy_context().run, chunk, span))
+                if len(pending) > computing:
                     hand_over(pending.popleft().result())
-                pending.append(pool.submit(chunk, span))
             while pending:
                 hand_over(pending.popleft().result())
 

@@ -36,7 +36,6 @@ from sedsim.schrodinger import (
 
 ROOT = Path(__file__).resolve().parent.parent
 SED_CONFIG = ROOT / "configs" / "sed_harmonic_ground.json"
-OU_CONFIG = ROOT / "configs" / "ou_calibration.json"
 REPORT_PATH = ROOT / "acceptance_report.txt"
 
 HARMONIC = lambda x: 0.5 * x ** 2
@@ -67,11 +66,6 @@ def sed_run_parallel(tmp_path_factory):
     cfg = copy.deepcopy(json.loads(SED_CONFIG.read_text()))
     cfg["ensemble"]["n_workers"] = 4
     return run_experiment(cfg, output_root=tmp_path_factory.mktemp("sed4"))
-
-
-@pytest.fixture(scope="session")
-def ou_run(tmp_path_factory):
-    return run_experiment(OU_CONFIG, output_root=tmp_path_factory.mktemp("ou"))
 
 
 def rows_by_name(run):

@@ -822,6 +822,116 @@ def test_step_loop_leaves_no_helper_thread(n_workers):
     assert threading.active_count() == before
 
 
+def test_step_loop_at_one_worker_computes_on_the_calling_thread():
+    # its slab helper already runs beside the steps; from a pool thread its
+    # slabs would land in another malloc arena
+    fspec = FieldSpec(omega_cutoff=1.1, omega_min=0.9, n_modes=64)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, quartic_potential(1.0))
+    dt, n_steps, _ = comb_time_grid(fspec, 0.2, 60.0)
+    quartic, threads = particle.potential, set()
+
+    def drift(*a):
+        threads.add(threading.current_thread())
+        return quartic.drift(*a)
+
+    recording = replace(particle, potential=replace(quartic, drift=drift))
+    ens = integrate_ensemble(recording, fspec, DeltaIC(0.5, 0.0), 0.0, dt,
+                             n_steps, CHUNK + 20, 9)
+    assert ens.meta["integrator"] == "rk4-loop"
+    assert threads == {threading.current_thread()}
+
+
+class ConsumerFailure(RuntimeError):
+    """Raised by a consumer as it takes a chunk."""
+
+
+class SamplerFailure(LookupError):
+    """Raised by an initial-condition sampler inside a chunk."""
+
+
+def test_response_path_leaves_no_helper_thread():
+    # at one worker a helper thread computes the next chunk while the
+    # consumers take this one. After a run, after a consumer that raises on
+    # chunk 3 while chunk 4 is computing, and after a sampler that raises
+    # inside the helper, the thread count is where it started, and each
+    # exception reaches the caller as raised
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    guess = stationary_guess_ic(1.0, 1.0, 1.0)
+    n_traj = 6 * RESPONSE_CHUNK + 3
+
+    class Sampler:
+        """guess's draws, counted, on the threads that make them; the draw
+        of row fail raises."""
+
+        def __init__(self, fail=None):
+            self.rows, self.fail, self.threads = 0, fail, set()
+            self.chunk_4 = threading.Event()
+
+        def sample(self, rng):
+            self.threads.add(threading.current_thread())
+            if self.rows == self.fail:
+                raise SamplerFailure(f"row {self.rows} has no start")
+            self.rows += 1
+            if self.rows > 3 * RESPONSE_CHUNK:
+                self.chunk_4.set()
+            return guess.sample(rng)
+
+    def run(ic, consumers):
+        return integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj,
+                                9, consumers)
+
+    before = threading.active_count()
+    ic, chunks = Sampler(), Chunks()
+    head = run(ic, [chunks])
+    assert head.meta["integrator"] == "rk4-response"
+    assert len(chunks.chunks) == 7 and ic.rows == n_traj
+    assert threading.current_thread() not in ic.threads
+    assert threading.active_count() == before
+
+    class FailsOnChunk3:
+        def __init__(self):
+            self.taken, self.waited = 0, None
+
+        def take(self, chunk):
+            self.taken += 1
+            if self.taken == 3:
+                self.waited = ic.chunk_4.wait(timeout=60)
+                raise ConsumerFailure("chunk 3 refused")
+
+    ic, consumer = Sampler(), FailsOnChunk3()
+    with pytest.raises(ConsumerFailure, match="chunk 3 refused"):
+        run(ic, [consumer])
+    assert consumer.waited is True
+    assert threading.active_count() == before
+
+    chunks = Chunks()
+    with pytest.raises(SamplerFailure, match=f"row {2 * RESPONSE_CHUNK + 1}"):
+        run(Sampler(fail=2 * RESPONSE_CHUNK + 1), [chunks])
+    assert len(chunks.chunks) == 2
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_response_chunks_compute_under_the_callers_errstate(n_workers):
+    # the pool threads take the caller's floating-point error handling, as
+    # a chunk computed on the calling thread would: an overflow raises
+    # where the caller asked it to
+    fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
+    particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
+    seen = []
+
+    class Sampler:
+        def sample(self, rng):
+            seen.append(np.geterr()["over"])
+            return 0.0, 0.0
+
+    with np.errstate(over="raise"):
+        integrate_stream(particle, fspec, Sampler(), 0.0, 0.2, 20,
+                         3 * RESPONSE_CHUNK, 9, n_workers=n_workers)
+    assert seen == ["raise"] * (3 * RESPONSE_CHUNK)
+
+
 @pytest.mark.parametrize("route", ["out", "stream"])
 def test_step_loop_writes_the_record_field_after_its_slabs_are_freed(
         monkeypatch, route):
@@ -876,7 +986,7 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
     # without them, and a ColumnStore keeps the column it was given. Each
     # path has its own chunk width
     width = CHUNK if loop else RESPONSE_CHUNK
-    n_traj = 2 * width + 20
+    n_traj = 2 * width + 10
     fspec = FieldSpec(omega_cutoff=2.0, omega_min=0.9, n_modes=8)
     particle = ParticleSpec.from_tau(1.0, 1e-3, harmonic_potential(1.0, 1.0))
     if loop:
@@ -887,7 +997,7 @@ def test_stream_hands_over_the_chunks_in_row_order(loop):
         chunks, store = Chunks(), ColumnStore(n_traj, 5)
         head = integrate_stream(particle, fspec, ic, 0.0, 0.2, 20, n_traj, 9,
                                 [chunks, store], n_workers=n_workers)
-        assert [c.n_traj for c in chunks.chunks] == [width, width, 20]
+        assert [c.n_traj for c in chunks.chunks] == [width, width, 10]
         for name in ("positions", "velocities", "field_values", "status"):
             assert np.array_equal(
                 np.concatenate([getattr(c, name) for c in chunks.chunks]),
@@ -966,12 +1076,12 @@ def test_a_response_chunk_is_one_row_block():
         assert walks.seen == [(ROW_BLOCK, 1, True)] * 3 + [(5, 1, True)]
 
 
-@pytest.mark.parametrize("sizes", [[64, 32, 256, 48], [ROW_BLOCK] * 12 + [16]])
+@pytest.mark.parametrize("sizes", [[64, 32, 256, 48], [ROW_BLOCK] * 25])
 def test_stream_reductions_add_the_whole_ensembles_blocks(sizes):
     # chunks of whole blocks, with flagged rows on both sides of every
-    # boundary and one block (with 32-row chunks, one chunk) all flagged:
-    # the stream's reductions add the whole-array walk's blocks in its
-    # order and agree with it bit for bit
+    # boundary and one block (with ROW_BLOCK-row chunks, one chunk) all
+    # flagged: the stream's reductions add the whole-array walk's blocks
+    # in its order and agree with it bit for bit
     particle = ParticleSpec.from_tau(1.0, 1e-2, harmonic_potential(1.0, 1.0))
     window = (50.0, 200.0)
     ens = noise_ensemble(400)
@@ -1082,11 +1192,11 @@ def test_intact_blocks_walk_the_intact_rows():
     # lengths at ROW_BLOCK rows, which blocks are views of the stored rows
     # (those without a flagged row), and the block lengths at 7 rows
     cases = (
-        ([], [ROW_BLOCK, ROW_BLOCK, 5], [True, True, True], [7] * 9 + [6]),
+        ([], [ROW_BLOCK, ROW_BLOCK, 5], [True, True, True], [7] * 5 + [2]),
         ([0, 2 * ROW_BLOCK + 4], [ROW_BLOCK - 1, ROW_BLOCK, 4],
-         [False, True, False], [6] + [7] * 8 + [5]),
+         [False, True, False], [6] + [7] * 4 + [1]),
         (list(range(2 * ROW_BLOCK, 2 * ROW_BLOCK + 5)), [ROW_BLOCK, ROW_BLOCK],
-         [True, True], [7] * 9 + [1]),
+         [True, True], [7] * 4 + [4]),
     )
     for flagged, lengths, views, lengths_7 in cases:
         ens.status[:] = STATUS_OK

@@ -77,12 +77,6 @@ def sed_run(tmp_path_factory):
     return run_experiment(mini_sed_config(), output_root=root)
 
 
-@pytest.fixture(scope="module")
-def ou_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("ou")
-    return run_experiment(OU_CONFIG, output_root=root)
-
-
 # ---------------------------------------------------------------------------
 # run directory contract
 
@@ -141,8 +135,8 @@ def test_run_json_records_the_resolved_grid(sed_run, ou_run):
     assert run_meta["n_conv"] == conv_length(ens_meta["meta"]["field_spec"][
         "n_modes"], n_rec)
     assert "n_conv" not in json.dumps(ens_meta)
-    # the chunks integrate handed over: 120 trajectories in 3 of 32 and 24
-    assert run_meta["n_chunks"] == 4
+    # the chunks integrate handed over: 120 trajectories in 7 of 16 and 8
+    assert run_meta["n_chunks"] == 8
     assert run_meta["n_workers"] == 1
     ou_meta = json.loads((ou_run.run_dir / "run.json").read_text())
     ou_ens = json.loads((ou_run.run_dir / "ensemble" / "meta.json").read_text())
@@ -161,7 +155,7 @@ def test_shipped_sed_plan_resolves_its_transform_lengths():
 def test_progress_counts_the_chunks_of_a_sed_run(n_workers, tmp_path,
                                                  capsys):
     # the sed stream's last consumer counts its chunks, 120 trajectories in
-    # 3 of 32 and 24, and reports the trajectories so far after each;
+    # 7 of 16 and 8, and reports the trajectories so far after each;
     # run.json's n_chunks counts the same calls. Without progress nothing is
     # printed
     cfg = mini_sed_config()
@@ -170,7 +164,7 @@ def test_progress_counts_the_chunks_of_a_sed_run(n_workers, tmp_path,
     result = run_experiment(
         cfg, output_root=tmp_path / "progress",
         progress=lambda done, total: calls.append((done, total)))
-    assert calls == [(32, 120), (64, 120), (96, 120), (120, 120)]
+    assert calls == [(done, 120) for done in (*range(16, 120, 16), 120)]
     run = json.loads((result.run_dir / "run.json").read_text())
     assert run["n_chunks"] == len(calls)
     run_experiment(cfg, output_root=tmp_path / "quiet")
@@ -382,7 +376,7 @@ def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
     # every sample set walks each chunk once, as the stream hands it over,
     # and its estimates walk nothing: v, u, va and D at every lag come from
     # the sums of that walk. sed: two sets, one at the lag (fields and
-    # classifier) and one for the sweep, over 4 chunks of integrate. ou:
+    # classifier) and one for the sweep, over 8 chunks of integrate. ou:
     # the equilibrium sample's two sets over its 10 blocks of 2,048 rows,
     # and the relaxing classifier's set, made once the sample's variance
     # sets its bins, over the 5 blocks of its block_rows (10,922) rows that
@@ -416,7 +410,7 @@ def test_each_estimate_walks_its_sample_set_once(tmp_path, monkeypatch):
     for name in ("integrate_stream", "ou_stream"):
         monkeypatch.setattr(harness, name, marked(getattr(harness, name)))
     run_experiment(mini_sed_config(), output_root=tmp_path / "sed")
-    assert counts == {"walk": 2 * 4, "binned_mean": 3, "after_stream": 0}
+    assert counts == {"walk": 2 * 8, "binned_mean": 3, "after_stream": 0}
 
     counts.update(walk=0, binned_mean=0, after_stream=0)
     run_experiment(mini_ou_config(), output_root=tmp_path / "ou")
@@ -900,18 +894,20 @@ def test_a_failed_chunk_leaves_a_dump_that_does_not_load(tmp_path,
 
 def test_sed_run_holds_a_few_chunks_and_the_sample_sums(tmp_path,
                                                         monkeypatch):
-    # the response path's chunks are one row block (32 rows): integrate
-    # holds one chunk (positions, velocities and field values), one
-    # transform's work block (_SUM_BLOCK x n_conv complex) and the two
-    # sample sets' sums: per bin, and for D per lag (4 here) the rows'
-    # mean and scatter of (2 bins + 1) numbers, whatever n_traj. The bound
-    # allows that chunk and work block twice, for what sits beside them: the
-    # transient's and the consumers' block temporaries, the coefficient
-    # rows, the plan and the energy balance's per-row means (about 55 B a
-    # row). The stages after integrate finish the sums and stay below it,
-    # far below the 3 whole arrays. 4,800 trajectories, 3,600 more than
-    # 1,200, raise the peak by less than one chunk: the sample sets keep
-    # nothing per trajectory
+    # the response path's chunks are one row block (16 rows), two in
+    # flight: integrate holds the chunk the consumers take and the one the
+    # helper thread computes (positions, velocities and field values of
+    # each), one transform's work block (at most _SUM_BLOCK x n_conv
+    # complex) and the two sample sets' sums: per bin, and for D per lag (4
+    # here) the rows' mean and scatter of (2 bins + 1) numbers, whatever
+    # n_traj. The bound allows the two chunks and the work block twice, for
+    # what sits beside them: the transient's and the consumers' block
+    # temporaries, the coefficient rows, the plan and the energy balance's
+    # per-row means (about 55 B a row); at 32-row chunks, one in flight,
+    # it was the same number. The stages after integrate finish the sums
+    # and stay below it, far below the 3 whole arrays. 4,800 trajectories,
+    # 3,600 more than 1,200, raise the peak by less than one chunk: the
+    # sample sets keep nothing per trajectory
     stream, peaks = harness.integrate_stream, {}
 
     def measured_stream(*args, **kwargs):
@@ -938,8 +934,10 @@ def test_sed_run_holds_a_few_chunks_and_the_sample_sums(tmp_path,
             + 2 * (1 + 2 * 3 + lags) * (bins + 1) * 8)
     chunk = 3 * dynamics.RESPONSE_CHUNK * n_rec * 8
     work = _SUM_BLOCK * n_conv * 16
-    bound = sums + 2 * (chunk + work)
-    # no looser than the bound at 64-row chunks, two of them and the sums
+    bound = sums + 2 * (2 * chunk + work)
+    # no looser than the bound at one 32-row chunk in flight, nor than at
+    # 64-row chunks, two of them and the sums
+    assert bound <= sums + 2 * (3 * 32 * n_rec * 8 + work)
     assert bound <= sums + 2 * 3 * 64 * n_rec * 8
     for n_traj, (integrate, peak) in peaks.items():
         assert integrate < bound
@@ -1143,10 +1141,10 @@ def test_cli_run_report_plot_cycle(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_progress_prints_a_line_per_512_trajectories(capsys):
-    # the shipped sed run hands over 50 chunks of 32 and prints 4 lines;
+    # the shipped sed run hands over 100 chunks of 16 and prints 4 lines;
     # the step loop's chunks of 512 print one line each
     progress = _Progress()
-    for done in [*range(32, 1600, 32), 1600]:
+    for done in [*range(16, 1600, 16), 1600]:
         progress(done, 1600)
     assert capsys.readouterr().err == "".join(
         f"integrate: {done}/1600 trajectories\n"
